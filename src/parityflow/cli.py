@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 
 import click
@@ -35,6 +36,8 @@ def _canonical_json(value) -> str:
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite number {value!r}")
         return format(value, ".17g")
     if isinstance(value, (int, str)):
         return json.dumps(value)
@@ -133,8 +136,7 @@ def stab_check(layout_path: str) -> None:
         sys.exit(1)
 
 
-def _load_program(path: str):
-    data = _load_json(path)
+def _load_program(data: dict):
     try:
         layout = layout_mod.layout_from_json(data["layout"])
         layers = parity_engine.layers_from_json(data["layers"])
@@ -142,7 +144,10 @@ def _load_program(path: str):
         raise InputError(f"program JSON missing field {exc.args[0]!r}") from exc
     if "input" in data:
         amps = np.array([complex(re, im) for re, im in data["input"]])
-        psi = simulator.Statevector(tuple(layout.data_qubits), amps / np.linalg.norm(amps))
+        norm = np.linalg.norm(amps)
+        if not 0.0 < norm < math.inf:
+            raise InputError(f"field 'input': norm {norm} cannot be normalised")
+        psi = simulator.Statevector(tuple(layout.data_qubits), amps / norm)
     else:
         psi = simulator.basis_state(layout.data_qubits, "0" * layout.n)
     return layout, layers, psi
@@ -176,14 +181,14 @@ def _branch_outputs(run, count: int, branches: str, samples: int, seed: int):
 
 
 def _sim_command(engine: str, program: str, branches: str, samples: int, seed: int, tol: float) -> None:
-    layout, layers, psi = _load_program(program)
+    data = _load_json(program)
+    layout, layers, psi = _load_program(data)
     if engine == "mbqc":
         for layer in layers:
             if layer.decode is not None:
                 raise InputError("field 'decode': measurement-based runs decode fully each layer")
         # an explicit graph may override the layout-induced one, as long as
         # its inputs carry the same labels as the data register
-        data = _load_json(program)
         if "graph" in data:
             graph = graph_mod.graph_from_json(data["graph"])
             if graph.inputs != frozenset(psi.labels):
@@ -261,7 +266,7 @@ def sim_mbqc(program: str, branches: str, samples: int, seed: int, tol: float) -
 @_guard
 def compare(program: str, tol: float, seed: int) -> None:
     """Run both engines on one program and report the output distance."""
-    layout, layers, psi = _load_program(program)
+    layout, layers, psi = _load_program(_load_json(program))
     for layer in layers:
         if layer.decode is not None:
             raise InputError("field 'decode': cross-engine programs decode fully each layer")

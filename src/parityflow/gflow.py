@@ -16,6 +16,7 @@ import os
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,38 +75,26 @@ class GFlow:
             if level[v] >= level[u]:
                 raise MalformedFlowError(f"layering violates precedence {v!r} < {u!r}")
 
-    def layer_of(self, v: str) -> int:
-        for depth, layer in enumerate(self.layers):
-            if v in layer:
-                return depth
-        raise KeyError(v)
-
-
-def _closure(flow: GFlow) -> dict[str, set[str]]:
-    """Strict successors of each vertex under the transitive closure of precedence."""
-    succ: dict[str, set[str]] = {}
-    for v, u in flow.precedence:
-        succ.setdefault(v, set()).add(u)
-    reach: dict[str, set[str]] = {}
-
-    def visit(v: str) -> set[str]:
-        if v in reach:
-            return reach[v]
-        acc: set[str] = set()
-        reach[v] = acc  # layering guarantees acyclicity, so no re-entry on a cycle
-        for u in succ.get(v, ()):
-            acc.add(u)
-            acc |= visit(u)
-        return acc
-
-    for v in succ:
-        visit(v)
-    return reach
+    @cached_property
+    def closure(self) -> frozenset[tuple[str, str]]:
+        """The partial order as pairs (v, u), v < u: the transitive closure of
+        precedence, built on first use. When precedence is already closed, as
+        for every layered or canonical witness, it is that same object."""
+        reach: dict[str, set[str]] = {}
+        for v, u in self.precedence:
+            reach.setdefault(v, set()).add(u)
+        # deepest layer first: a successor's reach is final before it is read
+        for layer in reversed(self.layers):
+            for v in layer & reach.keys():
+                for u in tuple(reach[v]):
+                    reach[v].update(reach.get(u, ()))
+        closure = frozenset((v, u) for v, after in reach.items() for u in after)
+        return self.precedence if len(closure) == len(self.precedence) else closure
 
 
 def precedes(flow: GFlow, v: str, u: str) -> bool:
     """v < u in the partial order (transitive closure of the precedence digraph)."""
-    return u in _closure(flow).get(v, ())
+    return (v, u) in flow.closure
 
 
 @dataclass(frozen=True)
@@ -152,20 +141,19 @@ def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow) -> VerifyRe
         raise MalformedFlowError("layering must partition the vertex set")
     allowed = vertices - graph.inputs
     order_index = {v: i for i, v in enumerate(graph.vertices)}
-    closure = _closure(flow)
+    closure = flow.closure
     violations: list[Violation] = []
     for v in sorted(measured, key=order_index.get):
         corr = flow.g[v]
         if not corr <= allowed:
             raise MalformedFlowError(f"g({v!r}) is not a subset of the non-input vertices")
         odd = odd_neighborhood(graph, corr)
-        after = closure.get(v, set())
         for u in sorted(corr - {v}, key=order_index.get):
-            if u not in after:
+            if (v, u) not in closure:
                 violations.append(Violation(v, 1, f"{u!r} in g({v!r}) but not after {v!r}"))
                 break
         for u in sorted(odd - {v}, key=order_index.get):
-            if u not in after:
+            if (v, u) not in closure:
                 violations.append(Violation(v, 2, f"{u!r} in Odd(g({v!r})) but not after {v!r}"))
                 break
         plane = planes[v]
@@ -235,44 +223,31 @@ def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None
         raise ValueError(f"search cap exceeded: {n} vertices > cap={cap}")
     if len(graph.inputs) != len(graph.outputs):
         raise ValueError("search requires |I| = |O|")
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    nbr = [0] * n
-    for u, v in graph.edges:
-        nbr[index[u]] |= 1 << index[v]
-        nbr[index[v]] |= 1 << index[u]
+    odd_mask = graph.odd_mask
     all_mask = (1 << n) - 1
-    output_mask = sum(1 << index[v] for v in graph.outputs)
-    input_mask = sum(1 << index[v] for v in graph.inputs)
+    output_mask = graph.mask_of(graph.outputs)
+    input_mask = graph.mask_of(graph.inputs)
     measured_mask = all_mask & ~output_mask
     support = all_mask & ~input_mask
 
+    if measured_mask & ~support:
+        return None  # a measured input must lie in its own correction set but cannot
     measured = _bit_indices(measured_mask)
-    candidates: dict[int, list[tuple[int, int]]] = {}
-    for v in measured:
-        vbit = 1 << v
-        if not support & vbit:
-            return None  # v must lie in its own correction set but is an input
-        options: list[tuple[int, int]] = []
-        free = support & ~vbit
-        sub = free
-        while True:
-            s = sub | vbit
-            odd = 0
-            rest = s
-            while rest:
-                low = rest & -rest
-                odd ^= nbr[low.bit_length() - 1]
-                rest ^= low
-            if not odd & vbit:
-                options.append((s, (s | odd) & measured_mask & ~vbit))
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
+    candidates: dict[int, list[tuple[int, int]]] = {v: [] for v in measured}
+    s = support
+    while s:  # every nonempty S inside the support, one Odd(S) each
+        odd = odd_mask(s)
+        members = s & measured_mask & ~odd
+        while members:
+            low = members & -members
+            members ^= low
+            candidates[low.bit_length() - 1].append((s, (s | odd) & measured_mask & ~low))
+        s = (s - 1) & support
+    for options in candidates.values():
         if not options:
             return None
         # singletons first so witnesses on friendly graphs surface immediately
         options.sort(key=lambda cand: (bin(cand[0]).count("1"), cand[0]))
-        candidates[v] = options
 
     chosen: dict[int, int] = {}
     dead: set[int] = set()
@@ -305,19 +280,13 @@ def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None
         return None
 
     labels = graph.vertices
-    g_map = {labels[v]: frozenset(labels[u] for u in _bit_indices(chosen[v])) for v in measured}
+    g_map = {labels[v]: graph.vertices_of(chosen[v]) for v in measured}
     precedence = set()
     succ_measured: dict[int, list[int]] = {v: [] for v in measured}
     pred_count = {v: 0 for v in measured}
     for v in measured:
         s = chosen[v]
-        odd = 0
-        rest = s
-        while rest:
-            low = rest & -rest
-            odd ^= nbr[low.bit_length() - 1]
-            rest ^= low
-        for u in _bit_indices((s | odd) & ~(1 << v)):
+        for u in _bit_indices((s | odd_mask(s)) & ~(1 << v)):
             precedence.add((labels[v], labels[u]))
             if (1 << u) & measured_mask:
                 succ_measured[v].append(u)
@@ -338,7 +307,7 @@ def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None
     for v in measured:
         layers[depth[v]].add(labels[v])
     if output_mask:
-        layers.append({labels[o] for o in _bit_indices(output_mask)})
+        layers.append(graph.outputs)
     flow = GFlow(g=g_map, precedence=frozenset(precedence), layers=tuple(frozenset(s) for s in layers))
     result = verify_gflow(graph, yz_planes(graph), flow)
     if not result:
@@ -369,8 +338,8 @@ def witness_structure(flow: GFlow, graph: Graph) -> WitnessStructure:
     (b) the union of all correction sets spans no edge of the graph.
     """
     measured = set(flow.g)
-    closure = _closure(flow)
-    maximal = sorted(v for v in measured if not closure.get(v, set()) & measured)
+    closure = flow.closure
+    maximal = sorted(v for v in measured if not any((v, u) in closure for u in measured))
     a_ok = all(flow.g[v] == frozenset({v}) for v in maximal)
     union: set[str] = set().union(*flow.g.values()) if flow.g else set()
     b_ok = all(not (u in union and v in union) for u, v in graph.edges)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,6 +48,46 @@ class Graph:
             if not subset <= set(self.vertices):
                 raise ValueError(f"{name} not a subset of the vertex set")
 
+    # Bit i of a vertex mask stands for vertices[i]. The adjacency masks are
+    # built on first use, not at construction: enumeration and with_io build
+    # many graphs that are never searched.
+
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Entry i has bit j set iff vertices i and j share an edge."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        masks = [0] * len(self.vertices)
+        for u, v in self.edges:
+            masks[index[u]] |= 1 << index[v]
+            masks[index[v]] |= 1 << index[u]
+        return tuple(masks)
+
+    def mask_of(self, k: Iterable[str]) -> int:
+        """Bitmask of a vertex set; raises on vertices outside the graph."""
+        members = frozenset(k)
+        mask = sum(1 << i for i, v in enumerate(self.vertices) if v in members)
+        if mask.bit_count() != len(members):
+            raise ValueError(f"vertices {sorted(members.difference(self.vertices))} not in graph")
+        return mask
+
+    def vertices_of(self, mask: int) -> VertexSet:
+        """The vertex set a bitmask stands for."""
+        return frozenset(v for i, v in enumerate(self.vertices) if mask >> i & 1)
+
+    def odd_mask(self, mask: int) -> int:
+        """Bitmask of Odd(K) for the vertex set K given as a bitmask.
+
+        Linear over symmetric difference: Odd(K1 xor K2) = Odd(K1) xor Odd(K2),
+        since each member of K contributes its neighborhood mod 2.
+        """
+        masks = self.neighbor_masks
+        odd = 0
+        while mask:
+            low = mask & -mask
+            odd ^= masks[low.bit_length() - 1]
+            mask ^= low
+        return odd
+
 
 def make_graph(
     vertices: Iterable[str],
@@ -63,35 +103,16 @@ def with_io(g: Graph, inputs: Iterable[str], outputs: Iterable[str]) -> Graph:
     return replace(g, inputs=frozenset(inputs), outputs=frozenset(outputs))
 
 
-def _adjacency(g: Graph) -> dict[str, set[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
 def neighbors(g: Graph, v: str) -> VertexSet:
     """Neighborhood of v: all vertices sharing an edge with v."""
     if v not in g.vertices:
         raise ValueError(f"vertex {v!r} not in graph")
-    return frozenset(u for edge in g.edges if v in edge for u in edge if u != v)
+    return g.vertices_of(g.neighbor_masks[g.vertices.index(v)])
 
 
 def odd_neighborhood(g: Graph, k: Iterable[str]) -> VertexSet:
-    """Vertices with an odd number of neighbors inside k.
-
-    Linear over symmetric difference: Odd(K1 xor K2) = Odd(K1) xor Odd(K2),
-    since each member of k contributes its neighborhood mod 2.
-    """
-    members = frozenset(k)
-    unknown = members - set(g.vertices)
-    if unknown:
-        raise ValueError(f"vertices {sorted(unknown)} not in graph")
-    acc: set[str] = set()
-    for v in members:
-        acc ^= set(neighbors(g, v))
-    return frozenset(acc)
+    """Vertices with an odd number of neighbors inside k."""
+    return g.vertices_of(g.odd_mask(g.mask_of(k)))
 
 
 def bipartition_check(g: Graph, part: Iterable[str]) -> bool:
@@ -100,12 +121,10 @@ def bipartition_check(g: Graph, part: Iterable[str]) -> bool:
     Equivalent test: no edge lies entirely inside `part` and no edge lies
     entirely inside its complement, so every edge crosses the cut.
     """
-    members = frozenset(part)
-    unknown = members - set(g.vertices)
-    if unknown:
-        raise ValueError(f"vertices {sorted(unknown)} not in graph")
-    for u, v in g.edges:
-        if (u in members) == (v in members):
+    inside = g.mask_of(part)
+    outside = ~inside
+    for i, nbrs in enumerate(g.neighbor_masks):
+        if nbrs & (inside if inside >> i & 1 else outside):
             return False
     return True
 
@@ -119,20 +138,6 @@ def effective_graph(g: Graph) -> Graph:
     """
     kept = frozenset(e for e in g.edges if not (e[0] in g.inputs and e[1] in g.inputs))
     return replace(g, edges=kept)
-
-
-def is_connected(g: Graph) -> bool:
-    if not g.vertices:
-        return True
-    adj = _adjacency(g)
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(g.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ constraint list is ordered and separately validated.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from parityflow.graph import Graph, make_graph
@@ -58,17 +58,6 @@ def rx(q: str, angle: float) -> Gate:
 
 
 CircuitDescription = tuple[Gate, ...]
-
-
-def render_circuit(circuit: Iterable[Gate]) -> str:
-    """Newline-separated gate list, stable for diffing."""
-    lines = []
-    for g in circuit:
-        parts = [g.name, *g.qubits]
-        if g.angle is not None:
-            parts.append(format(g.angle, ".17g"))
-        lines.append(" ".join(parts))
-    return "\n".join(lines)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,6 +192,7 @@ def layout_to_json(layout: ParityLayout) -> dict:
 
 
 def layout_from_json(data: dict) -> ParityLayout:
+    """Read a layout; raises ValueError unless its CNOTs realise every parity set."""
     try:
         n = int(data["n"])
         parity_entries = data["parity"]
@@ -212,4 +202,11 @@ def layout_from_json(data: dict) -> ParityLayout:
     data_qubits = tuple(str(i) for i in range(1, n + 1))
     parity_qubits = tuple(entry["label"] for entry in parity_entries)
     sets = {entry["label"]: frozenset(entry["set"]) for entry in parity_entries}
-    return ParityLayout(n, data_qubits, parity_qubits, sets, constraints)
+    layout = ParityLayout(n, data_qubits, parity_qubits, sets, constraints)
+    report = validate_constraints(layout)
+    if not report:
+        raise ValueError(
+            f"constraints do not realise the parity set of {report.parity_qubit!r}: "
+            f"wrong on data basis state {report.counterexample}"
+        )
+    return layout

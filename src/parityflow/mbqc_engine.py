@@ -14,21 +14,18 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 
-from parityflow.gflow import GFlow, precedes, verify_gflow, yz_planes
+from parityflow.gflow import GFlow, verify_gflow, yz_planes
 from parityflow.graph import Graph, effective_graph, odd_neighborhood
-from parityflow.layout import cz, rx, rz
+from parityflow.layout import cz
 from parityflow.parity_engine import LayerParams
 from parityflow.simulator import (
-    MeasurementEntry,
     MeasurementRecord,
     Statevector,
     append_qubit,
     apply_circuit,
     apply_pauli_x,
     apply_pauli_z,
-    discard_qubit,
-    outcome_probability,
-    project,
+    measure_and_correct,
     resolve_outcomes,
 )
 
@@ -67,10 +64,10 @@ def _check_order(g: Graph, flow: GFlow, order: Sequence[str]) -> None:
     measured = set(g.vertices) - g.outputs
     if set(order) != measured or len(order) != len(measured):
         raise ValueError("measurement order must enumerate the measured vertices exactly once")
-    position = {v: i for i, v in enumerate(order)}
-    for v in order:
-        for u in order:
-            if precedes(flow, v, u) and position[v] > position[u]:
+    closure = flow.closure
+    for i, v in enumerate(order):
+        for u in order[:i]:
+            if (v, u) in closure:
                 raise ValueError(f"order violates the flow: {v!r} must precede {u!r}")
 
 
@@ -99,19 +96,16 @@ def run_mbqc_yz(
     _check_order(g, flow, sequence)
     source = resolve_outcomes(outcomes)
     state = prepare_graph_state(g, psi)
-    record: list[MeasurementEntry] = []
-    for v in sequence:
-        axis = yz_axis(angles[v])
-        outcome = source.next_outcome(outcome_probability(state, v, axis, 1))
-        probability, state = project(state, v, axis, outcome)
-        if outcome == -1:
-            for u in sorted(flow.g[v] - {v}):
-                state = apply_pauli_x(state, u)
-            for u in sorted(odd_neighborhood(g, flow.g[v]) - {v}):
-                state = apply_pauli_z(state, u)
-        state = discard_qubit(state, v)
-        record.append(MeasurementEntry(v, axis, outcome, probability))
-    return state, tuple(record)
+
+    def complete_stabilizer(state: Statevector, v: str) -> Statevector:
+        for u in sorted(flow.g[v] - {v}):
+            state = apply_pauli_x(state, u)
+        for u in sorted(odd_neighborhood(g, flow.g[v]) - {v}):
+            state = apply_pauli_z(state, u)
+        return state
+
+    plan = [(v, yz_axis(angles[v])) for v in sequence]
+    return measure_and_correct(state, plan, complete_stabilizer, source)
 
 
 def run_repeated_mbqc(
@@ -135,11 +129,5 @@ def run_repeated_mbqc(
         angles = {v: params.theta.get(v, 0.0) for v in measured}
         state, record = run_mbqc_yz(g, state, angles, flow, source)
         records.append(record)
-        rotations = []
-        for q in state.labels:
-            if params.phi.get(q):
-                rotations.append(rz(q, params.phi[q]))
-            if params.alpha.get(q):
-                rotations.append(rx(q, params.alpha[q]))
-        state = apply_circuit(state, rotations)
+        state = apply_circuit(state, params.data_rotations(state.labels))
     return state, records

@@ -19,15 +19,15 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from parityflow.layout import ParityLayout, cnot, encoding_circuit, rx, rz
+from parityflow.layout import Gate, ParityLayout, cnot, encoding_circuit, rx, rz
 from parityflow.simulator import (
-    MeasurementEntry,
     MeasurementRecord,
     Statevector,
     append_qubit,
     apply_circuit,
     apply_pauli_z,
     discard_qubit,
+    measure_and_correct,
     outcome_probability,
     project,
     resolve_outcomes,
@@ -66,6 +66,16 @@ class LayerParams:
             if not set(self.theta) <= self.decode:
                 raise ValueError("theta keys must lie in the layer's decode set")
 
+    def data_rotations(self, qubits: Iterable[str]) -> list[Gate]:
+        """RZ(phi) then RX(alpha) on each qubit in the given order; zero angles skipped."""
+        gates = []
+        for q in qubits:
+            if self.phi.get(q):
+                gates.append(rz(q, self.phi[q]))
+            if self.alpha.get(q):
+                gates.append(rx(q, self.alpha[q]))
+        return gates
+
 
 def encode_input(layout: ParityLayout, psi: Statevector) -> Statevector:
     """Append the parity register in |0..0> and run the constraint CNOTs."""
@@ -97,18 +107,14 @@ def mb_decode(
     if missing:
         raise ValueError(f"parity qubits not in register: {sorted(missing)}")
     source = resolve_outcomes(outcomes)
-    record: list[MeasurementEntry] = []
-    for p in layout.parity_qubits:
-        if p not in members:
-            continue
-        outcome = source.next_outcome(outcome_probability(state, p, X_AXIS, 1))
-        probability, state = project(state, p, X_AXIS, outcome)
-        if outcome == -1:
-            for q in sorted(layout.parity_sets[p], key=layout.data_qubits.index):
-                state = apply_pauli_z(state, q)
-        state = discard_qubit(state, p)
-        record.append(MeasurementEntry(p, X_AXIS, outcome, probability))
-    return state, tuple(record)
+
+    def complete_parity(state: Statevector, p: str) -> Statevector:
+        for q in sorted(layout.parity_sets[p], key=layout.data_qubits.index):
+            state = apply_pauli_z(state, q)
+        return state
+
+    plan = [(p, X_AXIS) for p in layout.parity_qubits if p in members]
+    return measure_and_correct(state, plan, complete_parity, source)
 
 
 def unitary_decode(state: Statevector, layout: ParityLayout) -> Statevector:
@@ -157,13 +163,7 @@ def run_layer(
     rotations = [rz(p, params.theta[p]) for p in layout.parity_qubits if params.theta.get(p)]
     state = apply_circuit(state, rotations)
     state, record = mb_decode(state, layout, decode_set, outcomes)
-    data_rotations = []
-    for q in layout.data_qubits:
-        if params.phi.get(q):
-            data_rotations.append(rz(q, params.phi[q]))
-        if params.alpha.get(q):
-            data_rotations.append(rx(q, params.alpha[q]))
-    state = apply_circuit(state, data_rotations)
+    state = apply_circuit(state, params.data_rotations(layout.data_qubits))
     if not final:
         state = _reencode(state, layout, decode_set)
     return state, record

@@ -108,24 +108,31 @@ def pauli_from_text(labels: Sequence[str], text: str) -> PauliString:
     return pauli_from_ops(labels, ops, sign)
 
 
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Product a*b; raises PhaseError if the result has an imaginary phase.
+def _product_sign(ax: np.ndarray, az: np.ndarray, bx: np.ndarray, bz: np.ndarray) -> int:
+    """Sign picked up by the product of two unsigned Pauli strings given as bits.
 
     With each qubit stored as i^(x·z) X^x Z^z (so both bits set is Y), the
     i-exponent of a single-qubit product is x1·z1 + x2·z2 - x3·z3 + 2·z1·x2
-    with (x3, z3) the XOR of the bit pairs. Commuting real-signed factors
-    always land back on a real sign.
+    with (x3, z3) the XOR of the bit pairs. Commuting factors always give a
+    real sign; an odd exponent raises PhaseError.
     """
-    if a.labels != b.labels:
-        raise ValueError("label sets differ")
-    ax, az, bx, bz = (v.astype(np.int64) for v in (a.x, a.z, b.x, b.z))
-    x3 = ax ^ bx
-    z3 = az ^ bz
-    exponent = int(np.sum(ax * az + bx * bz - x3 * z3 + 2 * az * bx)) % 4
+    exponent = (
+        np.count_nonzero(ax & az)
+        + np.count_nonzero(bx & bz)
+        - np.count_nonzero((ax ^ bx) & (az ^ bz))
+        + 2 * np.count_nonzero(az & bx)
+    ) % 4
     if exponent % 2:
         raise PhaseError("product has imaginary phase")
-    sign = a.sign * b.sign * (1 if exponent == 0 else -1)
-    return PauliString(a.labels, x3.astype(np.uint8), z3.astype(np.uint8), sign)
+    return 1 if exponent == 0 else -1
+
+
+def multiply(a: PauliString, b: PauliString) -> PauliString:
+    """Product a*b; raises PhaseError if the result has an imaginary phase."""
+    if a.labels != b.labels:
+        raise ValueError("label sets differ")
+    sign = a.sign * b.sign * _product_sign(a.x, a.z, b.x, b.z)
+    return PauliString(a.labels, a.x ^ b.x, a.z ^ b.z, sign)
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:
@@ -152,55 +159,47 @@ class StabilizerGroup:
             for h in self.generators[i + 1 :]:
                 if not commutes(g, h):
                     raise ValueError(f"generators do not commute: {pauli_to_text(g)}, {pauli_to_text(h)}")
-        if self.generators:
-            mat = np.array([np.concatenate([g.x, g.z]) for g in self.generators], dtype=np.uint8)
-            if _gf2_rank(mat) != len(self.generators):
-                raise ValueError("generators are not independent over GF(2)")
+        rows, signs = _rref_with_signs(self.labels, self.generators)
+        if rows.any(axis=1).sum() != len(self.generators):
+            raise ValueError("generators are not independent over GF(2)")
+        object.__setattr__(self, "_rref", (rows, signs))
 
 
-def _gf2_rank(mat: np.ndarray) -> int:
-    m = mat.copy() % 2
-    rank = 0
-    rows, cols = m.shape
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r, col]), None)
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and m[r, col]:
-                m[r] ^= m[rank]
-        rank += 1
-    return rank
+def _rref_with_signs(
+    labels: tuple[str, ...], generators: Sequence[PauliString]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form of the generator bit matrix [x | z], with signs.
 
-
-def _rref_with_signs(group: StabilizerGroup) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form of the generator matrix, rows as group elements.
-
-    Row operations are genuine Pauli multiplications, so the signs of the
-    canonical rows are the signs those elements carry in the group. The RREF
-    basis of a GF(2) row space is unique, making (matrix, signs) a complete
-    invariant of the signed group.
+    Each row operation multiplies two group elements, and its sign follows
+    the product rule of `multiply`, so the signs of the canonical rows are
+    the signs those elements carry in the group. The RREF basis of a GF(2)
+    row space is unique, making (matrix, signs) a complete invariant of the
+    signed group. Dependent generators leave zero rows.
     """
-    paulis = list(group.generators)
-    if not paulis:
-        return np.zeros((0, 2 * len(group.labels)), dtype=np.uint8), ()
-    rows = [np.concatenate([p.x, p.z]) for p in paulis]
+    n = len(labels)
+    rows = np.zeros((len(generators), 2 * n), dtype=np.uint8)
+    for r, g in enumerate(generators):
+        rows[r, :n] = g.x
+        rows[r, n:] = g.z
+    signs = [g.sign for g in generators]
     rank = 0
-    cols = 2 * len(group.labels)
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
+    for col in range(2 * n):
+        below = np.flatnonzero(rows[rank:, col])
+        if not below.size:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        paulis[rank], paulis[pivot] = paulis[pivot], paulis[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                paulis[r] = multiply(paulis[r], paulis[rank])
-                rows[r] = np.concatenate([paulis[r].x, paulis[r].z])
+        pivot = rank + int(below[0])
+        rows[[rank, pivot]] = rows[[pivot, rank]]
+        signs[rank], signs[pivot] = signs[pivot], signs[rank]
+        p = rows[rank]
+        for r in np.flatnonzero(rows[:, col]):
+            if r != rank:
+                q = rows[r]
+                signs[r] *= signs[rank] * _product_sign(q[:n], q[n:], p[:n], p[n:])
+                q ^= p
         rank += 1
-    matrix = np.array([np.concatenate([p.x, p.z]) for p in paulis], dtype=np.uint8)
-    return matrix, tuple(p.sign for p in paulis)
+        if rank == len(generators):
+            break
+    return rows, tuple(signs)
 
 
 def groups_equal(a: StabilizerGroup, b: StabilizerGroup) -> bool:
@@ -209,8 +208,8 @@ def groups_equal(a: StabilizerGroup, b: StabilizerGroup) -> bool:
         raise ValueError("incompatible qubit label sets")
     if len(a.generators) != len(b.generators):
         return False
-    mat_a, signs_a = _rref_with_signs(a)
-    mat_b, signs_b = _rref_with_signs(b)
+    mat_a, signs_a = a._rref
+    mat_b, signs_b = b._rref
     return bool(np.array_equal(mat_a, mat_b)) and signs_a == signs_b
 
 

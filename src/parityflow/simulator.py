@@ -9,7 +9,7 @@ stay in the register as a product factor until explicitly discarded.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +39,13 @@ class Statevector:
     def __post_init__(self) -> None:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate qubit labels")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        # a copy, so that freezing it leaves the caller's array writable
+        amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2 ** len(self.labels),):
             raise ValueError(f"expected {2 ** len(self.labels)} amplitudes, got {amps.shape}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        # written so that a NaN norm (non-finite amplitudes) fails it too
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm} is not 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -219,15 +221,6 @@ def append_qubit(state: Statevector, q: str, amplitudes: Sequence[complex], cap:
     return Statevector(state.labels + (q,), np.kron(state.amplitudes, single))
 
 
-def permute_labels(state: Statevector, new_order: Sequence[str]) -> Statevector:
-    new_order = tuple(new_order)
-    if sorted(new_order) != sorted(state.labels):
-        raise ValueError("new order must be a permutation of the labels")
-    perm = [state.labels.index(q) for q in new_order]
-    a = state.amplitudes.reshape([2] * state.num_qubits).transpose(perm).reshape(-1)
-    return Statevector(new_order, a)
-
-
 def distance_up_to_phase(a: Statevector, b: Statevector) -> float:
     """sqrt(1 - |<a|b>|^2): zero exactly on phase-equivalent states.
 
@@ -272,6 +265,30 @@ class MeasurementEntry:
 
 
 MeasurementRecord = tuple[MeasurementEntry, ...]
+
+
+def measure_and_correct(
+    state: Statevector,
+    plan: Iterable[tuple[str, tuple[float, float, float]]],
+    correct: Callable[[Statevector, str], Statevector],
+    source: OutcomeSource,
+) -> tuple[Statevector, MeasurementRecord]:
+    """Measure each (qubit, axis) of the plan in turn and discard the qubit.
+
+    The outcome comes from `source`, given the +1 Born probability. On a -1
+    outcome `correct(state, qubit)` returns the corrected state, before the
+    measured qubit is discarded. Both engines run through this loop and
+    differ only in their plan and correction rule.
+    """
+    record: list[MeasurementEntry] = []
+    for q, axis in plan:
+        outcome = source.next_outcome(outcome_probability(state, q, axis, 1))
+        probability, state = project(state, q, axis, outcome)
+        if outcome == -1:
+            state = correct(state, q)
+        state = discard_qubit(state, q)
+        record.append(MeasurementEntry(q, axis, outcome, probability))
+    return state, tuple(record)
 
 
 def record_to_json(record: Iterable[MeasurementEntry]) -> list:

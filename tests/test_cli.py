@@ -1,11 +1,12 @@
 """Command-line interface: output schemas, determinism, exit codes."""
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
 
-from parityflow.cli import main
+from parityflow.cli import _canonical_json, main
 
 
 @pytest.fixture
@@ -127,6 +128,48 @@ def test_compare_rejects_partial_decode(runner, tmp_path):
     result = invoke(runner, ["compare", "--program", str(path)])
     assert result.exit_code == 2
     assert "decode" in result.stderr
+
+
+def test_zero_input_exits_two_without_nan(runner, tmp_path):
+    path = _write_program(runner, tmp_path)
+    program = json.loads(path.read_text())
+    program["input"] = [[0.0, 0.0]] * 4
+    path.write_text(json.dumps(program))
+    for engine in ("parity", "mbqc"):
+        result = runner.invoke(main, ["sim", engine, "--program", str(path)])
+        assert result.exit_code == 2
+        assert "nan" not in result.stdout
+        assert "input" in result.stderr
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_canonical_json_refuses_non_finite(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        _canonical_json({"distance": [0.5, value]})
+
+
+def _unrealised_layout():
+    # the CNOT list never feeds data qubit 2 into (12)
+    return {"n": 2, "parity": [{"label": "(12)", "set": ["1", "2"]}], "constraints": [["1", "(12)"]]}
+
+
+def test_compare_rejects_unrealised_layout(runner, tmp_path):
+    path = _write_program(runner, tmp_path)
+    program = json.loads(path.read_text())
+    program["layout"] = _unrealised_layout()
+    path.write_text(json.dumps(program))
+    result = runner.invoke(main, ["compare", "--program", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "(12)" in result.stderr
+
+
+def test_lhz_graph_rejects_unrealised_layout(runner, tmp_path):
+    layout_file = tmp_path / "layout.json"
+    layout_file.write_text(json.dumps(_unrealised_layout()))
+    result = runner.invoke(main, ["lhz", "graph", "--layout", str(layout_file)])
+    assert result.exit_code == 2
+    assert "(12)" in result.stderr
 
 
 def test_gflow_search_and_verify(runner, tmp_path):

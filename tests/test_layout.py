@@ -1,8 +1,9 @@
 """Parity layout construction, encoding circuits, constraint validation."""
 
+import networkx as nx
 import pytest
 
-from parityflow.graph import bipartition_check, is_connected, neighbors
+from parityflow.graph import bipartition_check, neighbors
 from parityflow.layout import (
     Gate,
     ParityLayout,
@@ -12,7 +13,6 @@ from parityflow.layout import (
     induced_graph,
     layout_from_json,
     layout_to_json,
-    render_circuit,
     validate_constraints,
 )
 from parityflow.simulator import apply_circuit, basis_state
@@ -83,7 +83,10 @@ def test_induced_graph_n3_is_six_cycle():
     g = induced_graph(build_all_pairs_layout(3))
     assert len(g.vertices) == 6
     assert all(len(neighbors(g, v)) == 2 for v in g.vertices)
-    assert is_connected(g)
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    assert nx.is_connected(h)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -157,10 +160,11 @@ def test_gate_validation():
         Gate("H", ("1",), 0.3)
 
 
-def test_render_circuit():
-    layout = build_all_pairs_layout(2)
-    text = render_circuit(encoding_circuit(layout))
-    assert text == "CNOT 1 (12)\nCNOT 2 (12)"
+def test_layout_from_json_rejects_unrealised_parity():
+    data = layout_to_json(build_all_pairs_layout(2))
+    data["constraints"] = [["1", "(12)"]]
+    with pytest.raises(ValueError, match=r"'\(12\)'.*01"):
+        layout_from_json(data)
 
 
 def test_layout_json_round_trip():

@@ -218,6 +218,37 @@ def test_repeated_mbqc_matches_parity_engine(n, layer_count):
     assert distance_up_to_phase(parity_out, mbqc_out) < 1e-10
 
 
+def test_engines_measure_alike_on_every_branch():
+    # for the same prescribed outcomes both engines measure the same qubits
+    # in the same order with the same Born probabilities: a finer statement
+    # of their equivalence than agreement of the final states
+    runs = 0
+    for n in (2, 3):
+        layout = build_all_pairs_layout(n)
+        graph = induced_graph(layout)
+        flow = canonical_yz_gflow(graph)
+        rng = np.random.default_rng(40 + n)
+        psi = random_state(layout.data_qubits, rng)
+        layers = [
+            LayerParams(
+                theta={p: rng.uniform(-np.pi, np.pi) for p in layout.parity_qubits},
+                alpha={q: rng.uniform(-np.pi, np.pi) for q in layout.data_qubits},
+                phi={q: rng.uniform(-np.pi, np.pi) for q in layout.data_qubits},
+            )
+            for _ in range(2)
+        ]
+        for outcomes in all_outcome_branches(2 * len(layout.parity_qubits)):
+            _, parity_records = run_computation(layout, psi, layers, list(outcomes))
+            _, mbqc_records = run_repeated_mbqc(graph, psi, layers, flow, list(outcomes))
+            parity_flat = [e for record in parity_records for e in record]
+            mbqc_flat = [e for record in mbqc_records for e in record]
+            assert [(e.qubit, e.outcome) for e in parity_flat] == [(e.qubit, e.outcome) for e in mbqc_flat]
+            for a, b in zip(parity_flat, mbqc_flat):
+                assert abs(a.probability - b.probability) < 1e-12
+            runs += 1
+    assert runs == 68
+
+
 def test_two_layers_on_six_cycle_match_direct_circuit():
     # direct 3-qubit oracle from the logical gate identities: each layer is
     # a product of ZZ rotations (one per parity label) then RX RZ per qubit

@@ -19,7 +19,6 @@ from parityflow.simulator import (
     distance_up_to_phase,
     outcome_probability,
     pauli_expectation,
-    permute_labels,
     project,
     random_state,
 )
@@ -219,16 +218,21 @@ def test_pauli_appliers_match_circuit_matrices():
     assert np.allclose(phased.amplitudes, oracle_z)
 
 
-def test_permute_labels():
-    rng = np.random.default_rng(9)
-    state = random_state(("a", "b", "c"), rng)
-    swapped = permute_labels(state, ("c", "a", "b"))
-    back = permute_labels(swapped, ("a", "b", "c"))
-    assert np.allclose(back.amplitudes, state.amplitudes)
-    # amplitude of basis index moves with the bit positions
-    idx = 0b101  # a=1, b=0, c=1
-    new_idx = 0b110  # c=1, a=1, b=0
-    assert swapped.amplitudes[new_idx] == state.amplitudes[idx]
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_statevector_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="norm"):
+        Statevector(("a",), np.array([bad, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match="norm"):
+        Statevector(("a", "b"), np.array([1.0, bad, 0.0, 0.0], dtype=complex))
+
+
+def test_statevector_leaves_caller_array_writable():
+    amps = np.array([1.0, 0.0], dtype=np.complex128)
+    state = Statevector(("a",), amps)
+    assert amps.flags.writeable
+    amps[0] = 0.0
+    assert state.amplitudes[0] == 1.0
+    assert not state.amplitudes.flags.writeable
 
 
 def test_pauli_expectation():
