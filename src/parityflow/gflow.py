@@ -223,7 +223,6 @@ def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None
         raise ValueError(f"search cap exceeded: {n} vertices > cap={cap}")
     if len(graph.inputs) != len(graph.outputs):
         raise ValueError("search requires |I| = |O|")
-    odd_mask = graph.odd_mask
     all_mask = (1 << n) - 1
     output_mask = graph.mask_of(graph.outputs)
     input_mask = graph.mask_of(graph.inputs)
@@ -233,10 +232,11 @@ def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None
     if measured_mask & ~support:
         return None  # a measured input must lie in its own correction set but cannot
     measured = _bit_indices(measured_mask)
+    odd_masks = graph.odd_masks
     candidates: dict[int, list[tuple[int, int]]] = {v: [] for v in measured}
     s = support
     while s:  # every nonempty S inside the support, one Odd(S) each
-        odd = odd_mask(s)
+        odd = odd_masks[s]
         members = s & measured_mask & ~odd
         while members:
             low = members & -members
@@ -247,7 +247,7 @@ def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None
         if not options:
             return None
         # singletons first so witnesses on friendly graphs surface immediately
-        options.sort(key=lambda cand: (bin(cand[0]).count("1"), cand[0]))
+        options.sort(key=lambda cand: (cand[0].bit_count(), cand[0]))
 
     chosen: dict[int, int] = {}
     dead: set[int] = set()
@@ -286,7 +286,7 @@ def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None
     pred_count = {v: 0 for v in measured}
     for v in measured:
         s = chosen[v]
-        for u in _bit_indices((s | odd_mask(s)) & ~(1 << v)):
+        for u in _bit_indices((s | odd_masks[s]) & ~(1 << v)):
             precedence.add((labels[v], labels[u]))
             if (1 << u) & measured_mask:
                 succ_measured[v].append(u)
@@ -397,15 +397,15 @@ class SweepReport:
         }
 
 
-def _sweep_one_graph(args: tuple[int, int, int]) -> tuple[int, int, dict, list, list, list]:
+def _sweep_one_graph(args: tuple[int, int, Graph, int]) -> tuple[int, int, dict, list, list, list]:
     """Worker: all input-set choices with O = I for one enumerated graph.
 
     The bipartiteness side is evaluated on the effective graph (edges inside
     the input set dropped): those edges enter neither the prepared state nor
     any correction set, so the flow search is provably blind to them.
     """
-    n, graph_index, cap = args
-    base = list(enumerate_connected_graphs(n, cap=cap))[graph_index]
+    n, graph_index, base, cap = args
+    base.odd_masks  # built once here; with_io hands it to all 2^n instances
     counts = {"instances": 0, "flows_found": 0, "bipartite_instances": 0}
     discrepancies = []
     witness_failures = []
@@ -456,16 +456,16 @@ def yz_bipartite_sweep(
     if max_n > cap:
         raise ValueError(f"max_n={max_n} above enumeration cap {cap}")
     report = SweepReport(max_n=max_n)
+    graphs = {n: list(enumerate_connected_graphs(n, cap=cap)) for n in range(1, max_n + 1)}
     tasks = []
-    for n in range(1, max_n + 1):
-        count = len(list(enumerate_connected_graphs(n, cap=cap)))
+    for n, bases in graphs.items():
         report.per_n[n] = {
-            "graphs": count,
+            "graphs": len(bases),
             "instances": 0,
             "flows_found": 0,
             "bipartite_instances": 0,
         }
-        tasks.extend((n, i, cap) for i in range(count))
+        tasks.extend((n, i, base, cap) for i, base in enumerate(bases))
 
     workers = default_workers() if workers is None else max(1, workers)
     if workers > 1 and len(tasks) > 1:
@@ -484,11 +484,10 @@ def yz_bipartite_sweep(
 
     # I != O instances: equal sizes, still no flow may exist
     rng = np.random.default_rng(seed)
-    pools = {n: list(enumerate_connected_graphs(n, cap=cap)) for n in range(2, max_n + 1)}
     drawn = 0
     while drawn < io_samples:
         n = int(rng.integers(2, max_n + 1))
-        base = pools[n][int(rng.integers(len(pools[n])))]
+        base = graphs[n][int(rng.integers(len(graphs[n])))]
         size = int(rng.integers(1, n))
         verts = list(base.vertices)
         inputs = frozenset(str(v) for v in rng.choice(verts, size=size, replace=False))

@@ -7,6 +7,7 @@ functions of immutable values.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
@@ -42,15 +43,19 @@ class Graph:
                 raise ValueError(f"edge {edge!r} has endpoint not in vertex set")
             normalized.add((u, v) if index[u] < index[v] else (v, u))
         object.__setattr__(self, "edges", frozenset(normalized))
-        object.__setattr__(self, "inputs", frozenset(self.inputs))
-        object.__setattr__(self, "outputs", frozenset(self.outputs))
-        for name, subset in (("inputs", self.inputs), ("outputs", self.outputs)):
+        self._set_io(self.inputs, self.outputs)
+
+    def _set_io(self, inputs: Iterable[str], outputs: Iterable[str]) -> None:
+        for name, subset in (("inputs", frozenset(inputs)), ("outputs", frozenset(outputs))):
             if not subset <= set(self.vertices):
                 raise ValueError(f"{name} not a subset of the vertex set")
+            object.__setattr__(self, name, subset)
 
-    # Bit i of a vertex mask stands for vertices[i]. The adjacency masks are
-    # built on first use, not at construction: enumeration and with_io build
-    # many graphs that are never searched.
+    # Bit i of a vertex mask stands for vertices[i]. The adjacency masks and
+    # the Odd(K) table are built on first use, not at construction:
+    # enumeration builds many graphs that are never searched. Every cached
+    # property depends on the vertices and edges alone, so with_io hands them
+    # on to the graphs it makes.
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
@@ -61,6 +66,16 @@ class Graph:
             masks[index[u]] |= 1 << index[v]
             masks[index[v]] |= 1 << index[u]
         return tuple(masks)
+
+    @cached_property
+    def odd_masks(self) -> tuple[int, ...]:
+        """Entry K is odd_mask(K), for all 2^n vertex masks K: one XOR each."""
+        masks = self.neighbor_masks
+        table = [0] * (1 << len(masks))
+        for k in range(1, len(table)):
+            low = k & -k
+            table[k] = table[k ^ low] ^ masks[low.bit_length() - 1]
+        return tuple(table)
 
     def mask_of(self, k: Iterable[str]) -> int:
         """Bitmask of a vertex set; raises on vertices outside the graph."""
@@ -99,8 +114,14 @@ def make_graph(
 
 
 def with_io(g: Graph, inputs: Iterable[str], outputs: Iterable[str]) -> Graph:
-    """Same graph with the input/output designation replaced."""
-    return replace(g, inputs=frozenset(inputs), outputs=frozenset(outputs))
+    """Same graph with the input/output designation replaced.
+
+    The new graph shares g's vertices and edges, already checked, and the
+    adjacency tables built from them; only the new sets are checked.
+    """
+    new = copy.copy(g)
+    new._set_io(inputs, outputs)
+    return new
 
 
 def neighbors(g: Graph, v: str) -> VertexSet:

@@ -155,10 +155,15 @@ class StabilizerGroup:
         for g in self.generators:
             if g.labels != self.labels:
                 raise ValueError("generator labels differ from group labels")
-        for i, g in enumerate(self.generators):
-            for h in self.generators[i + 1 :]:
-                if not commutes(g, h):
-                    raise ValueError(f"generators do not commute: {pauli_to_text(g)}, {pauli_to_text(h)}")
+        # symplectic products of all pairs at once; entry (i, j) is 1 iff they anticommute
+        shape = (len(self.generators), len(self.labels))
+        x = np.array([g.x for g in self.generators], dtype=np.int64).reshape(shape)
+        z = np.array([g.z for g in self.generators], dtype=np.int64).reshape(shape)
+        clashes = np.argwhere(np.triu((x @ z.T + z @ x.T) % 2, k=1))
+        if clashes.size:
+            i, j = clashes[0]  # row-major: the first pair in (i, j) order
+            g, h = self.generators[i], self.generators[j]
+            raise ValueError(f"generators do not commute: {pauli_to_text(g)}, {pauli_to_text(h)}")
         rows, signs = _rref_with_signs(self.labels, self.generators)
         if rows.any(axis=1).sum() != len(self.generators):
             raise ValueError("generators are not independent over GF(2)")

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from parityflow import graph as graph_module
 from parityflow.gflow import (
     GFlow,
     MalformedFlowError,
@@ -241,10 +242,28 @@ def test_sweep_witnesses_returned():
 
 
 def test_sweep_parallel_matches_serial():
-    serial = yz_bipartite_sweep(4, io_samples=0, workers=1, keep_witnesses=False)
-    parallel = yz_bipartite_sweep(4, io_samples=0, workers=2, keep_witnesses=False)
+    serial = yz_bipartite_sweep(4, io_samples=0, workers=1, keep_witnesses=True)
+    parallel = yz_bipartite_sweep(4, io_samples=0, workers=2, keep_witnesses=True)
     assert serial.per_n == parallel.per_n
+    assert serial.to_json() == parallel.to_json()
     assert serial.ok and parallel.ok
+    assert serial.witnesses
+    assert [g for g, _ in serial.witnesses] == [g for g, _ in parallel.witnesses]
+    assert [flow_to_json(f) for _, f in serial.witnesses] == [flow_to_json(f) for _, f in parallel.witnesses]
+
+
+def test_sweep_builds_each_graph_once(monkeypatch):
+    built = []
+
+    def counting(n, mask):
+        built.append((n, mask))
+        return original(n, mask)
+
+    original = graph_module._graph_from_mask
+    monkeypatch.setattr(graph_module, "_graph_from_mask", counting)
+    report = yz_bipartite_sweep(5, io_samples=20, workers=1)
+    assert report.ok
+    assert len(built) == sum(counts["graphs"] for counts in report.per_n.values()) == 31
 
 
 def test_flow_json_round_trip():

@@ -215,6 +215,20 @@ def test_stabilizer_group_rejects_anticommuting():
         StabilizerGroup(labels, (pauli_from_text(labels, "+Z_1"), pauli_from_text(labels, "+X_1")))
 
 
+def test_stabilizer_group_names_first_anticommuting_pair():
+    labels = ("1", "2", "3")
+    # anticommuting pairs (0, 4) and (1, 3): the (i, j) scan meets (0, 4) first
+    gens = tuple(pauli_from_text(labels, t) for t in ("+Z_1", "+Z_2", "+X_3", "+X_2", "+X_1"))
+    first = next(
+        (g, h) for i, g in enumerate(gens) for h in gens[i + 1 :] if not commutes(g, h)
+    )
+    expected = f"generators do not commute: {pauli_to_text(first[0])}, {pauli_to_text(first[1])}"
+    assert expected == "generators do not commute: +Z_1, +X_1"
+    with pytest.raises(ValueError) as info:
+        StabilizerGroup(labels, gens)
+    assert str(info.value) == expected
+
+
 def test_stabilizer_group_rejects_dependent():
     labels = ("1", "2", "3")
     gens = (

@@ -1,5 +1,6 @@
 """Property tests: bitmask graph queries and signed group equality against
-references that share no code with the package."""
+references that share no code with the package, and the adjacency caches
+that with_io carries over against freshly built ones."""
 
 import itertools
 
@@ -7,7 +8,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parityflow.graph import bipartition_check, make_graph, neighbors, odd_neighborhood
+from parityflow.gflow import flow_to_json, search_gflow_yz
+from parityflow.graph import (
+    Graph,
+    bipartition_check,
+    effective_graph,
+    make_graph,
+    neighbors,
+    odd_neighborhood,
+    with_io,
+)
 from parityflow.pauli import PauliString, StabilizerGroup, groups_equal, multiply
 
 FEW = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -34,6 +44,47 @@ def test_bitmask_queries_match_edge_scan(case):
     odd = {w for w in vertices if sum(1 for e in edges if w in e and (set(e) - {w}) & k) % 2}
     assert odd_neighborhood(g, k) == odd
     assert bipartition_check(g, part) == all((u in part) != (v in part) for u, v in edges)
+
+
+@st.composite
+def open_graphs(draw):
+    """Random graph on up to 8 vertices with |I| = |O|, sometimes I != O."""
+    n = draw(st.integers(1, 8))
+    vertices = [f"v{i}" for i in range(n)]
+    pairs = list(itertools.combinations(vertices, 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    order = draw(st.permutations(vertices))
+    size = draw(st.integers(0, n))
+    inputs = order[:size]
+    outputs = draw(st.permutations(vertices))[:size] if draw(st.booleans()) else inputs
+    return vertices, edges, inputs, outputs
+
+
+def _flow_key(flow):
+    return None if flow is None else (flow_to_json(flow), sorted(flow.precedence))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(open_graphs())
+def test_with_io_carries_adjacency_caches(case):
+    vertices, edges, inputs, outputs = case
+    warm = make_graph(vertices, edges)
+    warm.odd_masks  # build both caches before with_io
+    carried = with_io(warm, inputs, outputs)
+    fresh = Graph(carried.vertices, carried.edges, carried.inputs, carried.outputs)
+    assert carried.neighbor_masks is warm.neighbor_masks
+    assert carried.odd_masks is warm.odd_masks
+    assert carried.neighbor_masks == fresh.neighbor_masks
+    assert carried.odd_masks == fresh.odd_masks
+    assert len(fresh.odd_masks) == 1 << len(vertices)
+    assert all(fresh.odd_masks[k] == fresh.odd_mask(k) for k in range(1 << len(vertices)))
+    # effective_graph changes the edges, so it must build its own tables
+    effective = effective_graph(carried)
+    rebuilt = make_graph(vertices, effective.edges)
+    assert effective.neighbor_masks == rebuilt.neighbor_masks
+    assert effective.odd_masks == rebuilt.odd_masks
+    cold = with_io(make_graph(vertices, edges), inputs, outputs)
+    assert _flow_key(search_gflow_yz(carried)) == _flow_key(search_gflow_yz(cold))
 
 
 _PAULI = {
