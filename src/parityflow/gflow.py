@@ -16,7 +16,7 @@ import os
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -203,6 +203,17 @@ def _bit_indices(mask: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _submasks_by_size(support: int) -> tuple[int, ...]:
+    """Every nonempty submask of `support`, by (popcount, value)."""
+    subs = []
+    s = support
+    while s:
+        subs.append(s)
+        s = (s - 1) & support
+    return tuple(sorted(subs, key=lambda s: (s.bit_count(), s)))
+
+
 def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None:
     """Find a YZ-plane gflow by exhaustive search, or prove none exists.
 
@@ -234,20 +245,18 @@ def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None
     measured = _bit_indices(measured_mask)
     odd_masks = graph.odd_masks
     candidates: dict[int, list[tuple[int, int]]] = {v: [] for v in measured}
-    s = support
-    while s:  # every nonempty S inside the support, one Odd(S) each
+    # every nonempty S inside the support, one Odd(S) each; taking them by
+    # size puts singletons first, so witnesses on friendly graphs surface
+    # immediately
+    for s in _submasks_by_size(support):
         odd = odd_masks[s]
         members = s & measured_mask & ~odd
         while members:
             low = members & -members
             members ^= low
             candidates[low.bit_length() - 1].append((s, (s | odd) & measured_mask & ~low))
-        s = (s - 1) & support
-    for options in candidates.values():
-        if not options:
-            return None
-        # singletons first so witnesses on friendly graphs surface immediately
-        options.sort(key=lambda cand: (cand[0].bit_count(), cand[0]))
+    if not all(candidates.values()):
+        return None
 
     chosen: dict[int, int] = {}
     dead: set[int] = set()
@@ -397,6 +406,10 @@ class SweepReport:
         }
 
 
+def _discrepancy(n: int, graph_index: int, inputs: frozenset[str], found: bool, expected: bool) -> Discrepancy:
+    return Discrepancy(n, graph_index, tuple(sorted(inputs)), tuple(sorted(inputs)), found, expected)
+
+
 def _sweep_one_graph(args: tuple[int, int, Graph, int]) -> tuple[int, int, dict, list, list, list]:
     """Worker: all input-set choices with O = I for one enumerated graph.
 
@@ -419,15 +432,12 @@ def _sweep_one_graph(args: tuple[int, int, Graph, int]) -> tuple[int, int, dict,
         counts["instances"] += 1
         counts["flows_found"] += flow is not None
         counts["bipartite_instances"] += expected
-        record = Discrepancy(
-            n, graph_index, tuple(sorted(inputs)), tuple(sorted(inputs)), flow is not None, expected
-        )
         if (flow is not None) != expected:
-            discrepancies.append(record)
+            discrepancies.append(_discrepancy(n, graph_index, inputs, flow is not None, expected))
         if flow is not None:
             witnesses.append((g, flow))
             if not witness_structure(flow, g):
-                witness_failures.append(record)
+                witness_failures.append(_discrepancy(n, graph_index, inputs, flow is not None, expected))
     return n, graph_index, counts, discrepancies, witness_failures, witnesses
 
 

@@ -7,10 +7,9 @@ functions of immutable values.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -19,6 +18,12 @@ import numpy as np
 DEFAULT_ENUMERATION_CAP = 8
 
 VertexSet = frozenset[str]
+
+
+@lru_cache(maxsize=None)
+def _vertex_bits(vertices: tuple[str, ...]) -> dict[str, int]:
+    """The one-bit mask of each vertex; graphs on the same vertices share it."""
+    return {v: 1 << i for i, v in enumerate(vertices)}
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,9 @@ class Graph:
         self._set_io(self.inputs, self.outputs)
 
     def _set_io(self, inputs: Iterable[str], outputs: Iterable[str]) -> None:
+        vertices = _vertex_bits(self.vertices).keys()
         for name, subset in (("inputs", frozenset(inputs)), ("outputs", frozenset(outputs))):
-            if not subset <= set(self.vertices):
+            if not subset <= vertices:
                 raise ValueError(f"{name} not a subset of the vertex set")
             object.__setattr__(self, name, subset)
 
@@ -80,9 +86,13 @@ class Graph:
     def mask_of(self, k: Iterable[str]) -> int:
         """Bitmask of a vertex set; raises on vertices outside the graph."""
         members = frozenset(k)
-        mask = sum(1 << i for i, v in enumerate(self.vertices) if v in members)
-        if mask.bit_count() != len(members):
-            raise ValueError(f"vertices {sorted(members.difference(self.vertices))} not in graph")
+        bits = _vertex_bits(self.vertices)
+        mask = 0
+        try:
+            for v in members:
+                mask |= bits[v]
+        except KeyError:
+            raise ValueError(f"vertices {sorted(members.difference(bits))} not in graph") from None
         return mask
 
     def vertices_of(self, mask: int) -> VertexSet:
@@ -113,13 +123,25 @@ def make_graph(
     return Graph(tuple(vertices), frozenset(tuple(e) for e in edges), frozenset(inputs), frozenset(outputs))
 
 
+def _unchecked_graph(attributes: dict) -> Graph:
+    """A Graph holding these attributes and cached tables, with no checks.
+
+    Set one by one, not through __dict__, which keeps each instance as small
+    as one built by __init__: the sweep keeps tens of thousands of them.
+    """
+    new = object.__new__(Graph)
+    for name, value in attributes.items():
+        object.__setattr__(new, name, value)
+    return new
+
+
 def with_io(g: Graph, inputs: Iterable[str], outputs: Iterable[str]) -> Graph:
     """Same graph with the input/output designation replaced.
 
     The new graph shares g's vertices and edges, already checked, and the
     adjacency tables built from them; only the new sets are checked.
     """
-    new = copy.copy(g)
+    new = _unchecked_graph(vars(g))
     new._set_io(inputs, outputs)
     return new
 
@@ -157,8 +179,23 @@ def effective_graph(g: Graph) -> Graph:
     inputs contribute no entangling gate and no stabilizer; correction-set
     arithmetic is likewise blind to them.
     """
-    kept = frozenset(e for e in g.edges if not (e[0] in g.inputs and e[1] in g.inputs))
-    return replace(g, edges=kept)
+    inputs = g.inputs
+    inside = g.mask_of(inputs)
+    if not inside:
+        return g
+    # g's edges are already checked and normalized, and so is any subset of
+    # them; each input's adjacency mask loses the other inputs
+    return _unchecked_graph(
+        {
+            "vertices": g.vertices,
+            "edges": frozenset(e for e in g.edges if not (e[0] in inputs and e[1] in inputs)),
+            "inputs": inputs,
+            "outputs": g.outputs,
+            "neighbor_masks": tuple(
+                m & ~inside if inside >> i & 1 else m for i, m in enumerate(g.neighbor_masks)
+            ),
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -171,30 +208,28 @@ def _pair_index(n: int, i: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _perm_gather_table(n: int) -> np.ndarray:
-    """table[p, k]: which original pair-bit lands at position k under permutation p."""
+def _perm_weights(n: int) -> np.ndarray:
+    """Row k, column p: the weight pair-bit k carries under vertex permutation p.
+
+    A graph's adjacency bit-string (big-endian pair order) under permutation
+    p is then the sum of the rows of its pair bits, at column p.
+    """
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)], dtype=np.int64)
     a = perms[:, pairs[:, 0]]
     b = perms[:, pairs[:, 1]]
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    return lo * n - lo * (lo + 1) // 2 + (hi - lo - 1)
-
-
-@lru_cache(maxsize=None)
-def _pair_weights(n: int) -> np.ndarray:
-    m = n * (n - 1) // 2
-    return (1 << np.arange(m - 1, -1, -1)).astype(np.int64) if m else np.zeros(0, dtype=np.int64)
+    m = len(pairs)
+    landing = lo * n - lo * (lo + 1) // 2 + (hi - lo - 1)  # where each pair-bit lands under p
+    return np.ascontiguousarray((np.int64(1) << (m - 1 - landing)).T)
 
 
 def _canonical_bits(n: int, bits: np.ndarray) -> int:
     """Minimum adjacency bit-string over all vertex permutations, as an integer."""
     if n == 1:
         return 0
-    table = _perm_gather_table(n)
-    values = bits[table] @ _pair_weights(n)
-    return int(values.min())
+    return int((bits @ _perm_weights(n)).min())
 
 
 def canonical_form(g: Graph) -> int:
@@ -232,18 +267,25 @@ def _connected_reps(n: int) -> tuple[int, ...]:
         return (0,)
     found: set[int] = set()
     m_old = (n - 1) * (n - 2) // 2
-    m_new = n * (n - 1) // 2
+    weights = _perm_weights(n)
+    old_pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n - 1)]
+    new_rows = [weights[_pair_index(n, i, n - 1)] for i in range(n - 1)]
     for parent in _connected_reps(n - 1):
-        base = np.zeros(m_new, dtype=np.int64)
-        for i in range(n - 1):
-            for j in range(i + 1, n - 1):
-                base[_pair_index(n, i, j)] = parent >> (m_old - 1 - _pair_index(n - 1, i, j)) & 1
-        for subset in range(1, 1 << (n - 1)):
-            bits = base.copy()
-            for i in range(n - 1):
-                if subset >> i & 1:
-                    bits[_pair_index(n, i, n - 1)] = 1
-            found.add(_canonical_bits(n, bits))
+        rows = [
+            _pair_index(n, i, j)
+            for i, j in old_pairs
+            if parent >> (m_old - 1 - _pair_index(n - 1, i, j)) & 1
+        ]
+        values = weights[rows].sum(axis=0)
+        # neighbor subsets of the new vertex in Gray-code order: each step
+        # adds or removes one edge, so one row updates every permutation
+        for k in range(1, 1 << (n - 1)):
+            i = (k & -k).bit_length() - 1
+            if (k ^ (k >> 1)) >> i & 1:
+                values += new_rows[i]
+            else:
+                values -= new_rows[i]
+            found.add(int(values.min()))
     return tuple(sorted(found))
 
 

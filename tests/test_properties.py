@@ -1,6 +1,6 @@
-"""Property tests: bitmask graph queries and signed group equality against
-references that share no code with the package, and the adjacency caches
-that with_io carries over against freshly built ones."""
+"""Property tests: bitmask graph queries, canonical forms and signed group
+equality against references that share no code with the package, and the
+adjacency caches that with_io carries over against freshly built ones."""
 
 import itertools
 
@@ -12,7 +12,9 @@ from parityflow.gflow import flow_to_json, search_gflow_yz
 from parityflow.graph import (
     Graph,
     bipartition_check,
+    canonical_form,
     effective_graph,
+    enumerate_connected_graphs,
     make_graph,
     neighbors,
     odd_neighborhood,
@@ -44,6 +46,39 @@ def test_bitmask_queries_match_edge_scan(case):
     odd = {w for w in vertices if sum(1 for e in edges if w in e and (set(e) - {w}) & k) % 2}
     assert odd_neighborhood(g, k) == odd
     assert bipartition_check(g, part) == all((u in part) != (v in part) for u, v in edges)
+
+
+def _bit_string(n, edges) -> int:
+    """Big-endian pair bit-string of a graph on vertices 0..n-1."""
+    pairs = list(itertools.combinations(range(n), 2))
+    relabeled = {tuple(sorted(e)) for e in edges}
+    return sum(1 << (len(pairs) - 1 - k) for k, pair in enumerate(pairs) if pair in relabeled)
+
+
+def _reference_canonical(vertices, edges) -> int:
+    """Least bit-string over all relabelings, by brute force."""
+    n = len(vertices)
+    return min(
+        _bit_string(n, [(perm[vertices.index(u)], perm[vertices.index(v)]) for u, v in edges])
+        for perm in itertools.permutations(range(n))
+    )
+
+
+@FEW
+@given(graphs_with_subsets())
+def test_canonical_form_matches_brute_force(case):
+    vertices, edges, _, _ = case
+    assert canonical_form(make_graph(vertices, edges)) == _reference_canonical(vertices, edges)
+
+
+def test_enumerated_graphs_are_canonical():
+    # the enumeration updates every permutation's value one edge at a time;
+    # each graph it yields, as labeled, must be the least relabeling
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            vertices = list(g.vertices)
+            labeled = _bit_string(n, [(vertices.index(u), vertices.index(v)) for u, v in g.edges])
+            assert labeled == _reference_canonical(vertices, g.edges)
 
 
 @st.composite
