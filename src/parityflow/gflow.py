@@ -91,6 +91,12 @@ class GFlow:
         closure = frozenset((v, u) for v, after in reach.items() for u in after)
         return self.precedence if len(closure) == len(self.precedence) else closure
 
+    @cached_property
+    def verified_graphs(self) -> list[Graph]:
+        """Graph objects on which this flow passed the all-YZ verify_gflow
+        in `mbqc_engine.run_mbqc_yz`, to be compared by identity."""
+        return []
+
 
 def precedes(flow: GFlow, v: str, u: str) -> bool:
     """v < u in the partial order (transitive closure of the precedence digraph)."""

@@ -14,22 +14,19 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 
+import numpy as np
+
 from parityflow.gflow import GFlow, verify_gflow, yz_planes
 from parityflow.graph import Graph, effective_graph, odd_neighborhood
-from parityflow.layout import cz
 from parityflow.parity_engine import LayerParams
 from parityflow.simulator import (
+    DEFAULT_QUBIT_CAP,
     MeasurementRecord,
     Statevector,
-    append_qubit,
     apply_circuit,
-    apply_pauli_x,
-    apply_pauli_z,
     measure_and_correct,
     resolve_outcomes,
 )
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def yz_axis(theta: float) -> tuple[float, float, float]:
@@ -39,16 +36,26 @@ def yz_axis(theta: float) -> tuple[float, float, float]:
 
 def prepare_graph_state(g: Graph, psi: Statevector) -> Statevector:
     """Input state on the input vertices, |+> elsewhere, CZ across the
-    effective edge set (edges inside the input set contribute nothing)."""
+    effective edge set (edges inside the input set contribute nothing).
+
+    Labels are the inputs in psi's order, then the other vertices in graph
+    order. The |+> factors repeat each amplitude 2^m times at 2^(-m/2), and
+    the CZ gates together are the phase vector (-1)^(sum of b_u b_v over the
+    edges), b_u being the bit of u in the amplitude index.
+    """
     if frozenset(psi.labels) != g.inputs:
         raise ValueError(f"input labels {psi.labels} do not match graph inputs {sorted(g.inputs)}")
-    state = psi
-    for v in g.vertices:
-        if v not in g.inputs:
-            state = append_qubit(state, v, (_INV_SQRT2, _INV_SQRT2))
-    index = {v: i for i, v in enumerate(g.vertices)}
-    entangle = [cz(u, v) for u, v in sorted(effective_graph(g).edges, key=lambda e: (index[e[0]], index[e[1]]))]
-    return apply_circuit(state, entangle)
+    labels = psi.labels + tuple(v for v in g.vertices if v not in g.inputs)
+    n = len(labels)
+    if n > DEFAULT_QUBIT_CAP:
+        raise ValueError(f"register of {n} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
+    fresh = n - len(psi.labels)
+    shift = {v: n - 1 - i for i, v in enumerate(labels)}
+    edges = np.array([(shift[u], shift[v]) for u, v in effective_graph(g).edges], dtype=np.int64).reshape(-1, 2)
+    index = np.arange(1 << n)[:, None]
+    cz_parity = np.bitwise_xor.reduce((index >> edges[:, 0]) & (index >> edges[:, 1]), axis=1) & 1
+    amps = np.repeat(psi.amplitudes, 1 << fresh) * 2.0 ** (-fresh / 2) * (1 - 2 * cz_parity)
+    return Statevector(labels, amps)
 
 
 def _default_order(g: Graph, flow: GFlow) -> list[str]:
@@ -58,6 +65,18 @@ def _default_order(g: Graph, flow: GFlow) -> list[str]:
     for layer in flow.layers:
         order.extend(sorted(layer & measured))
     return order
+
+
+def _verify_once(g: Graph, flow: GFlow) -> None:
+    """Run verify_gflow on (g, flow) unless this flow already passed it on
+    this same graph object. Only success is remembered, so an invalid flow
+    raises on every call."""
+    if any(seen is g for seen in flow.verified_graphs):
+        return
+    result = verify_gflow(g, yz_planes(g), flow)
+    if not result:
+        raise ValueError(f"invalid flow: {result.violations[0]}")
+    flow.verified_graphs.append(g)
 
 
 def _check_order(g: Graph, flow: GFlow, order: Sequence[str]) -> None:
@@ -81,14 +100,13 @@ def run_mbqc_yz(
 ) -> tuple[Statevector, MeasurementRecord]:
     """Measure every non-output vertex in the YZ plane, correcting via the flow.
 
-    The flow is verified before any simulation. Measurements follow a linear
-    extension of the flow's order (lexicographic within layers unless an
-    explicit extension is supplied); on a -1 outcome at v, X lands on
-    g(v) minus v and Z on Odd(g(v)) minus v, all still-present qubits.
+    The flow is verified before any simulation, the first time it meets this
+    graph object (`_verify_once`). Measurements follow a linear extension of
+    the flow's order (lexicographic within layers unless an explicit
+    extension is supplied); on a -1 outcome at v, X lands on g(v) minus v
+    and Z on Odd(g(v)) minus v, all still-present qubits.
     """
-    result = verify_gflow(g, yz_planes(g), flow)
-    if not result:
-        raise ValueError(f"invalid flow: {result.violations[0]}")
+    _verify_once(g, flow)
     measured = set(g.vertices) - g.outputs
     if set(angles) != measured:
         raise ValueError("angle keys must be exactly the measured vertices")
@@ -97,12 +115,8 @@ def run_mbqc_yz(
     source = resolve_outcomes(outcomes)
     state = prepare_graph_state(g, psi)
 
-    def complete_stabilizer(state: Statevector, v: str) -> Statevector:
-        for u in sorted(flow.g[v] - {v}):
-            state = apply_pauli_x(state, u)
-        for u in sorted(odd_neighborhood(g, flow.g[v]) - {v}):
-            state = apply_pauli_z(state, u)
-        return state
+    def complete_stabilizer(v: str) -> tuple[frozenset[str], frozenset[str]]:
+        return flow.g[v] - {v}, odd_neighborhood(g, flow.g[v]) - {v}
 
     plan = [(v, yz_axis(angles[v])) for v in sequence]
     return measure_and_correct(state, plan, complete_stabilizer, source)

@@ -25,7 +25,6 @@ from parityflow.simulator import (
     Statevector,
     append_qubit,
     apply_circuit,
-    apply_pauli_z,
     discard_qubit,
     measure_and_correct,
     outcome_probability,
@@ -108,10 +107,8 @@ def mb_decode(
         raise ValueError(f"parity qubits not in register: {sorted(missing)}")
     source = resolve_outcomes(outcomes)
 
-    def complete_parity(state: Statevector, p: str) -> Statevector:
-        for q in sorted(layout.parity_sets[p], key=layout.data_qubits.index):
-            state = apply_pauli_z(state, q)
-        return state
+    def complete_parity(p: str) -> tuple[tuple[str, ...], frozenset[str]]:
+        return (), layout.parity_sets[p]
 
     plan = [(p, X_AXIS) for p in layout.parity_qubits if p in members]
     return measure_and_correct(state, plan, complete_parity, source)

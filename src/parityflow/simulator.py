@@ -2,8 +2,10 @@
 
 Amplitude index order follows the label list with the first label as the
 most significant bit. Rotations use the convention RZ(t) = exp(-i t Z / 2),
-RX(t) = exp(-i t X / 2). All operations return new values; measured qubits
-stay in the register as a product factor until explicitly discarded.
+RX(t) = exp(-i t X / 2). All operations return new values. `project` leaves
+the measured qubit in the register as a product factor until `discard_qubit`
+removes it; `measure_and_correct`, the loop both engines run, contracts each
+measured qubit out of the register in one step.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class Statevector:
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2 ** len(self.labels),):
             raise ValueError(f"expected {2 ** len(self.labels)} amplitudes, got {amps.shape}")
-        norm = np.linalg.norm(amps)
+        norm = math.sqrt(np.vdot(amps, amps).real)
         # written so that a NaN norm (non-finite amplitudes) fails it too
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm} is not 1")
@@ -267,26 +269,90 @@ class MeasurementEntry:
 MeasurementRecord = tuple[MeasurementEntry, ...]
 
 
+def _outcome_bras(axis: Sequence[float]) -> np.ndarray:
+    """The +1 and -1 bras of a unit Bloch axis (x, y, z), as the rows of a
+    2x2 matrix, in discard_qubit's phase convention.
+
+    Each is the row of larger norm of that outcome's projector, row 0 on a
+    tie, normalised: the top row (1 + z, x - iy) / 2 of the +1 projector
+    when z >= 0, else its bottom row (x + iy, 1 - z) / 2, and likewise for
+    -1 with z negated. Contracting the measured qubit with it gives the row
+    discard_qubit keeps after project, up to the 1/sqrt(p) renormalisation.
+    """
+    if len(axis) != 3 or abs(math.sqrt(sum(c * c for c in axis)) - 1.0) > 1e-9:
+        raise ValueError("axis must be a unit 3-vector")
+    x, y, z = axis
+    plus = (1 + z, complex(x, -y)) if z >= 0 else (complex(x, y), 1 - z)
+    minus = (1 - z, complex(-x, y)) if z <= 0 else (complex(-x, -y), 1 + z)
+    rows = []
+    for a, b in (plus, minus):
+        norm = math.hypot(abs(a), abs(b))
+        rows.append((a / norm, b / norm))
+    return np.array(rows)
+
+
+def _apply_paulis(amps: np.ndarray, labels: tuple[str, ...], xs: Iterable[str], zs: Iterable[str]) -> np.ndarray:
+    """X on each qubit of xs, then Z on each of zs, on amplitudes the caller
+    owns: the X's as one index permutation, each Z as a sign flip of that
+    qubit's |1> half, in place."""
+    n = len(labels)
+
+    def position(q: str) -> int:
+        if q not in labels:
+            raise ValueError(f"unknown qubit {q!r}")
+        return labels.index(q)
+
+    xmask = 0
+    for q in xs:
+        xmask ^= 1 << (n - 1 - position(q))
+    if xmask:
+        amps = amps[np.arange(1 << n) ^ xmask]
+    view = amps.reshape((2,) * n)
+    for q in zs:
+        view[(slice(None),) * position(q) + (1,)] *= -1
+    return amps
+
+
 def measure_and_correct(
     state: Statevector,
     plan: Iterable[tuple[str, tuple[float, float, float]]],
-    correct: Callable[[Statevector, str], Statevector],
+    correct: Callable[[str], tuple[Iterable[str], Iterable[str]]],
     source: OutcomeSource,
 ) -> tuple[Statevector, MeasurementRecord]:
-    """Measure each (qubit, axis) of the plan in turn and discard the qubit.
+    """Measure each (qubit, axis) of the plan in turn and remove the qubit.
 
-    The outcome comes from `source`, given the +1 Born probability. On a -1
-    outcome `correct(state, qubit)` returns the corrected state, before the
-    measured qubit is discarded. Both engines run through this loop and
-    differ only in their plan and correction rule.
+    The qubit is contracted with the outcome's bra (see `_outcome_bras`) and
+    the rest renormalised: the state `project` then `discard_qubit` give,
+    global phase included, without the second projection or the purity
+    check (a contracted qubit cannot be entangled). The one exception is an
+    axis whose projector rows have equal norm up to rounding, such as the
+    YZ axis at theta = pi/2: there discard_qubit's pick follows rounding in
+    the state, and the two may differ by a global phase. The outcome comes
+    from `source`, given the +1 Born probability. On a -1 outcome
+    `correct(qubit)` names the Pauli correction as label sets (X targets,
+    Z targets) on the remaining qubits. Both engines run through this loop
+    and differ only in their plan and correction rule.
     """
     record: list[MeasurementEntry] = []
     for q, axis in plan:
-        outcome = source.next_outcome(outcome_probability(state, q, axis, 1))
-        probability, state = project(state, q, axis, outcome)
+        pos = state.index_of(q)
+        # axes: (+1 or -1 bra, qubits before q, qubits after q)
+        contracted = np.dot(_outcome_bras(axis), state.amplitudes.reshape(1 << pos, 2, -1))
+        rest = contracted[0].reshape(-1)
+        p_plus = float(np.vdot(rest, rest).real)
+        outcome = source.next_outcome(p_plus)
+        if outcome == 1:
+            probability = p_plus
+        else:
+            rest = contracted[1].reshape(-1)
+            probability = float(np.vdot(rest, rest).real)
+        if probability < ZERO_PROB_TOL:
+            raise ZeroProbabilityError(f"outcome {outcome:+d} on {q!r} has zero probability")
+        labels = state.labels[:pos] + state.labels[pos + 1 :]
+        amps = rest / math.sqrt(probability)
         if outcome == -1:
-            state = correct(state, q)
-        state = discard_qubit(state, q)
+            amps = _apply_paulis(amps, labels, *correct(q))
+        state = Statevector(labels, amps)
         record.append(MeasurementEntry(q, axis, outcome, probability))
     return state, tuple(record)
 
@@ -326,15 +392,16 @@ class OutcomeSource:
             if bad:
                 raise ValueError(f"prescribed outcomes must be +/-1, got {bad}")
             self._rng = None
-            self._queue = list(spec)
+            self._queue = iter(list(spec))
         else:
             raise TypeError("outcomes must be a sequence of +/-1 or a numpy Generator")
 
     def next_outcome(self, p_plus: float) -> int:
         if self._queue is not None:
-            if not self._queue:
+            outcome = next(self._queue, None)
+            if outcome is None:
                 raise ValueError("prescribed outcome list exhausted")
-            return self._queue.pop(0)
+            return outcome
         if p_plus > 1.0 - ZERO_PROB_TOL:
             return 1
         if p_plus < ZERO_PROB_TOL:

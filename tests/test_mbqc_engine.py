@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from parityflow import mbqc_engine
 from parityflow.gflow import GFlow, canonical_yz_gflow, search_gflow_yz
 from parityflow.graph import make_graph, with_io
 from parityflow.layout import build_all_pairs_layout, hadamard, induced_graph
@@ -50,6 +51,13 @@ def test_prepare_graph_state_single_vertex():
 def test_prepare_graph_state_label_mismatch():
     with pytest.raises(ValueError, match="inputs"):
         prepare_graph_state(p3_graph(), basis_state(("a", "b"), "00"))
+
+
+def test_prepare_graph_state_enforces_qubit_cap():
+    vertices = [str(i) for i in range(17)]
+    g = make_graph(vertices, [("0", v) for v in vertices[1:]], ["0"], ["0"])
+    with pytest.raises(ValueError, match="17 qubits exceeds cap 16"):
+        prepare_graph_state(g, basis_state(("0",), "0"))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -162,6 +170,44 @@ def test_invalid_flow_rejected_before_simulation():
     )
     with pytest.raises(ValueError, match="invalid flow"):
         run_mbqc_yz(graph, basis_state(("1", "2"), "00"), {"(12)": 0.3}, bad, [1])
+
+
+def test_flow_verified_once_per_graph_object(monkeypatch):
+    checked = []
+    real_verify = mbqc_engine.verify_gflow
+
+    def counting_verify(graph, planes, flow):
+        checked.append(graph)
+        return real_verify(graph, planes, flow)
+
+    monkeypatch.setattr(mbqc_engine, "verify_gflow", counting_verify)
+    base = make_graph(list("123456"), [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("5", "6"), ("6", "1")])
+    g = with_io(base, ["1", "3", "5"], ["1", "3", "5"])
+    flow = search_gflow_yz(g)
+    assert flow is not None
+    psi = random_state(("1", "3", "5"), np.random.default_rng(6))
+    angles = {v: 0.3 * k for k, v in enumerate(sorted(flow.g))}
+    for branch in all_outcome_branches(len(flow.g)):
+        run_mbqc_yz(g, psi, angles, flow, branch)
+    assert checked == [g]
+    # an equal graph is still another object: it is verified on its own
+    twin = with_io(base, ["1", "3", "5"], ["1", "3", "5"])
+    assert twin == g and twin is not g
+    run_mbqc_yz(twin, psi, angles, flow, [1] * len(flow.g))
+    run_mbqc_yz(g, psi, angles, flow, [1] * len(flow.g))
+    assert len(checked) == 2 and checked[1] is twin
+
+    # failure is never remembered: an invalid flow is checked, and raises, every time
+    graph = induced_graph(build_all_pairs_layout(2))
+    bad = GFlow(
+        g={"(12)": frozenset()},
+        precedence=frozenset(),
+        layers=(frozenset({"(12)"}), frozenset({"1", "2"})),
+    )
+    for attempt in range(3):
+        with pytest.raises(ValueError, match="invalid flow"):
+            run_mbqc_yz(graph, basis_state(("1", "2"), "00"), {"(12)": 0.3}, bad, [1])
+        assert len(checked) == 3 + attempt
 
 
 def test_bad_measurement_order_rejected():

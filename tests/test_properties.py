@@ -1,10 +1,14 @@
 """Property tests: bitmask graph queries, canonical forms and signed group
-equality against references that share no code with the package, and the
-adjacency caches that with_io carries over against freshly built ones."""
+equality against references that share no code with the package, the
+adjacency caches that with_io carries over against freshly built ones, and
+the fused measurement step and phase-vector graph state against the
+gate-by-gate kernels they replace."""
 
 import itertools
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +24,22 @@ from parityflow.graph import (
     odd_neighborhood,
     with_io,
 )
+from parityflow.layout import cz
+from parityflow.mbqc_engine import prepare_graph_state, yz_axis
 from parityflow.pauli import PauliString, StabilizerGroup, groups_equal, multiply
+from parityflow.simulator import (
+    OutcomeSource,
+    Statevector,
+    ZeroProbabilityError,
+    append_qubit,
+    apply_circuit,
+    apply_pauli_x,
+    apply_pauli_z,
+    discard_qubit,
+    distance_up_to_phase,
+    measure_and_correct,
+    project,
+)
 
 FEW = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -197,3 +216,101 @@ def group_pairs(draw):
 def test_groups_equal_matches_brute_force(pair):
     a, b = pair
     assert groups_equal(a, b) == (_signed_elements(a) == _signed_elements(b))
+
+
+# the YZ axis at theta = pi/2 has z = 6e-17: its projector rows differ in
+# norm by one rounding step, so discard_qubit's pick follows rounding noise
+YZ_TIE = yz_axis(math.pi / 2)
+AXES = {"x": (1.0, 0.0, 0.0), "+z": (0.0, 0.0, 1.0), "-z": (0.0, 0.0, -1.0), "yz_tie": YZ_TIE}
+
+
+def _projector(axis, outcome) -> np.ndarray:
+    x, y, z = axis
+    return 0.5 * (np.eye(2) + outcome * np.array([[z, x - 1j * y], [x + 1j * y, -z]]))
+
+
+@st.composite
+def measurement_steps(draw):
+    """A random state of 1-6 qubits, a qubit and axis to measure, and
+    correction sets on the other qubits. Some states hold the measured qubit
+    in an eigenstate of the axis, so that one outcome has probability 0."""
+    n = draw(st.integers(1, 6))
+    labels = tuple(f"q{i}" for i in range(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", *AXES]))
+    if kind == "random":
+        v = rng.normal(size=3)
+        axis = tuple(float(c) for c in v / np.linalg.norm(v))
+    else:
+        axis = AXES[kind]
+    pos = draw(st.integers(0, n - 1))
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    eigen = draw(st.sampled_from([None, 1, -1]))
+    if eigen is not None:
+        _, vectors = np.linalg.eigh(_projector(axis, eigen))
+        rest = rng.normal(size=2 ** (n - 1)) + 1j * rng.normal(size=2 ** (n - 1))
+        amps = np.moveaxis(np.multiply.outer(vectors[:, 1], rest).reshape((2,) * n), 0, pos).reshape(-1)
+    state = Statevector(labels, amps / np.linalg.norm(amps))
+    others = [q for q in labels if q != labels[pos]]
+    pauli_sets = st.sets(st.sampled_from(others), min_size=1) if others else st.just(set())
+    return state, labels[pos], axis, kind, draw(pauli_sets), draw(pauli_sets)
+
+
+def _reference_step(state, q, axis, outcome, xs, zs):
+    """project, then on -1 the corrections one Pauli at a time, before the qubit goes."""
+    probability, projected = project(state, q, axis, outcome)
+    if outcome == -1:
+        for u in sorted(xs):
+            projected = apply_pauli_x(projected, u)
+        for u in sorted(zs):
+            projected = apply_pauli_z(projected, u)
+    return probability, projected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(measurement_steps())
+def test_fused_measure_step_matches_project_then_discard(case):
+    state, q, axis, kind, xs, zs = case
+    for outcome in (1, -1):
+        try:
+            probability, projected = _reference_step(state, q, axis, outcome, xs, zs)
+        except ZeroProbabilityError:
+            with pytest.raises(ZeroProbabilityError):
+                measure_and_correct(state, [(q, axis)], lambda _: (xs, zs), OutcomeSource([outcome]))
+            continue
+        out, record = measure_and_correct(state, [(q, axis)], lambda _: (xs, zs), OutcomeSource([outcome]))
+        assert [(e.qubit, e.outcome) for e in record] == [(q, outcome)]
+        assert abs(record[0].probability - probability) <= 1e-12
+        reference = discard_qubit(projected, q)
+        assert out.labels == reference.labels
+        if kind == "yz_tie":
+            # the same state; its phase is that of the projector row of
+            # larger norm, which discard_qubit may or may not pick here
+            assert distance_up_to_phase(out, reference) < 1e-12
+            pos = projected.index_of(q)
+            rows = np.moveaxis(projected.amplitudes.reshape((2,) * state.num_qubits), pos, 0).reshape(2, -1)
+            row = int(np.argmax(np.linalg.norm(_projector(axis, outcome), axis=1)))
+            expected = rows[row] / np.linalg.norm(rows[row])
+        else:
+            expected = reference.amplitudes
+        assert np.max(np.abs(out.amplitudes - expected), initial=0.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(open_graphs(), st.integers(0, 2**32 - 1))
+def test_phase_vector_graph_state_matches_cz_gates(case, seed):
+    vertices, edges, inputs, outputs = case
+    g = make_graph(vertices, edges, inputs, outputs)
+    rng = np.random.default_rng(seed)
+    # psi lists the inputs in a drawn order, not the graph's
+    amps = rng.normal(size=2 ** len(inputs)) + 1j * rng.normal(size=2 ** len(inputs))
+    psi = Statevector(tuple(inputs), amps / np.linalg.norm(amps))
+    reference = psi
+    for v in vertices:
+        if v not in inputs:
+            reference = append_qubit(reference, v, (1 / math.sqrt(2), 1 / math.sqrt(2)))
+    entangle = [cz(u, v) for u, v in sorted(edges) if not (u in inputs and v in inputs)]
+    reference = apply_circuit(reference, entangle)
+    out = prepare_graph_state(g, psi)
+    assert out.labels == reference.labels
+    assert np.max(np.abs(out.amplitudes - reference.amplitudes)) <= 1e-14
