@@ -211,8 +211,8 @@ def _bit_indices(mask: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _submasks_by_size(support: int) -> tuple[int, ...]:
-    """Every nonempty submask of `support`, by (popcount, value)."""
-    subs = []
+    """Every submask of `support`, the empty one included, by (popcount, value)."""
+    subs = [0]
     s = support
     while s:
         subs.append(s)
@@ -223,17 +223,16 @@ def _submasks_by_size(support: int) -> tuple[int, ...]:
 def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None:
     """Find a YZ-plane gflow by exhaustive search, or prove none exists.
 
-    Enumerates, per measured vertex v, every candidate correction set
-    S with v in S, S inside the non-input vertices and v outside Odd(S);
-    a combination of candidates is a gflow exactly when the precedence
-    digraph induced by the ordering conditions is acyclic. Acyclic
-    combinations are in bijection with peel orders: some vertex can be
-    measured last (its candidate reaches only itself and outputs), then
-    some vertex second-to-last over the remainder, and so on. Whether a
-    vertex is peelable depends only on the set of not-yet-peeled vertices,
-    so the search memoizes over those subsets; a None result is therefore
-    a proof that no candidate combination is acyclic. Deliberately
-    independent of any bipartiteness reasoning.
+    A gflow is a peel order: some measured vertex v can be measured last
+    among the still-unplaced set R when a correction set S inside the
+    non-input vertices has S and Odd(S) meeting R in exactly {v} and not
+    at all, respectively. Such an S is {v} plus a set T of vertices
+    outside R (measured after v, or outputs); the peel takes the first
+    that fits, T by (size, value) with the empty set first, then peels
+    R - v. Whether R can be peeled depends only on R, so any fitting S
+    serves as well as another, and the search memoizes the subsets that
+    fail; a None result is therefore a proof that no gflow exists.
+    Deliberately independent of any bipartiteness reasoning.
     """
     n = len(graph.vertices)
     if n > cap:
@@ -242,52 +241,37 @@ def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None
         raise ValueError("search requires |I| = |O|")
     all_mask = (1 << n) - 1
     output_mask = graph.mask_of(graph.outputs)
-    input_mask = graph.mask_of(graph.inputs)
     measured_mask = all_mask & ~output_mask
-    support = all_mask & ~input_mask
-
+    support = all_mask & ~graph.mask_of(graph.inputs)
     if measured_mask & ~support:
         return None  # a measured input must lie in its own correction set but cannot
-    measured = _bit_indices(measured_mask)
-    odd_masks = graph.odd_masks
-    candidates: dict[int, list[tuple[int, int]]] = {v: [] for v in measured}
-    # every nonempty S inside the support, one Odd(S) each; taking them by
-    # size puts singletons first, so witnesses on friendly graphs surface
-    # immediately
-    for s in _submasks_by_size(support):
-        odd = odd_masks[s]
-        members = s & measured_mask & ~odd
-        while members:
-            low = members & -members
-            members ^= low
-            candidates[low.bit_length() - 1].append((s, (s | odd) & measured_mask & ~low))
-    if not all(candidates.values()):
-        return None
 
-    chosen: dict[int, int] = {}
+    chosen: dict[int, tuple[int, int]] = {}  # v -> (g(v), Odd(g(v)))
+    order: list[int] = []  # measurement order, earliest first
     dead: set[int] = set()
 
     def peel(remaining: int) -> bool:
-        """True iff the vertices in `remaining` admit a valid measurement suffix."""
+        """True iff the vertices in `remaining` admit a valid measurement order."""
         if remaining == 0:
             return True
         if remaining in dead:
             return False
+        outside = _submasks_by_size(support & ~remaining)
         rest = remaining
         while rest:
             low = rest & -rest
             rest ^= low
-            v = low.bit_length() - 1
-            before = remaining & ~low
-            for s, measured_targets in candidates[v]:
-                # v measured first among `remaining`: every constrained vertex
-                # must already be outside, i.e. peeled later than v or an output
-                if measured_targets & before:
+            for t in outside:
+                s = low | t
+                odd = graph.odd_mask(s)
+                if odd & remaining:
                     continue
-                if peel(before):
-                    chosen[v] = s
+                if peel(remaining ^ low):
+                    v = low.bit_length() - 1
+                    chosen[v] = (s, odd)
+                    order.append(v)
                     return True
-                break  # any other candidate fails on the same subset
+                break  # any other fitting S leaves the same subset to peel
         dead.add(remaining)
         return False
 
@@ -295,34 +279,22 @@ def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None
         return None
 
     labels = graph.vertices
-    g_map = {labels[v]: graph.vertices_of(chosen[v]) for v in measured}
     precedence = set()
-    succ_measured: dict[int, list[int]] = {v: [] for v in measured}
-    pred_count = {v: 0 for v in measured}
-    for v in measured:
-        s = chosen[v]
-        for u in _bit_indices((s | odd_masks[s]) & ~(1 << v)):
+    # longest-path layering: every successor of v is measured after v
+    depth = dict.fromkeys(order, 0)
+    for v in order:
+        s, odd = chosen[v]
+        for u in _bit_indices((s | odd) & ~(1 << v)):
             precedence.add((labels[v], labels[u]))
-            if (1 << u) & measured_mask:
-                succ_measured[v].append(u)
-                pred_count[u] += 1
-    # longest-path layering of the measured DAG; outputs close the schedule
-    depth = {v: 0 for v in measured}
-    ready = [v for v in measured if pred_count[v] == 0]
-    topo: list[int] = []
-    while ready:
-        v = ready.pop()
-        topo.append(v)
-        for u in succ_measured[v]:
-            depth[u] = max(depth[u], depth[v] + 1)
-            pred_count[u] -= 1
-            if pred_count[u] == 0:
-                ready.append(u)
+            if u in depth:
+                depth[u] = max(depth[u], depth[v] + 1)
+    measured = sorted(order)
     layers: list[set[str]] = [set() for _ in range(max(depth.values(), default=-1) + 1)]
     for v in measured:
         layers[depth[v]].add(labels[v])
     if output_mask:
         layers.append(graph.outputs)
+    g_map = {labels[v]: graph.vertices_of(chosen[v][0]) for v in measured}
     flow = GFlow(g=g_map, precedence=frozenset(precedence), layers=tuple(frozenset(s) for s in layers))
     result = verify_gflow(graph, yz_planes(graph), flow)
     if not result:
@@ -424,7 +396,7 @@ def _sweep_one_graph(args: tuple[int, int, Graph, int]) -> tuple[int, int, dict,
     any correction set, so the flow search is provably blind to them.
     """
     n, graph_index, base, cap = args
-    base.odd_masks  # built once here; with_io hands it to all 2^n instances
+    base.neighbor_masks  # built once here; with_io hands it to all 2^n instances
     counts = {"instances": 0, "flows_found": 0, "bipartite_instances": 0}
     discrepancies = []
     witness_failures = []
@@ -466,9 +438,11 @@ def yz_bipartite_sweep(
 
     For every connected graph up to max_n vertices and every input choice
     with O = I, assert search_gflow_yz succeeds exactly when the graph is
-    bipartite with I one partition; additionally sample io_samples instances
-    with I != O (equal sizes), where no flow may exist.
+    bipartite with I one partition; additionally, for max_n >= 2, sample
+    io_samples instances with I != O (equal sizes), where no flow may exist.
     """
+    if max_n < 1:
+        raise ValueError(f"max_n={max_n} must be at least 1")
     if max_n > cap:
         raise ValueError(f"max_n={max_n} above enumeration cap {cap}")
     report = SweepReport(max_n=max_n)
@@ -498,10 +472,10 @@ def yz_bipartite_sweep(
         if keep_witnesses:
             report.witnesses.extend(witnesses)
 
-    # I != O instances: equal sizes, still no flow may exist
+    # I != O instances: equal sizes, still no flow may exist; they need n >= 2
     rng = np.random.default_rng(seed)
     drawn = 0
-    while drawn < io_samples:
+    while max_n >= 2 and drawn < io_samples:
         n = int(rng.integers(2, max_n + 1))
         base = graphs[n][int(rng.integers(len(graphs[n])))]
         size = int(rng.integers(1, n))

@@ -57,11 +57,10 @@ class Graph:
                 raise ValueError(f"{name} not a subset of the vertex set")
             object.__setattr__(self, name, subset)
 
-    # Bit i of a vertex mask stands for vertices[i]. The adjacency masks and
-    # the Odd(K) table are built on first use, not at construction:
-    # enumeration builds many graphs that are never searched. Every cached
-    # property depends on the vertices and edges alone, so with_io hands them
-    # on to the graphs it makes.
+    # Bit i of a vertex mask stands for vertices[i]. The adjacency masks are
+    # built on first use, not at construction: enumeration builds many
+    # graphs that are never searched. They depend on the vertices and edges
+    # alone, so with_io hands them on to the graphs it makes.
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
@@ -72,16 +71,6 @@ class Graph:
             masks[index[u]] |= 1 << index[v]
             masks[index[v]] |= 1 << index[u]
         return tuple(masks)
-
-    @cached_property
-    def odd_masks(self) -> tuple[int, ...]:
-        """Entry K is odd_mask(K), for all 2^n vertex masks K: one XOR each."""
-        masks = self.neighbor_masks
-        table = [0] * (1 << len(masks))
-        for k in range(1, len(table)):
-            low = k & -k
-            table[k] = table[k ^ low] ^ masks[low.bit_length() - 1]
-        return tuple(table)
 
     def mask_of(self, k: Iterable[str]) -> int:
         """Bitmask of a vertex set; raises on vertices outside the graph."""
@@ -124,7 +113,7 @@ def make_graph(
 
 
 def _unchecked_graph(attributes: dict) -> Graph:
-    """A Graph holding these attributes and cached tables, with no checks.
+    """A Graph holding these attributes and cached masks, with no checks.
 
     Set one by one, not through __dict__, which keeps each instance as small
     as one built by __init__: the sweep keeps tens of thousands of them.

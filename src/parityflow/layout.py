@@ -157,27 +157,28 @@ class ConstraintReport:
 def validate_constraints(layout: ParityLayout) -> ConstraintReport:
     """Check the CNOT list realizes every declared parity set.
 
-    Runs the constraints classically over every data basis state (CNOTs act
-    on basis states as bit updates) and compares each parity qubit against
-    the XOR of its tracked bits. Parity-qubit controls are allowed, so chain
-    layouts that build one parity from another validate too.
+    CNOTs act on basis states as XORs, so each qubit ends up holding a
+    GF(2) sum of data bits: a mask over the data qubits, with data qubit i
+    at bit n-1-i as in the basis-state string. Each data qubit starts as
+    its own bit and each parity qubit as 0; parity-qubit controls are
+    allowed, so chain layouts that build one parity from another validate
+    too. A parity qubit whose mask differs from its declared set by `diff`
+    is wrong exactly on the basis states with odd overlap with `diff`, the
+    first of which is the lowest set bit of `diff`. The report names the
+    first wrong basis state and, on it, the first wrong parity qubit.
     """
-    order = layout.qubits
-    position = {q: i for i, q in enumerate(order)}
-    for x in range(1 << layout.n):
-        bits = [0] * len(order)
-        for i in range(layout.n):
-            bits[i] = x >> (layout.n - 1 - i) & 1
-        for c, t in layout.constraints:
-            bits[position[t]] ^= bits[position[c]]
-        for p in layout.parity_qubits:
-            want = 0
-            for q in layout.parity_sets[p]:
-                want ^= bits[position[q]]
-            if bits[position[p]] != want:
-                basis = "".join(str(b) for b in bits[: layout.n])
-                return ConstraintReport(False, counterexample=basis, parity_qubit=p)
-    return ConstraintReport(True)
+    n = layout.n
+    bit = {q: 1 << (n - 1 - i) for i, q in enumerate(layout.data_qubits)}
+    value = bit | dict.fromkeys(layout.parity_qubits, 0)
+    for c, t in layout.constraints:
+        value[t] ^= value[c]
+    diffs = [(p, value[p] ^ sum(bit[q] for q in layout.parity_sets[p])) for p in layout.parity_qubits]
+    wrong = [diff & -diff for _, diff in diffs if diff]
+    if not wrong:
+        return ConstraintReport(True)
+    x = min(wrong)  # one data bit set, so odd overlap means diff holds that bit
+    p = next(p for p, diff in diffs if diff & x)
+    return ConstraintReport(False, counterexample=format(x, f"0{n}b"), parity_qubit=p)
 
 
 def layout_to_json(layout: ParityLayout) -> dict:

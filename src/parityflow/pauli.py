@@ -266,11 +266,3 @@ def group_to_json(group: StabilizerGroup) -> dict:
         "generators": [pauli_to_text(g) for g in group.generators],
     }
 
-
-def group_from_json(data: dict) -> StabilizerGroup:
-    try:
-        labels = tuple(data["qubits"])
-        gens = tuple(pauli_from_text(labels, text) for text in data["generators"])
-    except KeyError as exc:
-        raise ValueError(f"stabilizer JSON missing field {exc.args[0]!r}") from exc
-    return StabilizerGroup(labels, gens)

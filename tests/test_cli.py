@@ -239,6 +239,17 @@ def test_sweep_small(runner):
     assert data["discrepancies"] == []
 
 
+def test_sweep_max_n_one_and_zero(runner):
+    result = invoke(runner, ["sweep", "--max-n", "1", "--workers", "1"])
+    assert result.exit_code == 0
+    data = json.loads(result.stdout)
+    assert data["per_n"] == {"1": {"bipartite_instances": 2, "flows_found": 2, "graphs": 1, "instances": 2}}
+    assert data["io_mismatch_cases"] == 0
+    result = invoke(runner, ["sweep", "--max-n", "0", "--workers", "1"])
+    assert result.exit_code == 2
+    assert "max_n" in result.stderr
+
+
 def test_malformed_input_exits_two(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"n\": 2}")

@@ -1,6 +1,8 @@
 """Flow verification, canonical construction, exhaustive search, sweeps."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -232,6 +234,19 @@ def test_sweep_small():
     data = report.to_json()
     assert data["ok"] is True
     assert data["per_n"]["3"]["flows_found"] == data["per_n"]["3"]["bipartite_instances"]
+
+
+def test_search_witness_choice_is_pinned():
+    # every n <= 6 witness the search picks, in sweep order: the first
+    # fitting correction set by (size, value), for the lowest peelable vertex
+    report = yz_bipartite_sweep(6, io_samples=0, workers=1)
+    witnesses = [
+        [sorted(g.edges), sorted(g.inputs), flow_to_json(f), sorted(f.precedence)]
+        for g, f in report.witnesses
+    ]
+    assert len(witnesses) == 2012
+    digest = hashlib.sha256(json.dumps(witnesses).encode()).hexdigest()
+    assert digest == "4e17a442b38a6aaf35ed7dfdad9643da388a38386a60fb64e880d517ff64a866"
 
 
 def test_sweep_witnesses_returned():

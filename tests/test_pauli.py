@@ -11,7 +11,6 @@ from parityflow.pauli import (
     StabilizerGroup,
     commutes,
     graph_generators,
-    group_from_json,
     group_to_json,
     groups_equal,
     hadamard_conjugate,
@@ -249,7 +248,9 @@ def test_parity_code_equals_conjugated_graph_code(n):
     assert groups_equal(parity_group, conj)
 
 
-def test_group_json_round_trip():
-    group = parity_generators(build_all_pairs_layout(3))
-    again = group_from_json(group_to_json(group))
-    assert groups_equal(group, again)
+def test_group_to_json_lists_qubits_and_generator_texts():
+    data = group_to_json(parity_generators(build_all_pairs_layout(3)))
+    assert data == {
+        "qubits": ["1", "2", "3", "(12)", "(13)", "(23)"],
+        "generators": ["+Z_1 Z_2 Z_(12)", "+Z_1 Z_3 Z_(13)", "+Z_2 Z_3 Z_(23)"],
+    }

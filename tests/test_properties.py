@@ -1,8 +1,8 @@
-"""Property tests: bitmask graph queries, canonical forms and signed group
-equality against references that share no code with the package, the
-adjacency caches that with_io carries over against freshly built ones, and
-the fused measurement step and phase-vector graph state against the
-gate-by-gate kernels they replace."""
+"""Property tests: bitmask graph queries, canonical forms, layout
+constraint checks and signed group equality against references that share
+no code with the package, the adjacency caches that with_io carries over
+against freshly built ones, and the fused measurement step and
+phase-vector graph state against the gate-by-gate kernels they replace."""
 
 import itertools
 import math
@@ -24,7 +24,7 @@ from parityflow.graph import (
     odd_neighborhood,
     with_io,
 )
-from parityflow.layout import cz
+from parityflow.layout import ConstraintReport, ParityLayout, cz, validate_constraints
 from parityflow.mbqc_engine import prepare_graph_state, yz_axis
 from parityflow.pauli import PauliString, StabilizerGroup, groups_equal, multiply
 from parityflow.simulator import (
@@ -123,22 +123,69 @@ def _flow_key(flow):
 def test_with_io_carries_adjacency_caches(case):
     vertices, edges, inputs, outputs = case
     warm = make_graph(vertices, edges)
-    warm.odd_masks  # build both caches before with_io
+    warm.neighbor_masks  # build the cache before with_io
     carried = with_io(warm, inputs, outputs)
     fresh = Graph(carried.vertices, carried.edges, carried.inputs, carried.outputs)
     assert carried.neighbor_masks is warm.neighbor_masks
-    assert carried.odd_masks is warm.odd_masks
     assert carried.neighbor_masks == fresh.neighbor_masks
-    assert carried.odd_masks == fresh.odd_masks
-    assert len(fresh.odd_masks) == 1 << len(vertices)
-    assert all(fresh.odd_masks[k] == fresh.odd_mask(k) for k in range(1 << len(vertices)))
-    # effective_graph changes the edges, so it must build its own tables
+    # effective_graph changes the edges, so it must build its own masks
     effective = effective_graph(carried)
     rebuilt = make_graph(vertices, effective.edges)
     assert effective.neighbor_masks == rebuilt.neighbor_masks
-    assert effective.odd_masks == rebuilt.odd_masks
     cold = with_io(make_graph(vertices, edges), inputs, outputs)
     assert _flow_key(search_gflow_yz(carried)) == _flow_key(search_gflow_yz(cold))
+
+
+@st.composite
+def parity_layouts(draw):
+    """Random layout on up to 6 data qubits: parities routed directly or
+    through earlier parity qubits, then sometimes broken by a dropped or
+    an extra CNOT; or a CNOT list drawn at random."""
+    n = draw(st.integers(1, 6))
+    data = tuple(str(i) for i in range(1, n + 1))
+    nonempty = st.frozensets(st.sampled_from(data), min_size=1)
+    sets = draw(st.lists(nonempty, max_size=5, unique=True))
+    parity = tuple(f"p{j}" for j in range(len(sets)))
+    qubits = data + parity
+    constraints = []
+    if parity and draw(st.booleans()):
+        constraints = draw(st.lists(st.tuples(st.sampled_from(qubits), st.sampled_from(parity)), max_size=12))
+        constraints = [(c, t) for c, t in constraints if c != t]
+    else:
+        for j, s in enumerate(sets):
+            rest = set(s)
+            for k in range(j):
+                if sets[k] <= rest and draw(st.booleans()):
+                    constraints.append((parity[k], parity[j]))
+                    rest -= sets[k]
+            constraints.extend((q, parity[j]) for q in sorted(rest, key=data.index))
+        if constraints and draw(st.booleans()):
+            del constraints[draw(st.integers(0, len(constraints) - 1))]
+        if parity and draw(st.booleans()):
+            extra = (draw(st.sampled_from(qubits)), draw(st.sampled_from(parity)))
+            if extra[0] != extra[1]:
+                constraints.insert(draw(st.integers(0, len(constraints))), extra)
+    return ParityLayout(n, data, parity, dict(zip(parity, sets)), tuple(constraints))
+
+
+def _reference_constraint_report(layout):
+    """Run the CNOTs on every data basis state, first data qubit most
+    significant; report the first failing state and parity qubit."""
+    for x in range(1 << layout.n):
+        bits = {q: x >> (layout.n - 1 - i) & 1 for i, q in enumerate(layout.data_qubits)}
+        bits.update(dict.fromkeys(layout.parity_qubits, 0))
+        for c, t in layout.constraints:
+            bits[t] ^= bits[c]
+        for p in layout.parity_qubits:
+            if bits[p] != sum(bits[q] for q in layout.parity_sets[p]) % 2:
+                return ConstraintReport(False, format(x, f"0{layout.n}b"), p)
+    return ConstraintReport(True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(parity_layouts())
+def test_validate_constraints_matches_basis_state_simulation(layout):
+    assert validate_constraints(layout) == _reference_constraint_report(layout)
 
 
 _PAULI = {
