@@ -70,7 +70,7 @@ def _guard(fn):
         except click.ClickException:
             raise
         except (ValueError, KeyError, TypeError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            click.echo(f"error: {exc}", file=sys.stderr)
             sys.exit(2)
 
     return wrapper
@@ -92,7 +92,7 @@ def lhz() -> None:
 def lhz_build(n: int) -> None:
     layout = layout_mod.build_all_pairs_layout(n)
     _dump(layout_mod.layout_to_json(layout))
-    click.echo(f"layout with {len(layout.qubits)} qubits ({len(layout.parity_qubits)} parity)", err=True)
+    click.echo(f"layout with {len(layout.qubits)} qubits ({len(layout.parity_qubits)} parity)", file=sys.stderr)
 
 
 @lhz.command("graph")
@@ -106,7 +106,7 @@ def lhz_graph(layout_path: str, fmt: str) -> None:
         sys.stdout.write(graph_mod.graph_to_dot(g))
     else:
         _dump(graph_mod.graph_to_json(g))
-    click.echo(f"graph with {len(g.vertices)} vertices, {len(g.edges)} edges", err=True)
+    click.echo(f"graph with {len(g.vertices)} vertices, {len(g.edges)} edges", file=sys.stderr)
 
 
 @main.group()
@@ -131,7 +131,7 @@ def stab_check(layout_path: str) -> None:
             "conjugated_graph_generators": pauli.group_to_json(conjugated)["generators"],
         }
     )
-    click.echo("stabilizer groups equal" if equal else "stabilizer groups DIFFER", err=True)
+    click.echo("stabilizer groups equal" if equal else "stabilizer groups DIFFER", file=sys.stderr)
     if not equal:
         sys.exit(1)
 
@@ -163,18 +163,13 @@ def _measurement_count(layout, layers) -> int:
     return total
 
 
-def _branch_outputs(run, count: int, branches: str, samples: int, seed: int):
-    if branches == "all":
-        outcome_lists = list(parity_engine.all_outcome_branches(count))
-    else:
-        rng = np.random.default_rng(seed)
-        outcome_lists = [
-            [1 if rng.random() < 0.5 else -1 for _ in range(count)] for _ in range(samples)
-        ]
+def _sampled_outputs(run, count: int, samples: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    outcome_lists = [[1 if rng.random() < 0.5 else -1 for _ in range(count)] for _ in range(samples)]
     outputs = []
     for outcomes in outcome_lists:
         try:
-            outputs.append(run(list(outcomes)))
+            outputs.append(run(outcomes))
         except simulator.ZeroProbabilityError:
             continue  # branch unreachable for this input state
     return outputs
@@ -199,22 +194,32 @@ def _sim_command(engine: str, program: str, branches: str, samples: int, seed: i
         count = (len(graph.vertices) - len(graph.inputs)) * len(layers)
 
         def run(outcomes):
-            state, records = mbqc_engine.run_repeated_mbqc(graph, psi, layers, flow, outcomes)
-            return state, records
+            return mbqc_engine.run_repeated_mbqc(graph, psi, layers, flow, outcomes)
+
+        def run_all():
+            return mbqc_engine.run_all_branches(graph, psi, layers, flow)
     else:
         count = _measurement_count(layout, layers)
 
         def run(outcomes):
-            state, records = parity_engine.run_computation(layout, psi, layers, outcomes)
-            return state, records
+            return parity_engine.run_computation(layout, psi, layers, outcomes)
 
-    outputs = _branch_outputs(run, count, branches, samples, seed)
-    if not outputs:
+        def run_all():
+            return parity_engine.run_all_branches(layout, psi, layers)
+
+    if branches == "all":
+        result = run_all()
+        rows = np.flatnonzero(result.reachable)
+        outputs = result.amplitudes[rows]
+        first = [(result.state(int(row)), result.records(int(row))) for row in rows[:1]]
+    else:
+        runs = _sampled_outputs(run, count, samples, seed)
+        outputs = np.array([state.amplitudes for state, _ in runs])
+        first = runs[:1]
+    if not first:
         raise InputError("no reachable outcome branch")
-    reference, records = outputs[0]
-    max_distance = max(
-        simulator.distance_up_to_phase(reference, state) for state, _ in outputs
-    )
+    reference, records = first[0]
+    max_distance = float(simulator.distances_up_to_phase(outputs, reference.amplitudes).max())
     _dump(
         {
             "engine": engine,
@@ -225,9 +230,7 @@ def _sim_command(engine: str, program: str, branches: str, samples: int, seed: i
             "max_branch_distance": max_distance,
         }
     )
-    click.echo(
-        f"{engine}: {len(outputs)} branch(es), max distance {max_distance:.3e}", err=True
-    )
+    click.echo(f"{engine}: {len(outputs)} branch(es), max distance {max_distance:.3e}", file=sys.stderr)
     if max_distance > tol:
         sys.exit(1)
 
@@ -281,7 +284,7 @@ def compare(program: str, tol: float, seed: int) -> None:
     distance = simulator.distance_up_to_phase(parity_out, mbqc_out)
     agree = distance < tol
     _dump({"distance": distance, "tolerance": tol, "agree": agree})
-    click.echo(f"engines {'agree' if agree else 'DISAGREE'}: distance {distance:.3e}", err=True)
+    click.echo(f"engines {'agree' if agree else 'DISAGREE'}: distance {distance:.3e}", file=sys.stderr)
     if not agree:
         sys.exit(1)
 
@@ -310,7 +313,7 @@ def gflow_verify(graph_path: str, flow_path: str) -> None:
             ],
         }
     )
-    click.echo("flow valid" if result.ok else "flow INVALID", err=True)
+    click.echo("flow valid" if result.ok else "flow INVALID", file=sys.stderr)
     if not result.ok:
         sys.exit(1)
 
@@ -324,10 +327,10 @@ def gflow_search(graph_path: str, cap: int) -> None:
     flow = gflow_mod.search_gflow_yz(g, cap=cap)
     if flow is None:
         _dump({"found": False})
-        click.echo("no YZ flow exists", err=True)
+        click.echo("no YZ flow exists", file=sys.stderr)
     else:
         _dump({"found": True, **gflow_mod.flow_to_json(flow, gflow_mod.yz_planes(g))})
-        click.echo(f"flow found with {len(flow.layers)} layers", err=True)
+        click.echo(f"flow found with {len(flow.layers)} layers", file=sys.stderr)
 
 
 @main.command("sweep")
@@ -346,7 +349,7 @@ def sweep(max_n: int, seed: int, io_samples: int, workers: int | None) -> None:
         f"swept {sum(c['graphs'] for c in report.per_n.values())} graphs, "
         f"{sum(c['instances'] for c in report.per_n.values())} instances, "
         f"{'no discrepancies' if report.ok else 'DISCREPANCIES FOUND'}",
-        err=True,
+        file=sys.stderr,
     )
     if not report.ok:
         sys.exit(1)

@@ -12,6 +12,10 @@ follows) re-encoding of the decoded parity qubits from fresh ancillas.
 Data rotations acting before re-encoding is a convention; it matters only
 for X rotations interleaved with partial decoding, and both engines in
 this package share it.
+
+`run_computation` follows one outcome list; `run_all_branches` runs the
+same layers on every outcome branch at once, in one array, with the same
+checks.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ from dataclasses import dataclass, field
 
 from parityflow.layout import Gate, ParityLayout, cnot, encoding_circuit, rx, rz
 from parityflow.simulator import (
+    BranchArray,
     MeasurementRecord,
     Statevector,
     append_qubit,
     apply_circuit,
     discard_qubit,
+    measure_all_branches,
     measure_and_correct,
     outcome_probability,
     project,
@@ -86,6 +92,27 @@ def encode_input(layout: ParityLayout, psi: Statevector) -> Statevector:
     return apply_circuit(state, encoding_circuit(layout))
 
 
+def _decode_plan(layout: ParityLayout, labels: tuple[str, ...], subset: Iterable[str]) -> list:
+    """(parity qubit, X axis) for each member of subset, in layout order."""
+    members = frozenset(subset)
+    unknown = members - set(layout.parity_qubits)
+    if unknown:
+        raise ValueError(f"not parity qubits: {sorted(unknown)}")
+    missing = members - set(labels)
+    if missing:
+        raise ValueError(f"parity qubits not in register: {sorted(missing)}")
+    return [(p, X_AXIS) for p in layout.parity_qubits if p in members]
+
+
+def _parity_correction(layout: ParityLayout):
+    """Correction rule: a -1 outcome on p is Z on every data qubit p tracks."""
+
+    def complete_parity(p: str) -> tuple[tuple[str, ...], frozenset[str]]:
+        return (), layout.parity_sets[p]
+
+    return complete_parity
+
+
 def mb_decode(
     state: Statevector,
     layout: ParityLayout,
@@ -98,20 +125,9 @@ def mb_decode(
     prescribed list of +/-1 consumed in layout order or a seeded generator
     sampling Born probabilities.
     """
-    members = frozenset(subset)
-    unknown = members - set(layout.parity_qubits)
-    if unknown:
-        raise ValueError(f"not parity qubits: {sorted(unknown)}")
-    missing = members - set(state.labels)
-    if missing:
-        raise ValueError(f"parity qubits not in register: {sorted(missing)}")
+    plan = _decode_plan(layout, state.labels, subset)
     source = resolve_outcomes(outcomes)
-
-    def complete_parity(p: str) -> tuple[tuple[str, ...], frozenset[str]]:
-        return (), layout.parity_sets[p]
-
-    plan = [(p, X_AXIS) for p in layout.parity_qubits if p in members]
-    return measure_and_correct(state, plan, complete_parity, source)
+    return measure_and_correct(state, plan, _parity_correction(layout), source)
 
 
 def unitary_decode(state: Statevector, layout: ParityLayout) -> Statevector:
@@ -133,17 +149,28 @@ def unitary_decode(state: Statevector, layout: ParityLayout) -> Statevector:
     return state
 
 
+def _reencode_gates(layout: ParityLayout, subset: frozenset[str]) -> tuple[list[str], list[Gate]]:
+    """Fresh |0> ancillas for the decoded parity qubits, and the CNOTs that
+    re-entangle them from their tracked data qubits (always well defined,
+    independent of the original constraint routing)."""
+    qubits = [p for p in layout.parity_qubits if p in subset]
+    gates = [cnot(q, p) for p in qubits for q in sorted(layout.parity_sets[p], key=layout.data_qubits.index)]
+    return qubits, gates
+
+
 def _reencode(state: Statevector, layout: ParityLayout, subset: frozenset[str]) -> Statevector:
-    """Fresh |0> ancillas for the decoded parity qubits, re-entangled from their
-    tracked data qubits (always well defined, independent of the original
-    constraint routing)."""
-    gates = []
-    for p in layout.parity_qubits:
-        if p not in subset:
-            continue
+    qubits, gates = _reencode_gates(layout, subset)
+    for p in qubits:
         state = append_qubit(state, p, (1.0, 0.0))
-        gates.extend(cnot(q, p) for q in sorted(layout.parity_sets[p], key=layout.data_qubits.index))
     return apply_circuit(state, gates)
+
+
+def _layer_setup(layout: ParityLayout, params: LayerParams) -> tuple[frozenset[str], list[Gate]]:
+    """Validate a layer; return its decode set and its parity rotations."""
+    params.validate(layout)
+    decode_set = params.decode if params.decode is not None else frozenset(layout.parity_qubits)
+    rotations = [rz(p, params.theta[p]) for p in layout.parity_qubits if params.theta.get(p)]
+    return decode_set, rotations
 
 
 def run_layer(
@@ -155,15 +182,22 @@ def run_layer(
 ) -> tuple[Statevector, MeasurementRecord]:
     """One layer: parity rotations, decode with corrections, data rotations,
     and re-encoding of the decoded set unless this is the final layer."""
-    params.validate(layout)
-    decode_set = params.decode if params.decode is not None else frozenset(layout.parity_qubits)
-    rotations = [rz(p, params.theta[p]) for p in layout.parity_qubits if params.theta.get(p)]
+    decode_set, rotations = _layer_setup(layout, params)
     state = apply_circuit(state, rotations)
     state, record = mb_decode(state, layout, decode_set, outcomes)
     state = apply_circuit(state, params.data_rotations(layout.data_qubits))
     if not final:
         state = _reencode(state, layout, decode_set)
     return state, record
+
+
+def _layer_sequence(layers: Sequence[LayerParams]) -> list[tuple[LayerParams, bool]]:
+    """(params, final) per layer; the final layer always decodes fully."""
+    if not layers:
+        raise ValueError("at least one layer required")
+    out = [(params, False) for params in layers[:-1]]
+    last = layers[-1]
+    return out + [(LayerParams(last.theta, last.alpha, last.phi, decode=None), True)]
 
 
 def run_computation(
@@ -173,18 +207,36 @@ def run_computation(
     outcomes,
 ) -> tuple[Statevector, list[MeasurementRecord]]:
     """Encode once, fold layers, finish fully decoded on the data register."""
-    if not layers:
-        raise ValueError("at least one layer required")
+    steps = _layer_sequence(layers)
     source = resolve_outcomes(outcomes)
     state = encode_input(layout, psi)
     records: list[MeasurementRecord] = []
-    for index, params in enumerate(layers):
-        final = index == len(layers) - 1
-        if final:
-            params = LayerParams(params.theta, params.alpha, params.phi, decode=None)
+    for params, final in steps:
         state, record = run_layer(state, layout, params, source, final=final)
         records.append(record)
     return state, records
+
+
+def run_all_branches(layout: ParityLayout, psi: Statevector, layers: Sequence[LayerParams]) -> BranchArray:
+    """`run_computation` on every outcome branch at once, in one array.
+
+    Same layer steps and checks; each decode splits every branch in two
+    (`measure_all_branches`), and re-encoding appends the ancillas to every
+    branch. Raises ValueError when the branches would take the register
+    over the qubit cap.
+    """
+    steps = _layer_sequence(layers)
+    branches = BranchArray.start(encode_input(layout, psi))
+    correct = _parity_correction(layout)
+    for params, final in steps:
+        decode_set, rotations = _layer_setup(layout, params)
+        branches = branches.apply(rotations)
+        branches = measure_all_branches(branches, _decode_plan(layout, branches.labels, decode_set), correct)
+        branches = branches.apply(params.data_rotations(layout.data_qubits))
+        if not final:
+            qubits, gates = _reencode_gates(layout, decode_set)
+            branches = branches.append_zeros(qubits).apply(gates)
+    return branches
 
 
 def all_outcome_branches(num_measurements: int) -> Iterable[list[int]]:

@@ -92,22 +92,6 @@ def pauli_to_text(p: PauliString) -> str:
     return ("+" if p.sign == 1 else "-") + body
 
 
-def pauli_from_text(labels: Sequence[str], text: str) -> PauliString:
-    text = text.strip()
-    sign = 1
-    if text[:1] in "+-":
-        sign = 1 if text[0] == "+" else -1
-        text = text[1:].strip()
-    ops: dict[str, str] = {}
-    if text != "I":
-        for token in text.split():
-            op, _, q = token.partition("_")
-            if q in ops:
-                raise ValueError(f"qubit {q!r} repeated")
-            ops[q] = op
-    return pauli_from_ops(labels, ops, sign)
-
-
 def _product_sign(ax: np.ndarray, az: np.ndarray, bx: np.ndarray, bz: np.ndarray) -> int:
     """Sign picked up by the product of two unsigned Pauli strings given as bits.
 
@@ -133,14 +117,6 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
         raise ValueError("label sets differ")
     sign = a.sign * b.sign * _product_sign(a.x, a.z, b.x, b.z)
     return PauliString(a.labels, a.x ^ b.x, a.z ^ b.z, sign)
-
-
-def commutes(a: PauliString, b: PauliString) -> bool:
-    """Symplectic inner product vanishes exactly for commuting strings."""
-    if a.labels != b.labels:
-        raise ValueError("label sets differ")
-    overlap = int(np.sum(a.x.astype(np.int64) * b.z) + np.sum(a.z.astype(np.int64) * b.x))
-    return overlap % 2 == 0
 
 
 @dataclass(frozen=True, eq=False)

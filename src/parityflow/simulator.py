@@ -6,6 +6,11 @@ RX(t) = exp(-i t X / 2). All operations return new values. `project` leaves
 the measured qubit in the register as a product factor until `discard_qubit`
 removes it; `measure_and_correct`, the loop both engines run, contracts each
 measured qubit out of the register in one step.
+
+The gate kernels also take a leading branch axis: a `BranchArray` holds
+every outcome branch of a run as one row, and `measure_all_branches`
+contracts a measured qubit with both outcome bras at once, doubling the
+rows and halving the register, so no branch needs a run of its own.
 """
 
 from __future__ import annotations
@@ -13,11 +18,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from parityflow.layout import Gate
-from parityflow.pauli import PauliString
 
 DEFAULT_QUBIT_CAP = 16
 ZERO_PROB_TOL = 1e-12
@@ -57,10 +62,7 @@ class Statevector:
         return len(self.labels)
 
     def index_of(self, q: str) -> int:
-        try:
-            return self.labels.index(q)
-        except ValueError:
-            raise ValueError(f"unknown qubit {q!r}") from None
+        return _position(self.labels, q)
 
 
 def basis_state(labels: Sequence[str], bits: str, cap: int = DEFAULT_QUBIT_CAP) -> Statevector:
@@ -96,36 +98,48 @@ def _rx_matrix(t: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
 
 
+def _position(labels: tuple[str, ...], q: str) -> int:
+    try:
+        return labels.index(q)
+    except ValueError:
+        raise ValueError(f"unknown qubit {q!r}") from None
+
+
+# The gate kernels act on amplitudes of shape (..., 2^n): one register, or
+# a leading branch axis of registers, all over the same n labels.
+
+
 def _apply_1q(amps: np.ndarray, matrix: np.ndarray, pos: int, n: int) -> np.ndarray:
-    a = amps.reshape([2] * n)
-    a = np.moveaxis(np.tensordot(matrix, a, axes=([1], [pos])), 0, pos)
-    return a.reshape(-1)
+    return (matrix @ amps.reshape(-1, 2, 1 << (n - 1 - pos))).reshape(amps.shape)
+
+
+def _pair_view(amps: np.ndarray, u: int, v: int, n: int) -> np.ndarray:
+    """amps with axes (rest, lower qubit, between, higher qubit, after)."""
+    lo, hi = sorted((u, v))
+    return amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << (n - 1 - hi))
 
 
 def _apply_cnot(amps: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    a = amps.reshape([2] * n).copy()
-    idx1 = [slice(None)] * n
-    idx1[control] = 1
-    sub = a[tuple(idx1)]
-    a[tuple(idx1)] = np.flip(sub, axis=target if target < control else target - 1)
-    return a.reshape(-1)
+    a = _pair_view(amps, control, target, n)
+    out = a.copy()
+    if control < target:
+        out[:, 1, :, :] = a[:, 1, :, ::-1]
+    else:
+        out[:, :, :, 1] = a[:, ::-1, :, 1]
+    return out.reshape(amps.shape)
 
 
 def _apply_cz(amps: np.ndarray, u: int, v: int, n: int) -> np.ndarray:
-    a = amps.reshape([2] * n).copy()
-    idx = [slice(None)] * n
-    idx[u] = 1
-    idx[v] = 1
-    a[tuple(idx)] *= -1
-    return a.reshape(-1)
+    out = _pair_view(amps, u, v, n).copy()
+    out[:, 1, :, 1] *= -1
+    return out.reshape(amps.shape)
 
 
-def apply_circuit(state: Statevector, circuit: Iterable[Gate]) -> Statevector:
-    """Apply gates in order; raises on qubits absent from the register."""
-    n = state.num_qubits
-    amps = state.amplitudes
+def _apply_gates(amps: np.ndarray, labels: tuple[str, ...], circuit: Iterable[Gate]) -> np.ndarray:
+    """Apply gates in order; raises on qubits absent from the labels."""
+    n = len(labels)
     for gate in circuit:
-        pos = [state.index_of(q) for q in gate.qubits]
+        pos = [_position(labels, q) for q in gate.qubits]
         if gate.name == "H":
             amps = _apply_1q(amps, _H, pos[0], n)
         elif gate.name == "RZ":
@@ -138,7 +152,12 @@ def apply_circuit(state: Statevector, circuit: Iterable[Gate]) -> Statevector:
             amps = _apply_cz(amps, pos[0], pos[1], n)
         else:  # pragma: no cover - Gate constructor rejects unknown names
             raise ValueError(f"unknown gate {gate.name!r}")
-    return Statevector(state.labels, amps)
+    return amps
+
+
+def apply_circuit(state: Statevector, circuit: Iterable[Gate]) -> Statevector:
+    """Apply gates in order; raises on qubits absent from the register."""
+    return Statevector(state.labels, _apply_gates(state.amplitudes, state.labels, circuit))
 
 
 def apply_pauli_x(state: Statevector, q: str) -> Statevector:
@@ -237,25 +256,11 @@ def distance_up_to_phase(a: Statevector, b: Statevector) -> float:
     return min(1.0, float(np.linalg.norm(residual)))
 
 
-def pauli_expectation(state: Statevector, p: PauliString) -> float:
-    """Real expectation value of a signed Pauli string."""
-    if p.labels != state.labels:
-        raise ValueError("qubit labels differ")
-    amps = state.amplitudes
-    n = state.num_qubits
-    transformed = amps
-    for i in range(n):
-        x, z = int(p.x[i]), int(p.z[i])
-        if x and z:
-            matrix = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-        elif x:
-            matrix = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-        elif z:
-            matrix = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-        else:
-            continue
-        transformed = _apply_1q(transformed, matrix, i, n)
-    return float(p.sign * np.vdot(amps, transformed).real)
+def distances_up_to_phase(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """`distance_up_to_phase` from each row of amplitudes to the reference
+    amplitudes, over the same labels."""
+    residual = rows - (rows @ reference.conj())[:, None] * reference
+    return np.minimum(1.0, np.linalg.norm(residual, axis=1))
 
 
 @dataclass(frozen=True)
@@ -292,25 +297,32 @@ def _outcome_bras(axis: Sequence[float]) -> np.ndarray:
 
 
 def _apply_paulis(amps: np.ndarray, labels: tuple[str, ...], xs: Iterable[str], zs: Iterable[str]) -> np.ndarray:
-    """X on each qubit of xs, then Z on each of zs, on amplitudes the caller
-    owns: the X's as one index permutation, each Z as a sign flip of that
-    qubit's |1> half, in place."""
+    """X on each qubit of xs, then Z on each of zs, on amplitudes (..., 2^n)
+    the caller owns: the X's as one index permutation of the last axis, the
+    Z's as one in-place negation of the indices they flip."""
     n = len(labels)
-
-    def position(q: str) -> int:
-        if q not in labels:
-            raise ValueError(f"unknown qubit {q!r}")
-        return labels.index(q)
-
-    xmask = 0
+    xmask = zmask = 0
     for q in xs:
-        xmask ^= 1 << (n - 1 - position(q))
-    if xmask:
-        amps = amps[np.arange(1 << n) ^ xmask]
-    view = amps.reshape((2,) * n)
+        xmask ^= 1 << (n - 1 - _position(labels, q))
     for q in zs:
-        view[(slice(None),) * position(q) + (1,)] *= -1
+        zmask ^= 1 << (n - 1 - _position(labels, q))
+    if xmask:
+        amps = amps[..., np.arange(1 << n) ^ xmask]
+    if zmask:
+        np.negative(amps, out=amps, where=_odd_overlap(n, zmask))
     return amps
+
+
+@lru_cache(maxsize=64)
+def _odd_overlap(n: int, mask: int) -> np.ndarray:
+    """Whether index & mask has an odd number of set bits, for every n-bit
+    index: where a product of Z's on mask's bits flips the sign."""
+    odd = np.zeros(1 << n, dtype=bool)
+    for k in range(n):
+        if mask >> k & 1:
+            odd.reshape(-1, 2, 1 << k)[:, 1] ^= True
+    odd.setflags(write=False)
+    return odd
 
 
 def measure_and_correct(
@@ -355,6 +367,123 @@ def measure_and_correct(
         state = Statevector(labels, amps)
         record.append(MeasurementEntry(q, axis, outcome, probability))
     return state, tuple(record)
+
+
+def check_cap(qubits: int, branches: int = 1) -> None:
+    """Refuse a register over the qubit cap, or one that all its outcome
+    branches together would take over it: the 2^m branch rows count as m
+    qubits more."""
+    if qubits > DEFAULT_QUBIT_CAP:
+        raise ValueError(f"register of {qubits} qubits exceeds cap {DEFAULT_QUBIT_CAP}")
+    if qubits + branches.bit_length() - 1 > DEFAULT_QUBIT_CAP:
+        raise ValueError(
+            f"{branches} outcome branches of {qubits} qubits exceed the {DEFAULT_QUBIT_CAP}-qubit cap; "
+            "sample branches instead (--branches sample)"
+        )
+
+
+Plan = tuple[tuple[str, tuple[float, float, float]], ...]
+
+
+@dataclass(frozen=True, eq=False)
+class BranchArray:
+    """Every outcome branch of a run, one row of `amplitudes` each.
+
+    Row b is the branch whose j-th outcome is -1 exactly when bit m - 1 - j
+    of b is set (first measurement most significant, +1 as 0), which is
+    branch b of `all_outcome_branches(m)`. `probabilities[b, j]` is the
+    Born probability of that outcome on that branch. A branch on which one
+    of them fell below ZERO_PROB_TOL is not `reachable`: the per-branch
+    engines raise ZeroProbabilityError there, and its row is left
+    unnormalised. `plan` holds the measured (qubit, axis) pairs, one tuple
+    per measurement pass (per engine layer).
+    """
+
+    labels: tuple[str, ...]
+    amplitudes: np.ndarray
+    probabilities: np.ndarray
+    plan: tuple[Plan, ...] = ()
+
+    @classmethod
+    def start(cls, state: Statevector) -> BranchArray:
+        """The single branch of a run before any measurement."""
+        return cls(state.labels, state.amplitudes.reshape(1, -1), np.zeros((1, 0)))
+
+    @property
+    def reachable(self) -> np.ndarray:
+        return np.all(self.probabilities >= ZERO_PROB_TOL, axis=1)
+
+    def on_register(self, labels: tuple[str, ...], amplitudes: np.ndarray) -> BranchArray:
+        return BranchArray(labels, amplitudes, self.probabilities, self.plan)
+
+    def apply(self, circuit: Iterable[Gate]) -> BranchArray:
+        return self.on_register(self.labels, _apply_gates(self.amplitudes, self.labels, circuit))
+
+    def append_zeros(self, qubits: Sequence[str]) -> BranchArray:
+        """|0> on each new qubit, appended to the end of every branch's register."""
+        for q in qubits:
+            if q in self.labels:
+                raise ValueError(f"qubit {q!r} already present")
+        labels = self.labels + tuple(qubits)
+        rows = len(self.amplitudes)
+        check_cap(len(labels), rows)
+        amps = np.zeros((rows, self.amplitudes.shape[1], 1 << len(qubits)), dtype=np.complex128)
+        amps[:, :, 0] = self.amplitudes
+        return self.on_register(labels, amps.reshape(rows, -1))
+
+    def state(self, row: int) -> Statevector:
+        return Statevector(self.labels, self.amplitudes[row])
+
+    def records(self, row: int) -> list[MeasurementRecord]:
+        """The MeasurementRecords of one branch, one per measurement pass."""
+        m = self.probabilities.shape[1]
+        records = []
+        j = 0
+        for plan in self.plan:
+            entries = []
+            for q, axis in plan:
+                outcome = -1 if row >> (m - 1 - j) & 1 else 1
+                entries.append(MeasurementEntry(q, axis, outcome, float(self.probabilities[row, j])))
+                j += 1
+            records.append(tuple(entries))
+        return records
+
+
+def measure_all_branches(
+    branches: BranchArray,
+    plan: Iterable[tuple[str, tuple[float, float, float]]],
+    correct: Callable[[str], tuple[Iterable[str], Iterable[str]]],
+) -> BranchArray:
+    """`measure_and_correct` on both outcomes of every branch at once.
+
+    Each (qubit, axis) of the plan contracts the qubit of every row with
+    both outcome bras, so B rows of 2^k amplitudes become 2B rows of
+    2^(k-1); row 2b + 1 (outcome -1) gets the correction `correct(qubit)`
+    names. Rows are renormalised by their Born probability, except where it
+    is below ZERO_PROB_TOL: those are divided by 1.
+    """
+    plan = tuple(plan)
+    labels, amps = branches.labels, branches.amplitudes
+    born_columns = []
+    for q, axis in plan:
+        pos = _position(labels, q)
+        rows = amps.shape[0]
+        # the measured qubit's axis first, then (branch row, qubits before q, qubits after q)
+        split = amps.reshape(rows, 1 << pos, 2, -1).transpose(2, 0, 1, 3).reshape(2, -1)
+        contracted = (_outcome_bras(axis) @ split).reshape(2, rows, -1)
+        born = np.square(contracted.view(np.float64)).sum(axis=2)
+        contracted /= np.sqrt(np.where(born < ZERO_PROB_TOL, 1.0, born))[:, :, None]
+        labels = labels[:pos] + labels[pos + 1 :]
+        contracted[1] = _apply_paulis(contracted[1], labels, *correct(q))
+        amps = contracted.transpose(1, 0, 2).reshape(2 * rows, -1)
+        born_columns.append(born.T.reshape(-1))
+    previous = branches.probabilities
+    rows, done = amps.shape[0], previous.shape[1]
+    probabilities = np.empty((rows, done + len(plan)))
+    probabilities[:, :done] = np.repeat(previous, rows // len(previous), axis=0)
+    for j, column in enumerate(born_columns, done):
+        probabilities[:, j] = np.repeat(column, rows // len(column))
+    return BranchArray(labels, amps, probabilities, branches.plan + (plan,))
 
 
 def record_to_json(record: Iterable[MeasurementEntry]) -> list:

@@ -18,10 +18,10 @@ from parityflow.gflow import (
     yz_planes,
 )
 from parityflow.layout import build_all_pairs_layout, hadamard, induced_graph
-from parityflow.mbqc_engine import run_mbqc_yz, run_repeated_mbqc, prepare_graph_state
+from parityflow import mbqc_engine, parity_engine
+from parityflow.mbqc_engine import run_repeated_mbqc, prepare_graph_state
 from parityflow.parity_engine import (
     LayerParams,
-    all_outcome_branches,
     encode_input,
     mb_decode,
     run_computation,
@@ -33,6 +33,7 @@ from parityflow.simulator import (
     apply_circuit,
     basis_state,
     distance_up_to_phase,
+    distances_up_to_phase,
     outcome_probability,
     project,
     random_state,
@@ -102,6 +103,15 @@ def test_criterion_2_graph_state_identity():
         assert time.time() - start < 30.0
 
 
+def assert_strongly_deterministic(branches, reference, tol):
+    """Every outcome branch is reachable and lands on the reference state,
+    and every Born probability on every branch is 1/2."""
+    assert branches.reachable.all()
+    assert branches.labels == reference.labels
+    assert distances_up_to_phase(branches.amplitudes, reference.amplitudes).max() < tol
+    assert np.all(np.abs(branches.probabilities - 0.5) < 1e-12)
+
+
 def test_criterion_3_cross_engine_equivalence():
     with criterion(3, "parity and measurement-based engines agree over branches"):
         rng = np.random.default_rng(30)
@@ -119,21 +129,22 @@ def test_criterion_3_cross_engine_equivalence():
                         layout, psi, layers, [1] * measured
                     )
                     if measured <= 8:
-                        parity_branches = list(all_outcome_branches(measured))
-                        mbqc_branches = list(all_outcome_branches(measured))
-                    else:
-                        parity_branches = [np.random.default_rng(1000 + k) for k in range(26)]
-                        mbqc_branches = [np.random.default_rng(2000 + k) for k in range(26)]
-                    for source in parity_branches:
-                        out, _ = run_computation(
-                            layout, psi, layers, list(source) if isinstance(source, list) else source
-                        )
+                        # every branch of both engines, each in one array
+                        for branches in (
+                            parity_engine.run_all_branches(layout, psi, layers),
+                            mbqc_engine.run_all_branches(graph, psi, layers, flow),
+                        ):
+                            assert branches.probabilities.shape == (2**measured, measured)
+                            assert_strongly_deterministic(branches, reference, 1e-10)
+                        continue
+                    # sampled branches, one per-branch run each
+                    for k in range(26):
+                        out, records = run_computation(layout, psi, layers, np.random.default_rng(1000 + k))
                         assert distance_up_to_phase(out, reference) < 1e-10
-                    for source in mbqc_branches:
-                        out, _ = run_repeated_mbqc(
-                            graph, psi, layers, flow, list(source) if isinstance(source, list) else source
-                        )
+                        assert all(abs(e.probability - 0.5) < 1e-12 for r in records for e in r)
+                        out, records = run_repeated_mbqc(graph, psi, layers, flow, np.random.default_rng(2000 + k))
                         assert distance_up_to_phase(out, reference) < 1e-10
+                        assert all(abs(e.probability - 0.5) < 1e-12 for r in records for e in r)
 
 
 def test_criterion_4_decoding_equivalence():
@@ -200,22 +211,22 @@ def test_criterion_7_flow_structure(sweep):
 
 
 def _determinism_case(graph, flow, angles, psi):
-    measured = len(flow.g)
-    outputs = []
-    for branch in all_outcome_branches(measured):
-        out, _ = run_mbqc_yz(graph, psi, angles, flow, list(branch))
-        outputs.append(out)
-    for other in outputs[1:]:
-        assert distance_up_to_phase(outputs[0], other) < 1e-12
-    if measured >= 2:
-        default_order = []
-        reverse_order = []
-        for layer in flow.layers:
-            default_order.extend(sorted(v for v in layer if v in flow.g))
-            reverse_order.extend(sorted((v for v in layer if v in flow.g), reverse=True))
-        forward, _ = run_mbqc_yz(graph, psi, angles, flow, [1] * measured, order=default_order)
-        backward, _ = run_mbqc_yz(graph, psi, angles, flow, [1] * measured, order=reverse_order)
-        assert distance_up_to_phase(forward, backward) < 1e-12
+    """Every branch of the default order and of the order reversed within
+    each flow layer lands on one state, with every Born probability 1/2.
+    With at most one measured vertex per layer the two orders coincide and
+    run once."""
+    default_order = []
+    reverse_order = []
+    for layer in flow.layers:
+        default_order.extend(sorted(v for v in layer if v in flow.g))
+        reverse_order.extend(sorted((v for v in layer if v in flow.g), reverse=True))
+    orders = [default_order] if reverse_order == default_order else [default_order, reverse_order]
+    layers = [LayerParams(theta=angles)]
+    runs = [mbqc_engine.run_all_branches(graph, psi, layers, flow, order=order) for order in orders]
+    reference = runs[0].state(0)
+    for branches in runs:
+        assert branches.probabilities.shape == (2 ** len(flow.g), len(flow.g))
+        assert_strongly_deterministic(branches, reference, 1e-12)
 
 
 def test_criterion_8_outcome_and_order_independence(sweep):

@@ -1,12 +1,29 @@
 """Command-line interface: output schemas, determinism, exit codes."""
 
+import gc
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from parityflow import cli, simulator
 from parityflow.cli import _canonical_json, main
+from parityflow.gflow import canonical_yz_gflow
+from parityflow.layout import induced_graph
+from parityflow.mbqc_engine import run_repeated_mbqc
+from parityflow.parity_engine import all_outcome_branches, run_computation
+
+README_PROGRAM = {
+    "layout": {
+        "n": 2,
+        "parity": [{"label": "(12)", "set": ["1", "2"]}],
+        "constraints": [["1", "(12)"], ["2", "(12)"]],
+    },
+    "layers": [{"theta": {"(12)": 1.5707963267948966}, "alpha": {}, "phi": {"1": 0.25}}],
+}
 
 
 @pytest.fixture
@@ -76,6 +93,91 @@ def test_sim_parity_all_branches(runner, tmp_path):
     assert data["max_branch_distance"] < 1e-12
     assert data["qubits"] == ["1", "2"]
     assert len(data["amplitudes"]) == 4
+
+
+def _three_qubit_program(runner, tmp_path):
+    layout = json.loads(invoke(runner, ["lhz", "build", "--n", "3"]).stdout)
+    rng = np.random.default_rng(3)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    program = {
+        "layout": layout,
+        "layers": [
+            {"theta": {"(12)": 0.9, "(23)": -1.3}, "alpha": {"1": 0.4, "3": 2.1}, "phi": {"2": -0.7}},
+            {"theta": {"(13)": 0.6, "(12)": -0.3}, "alpha": {"2": -1.1}, "phi": {"1": 1.2}},
+        ],
+        "input": [[float(a.real), float(a.imag)] for a in amps],
+    }
+    path = tmp_path / "program3.json"
+    path.write_text(json.dumps(program))
+    return path
+
+
+def _per_branch_route(engine, path):
+    """Every outcome branch of the program, one engine run each, unreachable ones skipped."""
+    layout, layers, psi = cli._load_program(json.loads(path.read_text()))
+    if engine == "mbqc":
+        graph = induced_graph(layout)
+        flow = canonical_yz_gflow(graph)
+        count = len(layout.parity_qubits) * len(layers)
+        run = lambda outcomes: run_repeated_mbqc(graph, psi, layers, flow, outcomes)  # noqa: E731
+    else:
+        count = cli._measurement_count(layout, layers)
+        run = lambda outcomes: run_computation(layout, psi, layers, outcomes)  # noqa: E731
+    outputs = []
+    for outcomes in all_outcome_branches(count):
+        try:
+            outputs.append(run(outcomes))
+        except simulator.ZeroProbabilityError:
+            continue
+    return outputs
+
+
+@pytest.mark.parametrize("engine", ["parity", "mbqc"])
+@pytest.mark.parametrize("program", ["readme", "three_qubits_two_layers"])
+def test_sim_all_branches_matches_per_branch_route(runner, tmp_path, engine, program):
+    if program == "readme":
+        path = tmp_path / "program.json"
+        path.write_text(json.dumps(README_PROGRAM))
+    else:
+        path = _three_qubit_program(runner, tmp_path)
+    result = invoke(runner, ["sim", engine, "--program", str(path), "--branches", "all"])
+    outputs = _per_branch_route(engine, path)
+    reference, records = outputs[0]
+    assert result.exit_code == 0
+    data = json.loads(result.stdout)
+    assert data["qubits"] == list(reference.labels)
+    assert data["branches_run"] == len(outputs)
+    assert [[(e["qubit"], e["axis"], e["outcome"]) for e in r] for r in data["record"]] == [
+        [(e.qubit, list(e.axis), e.outcome) for e in r] for r in records
+    ]
+    probabilities = [e["probability"] for r in data["record"] for e in r]
+    assert np.allclose(probabilities, [e.probability for r in records for e in r], rtol=0, atol=1e-14)
+    amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
+    assert np.abs(amps - reference.amplitudes).max() <= 1e-14
+    assert data["max_branch_distance"] <= 1e-12
+
+
+def test_in_process_commands_release_their_stderr(runner):
+    """Each in-process invocation gets a fresh sys.stderr; writing the
+    summary through click's cached default stream used to keep every one
+    of them alive, about 2 KB per command."""
+    args = ["lhz", "build", "--n", "2"]
+    first = invoke(runner, args)
+    tracemalloc.start()
+    try:
+        for _ in range(20):  # what is allocated once, traced before the count starts
+            invoke(runner, args)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(100):
+            result = invoke(runner, args)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 100 * 2048 / 10
+    assert result.stdout == first.stdout
+    assert "layout with 3 qubits (1 parity)" in result.stderr
 
 
 def test_sim_mbqc_samples(runner, tmp_path):

@@ -23,9 +23,10 @@ from parityflow.simulator import (
     apply_pauli_x,
     basis_state,
     distance_up_to_phase,
-    pauli_expectation,
     random_state,
 )
+
+from pauli_helpers import pauli_expectation
 
 
 @pytest.fixture

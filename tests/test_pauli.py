@@ -9,7 +9,6 @@ from parityflow.pauli import (
     PauliString,
     PhaseError,
     StabilizerGroup,
-    commutes,
     graph_generators,
     group_to_json,
     groups_equal,
@@ -17,9 +16,10 @@ from parityflow.pauli import (
     multiply,
     parity_generators,
     pauli_from_ops,
-    pauli_from_text,
     pauli_to_text,
 )
+
+from pauli_helpers import commutes, pauli_from_text
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

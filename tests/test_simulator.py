@@ -18,10 +18,11 @@ from parityflow.simulator import (
     discard_qubit,
     distance_up_to_phase,
     outcome_probability,
-    pauli_expectation,
     project,
     random_state,
 )
+
+from pauli_helpers import pauli_expectation, pauli_from_text
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -236,8 +237,6 @@ def test_statevector_leaves_caller_array_writable():
 
 
 def test_pauli_expectation():
-    from parityflow.pauli import pauli_from_text
-
     plus = apply_circuit(basis_state(("q",), "0"), [hadamard("q")])
     assert pauli_expectation(plus, pauli_from_text(("q",), "+X_q")) == pytest.approx(1.0)
     assert pauli_expectation(plus, pauli_from_text(("q",), "+Z_q")) == pytest.approx(0.0)
