@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from parityflow import mbqc_engine, parity_engine, simulator
 from parityflow.gflow import GFlow, canonical_yz_gflow, yz_bipartite_sweep
 from parityflow.layout import build_all_pairs_layout, induced_graph
-from parityflow.parity_engine import LayerParams, all_outcome_branches
+from parityflow.parity_engine import Z_AXIS, LayerParams, all_outcome_branches
 from parityflow.simulator import (
     BranchArray,
     ZeroProbabilityError,
@@ -30,7 +30,6 @@ from parityflow.simulator import (
 TOL = 1e-14
 MAX_MEASUREMENTS = 6  # at most 64 per-branch runs per example
 ANGLES = st.floats(-np.pi, np.pi)
-Z_AXIS = (0.0, 0.0, 1.0)
 
 
 @functools.cache
