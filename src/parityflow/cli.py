@@ -76,6 +76,13 @@ def _guard(fn):
     return wrapper
 
 
+def _tolerance(ctx, param, value: float) -> float:
+    """A tolerance must be a finite number >= 0: no distance exceeds NaN."""
+    if not 0.0 <= value < math.inf:
+        raise click.BadParameter(f"{value} is not a finite number >= 0")
+    return value
+
+
 @click.group()
 def main() -> None:
     """Parity computing, YZ-plane measurement-based computing, gflow tooling."""
@@ -243,9 +250,9 @@ def sim() -> None:
 @sim.command("parity")
 @click.option("--program", required=True, type=click.Path())
 @click.option("--branches", type=click.Choice(["all", "sample"]), default="sample")
-@click.option("--samples", type=int, default=8, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-12, show_default=True)
+@click.option("--tol", type=float, default=1e-12, show_default=True, callback=_tolerance)
 @_guard
 def sim_parity(program: str, branches: str, samples: int, seed: int, tol: float) -> None:
     _sim_command("parity", program, branches, samples, seed, tol)
@@ -254,9 +261,9 @@ def sim_parity(program: str, branches: str, samples: int, seed: int, tol: float)
 @sim.command("mbqc")
 @click.option("--program", required=True, type=click.Path())
 @click.option("--branches", type=click.Choice(["all", "sample"]), default="sample")
-@click.option("--samples", type=int, default=8, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=8, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-12, show_default=True)
+@click.option("--tol", type=float, default=1e-12, show_default=True, callback=_tolerance)
 @_guard
 def sim_mbqc(program: str, branches: str, samples: int, seed: int, tol: float) -> None:
     _sim_command("mbqc", program, branches, samples, seed, tol)
@@ -264,7 +271,7 @@ def sim_mbqc(program: str, branches: str, samples: int, seed: int, tol: float) -
 
 @main.command("compare")
 @click.option("--program", required=True, type=click.Path())
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@click.option("--tol", type=float, default=1e-10, show_default=True, callback=_tolerance)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_guard
 def compare(program: str, tol: float, seed: int) -> None:
@@ -353,3 +360,7 @@ def sweep(max_n: int, seed: int, io_samples: int, workers: int | None) -> None:
     )
     if not report.ok:
         sys.exit(1)
+
+
+if __name__ == "__main__":
+    main()

@@ -23,7 +23,6 @@ import numpy as np
 from parityflow.graph import (
     Graph,
     bipartition_check,
-    effective_graph,
     enumerate_connected_graphs,
     odd_neighborhood,
     with_io,
@@ -388,15 +387,15 @@ def _discrepancy(n: int, graph_index: int, inputs: frozenset[str], found: bool, 
     return Discrepancy(n, graph_index, tuple(sorted(inputs)), tuple(sorted(inputs)), found, expected)
 
 
-def _sweep_one_graph(args: tuple[int, int, Graph, int]) -> tuple[int, int, dict, list, list, list]:
+def _sweep_one_graph(args: tuple[int, int, Graph]) -> tuple[int, int, dict, list, list, list]:
     """Worker: all input-set choices with O = I for one enumerated graph.
 
     The bipartiteness side is evaluated on the effective graph (edges inside
     the input set dropped): those edges enter neither the prepared state nor
     any correction set, so the flow search is provably blind to them.
     """
-    n, graph_index, base, cap = args
-    base.neighbor_masks  # built once here; with_io hands it to all 2^n instances
+    n, graph_index, base = args
+    masks = base.neighbor_masks  # built once here; with_io hands it to all 2^n instances
     counts = {"instances": 0, "flows_found": 0, "bipartite_instances": 0}
     discrepancies = []
     witness_failures = []
@@ -405,8 +404,9 @@ def _sweep_one_graph(args: tuple[int, int, Graph, int]) -> tuple[int, int, dict,
     for mask in range(1 << n):
         inputs = frozenset(vertices[i] for i in range(n) if mask >> i & 1)
         g = with_io(base, inputs, inputs)
-        flow = search_gflow_yz(g, cap=cap)
-        expected = bipartition_check(effective_graph(g), inputs)
+        flow = search_gflow_yz(g)
+        # edges inside I are dropped, so I is one side iff V - I spans no edge
+        expected = not any(masks[i] & ~mask for i in range(n) if not mask >> i & 1)
         counts["instances"] += 1
         counts["flows_found"] += flow is not None
         counts["bipartite_instances"] += expected
@@ -428,7 +428,6 @@ def default_workers() -> int:
 
 def yz_bipartite_sweep(
     max_n: int,
-    cap: int = DEFAULT_SEARCH_CAP,
     io_samples: int = 200,
     seed: int = 0,
     workers: int | None = None,
@@ -443,10 +442,10 @@ def yz_bipartite_sweep(
     """
     if max_n < 1:
         raise ValueError(f"max_n={max_n} must be at least 1")
-    if max_n > cap:
-        raise ValueError(f"max_n={max_n} above enumeration cap {cap}")
+    if max_n > DEFAULT_SEARCH_CAP:
+        raise ValueError(f"max_n={max_n} above enumeration cap {DEFAULT_SEARCH_CAP}")
     report = SweepReport(max_n=max_n)
-    graphs = {n: list(enumerate_connected_graphs(n, cap=cap)) for n in range(1, max_n + 1)}
+    graphs = {n: list(enumerate_connected_graphs(n)) for n in range(1, max_n + 1)}
     tasks = []
     for n, bases in graphs.items():
         report.per_n[n] = {
@@ -455,7 +454,7 @@ def yz_bipartite_sweep(
             "flows_found": 0,
             "bipartite_instances": 0,
         }
-        tasks.extend((n, i, base, cap) for i, base in enumerate(bases))
+        tasks.extend((n, i, base) for i, base in enumerate(bases))
 
     workers = default_workers() if workers is None else max(1, workers)
     if workers > 1 and len(tasks) > 1:
@@ -484,7 +483,7 @@ def yz_bipartite_sweep(
         outputs = frozenset(str(v) for v in rng.choice(verts, size=size, replace=False))
         if inputs == outputs:
             continue
-        flow = search_gflow_yz(with_io(base, inputs, outputs), cap=cap)
+        flow = search_gflow_yz(with_io(base, inputs, outputs))
         report.io_mismatch_cases += 1
         report.io_mismatch_flows_found += flow is not None
         drawn += 1

@@ -112,25 +112,17 @@ def make_graph(
     return Graph(tuple(vertices), frozenset(tuple(e) for e in edges), frozenset(inputs), frozenset(outputs))
 
 
-def _unchecked_graph(attributes: dict) -> Graph:
-    """A Graph holding these attributes and cached masks, with no checks.
-
-    Set one by one, not through __dict__, which keeps each instance as small
-    as one built by __init__: the sweep keeps tens of thousands of them.
-    """
-    new = object.__new__(Graph)
-    for name, value in attributes.items():
-        object.__setattr__(new, name, value)
-    return new
-
-
 def with_io(g: Graph, inputs: Iterable[str], outputs: Iterable[str]) -> Graph:
     """Same graph with the input/output designation replaced.
 
     The new graph shares g's vertices and edges, already checked, and the
     adjacency tables built from them; only the new sets are checked.
     """
-    new = _unchecked_graph(vars(g))
+    new = object.__new__(Graph)
+    # set one by one, not through __dict__, which keeps each instance as
+    # small as one built by __init__: the sweep keeps tens of thousands
+    for name, value in vars(g).items():
+        object.__setattr__(new, name, value)
     new._set_io(inputs, outputs)
     return new
 
@@ -169,22 +161,8 @@ def effective_graph(g: Graph) -> Graph:
     arithmetic is likewise blind to them.
     """
     inputs = g.inputs
-    inside = g.mask_of(inputs)
-    if not inside:
-        return g
-    # g's edges are already checked and normalized, and so is any subset of
-    # them; each input's adjacency mask loses the other inputs
-    return _unchecked_graph(
-        {
-            "vertices": g.vertices,
-            "edges": frozenset(e for e in g.edges if not (e[0] in inputs and e[1] in inputs)),
-            "inputs": inputs,
-            "outputs": g.outputs,
-            "neighbor_masks": tuple(
-                m & ~inside if inside >> i & 1 else m for i, m in enumerate(g.neighbor_masks)
-            ),
-        }
-    )
+    edges = [e for e in g.edges if not (e[0] in inputs and e[1] in inputs)]
+    return make_graph(g.vertices, edges, inputs, g.outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -65,11 +65,10 @@ class Statevector:
         return _position(self.labels, q)
 
 
-def basis_state(labels: Sequence[str], bits: str, cap: int = DEFAULT_QUBIT_CAP) -> Statevector:
+def basis_state(labels: Sequence[str], bits: str) -> Statevector:
     """Computational basis state; bits follow the label order."""
     labels = tuple(labels)
-    if len(labels) > cap:
-        raise ValueError(f"register of {len(labels)} qubits exceeds cap {cap}")
+    check_cap(len(labels))
     if len(bits) != len(labels) or set(bits) - {"0", "1"}:
         raise ValueError(f"bits {bits!r} do not match {len(labels)} qubits")
     amps = np.zeros(2 ** len(labels), dtype=np.complex128)
@@ -77,11 +76,10 @@ def basis_state(labels: Sequence[str], bits: str, cap: int = DEFAULT_QUBIT_CAP) 
     return Statevector(labels, amps)
 
 
-def random_state(labels: Sequence[str], rng: np.random.Generator, cap: int = DEFAULT_QUBIT_CAP) -> Statevector:
+def random_state(labels: Sequence[str], rng: np.random.Generator) -> Statevector:
     """Haar-ish random state from normalized complex Gaussian amplitudes."""
     labels = tuple(labels)
-    if len(labels) > cap:
-        raise ValueError(f"register of {len(labels)} qubits exceeds cap {cap}")
+    check_cap(len(labels))
     amps = rng.normal(size=2 ** len(labels)) + 1j * rng.normal(size=2 ** len(labels))
     return Statevector(labels, amps / np.linalg.norm(amps))
 
@@ -230,12 +228,11 @@ def discard_qubit(state: Statevector, q: str) -> Statevector:
     return Statevector(labels, rest)
 
 
-def append_qubit(state: Statevector, q: str, amplitudes: Sequence[complex], cap: int = DEFAULT_QUBIT_CAP) -> Statevector:
+def append_qubit(state: Statevector, q: str, amplitudes: Sequence[complex]) -> Statevector:
     """Tensor a fresh single-qubit state onto the end of the register."""
     if q in state.labels:
         raise ValueError(f"qubit {q!r} already present")
-    if state.num_qubits + 1 > cap:
-        raise ValueError(f"register of {state.num_qubits + 1} qubits exceeds cap {cap}")
+    check_cap(state.num_qubits + 1)
     single = np.asarray(amplitudes, dtype=np.complex128)
     if single.shape != (2,):
         raise ValueError("single-qubit amplitudes must have length 2")

@@ -3,6 +3,9 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,8 @@ from parityflow.gflow import canonical_yz_gflow
 from parityflow.layout import induced_graph
 from parityflow.mbqc_engine import run_repeated_mbqc
 from parityflow.parity_engine import all_outcome_branches, run_computation
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 README_PROGRAM = {
     "layout": {
@@ -230,6 +235,38 @@ def test_compare_rejects_partial_decode(runner, tmp_path):
     result = invoke(runner, ["compare", "--program", str(path)])
     assert result.exit_code == 2
     assert "decode" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        (["sim", "parity"], "--tol", "nan"),
+        (["sim", "mbqc"], "--tol", "nan"),
+        (["sim", "parity"], "--tol", "-1"),
+        (["sim", "mbqc"], "--tol", "-1"),
+        (["sim", "parity"], "--tol", "inf"),
+        (["compare"], "--tol", "nan"),
+        (["compare"], "--tol", "-1"),
+        (["sim", "parity"], "--samples", "0"),
+        (["sim", "mbqc"], "--samples", "0"),
+    ],
+)
+def test_bad_tolerance_or_sample_count_exits_two(runner, tmp_path, command, option, value):
+    path = _write_program(runner, tmp_path)
+    result = invoke(runner, [*command, "--program", str(path), option, value])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert option in result.stderr
+
+
+def test_module_entry_point_runs_the_command(runner):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "parityflow.cli", "lhz", "build", "--n", "2"],
+        env=env, capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert done.returncode == 0
+    assert done.stdout == invoke(runner, ["lhz", "build", "--n", "2"]).stdout
 
 
 def test_zero_input_exits_two_without_nan(runner, tmp_path):

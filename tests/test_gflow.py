@@ -249,6 +249,20 @@ def test_search_witness_choice_is_pinned():
     assert digest == "4e17a442b38a6aaf35ed7dfdad9643da388a38386a60fb64e880d517ff64a866"
 
 
+def test_sweep_bipartite_counts_match_the_effective_graph_route():
+    # the sweep reads bipartiteness off the adjacency masks; the public
+    # route builds each effective graph and checks it
+    report = yz_bipartite_sweep(6, io_samples=0, workers=1, keep_witnesses=False)
+    for n in range(1, 7):
+        expected = 0
+        for base in enumerate_connected_graphs(n):
+            for r in range(n + 1):
+                for inputs in itertools.combinations(base.vertices, r):
+                    g = with_io(base, inputs, inputs)
+                    expected += bipartition_check(effective_graph(g), inputs)
+        assert report.per_n[n]["bipartite_instances"] == expected
+
+
 def test_sweep_witnesses_returned():
     report = yz_bipartite_sweep(3, io_samples=0, workers=1)
     assert report.witnesses

@@ -128,8 +128,14 @@ def test_with_io_carries_adjacency_caches(case):
     fresh = Graph(carried.vertices, carried.edges, carried.inputs, carried.outputs)
     assert carried.neighbor_masks is warm.neighbor_masks
     assert carried.neighbor_masks == fresh.neighbor_masks
-    # effective_graph changes the edges, so it must build its own masks
+    # effective_graph keeps exactly the edges with an endpoint outside I,
+    # and builds its own masks for them
     effective = effective_graph(carried)
+    outside = set(vertices) - carried.inputs
+    assert effective.edges == {(u, v) for u, v in carried.edges if u in outside or v in outside}
+    assert (effective.vertices, effective.inputs, effective.outputs) == (
+        carried.vertices, carried.inputs, carried.outputs
+    )
     rebuilt = make_graph(vertices, effective.edges)
     assert effective.neighbor_masks == rebuilt.neighbor_masks
     cold = with_io(make_graph(vertices, edges), inputs, outputs)

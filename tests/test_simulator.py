@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from parityflow import simulator
 from parityflow.layout import cnot, cz, hadamard, rx, rz
 from parityflow.simulator import (
     EntangledQubitError,
@@ -177,12 +178,15 @@ def test_append_then_discard_round_trip():
     assert distance_up_to_phase(back, psi) < 1e-12
 
 
-def test_qubit_cap_enforced():
-    with pytest.raises(ValueError, match="cap"):
+def test_qubit_cap_enforced(monkeypatch):
+    with pytest.raises(ValueError, match="17 qubits exceeds cap 16"):
         basis_state([f"q{i}" for i in range(17)], "0" * 17)
-    small = basis_state(("a",), "0", cap=1)
-    with pytest.raises(ValueError, match="cap"):
-        append_qubit(small, "b", (1, 0), cap=1)
+    monkeypatch.setattr(simulator, "DEFAULT_QUBIT_CAP", 1)
+    small = basis_state(("a",), "0")
+    with pytest.raises(ValueError, match="2 qubits exceeds cap 1"):
+        append_qubit(small, "b", (1, 0))
+    with pytest.raises(ValueError, match="2 qubits exceeds cap 1"):
+        random_state(("a", "b"), np.random.default_rng(0))
 
 
 def test_norm_preserved_over_long_random_circuit():
