@@ -247,26 +247,22 @@ def sim() -> None:
     """Run programs on one engine and check branch independence."""
 
 
-@sim.command("parity")
-@click.option("--program", required=True, type=click.Path())
-@click.option("--branches", type=click.Choice(["all", "sample"]), default="sample")
-@click.option("--samples", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-12, show_default=True, callback=_tolerance)
-@_guard
-def sim_parity(program: str, branches: str, samples: int, seed: int, tol: float) -> None:
-    _sim_command("parity", program, branches, samples, seed, tol)
+def _sim_subcommand(engine: str):
+    @sim.command(engine)
+    @click.option("--program", required=True, type=click.Path())
+    @click.option("--branches", type=click.Choice(["all", "sample"]), default="sample")
+    @click.option("--samples", type=click.IntRange(min=1), default=8, show_default=True)
+    @click.option("--seed", type=int, default=0, show_default=True)
+    @click.option("--tol", type=float, default=1e-12, show_default=True, callback=_tolerance)
+    @_guard
+    def command(program: str, branches: str, samples: int, seed: int, tol: float) -> None:
+        _sim_command(engine, program, branches, samples, seed, tol)
+
+    return command
 
 
-@sim.command("mbqc")
-@click.option("--program", required=True, type=click.Path())
-@click.option("--branches", type=click.Choice(["all", "sample"]), default="sample")
-@click.option("--samples", type=click.IntRange(min=1), default=8, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tol", type=float, default=1e-12, show_default=True, callback=_tolerance)
-@_guard
-def sim_mbqc(program: str, branches: str, samples: int, seed: int, tol: float) -> None:
-    _sim_command("mbqc", program, branches, samples, seed, tol)
+sim_parity = _sim_subcommand("parity")
+sim_mbqc = _sim_subcommand("mbqc")
 
 
 @main.command("compare")
@@ -343,8 +339,10 @@ def gflow_search(graph_path: str, cap: int) -> None:
 @main.command("sweep")
 @click.option("--max-n", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--io-samples", type=int, default=200, show_default=True)
-@click.option("--workers", type=int, default=None, help="Defaults to PARITYFLOW_WORKERS or CPU count.")
+@click.option("--io-samples", type=click.IntRange(min=0), default=200, show_default=True)
+@click.option(
+    "--workers", type=click.IntRange(min=1), default=None, help="Defaults to PARITYFLOW_WORKERS or CPU count."
+)
 @_guard
 def sweep(max_n: int, seed: int, io_samples: int, workers: int | None) -> None:
     """Exhaustive flow-existence versus bipartiteness over small graphs."""

@@ -421,9 +421,11 @@ def _sweep_one_graph(args: tuple[int, int, Graph]) -> tuple[int, int, dict, list
 
 def default_workers() -> int:
     env = os.environ.get("PARITYFLOW_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if int(env) < 1:
+        raise ValueError(f"PARITYFLOW_WORKERS={env} must be at least 1")
+    return int(env)
 
 
 def yz_bipartite_sweep(
@@ -444,6 +446,11 @@ def yz_bipartite_sweep(
         raise ValueError(f"max_n={max_n} must be at least 1")
     if max_n > DEFAULT_SEARCH_CAP:
         raise ValueError(f"max_n={max_n} above enumeration cap {DEFAULT_SEARCH_CAP}")
+    if io_samples < 0:
+        raise ValueError(f"io_samples={io_samples} must be at least 0")
+    workers = default_workers() if workers is None else workers
+    if workers < 1:
+        raise ValueError(f"workers={workers} must be at least 1")
     report = SweepReport(max_n=max_n)
     graphs = {n: list(enumerate_connected_graphs(n)) for n in range(1, max_n + 1)}
     tasks = []
@@ -456,7 +463,6 @@ def yz_bipartite_sweep(
         }
         tasks.extend((n, i, base) for i, base in enumerate(bases))
 
-    workers = default_workers() if workers is None else max(1, workers)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one_graph, tasks, chunksize=8))
@@ -507,6 +513,8 @@ def flow_to_json(flow: GFlow, planes: PlaneAssignment | None = None) -> dict:
 def flow_from_json(data: dict) -> tuple[GFlow, dict[str, str] | None]:
     """Read a witness; the order is taken to be the layer order."""
     try:
+        if not isinstance(data["g"], dict):
+            raise ValueError("field 'g' must map vertices to correction sets")
         g = {v: frozenset(s) for v, s in data["g"].items()}
         layers = [frozenset(layer) for layer in data["layers"]]
     except KeyError as exc:

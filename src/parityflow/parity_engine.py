@@ -28,7 +28,6 @@ from parityflow.simulator import (
     BranchArray,
     MeasurementRecord,
     Statevector,
-    append_qubit,
     apply_circuit,
     discard_qubit,
     measure_all_branches,
@@ -86,9 +85,7 @@ def encode_input(layout: ParityLayout, psi: Statevector) -> Statevector:
     """Append the parity register in |0..0> and run the constraint CNOTs."""
     if psi.labels != tuple(layout.data_qubits):
         raise ValueError(f"input labels {psi.labels} do not match data qubits {layout.data_qubits}")
-    state = psi
-    for p in layout.parity_qubits:
-        state = append_qubit(state, p, (1.0, 0.0))
+    state = BranchArray.start(psi).append_zeros(layout.parity_qubits).state(0)
     return apply_circuit(state, encoding_circuit(layout))
 
 
@@ -158,13 +155,6 @@ def _reencode_gates(layout: ParityLayout, subset: frozenset[str]) -> tuple[list[
     return qubits, gates
 
 
-def _reencode(state: Statevector, layout: ParityLayout, subset: frozenset[str]) -> Statevector:
-    qubits, gates = _reencode_gates(layout, subset)
-    for p in qubits:
-        state = append_qubit(state, p, (1.0, 0.0))
-    return apply_circuit(state, gates)
-
-
 def _layer_setup(layout: ParityLayout, params: LayerParams) -> tuple[frozenset[str], list[Gate]]:
     """Validate a layer; return its decode set and its parity rotations."""
     params.validate(layout)
@@ -187,7 +177,8 @@ def run_layer(
     state, record = mb_decode(state, layout, decode_set, outcomes)
     state = apply_circuit(state, params.data_rotations(layout.data_qubits))
     if not final:
-        state = _reencode(state, layout, decode_set)
+        qubits, gates = _reencode_gates(layout, decode_set)
+        state = apply_circuit(BranchArray.start(state).append_zeros(qubits).state(0), gates)
     return state, record
 
 
@@ -264,15 +255,15 @@ def layers_to_json(layers: Sequence[LayerParams]) -> list:
 
 
 def layers_from_json(data: Sequence[dict]) -> list[LayerParams]:
+    if not isinstance(data, list) or not all(isinstance(entry, dict) for entry in data):
+        raise ValueError("field 'layers' must be a list of objects")
     layers = []
     for entry in data:
+        angles = {}
+        for key in ("theta", "alpha", "phi"):
+            if not isinstance(entry.get(key, {}), dict):
+                raise ValueError(f"field {key!r} must map qubits to angles")
+            angles[key] = {k: float(v) for k, v in entry.get(key, {}).items()}
         decode = entry.get("decode", "all")
-        layers.append(
-            LayerParams(
-                theta={k: float(v) for k, v in entry.get("theta", {}).items()},
-                alpha={k: float(v) for k, v in entry.get("alpha", {}).items()},
-                phi={k: float(v) for k, v in entry.get("phi", {}).items()},
-                decode=None if decode == "all" else frozenset(decode),
-            )
-        )
+        layers.append(LayerParams(**angles, decode=None if decode == "all" else frozenset(decode)))
     return layers

@@ -2,15 +2,15 @@
 
 Amplitude index order follows the label list with the first label as the
 most significant bit. Rotations use the convention RZ(t) = exp(-i t Z / 2),
-RX(t) = exp(-i t X / 2). All operations return new values. `project` leaves
-the measured qubit in the register as a product factor until `discard_qubit`
-removes it; `measure_and_correct`, the loop both engines run, contracts each
-measured qubit out of the register in one step.
+RX(t) = exp(-i t X / 2). All operations return new values.
 
-The gate kernels also take a leading branch axis: a `BranchArray` holds
-every outcome branch of a run as one row, and `measure_all_branches`
-contracts a measured qubit with both outcome bras at once, doubling the
-rows and halving the register, so no branch needs a run of its own.
+The kernels take a leading branch axis: a `BranchArray` holds every outcome
+branch of a run as one row, and `measure_all_branches` contracts a measured
+qubit with both outcome bras at once, doubling the rows and halving the
+register. Per-branch runs (`measure_and_correct`, the loop both engines
+run) are the one-row case of the same kernels. `project`, `discard_qubit`,
+`outcome_probability`, `append_qubit` and `apply_pauli_x/z` are the
+reference kernels the tests check them against.
 """
 
 from __future__ import annotations
@@ -248,9 +248,7 @@ def distance_up_to_phase(a: Statevector, b: Statevector) -> float:
     """
     if a.labels != b.labels:
         raise ValueError("qubit labels differ")
-    overlap = np.vdot(b.amplitudes, a.amplitudes)
-    residual = a.amplitudes - overlap * b.amplitudes
-    return min(1.0, float(np.linalg.norm(residual)))
+    return float(distances_up_to_phase(a.amplitudes[None], b.amplitudes)[0])
 
 
 def distances_up_to_phase(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -322,6 +320,23 @@ def _odd_overlap(n: int, mask: int) -> np.ndarray:
     return odd
 
 
+def _measure_out(labels: tuple[str, ...], amps: np.ndarray, q: str, axis: Sequence[float]) -> tuple:
+    """Contract qubit q of every row of amps (B, 2^k) with both outcome bras.
+
+    Returns the labels without q, the unnormalised outcome halves
+    (2, B, 2^(k-1)), +1 first, and their Born probabilities (2, B).
+    """
+    pos = _position(labels, q)
+    rows = amps.shape[0]
+    # the measured qubit's axis first, then (branch row, qubits before q, qubits after q)
+    split = amps.reshape(rows, 1 << pos, 2, -1).transpose(2, 0, 1, 3).reshape(2, -1)
+    halves = (_outcome_bras(axis) @ split).reshape(2, rows, -1)
+    # each half-row's squared norm, as one stack of real dot products
+    flat = halves.view(np.float64)
+    born = (flat[:, :, None, :] @ flat[:, :, :, None]).reshape(2, rows)
+    return labels[:pos] + labels[pos + 1 :], halves, born
+
+
 def measure_and_correct(
     state: Statevector,
     plan: Iterable[tuple[str, tuple[float, float, float]]],
@@ -330,40 +345,29 @@ def measure_and_correct(
 ) -> tuple[Statevector, MeasurementRecord]:
     """Measure each (qubit, axis) of the plan in turn and remove the qubit.
 
-    The qubit is contracted with the outcome's bra (see `_outcome_bras`) and
-    the rest renormalised: the state `project` then `discard_qubit` give,
-    global phase included, without the second projection or the purity
-    check (a contracted qubit cannot be entangled). The one exception is an
-    axis whose projector rows have equal norm up to rounding, such as the
-    YZ axis at theta = pi/2: there discard_qubit's pick follows rounding in
-    the state, and the two may differ by a global phase. The outcome comes
-    from `source`, given the +1 Born probability. On a -1 outcome
-    `correct(qubit)` names the Pauli correction as label sets (X targets,
-    Z targets) on the remaining qubits. Both engines run through this loop
-    and differ only in their plan and correction rule.
+    The one-row case of `measure_all_branches`, keeping the half of the
+    outcome `source` draws from the +1 Born probability. That is the state
+    `project` then `discard_qubit` give, global phase included, except on
+    an axis whose projector rows tie up to rounding (the YZ axis at theta =
+    pi/2), where discard_qubit's pick follows rounding in the state. On a
+    -1 outcome `correct(qubit)` names the Pauli correction as label sets
+    (X targets, Z targets) on the remaining qubits. Both engines run
+    through this loop and differ only in their plan and correction rule.
     """
+    labels, amps = state.labels, state.amplitudes.reshape(1, -1)
     record: list[MeasurementEntry] = []
     for q, axis in plan:
-        pos = state.index_of(q)
-        # axes: (+1 or -1 bra, qubits before q, qubits after q)
-        contracted = np.dot(_outcome_bras(axis), state.amplitudes.reshape(1 << pos, 2, -1))
-        rest = contracted[0].reshape(-1)
-        p_plus = float(np.vdot(rest, rest).real)
-        outcome = source.next_outcome(p_plus)
-        if outcome == 1:
-            probability = p_plus
-        else:
-            rest = contracted[1].reshape(-1)
-            probability = float(np.vdot(rest, rest).real)
+        labels, halves, born = _measure_out(labels, amps, q, axis)
+        outcome = source.next_outcome(float(born[0, 0]))
+        half = 0 if outcome == 1 else 1
+        probability = float(born[half, 0])
         if probability < ZERO_PROB_TOL:
             raise ZeroProbabilityError(f"outcome {outcome:+d} on {q!r} has zero probability")
-        labels = state.labels[:pos] + state.labels[pos + 1 :]
-        amps = rest / math.sqrt(probability)
+        amps = halves[half] / math.sqrt(probability)
         if outcome == -1:
             amps = _apply_paulis(amps, labels, *correct(q))
-        state = Statevector(labels, amps)
         record.append(MeasurementEntry(q, axis, outcome, probability))
-    return state, tuple(record)
+    return Statevector(labels, amps[0]), tuple(record)
 
 
 def check_cap(qubits: int, branches: int = 1) -> None:
@@ -454,25 +458,19 @@ def measure_all_branches(
     """`measure_and_correct` on both outcomes of every branch at once.
 
     Each (qubit, axis) of the plan contracts the qubit of every row with
-    both outcome bras, so B rows of 2^k amplitudes become 2B rows of
-    2^(k-1); row 2b + 1 (outcome -1) gets the correction `correct(qubit)`
-    names. Rows are renormalised by their Born probability, except where it
-    is below ZERO_PROB_TOL: those are divided by 1.
+    both outcome bras (`_measure_out`), so B rows of 2^k amplitudes become
+    2B rows of 2^(k-1); row 2b + 1 (outcome -1) gets the correction
+    `correct(qubit)` names. Rows are renormalised by their Born probability,
+    except below ZERO_PROB_TOL, where they are divided by 1.
     """
     plan = tuple(plan)
     labels, amps = branches.labels, branches.amplitudes
     born_columns = []
     for q, axis in plan:
-        pos = _position(labels, q)
-        rows = amps.shape[0]
-        # the measured qubit's axis first, then (branch row, qubits before q, qubits after q)
-        split = amps.reshape(rows, 1 << pos, 2, -1).transpose(2, 0, 1, 3).reshape(2, -1)
-        contracted = (_outcome_bras(axis) @ split).reshape(2, rows, -1)
-        born = np.square(contracted.view(np.float64)).sum(axis=2)
-        contracted /= np.sqrt(np.where(born < ZERO_PROB_TOL, 1.0, born))[:, :, None]
-        labels = labels[:pos] + labels[pos + 1 :]
-        contracted[1] = _apply_paulis(contracted[1], labels, *correct(q))
-        amps = contracted.transpose(1, 0, 2).reshape(2 * rows, -1)
+        labels, halves, born = _measure_out(labels, amps, q, axis)
+        halves /= np.sqrt(np.where(born < ZERO_PROB_TOL, 1.0, born))[:, :, None]
+        halves[1] = _apply_paulis(halves[1], labels, *correct(q))
+        amps = halves.transpose(1, 0, 2).reshape(-1, halves.shape[2])
         born_columns.append(born.T.reshape(-1))
     previous = branches.probabilities
     rows, done = amps.shape[0], previous.shape[1]

@@ -281,6 +281,27 @@ def test_sweep_parallel_matches_serial():
     assert [flow_to_json(f) for _, f in serial.witnesses] == [flow_to_json(f) for _, f in parallel.witnesses]
 
 
+@pytest.mark.parametrize(
+    "kwargs, env, message",
+    [
+        ({"io_samples": -5, "workers": 1}, None, "io_samples=-5"),
+        ({"workers": 0}, None, "workers=0"),
+        ({"workers": -3}, None, "workers=-3"),
+        ({}, "0", "PARITYFLOW_WORKERS=0"),
+        ({}, "-2", "PARITYFLOW_WORKERS=-2"),
+    ],
+)
+def test_sweep_rejects_negative_samples_and_workers_below_one(monkeypatch, kwargs, env, message):
+    # a negative sample count would draw nothing and read as a passed
+    # I != O check; a worker count below one has no meaning
+    if env is None:
+        monkeypatch.delenv("PARITYFLOW_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("PARITYFLOW_WORKERS", env)
+    with pytest.raises(ValueError, match=message):
+        yz_bipartite_sweep(2, **kwargs)
+
+
 def test_sweep_builds_each_graph_once(monkeypatch):
     built = []
 

@@ -1,17 +1,20 @@
 """Property tests: bitmask graph queries, canonical forms, layout
 constraint checks and signed group equality against references that share
 no code with the package, the adjacency caches that with_io carries over
-against freshly built ones, and the fused measurement step and
-phase-vector graph state against the gate-by-gate kernels they replace."""
+against freshly built ones, and the fused measurement step, the one-row
+ancilla append and the phase-vector graph state against the kernels they
+replace."""
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parityflow import simulator
 from parityflow.gflow import flow_to_json, search_gflow_yz
 from parityflow.graph import (
     Graph,
@@ -28,6 +31,7 @@ from parityflow.layout import ConstraintReport, ParityLayout, cz, validate_const
 from parityflow.mbqc_engine import prepare_graph_state, yz_axis
 from parityflow.pauli import PauliString, StabilizerGroup, groups_equal, multiply
 from parityflow.simulator import (
+    BranchArray,
     OutcomeSource,
     Statevector,
     ZeroProbabilityError,
@@ -39,6 +43,7 @@ from parityflow.simulator import (
     distance_up_to_phase,
     measure_and_correct,
     project,
+    random_state,
 )
 
 FEW = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -367,3 +372,52 @@ def test_phase_vector_graph_state_matches_cz_gates(case, seed):
     out = prepare_graph_state(g, psi)
     assert out.labels == reference.labels
     assert np.max(np.abs(out.amplitudes - reference.amplitudes)) <= 1e-14
+
+
+@st.composite
+def ancilla_appends(draw):
+    """A random register of 1-8 qubits and 1-4 new labels that fit the
+    qubit cap, or with one label already in the register, or over a cap
+    lowered below the new size."""
+    n = draw(st.integers(1, 8))
+    labels = [f"q{i}" for i in range(n)]
+    state = random_state(labels, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    new = [f"a{i}" for i in range(draw(st.integers(1, 4)))]
+    kind = draw(st.sampled_from(["fits", "present", "over_cap"]))
+    cap = simulator.DEFAULT_QUBIT_CAP
+    if kind == "present":
+        new[draw(st.integers(0, len(new) - 1))] = draw(st.sampled_from(labels))
+    elif kind == "over_cap":
+        cap = draw(st.integers(n, n + len(new) - 1))
+    return state, new, kind, cap
+
+
+def _append_loop(state, qubits):
+    for q in qubits:
+        state = append_qubit(state, q, (1, 0))
+    return state
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ancilla_appends())
+def test_one_row_ancilla_append_matches_the_append_qubit_loop(case):
+    state, new, kind, cap = case
+    with mock.patch.object(simulator, "DEFAULT_QUBIT_CAP", cap):
+        if kind == "fits":
+            reference = _append_loop(state, new)
+            out = BranchArray.start(state).append_zeros(new).state(0)
+            assert out.labels == reference.labels
+            # equal value for value; np.kron leaves -0.0 where a negative
+            # part meets the 0 of |0>, which == counts as equal
+            assert np.array_equal(out.amplitudes, reference.amplitudes)
+            return
+        with pytest.raises(ValueError) as looped:
+            _append_loop(state, new)
+        with pytest.raises(ValueError) as appended:
+            BranchArray.start(state).append_zeros(new)
+    if kind == "present":
+        assert str(appended.value) == str(looped.value)
+        assert "already present" in str(looped.value)
+    else:
+        for caught in (looped, appended):
+            assert f"exceeds cap {cap}" in str(caught.value)
