@@ -144,13 +144,18 @@ def stab_check(layout_path: str) -> None:
 
 
 def _load_program(data: dict):
+    if not isinstance(data, dict):
+        raise InputError("program JSON must be an object")
     try:
         layout = layout_mod.layout_from_json(data["layout"])
         layers = parity_engine.layers_from_json(data["layers"])
     except KeyError as exc:
         raise InputError(f"program JSON missing field {exc.args[0]!r}") from exc
     if "input" in data:
-        amps = np.array([complex(re, im) for re, im in data["input"]])
+        with graph_mod.json_field("input"):
+            amps = np.array([complex(re, im) for re, im in data["input"]])
+            if amps.shape != (1 << layout.n,):
+                raise ValueError(f"expected {1 << layout.n} amplitudes, got {amps.size}")
         norm = np.linalg.norm(amps)
         if not 0.0 < norm < math.inf:
             raise InputError(f"field 'input': norm {norm} cannot be normalised")
@@ -158,16 +163,6 @@ def _load_program(data: dict):
     else:
         psi = simulator.basis_state(layout.data_qubits, "0" * layout.n)
     return layout, layers, psi
-
-
-def _measurement_count(layout, layers) -> int:
-    total = 0
-    for index, layer in enumerate(layers):
-        if index == len(layers) - 1 or layer.decode is None:
-            total += len(layout.parity_qubits)
-        else:
-            total += len(layer.decode)
-    return total
 
 
 def _sampled_outputs(run, count: int, samples: int, seed: int) -> list:
@@ -206,7 +201,7 @@ def _sim_command(engine: str, program: str, branches: str, samples: int, seed: i
         def run_all():
             return mbqc_engine.run_all_branches(graph, psi, layers, flow)
     else:
-        count = _measurement_count(layout, layers)
+        count = parity_engine.measurement_count(layout, layers)
 
         def run(outcomes):
             return parity_engine.run_computation(layout, psi, layers, outcomes)

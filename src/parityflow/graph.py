@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -284,16 +285,32 @@ def graph_to_json(g: Graph) -> dict:
     }
 
 
-def graph_from_json(data: dict) -> Graph:
+@contextmanager
+def json_field(name: str) -> Iterator[None]:
+    """Re-raise a TypeError or ValueError met while reading the JSON field
+    `name` as a ValueError that names the field."""
     try:
-        return make_graph(
-            data["vertices"],
-            [tuple(e) for e in data["edges"]],
-            data.get("inputs", ()),
-            data.get("outputs", ()),
-        )
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {name!r}: {exc}") from exc
+
+
+def graph_from_json(data: dict) -> Graph:
+    if not isinstance(data, dict):
+        raise ValueError("graph JSON must be an object")
+    try:
+        vertices, edges = data["vertices"], data["edges"]
     except KeyError as exc:
         raise ValueError(f"graph JSON missing field {exc.args[0]!r}") from exc
+    with json_field("vertices"):
+        vertices = tuple(vertices)
+    with json_field("edges"):
+        edges = [(u, v) for u, v in edges]
+    with json_field("inputs"):
+        inputs = frozenset(data.get("inputs", ()))
+    with json_field("outputs"):
+        outputs = frozenset(data.get("outputs", ()))
+    return make_graph(vertices, edges, inputs, outputs)
 
 
 def graph_to_dot(g: Graph) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from parityflow.graph import Graph, make_graph
+from parityflow.graph import Graph, json_field, make_graph
 
 
 @dataclass(frozen=True)
@@ -193,17 +193,23 @@ def layout_to_json(layout: ParityLayout) -> dict:
 
 
 def layout_from_json(data: dict) -> ParityLayout:
-    """Read a layout; raises ValueError unless its CNOTs realise every parity set."""
+    """Read a layout; raises ValueError naming a missing or malformed field,
+    or unless its CNOTs realise every parity set."""
+    if not isinstance(data, dict):
+        raise ValueError("layout JSON must be an object")
     try:
-        n = int(data["n"])
-        parity_entries = data["parity"]
-        constraints = tuple((c, t) for c, t in data["constraints"])
+        with json_field("n"):
+            n = int(data["n"])
+        with json_field("parity"):
+            parity_qubits = tuple(entry["label"] for entry in data["parity"])
+        with json_field("set"):
+            sets = [frozenset(entry["set"]) for entry in data["parity"]]
+        with json_field("constraints"):
+            constraints = tuple((c, t) for c, t in data["constraints"])
     except KeyError as exc:
         raise ValueError(f"layout JSON missing field {exc.args[0]!r}") from exc
     data_qubits = tuple(str(i) for i in range(1, n + 1))
-    parity_qubits = tuple(entry["label"] for entry in parity_entries)
-    sets = {entry["label"]: frozenset(entry["set"]) for entry in parity_entries}
-    layout = ParityLayout(n, data_qubits, parity_qubits, sets, constraints)
+    layout = ParityLayout(n, data_qubits, parity_qubits, dict(zip(parity_qubits, sets)), constraints)
     report = validate_constraints(layout)
     if not report:
         raise ValueError(

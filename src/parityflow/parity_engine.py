@@ -191,6 +191,11 @@ def _layer_sequence(layers: Sequence[LayerParams]) -> list[tuple[LayerParams, bo
     return out + [(LayerParams(last.theta, last.alpha, last.phi, decode=None), True)]
 
 
+def measurement_count(layout: ParityLayout, layers: Sequence[LayerParams]) -> int:
+    """How many parity qubits one run of these layers measures, over all layers."""
+    return sum(len(_layer_setup(layout, params)[0]) for params, _ in _layer_sequence(layers))
+
+
 def run_computation(
     layout: ParityLayout,
     psi: Statevector,

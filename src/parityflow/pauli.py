@@ -1,6 +1,6 @@
 """Signed Pauli strings and stabilizer groups over GF(2).
 
-A Pauli string is stored as X and Z bit vectors over an ordered qubit-label
+A Pauli string is stored as X and Z bitmasks over an ordered qubit-label
 list plus a sign in {+1, -1}. Products of commuting real-signed Paulis stay
 real-signed, which is the only regime needed here; imaginary phases are
 rejected outright. Group-level questions (equality, independence) reduce to
@@ -12,9 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
-from parityflow.graph import Graph, neighbors
+from parityflow.graph import Graph
 from parityflow.layout import ParityLayout
 
 
@@ -22,62 +20,46 @@ class PhaseError(ValueError):
     """A product produced an imaginary phase, outside the supported sign set."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PauliString:
     """Tensor product of single-qubit Paulis with an overall sign.
 
-    x[i] and z[i] refer to labels[i]; both set means Y (= iXZ) on that qubit.
+    Bit i of x and of z refers to labels[i], as bit i of a graph's vertex
+    masks refers to vertices[i]; both set means Y (= iXZ) on that qubit.
     """
 
     labels: tuple[str, ...]
-    x: np.ndarray
-    z: np.ndarray
+    x: int
+    z: int
     sign: int = 1
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=np.uint8) % 2
-        z = np.asarray(self.z, dtype=np.uint8) % 2
-        if x.shape != (len(self.labels),) or z.shape != (len(self.labels),):
-            raise ValueError("bit vectors must match the label list")
+        if min(self.x, self.z) < 0 or (self.x | self.z) >> len(self.labels):
+            raise ValueError("bit masks must fit the label list")
         if self.sign not in (1, -1):
             raise PhaseError(f"sign must be +1 or -1, got {self.sign!r}")
-        x.setflags(write=False)
-        z.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PauliString):
-            return NotImplemented
-        return (
-            self.labels == other.labels
-            and self.sign == other.sign
-            and bool(np.array_equal(self.x, other.x))
-            and bool(np.array_equal(self.z, other.z))
-        )
 
     def __repr__(self) -> str:
         return f"PauliString({pauli_to_text(self)!r})"
 
     @property
     def is_identity(self) -> bool:
-        return not self.x.any() and not self.z.any()
+        return not self.x | self.z
 
 
 def pauli_from_ops(labels: Sequence[str], ops: Mapping[str, str], sign: int = 1) -> PauliString:
     """Build a Pauli string from {label: "X"|"Y"|"Z"} with identity elsewhere."""
     index = {q: i for i, q in enumerate(labels)}
-    x = np.zeros(len(labels), dtype=np.uint8)
-    z = np.zeros(len(labels), dtype=np.uint8)
+    x = z = 0
     for q, op in ops.items():
         if q not in index:
             raise ValueError(f"unknown qubit {q!r}")
         if op not in ("X", "Y", "Z"):
             raise ValueError(f"unknown Pauli {op!r}")
         if op in ("X", "Y"):
-            x[index[q]] = 1
+            x |= 1 << index[q]
         if op in ("Z", "Y"):
-            z[index[q]] = 1
+            z |= 1 << index[q]
     return PauliString(tuple(labels), x, z, sign)
 
 
@@ -85,14 +67,14 @@ def pauli_to_text(p: PauliString) -> str:
     """Subscripted rendering, e.g. "+Z_(12) Z_1 Z_2" or "-Y_3"."""
     parts = []
     for i, q in enumerate(p.labels):
-        op = {(0, 0): None, (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[(int(p.x[i]), int(p.z[i]))]
+        op = {(0, 0): None, (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[(p.x >> i & 1, p.z >> i & 1)]
         if op:
             parts.append(f"{op}_{q}")
     body = " ".join(parts) if parts else "I"
     return ("+" if p.sign == 1 else "-") + body
 
 
-def _product_sign(ax: np.ndarray, az: np.ndarray, bx: np.ndarray, bz: np.ndarray) -> int:
+def _product_sign(ax: int, az: int, bx: int, bz: int) -> int:
     """Sign picked up by the product of two unsigned Pauli strings given as bits.
 
     With each qubit stored as i^(x·z) X^x Z^z (so both bits set is Y), the
@@ -101,10 +83,10 @@ def _product_sign(ax: np.ndarray, az: np.ndarray, bx: np.ndarray, bz: np.ndarray
     real sign; an odd exponent raises PhaseError.
     """
     exponent = (
-        np.count_nonzero(ax & az)
-        + np.count_nonzero(bx & bz)
-        - np.count_nonzero((ax ^ bx) & (az ^ bz))
-        + 2 * np.count_nonzero(az & bx)
+        (ax & az).bit_count()
+        + (bx & bz).bit_count()
+        - ((ax ^ bx) & (az ^ bz)).bit_count()
+        + 2 * (az & bx).bit_count()
     ) % 4
     if exponent % 2:
         raise PhaseError("product has imaginary phase")
@@ -131,67 +113,51 @@ class StabilizerGroup:
         for g in self.generators:
             if g.labels != self.labels:
                 raise ValueError("generator labels differ from group labels")
-        # symplectic products of all pairs at once; entry (i, j) is 1 iff they anticommute
-        shape = (len(self.generators), len(self.labels))
-        x = np.array([g.x for g in self.generators], dtype=np.int64).reshape(shape)
-        z = np.array([g.z for g in self.generators], dtype=np.int64).reshape(shape)
-        clashes = np.argwhere(np.triu((x @ z.T + z @ x.T) % 2, k=1))
-        if clashes.size:
-            i, j = clashes[0]  # row-major: the first pair in (i, j) order
-            g, h = self.generators[i], self.generators[j]
-            raise ValueError(f"generators do not commute: {pauli_to_text(g)}, {pauli_to_text(h)}")
-        rows, signs = _rref_with_signs(self.labels, self.generators)
-        if rows.any(axis=1).sum() != len(self.generators):
+        # two strings anticommute iff their symplectic product is odd
+        for i, g in enumerate(self.generators):
+            for h in self.generators[i + 1 :]:
+                if ((g.x & h.z) ^ (g.z & h.x)).bit_count() % 2:
+                    raise ValueError(f"generators do not commute: {pauli_to_text(g)}, {pauli_to_text(h)}")
+        rref = _rref_with_signs(self.labels, self.generators)
+        if not all(word for word, _ in rref):
             raise ValueError("generators are not independent over GF(2)")
-        object.__setattr__(self, "_rref", (rows, signs))
+        object.__setattr__(self, "_rref", rref)
 
 
 def _rref_with_signs(
     labels: tuple[str, ...], generators: Sequence[PauliString]
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form of the generator bit matrix [x | z], with signs.
+) -> tuple[tuple[int, int], ...]:
+    """Reduced row echelon form of the generator words x | z << n, with signs.
 
     Each row operation multiplies two group elements, and its sign follows
     the product rule of `multiply`, so the signs of the canonical rows are
     the signs those elements carry in the group. The RREF basis of a GF(2)
-    row space is unique, making (matrix, signs) a complete invariant of the
-    signed group. Dependent generators leave zero rows.
+    row space is unique, making the (word, sign) rows a complete invariant
+    of the signed group. Dependent generators leave zero words.
     """
     n = len(labels)
-    rows = np.zeros((len(generators), 2 * n), dtype=np.uint8)
-    for r, g in enumerate(generators):
-        rows[r, :n] = g.x
-        rows[r, n:] = g.z
-    signs = [g.sign for g in generators]
+    low = (1 << n) - 1
+    rows = [(g.x | g.z << n, g.sign) for g in generators]
     rank = 0
     for col in range(2 * n):
-        below = np.flatnonzero(rows[rank:, col])
-        if not below.size:
+        bit = 1 << col
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][0] & bit), None)
+        if pivot is None:
             continue
-        pivot = rank + int(below[0])
-        rows[[rank, pivot]] = rows[[pivot, rank]]
-        signs[rank], signs[pivot] = signs[pivot], signs[rank]
-        p = rows[rank]
-        for r in np.flatnonzero(rows[:, col]):
-            if r != rank:
-                q = rows[r]
-                signs[r] *= signs[rank] * _product_sign(q[:n], q[n:], p[:n], p[n:])
-                q ^= p
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p, p_sign = rows[rank]
+        for r, (q, q_sign) in enumerate(rows):
+            if r != rank and q & bit:
+                rows[r] = (q ^ p, q_sign * p_sign * _product_sign(q & low, q >> n, p & low, p >> n))
         rank += 1
-        if rank == len(generators):
-            break
-    return rows, tuple(signs)
+    return tuple(rows)
 
 
 def groups_equal(a: StabilizerGroup, b: StabilizerGroup) -> bool:
     """True iff the generated signed groups coincide (not just generator lists)."""
     if a.labels != b.labels:
         raise ValueError("incompatible qubit label sets")
-    if len(a.generators) != len(b.generators):
-        return False
-    mat_a, signs_a = a._rref
-    mat_b, signs_b = b._rref
-    return bool(np.array_equal(mat_a, mat_b)) and signs_a == signs_b
+    return a._rref == b._rref
 
 
 def hadamard_conjugate(group: StabilizerGroup, subset: Iterable[str]) -> StabilizerGroup:
@@ -204,33 +170,37 @@ def hadamard_conjugate(group: StabilizerGroup, subset: Iterable[str]) -> Stabili
     unknown = members - set(group.labels)
     if unknown:
         raise ValueError(f"qubits {sorted(unknown)} not in the group's label list")
-    mask = np.array([q in members for q in group.labels], dtype=bool)
+    mask = sum(1 << i for i, q in enumerate(group.labels) if q in members)
     out = []
     for g in group.generators:
-        x = g.x.copy()
-        z = g.z.copy()
-        x[mask], z[mask] = z[mask], x[mask]
-        flips = int(np.sum(g.x[mask] & g.z[mask]))
-        out.append(PauliString(group.labels, x, z, g.sign * (-1) ** flips))
+        swap = (g.x ^ g.z) & mask  # the bits where x and z differ, flipped in both
+        flips = (g.x & g.z & mask).bit_count()
+        out.append(PauliString(group.labels, g.x ^ swap, g.z ^ swap, g.sign * (-1) ** flips))
     return StabilizerGroup(group.labels, tuple(out))
 
 
 def parity_generators(layout: ParityLayout) -> StabilizerGroup:
     """One generator per parity qubit: Z there and Z on each tracked data qubit."""
     labels = tuple(layout.data_qubits) + tuple(layout.parity_qubits)
+    bit = {q: 1 << i for i, q in enumerate(labels)}
+    # distinct one-bit masks, so their sum is their OR
     gens = [
-        pauli_from_ops(labels, {p: "Z", **{i: "Z" for i in layout.parity_sets[p]}})
+        PauliString(labels, 0, bit[p] + sum(bit[q] for q in layout.parity_sets[p]))
         for p in layout.parity_qubits
     ]
     return StabilizerGroup(labels, tuple(gens))
 
 
 def graph_generators(g: Graph) -> StabilizerGroup:
-    """One generator per non-input vertex v: X at v, Z across its neighborhood."""
+    """One generator per non-input vertex v: X at v, Z across its neighborhood.
+
+    Bit i of the graph's adjacency masks stands for vertices[i], the label
+    order of the group, so each neighborhood mask is the Z mask as it is.
+    """
     labels = tuple(g.vertices)
     gens = [
-        pauli_from_ops(labels, {v: "X", **{u: "Z" for u in neighbors(g, v)}})
-        for v in g.vertices
+        PauliString(labels, 1 << i, nbrs)
+        for i, (v, nbrs) in enumerate(zip(labels, g.neighbor_masks))
         if v not in g.inputs
     ]
     return StabilizerGroup(labels, tuple(gens))
@@ -241,4 +211,3 @@ def group_to_json(group: StabilizerGroup) -> dict:
         "qubits": list(group.labels),
         "generators": [pauli_to_text(g) for g in group.generators],
     }
-

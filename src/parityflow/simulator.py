@@ -269,9 +269,11 @@ class MeasurementEntry:
 MeasurementRecord = tuple[MeasurementEntry, ...]
 
 
-def _outcome_bras(axis: Sequence[float]) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _outcome_bras(axis: tuple[float, float, float]) -> np.ndarray:
     """The +1 and -1 bras of a unit Bloch axis (x, y, z), as the rows of a
-    2x2 matrix, in discard_qubit's phase convention.
+    read-only 2x2 matrix, in discard_qubit's phase convention. Built once
+    per axis: every branch of a program measures the same few axes.
 
     Each is the row of larger norm of that outcome's projector, row 0 on a
     tie, normalised: the top row (1 + z, x - iy) / 2 of the +1 projector
@@ -288,7 +290,9 @@ def _outcome_bras(axis: Sequence[float]) -> np.ndarray:
     for a, b in (plus, minus):
         norm = math.hypot(abs(a), abs(b))
         rows.append((a / norm, b / norm))
-    return np.array(rows)
+    bras = np.array(rows)
+    bras.setflags(write=False)
+    return bras
 
 
 def _apply_paulis(amps: np.ndarray, labels: tuple[str, ...], xs: Iterable[str], zs: Iterable[str]) -> np.ndarray:

@@ -36,7 +36,7 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     """Symplectic inner product vanishes exactly for commuting strings."""
     if a.labels != b.labels:
         raise ValueError("label sets differ")
-    overlap = int(np.sum(a.x.astype(np.int64) * b.z) + np.sum(a.z.astype(np.int64) * b.x))
+    overlap = (a.x & b.z).bit_count() + (a.z & b.x).bit_count()
     return overlap % 2 == 0
 
 
@@ -47,7 +47,7 @@ def pauli_expectation(state: Statevector, p: PauliString) -> float:
     n = state.num_qubits
     transformed = state.amplitudes.reshape((2,) * n)
     for i in range(n):
-        matrix = _MATRICES.get((int(p.x[i]), int(p.z[i])))
+        matrix = _MATRICES.get((p.x >> i & 1, p.z >> i & 1))
         if matrix is not None:
             transformed = np.moveaxis(np.tensordot(matrix, transformed, axes=([1], [i])), 0, i)
     return float(p.sign * np.vdot(state.amplitudes, transformed.reshape(-1)).real)

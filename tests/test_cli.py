@@ -1,6 +1,7 @@
 """Command-line interface: output schemas, determinism, exit codes."""
 
 import gc
+import hashlib
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from parityflow.cli import _canonical_json, main
 from parityflow.gflow import canonical_yz_gflow
 from parityflow.layout import induced_graph
 from parityflow.mbqc_engine import run_repeated_mbqc
-from parityflow.parity_engine import all_outcome_branches, run_computation
+from parityflow.parity_engine import all_outcome_branches, measurement_count, run_computation
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -73,6 +74,18 @@ def test_stab_check_equivalence(runner, tmp_path):
     assert json.loads(result.stdout)["equal"] is True
 
 
+def test_stab_check_equivalence_stdout_pinned(runner, tmp_path):
+    """The stdout of n = 2..10, in order, is pinned byte for byte."""
+    layout_file = tmp_path / "layout.json"
+    digest = hashlib.sha256()
+    for n in range(2, 11):
+        layout_file.write_text(invoke(runner, ["lhz", "build", "--n", str(n)]).stdout)
+        result = invoke(runner, ["stab", "check-equivalence", "--layout", str(layout_file)])
+        assert result.exit_code == 0
+        digest.update(result.stdout.encode())
+    assert digest.hexdigest() == "64565216effb6927bb75429e4b9c8a5f56f6927301906da77767422df5d8b98b"
+
+
 def _write_program(runner, tmp_path, n=2, layers=None):
     layout = json.loads(invoke(runner, ["lhz", "build", "--n", str(n)]).stdout)
     program = {
@@ -126,7 +139,7 @@ def _per_branch_route(engine, path):
         count = len(layout.parity_qubits) * len(layers)
         run = lambda outcomes: run_repeated_mbqc(graph, psi, layers, flow, outcomes)  # noqa: E731
     else:
-        count = cli._measurement_count(layout, layers)
+        count = measurement_count(layout, layers)
         run = lambda outcomes: run_computation(layout, psi, layers, outcomes)  # noqa: E731
     outputs = []
     for outcomes in all_outcome_branches(count):
@@ -421,6 +434,34 @@ def test_usage_error_exit_code(runner):
 def test_malformed_program_shapes_exit_two(runner, tmp_path, command, layers, field):
     path = _write_program(runner, tmp_path, layers=layers)
     result = invoke(runner, [*command, "--program", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert field in result.stderr
+
+
+PATH_GRAPH = {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"]], "inputs": ["1", "3"], "outputs": ["1", "3"]}
+
+
+@pytest.mark.parametrize(
+    "command, document, field",
+    [
+        (["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "parity": [1]}, "'parity'"),
+        (["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "parity": [{"label": "(12)", "set": 5}]}, "'set'"),
+        (["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "constraints": [5]}, "'constraints'"),
+        (["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "n": "x"}, "'n'"),
+        (["gflow", "search", "--graph"], {**PATH_GRAPH, "edges": [1]}, "'edges'"),
+        (["sim", "mbqc", "--program"], {**README_PROGRAM, "graph": {**PATH_GRAPH, "edges": 3}}, "'edges'"),
+        (["sim", "parity", "--program"], {**README_PROGRAM, "input": [1, 2, 3, 4]}, "'input'"),
+        (["sim", "parity", "--program"], {**README_PROGRAM, "input": [[0.6, 0.0], [0.8, 0.0]]}, "'input'"),
+        (["sim", "parity", "--program"], {**README_PROGRAM, "layout": 5}, "layout JSON"),
+        (["sim", "mbqc", "--program"], {**README_PROGRAM, "graph": 3}, "graph JSON"),
+        (["compare", "--program"], [1], "program JSON"),
+    ],
+)
+def test_malformed_json_field_is_named(runner, tmp_path, command, document, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    result = invoke(runner, [*command, str(path)])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert field in result.stderr

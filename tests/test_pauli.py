@@ -183,7 +183,7 @@ def test_groups_equal_different_generating_sets():
             for i, gen in enumerate(gens):
                 if mask >> i & 1:
                     acc = multiply(acc, gen)
-            elements.add((acc.x.tobytes(), acc.z.tobytes(), acc.sign))
+            elements.add((acc.x, acc.z, acc.sign))
         return elements
 
     assert span(["+Z_1 Z_2", "+Z_2 Z_3"]) == span(["+Z_1 Z_3", "+Z_2 Z_3"])

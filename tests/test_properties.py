@@ -1,9 +1,9 @@
 """Property tests: bitmask graph queries, canonical forms, layout
-constraint checks and signed group equality against references that share
-no code with the package, the adjacency caches that with_io carries over
-against freshly built ones, and the fused measurement step, the one-row
-ancilla append and the phase-vector graph state against the kernels they
-replace."""
+constraint checks, signed group equality, Pauli products and Hadamard
+conjugation against references that share no code with the package, the
+adjacency caches that with_io carries over against freshly built ones, and
+the fused measurement step, the one-row ancilla append and the
+phase-vector graph state against the kernels they replace."""
 
 import itertools
 import math
@@ -29,7 +29,14 @@ from parityflow.graph import (
 )
 from parityflow.layout import ConstraintReport, ParityLayout, cz, validate_constraints
 from parityflow.mbqc_engine import prepare_graph_state, yz_axis
-from parityflow.pauli import PauliString, StabilizerGroup, groups_equal, multiply
+from parityflow.pauli import (
+    PauliString,
+    PhaseError,
+    StabilizerGroup,
+    groups_equal,
+    hadamard_conjugate,
+    multiply,
+)
 from parityflow.simulator import (
     BranchArray,
     OutcomeSource,
@@ -207,10 +214,13 @@ _PAULI = {
 }
 
 
+HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+
+
 def _dense(p: PauliString) -> np.ndarray:
     out = np.array([[p.sign]], dtype=complex)
-    for x, z in zip(p.x, p.z):
-        out = np.kron(out, _PAULI[(int(x), int(z))])
+    for i in range(len(p.labels)):
+        out = np.kron(out, _PAULI[(p.x >> i & 1, p.z >> i & 1)])
     return out
 
 
@@ -241,16 +251,19 @@ def _commuting_independent(n: int, candidates) -> list[PauliString]:
             continue
         span |= {s ^ word for s in span}
         words.append((x, z))
-        kept.append(
-            PauliString(labels, [x >> i & 1 for i in range(n)], [z >> i & 1 for i in range(n)], sign)
-        )
+        kept.append(PauliString(labels, x, z, sign))
     return kept
+
+
+def _signed_words(n: int):
+    """(x, z, sign) of a random signed Pauli string on n qubits."""
+    return st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1), st.sampled_from((1, -1)))
 
 
 @st.composite
 def group_pairs(draw):
     n = draw(st.integers(2, 4))
-    pauli = st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1), st.sampled_from((1, -1)))
+    pauli = _signed_words(n)
     a = _commuting_independent(n, draw(st.lists(pauli, max_size=10)))
     if draw(st.booleans()):
         # the same group, or one sign away, written with other generators
@@ -274,6 +287,47 @@ def group_pairs(draw):
 def test_groups_equal_matches_brute_force(pair):
     a, b = pair
     assert groups_equal(a, b) == (_signed_elements(a) == _signed_elements(b))
+
+
+@st.composite
+def string_pairs(draw):
+    n = draw(st.integers(1, 4))
+    labels = tuple(str(i) for i in range(n))
+    return tuple(PauliString(labels, *draw(_signed_words(n))) for _ in range(2))
+
+
+@FEW
+@given(string_pairs())
+def test_multiply_matches_dense_product(pair):
+    """A product of Pauli strings is Hermitian exactly when its phase is real."""
+    a, b = pair
+    product = _dense(a) @ _dense(b)
+    if np.allclose(product, product.conj().T):
+        assert np.allclose(_dense(multiply(a, b)), product)
+    else:
+        with pytest.raises(PhaseError):
+            multiply(a, b)
+
+
+@st.composite
+def groups_and_subsets(draw):
+    n = draw(st.integers(1, 4))
+    group = _commuting_independent(n, draw(st.lists(_signed_words(n), max_size=8)))
+    labels = tuple(str(i) for i in range(n))
+    return StabilizerGroup(labels, tuple(group)), draw(st.sets(st.sampled_from(labels)))
+
+
+@FEW
+@given(groups_and_subsets())
+def test_hadamard_conjugate_matches_dense_conjugation(case):
+    group, subset = case
+    layer = np.eye(1)
+    for q in group.labels:
+        layer = np.kron(layer, HADAMARD if q in subset else np.eye(2))
+    conjugated = hadamard_conjugate(group, subset)
+    assert len(conjugated.generators) == len(group.generators)
+    for g, h in zip(group.generators, conjugated.generators):
+        assert np.allclose(_dense(h), layer @ _dense(g) @ layer)
 
 
 # the YZ axis at theta = pi/2 has z = 6e-17: its projector rows differ in

@@ -97,6 +97,15 @@ def test_project_axis_must_be_unit():
         project(basis_state(("q",), "0"), "q", (0, 0, 2), 1)
 
 
+def test_outcome_bras_are_built_once_per_axis_and_checked_on_every_call():
+    bras = simulator._outcome_bras((0.0, 0.0, 1.0))
+    assert simulator._outcome_bras((0.0, 0.0, 1.0)) is bras
+    assert not bras.flags.writeable
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unit"):
+            simulator._outcome_bras((0.0, 0.0, 2.0))
+
+
 def test_projection_idempotent():
     rng = np.random.default_rng(11)
     for _ in range(25):
