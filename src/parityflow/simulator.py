@@ -324,7 +324,7 @@ def _odd_overlap(n: int, mask: int) -> np.ndarray:
     return odd
 
 
-def _measure_out(labels: tuple[str, ...], amps: np.ndarray, q: str, axis: Sequence[float]) -> tuple:
+def _measure_out(labels: tuple[str, ...], amps: np.ndarray, q: str, axis: tuple[float, float, float]) -> tuple:
     """Contract qubit q of every row of amps (B, 2^k) with both outcome bras.
 
     Returns the labels without q, the unnormalised outcome halves
