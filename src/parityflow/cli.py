@@ -44,20 +44,14 @@ def _canonical_json(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-class InputError(click.ClickException):
-    """Unusable input file or field; exits 2 like a usage error."""
-
-    exit_code = 2
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path) as handle:
             return json.load(handle)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _guard(fn):
@@ -67,8 +61,6 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
         except (ValueError, KeyError, TypeError) as exc:
             click.echo(f"error: {exc}", file=sys.stderr)
             sys.exit(2)
@@ -145,12 +137,12 @@ def stab_check(layout_path: str) -> None:
 
 def _load_program(data: dict):
     if not isinstance(data, dict):
-        raise InputError("program JSON must be an object")
+        raise ValueError("program JSON must be an object")
     try:
         layout = layout_mod.layout_from_json(data["layout"])
         layers = parity_engine.layers_from_json(data["layers"])
     except KeyError as exc:
-        raise InputError(f"program JSON missing field {exc.args[0]!r}") from exc
+        raise ValueError(f"program JSON missing field {exc.args[0]!r}") from exc
     if "input" in data:
         with graph_mod.json_field("input"):
             amps = np.array([complex(re, im) for re, im in data["input"]])
@@ -158,7 +150,7 @@ def _load_program(data: dict):
                 raise ValueError(f"expected {1 << layout.n} amplitudes, got {amps.size}")
         norm = np.linalg.norm(amps)
         if not 0.0 < norm < math.inf:
-            raise InputError(f"field 'input': norm {norm} cannot be normalised")
+            raise ValueError(f"field 'input': norm {norm} cannot be normalised")
         psi = simulator.Statevector(tuple(layout.data_qubits), amps / norm)
     else:
         psi = simulator.basis_state(layout.data_qubits, "0" * layout.n)
@@ -183,13 +175,13 @@ def _sim_command(engine: str, program: str, branches: str, samples: int, seed: i
     if engine == "mbqc":
         for layer in layers:
             if layer.decode is not None:
-                raise InputError("field 'decode': measurement-based runs decode fully each layer")
+                raise ValueError("field 'decode': measurement-based runs decode fully each layer")
         # an explicit graph may override the layout-induced one, as long as
         # its inputs carry the same labels as the data register
         if "graph" in data:
             graph = graph_mod.graph_from_json(data["graph"])
             if graph.inputs != frozenset(psi.labels):
-                raise InputError("field 'graph': inputs must match the program's data qubits")
+                raise ValueError("field 'graph': inputs must match the program's data qubits")
         else:
             graph = layout_mod.induced_graph(layout)
         flow = gflow_mod.canonical_yz_gflow(graph)
@@ -219,7 +211,7 @@ def _sim_command(engine: str, program: str, branches: str, samples: int, seed: i
         outputs = np.array([state.amplitudes for state, _ in runs])
         first = runs[:1]
     if not first:
-        raise InputError("no reachable outcome branch")
+        raise ValueError("no reachable outcome branch")
     reference, records = first[0]
     max_distance = float(simulator.distances_up_to_phase(outputs, reference.amplitudes).max())
     _dump(
@@ -270,7 +262,7 @@ def compare(program: str, tol: float, seed: int) -> None:
     layout, layers, psi = _load_program(_load_json(program))
     for layer in layers:
         if layer.decode is not None:
-            raise InputError("field 'decode': cross-engine programs decode fully each layer")
+            raise ValueError("field 'decode': cross-engine programs decode fully each layer")
     graph = layout_mod.induced_graph(layout)
     flow = gflow_mod.canonical_yz_gflow(graph)
     parity_out, _ = parity_engine.run_computation(

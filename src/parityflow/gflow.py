@@ -21,9 +21,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from parityflow.graph import (
+    DEFAULT_ENUMERATION_CAP,
     Graph,
     bipartition_check,
     enumerate_connected_graphs,
+    json_field,
+    json_labels,
     odd_neighborhood,
     with_io,
 )
@@ -92,8 +95,8 @@ class GFlow:
 
     @cached_property
     def verified_graphs(self) -> list[Graph]:
-        """Graph objects on which this flow passed the all-YZ verify_gflow
-        in `mbqc_engine.run_mbqc_yz`, to be compared by identity."""
+        """Graphs on which `mbqc_engine.run_mbqc_yz` or `run_all_branches`
+        found this flow valid under verify_gflow, compared by identity."""
         return []
 
 
@@ -309,8 +312,6 @@ def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None
 class WitnessStructure:
     maximal_self_corrections: bool
     no_edges_in_correction_union: bool
-    maximal_vertices: tuple[str, ...]
-    correction_union: tuple[str, ...]
 
     def __bool__(self) -> bool:
         return self.maximal_self_corrections and self.no_edges_in_correction_union
@@ -325,11 +326,11 @@ def witness_structure(flow: GFlow, graph: Graph) -> WitnessStructure:
     """
     measured = set(flow.g)
     closure = flow.closure
-    maximal = sorted(v for v in measured if not any((v, u) in closure for u in measured))
+    maximal = (v for v in measured if not any((v, u) in closure for u in measured))
     a_ok = all(flow.g[v] == frozenset({v}) for v in maximal)
-    union: set[str] = set().union(*flow.g.values()) if flow.g else set()
+    union: set[str] = set().union(*flow.g.values())
     b_ok = all(not (u in union and v in union) for u, v in graph.edges)
-    return WitnessStructure(a_ok, b_ok, tuple(maximal), tuple(sorted(union)))
+    return WitnessStructure(a_ok, b_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +445,8 @@ def yz_bipartite_sweep(
     """
     if max_n < 1:
         raise ValueError(f"max_n={max_n} must be at least 1")
-    if max_n > DEFAULT_SEARCH_CAP:
-        raise ValueError(f"max_n={max_n} above enumeration cap {DEFAULT_SEARCH_CAP}")
+    if max_n > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"max_n={max_n} above enumeration cap {DEFAULT_ENUMERATION_CAP}")
     if io_samples < 0:
         raise ValueError(f"io_samples={io_samples} must be at least 0")
     workers = default_workers() if workers is None else workers
@@ -512,11 +513,15 @@ def flow_to_json(flow: GFlow, planes: PlaneAssignment | None = None) -> dict:
 
 def flow_from_json(data: dict) -> tuple[GFlow, dict[str, str] | None]:
     """Read a witness; the order is taken to be the layer order."""
+    if not isinstance(data, dict):
+        raise ValueError("flow JSON must be an object")
     try:
         if not isinstance(data["g"], dict):
             raise ValueError("field 'g' must map vertices to correction sets")
-        g = {v: frozenset(s) for v, s in data["g"].items()}
-        layers = [frozenset(layer) for layer in data["layers"]]
+        with json_field("g"):
+            g = {v: frozenset(json_labels(s)) for v, s in data["g"].items()}
+        with json_field("layers"):
+            layers = [frozenset(json_labels(layer)) for layer in data["layers"]]
     except KeyError as exc:
         raise ValueError(f"flow JSON missing field {exc.args[0]!r}") from exc
     precedence = {
@@ -527,4 +532,6 @@ def flow_from_json(data: dict) -> tuple[GFlow, dict[str, str] | None]:
         for u in layers[j]
     }
     planes = data.get("planes")
+    if planes is not None and not (isinstance(planes, dict) and all(isinstance(p, str) for p in planes.values())):
+        raise ValueError("field 'planes' must map vertices to plane names")
     return GFlow(g=g, precedence=frozenset(precedence), layers=tuple(layers)), planes

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-# enumerate_connected_graphs refuses n above this unless the caller raises it
+# enumerate_connected_graphs refuses n above this
 DEFAULT_ENUMERATION_CAP = 8
 
 VertexSet = frozenset[str]
@@ -257,7 +257,7 @@ def _connected_reps(n: int) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
-def enumerate_connected_graphs(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Graph]:
+def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs on n vertices.
 
     Deterministic order (ascending canonical form). Counts for n = 1..8:
@@ -265,8 +265,8 @@ def enumerate_connected_graphs(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> It
     """
     if n < 1:
         raise ValueError("vertex count must be positive")
-    if n > cap:
-        raise ValueError(f"enumeration cap exceeded: n={n} > cap={cap}")
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"enumeration cap exceeded: n={n} > cap={DEFAULT_ENUMERATION_CAP}")
     for mask in _connected_reps(n):
         yield _graph_from_mask(n, mask)
 
@@ -295,6 +295,13 @@ def json_field(name: str) -> Iterator[None]:
         raise ValueError(f"field {name!r}: {exc}") from exc
 
 
+def json_labels(value) -> tuple[str, ...]:
+    """A JSON list of vertex or qubit labels; TypeError unless each is a string."""
+    if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
+        raise TypeError(f"expected a list of string labels, got {value!r}")
+    return tuple(value)
+
+
 def graph_from_json(data: dict) -> Graph:
     if not isinstance(data, dict):
         raise ValueError("graph JSON must be an object")
@@ -303,13 +310,13 @@ def graph_from_json(data: dict) -> Graph:
     except KeyError as exc:
         raise ValueError(f"graph JSON missing field {exc.args[0]!r}") from exc
     with json_field("vertices"):
-        vertices = tuple(vertices)
+        vertices = json_labels(vertices)
     with json_field("edges"):
-        edges = [(u, v) for u, v in edges]
+        edges = [(u, v) for u, v in map(json_labels, edges)]
     with json_field("inputs"):
-        inputs = frozenset(data.get("inputs", ()))
+        inputs = json_labels(data.get("inputs", []))
     with json_field("outputs"):
-        outputs = frozenset(data.get("outputs", ()))
+        outputs = json_labels(data.get("outputs", []))
     return make_graph(vertices, edges, inputs, outputs)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from parityflow.graph import Graph, json_field, make_graph
+from parityflow.graph import Graph, json_field, json_labels, make_graph
 
 
 @dataclass(frozen=True)
@@ -198,14 +198,18 @@ def layout_from_json(data: dict) -> ParityLayout:
     if not isinstance(data, dict):
         raise ValueError("layout JSON must be an object")
     try:
-        with json_field("n"):
-            n = int(data["n"])
+        n = data["n"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"field 'n': {n!r} is not a positive integer")
         with json_field("parity"):
-            parity_qubits = tuple(entry["label"] for entry in data["parity"])
+            labels = [entry["label"] for entry in data["parity"]]
+            sets = [entry["set"] for entry in data["parity"]]
+        with json_field("label"):
+            parity_qubits = json_labels(labels)
         with json_field("set"):
-            sets = [frozenset(entry["set"]) for entry in data["parity"]]
+            sets = [frozenset(json_labels(s)) for s in sets]
         with json_field("constraints"):
-            constraints = tuple((c, t) for c, t in data["constraints"])
+            constraints = tuple((c, t) for c, t in map(json_labels, data["constraints"]))
     except KeyError as exc:
         raise ValueError(f"layout JSON missing field {exc.args[0]!r}") from exc
     data_qubits = tuple(str(i) for i in range(1, n + 1))

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -284,6 +285,22 @@ def test_module_entry_point_runs_the_command(runner):
     assert done.stdout == invoke(runner, ["lhz", "build", "--n", "2"]).stdout
 
 
+def test_package_import_loads_every_traced_module():
+    """The bench tracer patches the modules it finds in sys.modules, so
+    `import parityflow` alone has to load every module it wraps."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", os.path.join(SRC, "..", "bench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wanted = {f"parityflow.{module}" for module, _, _ in tracer.SPANNED + tracer.COUNTED + tracer.CONSTRUCTIONS}
+    assert len(wanted) == 7
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, parityflow; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert wanted <= set(done.stdout.split())
+
+
 def test_zero_input_exits_two_without_nan(runner, tmp_path):
     path = _write_program(runner, tmp_path)
     program = json.loads(path.read_text())
@@ -440,6 +457,8 @@ def test_malformed_program_shapes_exit_two(runner, tmp_path, command, layers, fi
 
 
 PATH_GRAPH = {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"]], "inputs": ["1", "3"], "outputs": ["1", "3"]}
+PATH_FLOW = {"g": {"2": ["2"]}, "layers": [["2"], ["1", "3"]]}
+VERIFY = ["gflow", "verify", "--graph", "graph.json", "--flow"]
 
 
 @pytest.mark.parametrize(
@@ -456,9 +475,33 @@ PATH_GRAPH = {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"]], "i
         (["sim", "parity", "--program"], {**README_PROGRAM, "layout": 5}, "layout JSON"),
         (["sim", "mbqc", "--program"], {**README_PROGRAM, "graph": 3}, "graph JSON"),
         (["compare", "--program"], [1], "program JSON"),
+        (["gflow", "search", "--graph"], {"vertices": [["a"], "b"], "edges": []}, "'vertices'"),
+        (["gflow", "search", "--graph"], {**PATH_GRAPH, "edges": [["1", ["2"]]]}, "'edges'"),
+        (["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "parity": [{"label": ["x"], "set": ["1", "2"]}]}, "'label'"),
+        (["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "parity": [{"label": "(12)", "set": [1, 2]}]}, "'set'"),
+        (["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "constraints": [["1", "(12)"], [2, "(12)"]]}, "'constraints'"),
+        (VERIFY, {**PATH_FLOW, "g": {"2": [["2"]]}}, "'g'"),
+        (VERIFY, {**PATH_FLOW, "layers": [[["2"]], ["1", "3"]]}, "'layers'"),
+        (VERIFY, {**PATH_FLOW, "planes": {"2": ["YZ"]}}, "'planes'"),
+        (VERIFY, [], "flow JSON"),
+        (VERIFY, {**PATH_FLOW, "g": {"2": 5}}, "'g'"),
+        (VERIFY, {**PATH_FLOW, "layers": [5, ["1", "3"]]}, "'layers'"),
+        (["sim", "parity", "--program"], {**README_PROGRAM, "layers": [{"theta": {"(12)": "x"}}]}, "'theta'"),
+        (["sim", "parity", "--program"], {**README_PROGRAM, "layers": [{"theta": {"(12)": None}}]}, "'theta'"),
+        (["sim", "parity", "--program"], {**README_PROGRAM, "layers": [{"theta": {"(12)": math.inf}}]}, "'theta'"),
+        (["sim", "parity", "--program"], {**README_PROGRAM, "layers": [{"theta": {"(12)": math.nan}}]}, "'theta'"),
+        (["compare", "--program"], {**README_PROGRAM, "layers": [{"alpha": {"1": math.inf}}]}, "'alpha'"),
+        (["sim", "parity", "--program"], {**README_PROGRAM, "layers": [{"decode": 5}]}, "'decode'"),
+        (["sim", "parity", "--program"], {**README_PROGRAM, "layers": [{"theta": {"(12)": True}}]}, "'theta'"),
+        (["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "n": 2.7}, "'n'"),
+        (["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "n": True}, "'n'"),
+        (["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "n": 0}, "'n'"),
+        (["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "n": -1}, "'n'"),
     ],
 )
-def test_malformed_json_field_is_named(runner, tmp_path, command, document, field):
+def test_malformed_json_field_is_named(runner, tmp_path, monkeypatch, command, document, field):
+    (tmp_path / "graph.json").write_text(json.dumps(PATH_GRAPH))
+    monkeypatch.chdir(tmp_path)  # VERIFY reads graph.json from the working directory
     path = tmp_path / "input.json"
     path.write_text(json.dumps(document))
     result = invoke(runner, [*command, str(path)])
