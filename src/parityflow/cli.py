@@ -145,7 +145,7 @@ def _load_program(data: dict):
         raise ValueError(f"program JSON missing field {exc.args[0]!r}") from exc
     if "input" in data:
         with graph_mod.json_field("input"):
-            amps = np.array([complex(re, im) for re, im in data["input"]])
+            amps = np.array([complex(graph_mod.json_number(re), graph_mod.json_number(im)) for re, im in data["input"]])
             if amps.shape != (1 << layout.n,):
                 raise ValueError(f"expected {1 << layout.n} amplitudes, got {amps.size}")
         norm = np.linalg.norm(amps)

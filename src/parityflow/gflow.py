@@ -7,7 +7,8 @@ scheduling. Five conditions tie g, the order, and the measurement planes
 together; `verify_gflow` checks all of them, `search_gflow_yz` finds a
 witness for all-YZ plane assignments by exhaustive search, and
 `yz_bipartite_sweep` confronts that search with a bipartiteness test over
-every small connected graph.
+every small connected graph. All three work on int vertex masks, bit i for
+`graph.vertices[i]`; the sweep builds objects only for the flows it finds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from parityflow.graph import (
     enumerate_connected_graphs,
     json_field,
     json_labels,
-    odd_neighborhood,
     with_io,
 )
 
@@ -121,6 +121,24 @@ class VerifyResult:
         return self.ok
 
 
+def _after_masks(graph: Graph, flow: GFlow) -> list[int]:
+    """Entry i: the mask of the vertices after vertices[i] in the flow's
+    order. MalformedFlowError unless the layering covers the vertex set."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    if set().union(*flow.layers) != index.keys():
+        raise MalformedFlowError("layering must partition the vertex set")
+    successors: dict[str, list[int]] = {}
+    for v, u in flow.precedence:
+        successors.setdefault(v, []).append(index[u])
+    after = [0] * len(index)
+    # deepest layer first: a successor's mask is final before it is read
+    for layer in reversed(flow.layers):
+        for v in layer & successors.keys():
+            for j in successors[v]:
+                after[index[v]] |= 1 << j | after[j]
+    return after
+
+
 def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow) -> VerifyResult:
     """Check the five gflow conditions for every measured vertex.
 
@@ -144,32 +162,33 @@ def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow) -> VerifyRe
     bad_planes = {p for p in planes.values() if p not in PLANES}
     if bad_planes:
         raise MalformedFlowError(f"unknown planes {sorted(bad_planes)}")
-    layered = set().union(*flow.layers) if flow.layers else set()
-    if layered != vertices:
-        raise MalformedFlowError("layering must partition the vertex set")
+    after = _after_masks(graph, flow)
     allowed = vertices - graph.inputs
-    order_index = {v: i for i, v in enumerate(graph.vertices)}
-    closure = flow.closure
     violations: list[Violation] = []
-    for v in sorted(measured, key=order_index.get):
+    for i, v in enumerate(graph.vertices):
+        if v in graph.outputs:
+            continue
         corr = flow.g[v]
         if not corr <= allowed:
             raise MalformedFlowError(f"g({v!r}) is not a subset of the non-input vertices")
-        odd = odd_neighborhood(graph, corr)
-        for u in sorted(corr - {v}, key=order_index.get):
-            if (v, u) not in closure:
-                violations.append(Violation(v, 1, f"{u!r} in g({v!r}) but not after {v!r}"))
-                break
-        for u in sorted(odd - {v}, key=order_index.get):
-            if (v, u) not in closure:
-                violations.append(Violation(v, 2, f"{u!r} in Odd(g({v!r})) but not after {v!r}"))
-                break
+        bit = 1 << i
+        s = graph.mask_of(corr)
+        odd = graph.odd_mask(s)
+        # the lowest bit not after v is the first offender in vertex order
+        late = s & ~bit & ~after[i]
+        if late:
+            u = graph.vertices[(late & -late).bit_length() - 1]
+            violations.append(Violation(v, 1, f"{u!r} in g({v!r}) but not after {v!r}"))
+        late = odd & ~bit & ~after[i]
+        if late:
+            u = graph.vertices[(late & -late).bit_length() - 1]
+            violations.append(Violation(v, 2, f"{u!r} in Odd(g({v!r})) but not after {v!r}"))
         plane = planes[v]
-        if plane == "XY" and not (v not in corr and v in odd):
+        if plane == "XY" and not (not s & bit and odd & bit):
             violations.append(Violation(v, 3, f"XY at {v!r} needs v outside g(v) and inside Odd(g(v))"))
-        elif plane == "XZ" and not (v in corr and v in odd):
+        elif plane == "XZ" and not (s & bit and odd & bit):
             violations.append(Violation(v, 4, f"XZ at {v!r} needs v inside g(v) and inside Odd(g(v))"))
-        elif plane == "YZ" and not (v in corr and v not in odd):
+        elif plane == "YZ" and not (s & bit and not odd & bit):
             violations.append(Violation(v, 5, f"YZ at {v!r} needs v inside g(v) and outside Odd(g(v))"))
     return VerifyResult(not violations, tuple(violations))
 
@@ -201,14 +220,7 @@ def canonical_yz_gflow(graph: Graph) -> GFlow:
 # ---------------------------------------------------------------------------
 
 def _bit_indices(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @lru_cache(maxsize=None)
@@ -222,34 +234,10 @@ def _submasks_by_size(support: int) -> tuple[int, ...]:
     return tuple(sorted(subs, key=lambda s: (s.bit_count(), s)))
 
 
-def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None:
-    """Find a YZ-plane gflow by exhaustive search, or prove none exists.
-
-    A gflow is a peel order: some measured vertex v can be measured last
-    among the still-unplaced set R when a correction set S inside the
-    non-input vertices has S and Odd(S) meeting R in exactly {v} and not
-    at all, respectively. Such an S is {v} plus a set T of vertices
-    outside R (measured after v, or outputs); the peel takes the first
-    that fits, T by (size, value) with the empty set first, then peels
-    R - v. Whether R can be peeled depends only on R, so any fitting S
-    serves as well as another, and the search memoizes the subsets that
-    fail; a None result is therefore a proof that no gflow exists.
-    Deliberately independent of any bipartiteness reasoning.
-    """
-    n = len(graph.vertices)
-    if n > cap:
-        raise ValueError(f"search cap exceeded: {n} vertices > cap={cap}")
-    if len(graph.inputs) != len(graph.outputs):
-        raise ValueError("search requires |I| = |O|")
-    all_mask = (1 << n) - 1
-    output_mask = graph.mask_of(graph.outputs)
-    measured_mask = all_mask & ~output_mask
-    support = all_mask & ~graph.mask_of(graph.inputs)
-    if measured_mask & ~support:
-        return None  # a measured input must lie in its own correction set but cannot
-
-    chosen: dict[int, tuple[int, int]] = {}  # v -> (g(v), Odd(g(v)))
-    order: list[int] = []  # measurement order, earliest first
+def _yz_peel(graph: Graph, measured_mask: int, support: int) -> list[tuple[int, int, int]] | None:
+    """The search's peel on masks, correction sets inside `support`: the
+    (v, g(v), Odd(g(v))) in measurement order, or None when no flow exists."""
+    peeled: list[tuple[int, int, int]] = []
     dead: set[int] = set()
 
     def peel(remaining: int) -> bool:
@@ -269,39 +257,66 @@ def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None
                 if odd & remaining:
                     continue
                 if peel(remaining ^ low):
-                    v = low.bit_length() - 1
-                    chosen[v] = (s, odd)
-                    order.append(v)
+                    peeled.append((low.bit_length() - 1, s, odd))
                     return True
                 break  # any other fitting S leaves the same subset to peel
         dead.add(remaining)
         return False
 
-    if not peel(measured_mask):
-        return None
+    return peeled if peel(measured_mask) else None
 
+
+def _yz_witness(graph: Graph, peeled: list[tuple[int, int, int]]) -> GFlow:
+    """The GFlow of a peel on `graph`, layered by longest path and checked."""
     labels = graph.vertices
     precedence = set()
     # longest-path layering: every successor of v is measured after v
-    depth = dict.fromkeys(order, 0)
-    for v in order:
-        s, odd = chosen[v]
+    depth = {v: 0 for v, _, _ in peeled}
+    for v, s, odd in peeled:
         for u in _bit_indices((s | odd) & ~(1 << v)):
             precedence.add((labels[v], labels[u]))
             if u in depth:
                 depth[u] = max(depth[u], depth[v] + 1)
-    measured = sorted(order)
     layers: list[set[str]] = [set() for _ in range(max(depth.values(), default=-1) + 1)]
-    for v in measured:
+    for v in sorted(depth):
         layers[depth[v]].add(labels[v])
-    if output_mask:
+    if graph.outputs:
         layers.append(graph.outputs)
-    g_map = {labels[v]: graph.vertices_of(chosen[v][0]) for v in measured}
+    g_map = {labels[v]: graph.vertices_of(s) for v, s, _ in sorted(peeled)}
     flow = GFlow(g=g_map, precedence=frozenset(precedence), layers=tuple(frozenset(s) for s in layers))
     result = verify_gflow(graph, yz_planes(graph), flow)
     if not result:
         raise AssertionError(f"search produced an invalid witness: {result.violations}")
     return flow
+
+
+def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None:
+    """Find a YZ-plane gflow by exhaustive search, or prove none exists.
+
+    A gflow is a peel order: some measured vertex v can be measured last
+    among the still-unplaced set R when a correction set S inside the
+    non-input vertices has S and Odd(S) meeting R in exactly {v} and not
+    at all, respectively. Such an S is {v} plus a set T of vertices
+    outside R (measured after v, or outputs); the peel takes the first
+    that fits, T by (size, value) with the empty set first, then peels
+    R - v. Whether R can be peeled depends only on R, so any fitting S
+    serves as well as another, and the search memoizes the subsets that
+    fail; a None result is therefore a proof that no gflow exists.
+    Deliberately independent of any bipartiteness reasoning.
+    The peel runs on int masks; only a peel that succeeds becomes a `GFlow`.
+    """
+    n = len(graph.vertices)
+    if n > cap:
+        raise ValueError(f"search cap exceeded: {n} vertices > cap={cap}")
+    if len(graph.inputs) != len(graph.outputs):
+        raise ValueError("search requires |I| = |O|")
+    all_mask = (1 << n) - 1
+    measured_mask = all_mask & ~graph.mask_of(graph.outputs)
+    support = all_mask & ~graph.mask_of(graph.inputs)
+    if measured_mask & ~support:
+        return None  # a measured input must lie in its own correction set but cannot
+    peeled = _yz_peel(graph, measured_mask, support)
+    return None if peeled is None else _yz_witness(graph, peeled)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +338,14 @@ def witness_structure(flow: GFlow, graph: Graph) -> WitnessStructure:
     (a) every measured vertex maximal in the order restricted to measured
         vertices has g(v) = {v};
     (b) the union of all correction sets spans no edge of the graph.
+    MalformedFlowError unless the layering covers the graph's vertex set.
     """
-    measured = set(flow.g)
-    closure = flow.closure
-    maximal = (v for v in measured if not any((v, u) in closure for u in measured))
-    a_ok = all(flow.g[v] == frozenset({v}) for v in maximal)
-    union: set[str] = set().union(*flow.g.values())
-    b_ok = all(not (u in union and v in union) for u, v in graph.edges)
+    after = _after_masks(graph, flow)
+    measured = graph.mask_of(flow.g)
+    maximal = (v for i, v in enumerate(graph.vertices) if v in flow.g and not after[i] & measured)
+    a_ok = all(flow.g[v] == {v} for v in maximal)
+    union = graph.mask_of(set().union(*flow.g.values()))
+    b_ok = not any(graph.neighbor_masks[i] & union for i in _bit_indices(union))
     return WitnessStructure(a_ok, b_ok)
 
 
@@ -388,35 +404,40 @@ def _discrepancy(n: int, graph_index: int, inputs: frozenset[str], found: bool, 
     return Discrepancy(n, graph_index, tuple(sorted(inputs)), tuple(sorted(inputs)), found, expected)
 
 
-def _sweep_one_graph(args: tuple[int, int, Graph]) -> tuple[int, int, dict, list, list, list]:
+def _sweep_one_graph(args: tuple[int, int, Graph, bool]) -> tuple[int, int, dict, list, list, list]:
     """Worker: all input-set choices with O = I for one enumerated graph.
 
-    The bipartiteness side is evaluated on the effective graph (edges inside
-    the input set dropped): those edges enter neither the prepared state nor
-    any correction set, so the flow search is provably blind to them.
+    Each choice is decided on masks, bipartiteness without the edges inside
+    I (they enter neither the prepared state nor any correction set). Objects
+    are built only for a flow found or a discrepancy; witnesses return if `keep`.
     """
-    n, graph_index, base = args
-    masks = base.neighbor_masks  # built once here; with_io hands it to all 2^n instances
+    n, graph_index, base, keep = args
+    masks = base.neighbor_masks  # built once here; with_io hands it to every open graph
     counts = {"instances": 0, "flows_found": 0, "bipartite_instances": 0}
     discrepancies = []
     witness_failures = []
     witnesses = []
-    vertices = base.vertices
     for mask in range(1 << n):
-        inputs = frozenset(vertices[i] for i in range(n) if mask >> i & 1)
-        g = with_io(base, inputs, inputs)
-        flow = search_gflow_yz(g)
+        free = ~mask & ((1 << n) - 1)  # the measured vertices, and every correction set's support
+        peeled = _yz_peel(base, free, free)
+        found = peeled is not None
         # edges inside I are dropped, so I is one side iff V - I spans no edge
-        expected = not any(masks[i] & ~mask for i in range(n) if not mask >> i & 1)
+        expected = not any(masks[i] & free for i in range(n) if free >> i & 1)
         counts["instances"] += 1
-        counts["flows_found"] += flow is not None
+        counts["flows_found"] += found
         counts["bipartite_instances"] += expected
-        if (flow is not None) != expected:
-            discrepancies.append(_discrepancy(n, graph_index, inputs, flow is not None, expected))
-        if flow is not None:
-            witnesses.append((g, flow))
+        if not found and not expected:
+            continue
+        inputs = frozenset(base.vertices[i] for i in range(n) if mask >> i & 1)
+        if found != expected:
+            discrepancies.append(_discrepancy(n, graph_index, inputs, found, expected))
+        if found:
+            g = with_io(base, inputs, inputs)
+            flow = _yz_witness(g, peeled)
+            if keep:
+                witnesses.append((g, flow))
             if not witness_structure(flow, g):
-                witness_failures.append(_discrepancy(n, graph_index, inputs, flow is not None, expected))
+                witness_failures.append(_discrepancy(n, graph_index, inputs, found, expected))
     return n, graph_index, counts, discrepancies, witness_failures, witnesses
 
 
@@ -462,7 +483,7 @@ def yz_bipartite_sweep(
             "flows_found": 0,
             "bipartite_instances": 0,
         }
-        tasks.extend((n, i, base) for i, base in enumerate(bases))
+        tasks.extend((n, i, base, keep_witnesses) for i, base in enumerate(bases))
 
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -475,8 +496,7 @@ def yz_bipartite_sweep(
             report.per_n[n][key] += value
         report.discrepancies.extend(discrepancies)
         report.witness_failures.extend(witness_failures)
-        if keep_witnesses:
-            report.witnesses.extend(witnesses)
+        report.witnesses.extend(witnesses)
 
     # I != O instances: equal sizes, still no flow may exist; they need n >= 2
     rng = np.random.default_rng(seed)

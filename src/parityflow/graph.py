@@ -8,6 +8,7 @@ functions of immutable values.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -300,6 +301,14 @@ def json_labels(value) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
         raise TypeError(f"expected a list of string labels, got {value!r}")
     return tuple(value)
+
+
+def json_number(value) -> float:
+    """A finite JSON number, not a bool, such as an angle or an amplitude part."""
+    # an exact comparison: an int too large for a float fails here, not in float()
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
 
 
 def graph_from_json(data: dict) -> Graph:

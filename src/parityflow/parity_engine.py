@@ -20,11 +20,10 @@ checks.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from parityflow.graph import json_field, json_labels
+from parityflow.graph import json_field, json_labels, json_number
 from parityflow.layout import Gate, ParityLayout, cnot, encoding_circuit, rx, rz
 from parityflow.simulator import (
     BranchArray,
@@ -271,17 +270,9 @@ def layers_from_json(data: Sequence[dict]) -> list[LayerParams]:
             if not isinstance(entry.get(key, {}), dict):
                 raise ValueError(f"field {key!r} must map qubits to angles")
             with json_field(key):
-                angles[key] = {k: _angle(v) for k, v in entry.get(key, {}).items()}
+                angles[key] = {k: json_number(v) for k, v in entry.get(key, {}).items()}
         decode = entry.get("decode", "all")
         with json_field("decode"):
             decode = None if decode == "all" else frozenset(json_labels(decode))
         layers.append(LayerParams(**angles, decode=decode))
     return layers
-
-
-def _angle(value) -> float:
-    """A JSON angle: a finite number, not a bool."""
-    # an exact comparison: an int too large for a float fails here, not in float()
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{value!r} is not a finite number")
-    return float(value)

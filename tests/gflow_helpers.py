@@ -1,0 +1,67 @@
+"""Reference gflow checks that only the tests need: the five gflow
+conditions and the witness structure facts, on label sets and the flow's
+closure pairs, with Odd sets read off the edge list. The package checks
+the same on int masks."""
+
+from parityflow.gflow import PLANES, MalformedFlowError, Violation, VerifyResult, WitnessStructure
+
+
+def _odd(graph, corr) -> set:
+    """Vertices with an odd number of neighbors in corr, by edge scan."""
+    odd = set()
+    for u, v in graph.edges:
+        if u in corr:
+            odd ^= {v}
+        if v in corr:
+            odd ^= {u}
+    return odd
+
+
+def verify_gflow(graph, planes, flow) -> VerifyResult:
+    vertices = set(graph.vertices)
+    measured = vertices - graph.outputs
+    if set(flow.g) != measured:
+        raise MalformedFlowError("correction map domain must be exactly the measured vertices")
+    if set(planes) != measured:
+        raise MalformedFlowError("plane assignment domain must be exactly the measured vertices")
+    bad_planes = {p for p in planes.values() if p not in PLANES}
+    if bad_planes:
+        raise MalformedFlowError(f"unknown planes {sorted(bad_planes)}")
+    layered = set().union(*flow.layers) if flow.layers else set()
+    if layered != vertices:
+        raise MalformedFlowError("layering must partition the vertex set")
+    allowed = vertices - graph.inputs
+    order_index = {v: i for i, v in enumerate(graph.vertices)}
+    closure = flow.closure
+    violations = []
+    for v in sorted(measured, key=order_index.get):
+        corr = flow.g[v]
+        if not corr <= allowed:
+            raise MalformedFlowError(f"g({v!r}) is not a subset of the non-input vertices")
+        odd = _odd(graph, corr)
+        for u in sorted(corr - {v}, key=order_index.get):
+            if (v, u) not in closure:
+                violations.append(Violation(v, 1, f"{u!r} in g({v!r}) but not after {v!r}"))
+                break
+        for u in sorted(odd - {v}, key=order_index.get):
+            if (v, u) not in closure:
+                violations.append(Violation(v, 2, f"{u!r} in Odd(g({v!r})) but not after {v!r}"))
+                break
+        plane = planes[v]
+        if plane == "XY" and not (v not in corr and v in odd):
+            violations.append(Violation(v, 3, f"XY at {v!r} needs v outside g(v) and inside Odd(g(v))"))
+        elif plane == "XZ" and not (v in corr and v in odd):
+            violations.append(Violation(v, 4, f"XZ at {v!r} needs v inside g(v) and inside Odd(g(v))"))
+        elif plane == "YZ" and not (v in corr and v not in odd):
+            violations.append(Violation(v, 5, f"YZ at {v!r} needs v inside g(v) and outside Odd(g(v))"))
+    return VerifyResult(not violations, tuple(violations))
+
+
+def witness_structure(flow, graph) -> WitnessStructure:
+    measured = set(flow.g)
+    closure = flow.closure
+    maximal = (v for v in measured if not any((v, u) in closure for u in measured))
+    a_ok = all(flow.g[v] == frozenset({v}) for v in maximal)
+    union = set().union(*flow.g.values())
+    b_ok = all(not (u in union and v in union) for u, v in graph.edges)
+    return WitnessStructure(a_ok, b_ok)

@@ -410,6 +410,13 @@ def test_sweep_small(runner):
     assert data["discrepancies"] == []
 
 
+def test_sweep_stdout_is_independent_of_the_worker_count(runner):
+    serial = invoke(runner, ["sweep", "--max-n", "5", "--workers", "1"])
+    pooled = invoke(runner, ["sweep", "--max-n", "5", "--workers", "2"])
+    assert serial.exit_code == pooled.exit_code == 0
+    assert serial.stdout == pooled.stdout
+
+
 def test_sweep_max_n_one_and_zero(runner):
     result = invoke(runner, ["sweep", "--max-n", "1", "--workers", "1"])
     assert result.exit_code == 0
@@ -497,6 +504,10 @@ VERIFY = ["gflow", "verify", "--graph", "graph.json", "--flow"]
         (["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "n": True}, "'n'"),
         (["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "n": 0}, "'n'"),
         (["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "n": -1}, "'n'"),
+        (["sim", "parity", "--program"], {**README_PROGRAM, "input": [[10**400, 0.0]] + [[0.5, 0.0]] * 3}, "'input'"),
+        (["sim", "parity", "--program"], {**README_PROGRAM, "input": [[True, False]] + [[0.5, 0.0]] * 3}, "'input'"),
+        (["sim", "parity", "--program"], {**README_PROGRAM, "input": [[None, 0.0]] + [[0.5, 0.0]] * 3}, "'input'"),
+        (["sim", "parity", "--program"], {**README_PROGRAM, "input": [["0.5", 0.0]] + [[0.5, 0.0]] * 3}, "'input'"),
     ],
 )
 def test_malformed_json_field_is_named(runner, tmp_path, monkeypatch, command, document, field):

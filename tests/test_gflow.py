@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from parityflow import gflow as gflow_module
 from parityflow import graph as graph_module
 from parityflow.gflow import (
     GFlow,
@@ -314,6 +315,59 @@ def test_sweep_builds_each_graph_once(monkeypatch):
     report = yz_bipartite_sweep(5, io_samples=20, workers=1)
     assert report.ok
     assert len(built) == sum(counts["graphs"] for counts in report.per_n.values()) == 31
+
+
+def test_sweep_builds_open_graphs_only_for_flows_found(monkeypatch):
+    # instances are decided on masks, so with_io runs once per flow found
+    # and once per I != O sample, not once per instance
+    calls = []
+
+    def counting(g, inputs, outputs):
+        calls.append(1)
+        return original(g, inputs, outputs)
+
+    original = gflow_module.with_io
+    monkeypatch.setattr(gflow_module, "with_io", counting)
+    report = yz_bipartite_sweep(5, io_samples=20, workers=1)
+    assert report.ok
+    flows = sum(counts["flows_found"] for counts in report.per_n.values())
+    instances = sum(counts["instances"] for counts in report.per_n.values())
+    assert len(calls) == flows + report.io_mismatch_cases < instances
+
+
+def test_sweep_witnesses_equal_the_public_search():
+    report = yz_bipartite_sweep(5, io_samples=0, workers=1)
+    swept = iter(report.witnesses)
+    for n in range(1, 6):
+        for base in enumerate_connected_graphs(n):
+            for mask in range(1 << n):
+                inputs = [v for i, v in enumerate(base.vertices) if mask >> i & 1]
+                g = with_io(base, inputs, inputs)
+                flow = search_gflow_yz(g)
+                if flow is None:
+                    continue
+                sg, sflow = next(swept)
+                assert (sorted(sg.edges), sorted(sg.inputs), sg.outputs) == (sorted(g.edges), sorted(g.inputs), g.outputs)
+                assert flow_to_json(sflow) == flow_to_json(flow)
+                assert sorted(sflow.precedence) == sorted(flow.precedence)
+    assert next(swept, None) is None
+
+
+def test_sweep_worker_checks_but_drops_witnesses_when_not_kept(monkeypatch):
+    checked = []
+
+    def counting(flow, g):
+        checked.append(flow)
+        return original(flow, g)
+
+    original = gflow_module.witness_structure
+    monkeypatch.setattr(gflow_module, "witness_structure", counting)
+    base = make_graph(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4")])
+    kept = gflow_module._sweep_one_graph((4, 0, base, True))
+    dropped = gflow_module._sweep_one_graph((4, 0, base, False))
+    assert kept[:5] == dropped[:5]
+    assert dropped[5] == [] and len(kept[5]) == kept[2]["flows_found"] > 0
+    assert len(checked) == 2 * kept[2]["flows_found"]
 
 
 def test_flow_json_round_trip():

@@ -1,8 +1,9 @@
 """Property tests: bitmask graph queries, canonical forms, layout
 constraint checks, signed group equality, Pauli products and Hadamard
 conjugation against references that share no code with the package, the
-adjacency caches that with_io carries over against freshly built ones, and
-the fused measurement step, the one-row ancilla append and the
+adjacency caches that with_io carries over against freshly built ones, the
+mask-based gflow checks against their set-based references, and the fused
+measurement step, the one-row ancilla append and the
 phase-vector graph state against the kernels they replace."""
 
 import itertools
@@ -15,7 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parityflow import simulator
-from parityflow.gflow import flow_to_json, search_gflow_yz
+from parityflow.gflow import (
+    PLANES,
+    GFlow,
+    MalformedFlowError,
+    flow_to_json,
+    search_gflow_yz,
+    verify_gflow,
+    witness_structure,
+    yz_planes,
+)
 from parityflow.graph import (
     Graph,
     bipartition_check,
@@ -52,6 +62,8 @@ from parityflow.simulator import (
     project,
     random_state,
 )
+
+import gflow_helpers as reference
 
 FEW = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -152,6 +164,71 @@ def test_with_io_carries_adjacency_caches(case):
     assert effective.neighbor_masks == rebuilt.neighbor_masks
     cold = with_io(make_graph(vertices, edges), inputs, outputs)
     assert _flow_key(search_gflow_yz(carried)) == _flow_key(search_gflow_yz(cold))
+
+
+@st.composite
+def flows_on_graphs(draw):
+    """A graph on up to 6 vertices, whose vertex order is not the labels'
+    sort order, with mixed planes and a flow: a searched YZ witness, or a
+    random correction map on a random layering, usually invalid and now and
+    then malformed in one place."""
+    n = draw(st.integers(1, 6))
+    vertices = draw(st.permutations([f"v{i}" for i in range(n)]))
+    pairs = list(itertools.combinations(vertices, 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    inputs = draw(st.sets(st.sampled_from(vertices)))
+    outputs = draw(st.sets(st.sampled_from(vertices)))
+    graph = make_graph(vertices, edges, inputs, outputs)
+    if len(inputs) == len(outputs) and draw(st.booleans()):
+        flow = search_gflow_yz(graph)
+        if flow is not None:
+            return graph, yz_planes(graph), flow
+    measured = [v for v in vertices if v not in outputs]
+    planes = {v: draw(st.sampled_from(PLANES)) for v in measured}
+    allowed = [v for v in vertices if v not in inputs]
+    g = {v: frozenset(draw(st.sets(st.sampled_from(allowed)))) if allowed else frozenset() for v in measured}
+    depth = {v: draw(st.integers(0, 3)) for v in vertices}
+    layers = [frozenset(v for v in vertices if depth[v] == d) for d in range(4)]
+    layers = [layer for layer in layers if layer]
+    ordered = [(v, u) for v in vertices for u in vertices if depth[v] < depth[u]]
+    precedence = set(ordered) if draw(st.booleans()) or not ordered else draw(st.sets(st.sampled_from(ordered)))
+    fault = draw(st.sampled_from([None] * 6 + ["plane", "g domain", "plane domain", "input", "outside"]))
+    if fault == "plane" and measured:
+        planes[draw(st.sampled_from(measured))] = "XX"
+    elif fault == "g domain":
+        if measured and draw(st.booleans()):
+            del g[draw(st.sampled_from(measured))]
+        elif outputs:
+            g[draw(st.sampled_from(sorted(outputs)))] = frozenset()
+    elif fault == "plane domain" and measured:
+        del planes[draw(st.sampled_from(measured))]
+    elif fault == "input" and measured and inputs:
+        v = draw(st.sampled_from(measured))
+        g[v] |= {draw(st.sampled_from(sorted(inputs)))}
+    elif fault == "outside":
+        layers.append(frozenset({"zz"}))
+        if measured and draw(st.booleans()):
+            g[draw(st.sampled_from(measured))] |= {"zz"}
+    return graph, planes, GFlow(g=g, precedence=frozenset(precedence), layers=tuple(layers))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(flows_on_graphs())
+def test_mask_flow_checks_match_the_set_route(case):
+    graph, planes, flow = case
+    try:
+        expected = reference.verify_gflow(graph, planes, flow)
+    except MalformedFlowError as exc:
+        with pytest.raises(MalformedFlowError) as raised:
+            verify_gflow(graph, planes, flow)
+        assert str(raised.value) == str(exc)
+    else:
+        assert verify_gflow(graph, planes, flow) == expected
+    if set().union(*flow.layers) == set(graph.vertices):
+        assert witness_structure(flow, graph) == reference.witness_structure(flow, graph)
+    else:
+        with pytest.raises(MalformedFlowError, match="layering must partition the vertex set"):
+            witness_structure(flow, graph)
 
 
 @st.composite
