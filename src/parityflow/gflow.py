@@ -94,9 +94,12 @@ class GFlow:
         return self.precedence if len(closure) == len(self.precedence) else closure
 
     @cached_property
-    def verified_graphs(self) -> list[Graph]:
-        """Graphs on which `mbqc_engine.run_mbqc_yz` or `run_all_branches`
-        found this flow valid under verify_gflow, compared by identity."""
+    def schedules(self) -> list[tuple[Graph, dict]]:
+        """One entry per graph object, compared by identity, on which
+        `mbqc_engine` verified this flow: the graph and its table of compiled
+        runs, keyed by (input label order, measurement order or None for the
+        default). Built on first use; the table holds only runs that passed
+        their checks."""
         return []
 
 
@@ -139,7 +142,7 @@ def _after_masks(graph: Graph, flow: GFlow) -> list[int]:
     return after
 
 
-def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow) -> VerifyResult:
+def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow, *, after: list[int] | None = None) -> VerifyResult:
     """Check the five gflow conditions for every measured vertex.
 
     Conditions, for v measured (v not an output):
@@ -151,7 +154,8 @@ def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow) -> VerifyRe
 
     Structural problems (wrong domains, layering not covering the graph)
     raise MalformedFlowError; a well-formed witness that fails a condition
-    yields ok=False with the violations in deterministic order.
+    yields ok=False with the violations in deterministic order. `after`
+    is `_after_masks(graph, flow)` when the caller holds it already.
     """
     vertices = set(graph.vertices)
     measured = vertices - graph.outputs
@@ -162,7 +166,8 @@ def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow) -> VerifyRe
     bad_planes = {p for p in planes.values() if p not in PLANES}
     if bad_planes:
         raise MalformedFlowError(f"unknown planes {sorted(bad_planes)}")
-    after = _after_masks(graph, flow)
+    if after is None:
+        after = _after_masks(graph, flow)
     allowed = vertices - graph.inputs
     violations: list[Violation] = []
     for i, v in enumerate(graph.vertices):
@@ -266,8 +271,9 @@ def _yz_peel(graph: Graph, measured_mask: int, support: int) -> list[tuple[int, 
     return peeled if peel(measured_mask) else None
 
 
-def _yz_witness(graph: Graph, peeled: list[tuple[int, int, int]]) -> GFlow:
-    """The GFlow of a peel on `graph`, layered by longest path and checked."""
+def _yz_witness(graph: Graph, peeled: list[tuple[int, int, int]]) -> tuple[GFlow, list[int]]:
+    """The GFlow of a peel on `graph`, layered by longest path and checked,
+    with its `_after_masks`."""
     labels = graph.vertices
     precedence = set()
     # longest-path layering: every successor of v is measured after v
@@ -284,10 +290,11 @@ def _yz_witness(graph: Graph, peeled: list[tuple[int, int, int]]) -> GFlow:
         layers.append(graph.outputs)
     g_map = {labels[v]: graph.vertices_of(s) for v, s, _ in sorted(peeled)}
     flow = GFlow(g=g_map, precedence=frozenset(precedence), layers=tuple(frozenset(s) for s in layers))
-    result = verify_gflow(graph, yz_planes(graph), flow)
+    after = _after_masks(graph, flow)
+    result = verify_gflow(graph, yz_planes(graph), flow, after=after)
     if not result:
         raise AssertionError(f"search produced an invalid witness: {result.violations}")
-    return flow
+    return flow, after
 
 
 def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None:
@@ -316,7 +323,7 @@ def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None
     if measured_mask & ~support:
         return None  # a measured input must lie in its own correction set but cannot
     peeled = _yz_peel(graph, measured_mask, support)
-    return None if peeled is None else _yz_witness(graph, peeled)
+    return None if peeled is None else _yz_witness(graph, peeled)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +339,17 @@ class WitnessStructure:
         return self.maximal_self_corrections and self.no_edges_in_correction_union
 
 
-def witness_structure(flow: GFlow, graph: Graph) -> WitnessStructure:
+def witness_structure(flow: GFlow, graph: Graph, *, after: list[int] | None = None) -> WitnessStructure:
     """Structural facts that hold for every valid YZ witness with O = I.
 
     (a) every measured vertex maximal in the order restricted to measured
         vertices has g(v) = {v};
     (b) the union of all correction sets spans no edge of the graph.
     MalformedFlowError unless the layering covers the graph's vertex set.
+    `after` is `_after_masks(graph, flow)` when the caller holds it already.
     """
-    after = _after_masks(graph, flow)
+    if after is None:
+        after = _after_masks(graph, flow)
     measured = graph.mask_of(flow.g)
     maximal = (v for i, v in enumerate(graph.vertices) if v in flow.g and not after[i] & measured)
     a_ok = all(flow.g[v] == {v} for v in maximal)
@@ -433,10 +442,10 @@ def _sweep_one_graph(args: tuple[int, int, Graph, bool]) -> tuple[int, int, dict
             discrepancies.append(_discrepancy(n, graph_index, inputs, found, expected))
         if found:
             g = with_io(base, inputs, inputs)
-            flow = _yz_witness(g, peeled)
+            flow, after = _yz_witness(g, peeled)
             if keep:
                 witnesses.append((g, flow))
-            if not witness_structure(flow, g):
+            if not witness_structure(flow, g, after=after):
                 witness_failures.append(_discrepancy(n, graph_index, inputs, found, expected))
     return n, graph_index, counts, discrepancies, witness_failures, witnesses
 

@@ -8,31 +8,38 @@ the vertex's correction set: X on the other members, Z on the odd
 neighborhood. A valid flow guarantees those targets are still unmeasured,
 which is exactly what makes every outcome branch land on the same state.
 
-`run_mbqc_yz` and `run_repeated_mbqc` follow one outcome list;
-`run_all_branches` runs every outcome branch at once, in one array, with
-the same flow and order checks.
+None of that depends on the angles or the outcomes: a run is compiled once
+per graph object, input label order and measurement order, into the graph
+state's fresh qubits and effective edges and a `simulator.Schedule` of
+register positions and correction bitmasks, and kept on the flow
+(`GFlow.schedules`). `run_mbqc_yz` and `run_repeated_mbqc` follow one
+outcome list on it; `run_all_branches` runs every outcome branch at once,
+in one array, on the same compiled run.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from parityflow.gflow import GFlow, verify_gflow, yz_planes
-from parityflow.graph import Graph, odd_neighborhood
+from parityflow.graph import Graph
 from parityflow.parity_engine import LayerParams
 from parityflow.simulator import (
     BranchArray,
     MeasurementRecord,
+    Schedule,
     Statevector,
     apply_circuit,
     check_cap,
-    measure_all_branches,
-    measure_and_correct,
+    compile_plan,
     resolve_outcomes,
+    run_schedule,
+    run_schedule_all,
 )
 
 
@@ -41,29 +48,44 @@ def yz_axis(theta: float) -> tuple[float, float, float]:
     return (0.0, math.sin(theta), math.cos(theta))
 
 
-def _graph_state(g: Graph, labels: tuple[str, ...], amps: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """Graph-state labels and amplitudes for inputs carried by amps, which
-    may hold one register (2^d,) or one per branch (B, 2^d)."""
+def _register(g: Graph, labels: tuple[str, ...]) -> tuple[tuple[str, ...], int, int]:
+    """The graph-state register for inputs in the given label order: its
+    labels (the inputs, then the other vertices in graph order), how many
+    of them are fresh, and the effective edges, those not lying inside the
+    input set, as one int with bit n * a + b for the amplitude-index bit
+    pair a < b of an edge."""
     if frozenset(labels) != g.inputs:
         raise ValueError(f"input labels {labels} do not match graph inputs {sorted(g.inputs)}")
     out_labels = labels + tuple(v for v in g.vertices if v not in g.inputs)
     n = len(out_labels)
-    check_cap(n, amps.size >> len(labels))
-    fresh = n - len(labels)
     shift = {v: n - 1 - i for i, v in enumerate(out_labels)}
-    # the effective edges: those not lying inside the input set
-    pairs = tuple(sorted((shift[u], shift[v]) for u, v in g.edges if u not in g.inputs or v not in g.inputs))
-    return out_labels, np.repeat(amps, 1 << fresh, axis=-1) * 2.0 ** (-fresh / 2) * _cz_signs(n, pairs)
+    edges = 0
+    for u, v in g.edges:
+        if u not in g.inputs or v not in g.inputs:
+            a, b = sorted((shift[u], shift[v]))
+            edges |= 1 << (n * a + b)
+    return out_labels, n - len(labels), edges
+
+
+def _graph_amplitudes(amps: np.ndarray, fresh: int, edges: int) -> np.ndarray:
+    """Graph-state amplitudes for inputs carried by amps, which may hold one
+    register (2^d,) or one per branch (B, 2^d): `fresh` |+> qubits after
+    them and CZ across `edges`, both as `_register` gives them."""
+    d = amps.shape[-1].bit_length() - 1
+    n = d + fresh
+    check_cap(n, amps.size >> d)
+    return np.repeat(amps, 1 << fresh, axis=-1) * 2.0 ** (-fresh / 2) * _cz_signs(n, edges)
 
 
 @lru_cache(maxsize=64)
-def _cz_signs(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """(-1)^(sum of b_u b_v over the bit-position pairs) for every n-bit
-    index, as int8 (at most 64 KiB at the 16-qubit cap). Cached, since every
-    branch and layer of a run prepares the same graph."""
-    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+def _cz_signs(n: int, edges: int) -> np.ndarray:
+    """(-1)^(sum of b_u b_v over the edges, given as by `_register`) for
+    every n-bit index, as int8 (at most 64 KiB at the 16-qubit cap).
+    Cached, since every branch and layer of a run prepares the same graph."""
+    pairs = np.array([divmod(k, n) for k in range(edges.bit_length()) if edges >> k & 1], dtype=np.int64)
+    pairs = pairs.reshape(-1, 2)
     index = np.arange(1 << n)[:, None]
-    cz_parity = np.bitwise_xor.reduce((index >> edges[:, 0]) & (index >> edges[:, 1]), axis=1) & 1
+    cz_parity = np.bitwise_xor.reduce((index >> pairs[:, 0]) & (index >> pairs[:, 1]), axis=1) & 1
     signs = (1 - 2 * cz_parity).astype(np.int8)
     signs.setflags(write=False)
     return signs
@@ -78,7 +100,8 @@ def prepare_graph_state(g: Graph, psi: Statevector) -> Statevector:
     the CZ gates together are the phase vector (-1)^(sum of b_u b_v over the
     edges), b_u being the bit of u in the amplitude index.
     """
-    return Statevector(*_graph_state(g, psi.labels, psi.amplitudes))
+    labels, fresh, edges = _register(g, psi.labels)
+    return Statevector(labels, _graph_amplitudes(psi.amplitudes, fresh, edges))
 
 
 def _default_order(g: Graph, flow: GFlow) -> list[str]:
@@ -88,18 +111,6 @@ def _default_order(g: Graph, flow: GFlow) -> list[str]:
     for layer in flow.layers:
         order.extend(sorted(layer & measured))
     return order
-
-
-def _verify_once(g: Graph, flow: GFlow) -> None:
-    """Run verify_gflow on (g, flow) unless this flow already passed it on
-    this same graph object. Only success is remembered, so an invalid flow
-    raises on every call."""
-    if any(seen is g for seen in flow.verified_graphs):
-        return
-    result = verify_gflow(g, yz_planes(g), flow)
-    if not result:
-        raise ValueError(f"invalid flow: {result.violations[0]}")
-    flow.verified_graphs.append(g)
 
 
 def _check_order(g: Graph, flow: GFlow, order: Sequence[str]) -> None:
@@ -113,14 +124,52 @@ def _check_order(g: Graph, flow: GFlow, order: Sequence[str]) -> None:
                 raise ValueError(f"order violates the flow: {v!r} must precede {u!r}")
 
 
-def _flow_correction(g: Graph, flow: GFlow):
-    """Correction rule: a -1 outcome on v completes the stabilizer of g(v),
-    X on g(v) - v and Z on Odd(g(v)) - v."""
+@dataclass(frozen=True, slots=True)
+class _Compiled:
+    """One flow's run on one graph and input label order, in one
+    measurement order: the graph state's fresh-qubit count and effective
+    edges (as `_register` gives them) and the measurement schedule."""
+
+    fresh: int
+    edges: int
+    schedule: Schedule
+
+
+def _compile(g: Graph, flow: GFlow, labels: tuple[str, ...], order: tuple[str, ...] | None) -> _Compiled:
+    """Check the order against the flow and compile the run: a -1 outcome
+    on v completes the stabilizer of g(v), X on g(v) - v and Z on
+    Odd(g(v)) - v."""
+    register, fresh, edges = _register(g, labels)
+    sequence = _default_order(g, flow) if order is None else order
+    _check_order(g, flow, sequence)
 
     def complete_stabilizer(v: str) -> tuple[frozenset[str], frozenset[str]]:
-        return flow.g[v] - {v}, odd_neighborhood(g, flow.g[v]) - {v}
+        odd = g.vertices_of(g.odd_mask(g.mask_of(flow.g[v])))
+        return flow.g[v] - {v}, odd - {v}
 
-    return complete_stabilizer
+    return _Compiled(fresh, edges, compile_plan(register, sequence, complete_stabilizer))
+
+
+def _compiled(g: Graph, flow: GFlow, labels: tuple[str, ...], order: Sequence[str] | None) -> _Compiled:
+    """The compiled run of flow on this graph object, input label order and
+    measurement order (None for the default), from the flow's table
+    (`GFlow.schedules`). On first use the flow is verified, once per graph
+    object, and the order checked. Only success is stored, so an invalid
+    flow, order or label list raises on every call."""
+    for seen, table in flow.schedules:
+        if seen is g:
+            break
+    else:
+        result = verify_gflow(g, yz_planes(g), flow)
+        if not result:
+            raise ValueError(f"invalid flow: {result.violations[0]}")
+        table = {}
+        flow.schedules.append((g, table))
+    order = None if order is None else tuple(order)
+    compiled = table.get((labels, order))
+    if compiled is None:
+        compiled = table[labels, order] = _compile(g, flow, labels, order)
+    return compiled
 
 
 def run_mbqc_yz(
@@ -133,22 +182,21 @@ def run_mbqc_yz(
 ) -> tuple[Statevector, MeasurementRecord]:
     """Measure every non-output vertex in the YZ plane, correcting via the flow.
 
-    The flow is verified before any simulation, the first time it meets this
-    graph object (`_verify_once`). Measurements follow a linear extension of
-    the flow's order (lexicographic within layers unless an explicit
-    extension is supplied); on a -1 outcome at v, X lands on g(v) minus v
-    and Z on Odd(g(v)) minus v, all still-present qubits.
+    Measurements follow a linear extension of the flow's order
+    (lexicographic within layers unless an explicit extension is supplied);
+    on a -1 outcome at v, X lands on g(v) minus v and Z on Odd(g(v)) minus
+    v, all still-present qubits. The flow is verified and the run compiled
+    (`_compiled`) the first time this graph object meets this input label
+    order and measurement order; every branch after that runs the compiled
+    schedule. The angle keys and outcomes are checked on every call.
     """
-    _verify_once(g, flow)
-    measured = set(g.vertices) - g.outputs
-    if set(angles) != measured:
+    compiled = _compiled(g, flow, psi.labels, order)
+    schedule = compiled.schedule
+    if set(angles) != set(schedule.qubits):
         raise ValueError("angle keys must be exactly the measured vertices")
-    sequence = _default_order(g, flow) if order is None else list(order)
-    _check_order(g, flow, sequence)
     source = resolve_outcomes(outcomes)
-    state = prepare_graph_state(g, psi)
-    plan = [(v, yz_axis(angles[v])) for v in sequence]
-    return measure_and_correct(state, plan, _flow_correction(g, flow), source)
+    amps = _graph_amplitudes(psi.amplitudes, compiled.fresh, compiled.edges)
+    return run_schedule(schedule, amps, [yz_axis(angles[v]) for v in schedule.qubits], source)
 
 
 def run_repeated_mbqc(
@@ -186,25 +234,23 @@ def run_all_branches(
     """`run_repeated_mbqc` on every outcome branch at once, in one array,
     each layer measuring in `order` (default: as `run_mbqc_yz`).
 
-    Same checks: the flow is verified once per graph object and the order
-    checked against it. Each layer prepares the graph state on every
-    branch's register and splits every branch at each measurement
-    (`measure_all_branches`). Raises ValueError when the branches would take
-    the register over the qubit cap.
+    Same checks and the same compiled run as `run_mbqc_yz`. Each layer
+    prepares the graph state on every branch's register and splits every
+    branch at each measurement (`run_schedule_all`). Raises ValueError when
+    the branches would take the register over the qubit cap.
     """
     if not layers:
         raise ValueError("at least one layer required")
-    _verify_once(g, flow)
-    measured = set(g.vertices) - g.outputs
-    sequence = _default_order(g, flow) if order is None else list(order)
-    _check_order(g, flow, sequence)
-    correct = _flow_correction(g, flow)
+    fresh_labels = tuple(v for v in g.vertices if v not in g.inputs)
     branches = BranchArray.start(psi)
     for params in layers:
-        if not set(params.theta) <= measured:
+        compiled = _compiled(g, flow, branches.labels, order)
+        schedule = compiled.schedule
+        if not set(params.theta) <= set(schedule.qubits):
             raise ValueError("theta keys must be measured vertices")
-        branches = branches.on_register(*_graph_state(g, branches.labels, branches.amplitudes))
-        plan = [(v, yz_axis(params.theta.get(v, 0.0))) for v in sequence]
-        branches = measure_all_branches(branches, plan, correct)
+        amps = _graph_amplitudes(branches.amplitudes, compiled.fresh, compiled.edges)
+        branches = branches.on_register(branches.labels + fresh_labels, amps)
+        axes = [yz_axis(params.theta.get(v, 0.0)) for v in schedule.qubits]
+        branches = run_schedule_all(schedule, branches, axes)
         branches = branches.apply(params.data_rotations(branches.labels))
     return branches

@@ -143,7 +143,7 @@ def unitary_decode(state: Statevector, layout: ParityLayout) -> Statevector:
         if prob_zero < 1.0 - 1e-9:
             raise ValueError(f"state outside codespace: parity qubit {p!r} not |0> (p={prob_zero:.6f})")
         _, state = project(state, p, Z_AXIS, 1)
-        state = discard_qubit(state, p)
+        state = discard_qubit(state, p, Z_AXIS, 1)
     return state
 
 

@@ -5,18 +5,22 @@ most significant bit. Rotations use the convention RZ(t) = exp(-i t Z / 2),
 RX(t) = exp(-i t X / 2). All operations return new values.
 
 The kernels take a leading branch axis: a `BranchArray` holds every outcome
-branch of a run as one row, and `measure_all_branches` contracts a measured
-qubit with both outcome bras at once, doubling the rows and halving the
-register. Per-branch runs (`measure_and_correct`, the loop both engines
-run) are the one-row case of the same kernels. `project`, `discard_qubit`,
-`outcome_probability`, `append_qubit` and `apply_pauli_x/z` are the
-reference kernels the tests check them against.
+branch of a run as one row. Measuring qubits out is two steps:
+`compile_plan` turns the measured qubits and the correction rule into a
+`Schedule` of register positions and correction bitmasks, fixed before any
+outcome is known, and `run_schedule` measures one register along it while
+`run_schedule_all` contracts each measured qubit of every row with both
+outcome bras at once, doubling the rows and halving the register. Both
+engines measure through these; `measure_and_correct` and
+`measure_all_branches` compile a (qubit, axis) plan and run it in one call.
+`project`, `discard_qubit`, `outcome_probability`, `append_qubit` and
+`apply_pauli_x/z` are the reference kernels the tests check them against.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -209,11 +213,18 @@ def project(
     return probability, Statevector(state.labels, projected / math.sqrt(probability))
 
 
-def discard_qubit(state: Statevector, q: str) -> Statevector:
+def discard_qubit(
+    state: Statevector, q: str, axis: Sequence[float] | None = None, outcome: int = 1
+) -> Statevector:
     """Remove a qubit that factors out of the register.
 
     The reduced state of q must be pure (within 1e-10); otherwise the qubit
     is still entangled and discarding it would not leave a statevector.
+    The rest of the register is the row of q that `_bra_row` picks for
+    `outcome` on `axis`, the row `_outcome_bras` contracts with,
+    renormalised: after `project(state, q, axis, outcome)` that is the
+    state `measure_and_correct` leaves, global phase included. Without an
+    axis, q's own Bloch axis and outcome +1: the row of larger norm.
     """
     pos = state.index_of(q)
     n = state.num_qubits
@@ -222,7 +233,8 @@ def discard_qubit(state: Statevector, q: str) -> Statevector:
     purity = float(np.trace(rho @ rho).real)
     if purity < 1.0 - PURITY_TOL:
         raise EntangledQubitError(f"cannot discard entangled qubit {q!r} (purity {purity:.6f})")
-    row = int(np.argmax(np.linalg.norm(m, axis=1)))
+    z = float((rho[0, 0] - rho[1, 1]).real) if axis is None else axis[2]
+    row = _bra_row(z, outcome)
     rest = m[row] / np.linalg.norm(m[row])
     labels = state.labels[:pos] + state.labels[pos + 1 :]
     return Statevector(labels, rest)
@@ -269,25 +281,32 @@ class MeasurementEntry:
 MeasurementRecord = tuple[MeasurementEntry, ...]
 
 
+def _bra_row(z: float, outcome: int) -> int:
+    """The row of an outcome's projector that stands for its eigenstate, on
+    an axis with z component z: the row of larger norm, the top one on a
+    tie. The projector (1 + o (x, y, z) . sigma) / 2 has rows of squared
+    norm (1 + o z) / 2 and (1 - o z) / 2."""
+    return 0 if outcome * z >= 0 else 1
+
+
 @lru_cache(maxsize=64)
 def _outcome_bras(axis: tuple[float, float, float]) -> np.ndarray:
     """The +1 and -1 bras of a unit Bloch axis (x, y, z), as the rows of a
-    read-only 2x2 matrix, in discard_qubit's phase convention. Built once
-    per axis: every branch of a program measures the same few axes.
+    read-only 2x2 matrix. Built once per axis: every branch of a program
+    measures the same few axes.
 
-    Each is the row of larger norm of that outcome's projector, row 0 on a
-    tie, normalised: the top row (1 + z, x - iy) / 2 of the +1 projector
-    when z >= 0, else its bottom row (x + iy, 1 - z) / 2, and likewise for
-    -1 with z negated. Contracting the measured qubit with it gives the row
-    discard_qubit keeps after project, up to the 1/sqrt(p) renormalisation.
+    Each is the `_bra_row` of that outcome's projector, normalised.
+    Contracting the measured qubit with it gives the row discard_qubit keeps
+    after project, up to the 1/sqrt(p) renormalisation.
     """
     if len(axis) != 3 or abs(math.sqrt(sum(c * c for c in axis)) - 1.0) > 1e-9:
         raise ValueError("axis must be a unit 3-vector")
     x, y, z = axis
-    plus = (1 + z, complex(x, -y)) if z >= 0 else (complex(x, y), 1 - z)
-    minus = (1 - z, complex(-x, y)) if z <= 0 else (complex(-x, -y), 1 + z)
     rows = []
-    for a, b in (plus, minus):
+    for o in (1, -1):
+        # twice the outcome's projector, row by row
+        top, bottom = (1 + o * z, complex(o * x, -o * y)), (complex(o * x, o * y), 1 - o * z)
+        a, b = bottom if _bra_row(z, o) else top
         norm = math.hypot(abs(a), abs(b))
         rows.append((a / norm, b / norm))
     bras = np.array(rows)
@@ -295,24 +314,29 @@ def _outcome_bras(axis: tuple[float, float, float]) -> np.ndarray:
     return bras
 
 
-def _apply_paulis(amps: np.ndarray, labels: tuple[str, ...], xs: Iterable[str], zs: Iterable[str]) -> np.ndarray:
-    """X on each qubit of xs, then Z on each of zs, on amplitudes (..., 2^n)
-    the caller owns: the X's as one index permutation of the last axis, the
-    Z's as one in-place negation of the indices they flip."""
-    n = len(labels)
-    xmask = zmask = 0
-    for q in xs:
-        xmask ^= 1 << (n - 1 - _position(labels, q))
-    for q in zs:
-        zmask ^= 1 << (n - 1 - _position(labels, q))
+def _apply_paulis(amps: np.ndarray, xmask: int, zmask: int) -> np.ndarray:
+    """X on each qubit of xmask, then Z on each of zmask, on amplitudes
+    (..., 2^n) the caller owns, the masks in amplitude-index bits: the X's
+    as one index permutation of the last axis, the Z's as one in-place
+    negation of the indices they flip."""
+    n = amps.shape[-1].bit_length() - 1
     if xmask:
-        amps = amps[..., np.arange(1 << n) ^ xmask]
+        amps = amps[..., _flipped_index(n, xmask)]
     if zmask:
         np.negative(amps, out=amps, where=_odd_overlap(n, zmask))
     return amps
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)
+def _flipped_index(n: int, mask: int) -> np.ndarray:
+    """index ^ mask for every n-bit index: the permutation a product of X's
+    on mask's bits applies to the amplitudes."""
+    flipped = np.arange(1 << n) ^ mask
+    flipped.setflags(write=False)
+    return flipped
+
+
+@lru_cache(maxsize=256)
 def _odd_overlap(n: int, mask: int) -> np.ndarray:
     """Whether index & mask has an odd number of set bits, for every n-bit
     index: where a product of Z's on mask's bits flips the sign."""
@@ -324,13 +348,13 @@ def _odd_overlap(n: int, mask: int) -> np.ndarray:
     return odd
 
 
-def _measure_out(labels: tuple[str, ...], amps: np.ndarray, q: str, axis: tuple[float, float, float]) -> tuple:
-    """Contract qubit q of every row of amps (B, 2^k) with both outcome bras.
+def _measure_out(amps: np.ndarray, pos: int, axis: tuple[float, float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Contract the qubit at register position pos of every row of amps
+    (B, 2^k) with both outcome bras.
 
-    Returns the labels without q, the unnormalised outcome halves
-    (2, B, 2^(k-1)), +1 first, and their Born probabilities (2, B).
+    Returns the unnormalised outcome halves (2, B, 2^(k-1)), +1 first, and
+    their Born probabilities (2, B).
     """
-    pos = _position(labels, q)
     rows = amps.shape[0]
     # the measured qubit's axis first, then (branch row, qubits before q, qubits after q)
     split = amps.reshape(rows, 1 << pos, 2, -1).transpose(2, 0, 1, 3).reshape(2, -1)
@@ -338,7 +362,88 @@ def _measure_out(labels: tuple[str, ...], amps: np.ndarray, q: str, axis: tuple[
     # each half-row's squared norm, as one stack of real dot products
     flat = halves.view(np.float64)
     born = (flat[:, :, None, :] @ flat[:, :, :, None]).reshape(2, rows)
-    return labels[:pos] + labels[pos + 1 :], halves, born
+    return halves, born
+
+
+@dataclass(frozen=True, slots=True)
+class Schedule:
+    """Measuring some qubits of a register in turn, compiled once.
+
+    `steps` holds three ints for each of `qubits` in turn, flat, one tuple
+    per schedule: its position in the register as it stands when it is
+    measured, and the X and Z targets of its -1 correction as masks on the
+    register it leaves, bit k - 1 - i for label i of k, the label's bit in
+    the amplitude index. `labels` is the register left at the end. Nothing
+    in it depends on the axes or the outcomes, so one schedule serves every
+    branch of a run.
+    """
+
+    qubits: tuple[str, ...]
+    steps: tuple[int, ...]
+    labels: tuple[str, ...]
+
+    def iter_steps(self) -> Iterator[tuple[str, int, int, int]]:
+        """(qubit, position, xmask, zmask) for each step in turn."""
+        steps = iter(self.steps)
+        return zip(self.qubits, steps, steps, steps, strict=True)
+
+
+def compile_plan(
+    labels: tuple[str, ...],
+    qubits: Iterable[str],
+    correct: Callable[[str], tuple[Iterable[str], Iterable[str]]],
+) -> Schedule:
+    """The schedule measuring `qubits` in turn out of a register over
+    `labels`, where `correct(qubit)` names the -1 correction as label sets
+    (X targets, Z targets) on the qubits still present. Raises ValueError
+    on a qubit or target absent from the register."""
+    qubits = tuple(qubits)
+    steps = []
+    for q in qubits:
+        pos = _position(labels, q)
+        labels = labels[:pos] + labels[pos + 1 :]
+        xs, zs = correct(q)
+        steps += (pos, _index_mask(labels, xs), _index_mask(labels, zs))
+    return Schedule(qubits, tuple(steps), labels)
+
+
+def _index_mask(labels: tuple[str, ...], qubits: Iterable[str]) -> int:
+    """The qubits' bits in the amplitude index of a register over labels."""
+    n = len(labels)
+    mask = 0
+    for q in qubits:
+        mask ^= 1 << (n - 1 - _position(labels, q))
+    return mask
+
+
+def run_schedule(
+    schedule: Schedule,
+    amplitudes: np.ndarray,
+    axes: Sequence[tuple[float, float, float]],
+    source: OutcomeSource,
+) -> tuple[Statevector, MeasurementRecord]:
+    """Measure the schedule's qubits of one register (the amplitudes of the
+    register it was compiled on) along `axes`, one per qubit.
+
+    Keeps the half of the outcome `source` draws from the +1 Born
+    probability, renormalised, and applies the step's correction on a -1
+    outcome: the one-row case of `run_schedule_all`. Raises
+    ZeroProbabilityError below the 1e-12 probability floor.
+    """
+    amps = amplitudes.reshape(1, -1)
+    record: list[MeasurementEntry] = []
+    for (q, pos, xmask, zmask), axis in zip(schedule.iter_steps(), axes, strict=True):
+        halves, born = _measure_out(amps, pos, axis)
+        outcome = source.next_outcome(float(born[0, 0]))
+        half = 0 if outcome == 1 else 1
+        probability = float(born[half, 0])
+        if probability < ZERO_PROB_TOL:
+            raise ZeroProbabilityError(f"outcome {outcome:+d} on {q!r} has zero probability")
+        amps = halves[half] / math.sqrt(probability)
+        if outcome == -1:
+            amps = _apply_paulis(amps, xmask, zmask)
+        record.append(MeasurementEntry(q, axis, outcome, probability))
+    return Statevector(schedule.labels, amps[0]), tuple(record)
 
 
 def measure_and_correct(
@@ -349,29 +454,14 @@ def measure_and_correct(
 ) -> tuple[Statevector, MeasurementRecord]:
     """Measure each (qubit, axis) of the plan in turn and remove the qubit.
 
-    The one-row case of `measure_all_branches`, keeping the half of the
-    outcome `source` draws from the +1 Born probability. That is the state
-    `project` then `discard_qubit` give, global phase included, except on
-    an axis whose projector rows tie up to rounding (the YZ axis at theta =
-    pi/2), where discard_qubit's pick follows rounding in the state. On a
-    -1 outcome `correct(qubit)` names the Pauli correction as label sets
-    (X targets, Z targets) on the remaining qubits. Both engines run
-    through this loop and differ only in their plan and correction rule.
+    Compiles the plan's qubits and the correction rule `correct` (see
+    `compile_plan`) and runs the schedule on the state (`run_schedule`).
+    The result is the state `project` then `discard_qubit(..., axis,
+    outcome)` give, global phase included.
     """
-    labels, amps = state.labels, state.amplitudes.reshape(1, -1)
-    record: list[MeasurementEntry] = []
-    for q, axis in plan:
-        labels, halves, born = _measure_out(labels, amps, q, axis)
-        outcome = source.next_outcome(float(born[0, 0]))
-        half = 0 if outcome == 1 else 1
-        probability = float(born[half, 0])
-        if probability < ZERO_PROB_TOL:
-            raise ZeroProbabilityError(f"outcome {outcome:+d} on {q!r} has zero probability")
-        amps = halves[half] / math.sqrt(probability)
-        if outcome == -1:
-            amps = _apply_paulis(amps, labels, *correct(q))
-        record.append(MeasurementEntry(q, axis, outcome, probability))
-    return Statevector(labels, amps[0]), tuple(record)
+    plan = tuple(plan)
+    schedule = compile_plan(state.labels, (q for q, _ in plan), correct)
+    return run_schedule(schedule, state.amplitudes, [axis for _, axis in plan], source)
 
 
 def check_cap(qubits: int, branches: int = 1) -> None:
@@ -454,26 +544,25 @@ class BranchArray:
         return records
 
 
-def measure_all_branches(
-    branches: BranchArray,
-    plan: Iterable[tuple[str, tuple[float, float, float]]],
-    correct: Callable[[str], tuple[Iterable[str], Iterable[str]]],
+def run_schedule_all(
+    schedule: Schedule, branches: BranchArray, axes: Sequence[tuple[float, float, float]]
 ) -> BranchArray:
-    """`measure_and_correct` on both outcomes of every branch at once.
+    """`run_schedule` on both outcomes of every branch at once; `branches`
+    holds the register the schedule was compiled on.
 
-    Each (qubit, axis) of the plan contracts the qubit of every row with
-    both outcome bras (`_measure_out`), so B rows of 2^k amplitudes become
-    2B rows of 2^(k-1); row 2b + 1 (outcome -1) gets the correction
-    `correct(qubit)` names. Rows are renormalised by their Born probability,
-    except below ZERO_PROB_TOL, where they are divided by 1.
+    Each step contracts the qubit of every row with both outcome bras
+    (`_measure_out`), so B rows of 2^k amplitudes become 2B rows of
+    2^(k-1); row 2b + 1 (outcome -1) gets the step's correction. Rows are
+    renormalised by their Born probability, except below ZERO_PROB_TOL,
+    where they are divided by 1.
     """
-    plan = tuple(plan)
-    labels, amps = branches.labels, branches.amplitudes
+    plan = tuple(zip(schedule.qubits, axes, strict=True))
+    amps = branches.amplitudes
     born_columns = []
-    for q, axis in plan:
-        labels, halves, born = _measure_out(labels, amps, q, axis)
+    for (_, pos, xmask, zmask), (_, axis) in zip(schedule.iter_steps(), plan):
+        halves, born = _measure_out(amps, pos, axis)
         halves /= np.sqrt(np.where(born < ZERO_PROB_TOL, 1.0, born))[:, :, None]
-        halves[1] = _apply_paulis(halves[1], labels, *correct(q))
+        halves[1] = _apply_paulis(halves[1], xmask, zmask)
         amps = halves.transpose(1, 0, 2).reshape(-1, halves.shape[2])
         born_columns.append(born.T.reshape(-1))
     previous = branches.probabilities
@@ -482,7 +571,19 @@ def measure_all_branches(
     probabilities[:, :done] = np.repeat(previous, rows // len(previous), axis=0)
     for j, column in enumerate(born_columns, done):
         probabilities[:, j] = np.repeat(column, rows // len(column))
-    return BranchArray(labels, amps, probabilities, branches.plan + (plan,))
+    return BranchArray(schedule.labels, amps, probabilities, branches.plan + (plan,))
+
+
+def measure_all_branches(
+    branches: BranchArray,
+    plan: Iterable[tuple[str, tuple[float, float, float]]],
+    correct: Callable[[str], tuple[Iterable[str], Iterable[str]]],
+) -> BranchArray:
+    """`measure_and_correct` on both outcomes of every branch at once: the
+    plan compiled as there, run by `run_schedule_all`."""
+    plan = tuple(plan)
+    schedule = compile_plan(branches.labels, (q for q, _ in plan), correct)
+    return run_schedule_all(schedule, branches, [axis for _, axis in plan])
 
 
 def record_to_json(record: Iterable[MeasurementEntry]) -> list:

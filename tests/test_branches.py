@@ -195,8 +195,13 @@ def test_chained_flows_apply_x_corrections():
     graph, flow = next((g, f) for g, f in witnesses() if len(f.g) >= 2)
     order = sorted(flow.g)
     chained = chained_flow(graph, flow, order, lambda v, u: True)
-    first = order[0]
-    assert mbqc_engine._flow_correction(graph, chained)(first)[0] == frozenset(order[1:])
+    inputs = tuple(sorted(graph.inputs))
+    schedule = mbqc_engine._compiled(graph, chained, inputs, order).schedule
+    # the register the first measurement leaves: the inputs, then the other
+    # vertices in graph order; its X correction covers every later vertex
+    left = inputs + tuple(v for v in graph.vertices if v not in graph.inputs and v != order[0])
+    _, _, xmask, _ = next(schedule.iter_steps())
+    assert xmask == sum(1 << (len(left) - 1 - left.index(u)) for u in order[1:])
 
 
 @st.composite

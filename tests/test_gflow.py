@@ -356,9 +356,9 @@ def test_sweep_witnesses_equal_the_public_search():
 def test_sweep_worker_checks_but_drops_witnesses_when_not_kept(monkeypatch):
     checked = []
 
-    def counting(flow, g):
+    def counting(flow, g, **kwargs):
         checked.append(flow)
-        return original(flow, g)
+        return original(flow, g, **kwargs)
 
     original = gflow_module.witness_structure
     monkeypatch.setattr(gflow_module, "witness_structure", counting)

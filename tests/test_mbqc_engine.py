@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from parityflow import mbqc_engine
-from parityflow.gflow import GFlow, canonical_yz_gflow, search_gflow_yz
-from parityflow.graph import make_graph, with_io
+from parityflow.gflow import GFlow, canonical_yz_gflow, search_gflow_yz, yz_bipartite_sweep
+from parityflow.graph import make_graph, odd_neighborhood, with_io
 from parityflow.layout import build_all_pairs_layout, hadamard, induced_graph
 from parityflow.mbqc_engine import (
     prepare_graph_state,
@@ -20,9 +20,11 @@ from parityflow.parity_engine import (
     run_computation,
 )
 from parityflow.simulator import (
+    OutcomeSource,
     apply_circuit,
     basis_state,
     distance_up_to_phase,
+    measure_and_correct,
     random_state,
 )
 
@@ -208,6 +210,109 @@ def test_flow_verified_once_per_graph_object(monkeypatch):
         with pytest.raises(ValueError, match="invalid flow"):
             run_mbqc_yz(graph, basis_state(("1", "2"), "00"), {"(12)": 0.3}, bad, [1])
         assert len(checked) == 3 + attempt
+
+
+def c4_flow():
+    """C4 with I = O = {1, 3} and g(2) = {2, 4}: 2 must precede 4."""
+    c4 = make_graph(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4"), ("4", "1")], ["1", "3"], ["1", "3"])
+    flow = GFlow(
+        g={"2": frozenset({"2", "4"}), "4": frozenset({"4"})},
+        precedence=frozenset({("2", "4"), ("2", "1"), ("2", "3"), ("4", "1"), ("4", "3")}),
+        layers=(frozenset({"2"}), frozenset({"4"}), frozenset({"1", "3"})),
+    )
+    return c4, flow
+
+
+def counting_compiles(monkeypatch) -> list:
+    compiled = []
+    real_compile = mbqc_engine._compile
+
+    def counting(g, flow, labels, order):
+        compiled.append((g, labels, order))
+        return real_compile(g, flow, labels, order)
+
+    monkeypatch.setattr(mbqc_engine, "_compile", counting)
+    return compiled
+
+
+def test_each_run_compiled_once_per_graph_object_label_order_and_order(monkeypatch):
+    compiled = counting_compiles(monkeypatch)
+    c4, flow = c4_flow()
+    angles = {"2": 0.8, "4": -0.5}
+    rng = np.random.default_rng(7)
+    keys = [(labels, order) for labels in (("1", "3"), ("3", "1")) for order in (None, ("2", "4"))]
+    for labels, order in keys:
+        psi = random_state(labels, rng)
+        for branch in all_outcome_branches(2):
+            run_mbqc_yz(c4, psi, angles, flow, branch, order=order)
+    assert compiled == [(c4, labels, order) for labels, order in keys]
+    [(seen, table)] = flow.schedules
+    assert seen is c4 and list(table) == keys
+
+    # failures are never stored: each call checks, compiles and raises again
+    psi = random_state(("1", "3"), rng)
+    for attempt in range(3):
+        with pytest.raises(ValueError, match="order violates"):
+            run_mbqc_yz(c4, psi, angles, flow, [1, 1], order=["4", "2"])
+        assert compiled[len(keys) :] == [(c4, ("1", "3"), ("4", "2"))] * (attempt + 1)
+    assert list(table) == keys
+    graph = induced_graph(build_all_pairs_layout(2))
+    bad = GFlow(g={"(12)": frozenset()}, precedence=frozenset(), layers=(frozenset({"(12)"}), frozenset({"1", "2"})))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="invalid flow"):
+            run_mbqc_yz(graph, basis_state(("1", "2"), "00"), {"(12)": 0.3}, bad, [1])
+    assert bad.schedules == [] and len(compiled) == len(keys) + 3
+
+
+def test_compiled_runs_match_runs_compiled_on_every_call(monkeypatch):
+    # every n <= 5 sweep witness on every branch, in two input label orders
+    # and two measurement orders, against measure_and_correct on a freshly
+    # prepared graph state with the correction rule read off the flow
+    compiled = counting_compiles(monkeypatch)
+    rng = np.random.default_rng(8)
+    runs = 0
+    witnesses = yz_bipartite_sweep(5, io_samples=0, workers=1).witnesses
+    for g, flow in witnesses:
+        measured = sorted(flow.g)
+        angles = {v: float(rng.uniform(-np.pi, np.pi)) for v in measured}
+        default = [v for layer in flow.layers for v in sorted(layer & set(measured))]
+        reverse = [v for layer in flow.layers for v in sorted(layer & set(measured), reverse=True)]
+
+        def correct(v, flow=flow, g=g):
+            return flow.g[v] - {v}, odd_neighborhood(g, flow.g[v]) - {v}
+
+        inputs = tuple(sorted(g.inputs))
+        label_orders = dict.fromkeys([inputs, inputs[::-1]])
+        before = len(compiled)
+        for labels in label_orders:
+            psi = random_state(labels, rng)
+            for order, sequence in ((None, default), (reverse, reverse)):
+                plan = [(v, yz_axis(angles[v])) for v in sequence]
+                for branch in all_outcome_branches(len(measured)):
+                    out, record = run_mbqc_yz(g, psi, angles, flow, branch, order=order)
+                    expected, expected_record = measure_and_correct(
+                        prepare_graph_state(g, psi), plan, correct, OutcomeSource(branch)
+                    )
+                    assert out.labels == expected.labels
+                    assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
+                    assert record == expected_record
+                    runs += 1
+        [(seen, _)] = flow.schedules
+        assert seen is g
+        assert len(compiled) - before == 2 * len(label_orders)
+    assert runs == 3174
+    # an equal graph is another object: the same flow compiles again on it
+    g, flow = next((g, f) for g, f in witnesses if len(f.g) >= 2)
+    twin = with_io(g, g.inputs, g.outputs)
+    assert twin == g and twin is not g
+    psi = random_state(tuple(sorted(g.inputs)), rng)
+    angles = {v: 0.4 for v in flow.g}
+    before = len(compiled)
+    results = [run_mbqc_yz(graph, psi, angles, flow, [-1] * len(flow.g)) for graph in (g, twin, g, twin)]
+    assert len(compiled) == before + 1 and compiled[-1][0] is twin
+    assert [seen is graph for (seen, _), graph in zip(flow.schedules, (g, twin), strict=True)] == [True, True]
+    for out, record in results[1:]:
+        assert out.amplitudes.tobytes() == results[0][0].amplitudes.tobytes() and record == results[0][1]
 
 
 def test_bad_measurement_order_rejected():

@@ -57,7 +57,6 @@ from parityflow.simulator import (
     apply_pauli_x,
     apply_pauli_z,
     discard_qubit,
-    distance_up_to_phase,
     measure_and_correct,
     project,
     random_state,
@@ -407,10 +406,15 @@ def test_hadamard_conjugate_matches_dense_conjugation(case):
         assert np.allclose(_dense(h), layer @ _dense(g) @ layer)
 
 
-# the YZ axis at theta = pi/2 has z = 6e-17: its projector rows differ in
-# norm by one rounding step, so discard_qubit's pick follows rounding noise
-YZ_TIE = yz_axis(math.pi / 2)
-AXES = {"x": (1.0, 0.0, 0.0), "+z": (0.0, 0.0, 1.0), "-z": (0.0, 0.0, -1.0), "yz_tie": YZ_TIE}
+# the YZ axis at theta = +-pi/2 has z = +-6e-17: its projector rows differ
+# in norm by one rounding step, so only the axis can say which row to keep
+AXES = {
+    "x": (1.0, 0.0, 0.0),
+    "+z": (0.0, 0.0, 1.0),
+    "-z": (0.0, 0.0, -1.0),
+    "yz_tie": yz_axis(math.pi / 2),
+    "yz_tie_negative": yz_axis(-math.pi / 2),
+}
 
 
 def _projector(axis, outcome) -> np.ndarray:
@@ -442,7 +446,7 @@ def measurement_steps(draw):
     state = Statevector(labels, amps / np.linalg.norm(amps))
     others = [q for q in labels if q != labels[pos]]
     pauli_sets = st.sets(st.sampled_from(others), min_size=1) if others else st.just(set())
-    return state, labels[pos], axis, kind, draw(pauli_sets), draw(pauli_sets)
+    return state, labels[pos], axis, draw(pauli_sets), draw(pauli_sets)
 
 
 def _reference_step(state, q, axis, outcome, xs, zs):
@@ -459,7 +463,7 @@ def _reference_step(state, q, axis, outcome, xs, zs):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(measurement_steps())
 def test_fused_measure_step_matches_project_then_discard(case):
-    state, q, axis, kind, xs, zs = case
+    state, q, axis, xs, zs = case
     for outcome in (1, -1):
         try:
             probability, projected = _reference_step(state, q, axis, outcome, xs, zs)
@@ -470,19 +474,9 @@ def test_fused_measure_step_matches_project_then_discard(case):
         out, record = measure_and_correct(state, [(q, axis)], lambda _: (xs, zs), OutcomeSource([outcome]))
         assert [(e.qubit, e.outcome) for e in record] == [(q, outcome)]
         assert abs(record[0].probability - probability) <= 1e-12
-        reference = discard_qubit(projected, q)
+        reference = discard_qubit(projected, q, axis, outcome)
         assert out.labels == reference.labels
-        if kind == "yz_tie":
-            # the same state; its phase is that of the projector row of
-            # larger norm, which discard_qubit may or may not pick here
-            assert distance_up_to_phase(out, reference) < 1e-12
-            pos = projected.index_of(q)
-            rows = np.moveaxis(projected.amplitudes.reshape((2,) * state.num_qubits), pos, 0).reshape(2, -1)
-            row = int(np.argmax(np.linalg.norm(_projector(axis, outcome), axis=1)))
-            expected = rows[row] / np.linalg.norm(rows[row])
-        else:
-            expected = reference.amplitudes
-        assert np.max(np.abs(out.amplitudes - expected), initial=0.0) <= 1e-12
+        assert np.max(np.abs(out.amplitudes - reference.amplitudes), initial=0.0) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -9,6 +9,7 @@ from parityflow import simulator
 from parityflow.layout import cnot, cz, hadamard, rx, rz
 from parityflow.simulator import (
     EntangledQubitError,
+    OutcomeSource,
     Statevector,
     ZeroProbabilityError,
     append_qubit,
@@ -18,6 +19,7 @@ from parityflow.simulator import (
     basis_state,
     discard_qubit,
     distance_up_to_phase,
+    measure_and_correct,
     outcome_probability,
     project,
     random_state,
@@ -175,6 +177,24 @@ def test_discard_entangled_qubit_rejected():
     assert np.trace(rho @ rho).real == pytest.approx(0.5)
     with pytest.raises(EntangledQubitError):
         discard_qubit(bell, "a")
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, -math.pi / 2])
+def test_discard_after_a_tied_yz_projection_keeps_the_measured_phase(theta):
+    # z = cos(+-pi/2) is +-6e-17: both rows of each projector have norm
+    # 1/sqrt(2) up to rounding, so only the axis, not the state, can say
+    # which row to keep
+    axis = (0.0, math.sin(theta), math.cos(theta))
+    rng = np.random.default_rng(12)
+    for n in range(1, 7):
+        state = random_state([f"q{i}" for i in range(n)], rng)
+        for q in state.labels:
+            for outcome in (1, -1):
+                _, projected = project(state, q, axis, outcome)
+                discarded = discard_qubit(projected, q, axis, outcome)
+                measured, _ = measure_and_correct(state, [(q, axis)], lambda _: ((), ()), OutcomeSource([outcome]))
+                assert discarded.labels == measured.labels
+                assert np.abs(discarded.amplitudes - measured.amplitudes).max() <= 1e-12
 
 
 def test_append_then_discard_round_trip():
