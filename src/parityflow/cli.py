@@ -310,11 +310,10 @@ def gflow_verify(graph_path: str, flow_path: str) -> None:
 
 @gflow_group.command("search")
 @click.option("--graph", "graph_path", required=True, type=click.Path())
-@click.option("--cap", type=int, default=gflow_mod.DEFAULT_SEARCH_CAP, show_default=True)
 @_guard
-def gflow_search(graph_path: str, cap: int) -> None:
+def gflow_search(graph_path: str) -> None:
     g = graph_mod.graph_from_json(_load_json(graph_path))
-    flow = gflow_mod.search_gflow_yz(g, cap=cap)
+    flow = gflow_mod.search_gflow_yz(g)
     if flow is None:
         _dump({"found": False})
         click.echo("no YZ flow exists", file=sys.stderr)
@@ -327,9 +326,7 @@ def gflow_search(graph_path: str, cap: int) -> None:
 @click.option("--max-n", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--io-samples", type=click.IntRange(min=0), default=200, show_default=True)
-@click.option(
-    "--workers", type=click.IntRange(min=1), default=None, help="Defaults to PARITYFLOW_WORKERS or CPU count."
-)
+@click.option("--workers", type=click.IntRange(min=1), default=None, help="Defaults to the CPU count.")
 @_guard
 def sweep(max_n: int, seed: int, io_samples: int, workers: int | None) -> None:
     """Exhaustive flow-existence versus bipartiteness over small graphs."""

@@ -31,7 +31,7 @@ from parityflow.graph import (
     with_io,
 )
 
-DEFAULT_SEARCH_CAP = 8
+SEARCH_CAP = 8
 
 PLANES = ("XY", "XZ", "YZ")
 
@@ -43,14 +43,15 @@ class MalformedFlowError(ValueError):
     """Witness is structurally broken (distinct from a well-formed invalid one)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GFlow:
     """Correction-set map plus partial order.
 
     ``precedence`` holds the generating digraph edges (v, u) meaning v is
     measured strictly before u; the partial order is its transitive closure.
     ``layers`` is a topological layering of that digraph, earliest first,
-    with unmeasured (output) vertices in the final layers.
+    with unmeasured (output) vertices in the final layers. Flows compare
+    by identity, so that `mbqc_engine` can key its compiled runs on them.
     """
 
     g: Mapping[str, VertexSet]
@@ -92,15 +93,6 @@ class GFlow:
                     reach[v].update(reach.get(u, ()))
         closure = frozenset((v, u) for v, after in reach.items() for u in after)
         return self.precedence if len(closure) == len(self.precedence) else closure
-
-    @cached_property
-    def schedules(self) -> list[tuple[Graph, dict]]:
-        """One entry per graph object, compared by identity, on which
-        `mbqc_engine` verified this flow: the graph and its table of compiled
-        runs, keyed by (input label order, measurement order or None for the
-        default). Built on first use; the table holds only runs that passed
-        their checks."""
-        return []
 
 
 def precedes(flow: GFlow, v: str, u: str) -> bool:
@@ -297,7 +289,7 @@ def _yz_witness(graph: Graph, peeled: list[tuple[int, int, int]]) -> tuple[GFlow
     return flow, after
 
 
-def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None:
+def search_gflow_yz(graph: Graph) -> GFlow | None:
     """Find a YZ-plane gflow by exhaustive search, or prove none exists.
 
     A gflow is a peel order: some measured vertex v can be measured last
@@ -311,10 +303,11 @@ def search_gflow_yz(graph: Graph, cap: int = DEFAULT_SEARCH_CAP) -> GFlow | None
     fail; a None result is therefore a proof that no gflow exists.
     Deliberately independent of any bipartiteness reasoning.
     The peel runs on int masks; only a peel that succeeds becomes a `GFlow`.
+    Graphs over SEARCH_CAP vertices are refused.
     """
     n = len(graph.vertices)
-    if n > cap:
-        raise ValueError(f"search cap exceeded: {n} vertices > cap={cap}")
+    if n > SEARCH_CAP:
+        raise ValueError(f"search cap exceeded: {n} vertices > cap={SEARCH_CAP}")
     if len(graph.inputs) != len(graph.outputs):
         raise ValueError("search requires |I| = |O|")
     all_mask = (1 << n) - 1
@@ -450,15 +443,6 @@ def _sweep_one_graph(args: tuple[int, int, Graph, bool]) -> tuple[int, int, dict
     return n, graph_index, counts, discrepancies, witness_failures, witnesses
 
 
-def default_workers() -> int:
-    env = os.environ.get("PARITYFLOW_WORKERS")
-    if not env:
-        return os.cpu_count() or 1
-    if int(env) < 1:
-        raise ValueError(f"PARITYFLOW_WORKERS={env} must be at least 1")
-    return int(env)
-
-
 def yz_bipartite_sweep(
     max_n: int,
     io_samples: int = 200,
@@ -479,7 +463,7 @@ def yz_bipartite_sweep(
         raise ValueError(f"max_n={max_n} above enumeration cap {DEFAULT_ENUMERATION_CAP}")
     if io_samples < 0:
         raise ValueError(f"io_samples={io_samples} must be at least 0")
-    workers = default_workers() if workers is None else workers
+    workers = (os.cpu_count() or 1) if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers={workers} must be at least 1")
     report = SweepReport(max_n=max_n)

@@ -9,17 +9,18 @@ neighborhood. A valid flow guarantees those targets are still unmeasured,
 which is exactly what makes every outcome branch land on the same state.
 
 None of that depends on the angles or the outcomes: a run is compiled once
-per graph object, input label order and measurement order, into the graph
-state's fresh qubits and effective edges and a `simulator.Schedule` of
-register positions and correction bitmasks, and kept on the flow
-(`GFlow.schedules`). `run_mbqc_yz` and `run_repeated_mbqc` follow one
-outcome list on it; `run_all_branches` runs every outcome branch at once,
-in one array, on the same compiled run.
+per flow, graph object, input label order and measurement order, into the
+graph state's fresh qubits and effective edges and a `simulator.Schedule`
+of register positions and correction bitmasks, and kept in this module's
+table of compiled runs, weakly keyed on the flow. `run_mbqc_yz` and
+`run_repeated_mbqc` follow one outcome list on it; `run_all_branches` runs
+every outcome branch at once, in one array, on the same compiled run.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -150,13 +151,20 @@ def _compile(g: Graph, flow: GFlow, labels: tuple[str, ...], order: tuple[str, .
     return _Compiled(fresh, edges, compile_plan(register, sequence, complete_stabilizer))
 
 
+# flow -> one (graph object, table) pair per graph, compared by identity,
+# on which the flow was verified; each table maps (input labels, order or
+# None for the default) to the _Compiled run. Weak, so a dropped flow takes
+# its runs with it.
+_RUNS: weakref.WeakKeyDictionary[GFlow, list[tuple[Graph, dict]]] = weakref.WeakKeyDictionary()
+
+
 def _compiled(g: Graph, flow: GFlow, labels: tuple[str, ...], order: Sequence[str] | None) -> _Compiled:
     """The compiled run of flow on this graph object, input label order and
-    measurement order (None for the default), from the flow's table
-    (`GFlow.schedules`). On first use the flow is verified, once per graph
-    object, and the order checked. Only success is stored, so an invalid
-    flow, order or label list raises on every call."""
-    for seen, table in flow.schedules:
+    measurement order (None for the default), from `_RUNS`. On first use
+    the flow is verified, once per graph object, and the order checked.
+    Only success is stored, so an invalid flow, order or label list raises
+    on every call."""
+    for seen, table in _RUNS.get(flow, ()):
         if seen is g:
             break
     else:
@@ -164,7 +172,7 @@ def _compiled(g: Graph, flow: GFlow, labels: tuple[str, ...], order: Sequence[st
         if not result:
             raise ValueError(f"invalid flow: {result.violations[0]}")
         table = {}
-        flow.schedules.append((g, table))
+        _RUNS.setdefault(flow, []).append((g, table))
     order = None if order is None else tuple(order)
     compiled = table.get((labels, order))
     if compiled is None:

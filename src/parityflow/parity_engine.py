@@ -15,11 +15,13 @@ this package share it.
 
 `run_computation` follows one outcome list; `run_all_branches` runs the
 same layers on every outcome branch at once, in one array, with the same
-checks.
+checks. Both measure along a `simulator.Schedule` compiled once per layout
+object, register labels and decode set, and kept in this module.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -28,14 +30,16 @@ from parityflow.layout import Gate, ParityLayout, cnot, encoding_circuit, rx, rz
 from parityflow.simulator import (
     BranchArray,
     MeasurementRecord,
+    Schedule,
     Statevector,
     apply_circuit,
+    compile_plan,
     discard_qubit,
-    measure_all_branches,
-    measure_and_correct,
     outcome_probability,
     project,
     resolve_outcomes,
+    run_schedule,
+    run_schedule_all,
 )
 
 X_AXIS = (1.0, 0.0, 0.0)
@@ -90,25 +94,30 @@ def encode_input(layout: ParityLayout, psi: Statevector) -> Statevector:
     return apply_circuit(state, encoding_circuit(layout))
 
 
-def _decode_plan(layout: ParityLayout, labels: tuple[str, ...], subset: Iterable[str]) -> list:
-    """(parity qubit, X axis) for each member of subset, in layout order."""
+# layout -> {(register labels, decode set): Schedule}; weak, so a dropped
+# layout takes its schedules with it
+_DECODE_SCHEDULES: weakref.WeakKeyDictionary[ParityLayout, dict] = weakref.WeakKeyDictionary()
+
+
+def _decode_schedule(layout: ParityLayout, labels: tuple[str, ...], subset: Iterable[str]) -> Schedule:
+    """The schedule measuring the members of subset out of a register over
+    labels, in layout order: a -1 outcome on p is Z on every data qubit p
+    tracks. Compiled once per layout object, labels and decode set; only
+    success is stored, so a bad subset raises on every call."""
     members = frozenset(subset)
-    unknown = members - set(layout.parity_qubits)
-    if unknown:
-        raise ValueError(f"not parity qubits: {sorted(unknown)}")
-    missing = members - set(labels)
-    if missing:
-        raise ValueError(f"parity qubits not in register: {sorted(missing)}")
-    return [(p, X_AXIS) for p in layout.parity_qubits if p in members]
-
-
-def _parity_correction(layout: ParityLayout):
-    """Correction rule: a -1 outcome on p is Z on every data qubit p tracks."""
-
-    def complete_parity(p: str) -> tuple[tuple[str, ...], frozenset[str]]:
-        return (), layout.parity_sets[p]
-
-    return complete_parity
+    table = _DECODE_SCHEDULES.get(layout, {})
+    schedule = table.get((labels, members))
+    if schedule is None:
+        unknown = members - set(layout.parity_qubits)
+        if unknown:
+            raise ValueError(f"not parity qubits: {sorted(unknown)}")
+        missing = members - set(labels)
+        if missing:
+            raise ValueError(f"parity qubits not in register: {sorted(missing)}")
+        qubits = [p for p in layout.parity_qubits if p in members]
+        schedule = compile_plan(labels, qubits, lambda p: ((), layout.parity_sets[p]))
+        _DECODE_SCHEDULES.setdefault(layout, table)[labels, members] = schedule
+    return schedule
 
 
 def mb_decode(
@@ -123,9 +132,9 @@ def mb_decode(
     prescribed list of +/-1 consumed in layout order or a seeded generator
     sampling Born probabilities.
     """
-    plan = _decode_plan(layout, state.labels, subset)
+    schedule = _decode_schedule(layout, state.labels, subset)
     source = resolve_outcomes(outcomes)
-    return measure_and_correct(state, plan, _parity_correction(layout), source)
+    return run_schedule(schedule, state.amplitudes, [X_AXIS] * len(schedule.qubits), source)
 
 
 def unitary_decode(state: Statevector, layout: ParityLayout) -> Statevector:
@@ -217,18 +226,18 @@ def run_computation(
 def run_all_branches(layout: ParityLayout, psi: Statevector, layers: Sequence[LayerParams]) -> BranchArray:
     """`run_computation` on every outcome branch at once, in one array.
 
-    Same layer steps and checks; each decode splits every branch in two
-    (`measure_all_branches`), and re-encoding appends the ancillas to every
-    branch. Raises ValueError when the branches would take the register
-    over the qubit cap.
+    Same layer steps, checks and decode schedules; each decode splits every
+    branch in two (`run_schedule_all`), and re-encoding appends the ancillas
+    to every branch. Raises ValueError when the branches would take the
+    register over the qubit cap.
     """
     steps = _layer_sequence(layers)
     branches = BranchArray.start(encode_input(layout, psi))
-    correct = _parity_correction(layout)
     for params, final in steps:
         decode_set, rotations = _layer_setup(layout, params)
         branches = branches.apply(rotations)
-        branches = measure_all_branches(branches, _decode_plan(layout, branches.labels, decode_set), correct)
+        schedule = _decode_schedule(layout, branches.labels, decode_set)
+        branches = run_schedule_all(schedule, branches, [X_AXIS] * len(schedule.qubits))
         branches = branches.apply(params.data_rotations(layout.data_qubits))
         if not final:
             qubits, gates = _reencode_gates(layout, decode_set)

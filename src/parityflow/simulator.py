@@ -11,9 +11,8 @@ branch of a run as one row. Measuring qubits out is two steps:
 outcome is known, and `run_schedule` measures one register along it while
 `run_schedule_all` contracts each measured qubit of every row with both
 outcome bras at once, doubling the rows and halving the register. Both
-engines measure through these; `measure_and_correct` and
-`measure_all_branches` compile a (qubit, axis) plan and run it in one call.
-`project`, `discard_qubit`, `outcome_probability`, `append_qubit` and
+engines measure only through these, each keeping the schedules it
+compiles. `project`, `discard_qubit`, `outcome_probability`, `append_qubit` and
 `apply_pauli_x/z` are the reference kernels the tests check them against.
 """
 
@@ -223,7 +222,7 @@ def discard_qubit(
     The rest of the register is the row of q that `_bra_row` picks for
     `outcome` on `axis`, the row `_outcome_bras` contracts with,
     renormalised: after `project(state, q, axis, outcome)` that is the
-    state `measure_and_correct` leaves, global phase included. Without an
+    state `run_schedule` leaves, global phase included. Without an
     axis, q's own Bloch axis and outcome +1: the row of larger norm.
     """
     pos = state.index_of(q)
@@ -446,24 +445,6 @@ def run_schedule(
     return Statevector(schedule.labels, amps[0]), tuple(record)
 
 
-def measure_and_correct(
-    state: Statevector,
-    plan: Iterable[tuple[str, tuple[float, float, float]]],
-    correct: Callable[[str], tuple[Iterable[str], Iterable[str]]],
-    source: OutcomeSource,
-) -> tuple[Statevector, MeasurementRecord]:
-    """Measure each (qubit, axis) of the plan in turn and remove the qubit.
-
-    Compiles the plan's qubits and the correction rule `correct` (see
-    `compile_plan`) and runs the schedule on the state (`run_schedule`).
-    The result is the state `project` then `discard_qubit(..., axis,
-    outcome)` give, global phase included.
-    """
-    plan = tuple(plan)
-    schedule = compile_plan(state.labels, (q for q, _ in plan), correct)
-    return run_schedule(schedule, state.amplitudes, [axis for _, axis in plan], source)
-
-
 def check_cap(qubits: int, branches: int = 1) -> None:
     """Refuse a register over the qubit cap, or one that all its outcome
     branches together would take over it: the 2^m branch rows count as m
@@ -572,18 +553,6 @@ def run_schedule_all(
     for j, column in enumerate(born_columns, done):
         probabilities[:, j] = np.repeat(column, rows // len(column))
     return BranchArray(schedule.labels, amps, probabilities, branches.plan + (plan,))
-
-
-def measure_all_branches(
-    branches: BranchArray,
-    plan: Iterable[tuple[str, tuple[float, float, float]]],
-    correct: Callable[[str], tuple[Iterable[str], Iterable[str]]],
-) -> BranchArray:
-    """`measure_and_correct` on both outcomes of every branch at once: the
-    plan compiled as there, run by `run_schedule_all`."""
-    plan = tuple(plan)
-    schedule = compile_plan(branches.labels, (q for q, _ in plan), correct)
-    return run_schedule_all(schedule, branches, [axis for _, axis in plan])
 
 
 def record_to_json(record: Iterable[MeasurementEntry]) -> list:

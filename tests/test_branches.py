@@ -22,9 +22,10 @@ from parityflow.simulator import (
     BranchArray,
     ZeroProbabilityError,
     basis_state,
-    measure_all_branches,
-    measure_and_correct,
+    compile_plan,
     random_state,
+    run_schedule,
+    run_schedule_all,
 )
 
 TOL = 1e-14
@@ -224,13 +225,15 @@ def eigenstate_plans(draw):
 def test_zero_probability_rows_are_unreachable_and_finite(case):
     labels, bits, plan, correction = case
     state = basis_state(labels, bits)
-    branches = measure_all_branches(BranchArray.start(state), plan, lambda q: correction)
+    schedule = compile_plan(labels, [q for q, _ in plan], lambda q: correction)
+    axes = [axis for _, axis in plan]
+    branches = run_schedule_all(schedule, BranchArray.start(state), axes)
     expected = [1 - 2 * int(bits[labels.index(q)]) for q, _ in plan]
     rows = [list(outcomes) == expected for outcomes in all_outcome_branches(len(plan))]
     assert branches.reachable.tolist() == rows
     assert_matches_per_branch(
         branches,
-        one_pass(lambda outcomes: measure_and_correct(state, plan, lambda q: correction, simulator.OutcomeSource(outcomes))),
+        one_pass(lambda outcomes: run_schedule(schedule, state.amplitudes, axes, simulator.OutcomeSource(outcomes))),
     )
 
 

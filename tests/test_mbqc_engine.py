@@ -1,5 +1,8 @@
 """Measurement-based engine: graph states, YZ runs, layered repetition."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -23,9 +26,10 @@ from parityflow.simulator import (
     OutcomeSource,
     apply_circuit,
     basis_state,
+    compile_plan,
     distance_up_to_phase,
-    measure_and_correct,
     random_state,
+    run_schedule,
 )
 
 
@@ -246,7 +250,7 @@ def test_each_run_compiled_once_per_graph_object_label_order_and_order(monkeypat
         for branch in all_outcome_branches(2):
             run_mbqc_yz(c4, psi, angles, flow, branch, order=order)
     assert compiled == [(c4, labels, order) for labels, order in keys]
-    [(seen, table)] = flow.schedules
+    [(seen, table)] = mbqc_engine._RUNS[flow]
     assert seen is c4 and list(table) == keys
 
     # failures are never stored: each call checks, compiles and raises again
@@ -261,13 +265,14 @@ def test_each_run_compiled_once_per_graph_object_label_order_and_order(monkeypat
     for _ in range(3):
         with pytest.raises(ValueError, match="invalid flow"):
             run_mbqc_yz(graph, basis_state(("1", "2"), "00"), {"(12)": 0.3}, bad, [1])
-    assert bad.schedules == [] and len(compiled) == len(keys) + 3
+    assert bad not in mbqc_engine._RUNS and len(compiled) == len(keys) + 3
 
 
 def test_compiled_runs_match_runs_compiled_on_every_call(monkeypatch):
     # every n <= 5 sweep witness on every branch, in two input label orders
-    # and two measurement orders, against measure_and_correct on a freshly
-    # prepared graph state with the correction rule read off the flow
+    # and two measurement orders, against a schedule compiled on every call
+    # and run on a freshly prepared graph state, with the correction rule
+    # read off the flow
     compiled = counting_compiles(monkeypatch)
     rng = np.random.default_rng(8)
     runs = 0
@@ -287,17 +292,19 @@ def test_compiled_runs_match_runs_compiled_on_every_call(monkeypatch):
         for labels in label_orders:
             psi = random_state(labels, rng)
             for order, sequence in ((None, default), (reverse, reverse)):
-                plan = [(v, yz_axis(angles[v])) for v in sequence]
+                axes = [yz_axis(angles[v]) for v in sequence]
                 for branch in all_outcome_branches(len(measured)):
                     out, record = run_mbqc_yz(g, psi, angles, flow, branch, order=order)
-                    expected, expected_record = measure_and_correct(
-                        prepare_graph_state(g, psi), plan, correct, OutcomeSource(branch)
+                    prepared = prepare_graph_state(g, psi)
+                    schedule = compile_plan(prepared.labels, sequence, correct)
+                    expected, expected_record = run_schedule(
+                        schedule, prepared.amplitudes, axes, OutcomeSource(branch)
                     )
                     assert out.labels == expected.labels
                     assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
                     assert record == expected_record
                     runs += 1
-        [(seen, _)] = flow.schedules
+        [(seen, _)] = mbqc_engine._RUNS[flow]
         assert seen is g
         assert len(compiled) - before == 2 * len(label_orders)
     assert runs == 3174
@@ -310,9 +317,22 @@ def test_compiled_runs_match_runs_compiled_on_every_call(monkeypatch):
     before = len(compiled)
     results = [run_mbqc_yz(graph, psi, angles, flow, [-1] * len(flow.g)) for graph in (g, twin, g, twin)]
     assert len(compiled) == before + 1 and compiled[-1][0] is twin
-    assert [seen is graph for (seen, _), graph in zip(flow.schedules, (g, twin), strict=True)] == [True, True]
+    assert [seen is graph for (seen, _), graph in zip(mbqc_engine._RUNS[flow], (g, twin), strict=True)] == [True, True]
     for out, record in results[1:]:
         assert out.amplitudes.tobytes() == results[0][0].amplitudes.tobytes() and record == results[0][1]
+
+
+def test_dropped_flows_leave_no_compiled_runs():
+    graph = p3_graph()
+    flow = canonical_yz_gflow(graph)
+    run_mbqc_yz(graph, basis_state(("1", "2"), "10"), {"c": 0.7}, flow, [-1])
+    [(seen, _)] = mbqc_engine._RUNS[flow]
+    assert seen is graph
+    dropped_flow, dropped_graph = weakref.ref(flow), weakref.ref(graph)
+    del flow, graph, seen
+    gc.collect()
+    assert dropped_flow() is None and dropped_graph() is None
+    assert all(key() is not None for key in mbqc_engine._RUNS.keyrefs())
 
 
 def test_bad_measurement_order_rejected():

@@ -1,8 +1,12 @@
 """Parity computation: encoding, measurement-based decoding, layered runs."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from parityflow import parity_engine
 from parityflow.layout import build_all_pairs_layout
 from parityflow.parity_engine import (
     LayerParams,
@@ -102,6 +106,65 @@ def test_mb_decode_unknown_subset(layout2):
     encoded = encode_input(layout2, psi)
     with pytest.raises(ValueError, match="not parity"):
         mb_decode(encoded, layout2, ["1"], [1])
+
+
+def counting_compiles(monkeypatch) -> list:
+    compiled = []
+    real_compile = parity_engine.compile_plan
+
+    def counting(labels, qubits, correct):
+        compiled.append((labels, tuple(qubits)))
+        return real_compile(labels, qubits, correct)
+
+    monkeypatch.setattr(parity_engine, "compile_plan", counting)
+    return compiled
+
+
+def test_each_decode_compiled_once_per_layout_register_and_decode_set(monkeypatch):
+    compiled = counting_compiles(monkeypatch)
+    layout = build_all_pairs_layout(3)
+    psi = random_state(layout.data_qubits, np.random.default_rng(9))
+    layers = [
+        LayerParams(theta={"(12)": 0.3}, decode={"(12)", "(13)"}),
+        LayerParams(theta={"(23)": -0.4}, alpha={"1": 0.2}),
+    ]
+    parity_engine.run_all_branches(layout, psi, layers)
+    for outcomes in all_outcome_branches(5):
+        run_computation(layout, psi, layers, outcomes)
+    # the partial decode, then the full one on the re-encoded register
+    keys = [
+        (("1", "2", "3", "(12)", "(13)", "(23)"), frozenset({"(12)", "(13)"})),
+        (("1", "2", "3", "(23)", "(12)", "(13)"), frozenset(layout.parity_qubits)),
+    ]
+    assert compiled == [(labels, tuple(p for p in layout.parity_qubits if p in members)) for labels, members in keys]
+    assert list(parity_engine._DECODE_SCHEDULES[layout]) == keys
+    # another layout object compiles its own
+    parity_engine.run_all_branches(build_all_pairs_layout(3), psi, layers)
+    assert len(compiled) == 2 * len(keys)
+
+
+def test_bad_decode_sets_raise_on_every_call_and_store_nothing(monkeypatch, layout2):
+    compiled = counting_compiles(monkeypatch)
+    psi = basis_state(("1", "2"), "00")
+    encoded = encode_input(layout2, psi)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not parity qubits"):
+            mb_decode(encoded, layout2, {"(12)", "(99)"}, [1, 1])
+        with pytest.raises(ValueError, match="not in register"):
+            mb_decode(psi, layout2, {"(12)"}, [1])
+    assert compiled == []
+    assert layout2 not in parity_engine._DECODE_SCHEDULES
+
+
+def test_dropped_layouts_leave_no_decode_schedules():
+    layout = build_all_pairs_layout(2)
+    run_computation(layout, basis_state(("1", "2"), "01"), [LayerParams(theta={"(12)": 0.5})], [-1])
+    assert layout in parity_engine._DECODE_SCHEDULES
+    dropped = weakref.ref(layout)
+    del layout
+    gc.collect()
+    assert dropped() is None
+    assert all(key() is not None for key in parity_engine._DECODE_SCHEDULES.keyrefs())
 
 
 def test_unitary_decode_round_trip(layout2):

@@ -56,10 +56,11 @@ from parityflow.simulator import (
     apply_circuit,
     apply_pauli_x,
     apply_pauli_z,
+    compile_plan,
     discard_qubit,
-    measure_and_correct,
     project,
     random_state,
+    run_schedule,
 )
 
 import gflow_helpers as reference
@@ -464,14 +465,15 @@ def _reference_step(state, q, axis, outcome, xs, zs):
 @given(measurement_steps())
 def test_fused_measure_step_matches_project_then_discard(case):
     state, q, axis, xs, zs = case
+    schedule = compile_plan(state.labels, [q], lambda _: (xs, zs))
     for outcome in (1, -1):
         try:
             probability, projected = _reference_step(state, q, axis, outcome, xs, zs)
         except ZeroProbabilityError:
             with pytest.raises(ZeroProbabilityError):
-                measure_and_correct(state, [(q, axis)], lambda _: (xs, zs), OutcomeSource([outcome]))
+                run_schedule(schedule, state.amplitudes, [axis], OutcomeSource([outcome]))
             continue
-        out, record = measure_and_correct(state, [(q, axis)], lambda _: (xs, zs), OutcomeSource([outcome]))
+        out, record = run_schedule(schedule, state.amplitudes, [axis], OutcomeSource([outcome]))
         assert [(e.qubit, e.outcome) for e in record] == [(q, outcome)]
         assert abs(record[0].probability - probability) <= 1e-12
         reference = discard_qubit(projected, q, axis, outcome)

@@ -17,12 +17,13 @@ from parityflow.simulator import (
     apply_pauli_x,
     apply_pauli_z,
     basis_state,
+    compile_plan,
     discard_qubit,
     distance_up_to_phase,
-    measure_and_correct,
     outcome_probability,
     project,
     random_state,
+    run_schedule,
 )
 
 from pauli_helpers import pauli_expectation, pauli_from_text
@@ -189,10 +190,11 @@ def test_discard_after_a_tied_yz_projection_keeps_the_measured_phase(theta):
     for n in range(1, 7):
         state = random_state([f"q{i}" for i in range(n)], rng)
         for q in state.labels:
+            schedule = compile_plan(state.labels, [q], lambda _: ((), ()))
             for outcome in (1, -1):
                 _, projected = project(state, q, axis, outcome)
                 discarded = discard_qubit(projected, q, axis, outcome)
-                measured, _ = measure_and_correct(state, [(q, axis)], lambda _: ((), ()), OutcomeSource([outcome]))
+                measured, _ = run_schedule(schedule, state.amplitudes, [axis], OutcomeSource([outcome]))
                 assert discarded.labels == measured.labels
                 assert np.abs(discarded.amplitudes - measured.amplitudes).max() <= 1e-12
 
