@@ -95,6 +95,8 @@ class ParityLayout:
                 raise ValueError(f"constraint ({c!r}, {t!r}) references unknown qubits")
             if t not in self.parity_sets:
                 raise ValueError(f"constraint targets non-parity qubit {t!r}")
+            if c == t:
+                raise ValueError(f"constraint ({c!r}, {t!r}) is not a CNOT: control and target coincide")
 
     @property
     def qubits(self) -> tuple[str, ...]:
@@ -154,25 +156,33 @@ class ConstraintReport:
         return self.ok
 
 
+def realised_parities(layout: ParityLayout) -> dict[str, frozenset[str]]:
+    """For each parity qubit, in layout order, the data qubits whose parity
+    the CNOT list leaves on it, starting from |0>. CNOTs act on basis
+    states as XORs, so each qubit holds a GF(2) sum of data bits: data
+    qubit q starts as {q}, a parity qubit as {}. Parity-qubit controls
+    are allowed, so chain layouts that build one parity from another
+    propagate too."""
+    value = {q: frozenset({q}) for q in layout.data_qubits} | dict.fromkeys(layout.parity_qubits, frozenset())
+    for c, t in layout.constraints:
+        value[t] ^= value[c]
+    return {p: value[p] for p in layout.parity_qubits}
+
+
 def validate_constraints(layout: ParityLayout) -> ConstraintReport:
     """Check the CNOT list realizes every declared parity set.
 
-    CNOTs act on basis states as XORs, so each qubit ends up holding a
-    GF(2) sum of data bits: a mask over the data qubits, with data qubit i
-    at bit n-1-i as in the basis-state string. Each data qubit starts as
-    its own bit and each parity qubit as 0; parity-qubit controls are
-    allowed, so chain layouts that build one parity from another validate
-    too. A parity qubit whose mask differs from its declared set by `diff`
-    is wrong exactly on the basis states with odd overlap with `diff`, the
-    first of which is the lowest set bit of `diff`. The report names the
-    first wrong basis state and, on it, the first wrong parity qubit.
+    A parity qubit whose `realised_parities` set differs from its declared
+    set by `diff`, as a mask with data qubit i at bit n-1-i as in the
+    basis-state string, is wrong exactly on the basis states with odd
+    overlap with `diff`, the first of which is the lowest set bit of
+    `diff`. The report names the first wrong basis state and, on it, the
+    first wrong parity qubit.
     """
     n = layout.n
     bit = {q: 1 << (n - 1 - i) for i, q in enumerate(layout.data_qubits)}
-    value = bit | dict.fromkeys(layout.parity_qubits, 0)
-    for c, t in layout.constraints:
-        value[t] ^= value[c]
-    diffs = [(p, value[p] ^ sum(bit[q] for q in layout.parity_sets[p])) for p in layout.parity_qubits]
+    realised = realised_parities(layout)
+    diffs = [(p, sum(bit[q] for q in realised[p] ^ layout.parity_sets[p])) for p in layout.parity_qubits]
     wrong = [diff & -diff for _, diff in diffs if diff]
     if not wrong:
         return ConstraintReport(True)

@@ -10,7 +10,7 @@ which is exactly what makes every outcome branch land on the same state.
 
 None of that depends on the angles or the outcomes: a run is compiled once
 per flow, graph object, input label order and measurement order, into the
-graph state's fresh qubits and effective edges and a `simulator.Schedule`
+graph state's fresh qubits, its CZ phase vector and a `simulator.Schedule`
 of register positions and correction bitmasks, and kept in this module's
 table of compiled runs, weakly keyed on the flow. `run_mbqc_yz` and
 `run_repeated_mbqc` follow one outcome list on it; `run_all_branches` runs
@@ -23,7 +23,6 @@ import math
 import weakref
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,47 +48,35 @@ def yz_axis(theta: float) -> tuple[float, float, float]:
     return (0.0, math.sin(theta), math.cos(theta))
 
 
-def _register(g: Graph, labels: tuple[str, ...]) -> tuple[tuple[str, ...], int, int]:
-    """The graph-state register for inputs in the given label order: its
-    labels (the inputs, then the other vertices in graph order), how many
-    of them are fresh, and the effective edges, those not lying inside the
-    input set, as one int with bit n * a + b for the amplitude-index bit
-    pair a < b of an edge."""
+def _register(g: Graph, labels: tuple[str, ...]) -> tuple[tuple[str, ...], int, np.ndarray]:
+    """The graph-state register for inputs in the given label order, refused
+    over the qubit cap: its labels (the inputs, then the other vertices in
+    graph order), how many of them are fresh, and the CZ phase vector of
+    the edges not lying inside the input set, (-1)^(sum of b_u b_v over
+    them) for every amplitude index, as read-only int8 (64 KiB at most)."""
     if frozenset(labels) != g.inputs:
         raise ValueError(f"input labels {labels} do not match graph inputs {sorted(g.inputs)}")
     out_labels = labels + tuple(v for v in g.vertices if v not in g.inputs)
     n = len(out_labels)
+    check_cap(n)
     shift = {v: n - 1 - i for i, v in enumerate(out_labels)}
-    edges = 0
+    index = np.arange(1 << n)
+    cz_parity = np.zeros(1 << n, dtype=np.int64)
     for u, v in g.edges:
         if u not in g.inputs or v not in g.inputs:
-            a, b = sorted((shift[u], shift[v]))
-            edges |= 1 << (n * a + b)
-    return out_labels, n - len(labels), edges
-
-
-def _graph_amplitudes(amps: np.ndarray, fresh: int, edges: int) -> np.ndarray:
-    """Graph-state amplitudes for inputs carried by amps, which may hold one
-    register (2^d,) or one per branch (B, 2^d): `fresh` |+> qubits after
-    them and CZ across `edges`, both as `_register` gives them."""
-    d = amps.shape[-1].bit_length() - 1
-    n = d + fresh
-    check_cap(n, amps.size >> d)
-    return np.repeat(amps, 1 << fresh, axis=-1) * 2.0 ** (-fresh / 2) * _cz_signs(n, edges)
-
-
-@lru_cache(maxsize=64)
-def _cz_signs(n: int, edges: int) -> np.ndarray:
-    """(-1)^(sum of b_u b_v over the edges, given as by `_register`) for
-    every n-bit index, as int8 (at most 64 KiB at the 16-qubit cap).
-    Cached, since every branch and layer of a run prepares the same graph."""
-    pairs = np.array([divmod(k, n) for k in range(edges.bit_length()) if edges >> k & 1], dtype=np.int64)
-    pairs = pairs.reshape(-1, 2)
-    index = np.arange(1 << n)[:, None]
-    cz_parity = np.bitwise_xor.reduce((index >> pairs[:, 0]) & (index >> pairs[:, 1]), axis=1) & 1
+            cz_parity ^= index >> shift[u] & index >> shift[v] & 1
     signs = (1 - 2 * cz_parity).astype(np.int8)
     signs.setflags(write=False)
-    return signs
+    return out_labels, n - len(labels), signs
+
+
+def _graph_amplitudes(amps: np.ndarray, fresh: int, signs: np.ndarray) -> np.ndarray:
+    """Graph-state amplitudes for inputs carried by amps, which may hold one
+    register (2^d,) or one per branch (B, 2^d): `fresh` |+> qubits after
+    them and the CZ phase vector `signs`, both as `_register` gives them."""
+    d = amps.shape[-1].bit_length() - 1
+    check_cap(d + fresh, amps.size >> d)
+    return np.repeat(amps, 1 << fresh, axis=-1) * 2.0 ** (-fresh / 2) * signs
 
 
 def prepare_graph_state(g: Graph, psi: Statevector) -> Statevector:
@@ -101,8 +88,8 @@ def prepare_graph_state(g: Graph, psi: Statevector) -> Statevector:
     the CZ gates together are the phase vector (-1)^(sum of b_u b_v over the
     edges), b_u being the bit of u in the amplitude index.
     """
-    labels, fresh, edges = _register(g, psi.labels)
-    return Statevector(labels, _graph_amplitudes(psi.amplitudes, fresh, edges))
+    labels, fresh, signs = _register(g, psi.labels)
+    return Statevector(labels, _graph_amplitudes(psi.amplitudes, fresh, signs))
 
 
 def _default_order(g: Graph, flow: GFlow) -> list[str]:
@@ -128,11 +115,11 @@ def _check_order(g: Graph, flow: GFlow, order: Sequence[str]) -> None:
 @dataclass(frozen=True, slots=True)
 class _Compiled:
     """One flow's run on one graph and input label order, in one
-    measurement order: the graph state's fresh-qubit count and effective
-    edges (as `_register` gives them) and the measurement schedule."""
+    measurement order: the graph state's fresh-qubit count and CZ phase
+    vector (as `_register` gives them) and the measurement schedule."""
 
     fresh: int
-    edges: int
+    signs: np.ndarray
     schedule: Schedule
 
 
@@ -140,7 +127,7 @@ def _compile(g: Graph, flow: GFlow, labels: tuple[str, ...], order: tuple[str, .
     """Check the order against the flow and compile the run: a -1 outcome
     on v completes the stabilizer of g(v), X on g(v) - v and Z on
     Odd(g(v)) - v."""
-    register, fresh, edges = _register(g, labels)
+    register, fresh, signs = _register(g, labels)
     sequence = _default_order(g, flow) if order is None else order
     _check_order(g, flow, sequence)
 
@@ -148,7 +135,7 @@ def _compile(g: Graph, flow: GFlow, labels: tuple[str, ...], order: tuple[str, .
         odd = g.vertices_of(g.odd_mask(g.mask_of(flow.g[v])))
         return flow.g[v] - {v}, odd - {v}
 
-    return _Compiled(fresh, edges, compile_plan(register, sequence, complete_stabilizer))
+    return _Compiled(fresh, signs, compile_plan(register, sequence, complete_stabilizer))
 
 
 # flow -> one (graph object, table) pair per graph, compared by identity,
@@ -203,7 +190,7 @@ def run_mbqc_yz(
     if set(angles) != set(schedule.qubits):
         raise ValueError("angle keys must be exactly the measured vertices")
     source = resolve_outcomes(outcomes)
-    amps = _graph_amplitudes(psi.amplitudes, compiled.fresh, compiled.edges)
+    amps = _graph_amplitudes(psi.amplitudes, compiled.fresh, compiled.signs)
     return run_schedule(schedule, amps, [yz_axis(angles[v]) for v in schedule.qubits], source)
 
 
@@ -256,7 +243,7 @@ def run_all_branches(
         schedule = compiled.schedule
         if not set(params.theta) <= set(schedule.qubits):
             raise ValueError("theta keys must be measured vertices")
-        amps = _graph_amplitudes(branches.amplitudes, compiled.fresh, compiled.edges)
+        amps = _graph_amplitudes(branches.amplitudes, compiled.fresh, compiled.signs)
         branches = branches.on_register(branches.labels + fresh_labels, amps)
         axes = [yz_axis(params.theta.get(v, 0.0)) for v in schedule.qubits]
         branches = run_schedule_all(schedule, branches, axes)

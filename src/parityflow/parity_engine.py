@@ -8,7 +8,8 @@ independent oracle.
 
 Within a layer the order is: parity-qubit Z rotations, measurement-based
 decoding with corrections, local data rotations, then (when another layer
-follows) re-encoding of the decoded parity qubits from fresh ancillas.
+follows) re-encoding: the decoded parity qubits are appended holding the
+parities of their sets, as encoding appends them, with no CNOT gates.
 Data rotations acting before re-encoding is a convention; it matters only
 for X rotations interleaved with partial decoding, and both engines in
 this package share it.
@@ -26,7 +27,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from parityflow.graph import json_field, json_labels, json_number
-from parityflow.layout import Gate, ParityLayout, cnot, encoding_circuit, rx, rz
+from parityflow.layout import Gate, ParityLayout, encoding_circuit, realised_parities, rx, rz
 from parityflow.simulator import (
     BranchArray,
     MeasurementRecord,
@@ -87,11 +88,11 @@ class LayerParams:
 
 
 def encode_input(layout: ParityLayout, psi: Statevector) -> Statevector:
-    """Append the parity register in |0..0> and run the constraint CNOTs."""
+    """The state the constraint CNOTs leave on |psi, 0..0>, realised layout
+    or not: each parity qubit appended holding its `realised_parities` set."""
     if psi.labels != tuple(layout.data_qubits):
         raise ValueError(f"input labels {psi.labels} do not match data qubits {layout.data_qubits}")
-    state = BranchArray.start(psi).append_zeros(layout.parity_qubits).state(0)
-    return apply_circuit(state, encoding_circuit(layout))
+    return BranchArray.start(psi).append_parities(realised_parities(layout)).state(0)
 
 
 # layout -> {(register labels, decode set): Schedule}; weak, so a dropped
@@ -143,8 +144,7 @@ def unitary_decode(state: Statevector, layout: ParityLayout) -> Statevector:
     Serves as the independent decoding oracle: on codespace states every
     parity qubit ends in |0>; anything else raises.
     """
-    reversed_circuit = tuple(cnot(c, t) for c, t in reversed(layout.constraints))
-    state = apply_circuit(state, reversed_circuit)
+    state = apply_circuit(state, encoding_circuit(layout)[::-1])
     for p in layout.parity_qubits:
         if p not in state.labels:
             continue
@@ -156,13 +156,9 @@ def unitary_decode(state: Statevector, layout: ParityLayout) -> Statevector:
     return state
 
 
-def _reencode_gates(layout: ParityLayout, subset: frozenset[str]) -> tuple[list[str], list[Gate]]:
-    """Fresh |0> ancillas for the decoded parity qubits, and the CNOTs that
-    re-entangle them from their tracked data qubits (always well defined,
-    independent of the original constraint routing)."""
-    qubits = [p for p in layout.parity_qubits if p in subset]
-    gates = [cnot(q, p) for p in qubits for q in sorted(layout.parity_sets[p], key=layout.data_qubits.index)]
-    return qubits, gates
+def _reencode_sets(layout: ParityLayout, subset: frozenset[str]) -> dict[str, frozenset[str]]:
+    """The decoded parity qubits, in layout order, with their declared sets."""
+    return {p: layout.parity_sets[p] for p in layout.parity_qubits if p in subset}
 
 
 def _layer_setup(layout: ParityLayout, params: LayerParams) -> tuple[frozenset[str], list[Gate]]:
@@ -187,8 +183,7 @@ def run_layer(
     state, record = mb_decode(state, layout, decode_set, outcomes)
     state = apply_circuit(state, params.data_rotations(layout.data_qubits))
     if not final:
-        qubits, gates = _reencode_gates(layout, decode_set)
-        state = apply_circuit(BranchArray.start(state).append_zeros(qubits).state(0), gates)
+        state = BranchArray.start(state).append_parities(_reencode_sets(layout, decode_set)).state(0)
     return state, record
 
 
@@ -227,9 +222,9 @@ def run_all_branches(layout: ParityLayout, psi: Statevector, layers: Sequence[La
     """`run_computation` on every outcome branch at once, in one array.
 
     Same layer steps, checks and decode schedules; each decode splits every
-    branch in two (`run_schedule_all`), and re-encoding appends the ancillas
-    to every branch. Raises ValueError when the branches would take the
-    register over the qubit cap.
+    branch in two (`run_schedule_all`), and re-encoding appends the parity
+    qubits to every branch. Raises ValueError when the branches would take
+    the register over the qubit cap.
     """
     steps = _layer_sequence(layers)
     branches = BranchArray.start(encode_input(layout, psi))
@@ -240,8 +235,7 @@ def run_all_branches(layout: ParityLayout, psi: Statevector, layers: Sequence[La
         branches = run_schedule_all(schedule, branches, [X_AXIS] * len(schedule.qubits))
         branches = branches.apply(params.data_rotations(layout.data_qubits))
         if not final:
-            qubits, gates = _reencode_gates(layout, decode_set)
-            branches = branches.append_zeros(qubits).apply(gates)
+            branches = branches.append_parities(_reencode_sets(layout, decode_set))
     return branches
 
 

@@ -9,7 +9,7 @@ GF(2) row arithmetic with exact sign tracking.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from parityflow.graph import Graph
@@ -41,26 +41,6 @@ class PauliString:
 
     def __repr__(self) -> str:
         return f"PauliString({pauli_to_text(self)!r})"
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.x | self.z
-
-
-def pauli_from_ops(labels: Sequence[str], ops: Mapping[str, str], sign: int = 1) -> PauliString:
-    """Build a Pauli string from {label: "X"|"Y"|"Z"} with identity elsewhere."""
-    index = {q: i for i, q in enumerate(labels)}
-    x = z = 0
-    for q, op in ops.items():
-        if q not in index:
-            raise ValueError(f"unknown qubit {q!r}")
-        if op not in ("X", "Y", "Z"):
-            raise ValueError(f"unknown Pauli {op!r}")
-        if op in ("X", "Y"):
-            x |= 1 << index[q]
-        if op in ("Z", "Y"):
-            z |= 1 << index[q]
-    return PauliString(tuple(labels), x, z, sign)
 
 
 def pauli_to_text(p: PauliString) -> str:

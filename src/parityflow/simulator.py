@@ -19,7 +19,7 @@ compiles. `project`, `discard_qubit`, `outcome_probability`, `append_qubit` and
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -495,17 +495,23 @@ class BranchArray:
     def apply(self, circuit: Iterable[Gate]) -> BranchArray:
         return self.on_register(self.labels, _apply_gates(self.amplitudes, self.labels, circuit))
 
-    def append_zeros(self, qubits: Sequence[str]) -> BranchArray:
-        """|0> on each new qubit, appended to the end of every branch's register."""
-        for q in qubits:
+    def append_parities(self, sets: Mapping[str, Iterable[str]]) -> BranchArray:
+        """Append the qubits of `sets`, in order, to every branch's register,
+        each holding the parity of the register qubits its set names (|0>
+        for an empty set): one index permutation, amplitude x moving to x
+        followed by the new qubits' parities of x."""
+        for q in sets:
             if q in self.labels:
                 raise ValueError(f"qubit {q!r} already present")
-        labels = self.labels + tuple(qubits)
-        rows = len(self.amplitudes)
-        check_cap(len(labels), rows)
-        amps = np.zeros((rows, self.amplitudes.shape[1], 1 << len(qubits)), dtype=np.complex128)
-        amps[:, :, 0] = self.amplitudes
-        return self.on_register(labels, amps.reshape(rows, -1))
+        labels = self.labels + tuple(sets)
+        check_cap(len(labels), len(self.amplitudes))
+        k, m = len(self.labels), len(sets)
+        target = np.arange(1 << k) << m
+        for j, members in enumerate(sets.values()):
+            target[_odd_overlap(k, _index_mask(self.labels, members))] ^= 1 << (m - 1 - j)
+        amps = np.zeros((len(self.amplitudes), 1 << len(labels)), dtype=np.complex128)
+        amps[:, target] = self.amplitudes
+        return self.on_register(labels, amps)
 
     def state(self, row: int) -> Statevector:
         return Statevector(self.labels, self.amplitudes[row])
@@ -586,11 +592,11 @@ class OutcomeSource:
             self._rng = spec
             self._queue = None
         elif isinstance(spec, Sequence) and not isinstance(spec, (str, bytes)):
-            bad = [o for o in spec if o not in (1, -1)]
+            bad = [o for o in spec if isinstance(o, (bool, np.bool_)) or o not in (1, -1)]
             if bad:
                 raise ValueError(f"prescribed outcomes must be +/-1, got {bad}")
             self._rng = None
-            self._queue = iter(list(spec))
+            self._queue = iter([int(o) for o in spec])
         else:
             raise TypeError("outcomes must be a sequence of +/-1 or a numpy Generator")
 

@@ -1,11 +1,12 @@
-"""Reference Pauli routines that only the tests need: a text parser, the
-commutation test of two strings and dense expectation values."""
+"""Reference Pauli routines that only the tests need: builders from
+single-qubit ops and from text, the identity and commutation tests of
+strings and dense expectation values."""
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from parityflow.pauli import PauliString, pauli_from_ops
+from parityflow.pauli import PauliString
 from parityflow.simulator import Statevector
 
 _MATRICES = {
@@ -13,6 +14,26 @@ _MATRICES = {
     (1, 1): np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     (0, 1): np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
+
+
+def pauli_from_ops(labels: Sequence[str], ops: Mapping[str, str], sign: int = 1) -> PauliString:
+    """Build a Pauli string from {label: "X"|"Y"|"Z"} with identity elsewhere."""
+    index = {q: i for i, q in enumerate(labels)}
+    x = z = 0
+    for q, op in ops.items():
+        if q not in index:
+            raise ValueError(f"unknown qubit {q!r}")
+        if op not in ("X", "Y", "Z"):
+            raise ValueError(f"unknown Pauli {op!r}")
+        if op in ("X", "Y"):
+            x |= 1 << index[q]
+        if op in ("Z", "Y"):
+            z |= 1 << index[q]
+    return PauliString(tuple(labels), x, z, sign)
+
+
+def is_identity(p: PauliString) -> bool:
+    return not p.x | p.z
 
 
 def pauli_from_text(labels: Sequence[str], text: str) -> PauliString:

@@ -87,6 +87,75 @@ def test_stab_check_equivalence_stdout_pinned(runner, tmp_path):
     assert digest.hexdigest() == "64565216effb6927bb75429e4b9c8a5f56f6927301906da77767422df5d8b98b"
 
 
+PINNED_PROGRAMS = {
+    "readme": README_PROGRAM,
+    # partial decode: sim mbqc and compare refuse it with exit 2
+    "three_qubits_partial_decode": {
+        "layout": {
+            "n": 3,
+            "parity": [
+                {"label": "(12)", "set": ["1", "2"]},
+                {"label": "(13)", "set": ["1", "3"]},
+                {"label": "(23)", "set": ["2", "3"]},
+            ],
+            "constraints": [["1", "(12)"], ["2", "(12)"], ["1", "(13)"], ["3", "(13)"], ["2", "(23)"], ["3", "(23)"]],
+        },
+        "layers": [
+            # X rotations only on data qubit 2, which (13), still encoded, does not track
+            {"theta": {"(12)": 0.9, "(23)": -1.3}, "alpha": {"2": 0.4}, "phi": {"1": -0.7, "3": 2.1}, "decode": ["(12)", "(23)"]},
+            {"theta": {"(13)": 0.6, "(12)": -0.3}, "alpha": {"2": -1.1}, "phi": {"1": 1.2}},
+        ],
+        "input": [[0.3, 0.1], [-0.2, 0.4], [0.5, 0.0], [0.1, -0.3], [0.0, 0.2], [-0.4, 0.1], [0.2, 0.2], [0.1, 0.0]],
+    },
+    # (13) is built through (12), a parity-qubit control
+    "chain_with_parity_control": {
+        "layout": {
+            "n": 3,
+            "parity": [{"label": "(12)", "set": ["1", "2"]}, {"label": "(13)", "set": ["1", "3"]}],
+            "constraints": [["1", "(12)"], ["2", "(12)"], ["(12)", "(13)"], ["2", "(13)"], ["3", "(13)"]],
+        },
+        "layers": [
+            {"theta": {"(12)": 1.1, "(13)": -0.8}, "alpha": {"3": 0.5}, "phi": {"1": -0.9}},
+            {"theta": {"(13)": 0.35}, "alpha": {"1": 1.3}, "phi": {"2": 0.45}},
+        ],
+        "input": [[0.1, 0.2], [0.3, -0.1], [0.0, 0.4], [-0.2, 0.2], [0.5, 0.1], [0.1, 0.1], [-0.3, 0.0], [0.2, -0.4]],
+    },
+}
+
+
+def _rounded(value):
+    """Floats rounded to 12 decimal places, -0.0 as 0.0: noise-level values
+    such as a 1e-16 branch distance round to 0, so the digest does not
+    depend on the BLAS build."""
+    if isinstance(value, float):
+        return round(value, 12) + 0.0
+    if isinstance(value, list):
+        return [_rounded(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    return value
+
+
+def test_simulation_commands_stdout_pinned(runner, tmp_path):
+    """`sim parity`, `sim mbqc` (all branches and sampled) and `compare` on
+    three programs: their exit codes and parsed stdout, rounded, are pinned."""
+    digest = hashlib.sha256()
+    for name, program in PINNED_PROGRAMS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(program))
+        for command in (
+            ["sim", "parity", "--branches", "all"],
+            ["sim", "parity", "--samples", "5", "--seed", "11"],
+            ["sim", "mbqc", "--branches", "all"],
+            ["sim", "mbqc", "--samples", "5", "--seed", "11"],
+            ["compare", "--seed", "3"],
+        ):
+            result = runner.invoke(main, [*command, "--program", str(path)])
+            parsed = _rounded(json.loads(result.stdout)) if result.stdout else None
+            digest.update(f"{result.exit_code} {json.dumps(parsed, sort_keys=True)}\n".encode())
+    assert digest.hexdigest() == "22d4ae03c30a20638b6443dcedb43e80b15409189f105456cc26b948df942bfa"
+
+
 def _write_program(runner, tmp_path, n=2, layers=None):
     layout = json.loads(invoke(runner, ["lhz", "build", "--n", str(n)]).stdout)
     program = {

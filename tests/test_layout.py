@@ -13,6 +13,7 @@ from parityflow.layout import (
     induced_graph,
     layout_from_json,
     layout_to_json,
+    realised_parities,
     validate_constraints,
 )
 from parityflow.simulator import apply_circuit, basis_state
@@ -130,6 +131,21 @@ def test_validate_chain_with_parity_control():
         (("1", "(12)"), ("2", "(12)"), ("(12)", "(13)"), ("3", "(13)")),
     )
     assert not validate_constraints(broken)
+
+
+def test_realised_parities_follow_the_chain():
+    sets = {"(12)": frozenset({"1", "2"}), "(13)": frozenset({"1", "3"})}
+    chain = (("1", "(12)"), ("2", "(12)"), ("(12)", "(13)"), ("2", "(13)"), ("3", "(13)"))
+    layout = ParityLayout(3, ("1", "2", "3"), ("(12)", "(13)"), sets, chain)
+    assert realised_parities(layout) == sets
+    # without the hop through 2, (13) keeps x2 from (12)
+    broken = ParityLayout(3, ("1", "2", "3"), ("(12)", "(13)"), sets, chain[:3] + chain[4:])
+    assert realised_parities(broken) == {"(12)": sets["(12)"], "(13)": frozenset({"1", "2", "3"})}
+
+
+def test_constraint_on_one_qubit_rejected():
+    with pytest.raises(ValueError, match="control and target coincide"):
+        ParityLayout(1, ("1",), ("p",), {"p": frozenset({"1"})}, (("1", "p"), ("p", "p")))
 
 
 def test_layout_invariants():

@@ -335,6 +335,17 @@ def test_dropped_flows_leave_no_compiled_runs():
     assert all(key() is not None for key in mbqc_engine._RUNS.keyrefs())
 
 
+def test_over_cap_graph_refused_before_its_run_is_compiled():
+    vertices = [str(i) for i in range(17)]
+    inputs = vertices[::2]
+    g = make_graph(vertices, list(zip(vertices, vertices[1:])), inputs, inputs)
+    flow = canonical_yz_gflow(g)
+    psi = random_state(inputs, np.random.default_rng(5))
+    with pytest.raises(ValueError, match="17 qubits exceeds cap 16"):
+        run_mbqc_yz(g, psi, dict.fromkeys(flow.g, 0.4), flow, [1] * len(flow.g))
+    assert all(not table for _, table in mbqc_engine._RUNS.get(flow, ()))
+
+
 def test_bad_measurement_order_rejected():
     c4 = make_graph(
         ["1", "2", "3", "4"],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from parityflow import parity_engine
+from parityflow.cli import _canonical_json
 from parityflow.layout import build_all_pairs_layout
 from parityflow.parity_engine import (
     LayerParams,
@@ -28,6 +29,7 @@ from parityflow.simulator import (
     basis_state,
     distance_up_to_phase,
     random_state,
+    record_to_json,
 )
 
 from pauli_helpers import pauli_expectation
@@ -326,6 +328,20 @@ def test_layer_params_validation(layout2):
 def test_run_computation_requires_layers(layout2):
     with pytest.raises(ValueError, match="layer"):
         run_computation(layout2, basis_state(("1", "2"), "00"), [], [1])
+
+
+@pytest.mark.parametrize("outcome", [True, False, np.True_], ids=["True", "False", "numpy_True"])
+def test_prescribed_bool_outcomes_rejected(layout2, outcome):
+    with pytest.raises(ValueError, match="must be \\+/-1"):
+        run_computation(layout2, basis_state(("1", "2"), "00"), [LayerParams()], [outcome])
+
+
+def test_prescribed_numpy_outcomes_recorded_as_int(layout2):
+    psi = random_state(("1", "2"), np.random.default_rng(4))
+    _, records = run_computation(layout2, psi, [LayerParams(theta={"(12)": 0.3})], [np.int64(-1)])
+    [[entry]] = records
+    assert type(entry.outcome) is int and entry.outcome == -1
+    assert '"outcome": -1' in _canonical_json(record_to_json(records[0]))
 
 
 def test_layers_json_round_trip():

@@ -15,11 +15,10 @@ from parityflow.pauli import (
     hadamard_conjugate,
     multiply,
     parity_generators,
-    pauli_from_ops,
     pauli_to_text,
 )
 
-from pauli_helpers import commutes, pauli_from_text
+from pauli_helpers import commutes, is_identity, pauli_from_ops, pauli_from_text
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -46,7 +45,7 @@ def test_multiply_agrees_with_matrix_oracle():
             product = mats[a] @ mats[b]
             if a == b:
                 result = multiply(pa, pb)
-                assert result.is_identity and result.sign == 1
+                assert is_identity(result) and result.sign == 1
                 assert np.allclose(product, np.eye(2))
             else:
                 # X*Z and Z*X etc. carry phases +/-i, outside the sign set

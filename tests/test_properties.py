@@ -37,8 +37,9 @@ from parityflow.graph import (
     odd_neighborhood,
     with_io,
 )
-from parityflow.layout import ConstraintReport, ParityLayout, cz, validate_constraints
+from parityflow.layout import ConstraintReport, ParityLayout, cnot, cz, encoding_circuit, validate_constraints
 from parityflow.mbqc_engine import prepare_graph_state, yz_axis
+from parityflow.parity_engine import encode_input
 from parityflow.pauli import (
     PauliString,
     PhaseError,
@@ -502,21 +503,23 @@ def test_phase_vector_graph_state_matches_cz_gates(case, seed):
 
 
 @st.composite
-def ancilla_appends(draw):
-    """A random register of 1-8 qubits and 1-4 new labels that fit the
-    qubit cap, or with one label already in the register, or over a cap
-    lowered below the new size."""
+def ancilla_appends(draw, kinds=("fits", "present", "over_cap")):
+    """A random register of 1-8 qubits and 1-4 new labels, each with a
+    parity set of register qubits (empty for |0>), that fit the qubit cap,
+    or with one label already in the register, or over a cap lowered below
+    the new size."""
     n = draw(st.integers(1, 8))
     labels = [f"q{i}" for i in range(n)]
     state = random_state(labels, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     new = [f"a{i}" for i in range(draw(st.integers(1, 4)))]
-    kind = draw(st.sampled_from(["fits", "present", "over_cap"]))
+    kind = draw(st.sampled_from(kinds))
     cap = simulator.DEFAULT_QUBIT_CAP
     if kind == "present":
         new[draw(st.integers(0, len(new) - 1))] = draw(st.sampled_from(labels))
     elif kind == "over_cap":
         cap = draw(st.integers(n, n + len(new) - 1))
-    return state, new, kind, cap
+    sets = {q: draw(st.frozensets(st.sampled_from(labels))) for q in new}
+    return state, sets, kind, cap
 
 
 def _append_loop(state, qubits):
@@ -525,14 +528,21 @@ def _append_loop(state, qubits):
     return state
 
 
+def _append_by_cnots(state, sets):
+    """The reference route: each new qubit appended in |0>, then a CNOT into
+    it from every register qubit its set names."""
+    gates = [cnot(c, q) for q, members in sets.items() for c in sorted(members)]
+    return apply_circuit(_append_loop(state, sets), gates)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(ancilla_appends())
 def test_one_row_ancilla_append_matches_the_append_qubit_loop(case):
     state, new, kind, cap = case
     with mock.patch.object(simulator, "DEFAULT_QUBIT_CAP", cap):
         if kind == "fits":
-            reference = _append_loop(state, new)
-            out = BranchArray.start(state).append_zeros(new).state(0)
+            reference = _append_by_cnots(state, new)
+            out = BranchArray.start(state).append_parities(new).state(0)
             assert out.labels == reference.labels
             # equal value for value; np.kron leaves -0.0 where a negative
             # part meets the 0 of |0>, which == counts as equal
@@ -541,10 +551,36 @@ def test_one_row_ancilla_append_matches_the_append_qubit_loop(case):
         with pytest.raises(ValueError) as looped:
             _append_loop(state, new)
         with pytest.raises(ValueError) as appended:
-            BranchArray.start(state).append_zeros(new)
+            BranchArray.start(state).append_parities(new)
     if kind == "present":
         assert str(appended.value) == str(looped.value)
         assert "already present" in str(looped.value)
     else:
         for caught in (looped, appended):
             assert f"exceeds cap {cap}" in str(caught.value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ancilla_appends(kinds=("fits",)), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_multi_row_parity_append_matches_cnots_on_every_row(case, rows, seed):
+    state, sets, _, _ = case
+    rng = np.random.default_rng(seed)
+    states = [state] + [random_state(state.labels, rng) for _ in range(rows - 1)]
+    branches = BranchArray(state.labels, np.array([row.amplitudes for row in states]), np.zeros((rows, 0)))
+    out = branches.append_parities(sets)
+    for row, row_state in enumerate(states):
+        reference = _append_by_cnots(row_state, sets)
+        assert out.labels == reference.labels
+        assert np.array_equal(out.amplitudes[row], reference.amplitudes)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(parity_layouts(), st.integers(0, 2**32 - 1))
+def test_encode_input_matches_the_encoding_circuit_replay(layout, seed):
+    """Realised or not, the encoded state is what the constraint CNOTs
+    leave on |psi, 0..0>."""
+    psi = random_state(layout.data_qubits, np.random.default_rng(seed))
+    reference = apply_circuit(_append_loop(psi, layout.parity_qubits), encoding_circuit(layout))
+    out = encode_input(layout, psi)
+    assert out.labels == reference.labels
+    assert np.array_equal(out.amplitudes, reference.amplitudes)
