@@ -2,8 +2,8 @@
 
 A gflow witness is a correction-set map g together with a strict partial
 order on the vertices. The order is carried as a precedence digraph (its
-transitive closure is the order) plus a topological layering used for
-scheduling. Five conditions tie g, the order, and the measurement planes
+transitive closure, `_after_masks`, is the order) plus a topological
+layering, from which `measurement_order` schedules. Five conditions tie g, the order, and the measurement planes
 together; `verify_gflow` checks all of them, `search_gflow_yz` finds a
 witness for all-YZ plane assignments by exhaustive search, and
 `yz_bipartite_sweep` confronts that search with a bipartiteness test over
@@ -14,10 +14,10 @@ every small connected graph. All three work on int vertex masks, bit i for
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,28 +78,6 @@ class GFlow:
             if level[v] >= level[u]:
                 raise MalformedFlowError(f"layering violates precedence {v!r} < {u!r}")
 
-    @cached_property
-    def closure(self) -> frozenset[tuple[str, str]]:
-        """The partial order as pairs (v, u), v < u: the transitive closure of
-        precedence, built on first use. When precedence is already closed, as
-        for every layered or canonical witness, it is that same object."""
-        reach: dict[str, set[str]] = {}
-        for v, u in self.precedence:
-            reach.setdefault(v, set()).add(u)
-        # deepest layer first: a successor's reach is final before it is read
-        for layer in reversed(self.layers):
-            for v in layer & reach.keys():
-                for u in tuple(reach[v]):
-                    reach[v].update(reach.get(u, ()))
-        closure = frozenset((v, u) for v, after in reach.items() for u in after)
-        return self.precedence if len(closure) == len(self.precedence) else closure
-
-
-def precedes(flow: GFlow, v: str, u: str) -> bool:
-    """v < u in the partial order (transitive closure of the precedence digraph)."""
-    return (v, u) in flow.closure
-
-
 @dataclass(frozen=True)
 class Violation:
     vertex: str
@@ -116,10 +94,11 @@ class VerifyResult:
         return self.ok
 
 
-def _after_masks(graph: Graph, flow: GFlow) -> list[int]:
+def _after_masks(vertices: tuple[str, ...], flow: GFlow) -> list[int]:
     """Entry i: the mask of the vertices after vertices[i] in the flow's
-    order. MalformedFlowError unless the layering covers the vertex set."""
-    index = {v: i for i, v in enumerate(graph.vertices)}
+    order, bit j for vertices[j]. This is the one transitive closure in the
+    package. MalformedFlowError unless the layering covers the vertices."""
+    index = {v: i for i, v in enumerate(vertices)}
     if set().union(*flow.layers) != index.keys():
         raise MalformedFlowError("layering must partition the vertex set")
     successors: dict[str, list[int]] = {}
@@ -132,6 +111,39 @@ def _after_masks(graph: Graph, flow: GFlow) -> list[int]:
             for j in successors[v]:
                 after[index[v]] |= 1 << j | after[j]
     return after
+
+
+def precedes(flow: GFlow, v: str, u: str) -> bool:
+    """v < u in the partial order (transitive closure of the precedence
+    digraph); False for labels outside the layering."""
+    vertices = tuple(set().union(*flow.layers))
+    if v not in vertices or u not in vertices:
+        return False
+    return bool(_after_masks(vertices, flow)[vertices.index(v)] >> vertices.index(u) & 1)
+
+
+def measurement_order(graph: Graph, flow: GFlow, order: Sequence[str] | None = None) -> tuple[str, ...]:
+    """The measured vertices in an order allowed by the flow, one that
+    `verify_gflow` accepts on graph: by default sorted within each layer,
+    earliest layer first, which the layering makes a linear extension. A
+    given order must list each measured vertex once; ValueError names the
+    first v in it placed after a u it must precede, and the first such u."""
+    measured = set(graph.vertices) - graph.outputs
+    if order is None:
+        return tuple(v for layer in flow.layers for v in sorted(layer & measured))
+    order = tuple(order)
+    if set(order) != measured or len(order) != len(measured):
+        raise ValueError("measurement order must enumerate the measured vertices exactly once")
+    after = _after_masks(graph.vertices, flow)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    done = 0
+    for v in order:
+        early = after[index[v]] & done
+        if early:
+            u = next(u for u in order if early >> index[u] & 1)
+            raise ValueError(f"order violates the flow: {v!r} must precede {u!r}")
+        done |= 1 << index[v]
+    return order
 
 
 def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow, *, after: list[int] | None = None) -> VerifyResult:
@@ -147,7 +159,7 @@ def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow, *, after: l
     Structural problems (wrong domains, layering not covering the graph)
     raise MalformedFlowError; a well-formed witness that fails a condition
     yields ok=False with the violations in deterministic order. `after`
-    is `_after_masks(graph, flow)` when the caller holds it already.
+    is `_after_masks(graph.vertices, flow)` when the caller holds it already.
     """
     vertices = set(graph.vertices)
     measured = vertices - graph.outputs
@@ -159,7 +171,7 @@ def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow, *, after: l
     if bad_planes:
         raise MalformedFlowError(f"unknown planes {sorted(bad_planes)}")
     if after is None:
-        after = _after_masks(graph, flow)
+        after = _after_masks(graph.vertices, flow)
     allowed = vertices - graph.inputs
     violations: list[Violation] = []
     for i, v in enumerate(graph.vertices):
@@ -282,7 +294,7 @@ def _yz_witness(graph: Graph, peeled: list[tuple[int, int, int]]) -> tuple[GFlow
         layers.append(graph.outputs)
     g_map = {labels[v]: graph.vertices_of(s) for v, s, _ in sorted(peeled)}
     flow = GFlow(g=g_map, precedence=frozenset(precedence), layers=tuple(frozenset(s) for s in layers))
-    after = _after_masks(graph, flow)
+    after = _after_masks(graph.vertices, flow)
     result = verify_gflow(graph, yz_planes(graph), flow, after=after)
     if not result:
         raise AssertionError(f"search produced an invalid witness: {result.violations}")
@@ -339,10 +351,10 @@ def witness_structure(flow: GFlow, graph: Graph, *, after: list[int] | None = No
         vertices has g(v) = {v};
     (b) the union of all correction sets spans no edge of the graph.
     MalformedFlowError unless the layering covers the graph's vertex set.
-    `after` is `_after_masks(graph, flow)` when the caller holds it already.
+    `after` is `_after_masks(graph.vertices, flow)` when the caller holds it already.
     """
     if after is None:
-        after = _after_masks(graph, flow)
+        after = _after_masks(graph.vertices, flow)
     measured = graph.mask_of(flow.g)
     maximal = (v for i, v in enumerate(graph.vertices) if v in flow.g and not after[i] & measured)
     a_ok = all(flow.g[v] == {v} for v in maximal)

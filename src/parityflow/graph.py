@@ -194,24 +194,6 @@ def _perm_weights(n: int) -> np.ndarray:
     return np.ascontiguousarray((np.int64(1) << (m - 1 - landing)).T)
 
 
-def _canonical_bits(n: int, bits: np.ndarray) -> int:
-    """Minimum adjacency bit-string over all vertex permutations, as an integer."""
-    if n == 1:
-        return 0
-    return int((bits @ _perm_weights(n)).min())
-
-
-def canonical_form(g: Graph) -> int:
-    """Isomorphism-invariant canonical form (input/output sets ignored)."""
-    n = len(g.vertices)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    bits = np.zeros(n * (n - 1) // 2, dtype=np.int64)
-    for u, v in g.edges:
-        i, j = sorted((index[u], index[v]))
-        bits[_pair_index(n, i, j)] = 1
-    return _canonical_bits(n, bits)
-
-
 def _graph_from_mask(n: int, mask: int) -> Graph:
     """Graph on vertices "1".."n" whose pair bits are given by mask (big-endian pair order)."""
     m = n * (n - 1) // 2

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from parityflow.gflow import GFlow, verify_gflow, yz_planes
+from parityflow.gflow import GFlow, measurement_order, verify_gflow, yz_planes
 from parityflow.graph import Graph
 from parityflow.parity_engine import LayerParams
 from parityflow.simulator import (
@@ -92,26 +92,6 @@ def prepare_graph_state(g: Graph, psi: Statevector) -> Statevector:
     return Statevector(labels, _graph_amplitudes(psi.amplitudes, fresh, signs))
 
 
-def _default_order(g: Graph, flow: GFlow) -> list[str]:
-    """Lexicographic within flow layers, measured vertices only."""
-    measured = set(g.vertices) - g.outputs
-    order = []
-    for layer in flow.layers:
-        order.extend(sorted(layer & measured))
-    return order
-
-
-def _check_order(g: Graph, flow: GFlow, order: Sequence[str]) -> None:
-    measured = set(g.vertices) - g.outputs
-    if set(order) != measured or len(order) != len(measured):
-        raise ValueError("measurement order must enumerate the measured vertices exactly once")
-    closure = flow.closure
-    for i, v in enumerate(order):
-        for u in order[:i]:
-            if (v, u) in closure:
-                raise ValueError(f"order violates the flow: {v!r} must precede {u!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class _Compiled:
     """One flow's run on one graph and input label order, in one
@@ -124,12 +104,11 @@ class _Compiled:
 
 
 def _compile(g: Graph, flow: GFlow, labels: tuple[str, ...], order: tuple[str, ...] | None) -> _Compiled:
-    """Check the order against the flow and compile the run: a -1 outcome
-    on v completes the stabilizer of g(v), X on g(v) - v and Z on
-    Odd(g(v)) - v."""
+    """Check the order against the flow (`measurement_order`) and compile
+    the run: a -1 outcome on v completes the stabilizer of g(v), X on
+    g(v) - v and Z on Odd(g(v)) - v."""
     register, fresh, signs = _register(g, labels)
-    sequence = _default_order(g, flow) if order is None else order
-    _check_order(g, flow, sequence)
+    sequence = measurement_order(g, flow, order)
 
     def complete_stabilizer(v: str) -> tuple[frozenset[str], frozenset[str]]:
         odd = g.vertices_of(g.odd_mask(g.mask_of(flow.g[v])))

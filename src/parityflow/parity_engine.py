@@ -10,9 +10,10 @@ Within a layer the order is: parity-qubit Z rotations, measurement-based
 decoding with corrections, local data rotations, then (when another layer
 follows) re-encoding: the decoded parity qubits are appended holding the
 parities of their sets, as encoding appends them, with no CNOT gates.
-Data rotations acting before re-encoding is a convention; it matters only
-for X rotations interleaved with partial decoding, and both engines in
-this package share it.
+Z rotations on data qubits commute with the encoding. An X rotation on a
+data qubit that a parity qubit outside the decode set still tracks would
+act on an encoded qubit, making the output depend on the outcome branch,
+so `LayerParams.validate` refuses it.
 
 `run_computation` follows one outcome list; `run_all_branches` runs the
 same layers on every outcome branch at once, in one array, with the same
@@ -75,6 +76,13 @@ class LayerParams:
                 raise ValueError("decode set must contain parity qubits")
             if not set(self.theta) <= self.decode:
                 raise ValueError("theta keys must lie in the layer's decode set")
+            encoded = [p for p in layout.parity_qubits if p not in self.decode]
+            for q in layout.data_qubits:
+                tracking = [p for p in encoded if q in layout.parity_sets[p]]
+                if q in self.alpha and tracking:
+                    raise ValueError(
+                        f"alpha on data qubit {q!r}, which parity qubit {tracking[0]!r} outside the decode set tracks"
+                    )
 
     def data_rotations(self, qubits: Iterable[str]) -> list[Gate]:
         """RZ(phi) then RX(alpha) on each qubit in the given order; zero angles skipped."""

@@ -1,7 +1,7 @@
 """Reference gflow checks that only the tests need: the five gflow
-conditions and the witness structure facts, on label sets and the flow's
-closure pairs, with Odd sets read off the edge list. The package checks
-the same on int masks."""
+conditions and the witness structure facts, on label sets and a Warshall
+closure of the flow's precedence pairs, with Odd sets read off the edge
+list. The package checks the same on int masks, with its own closure."""
 
 from parityflow.gflow import PLANES, MalformedFlowError, Violation, VerifyResult, WitnessStructure
 
@@ -15,6 +15,18 @@ def _odd(graph, corr) -> set:
         if v in corr:
             odd ^= {u}
     return odd
+
+
+def closure(flow) -> set:
+    """The flow's order as pairs (v, u), v < u: Warshall's transitive
+    closure of its precedence pairs."""
+    vertices = set().union(*flow.layers)
+    reach = {v: {u for w, u in flow.precedence if w == v} for v in vertices}
+    for k in vertices:
+        for i in vertices:
+            if k in reach[i]:
+                reach[i] |= reach[k]
+    return {(v, u) for v in vertices for u in reach[v]}
 
 
 def verify_gflow(graph, planes, flow) -> VerifyResult:
@@ -32,7 +44,7 @@ def verify_gflow(graph, planes, flow) -> VerifyResult:
         raise MalformedFlowError("layering must partition the vertex set")
     allowed = vertices - graph.inputs
     order_index = {v: i for i, v in enumerate(graph.vertices)}
-    closure = flow.closure
+    order = closure(flow)
     violations = []
     for v in sorted(measured, key=order_index.get):
         corr = flow.g[v]
@@ -40,11 +52,11 @@ def verify_gflow(graph, planes, flow) -> VerifyResult:
             raise MalformedFlowError(f"g({v!r}) is not a subset of the non-input vertices")
         odd = _odd(graph, corr)
         for u in sorted(corr - {v}, key=order_index.get):
-            if (v, u) not in closure:
+            if (v, u) not in order:
                 violations.append(Violation(v, 1, f"{u!r} in g({v!r}) but not after {v!r}"))
                 break
         for u in sorted(odd - {v}, key=order_index.get):
-            if (v, u) not in closure:
+            if (v, u) not in order:
                 violations.append(Violation(v, 2, f"{u!r} in Odd(g({v!r})) but not after {v!r}"))
                 break
         plane = planes[v]
@@ -59,8 +71,8 @@ def verify_gflow(graph, planes, flow) -> VerifyResult:
 
 def witness_structure(flow, graph) -> WitnessStructure:
     measured = set(flow.g)
-    closure = flow.closure
-    maximal = (v for v in measured if not any((v, u) in closure for u in measured))
+    order = closure(flow)
+    maximal = (v for v in measured if not any((v, u) in order for u in measured))
     a_ok = all(flow.g[v] == frozenset({v}) for v in maximal)
     union = set().union(*flow.g.values())
     b_ok = all(not (u in union and v in union) for u, v in graph.edges)

@@ -85,7 +85,8 @@ def one_pass(run):
 @st.composite
 def parity_programs(draw):
     """All-pairs layouts n = 2..4, 1-3 layers, random partial decode sets,
-    at most MAX_MEASUREMENTS measurements in all."""
+    at most MAX_MEASUREMENTS measurements in all; X rotations only on data
+    qubits that no parity qubit left encoded tracks."""
     n = draw(st.integers(2, 4))
     layout, _, _ = layout_and_flow(n)
     parity = layout.parity_qubits
@@ -98,10 +99,11 @@ def parity_programs(draw):
     layers.append((frozenset(parity), True))
     program = []
     for decode, final in layers:
+        encoded = set().union(*(layout.parity_sets[p] for p in parity if p not in decode))
         program.append(
             LayerParams(
                 theta={p: draw(ANGLES) for p in sorted(decode) if draw(st.booleans())},
-                alpha={q: draw(ANGLES) for q in layout.data_qubits if draw(st.booleans())},
+                alpha={q: draw(ANGLES) for q in layout.data_qubits if q not in encoded and draw(st.booleans())},
                 phi={q: draw(ANGLES) for q in layout.data_qubits if draw(st.booleans())},
                 decode=None if final or decode == frozenset(parity) else frozenset(decode),
             )

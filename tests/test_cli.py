@@ -322,6 +322,16 @@ def test_compare_rejects_partial_decode(runner, tmp_path):
     assert "decode" in result.stderr
 
 
+def test_sim_parity_refuses_alpha_on_a_still_encoded_qubit(runner, tmp_path):
+    layout = json.loads(invoke(runner, ["lhz", "build", "--n", "3"]).stdout)
+    layers = [{"theta": {"(12)": 0.9}, "alpha": {"1": 0.4}, "decode": ["(12)"]}, {}]
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps({"layout": layout, "layers": layers}))
+    result = invoke(runner, ["sim", "parity", "--branches", "all", "--program", str(path)])
+    assert result.exit_code == 2
+    assert "alpha on data qubit '1', which parity qubit '(13)'" in result.stderr
+
+
 @pytest.mark.parametrize(
     "command, option, value",
     [
@@ -479,6 +489,89 @@ def test_gflow_verify_invalid_exits_one(runner, tmp_path):
     data = json.loads(result.stdout)
     assert data["valid"] is False
     assert data["violations"][0]["condition"] == 5
+
+
+def _pin(digest, result):
+    """Fold one command's exit code and stdout bytes into the digest."""
+    digest.update(f"{result.exit_code}\n".encode() + result.stdout_bytes)
+
+
+def test_lhz_commands_stdout_pinned(runner, tmp_path):
+    """`lhz build`, then `lhz graph` as JSON and as DOT, for n = 2..6."""
+    layout_file = tmp_path / "layout.json"
+    digest = hashlib.sha256()
+    for n in range(2, 7):
+        build = runner.invoke(main, ["lhz", "build", "--n", str(n)])
+        _pin(digest, build)
+        layout_file.write_text(build.stdout)
+        for fmt in ("json", "dot"):
+            _pin(digest, runner.invoke(main, ["lhz", "graph", "--layout", str(layout_file), "--format", fmt]))
+    assert digest.hexdigest() == "5c5b6ec6d406805a9c86a989b448094ddbf8c9f88d90d83d4ed3ffac2a9190ff"
+
+
+def _chain(labels, closed=False):
+    pairs = list(zip(labels, labels[1:]))
+    return [list(e) for e in pairs + ([(labels[-1], labels[0])] if closed else [])]
+
+
+SIX = [str(i) for i in range(1, 7)]
+PINNED_GRAPHS = {
+    "p3": {"vertices": ["1", "2", "3"], "edges": _chain(["1", "2", "3"]), "inputs": ["1", "3"], "outputs": ["1", "3"]},
+    "c6": {"vertices": SIX, "edges": _chain(SIX, closed=True), "inputs": ["1", "3", "5"], "outputs": ["1", "3", "5"]},
+    "triangle": {"vertices": ["1", "2", "3"], "edges": _chain(["1", "2", "3"], closed=True), "inputs": ["1"], "outputs": ["1"]},
+    # C6 with a pendant 7 on 1: bipartite, I one side
+    "bipartite7": {
+        "vertices": [*SIX, "7"],
+        "edges": _chain(SIX, closed=True) + [["1", "7"]],
+        "inputs": ["2", "4", "6", "7"],
+        "outputs": ["2", "4", "6", "7"],
+    },
+    # the same with a chord 2-4 inside I: an odd cycle, yet V - I spans no edge
+    "odd_cycle7": {
+        "vertices": [*SIX, "7"],
+        "edges": _chain(SIX, closed=True) + [["1", "7"], ["2", "4"]],
+        "inputs": ["2", "4", "6", "7"],
+        "outputs": ["2", "4", "6", "7"],
+    },
+}
+
+C4 = {"vertices": ["1", "2", "3", "4"], "edges": _chain(["1", "2", "3", "4"], closed=True), "inputs": ["1", "3"], "outputs": ["1", "3"]}
+PINNED_FLOWS = {
+    # g(2) = {2, 4}: 2 before 4
+    "valid": (C4, {"g": {"2": ["2", "4"], "4": ["4"]}, "layers": [["2"], ["4"], ["1", "3"]]}),
+    "layers_reversed": (C4, {"g": {"2": ["2", "4"], "4": ["4"]}, "layers": [["4"], ["2"], ["1", "3"]]}),
+    # P3 from input 1 to output 3, XY at 1 and 2
+    "planes": (
+        {"vertices": ["1", "2", "3"], "edges": _chain(["1", "2", "3"]), "inputs": ["1"], "outputs": ["3"]},
+        {"g": {"1": ["2"], "2": ["3"]}, "layers": [["1"], ["2"], ["3"]], "planes": {"1": "XY", "2": "XY"}},
+    ),
+}
+
+
+def test_gflow_commands_stdout_pinned(runner, tmp_path):
+    """`gflow search` on five graphs and `gflow verify` on three flows."""
+    graph_file, flow_file = tmp_path / "graph.json", tmp_path / "flow.json"
+    digest = hashlib.sha256()
+    for graph in PINNED_GRAPHS.values():
+        graph_file.write_text(json.dumps(graph))
+        _pin(digest, runner.invoke(main, ["gflow", "search", "--graph", str(graph_file)]))
+    codes = []
+    for graph, flow in PINNED_FLOWS.values():
+        graph_file.write_text(json.dumps(graph))
+        flow_file.write_text(json.dumps(flow))
+        result = runner.invoke(main, ["gflow", "verify", "--graph", str(graph_file), "--flow", str(flow_file)])
+        codes.append(result.exit_code)
+        _pin(digest, result)
+    assert codes == [0, 1, 0]
+    assert digest.hexdigest() == "1e5395a967cfa11c4d8a5ab04a672b4faf9ae00e79474de11bb7f5490e2786ae"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_stdout_pinned(runner, workers):
+    result = runner.invoke(main, ["sweep", "--max-n", "5", "--io-samples", "20", "--workers", workers])
+    digest = hashlib.sha256()
+    _pin(digest, result)
+    assert digest.hexdigest() == "036c721a0dd387ac9b9f99cd53f16578884bf8f7b08e5b54723d198e9d40734b"
 
 
 def test_sweep_small(runner):

@@ -4,7 +4,9 @@ import hashlib
 import itertools
 import json
 
+import gflow_helpers as reference
 import pytest
+from test_branches import chained_flow, witnesses
 
 from parityflow import gflow as gflow_module
 from parityflow import graph as graph_module
@@ -14,6 +16,7 @@ from parityflow.gflow import (
     canonical_yz_gflow,
     flow_from_json,
     flow_to_json,
+    measurement_order,
     precedes,
     search_gflow_yz,
     verify_gflow,
@@ -114,6 +117,47 @@ def test_precedes_is_transitive_closure():
     assert precedes(flow, "a", "b")
     assert precedes(flow, "a", "c")
     assert not precedes(flow, "c", "a")
+
+
+def c4_flow():
+    """C4 with inputs 1, 3: g(2) = {2, 4}, so 2 is measured before 4."""
+    c4 = make_graph(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4"), ("4", "1")], ["1", "3"], ["1", "3"])
+    flow = GFlow(
+        g={"2": frozenset({"2", "4"}), "4": frozenset({"4"})},
+        precedence=frozenset({("2", "4"), ("2", "1"), ("2", "3"), ("4", "1"), ("4", "3")}),
+        layers=(frozenset({"2"}), frozenset({"4"}), frozenset({"1", "3"})),
+    )
+    return c4, flow
+
+
+def test_measurement_order_accepts_exactly_the_linear_extensions():
+    """Every permutation of the measured vertices of the n <= 5 witnesses
+    with at most 4 of them, of their chained flows in the default order and
+    its reverse, and of the C4 flow, against the reference closure."""
+    cases = [c4_flow()]
+    for graph, flow in witnesses():
+        default = measurement_order(graph, flow)
+        cases.append((graph, flow))
+        for chain in (default, default[::-1]):
+            cases.append((graph, chained_flow(graph, flow, chain, lambda v, u: True)))
+    for graph, flow in cases:
+        pairs = reference.closure(flow)
+        for v in graph.vertices:
+            assert not precedes(flow, v, "outside") and not precedes(flow, "outside", v)
+            for u in graph.vertices:
+                assert precedes(flow, v, u) == ((v, u) in pairs)
+        measured = [v for v in graph.vertices if v not in graph.outputs]
+        for order in itertools.permutations(measured):
+            # the first v placed after a u it must precede, and the first such u
+            clash = next(((v, u) for i, v in enumerate(order) for u in order[:i] if (v, u) in pairs), None)
+            if clash is None:
+                assert measurement_order(graph, flow, list(order)) == order
+                continue
+            with pytest.raises(ValueError) as info:
+                measurement_order(graph, flow, order)
+            assert str(info.value) == f"order violates the flow: {clash[0]!r} must precede {clash[1]!r}"
+        default = measurement_order(graph, flow)
+        assert not any((v, u) in pairs for i, v in enumerate(default) for u in default[:i])
 
 
 def test_canonical_p3():

@@ -325,6 +325,15 @@ def test_layer_params_validation(layout2):
         LayerParams(decode=frozenset({"1"})).validate(layout2)
 
 
+def test_alpha_on_a_still_encoded_data_qubit_rejected():
+    layout = build_all_pairs_layout(3)
+    with pytest.raises(ValueError, match=r"alpha on data qubit '1', which parity qubit '\(13\)'"):
+        LayerParams(theta={"(12)": 0.9}, alpha={"1": 0.4}, decode=frozenset({"(12)"})).validate(layout)
+    # Z rotations commute with the encoding; decoding (13) too leaves qubit 1 decoded
+    LayerParams(theta={"(12)": 0.9}, phi={"1": 0.4}, decode=frozenset({"(12)"})).validate(layout)
+    LayerParams(theta={"(12)": 0.9}, alpha={"1": 0.4}, decode=frozenset({"(12)", "(13)"})).validate(layout)
+
+
 def test_run_computation_requires_layers(layout2):
     with pytest.raises(ValueError, match="layer"):
         run_computation(layout2, basis_state(("1", "2"), "00"), [], [1])

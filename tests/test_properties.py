@@ -29,7 +29,6 @@ from parityflow.gflow import (
 from parityflow.graph import (
     Graph,
     bipartition_check,
-    canonical_form,
     effective_graph,
     enumerate_connected_graphs,
     make_graph,
@@ -106,13 +105,6 @@ def _reference_canonical(vertices, edges) -> int:
         _bit_string(n, [(perm[vertices.index(u)], perm[vertices.index(v)]) for u, v in edges])
         for perm in itertools.permutations(range(n))
     )
-
-
-@FEW
-@given(graphs_with_subsets())
-def test_canonical_form_matches_brute_force(case):
-    vertices, edges, _, _ = case
-    assert canonical_form(make_graph(vertices, edges)) == _reference_canonical(vertices, edges)
 
 
 def test_enumerated_graphs_are_canonical():
