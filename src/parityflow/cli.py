@@ -1,7 +1,8 @@
 """Command-line front end: layouts, stabilizer checks, simulations, sweeps.
 
 Machine-readable JSON goes to stdout with sorted keys and 17-significant-
-digit floats so identical invocations are byte-identical; human summaries
+digit floats, each with a point or an exponent so that it parses back as a
+float, so identical invocations are byte-identical; human summaries
 go to stderr. Exit codes: 0 success or agreement, 1 verified disagreement,
 2 usage or input errors.
 """
@@ -38,7 +39,9 @@ def _canonical_json(value) -> str:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"cannot serialize non-finite number {value!r}")
-        return format(value, ".17g")
+        text = format(value, ".17g")
+        # "0" or "1" would parse back as a JSON int
+        return text if "." in text or "e" in text else text + ".0"
     if isinstance(value, (int, str)):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")

@@ -73,10 +73,13 @@ def _register(g: Graph, labels: tuple[str, ...]) -> tuple[tuple[str, ...], int, 
 def _graph_amplitudes(amps: np.ndarray, fresh: int, signs: np.ndarray) -> np.ndarray:
     """Graph-state amplitudes for inputs carried by amps, which may hold one
     register (2^d,) or one per branch (B, 2^d): `fresh` |+> qubits after
-    them and the CZ phase vector `signs`, both as `_register` gives them."""
+    them and the CZ phase vector `signs`, both as `_register` gives them:
+    each input amplitude, scaled by 2^(-fresh/2), times its block of 2^fresh
+    signs, as one broadcast product."""
     d = amps.shape[-1].bit_length() - 1
     check_cap(d + fresh, amps.size >> d)
-    return np.repeat(amps, 1 << fresh, axis=-1) * 2.0 ** (-fresh / 2) * signs
+    scaled = amps * 2.0 ** (-fresh / 2)
+    return (scaled[..., None] * signs.reshape(1 << d, 1 << fresh)).reshape(*amps.shape[:-1], -1)
 
 
 def prepare_graph_state(g: Graph, psi: Statevector) -> Statevector:
@@ -162,7 +165,8 @@ def run_mbqc_yz(
     v, all still-present qubits. The flow is verified and the run compiled
     (`_compiled`) the first time this graph object meets this input label
     order and measurement order; every branch after that runs the compiled
-    schedule. The angle keys and outcomes are checked on every call.
+    schedule. The angle keys and outcomes are checked on every call: a
+    prescribed list must hold one outcome per measured vertex.
     """
     compiled = _compiled(g, flow, psi.labels, order)
     schedule = compiled.schedule
@@ -170,7 +174,10 @@ def run_mbqc_yz(
         raise ValueError("angle keys must be exactly the measured vertices")
     source = resolve_outcomes(outcomes)
     amps = _graph_amplitudes(psi.amplitudes, compiled.fresh, compiled.signs)
-    return run_schedule(schedule, amps, [yz_axis(angles[v]) for v in schedule.qubits], source)
+    result = run_schedule(schedule, amps, [yz_axis(angles[v]) for v in schedule.qubits], source)
+    if source is not outcomes:
+        source.check_spent()
+    return result
 
 
 def run_repeated_mbqc(
@@ -195,6 +202,8 @@ def run_repeated_mbqc(
         state, record = run_mbqc_yz(g, state, angles, flow, source)
         records.append(record)
         state = apply_circuit(state, params.data_rotations(state.labels))
+    if source is not outcomes:
+        source.check_spent()
     return state, records
 
 

@@ -6,7 +6,8 @@ which completes the parity stabilizer and makes every outcome branch land
 on the same state. The CNOT-reversal decoder is kept alongside as an
 independent oracle.
 
-Within a layer the order is: parity-qubit Z rotations, measurement-based
+Within a layer the order is: parity-qubit Z rotations (one diagonal phase
+vector over the register, not a gate each), measurement-based
 decoding with corrections, local data rotations, then (when another layer
 follows) re-encoding: the decoded parity qubits are appended holding the
 parities of their sets, as encoding appends them, with no CNOT gates.
@@ -27,6 +28,8 @@ import weakref
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from parityflow.graph import json_field, json_labels, json_number
 from parityflow.layout import Gate, ParityLayout, encoding_circuit, realised_parities, rx, rz
 from parityflow.simulator import (
@@ -42,6 +45,7 @@ from parityflow.simulator import (
     resolve_outcomes,
     run_schedule,
     run_schedule_all,
+    z_phases,
 )
 
 X_AXIS = (1.0, 0.0, 0.0)
@@ -138,12 +142,16 @@ def mb_decode(
     """Measure parity qubits along X; on -1 apply Z to every tracked data qubit.
 
     Measured qubits are discarded afterwards. Outcomes are either a
-    prescribed list of +/-1 consumed in layout order or a seeded generator
-    sampling Born probabilities.
+    prescribed list of +/-1 consumed in layout order, which must hold one
+    outcome per measurement, or a seeded generator sampling Born
+    probabilities.
     """
     schedule = _decode_schedule(layout, state.labels, subset)
     source = resolve_outcomes(outcomes)
-    return run_schedule(schedule, state.amplitudes, [X_AXIS] * len(schedule.qubits), source)
+    result = run_schedule(schedule, state.amplitudes, [X_AXIS] * len(schedule.qubits), source)
+    if source is not outcomes:
+        source.check_spent()
+    return result
 
 
 def unitary_decode(state: Statevector, layout: ParityLayout) -> Statevector:
@@ -169,12 +177,18 @@ def _reencode_sets(layout: ParityLayout, subset: frozenset[str]) -> dict[str, fr
     return {p: layout.parity_sets[p] for p in layout.parity_qubits if p in subset}
 
 
-def _layer_setup(layout: ParityLayout, params: LayerParams) -> tuple[frozenset[str], list[Gate]]:
-    """Validate a layer; return its decode set and its parity rotations."""
+def _decode_set(layout: ParityLayout, params: LayerParams) -> frozenset[str]:
+    """Validate a layer; return its decode set."""
     params.validate(layout)
-    decode_set = params.decode if params.decode is not None else frozenset(layout.parity_qubits)
-    rotations = [rz(p, params.theta[p]) for p in layout.parity_qubits if params.theta.get(p)]
-    return decode_set, rotations
+    return params.decode if params.decode is not None else frozenset(layout.parity_qubits)
+
+
+def _parity_phases(layout: ParityLayout, labels: tuple[str, ...], params: LayerParams) -> np.ndarray | None:
+    """The layer's parity Z rotations on a register over labels as one
+    phase vector (`z_phases`), summed in layout order; None when every
+    theta is zero."""
+    theta = {p: params.theta[p] for p in layout.parity_qubits if params.theta.get(p)}
+    return z_phases(labels, theta) if theta else None
 
 
 def run_layer(
@@ -186,8 +200,10 @@ def run_layer(
 ) -> tuple[Statevector, MeasurementRecord]:
     """One layer: parity rotations, decode with corrections, data rotations,
     and re-encoding of the decoded set unless this is the final layer."""
-    decode_set, rotations = _layer_setup(layout, params)
-    state = apply_circuit(state, rotations)
+    decode_set = _decode_set(layout, params)
+    phases = _parity_phases(layout, state.labels, params)
+    if phases is not None:
+        state = Statevector(state.labels, state.amplitudes * phases)
     state, record = mb_decode(state, layout, decode_set, outcomes)
     state = apply_circuit(state, params.data_rotations(layout.data_qubits))
     if not final:
@@ -206,7 +222,7 @@ def _layer_sequence(layers: Sequence[LayerParams]) -> list[tuple[LayerParams, bo
 
 def measurement_count(layout: ParityLayout, layers: Sequence[LayerParams]) -> int:
     """How many parity qubits one run of these layers measures, over all layers."""
-    return sum(len(_layer_setup(layout, params)[0]) for params, _ in _layer_sequence(layers))
+    return sum(len(_decode_set(layout, params)) for params, _ in _layer_sequence(layers))
 
 
 def run_computation(
@@ -223,6 +239,8 @@ def run_computation(
     for params, final in steps:
         state, record = run_layer(state, layout, params, source, final=final)
         records.append(record)
+    if source is not outcomes:
+        source.check_spent()
     return state, records
 
 
@@ -237,8 +255,10 @@ def run_all_branches(layout: ParityLayout, psi: Statevector, layers: Sequence[La
     steps = _layer_sequence(layers)
     branches = BranchArray.start(encode_input(layout, psi))
     for params, final in steps:
-        decode_set, rotations = _layer_setup(layout, params)
-        branches = branches.apply(rotations)
+        decode_set = _decode_set(layout, params)
+        phases = _parity_phases(layout, branches.labels, params)
+        if phases is not None:
+            branches = branches.on_register(branches.labels, branches.amplitudes * phases)
         schedule = _decode_schedule(layout, branches.labels, decode_set)
         branches = run_schedule_all(schedule, branches, [X_AXIS] * len(schedule.qubits))
         branches = branches.apply(params.data_rotations(layout.data_qubits))

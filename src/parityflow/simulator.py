@@ -8,11 +8,14 @@ The kernels take a leading branch axis: a `BranchArray` holds every outcome
 branch of a run as one row. Measuring qubits out is two steps:
 `compile_plan` turns the measured qubits and the correction rule into a
 `Schedule` of register positions and correction bitmasks, fixed before any
-outcome is known, and `run_schedule` measures one register along it while
+outcome is known. `run_schedule` measures one register along it,
+contracting each measured qubit with the bra of the outcome taken only
+(and first with the +1 bra when the outcome is sampled), while
 `run_schedule_all` contracts each measured qubit of every row with both
 outcome bras at once, doubling the rows and halving the register. Both
 engines measure only through these, each keeping the schedules it
-compiles. `project`, `discard_qubit`, `outcome_probability`, `append_qubit` and
+compiles. `z_phases` gives a product of Z rotations as one diagonal phase
+vector. `project`, `discard_qubit`, `outcome_probability`, `append_qubit` and
 `apply_pauli_x/z` are the reference kernels the tests check them against.
 """
 
@@ -269,7 +272,7 @@ def distances_up_to_phase(rows: np.ndarray, reference: np.ndarray) -> np.ndarray
     return np.minimum(1.0, np.linalg.norm(residual, axis=1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementEntry:
     qubit: str
     axis: tuple[float, float, float]
@@ -345,6 +348,19 @@ def _odd_overlap(n: int, mask: int) -> np.ndarray:
             odd.reshape(-1, 2, 1 << k)[:, 1] ^= True
     odd.setflags(write=False)
     return odd
+
+
+def z_phases(labels: tuple[str, ...], angles: Mapping[str, float]) -> np.ndarray:
+    """The diagonal of the product of RZ(angles[q]) over the qubits q of a
+    register over labels, one phase per amplitude index:
+    exp(-i/2 sum_q angles[q] z_q), z_q the +-1 sign of q's bit (+1 for 0),
+    read off the `_odd_overlap` masks. Raises ValueError on a qubit absent
+    from the labels."""
+    n = len(labels)
+    total = np.zeros(1 << n)
+    for q, angle in angles.items():
+        total += np.where(_odd_overlap(n, _index_mask(labels, (q,))), -angle, angle)
+    return np.exp(-0.5j * total)
 
 
 def _measure_out(amps: np.ndarray, pos: int, axis: tuple[float, float, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -424,25 +440,38 @@ def run_schedule(
     """Measure the schedule's qubits of one register (the amplitudes of the
     register it was compiled on) along `axes`, one per qubit.
 
-    Keeps the half of the outcome `source` draws from the +1 Born
-    probability, renormalised, and applies the step's correction on a -1
-    outcome: the one-row case of `run_schedule_all`. Raises
+    Each step contracts the measured qubit with the bra of the outcome
+    taken only and applies the step's correction on a -1 outcome. A
+    sampling `source` draws from the +1 probability, so the +1 half is
+    contracted first and kept when the draw is +1; a prescribed one needs
+    no probability to choose. The halves are kept unnormalised: `weight`
+    is the squared norm of the register so far, each Born probability the
+    kept half's squared norm over it, and the output is normalised once.
+    Gives the row of `run_schedule_all` for the outcomes taken. Raises
     ZeroProbabilityError below the 1e-12 probability floor.
     """
-    amps = amplitudes.reshape(1, -1)
+    amps, weight, sampling = amplitudes, 1.0, source.samples
     record: list[MeasurementEntry] = []
     for (q, pos, xmask, zmask), axis in zip(schedule.iter_steps(), axes, strict=True):
-        halves, born = _measure_out(amps, pos, axis)
-        outcome = source.next_outcome(float(born[0, 0]))
-        half = 0 if outcome == 1 else 1
-        probability = float(born[half, 0])
+        bras = _outcome_bras(axis)
+        view = amps.reshape(1 << pos, 2, -1)
+        if sampling:
+            half = bras[0] @ view
+            outcome = source.next_outcome(float(np.vdot(half, half).real) / weight)
+            if outcome == -1:
+                half = bras[1] @ view
+        else:
+            outcome = source.next_outcome()
+            half = bras[0 if outcome == 1 else 1] @ view
+        kept = float(np.vdot(half, half).real)
+        probability = kept / weight
         if probability < ZERO_PROB_TOL:
             raise ZeroProbabilityError(f"outcome {outcome:+d} on {q!r} has zero probability")
-        amps = halves[half] / math.sqrt(probability)
+        amps, weight = half.reshape(-1), kept
         if outcome == -1:
             amps = _apply_paulis(amps, xmask, zmask)
         record.append(MeasurementEntry(q, axis, outcome, probability))
-    return Statevector(schedule.labels, amps[0]), tuple(record)
+    return Statevector(schedule.labels, amps / math.sqrt(weight)), tuple(record)
 
 
 def check_cap(qubits: int, branches: int = 1) -> None:
@@ -596,18 +625,31 @@ class OutcomeSource:
             if bad:
                 raise ValueError(f"prescribed outcomes must be +/-1, got {bad}")
             self._rng = None
-            self._queue = iter([int(o) for o in spec])
+            self._queue = [int(o) for o in spec]
+            self._taken = 0
         else:
             raise TypeError("outcomes must be a sequence of +/-1 or a numpy Generator")
 
-    def next_outcome(self, p_plus: float) -> int:
+    @property
+    def samples(self) -> bool:
+        """Whether outcomes are drawn from the +1 Born probability, which
+        `next_outcome` then needs; a prescribed list ignores it."""
+        return self._rng is not None
+
+    def next_outcome(self, p_plus: float | None = None) -> int:
         if self._queue is not None:
-            outcome = next(self._queue, None)
-            if outcome is None:
+            if self._taken == len(self._queue):
                 raise ValueError("prescribed outcome list exhausted")
-            return outcome
+            self._taken += 1
+            return self._queue[self._taken - 1]
         if p_plus > 1.0 - ZERO_PROB_TOL:
             return 1
         if p_plus < ZERO_PROB_TOL:
             return -1
         return 1 if self._rng.random() < p_plus else -1
+
+    def check_spent(self) -> None:
+        """Refuse a prescribed list that the run did not use up."""
+        if self._queue is not None and self._taken < len(self._queue):
+            left = len(self._queue) - self._taken
+            raise ValueError(f"{left} prescribed outcome(s) left over after {self._taken} measurement(s)")

@@ -4,7 +4,8 @@
 array; the per-branch engines run one prescribed outcome list at a time.
 The two must agree on which branches are reachable, on the amplitudes and
 on every recorded Born probability, row b against branch b of
-`all_outcome_branches`.
+`all_outcome_branches`. A per-branch run that samples its outcomes from a
+seeded generator must land on the row of the outcomes it draws.
 """
 
 import functools
@@ -16,11 +17,13 @@ from hypothesis import strategies as st
 
 from parityflow import mbqc_engine, parity_engine, simulator
 from parityflow.gflow import GFlow, canonical_yz_gflow, yz_bipartite_sweep
-from parityflow.layout import build_all_pairs_layout, induced_graph
-from parityflow.parity_engine import Z_AXIS, LayerParams, all_outcome_branches
+from parityflow.layout import build_all_pairs_layout, induced_graph, rz
+from parityflow.parity_engine import X_AXIS, Z_AXIS, LayerParams, all_outcome_branches
 from parityflow.simulator import (
+    ZERO_PROB_TOL,
     BranchArray,
     ZeroProbabilityError,
+    apply_circuit,
     basis_state,
     compile_plan,
     random_state,
@@ -29,6 +32,7 @@ from parityflow.simulator import (
 )
 
 TOL = 1e-14
+PHASE_TOL = 1e-15
 MAX_MEASUREMENTS = 6  # at most 64 per-branch runs per example
 ANGLES = st.floats(-np.pi, np.pi)
 
@@ -46,8 +50,11 @@ def witnesses():
     return [(g, flow) for g, flow in report.witnesses if len(flow.g) <= 4]
 
 
-def assert_matches_per_branch(branches, run):
-    """Row b of the array against run(outcomes of branch b)."""
+def assert_matches_per_branch(branches, run, seed=None):
+    """Row b of the array against run(outcomes of branch b). With a seed,
+    also run(a generator seeded with it) against the row of the outcomes
+    it draws, which must draw exactly once per measurement whose +1
+    probability lies strictly between ZERO_PROB_TOL and 1 - ZERO_PROB_TOL."""
     m = branches.probabilities.shape[1]
     assert branches.amplitudes.shape[0] == 2**m
     assert not np.isnan(branches.amplitudes).any()
@@ -60,16 +67,34 @@ def assert_matches_per_branch(branches, run):
             reachable.append(False)
             continue
         reachable.append(True)
-        assert state.labels == branches.labels
-        assert np.abs(state.amplitudes - branches.amplitudes[row]).max() <= TOL
-        batched = branches.records(row)
-        assert [[(e.qubit, e.axis, e.outcome) for e in r] for r in records] == [
-            [(e.qubit, e.axis, e.outcome) for e in r] for r in batched
-        ]
-        for record, other in zip(records, batched):
-            for entry, twin in zip(record, other):
-                assert abs(entry.probability - twin.probability) <= TOL
+        assert_row(branches, row, state, records)
     assert branches.reachable.tolist() == reachable
+    if seed is None:
+        return
+    rng = np.random.default_rng(seed)
+    state, records = run(rng)
+    row = sum(1 << (m - 1 - j) for j, e in enumerate(e for r in records for e in r) if e.outcome == -1)
+    assert_row(branches, row, state, records)
+    # the +1 probability of measurement j on this branch: that of the row
+    # agreeing with it before j and taking +1 at j
+    p_plus = [branches.probabilities[row & ~(1 << (m - 1 - j)), j] for j in range(m)]
+    twin = np.random.default_rng(seed)
+    for _ in range(sum(ZERO_PROB_TOL < p < 1 - ZERO_PROB_TOL for p in p_plus)):
+        twin.random()
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def assert_row(branches, row, state, records):
+    """One per-branch run against row `row` of the array."""
+    assert state.labels == branches.labels
+    assert np.abs(state.amplitudes - branches.amplitudes[row]).max() <= TOL
+    batched = branches.records(row)
+    assert [[(e.qubit, e.axis, e.outcome) for e in r] for r in records] == [
+        [(e.qubit, e.axis, e.outcome) for e in r] for r in batched
+    ]
+    for record, other in zip(records, batched):
+        for entry, twin in zip(record, other):
+            assert abs(entry.probability - twin.probability) <= TOL
 
 
 def one_pass(run):
@@ -113,13 +138,43 @@ def parity_programs(draw):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(parity_programs())
-def test_parity_all_branches_match_per_branch_runs(case):
+@given(parity_programs(), st.integers(0, 2**32 - 1))
+def test_parity_all_branches_match_per_branch_runs(case, seed):
     layout, psi, layers = case
     branches = parity_engine.run_all_branches(layout, psi, layers)
     assert_matches_per_branch(
-        branches, lambda outcomes: parity_engine.run_computation(layout, psi, layers, outcomes)
+        branches, lambda outcomes: parity_engine.run_computation(layout, psi, layers, outcomes), seed
     )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(parity_programs(), st.integers(0, 2**32 - 1))
+def test_parity_phase_vector_matches_the_rz_gates(case, seed):
+    """At every layer start, partial decode sets and re-encoded registers
+    included, the parity rotations as one phase vector against
+    `apply_circuit` of their RZ gates: on the register a sampled
+    `run_layer` run meets, and on every row of the all-branch array."""
+    layout, psi, layers = case
+    rng = np.random.default_rng(seed)
+    state = parity_engine.encode_input(layout, psi)
+    branches = BranchArray.start(state)
+    for params, final in parity_engine._layer_sequence(layers):
+        gates = [rz(p, params.theta[p]) for p in layout.parity_qubits if params.theta.get(p)]
+        phases = parity_engine._parity_phases(layout, state.labels, params)
+        assert (phases is None) == (not gates)
+        if gates:
+            expected = apply_circuit(state, gates).amplitudes
+            assert np.abs(state.amplitudes * phases - expected).max() <= PHASE_TOL
+            assert np.abs(branches.amplitudes * phases - branches.apply(gates).amplitudes).max() <= PHASE_TOL
+        state, _ = parity_engine.run_layer(state, layout, params, rng, final=final)
+        # the same layer on every branch, its rotations as gates
+        decode_set = parity_engine._decode_set(layout, params)
+        schedule = parity_engine._decode_schedule(layout, branches.labels, decode_set)
+        branches = run_schedule_all(schedule, branches.apply(gates), [X_AXIS] * len(schedule.qubits))
+        branches = branches.apply(params.data_rotations(layout.data_qubits))
+        if not final:
+            branches = branches.append_parities(parity_engine._reencode_sets(layout, decode_set))
+        assert branches.labels == state.labels
 
 
 @st.composite
@@ -142,12 +197,12 @@ def mbqc_programs(draw):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(mbqc_programs())
-def test_mbqc_all_branches_match_per_branch_runs(case):
+@given(mbqc_programs(), st.integers(0, 2**32 - 1))
+def test_mbqc_all_branches_match_per_branch_runs(case, seed):
     graph, flow, psi, layers = case
     branches = mbqc_engine.run_all_branches(graph, psi, layers, flow)
     assert_matches_per_branch(
-        branches, lambda outcomes: mbqc_engine.run_repeated_mbqc(graph, psi, layers, flow, outcomes)
+        branches, lambda outcomes: mbqc_engine.run_repeated_mbqc(graph, psi, layers, flow, outcomes), seed
     )
 
 
@@ -184,12 +239,14 @@ def witness_runs(draw):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(witness_runs())
-def test_mbqc_all_branches_match_per_branch_runs_on_witnesses(case):
+@given(witness_runs(), st.integers(0, 2**32 - 1))
+def test_mbqc_all_branches_match_per_branch_runs_on_witnesses(case, seed):
     graph, flow, order, angles, psi = case
     branches = mbqc_engine.run_all_branches(graph, psi, [LayerParams(theta=angles)], flow, order=order)
     assert_matches_per_branch(
-        branches, one_pass(lambda outcomes: mbqc_engine.run_mbqc_yz(graph, psi, angles, flow, outcomes, order=order))
+        branches,
+        one_pass(lambda outcomes: mbqc_engine.run_mbqc_yz(graph, psi, angles, flow, outcomes, order=order)),
+        seed,
     )
 
 
@@ -223,8 +280,8 @@ def eigenstate_plans(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(eigenstate_plans())
-def test_zero_probability_rows_are_unreachable_and_finite(case):
+@given(eigenstate_plans(), st.integers(0, 2**32 - 1))
+def test_zero_probability_rows_are_unreachable_and_finite(case, seed):
     labels, bits, plan, correction = case
     state = basis_state(labels, bits)
     schedule = compile_plan(labels, [q for q, _ in plan], lambda q: correction)
@@ -236,6 +293,7 @@ def test_zero_probability_rows_are_unreachable_and_finite(case):
     assert_matches_per_branch(
         branches,
         one_pass(lambda outcomes: run_schedule(schedule, state.amplitudes, axes, simulator.OutcomeSource(outcomes))),
+        seed,
     )
 
 

@@ -153,7 +153,7 @@ def test_simulation_commands_stdout_pinned(runner, tmp_path):
             result = runner.invoke(main, [*command, "--program", str(path)])
             parsed = _rounded(json.loads(result.stdout)) if result.stdout else None
             digest.update(f"{result.exit_code} {json.dumps(parsed, sort_keys=True)}\n".encode())
-    assert digest.hexdigest() == "22d4ae03c30a20638b6443dcedb43e80b15409189f105456cc26b948df942bfa"
+    assert digest.hexdigest() == "1a861fad2076edfc8cec172ced87ebe038332f7d832c3d3493a0cb59aa62042f"
 
 
 def _write_program(runner, tmp_path, n=2, layers=None):
@@ -390,6 +390,20 @@ def test_zero_input_exits_two_without_nan(runner, tmp_path):
         assert result.exit_code == 2
         assert "nan" not in result.stdout
         assert "input" in result.stderr
+
+
+def test_canonical_json_floats_parse_back_as_floats():
+    # an exact-zero distance or a whole-number axis component must not
+    # print as a JSON int: the type would flip when the value moves by 1e-17
+    values = [0.0, -0.0, 1.0, -2.0, 0.1, 1e16, 1e17, 2.5e-300]
+    text = _canonical_json({"floats": values, "count": 3})
+    assert text == (
+        '{"count": 3, "floats": [0.0, -0.0, 1.0, -2.0, 0.10000000000000001, '
+        "10000000000000000.0, 1e+17, 2.5e-300]}"
+    )
+    parsed = json.loads(text)
+    assert parsed["floats"] == values and all(type(v) is float for v in parsed["floats"])
+    assert type(parsed["count"]) is int
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

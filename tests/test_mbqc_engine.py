@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from parityflow.parity_engine import (
 )
 from parityflow.simulator import (
     OutcomeSource,
+    Statevector,
     apply_circuit,
     basis_state,
     compile_plan,
@@ -320,6 +322,41 @@ def test_compiled_runs_match_runs_compiled_on_every_call(monkeypatch):
     assert [seen is graph for (seen, _), graph in zip(mbqc_engine._RUNS[flow], (g, twin), strict=True)] == [True, True]
     for out, record in results[1:]:
         assert out.amplitudes.tobytes() == results[0][0].amplitudes.tobytes() and record == results[0][1]
+
+
+def test_per_branch_run_builds_one_statevector():
+    """Once compiled, a per-branch run builds its output register and no
+    other, sampled or prescribed."""
+    graph = induced_graph(build_all_pairs_layout(3))
+    flow = canonical_yz_gflow(graph)
+    psi = random_state(("1", "2", "3"), np.random.default_rng(2))
+    angles = {v: 0.5 for v in flow.g}
+    run_mbqc_yz(graph, psi, angles, flow, [1, 1, 1])
+    for outcomes in ([1, -1, -1], np.random.default_rng(3)):
+        post_init = Statevector.__post_init__
+        with mock.patch.object(Statevector, "__post_init__", autospec=True, side_effect=post_init) as built:
+            run_mbqc_yz(graph, psi, angles, flow, outcomes)
+        assert built.call_count == 1
+
+
+@pytest.mark.parametrize("entry", ["run_mbqc_yz", "run_repeated_mbqc"])
+def test_surplus_prescribed_outcomes_rejected(entry):
+    graph = p3_graph()
+    flow = canonical_yz_gflow(graph)
+    psi = random_state(("1", "2"), np.random.default_rng(4))
+    # each run gives the outcome of its one measurement
+    runs = {
+        "run_mbqc_yz": lambda outcomes: run_mbqc_yz(graph, psi, {"c": 0.7}, flow, outcomes)[1][0].outcome,
+        "run_repeated_mbqc": lambda outcomes: (
+            run_repeated_mbqc(graph, psi, [LayerParams()], flow, outcomes)[1][0][0].outcome
+        ),
+    }
+    run = runs[entry]
+    with pytest.raises(ValueError, match="2 prescribed outcome\\(s\\) left over after 1 measurement"):
+        run([-1, 1, 1])
+    # a source passed in is the caller's: each run takes what it measures
+    source = OutcomeSource([-1, 1, 1])
+    assert [run(source), run(source)] == [-1, 1]
 
 
 def test_dropped_flows_leave_no_compiled_runs():

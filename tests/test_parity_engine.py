@@ -2,13 +2,14 @@
 
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from parityflow import parity_engine
 from parityflow.cli import _canonical_json
-from parityflow.layout import build_all_pairs_layout
+from parityflow.layout import Gate, build_all_pairs_layout
 from parityflow.parity_engine import (
     LayerParams,
     all_outcome_branches,
@@ -22,6 +23,7 @@ from parityflow.parity_engine import (
 )
 from parityflow.pauli import parity_generators
 from parityflow.simulator import (
+    OutcomeSource,
     Statevector,
     ZeroProbabilityError,
     append_qubit,
@@ -314,6 +316,38 @@ def test_run_layer_final_keeps_register_decoded(layout2):
     assert out.labels == ("1", "2")
     follow, _ = run_layer(encoded, layout2, LayerParams(), [1], final=False)
     assert follow.labels == ("1", "2", "(12)")
+
+
+@pytest.mark.parametrize("entry", ["run_computation", "run_layer", "mb_decode"])
+def test_surplus_prescribed_outcomes_rejected(layout2, entry):
+    psi = random_state(("1", "2"), np.random.default_rng(6))
+    encoded = encode_input(layout2, psi)
+    # each run gives the outcome of its one measurement
+    runs = {
+        "run_computation": lambda outcomes: run_computation(layout2, psi, [LayerParams()], outcomes)[1][0][0].outcome,
+        "run_layer": lambda outcomes: run_layer(encoded, layout2, LayerParams(), outcomes)[1][0].outcome,
+        "mb_decode": lambda outcomes: mb_decode(encoded, layout2, ["(12)"], outcomes)[1][0].outcome,
+    }
+    run = runs[entry]
+    with pytest.raises(ValueError, match="3 prescribed outcome\\(s\\) left over after 1 measurement"):
+        run([1, -1, 1, 1])
+    # a source passed in is the caller's: each run takes what it measures
+    source = OutcomeSource([-1, 1, 1])
+    assert [run(source), run(source)] == [-1, 1]
+
+
+def test_parity_rotations_build_no_gates():
+    """A layer's parity rotations are one phase vector: the only `Gate`s a
+    run builds are its data rotations."""
+    layout = build_all_pairs_layout(3)
+    psi = random_state(layout.data_qubits, np.random.default_rng(7))
+    encoded = encode_input(layout, psi)
+    rotations = LayerParams(theta={p: 0.3 + i for i, p in enumerate(layout.parity_qubits)})
+    with_data = LayerParams(theta=rotations.theta, alpha={"1": 0.2}, phi={"1": 0.4, "2": -0.5})
+    for params, data_gates in ((rotations, 0), (with_data, 3)):
+        with mock.patch.object(Gate, "__post_init__", autospec=True, side_effect=Gate.__post_init__) as built:
+            run_layer(encoded, layout, params, [1, -1, 1])
+        assert built.call_count == data_gates
 
 
 def test_layer_params_validation(layout2):
