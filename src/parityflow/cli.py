@@ -138,9 +138,15 @@ def stab_check(layout_path: str) -> None:
         sys.exit(1)
 
 
+PROGRAM_FIELDS = ("layout", "layers", "input", "graph")
+
+
 def _load_program(data: dict):
     if not isinstance(data, dict):
         raise ValueError("program JSON must be an object")
+    unknown = [key for key in data if key not in PROGRAM_FIELDS]
+    if unknown:
+        raise ValueError(f"program JSON: unknown field {unknown[0]!r}")
     try:
         layout = layout_mod.layout_from_json(data["layout"])
         layers = parity_engine.layers_from_json(data["layers"])
@@ -160,6 +166,19 @@ def _load_program(data: dict):
     return layout, layers, psi
 
 
+def _mbqc_side(data: dict, layout, psi):
+    """The graph a program's measurement-based run measures, with its
+    canonical flow: the program's `"graph"`, whose inputs must carry the
+    data register's labels, or else the graph the layout induces."""
+    if "graph" in data:
+        graph = graph_mod.graph_from_json(data["graph"])
+        if graph.inputs != frozenset(psi.labels):
+            raise ValueError("field 'graph': inputs must match the program's data qubits")
+    else:
+        graph = layout_mod.induced_graph(layout)
+    return graph, gflow_mod.canonical_yz_gflow(graph)
+
+
 def _sampled_outputs(run, count: int, samples: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     outcome_lists = [[1 if rng.random() < 0.5 else -1 for _ in range(count)] for _ in range(samples)]
@@ -176,18 +195,7 @@ def _sim_command(engine: str, program: str, branches: str, samples: int, seed: i
     data = _load_json(program)
     layout, layers, psi = _load_program(data)
     if engine == "mbqc":
-        for layer in layers:
-            if layer.decode is not None:
-                raise ValueError("field 'decode': measurement-based runs decode fully each layer")
-        # an explicit graph may override the layout-induced one, as long as
-        # its inputs carry the same labels as the data register
-        if "graph" in data:
-            graph = graph_mod.graph_from_json(data["graph"])
-            if graph.inputs != frozenset(psi.labels):
-                raise ValueError("field 'graph': inputs must match the program's data qubits")
-        else:
-            graph = layout_mod.induced_graph(layout)
-        flow = gflow_mod.canonical_yz_gflow(graph)
+        graph, flow = _mbqc_side(data, layout, psi)
         count = (len(graph.vertices) - len(graph.inputs)) * len(layers)
 
         def run(outcomes):
@@ -262,12 +270,9 @@ sim_mbqc = _sim_subcommand("mbqc")
 @_guard
 def compare(program: str, tol: float, seed: int) -> None:
     """Run both engines on one program and report the output distance."""
-    layout, layers, psi = _load_program(_load_json(program))
-    for layer in layers:
-        if layer.decode is not None:
-            raise ValueError("field 'decode': cross-engine programs decode fully each layer")
-    graph = layout_mod.induced_graph(layout)
-    flow = gflow_mod.canonical_yz_gflow(graph)
+    data = _load_json(program)
+    layout, layers, psi = _load_program(data)
+    graph, flow = _mbqc_side(data, layout, psi)
     parity_out, _ = parity_engine.run_computation(
         layout, psi, layers, np.random.default_rng(seed)
     )

@@ -180,6 +180,15 @@ def run_mbqc_yz(
     return result
 
 
+def _check_layers(layers: Sequence[LayerParams]) -> None:
+    """Refuse an empty program, and a layer with a decode set: measurement-
+    based runs measure every non-output vertex each layer."""
+    if not layers:
+        raise ValueError("at least one layer required")
+    if any(params.decode is not None for params in layers):
+        raise ValueError("decode must be None (all) on every layer: measurement-based runs decode fully each layer")
+
+
 def run_repeated_mbqc(
     g: Graph,
     psi: Statevector,
@@ -188,9 +197,10 @@ def run_repeated_mbqc(
     outcomes,
 ) -> tuple[Statevector, list[MeasurementRecord]]:
     """Re-prepare the graph on the current data register each layer, measure
-    it out, then apply the local data rotations to the outputs."""
-    if not layers:
-        raise ValueError("at least one layer required")
+    it out, then apply the local data rotations to the outputs. Every layer
+    measures every non-output vertex: a layer with a `decode` set is
+    refused."""
+    _check_layers(layers)
     measured = set(g.vertices) - g.outputs
     source = resolve_outcomes(outcomes)
     state = psi
@@ -222,8 +232,7 @@ def run_all_branches(
     branch at each measurement (`run_schedule_all`). Raises ValueError when
     the branches would take the register over the qubit cap.
     """
-    if not layers:
-        raise ValueError("at least one layer required")
+    _check_layers(layers)
     fresh_labels = tuple(v for v in g.vertices if v not in g.inputs)
     branches = BranchArray.start(psi)
     for params in layers:

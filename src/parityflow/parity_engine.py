@@ -6,15 +6,18 @@ which completes the parity stabilizer and makes every outcome branch land
 on the same state. The CNOT-reversal decoder is kept alongside as an
 independent oracle.
 
-Within a layer the order is: parity-qubit Z rotations (one diagonal phase
-vector over the register, not a gate each), measurement-based
+Within a layer the order is: parity-qubit Z rotations, measurement-based
 decoding with corrections, local data rotations, then (when another layer
 follows) re-encoding: the decoded parity qubits are appended holding the
 parities of their sets, as encoding appends them, with no CNOT gates.
-Z rotations on data qubits commute with the encoding. An X rotation on a
-data qubit that a parity qubit outside the decode set still tracks would
-act on an encoded qubit, making the output depend on the outcome branch,
-so `LayerParams.validate` refuses it.
+RZ(t) on a parity qubit and its X measurement are one measurement along
+`xy_axis(t)`, the Hadamard image of the measurement-based engine's YZ
+axis at t; the register takes the scalar exp(-i t/2) that the axis drops.
+`LayerParams.validate` keeps every rotated parity qubit in the layer's
+decode set. Z rotations on data qubits commute with the encoding. An X
+rotation on a data qubit that a parity qubit outside the decode set still
+tracks would act on an encoded qubit, making the output depend on the
+outcome branch, so `LayerParams.validate` refuses it.
 
 `run_computation` follows one outcome list; `run_all_branches` runs the
 same layers on every outcome branch at once, in one array, with the same
@@ -24,6 +27,7 @@ object, register labels and decode set, and kept in this module.
 
 from __future__ import annotations
 
+import math
 import weakref
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -45,11 +49,18 @@ from parityflow.simulator import (
     resolve_outcomes,
     run_schedule,
     run_schedule_all,
-    z_phases,
 )
 
 X_AXIS = (1.0, 0.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
+
+
+def xy_axis(theta: float) -> tuple[float, float, float]:
+    """Bloch axis (cos t, -sin t, 0): RZ(t) followed by an X measurement,
+    as one measurement whose bras drop the gate's scalar exp(-i t/2). It is
+    the Hadamard image (z, -y, x) of `mbqc_engine.yz_axis(t)`. Written
+    0.0 - sin t so that t = 0 gives X_AXIS, with no -0.0."""
+    return (math.cos(theta), 0.0 - math.sin(theta), 0.0)
 
 
 @dataclass(frozen=True)
@@ -141,10 +152,11 @@ def mb_decode(
 ) -> tuple[Statevector, MeasurementRecord]:
     """Measure parity qubits along X; on -1 apply Z to every tracked data qubit.
 
-    Measured qubits are discarded afterwards. Outcomes are either a
-    prescribed list of +/-1 consumed in layout order, which must hold one
-    outcome per measurement, or a seeded generator sampling Born
-    probabilities.
+    The decode with no parity rotation folded in (`run_layer` measures the
+    same schedule along `xy_axis(theta)`). Measured qubits are discarded
+    afterwards. Outcomes are either a prescribed list of +/-1 consumed in
+    layout order, which must hold one outcome per measurement, or a seeded
+    generator sampling Born probabilities.
     """
     schedule = _decode_schedule(layout, state.labels, subset)
     source = resolve_outcomes(outcomes)
@@ -172,23 +184,27 @@ def unitary_decode(state: Statevector, layout: ParityLayout) -> Statevector:
     return state
 
 
-def _reencode_sets(layout: ParityLayout, subset: frozenset[str]) -> dict[str, frozenset[str]]:
-    """The decoded parity qubits, in layout order, with their declared sets."""
-    return {p: layout.parity_sets[p] for p in layout.parity_qubits if p in subset}
-
-
 def _decode_set(layout: ParityLayout, params: LayerParams) -> frozenset[str]:
     """Validate a layer; return its decode set."""
     params.validate(layout)
     return params.decode if params.decode is not None else frozenset(layout.parity_qubits)
 
 
-def _parity_phases(layout: ParityLayout, labels: tuple[str, ...], params: LayerParams) -> np.ndarray | None:
-    """The layer's parity Z rotations on a register over labels as one
-    phase vector (`z_phases`), summed in layout order; None when every
-    theta is zero."""
-    theta = {p: params.theta[p] for p in layout.parity_qubits if params.theta.get(p)}
-    return z_phases(labels, theta) if theta else None
+def _rotated_decode(
+    layout: ParityLayout, labels: tuple[str, ...], params: LayerParams
+) -> tuple[Schedule, list[tuple[float, float, float]], complex]:
+    """A validated layer's decode on a register over labels: its schedule,
+    each decoded parity qubit's `xy_axis(theta)`, and the scalar
+    exp(-i/2 sum theta) that the RZ gates carry and the axes drop, for the
+    register to be multiplied by."""
+    schedule = _decode_schedule(layout, labels, _decode_set(layout, params))
+    theta = [params.theta.get(p, 0.0) for p in schedule.qubits]
+    return schedule, [xy_axis(t) for t in theta], np.exp(-0.5j * sum(theta))
+
+
+def _reencode_sets(layout: ParityLayout, schedule: Schedule) -> dict[str, frozenset[str]]:
+    """The parity qubits a decode schedule measures, with their declared sets."""
+    return {p: layout.parity_sets[p] for p in schedule.qubits}
 
 
 def run_layer(
@@ -198,16 +214,18 @@ def run_layer(
     outcomes,
     final: bool = False,
 ) -> tuple[Statevector, MeasurementRecord]:
-    """One layer: parity rotations, decode with corrections, data rotations,
-    and re-encoding of the decoded set unless this is the final layer."""
-    decode_set = _decode_set(layout, params)
-    phases = _parity_phases(layout, state.labels, params)
-    if phases is not None:
-        state = Statevector(state.labels, state.amplitudes * phases)
-    state, record = mb_decode(state, layout, decode_set, outcomes)
+    """One layer: parity rotations folded into the decode with corrections,
+    data rotations, and re-encoding of the decoded set unless this is the
+    final layer. A prescribed outcome list must hold one outcome per
+    decoded parity qubit."""
+    schedule, axes, phase = _rotated_decode(layout, state.labels, params)
+    source = resolve_outcomes(outcomes)
+    state, record = run_schedule(schedule, state.amplitudes * phase, axes, source)
+    if source is not outcomes:
+        source.check_spent()
     state = apply_circuit(state, params.data_rotations(layout.data_qubits))
     if not final:
-        state = BranchArray.start(state).append_parities(_reencode_sets(layout, decode_set)).state(0)
+        state = BranchArray.start(state).append_parities(_reencode_sets(layout, schedule)).state(0)
     return state, record
 
 
@@ -255,15 +273,12 @@ def run_all_branches(layout: ParityLayout, psi: Statevector, layers: Sequence[La
     steps = _layer_sequence(layers)
     branches = BranchArray.start(encode_input(layout, psi))
     for params, final in steps:
-        decode_set = _decode_set(layout, params)
-        phases = _parity_phases(layout, branches.labels, params)
-        if phases is not None:
-            branches = branches.on_register(branches.labels, branches.amplitudes * phases)
-        schedule = _decode_schedule(layout, branches.labels, decode_set)
-        branches = run_schedule_all(schedule, branches, [X_AXIS] * len(schedule.qubits))
+        schedule, axes, phase = _rotated_decode(layout, branches.labels, params)
+        branches = branches.on_register(branches.labels, branches.amplitudes * phase)
+        branches = run_schedule_all(schedule, branches, axes)
         branches = branches.apply(params.data_rotations(layout.data_qubits))
         if not final:
-            branches = branches.append_parities(_reencode_sets(layout, decode_set))
+            branches = branches.append_parities(_reencode_sets(layout, schedule))
     return branches
 
 
@@ -291,11 +306,17 @@ def layers_to_json(layers: Sequence[LayerParams]) -> list:
     return out
 
 
+LAYER_FIELDS = ("theta", "alpha", "phi", "decode")
+
+
 def layers_from_json(data: Sequence[dict]) -> list[LayerParams]:
     if not isinstance(data, list) or not all(isinstance(entry, dict) for entry in data):
         raise ValueError("field 'layers' must be a list of objects")
     layers = []
     for entry in data:
+        unknown = [key for key in entry if key not in LAYER_FIELDS]
+        if unknown:
+            raise ValueError(f"field 'layers': unknown layer field {unknown[0]!r}")
         angles = {}
         for key in ("theta", "alpha", "phi"):
             if not isinstance(entry.get(key, {}), dict):

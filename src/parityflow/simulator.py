@@ -14,9 +14,10 @@ contracting each measured qubit with the bra of the outcome taken only
 `run_schedule_all` contracts each measured qubit of every row with both
 outcome bras at once, doubling the rows and halving the register. Both
 engines measure only through these, each keeping the schedules it
-compiles. `z_phases` gives a product of Z rotations as one diagonal phase
-vector. `project`, `discard_qubit`, `outcome_probability`, `append_qubit` and
-`apply_pauli_x/z` are the reference kernels the tests check them against.
+compiles; a rotation right before a measurement reaches them folded into
+the measurement's axis, not as a gate. `project`, `discard_qubit`,
+`outcome_probability`, `append_qubit` and `apply_pauli_x/z` are the
+reference kernels the tests check them against.
 """
 
 from __future__ import annotations
@@ -348,19 +349,6 @@ def _odd_overlap(n: int, mask: int) -> np.ndarray:
             odd.reshape(-1, 2, 1 << k)[:, 1] ^= True
     odd.setflags(write=False)
     return odd
-
-
-def z_phases(labels: tuple[str, ...], angles: Mapping[str, float]) -> np.ndarray:
-    """The diagonal of the product of RZ(angles[q]) over the qubits q of a
-    register over labels, one phase per amplitude index:
-    exp(-i/2 sum_q angles[q] z_q), z_q the +-1 sign of q's bit (+1 for 0),
-    read off the `_odd_overlap` masks. Raises ValueError on a qubit absent
-    from the labels."""
-    n = len(labels)
-    total = np.zeros(1 << n)
-    for q, angle in angles.items():
-        total += np.where(_odd_overlap(n, _index_mask(labels, (q,))), -angle, angle)
-    return np.exp(-0.5j * total)
 
 
 def _measure_out(amps: np.ndarray, pos: int, axis: tuple[float, float, float]) -> tuple[np.ndarray, np.ndarray]:

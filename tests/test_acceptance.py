@@ -112,39 +112,66 @@ def assert_strongly_deterministic(branches, reference, tol):
     assert np.all(np.abs(branches.probabilities - 0.5) < 1e-12)
 
 
+def criterion_3_programs():
+    """Criterion 3's programs, in its order: on all-pairs layouts n = 2..4,
+    ten random inputs with one, two and three random layers each, with the
+    induced graph, its canonical flow and the measurement count."""
+    rng = np.random.default_rng(30)
+    for n in (2, 3, 4):
+        layout = build_all_pairs_layout(n)
+        graph = induced_graph(layout)
+        flow = canonical_yz_gflow(graph)
+        for layer_count in (1, 2, 3):
+            for _ in range(10):
+                psi = random_state(layout.data_qubits, rng)
+                layers = random_layers(layout, rng, layer_count)
+                yield layout, graph, flow, psi, layers, len(layout.parity_qubits) * layer_count
+
+
 def test_criterion_3_cross_engine_equivalence():
     with criterion(3, "parity and measurement-based engines agree over branches"):
-        rng = np.random.default_rng(30)
-        for n in (2, 3, 4):
-            layout = build_all_pairs_layout(n)
-            graph = induced_graph(layout)
-            flow = canonical_yz_gflow(graph)
-            per_layer = len(layout.parity_qubits)
-            for layer_count in (1, 2, 3):
-                measured = per_layer * layer_count
-                for _ in range(10):
-                    psi = random_state(layout.data_qubits, rng)
-                    layers = random_layers(layout, rng, layer_count)
-                    reference, _ = run_computation(
-                        layout, psi, layers, [1] * measured
-                    )
-                    if measured <= 8:
-                        # every branch of both engines, each in one array
-                        for branches in (
-                            parity_engine.run_all_branches(layout, psi, layers),
-                            mbqc_engine.run_all_branches(graph, psi, layers, flow),
-                        ):
-                            assert branches.probabilities.shape == (2**measured, measured)
-                            assert_strongly_deterministic(branches, reference, 1e-10)
-                        continue
-                    # sampled branches, one per-branch run each
-                    for k in range(26):
-                        out, records = run_computation(layout, psi, layers, np.random.default_rng(1000 + k))
-                        assert distance_up_to_phase(out, reference) < 1e-10
-                        assert all(abs(e.probability - 0.5) < 1e-12 for r in records for e in r)
-                        out, records = run_repeated_mbqc(graph, psi, layers, flow, np.random.default_rng(2000 + k))
-                        assert distance_up_to_phase(out, reference) < 1e-10
-                        assert all(abs(e.probability - 0.5) < 1e-12 for r in records for e in r)
+        for layout, graph, flow, psi, layers, measured in criterion_3_programs():
+            reference, _ = run_computation(layout, psi, layers, [1] * measured)
+            if measured <= 8:
+                # every branch of both engines, each in one array
+                for branches in (
+                    parity_engine.run_all_branches(layout, psi, layers),
+                    mbqc_engine.run_all_branches(graph, psi, layers, flow),
+                ):
+                    assert branches.probabilities.shape == (2**measured, measured)
+                    assert_strongly_deterministic(branches, reference, 1e-10)
+                continue
+            # sampled branches, one per-branch run each
+            for k in range(26):
+                out, records = run_computation(layout, psi, layers, np.random.default_rng(1000 + k))
+                assert distance_up_to_phase(out, reference) < 1e-10
+                assert all(abs(e.probability - 0.5) < 1e-12 for r in records for e in r)
+                out, records = run_repeated_mbqc(graph, psi, layers, flow, np.random.default_rng(2000 + k))
+                assert distance_up_to_phase(out, reference) < 1e-10
+                assert all(abs(e.probability - 0.5) < 1e-12 for r in records for e in r)
+
+
+def test_claim_1_per_measurement():
+    """Claim 1 measurement by measurement, on every outcome branch of
+    criterion 3's all-branch programs: parity record entry j measures the
+    same qubit, with the same outcome and Born probability, as MBQC record
+    entry j, along the Hadamard image (z, -y, x) of its YZ axis."""
+    entries = 0
+    for layout, graph, flow, psi, layers, measured in criterion_3_programs():
+        if measured > 8:
+            continue
+        parity = parity_engine.run_all_branches(layout, psi, layers)
+        mbqc = mbqc_engine.run_all_branches(graph, psi, layers, flow)
+        for row in range(2**measured):
+            parity_entries = [e for record in parity.records(row) for e in record]
+            mbqc_entries = [e for record in mbqc.records(row) for e in record]
+            for p, m in zip(parity_entries, mbqc_entries, strict=True):
+                assert (p.qubit, p.outcome) == (m.qubit, m.outcome)
+                assert abs(p.probability - m.probability) <= 1e-14
+                x, y, z = m.axis
+                assert p.axis == (z, -y, x)
+                entries += 1
+    assert entries == 8260
 
 
 def test_criterion_4_decoding_equivalence():

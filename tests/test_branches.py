@@ -18,12 +18,11 @@ from hypothesis import strategies as st
 from parityflow import mbqc_engine, parity_engine, simulator
 from parityflow.gflow import GFlow, canonical_yz_gflow, yz_bipartite_sweep
 from parityflow.layout import build_all_pairs_layout, induced_graph, rz
-from parityflow.parity_engine import X_AXIS, Z_AXIS, LayerParams, all_outcome_branches
+from parityflow.parity_engine import X_AXIS, Z_AXIS, LayerParams, all_outcome_branches, xy_axis
 from parityflow.simulator import (
     ZERO_PROB_TOL,
     BranchArray,
     ZeroProbabilityError,
-    apply_circuit,
     basis_state,
     compile_plan,
     random_state,
@@ -149,32 +148,43 @@ def test_parity_all_branches_match_per_branch_runs(case, seed):
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(parity_programs(), st.integers(0, 2**32 - 1))
-def test_parity_phase_vector_matches_the_rz_gates(case, seed):
-    """At every layer start, partial decode sets and re-encoded registers
-    included, the parity rotations as one phase vector against
-    `apply_circuit` of their RZ gates: on the register a sampled
-    `run_layer` run meets, and on every row of the all-branch array."""
+def test_parity_xy_axes_match_the_rz_gates(case, seed):
+    """Each parity rotation folded into its decode axis, against the route
+    that applies it as an RZ gate and then measures along X, layer by
+    layer, partial decode sets and re-encoded registers included. The
+    all-branch array and a sampled per-branch run land on the reference
+    rows with no phase freedom, with the same outcomes and Born
+    probabilities, and each record axis is xy_axis(theta)."""
     layout, psi, layers = case
-    rng = np.random.default_rng(seed)
-    state = parity_engine.encode_input(layout, psi)
-    branches = BranchArray.start(state)
+    reference = BranchArray.start(parity_engine.encode_input(layout, psi))
     for params, final in parity_engine._layer_sequence(layers):
         gates = [rz(p, params.theta[p]) for p in layout.parity_qubits if params.theta.get(p)]
-        phases = parity_engine._parity_phases(layout, state.labels, params)
-        assert (phases is None) == (not gates)
-        if gates:
-            expected = apply_circuit(state, gates).amplitudes
-            assert np.abs(state.amplitudes * phases - expected).max() <= PHASE_TOL
-            assert np.abs(branches.amplitudes * phases - branches.apply(gates).amplitudes).max() <= PHASE_TOL
-        state, _ = parity_engine.run_layer(state, layout, params, rng, final=final)
-        # the same layer on every branch, its rotations as gates
         decode_set = parity_engine._decode_set(layout, params)
-        schedule = parity_engine._decode_schedule(layout, branches.labels, decode_set)
-        branches = run_schedule_all(schedule, branches.apply(gates), [X_AXIS] * len(schedule.qubits))
-        branches = branches.apply(params.data_rotations(layout.data_qubits))
+        schedule = parity_engine._decode_schedule(layout, reference.labels, decode_set)
+        reference = run_schedule_all(schedule, reference.apply(gates), [X_AXIS] * len(schedule.qubits))
+        reference = reference.apply(params.data_rotations(layout.data_qubits))
         if not final:
-            branches = branches.append_parities(parity_engine._reencode_sets(layout, decode_set))
-        assert branches.labels == state.labels
+            reference = reference.append_parities({p: layout.parity_sets[p] for p in schedule.qubits})
+    branches = parity_engine.run_all_branches(layout, psi, layers)
+    assert branches.labels == reference.labels
+    assert np.abs(branches.amplitudes - reference.amplitudes).max() <= PHASE_TOL
+    assert branches.reachable.tolist() == reference.reachable.tolist()
+
+    def assert_on_reference_row(records, row):
+        expected = reference.records(row)
+        assert [[(e.qubit, e.outcome) for e in r] for r in records] == [[(e.qubit, e.outcome) for e in r] for r in expected]
+        for record, other, params in zip(records, expected, layers):
+            for entry, twin in zip(record, other):
+                assert abs(entry.probability - twin.probability) <= PHASE_TOL
+                assert entry.axis == xy_axis(params.theta.get(entry.qubit, 0.0))
+
+    for row in range(len(branches.amplitudes)):
+        assert_on_reference_row(branches.records(row), row)
+    state, records = parity_engine.run_computation(layout, psi, layers, np.random.default_rng(seed))
+    m = branches.probabilities.shape[1]
+    row = sum(1 << (m - 1 - j) for j, e in enumerate(e for r in records for e in r) if e.outcome == -1)
+    assert np.abs(state.amplitudes - reference.amplitudes[row]).max() <= PHASE_TOL
+    assert_on_reference_row(records, row)
 
 
 @st.composite

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -153,7 +154,7 @@ def test_simulation_commands_stdout_pinned(runner, tmp_path):
             result = runner.invoke(main, [*command, "--program", str(path)])
             parsed = _rounded(json.loads(result.stdout)) if result.stdout else None
             digest.update(f"{result.exit_code} {json.dumps(parsed, sort_keys=True)}\n".encode())
-    assert digest.hexdigest() == "1a861fad2076edfc8cec172ced87ebe038332f7d832c3d3493a0cb59aa62042f"
+    assert digest.hexdigest() == "0882a432d4cfe003554703c3615977af66f81889265dd4948b2b59560ede1604"
 
 
 def _write_program(runner, tmp_path, n=2, layers=None):
@@ -240,7 +241,7 @@ def test_sim_all_branches_matches_per_branch_route(runner, tmp_path, engine, pro
     ]
     probabilities = [e["probability"] for r in data["record"] for e in r]
     assert np.allclose(probabilities, [e.probability for r in records for e in r], rtol=0, atol=1e-14)
-    amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
+    amps = np.array([complex(real, imag) for real, imag in data["amplitudes"]])
     assert np.abs(amps - reference.amplitudes).max() <= 1e-14
     assert data["max_branch_distance"] <= 1e-12
 
@@ -320,6 +321,40 @@ def test_compare_rejects_partial_decode(runner, tmp_path):
     result = invoke(runner, ["compare", "--program", str(path)])
     assert result.exit_code == 2
     assert "decode" in result.stderr
+
+
+def test_compare_runs_the_programs_graph(runner, tmp_path):
+    """`compare` measures the program's `"graph"`, as `sim mbqc` does: with
+    the edge 2-(12) missing, the two engines disagree."""
+    program = {
+        **README_PROGRAM,
+        "layers": [{"theta": {"(12)": 0.9}}],
+        "input": [[0.5, 0.0]] * 4,
+        "graph": {"vertices": ["1", "2", "(12)"], "edges": [["1", "(12)"]], "inputs": ["1", "2"], "outputs": ["1", "2"]},
+    }
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(program))
+    states = []
+    for engine in ("parity", "mbqc"):
+        data = json.loads(invoke(runner, ["sim", engine, "--program", str(path)]).stdout)
+        amps = np.array([complex(real, imag) for real, imag in data["amplitudes"]])
+        states.append(simulator.Statevector(tuple(data["qubits"]), amps))
+    result = invoke(runner, ["compare", "--program", str(path)])
+    assert result.exit_code == 1
+    data = json.loads(result.stdout)
+    assert data["agree"] is False
+    assert abs(data["distance"] - simulator.distance_up_to_phase(*states)) < 1e-12
+
+
+def test_unrotated_parity_records_print_the_x_axis(runner, tmp_path):
+    """With every theta zero or absent, each parity record axis prints as
+    the X axis, byte for byte: no -0.0, which the stdout pin's rounding
+    would read as 0.0."""
+    path = _write_program(runner, tmp_path, layers=[{"theta": {"(12)": 0.0}, "phi": {"1": 0.3}}, {"alpha": {"2": 0.5}}])
+    for branches in ("all", "sample"):
+        result = invoke(runner, ["sim", "parity", "--branches", branches, "--program", str(path)])
+        assert result.exit_code == 0
+        assert re.findall(r'"axis": (\[[^]]*\])', result.stdout) == ["[1.0, 0.0, 0.0]"] * 2
 
 
 def test_sim_parity_refuses_alpha_on_a_still_encoded_qubit(runner, tmp_path):
@@ -695,6 +730,8 @@ VERIFY = ["gflow", "verify", "--graph", "graph.json", "--flow"]
         (["sim", "parity", "--program"], {**README_PROGRAM, "input": [[True, False]] + [[0.5, 0.0]] * 3}, "'input'"),
         (["sim", "parity", "--program"], {**README_PROGRAM, "input": [[None, 0.0]] + [[0.5, 0.0]] * 3}, "'input'"),
         (["sim", "parity", "--program"], {**README_PROGRAM, "input": [["0.5", 0.0]] + [[0.5, 0.0]] * 3}, "'input'"),
+        (["sim", "parity", "--program"], {**README_PROGRAM, "layers": [{"theta": {"(12)": 0.5}, "alfa": {"1": 0.4}}]}, "'alfa'"),
+        (["sim", "parity", "--program"], {**README_PROGRAM, "imput": [[0.5, 0.0]] * 4}, "'imput'"),
     ],
 )
 def test_malformed_json_field_is_named(runner, tmp_path, monkeypatch, command, document, field):

@@ -407,6 +407,20 @@ def test_angle_keys_must_cover_measured():
         run_mbqc_yz(graph, basis_state(("1", "2"), "00"), {}, flow, [1])
 
 
+def test_decode_sets_refused():
+    """Measurement-based runs decode fully each layer: both layered entry
+    points refuse a layer with a decode set rather than decode fully."""
+    layout = build_all_pairs_layout(3)
+    graph = induced_graph(layout)
+    flow = canonical_yz_gflow(graph)
+    psi = random_state(layout.data_qubits, np.random.default_rng(8))
+    layers = [LayerParams(theta={"(12)": 0.5}, decode=frozenset({"(12)"})), LayerParams()]
+    with pytest.raises(ValueError, match="decode"):
+        run_repeated_mbqc(graph, psi, layers, flow, [1] * 6)
+    with pytest.raises(ValueError, match="decode"):
+        mbqc_engine.run_all_branches(graph, psi, layers, flow)
+
+
 def test_repeated_identity():
     layout = build_all_pairs_layout(2)
     graph = induced_graph(layout)
@@ -464,6 +478,8 @@ def test_engines_measure_alike_on_every_branch():
             assert [(e.qubit, e.outcome) for e in parity_flat] == [(e.qubit, e.outcome) for e in mbqc_flat]
             for a, b in zip(parity_flat, mbqc_flat):
                 assert abs(a.probability - b.probability) < 1e-12
+                # across the Hadamard layer, XY at theta is YZ at theta
+                assert a.axis == (b.axis[2], -b.axis[1], b.axis[0])
             runs += 1
     assert runs == 68
 

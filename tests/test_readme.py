@@ -1,0 +1,35 @@
+"""The README's examples run as written: the library example executes, and
+the program it writes runs through the simulation commands it lists."""
+
+import os
+import re
+import shlex
+
+from click.testing import CliRunner
+
+from parityflow.cli import main
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def fenced_blocks(language):
+    with open(README) as handle:
+        return re.findall(rf"^```{language}\n(.*?)^```", handle.read(), re.MULTILINE | re.DOTALL)
+
+
+def test_library_example_runs():
+    [example] = fenced_blocks("python")
+    exec(compile(example, "README.md", "exec"), {})
+
+
+def test_program_example_runs_through_the_simulation_commands(tmp_path, monkeypatch):
+    [script] = [block for block in fenced_blocks("sh") if "program.json" in block]
+    [program] = re.findall(r"^cat > program\.json <<'EOF'\n(.*?)^EOF$", script, re.MULTILINE | re.DOTALL)
+    commands = [shlex.split(line)[1:] for line in script.splitlines() if re.match(r"parityflow (sim|compare) ", line)]
+    assert [command[:2] for command in commands] == [["sim", "parity"], ["sim", "mbqc"], ["compare", "--program"]]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "program.json").write_text(program)
+    runner = CliRunner()
+    for command in commands:
+        result = runner.invoke(main, command, catch_exceptions=False)
+        assert result.exit_code == 0, (command, result.stderr)
