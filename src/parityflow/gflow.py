@@ -5,7 +5,7 @@ order on the vertices. The order is carried as a precedence digraph (its
 transitive closure, `_after_masks`, is the order) plus a topological
 layering, from which `measurement_order` schedules. Five conditions tie g, the order, and the measurement planes
 together; `verify_gflow` checks all of them, `search_gflow_yz` finds a
-witness for all-YZ plane assignments by exhaustive search, and
+witness for all-YZ plane assignments by a greedy peel, and
 `yz_bipartite_sweep` confronts that search with a bipartiteness test over
 every small connected graph. All three work on int vertex masks, bit i for
 `graph.vertices[i]`; the sweep builds objects only for the flows it finds.
@@ -24,7 +24,6 @@ import numpy as np
 from parityflow.graph import (
     DEFAULT_ENUMERATION_CAP,
     Graph,
-    bipartition_check,
     enumerate_connected_graphs,
     json_field,
     json_labels,
@@ -207,16 +206,26 @@ def yz_planes(graph: Graph) -> dict[str, str]:
     return {v: "YZ" for v in graph.vertices if v not in graph.outputs}
 
 
+def _bit_indices(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _spans_no_edge(neighbor_masks: Sequence[int], mask: int) -> bool:
+    """No edge joins two vertices of mask, by one AND per vertex in it."""
+    return not any(neighbor_masks[i] & mask for i in _bit_indices(mask))
+
+
 def canonical_yz_gflow(graph: Graph) -> GFlow:
     """The single-layer witness available on any bipartite graph with I one side.
 
     Maps every measured vertex to itself and orders all measured vertices
     before all outputs, leaving the measured vertices mutually incomparable.
-    Requires O = I.
+    Requires O = I and no edge joining two vertices outside I; edges
+    inside I are ignored, as the search and the graph state ignore them.
     """
-    if graph.inputs != graph.outputs or not bipartition_check(graph, graph.inputs):
-        raise ValueError("graph not bipartite with the input set as one partition")
     measured = [v for v in graph.vertices if v not in graph.inputs]
+    if graph.inputs != graph.outputs or not _spans_no_edge(graph.neighbor_masks, graph.mask_of(measured)):
+        raise ValueError("graph not bipartite with the input set as one partition")
     outputs = [v for v in graph.vertices if v in graph.inputs]
     g = {v: frozenset({v}) for v in measured}
     precedence = frozenset((v, o) for v in measured for o in outputs)
@@ -225,12 +234,8 @@ def canonical_yz_gflow(graph: Graph) -> GFlow:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive YZ-gflow search
+# Greedy YZ-gflow search
 # ---------------------------------------------------------------------------
-
-def _bit_indices(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
 
 @lru_cache(maxsize=None)
 def _submasks_by_size(support: int) -> tuple[int, ...]:
@@ -243,36 +248,33 @@ def _submasks_by_size(support: int) -> tuple[int, ...]:
     return tuple(sorted(subs, key=lambda s: (s.bit_count(), s)))
 
 
+def _first_fit(graph: Graph, remaining: int, support: int) -> tuple[int, int, int] | None:
+    """(v, S, Odd(S)) for the lowest v in remaining & support that can be measured
+    last among `remaining`, S the first fit by (size, value); None if none fits."""
+    outside = _submasks_by_size(support & ~remaining)
+    rest = remaining & support
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        for t in outside:
+            odd = graph.odd_mask(low | t)
+            if not odd & remaining:
+                return low.bit_length() - 1, low | t, odd
+    return None
+
+
 def _yz_peel(graph: Graph, measured_mask: int, support: int) -> list[tuple[int, int, int]] | None:
-    """The search's peel on masks, correction sets inside `support`: the
-    (v, g(v), Odd(g(v))) in measurement order, or None when no flow exists."""
+    """The search's peel on masks, S inside `support`: each `_first_fit` in turn,
+    as (v, g(v), Odd(g(v))) in measurement order, or None once none fits."""
     peeled: list[tuple[int, int, int]] = []
-    dead: set[int] = set()
-
-    def peel(remaining: int) -> bool:
-        """True iff the vertices in `remaining` admit a valid measurement order."""
-        if remaining == 0:
-            return True
-        if remaining in dead:
-            return False
-        outside = _submasks_by_size(support & ~remaining)
-        rest = remaining
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            for t in outside:
-                s = low | t
-                odd = graph.odd_mask(s)
-                if odd & remaining:
-                    continue
-                if peel(remaining ^ low):
-                    peeled.append((low.bit_length() - 1, s, odd))
-                    return True
-                break  # any other fitting S leaves the same subset to peel
-        dead.add(remaining)
-        return False
-
-    return peeled if peel(measured_mask) else None
+    remaining = measured_mask
+    while remaining:
+        step = _first_fit(graph, remaining, support)
+        if step is None:
+            return None
+        peeled.append(step)
+        remaining ^= 1 << step[0]
+    return peeled[::-1]
 
 
 def _yz_witness(graph: Graph, peeled: list[tuple[int, int, int]]) -> tuple[GFlow, list[int]]:
@@ -302,20 +304,23 @@ def _yz_witness(graph: Graph, peeled: list[tuple[int, int, int]]) -> tuple[GFlow
 
 
 def search_gflow_yz(graph: Graph) -> GFlow | None:
-    """Find a YZ-plane gflow by exhaustive search, or prove none exists.
+    """Find a YZ-plane gflow by a greedy peel, or prove none exists.
 
     A gflow is a peel order: some measured vertex v can be measured last
     among the still-unplaced set R when a correction set S inside the
     non-input vertices has S and Odd(S) meeting R in exactly {v} and not
     at all, respectively. Such an S is {v} plus a set T of vertices
-    outside R (measured after v, or outputs); the peel takes the first
-    that fits, T by (size, value) with the empty set first, then peels
-    R - v. Whether R can be peeled depends only on R, so any fitting S
-    serves as well as another, and the search memoizes the subsets that
-    fail; a None result is therefore a proof that no gflow exists.
-    Deliberately independent of any bipartiteness reasoning.
-    The peel runs on int masks; only a peel that succeeds becomes a `GFlow`.
-    Graphs over SEARCH_CAP vertices are refused.
+    outside R (measured after v, or outputs); the peel takes the lowest v
+    that has one, T by (size, value) with the empty set first, then peels
+    R - v, never going back. If R can be peeled and v fits in R, then
+    R - v can be peeled: drop v from R's peel sequence; every remaining S
+    still meets the smaller remaining set only in its own vertex, its
+    support outside that set only grows, and Odd(S) & (R' - v) <=
+    Odd(S) & R' = {}. So a None result, a stuck peel, proves that no
+    gflow exists; a measured input, outside the support, sticks it.
+    Deliberately independent of any bipartiteness reasoning. The peel runs
+    on int masks; only a peel that succeeds becomes a `GFlow`. Graphs
+    over SEARCH_CAP vertices are refused.
     """
     n = len(graph.vertices)
     if n > SEARCH_CAP:
@@ -325,8 +330,6 @@ def search_gflow_yz(graph: Graph) -> GFlow | None:
     all_mask = (1 << n) - 1
     measured_mask = all_mask & ~graph.mask_of(graph.outputs)
     support = all_mask & ~graph.mask_of(graph.inputs)
-    if measured_mask & ~support:
-        return None  # a measured input must lie in its own correction set but cannot
     peeled = _yz_peel(graph, measured_mask, support)
     return None if peeled is None else _yz_witness(graph, peeled)[0]
 
@@ -359,7 +362,7 @@ def witness_structure(flow: GFlow, graph: Graph, *, after: list[int] | None = No
     maximal = (v for i, v in enumerate(graph.vertices) if v in flow.g and not after[i] & measured)
     a_ok = all(flow.g[v] == {v} for v in maximal)
     union = graph.mask_of(set().union(*flow.g.values()))
-    b_ok = not any(graph.neighbor_masks[i] & union for i in _bit_indices(union))
+    b_ok = _spans_no_edge(graph.neighbor_masks, union)
     return WitnessStructure(a_ok, b_ok)
 
 
@@ -436,7 +439,7 @@ def _sweep_one_graph(args: tuple[int, int, Graph, bool]) -> tuple[int, int, dict
         peeled = _yz_peel(base, free, free)
         found = peeled is not None
         # edges inside I are dropped, so I is one side iff V - I spans no edge
-        expected = not any(masks[i] & free for i in range(n) if free >> i & 1)
+        expected = _spans_no_edge(masks, free)
         counts["instances"] += 1
         counts["flows_found"] += found
         counts["bipartite_instances"] += expected

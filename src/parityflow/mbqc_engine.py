@@ -180,13 +180,20 @@ def run_mbqc_yz(
     return result
 
 
-def _check_layers(layers: Sequence[LayerParams]) -> None:
-    """Refuse an empty program, and a layer with a decode set: measurement-
-    based runs measure every non-output vertex each layer."""
+def _check_layers(g: Graph, layers: Sequence[LayerParams]) -> None:
+    """Refuse, before any layer runs, an empty program, a decode set (runs
+    measure every non-output vertex each layer), theta keys outside the
+    measured vertices and alpha or phi keys outside the outputs."""
     if not layers:
         raise ValueError("at least one layer required")
-    if any(params.decode is not None for params in layers):
-        raise ValueError("decode must be None (all) on every layer: measurement-based runs decode fully each layer")
+    measured = set(g.vertices) - g.outputs
+    for params in layers:
+        for key, allowed in (("theta", measured), ("alpha", g.outputs), ("phi", g.outputs)):
+            stray = sorted(set(getattr(params, key)) - allowed)
+            if stray:
+                raise ValueError(f"{key!r} keys {stray} are not {'measured' if key == 'theta' else 'output'} vertices")
+        if params.decode is not None:
+            raise ValueError("decode must be None (all) on every layer: measurement-based runs decode fully each layer")
 
 
 def run_repeated_mbqc(
@@ -198,16 +205,14 @@ def run_repeated_mbqc(
 ) -> tuple[Statevector, list[MeasurementRecord]]:
     """Re-prepare the graph on the current data register each layer, measure
     it out, then apply the local data rotations to the outputs. Every layer
-    measures every non-output vertex: a layer with a `decode` set is
-    refused."""
-    _check_layers(layers)
+    measures every non-output vertex, and every layer is checked
+    (`_check_layers`) before the first runs."""
+    _check_layers(g, layers)
     measured = set(g.vertices) - g.outputs
     source = resolve_outcomes(outcomes)
     state = psi
     records: list[MeasurementRecord] = []
     for params in layers:
-        if not set(params.theta) <= measured:
-            raise ValueError("theta keys must be measured vertices")
         angles = {v: params.theta.get(v, 0.0) for v in measured}
         state, record = run_mbqc_yz(g, state, angles, flow, source)
         records.append(record)
@@ -232,14 +237,12 @@ def run_all_branches(
     branch at each measurement (`run_schedule_all`). Raises ValueError when
     the branches would take the register over the qubit cap.
     """
-    _check_layers(layers)
+    _check_layers(g, layers)
     fresh_labels = tuple(v for v in g.vertices if v not in g.inputs)
     branches = BranchArray.start(psi)
     for params in layers:
         compiled = _compiled(g, flow, branches.labels, order)
         schedule = compiled.schedule
-        if not set(params.theta) <= set(schedule.qubits):
-            raise ValueError("theta keys must be measured vertices")
         amps = _graph_amplitudes(branches.amplitudes, compiled.fresh, compiled.signs)
         branches = branches.on_register(branches.labels + fresh_labels, amps)
         axes = [yz_axis(params.theta.get(v, 0.0)) for v in schedule.qubits]

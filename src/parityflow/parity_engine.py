@@ -21,14 +21,15 @@ outcome branch, so `LayerParams.validate` refuses it.
 
 `run_computation` follows one outcome list; `run_all_branches` runs the
 same layers on every outcome branch at once, in one array, with the same
-checks. Both measure along a `simulator.Schedule` compiled once per layout
-object, register labels and decode set, and kept in this module.
+checks. Both measure each layer along a `simulator.Schedule` compiled for
+that call from the layout, the register labels and the decode set. A
+run ends on the data register alone, so the final layer's decode set, if
+given, must be every parity qubit.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -118,30 +119,19 @@ def encode_input(layout: ParityLayout, psi: Statevector) -> Statevector:
     return BranchArray.start(psi).append_parities(realised_parities(layout)).state(0)
 
 
-# layout -> {(register labels, decode set): Schedule}; weak, so a dropped
-# layout takes its schedules with it
-_DECODE_SCHEDULES: weakref.WeakKeyDictionary[ParityLayout, dict] = weakref.WeakKeyDictionary()
-
-
 def _decode_schedule(layout: ParityLayout, labels: tuple[str, ...], subset: Iterable[str]) -> Schedule:
     """The schedule measuring the members of subset out of a register over
     labels, in layout order: a -1 outcome on p is Z on every data qubit p
-    tracks. Compiled once per layout object, labels and decode set; only
-    success is stored, so a bad subset raises on every call."""
+    tracks."""
     members = frozenset(subset)
-    table = _DECODE_SCHEDULES.get(layout, {})
-    schedule = table.get((labels, members))
-    if schedule is None:
-        unknown = members - set(layout.parity_qubits)
-        if unknown:
-            raise ValueError(f"not parity qubits: {sorted(unknown)}")
-        missing = members - set(labels)
-        if missing:
-            raise ValueError(f"parity qubits not in register: {sorted(missing)}")
-        qubits = [p for p in layout.parity_qubits if p in members]
-        schedule = compile_plan(labels, qubits, lambda p: ((), layout.parity_sets[p]))
-        _DECODE_SCHEDULES.setdefault(layout, table)[labels, members] = schedule
-    return schedule
+    unknown = members - set(layout.parity_qubits)
+    if unknown:
+        raise ValueError(f"not parity qubits: {sorted(unknown)}")
+    missing = members - set(labels)
+    if missing:
+        raise ValueError(f"parity qubits not in register: {sorted(missing)}")
+    qubits = [p for p in layout.parity_qubits if p in members]
+    return compile_plan(labels, qubits, lambda p: ((), layout.parity_sets[p]))
 
 
 def mb_decode(
@@ -184,20 +174,24 @@ def unitary_decode(state: Statevector, layout: ParityLayout) -> Statevector:
     return state
 
 
-def _decode_set(layout: ParityLayout, params: LayerParams) -> frozenset[str]:
-    """Validate a layer; return its decode set."""
+def _decode_set(layout: ParityLayout, params: LayerParams, final: bool = False) -> frozenset[str]:
+    """Validate a layer; return its decode set. A final layer's decode set,
+    if given, must be every parity qubit."""
     params.validate(layout)
-    return params.decode if params.decode is not None else frozenset(layout.parity_qubits)
+    every = frozenset(layout.parity_qubits)
+    if final and params.decode not in (None, every):
+        raise ValueError(f"decode: the final layer must decode every parity qubit, not {sorted(params.decode)}")
+    return every if params.decode is None else params.decode
 
 
 def _rotated_decode(
-    layout: ParityLayout, labels: tuple[str, ...], params: LayerParams
+    layout: ParityLayout, labels: tuple[str, ...], params: LayerParams, final: bool
 ) -> tuple[Schedule, list[tuple[float, float, float]], complex]:
     """A validated layer's decode on a register over labels: its schedule,
     each decoded parity qubit's `xy_axis(theta)`, and the scalar
     exp(-i/2 sum theta) that the RZ gates carry and the axes drop, for the
     register to be multiplied by."""
-    schedule = _decode_schedule(layout, labels, _decode_set(layout, params))
+    schedule = _decode_schedule(layout, labels, _decode_set(layout, params, final))
     theta = [params.theta.get(p, 0.0) for p in schedule.qubits]
     return schedule, [xy_axis(t) for t in theta], np.exp(-0.5j * sum(theta))
 
@@ -216,9 +210,10 @@ def run_layer(
 ) -> tuple[Statevector, MeasurementRecord]:
     """One layer: parity rotations folded into the decode with corrections,
     data rotations, and re-encoding of the decoded set unless this is the
-    final layer. A prescribed outcome list must hold one outcome per
-    decoded parity qubit."""
-    schedule, axes, phase = _rotated_decode(layout, state.labels, params)
+    final layer, whose decode set, if given, must be every parity qubit. A
+    prescribed outcome list must hold one outcome per decoded parity
+    qubit."""
+    schedule, axes, phase = _rotated_decode(layout, state.labels, params, final)
     source = resolve_outcomes(outcomes)
     state, record = run_schedule(schedule, state.amplitudes * phase, axes, source)
     if source is not outcomes:
@@ -230,17 +225,15 @@ def run_layer(
 
 
 def _layer_sequence(layers: Sequence[LayerParams]) -> list[tuple[LayerParams, bool]]:
-    """(params, final) per layer; the final layer always decodes fully."""
+    """(params, final) per layer, as given."""
     if not layers:
         raise ValueError("at least one layer required")
-    out = [(params, False) for params in layers[:-1]]
-    last = layers[-1]
-    return out + [(LayerParams(last.theta, last.alpha, last.phi, decode=None), True)]
+    return [(params, i == len(layers) - 1) for i, params in enumerate(layers)]
 
 
 def measurement_count(layout: ParityLayout, layers: Sequence[LayerParams]) -> int:
     """How many parity qubits one run of these layers measures, over all layers."""
-    return sum(len(_decode_set(layout, params)) for params, _ in _layer_sequence(layers))
+    return sum(len(_decode_set(layout, params, final)) for params, final in _layer_sequence(layers))
 
 
 def run_computation(
@@ -273,7 +266,7 @@ def run_all_branches(layout: ParityLayout, psi: Statevector, layers: Sequence[La
     steps = _layer_sequence(layers)
     branches = BranchArray.start(encode_input(layout, psi))
     for params, final in steps:
-        schedule, axes, phase = _rotated_decode(layout, branches.labels, params)
+        schedule, axes, phase = _rotated_decode(layout, branches.labels, params, final)
         branches = branches.on_register(branches.labels, branches.amplitudes * phase)
         branches = run_schedule_all(schedule, branches, axes)
         branches = branches.apply(params.data_rotations(layout.data_qubits))

@@ -1,9 +1,11 @@
 """Reference gflow checks that only the tests need: the five gflow
 conditions and the witness structure facts, on label sets and a Warshall
 closure of the flow's precedence pairs, with Odd sets read off the edge
-list. The package checks the same on int masks, with its own closure."""
+list. The package checks the same on int masks, with its own closure.
+`backtracking_yz_peel` is the YZ peel as a memoized backtracking search,
+against which the package's greedy peel is checked."""
 
-from parityflow.gflow import PLANES, MalformedFlowError, Violation, VerifyResult, WitnessStructure
+from parityflow.gflow import PLANES, MalformedFlowError, Violation, VerifyResult, WitnessStructure, _submasks_by_size
 
 
 def _odd(graph, corr) -> set:
@@ -77,3 +79,39 @@ def witness_structure(flow, graph) -> WitnessStructure:
     union = set().union(*flow.g.values())
     b_ok = all(not (u in union and v in union) for u, v in graph.edges)
     return WitnessStructure(a_ok, b_ok)
+
+
+def backtracking_yz_peel(graph, measured_mask: int, support: int):
+    """The YZ peel by backtracking over which vertex to peel, with a memo of
+    the subsets that fail: the (v, g(v), Odd(g(v))) in measurement order,
+    or None when no flow exists. A measured vertex outside `support` (a
+    measured input) must lie in its own correction set but cannot."""
+    if measured_mask & ~support:
+        return None
+    peeled: list[tuple[int, int, int]] = []
+    dead: set[int] = set()
+
+    def peel(remaining: int) -> bool:
+        """True iff the vertices in `remaining` admit a valid measurement order."""
+        if remaining == 0:
+            return True
+        if remaining in dead:
+            return False
+        outside = _submasks_by_size(support & ~remaining)
+        rest = remaining
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for t in outside:
+                s = low | t
+                odd = graph.odd_mask(s)
+                if odd & remaining:
+                    continue
+                if peel(remaining ^ low):
+                    peeled.append((low.bit_length() - 1, s, odd))
+                    return True
+                break  # any other fitting S leaves the same subset to peel
+        dead.add(remaining)
+        return False
+
+    return peeled if peel(measured_mask) else None

@@ -346,6 +346,37 @@ def test_compare_runs_the_programs_graph(runner, tmp_path):
     assert abs(data["distance"] - simulator.distance_up_to_phase(*states)) < 1e-12
 
 
+def test_compare_ignores_graph_edges_inside_the_inputs(runner, tmp_path):
+    """The triangle 1-2-(12) with I = O = {1, 2} entangles only 1-(12)-2:
+    the edge inside the inputs enters no CZ and no correction set."""
+    program = {
+        **README_PROGRAM,
+        "graph": {
+            "vertices": ["1", "2", "(12)"],
+            "edges": [["1", "2"], ["2", "(12)"], ["1", "(12)"]],
+            "inputs": ["1", "2"],
+            "outputs": ["1", "2"],
+        },
+    }
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(program))
+    result = invoke(runner, ["compare", "--program", str(path)])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["agree"] is True
+    assert invoke(runner, ["sim", "mbqc", "--program", str(path)]).exit_code == 0
+
+
+def test_sim_parity_refuses_a_final_partial_decode(runner, tmp_path):
+    layout = json.loads(invoke(runner, ["lhz", "build", "--n", "3"]).stdout)
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps({"layout": layout, "layers": [{"theta": {"(12)": 0.9}, "decode": ["(12)"]}]}))
+    for branches in ("all", "sample"):
+        result = invoke(runner, ["sim", "parity", "--branches", branches, "--program", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "decode: the final layer must decode every parity qubit" in result.stderr
+
+
 def test_unrotated_parity_records_print_the_x_axis(runner, tmp_path):
     """With every theta zero or absent, each parity record axis prints as
     the X axis, byte for byte: no -0.0, which the stdout pin's rounding
@@ -732,6 +763,7 @@ VERIFY = ["gflow", "verify", "--graph", "graph.json", "--flow"]
         (["sim", "parity", "--program"], {**README_PROGRAM, "input": [["0.5", 0.0]] + [[0.5, 0.0]] * 3}, "'input'"),
         (["sim", "parity", "--program"], {**README_PROGRAM, "layers": [{"theta": {"(12)": 0.5}, "alfa": {"1": 0.4}}]}, "'alfa'"),
         (["sim", "parity", "--program"], {**README_PROGRAM, "imput": [[0.5, 0.0]] * 4}, "'imput'"),
+        (["sim", "mbqc", "--program"], {**README_PROGRAM, "layers": [{"theta": {"(12)": 0.9}, "alpha": {"7": 0.4}, "phi": {"(12)": 1.0}}]}, "'alpha'"),
     ],
 )
 def test_malformed_json_field_is_named(runner, tmp_path, monkeypatch, command, document, field):

@@ -192,6 +192,53 @@ def test_canonical_rejects_triangle():
         canonical_yz_gflow(triangle(("1",), ("1",)))
 
 
+def test_canonical_ignores_edges_inside_the_inputs():
+    # the triangle with I = {1, 2} entangles only the path 1-3-2
+    g = triangle(("1", "2"), ("1", "2"))
+    flow = canonical_yz_gflow(g)
+    assert flow.g == {"3": frozenset({"3"})}
+    assert verify_gflow(g, yz_planes(g), flow)
+
+
+def test_canonical_accepts_exactly_the_instances_with_a_flow():
+    # every n <= 6 connected graph and input set, O = I: the canonical
+    # witness exists where the search finds one, and is the search's witness
+    accepted = 0
+    for n in range(1, 7):
+        for base in enumerate_connected_graphs(n):
+            for r in range(n + 1):
+                for inputs in itertools.combinations(base.vertices, r):
+                    g = with_io(base, inputs, inputs)
+                    found = search_gflow_yz(g)
+                    try:
+                        flow = canonical_yz_gflow(g)
+                    except ValueError:
+                        assert found is None
+                        continue
+                    assert found is not None
+                    assert flow_to_json(flow) == flow_to_json(found)
+                    assert verify_gflow(g, yz_planes(g), flow)
+                    accepted += 1
+    assert accepted == 2012
+
+
+def test_greedy_peel_matches_the_backtracking_reference():
+    # every n <= 6 connected graph and every (I, O) with |I| = |O|: the same
+    # peel, or None on both
+    instances = flows = 0
+    for n in range(1, 7):
+        full = (1 << n) - 1
+        pairs = [(i, o) for i in range(1 << n) for o in range(1 << n) if i.bit_count() == o.bit_count()]
+        for base in enumerate_connected_graphs(n):
+            for inputs, outputs in pairs:
+                measured, support = full & ~outputs, full & ~inputs
+                peeled = gflow_module._yz_peel(base, measured, support)
+                assert peeled == reference.backtracking_yz_peel(base, measured, support)
+                instances += 1
+                flows += peeled is not None
+    assert (instances, flows) == (109248, 2012)
+
+
 def test_search_finds_flow_on_p3():
     flow = search_gflow_yz(p3())
     assert flow is not None

@@ -421,6 +421,32 @@ def test_decode_sets_refused():
         mbqc_engine.run_all_branches(graph, psi, layers, flow)
 
 
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        (LayerParams(theta={"1": 0.5}), "theta"),
+        (LayerParams(alpha={"7": 0.4}), "alpha"),
+        (LayerParams(phi={"(12)": 1.0}), "phi"),
+        (LayerParams(decode=frozenset({"(12)"})), "decode"),
+    ],
+    ids=["theta_on_output", "alpha_on_unknown", "phi_on_measured", "decode"],
+)
+def test_layer_keys_refused_before_any_layer_runs(bad, field):
+    """theta keys outside the measured vertices, alpha and phi keys outside
+    the outputs, and decode sets are refused by both layered entry points,
+    on any layer, before the first graph state is prepared."""
+    layout = build_all_pairs_layout(2)
+    graph = induced_graph(layout)
+    flow = canonical_yz_gflow(graph)
+    psi = random_state(layout.data_qubits, np.random.default_rng(8))
+    layers = [LayerParams(theta={"(12)": 0.9}), bad]
+    with mock.patch.object(mbqc_engine, "_graph_amplitudes", side_effect=AssertionError("a layer ran")):
+        with pytest.raises(ValueError, match=field):
+            run_repeated_mbqc(graph, psi, layers, flow, [1, 1])
+        with pytest.raises(ValueError, match=field):
+            mbqc_engine.run_all_branches(graph, psi, layers, flow)
+
+
 def test_repeated_identity():
     layout = build_all_pairs_layout(2)
     graph = induced_graph(layout)

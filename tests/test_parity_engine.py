@@ -1,7 +1,5 @@
 """Parity computation: encoding, measurement-based decoding, layered runs."""
 
-import gc
-import weakref
 from unittest import mock
 
 import numpy as np
@@ -124,29 +122,6 @@ def counting_compiles(monkeypatch) -> list:
     return compiled
 
 
-def test_each_decode_compiled_once_per_layout_register_and_decode_set(monkeypatch):
-    compiled = counting_compiles(monkeypatch)
-    layout = build_all_pairs_layout(3)
-    psi = random_state(layout.data_qubits, np.random.default_rng(9))
-    layers = [
-        LayerParams(theta={"(12)": 0.3}, decode={"(12)", "(13)"}),
-        LayerParams(theta={"(23)": -0.4}, alpha={"1": 0.2}),
-    ]
-    parity_engine.run_all_branches(layout, psi, layers)
-    for outcomes in all_outcome_branches(5):
-        run_computation(layout, psi, layers, outcomes)
-    # the partial decode, then the full one on the re-encoded register
-    keys = [
-        (("1", "2", "3", "(12)", "(13)", "(23)"), frozenset({"(12)", "(13)"})),
-        (("1", "2", "3", "(23)", "(12)", "(13)"), frozenset(layout.parity_qubits)),
-    ]
-    assert compiled == [(labels, tuple(p for p in layout.parity_qubits if p in members)) for labels, members in keys]
-    assert list(parity_engine._DECODE_SCHEDULES[layout]) == keys
-    # another layout object compiles its own
-    parity_engine.run_all_branches(build_all_pairs_layout(3), psi, layers)
-    assert len(compiled) == 2 * len(keys)
-
-
 def test_bad_decode_sets_raise_on_every_call_and_store_nothing(monkeypatch, layout2):
     compiled = counting_compiles(monkeypatch)
     psi = basis_state(("1", "2"), "00")
@@ -157,18 +132,6 @@ def test_bad_decode_sets_raise_on_every_call_and_store_nothing(monkeypatch, layo
         with pytest.raises(ValueError, match="not in register"):
             mb_decode(psi, layout2, {"(12)"}, [1])
     assert compiled == []
-    assert layout2 not in parity_engine._DECODE_SCHEDULES
-
-
-def test_dropped_layouts_leave_no_decode_schedules():
-    layout = build_all_pairs_layout(2)
-    run_computation(layout, basis_state(("1", "2"), "01"), [LayerParams(theta={"(12)": 0.5})], [-1])
-    assert layout in parity_engine._DECODE_SCHEDULES
-    dropped = weakref.ref(layout)
-    del layout
-    gc.collect()
-    assert dropped() is None
-    assert all(key() is not None for key in parity_engine._DECODE_SCHEDULES.keyrefs())
 
 
 def test_unitary_decode_round_trip(layout2):
@@ -366,6 +329,31 @@ def test_alpha_on_a_still_encoded_data_qubit_rejected():
     # Z rotations commute with the encoding; decoding (13) too leaves qubit 1 decoded
     LayerParams(theta={"(12)": 0.9}, phi={"1": 0.4}, decode=frozenset({"(12)"})).validate(layout)
     LayerParams(theta={"(12)": 0.9}, alpha={"1": 0.4}, decode=frozenset({"(12)", "(13)"})).validate(layout)
+
+
+def test_final_partial_decode_refused():
+    """A run ends on the data register: a final layer's decode set, if
+    given, is every parity qubit, and any other is refused, not widened."""
+    layout = build_all_pairs_layout(3)
+    psi = random_state(layout.data_qubits, np.random.default_rng(4))
+    partial = LayerParams(theta={"(12)": 0.9}, decode=frozenset({"(12)"}))
+    runs = [
+        lambda: run_computation(layout, psi, [partial], [1, 1, 1]),
+        lambda: parity_engine.run_all_branches(layout, psi, [partial]),
+        lambda: parity_engine.measurement_count(layout, [partial]),
+        lambda: run_layer(encode_input(layout, psi), layout, partial, [1], final=True),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="decode: the final layer must decode every parity qubit"):
+            run()
+    # the same set as a non-final layer is a partial decode
+    run_computation(layout, psi, [partial, LayerParams()], [1, 1, 1, 1])
+    # every parity qubit, given explicitly, is the default
+    full = LayerParams(theta={"(12)": 0.9}, decode=frozenset(layout.parity_qubits))
+    given, _ = run_computation(layout, psi, [full], [1, -1, 1])
+    default, _ = run_computation(layout, psi, [LayerParams(theta={"(12)": 0.9})], [1, -1, 1])
+    assert given.labels == default.labels
+    assert np.array_equal(given.amplitudes, default.amplitudes)
 
 
 def test_run_computation_requires_layers(layout2):
