@@ -250,7 +250,7 @@ def _sim_subcommand(engine: str):
     @click.option("--program", required=True, type=click.Path())
     @click.option("--branches", type=click.Choice(["all", "sample"]), default="sample")
     @click.option("--samples", type=click.IntRange(min=1), default=8, show_default=True)
-    @click.option("--seed", type=int, default=0, show_default=True)
+    @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
     @click.option("--tol", type=float, default=1e-12, show_default=True, callback=_tolerance)
     @_guard
     def command(program: str, branches: str, samples: int, seed: int, tol: float) -> None:
@@ -266,7 +266,7 @@ sim_mbqc = _sim_subcommand("mbqc")
 @main.command("compare")
 @click.option("--program", required=True, type=click.Path())
 @click.option("--tol", type=float, default=1e-10, show_default=True, callback=_tolerance)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @_guard
 def compare(program: str, tol: float, seed: int) -> None:
     """Run both engines on one program and report the output distance."""
@@ -332,7 +332,7 @@ def gflow_search(graph_path: str) -> None:
 
 @main.command("sweep")
 @click.option("--max-n", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--io-samples", type=click.IntRange(min=0), default=200, show_default=True)
 @click.option("--workers", type=click.IntRange(min=1), default=None, help="Defaults to the CPU count.")
 @_guard

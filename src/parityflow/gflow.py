@@ -224,8 +224,10 @@ def canonical_yz_gflow(graph: Graph) -> GFlow:
     inside I are ignored, as the search and the graph state ignore them.
     """
     measured = [v for v in graph.vertices if v not in graph.inputs]
-    if graph.inputs != graph.outputs or not _spans_no_edge(graph.neighbor_masks, graph.mask_of(measured)):
-        raise ValueError("graph not bipartite with the input set as one partition")
+    if graph.inputs != graph.outputs:
+        raise ValueError("no canonical flow: inputs differ from outputs")
+    if not _spans_no_edge(graph.neighbor_masks, graph.mask_of(measured)):
+        raise ValueError("no canonical flow: an edge joins two vertices outside the inputs")
     outputs = [v for v in graph.vertices if v in graph.inputs]
     g = {v: frozenset({v}) for v in measured}
     precedence = frozenset((v, o) for v in measured for o in outputs)
@@ -478,6 +480,8 @@ def yz_bipartite_sweep(
         raise ValueError(f"max_n={max_n} above enumeration cap {DEFAULT_ENUMERATION_CAP}")
     if io_samples < 0:
         raise ValueError(f"io_samples={io_samples} must be at least 0")
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be at least 0")
     workers = (os.cpu_count() or 1) if workers is None else workers
     if workers < 1:
         raise ValueError(f"workers={workers} must be at least 1")

@@ -37,9 +37,9 @@ from parityflow.simulator import (
     apply_circuit,
     check_cap,
     compile_plan,
-    resolve_outcomes,
     run_schedule,
     run_schedule_all,
+    split_outcomes,
 )
 
 
@@ -154,7 +154,7 @@ def run_mbqc_yz(
     psi: Statevector,
     angles: Mapping[str, float],
     flow: GFlow,
-    outcomes,
+    outcomes: np.random.Generator | Sequence[int],
     order: Sequence[str] | None = None,
 ) -> tuple[Statevector, MeasurementRecord]:
     """Measure every non-output vertex in the YZ plane, correcting via the flow.
@@ -165,19 +165,19 @@ def run_mbqc_yz(
     v, all still-present qubits. The flow is verified and the run compiled
     (`_compiled`) the first time this graph object meets this input label
     order and measurement order; every branch after that runs the compiled
-    schedule. The angle keys and outcomes are checked on every call: a
-    prescribed list must hold one outcome per measured vertex.
+    schedule. The angles (finite, keyed by exactly the measured vertices)
+    and the outcomes are checked on every call: a prescribed list must hold
+    one outcome per measured vertex.
     """
     compiled = _compiled(g, flow, psi.labels, order)
     schedule = compiled.schedule
     if set(angles) != set(schedule.qubits):
         raise ValueError("angle keys must be exactly the measured vertices")
-    source = resolve_outcomes(outcomes)
+    for v, angle in angles.items():
+        if not math.isfinite(angle):
+            raise ValueError(f"angle of {v!r} = {angle} is not finite")
     amps = _graph_amplitudes(psi.amplitudes, compiled.fresh, compiled.signs)
-    result = run_schedule(schedule, amps, [yz_axis(angles[v]) for v in schedule.qubits], source)
-    if source is not outcomes:
-        source.check_spent()
-    return result
+    return run_schedule(schedule, amps, [yz_axis(angles[v]) for v in schedule.qubits], outcomes)
 
 
 def _check_layers(g: Graph, layers: Sequence[LayerParams]) -> None:
@@ -201,24 +201,23 @@ def run_repeated_mbqc(
     psi: Statevector,
     layers: Sequence[LayerParams],
     flow: GFlow,
-    outcomes,
+    outcomes: np.random.Generator | Sequence[int],
 ) -> tuple[Statevector, list[MeasurementRecord]]:
     """Re-prepare the graph on the current data register each layer, measure
     it out, then apply the local data rotations to the outputs. Every layer
-    measures every non-output vertex, and every layer is checked
-    (`_check_layers`) before the first runs."""
+    measures every non-output vertex. Every layer (`_check_layers`) and the
+    outcomes are checked before the first runs; each layer takes its own
+    slice of a list, or the same generator."""
     _check_layers(g, layers)
     measured = set(g.vertices) - g.outputs
-    source = resolve_outcomes(outcomes)
+    shares = split_outcomes(outcomes, [len(measured)] * len(layers))
     state = psi
     records: list[MeasurementRecord] = []
-    for params in layers:
+    for params, share in zip(layers, shares):
         angles = {v: params.theta.get(v, 0.0) for v in measured}
-        state, record = run_mbqc_yz(g, state, angles, flow, source)
+        state, record = run_mbqc_yz(g, state, angles, flow, share)
         records.append(record)
         state = apply_circuit(state, params.data_rotations(state.labels))
-    if source is not outcomes:
-        source.check_spent()
     return state, records
 
 

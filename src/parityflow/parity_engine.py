@@ -47,9 +47,9 @@ from parityflow.simulator import (
     discard_qubit,
     outcome_probability,
     project,
-    resolve_outcomes,
     run_schedule,
     run_schedule_all,
+    split_outcomes,
 )
 
 X_AXIS = (1.0, 0.0, 0.0)
@@ -74,9 +74,12 @@ class LayerParams:
     decode: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", dict(self.theta))
-        object.__setattr__(self, "alpha", dict(self.alpha))
-        object.__setattr__(self, "phi", dict(self.phi))
+        for name in ("theta", "alpha", "phi"):
+            angles = dict(getattr(self, name))
+            for key, angle in angles.items():
+                if not math.isfinite(angle):
+                    raise ValueError(f"{name}[{key!r}] = {angle} is not a finite angle")
+            object.__setattr__(self, name, angles)
         if self.decode is not None:
             object.__setattr__(self, "decode", frozenset(self.decode))
 
@@ -138,7 +141,7 @@ def mb_decode(
     state: Statevector,
     layout: ParityLayout,
     subset: Iterable[str],
-    outcomes,
+    outcomes: np.random.Generator | Sequence[int],
 ) -> tuple[Statevector, MeasurementRecord]:
     """Measure parity qubits along X; on -1 apply Z to every tracked data qubit.
 
@@ -149,11 +152,7 @@ def mb_decode(
     generator sampling Born probabilities.
     """
     schedule = _decode_schedule(layout, state.labels, subset)
-    source = resolve_outcomes(outcomes)
-    result = run_schedule(schedule, state.amplitudes, [X_AXIS] * len(schedule.qubits), source)
-    if source is not outcomes:
-        source.check_spent()
-    return result
+    return run_schedule(schedule, state.amplitudes, [X_AXIS] * len(schedule.qubits), outcomes)
 
 
 def unitary_decode(state: Statevector, layout: ParityLayout) -> Statevector:
@@ -184,14 +183,22 @@ def _decode_set(layout: ParityLayout, params: LayerParams, final: bool = False) 
     return every if params.decode is None else params.decode
 
 
+def _decode_sets(layout: ParityLayout, layers: Sequence[LayerParams]) -> list[frozenset[str]]:
+    """Validate every layer of a run, before any runs; return their decode
+    sets, the last as a final layer's."""
+    if not layers:
+        raise ValueError("at least one layer required")
+    return [_decode_set(layout, params, i == len(layers) - 1) for i, params in enumerate(layers)]
+
+
 def _rotated_decode(
-    layout: ParityLayout, labels: tuple[str, ...], params: LayerParams, final: bool
+    layout: ParityLayout, labels: tuple[str, ...], params: LayerParams, members: frozenset[str]
 ) -> tuple[Schedule, list[tuple[float, float, float]], complex]:
-    """A validated layer's decode on a register over labels: its schedule,
-    each decoded parity qubit's `xy_axis(theta)`, and the scalar
-    exp(-i/2 sum theta) that the RZ gates carry and the axes drop, for the
-    register to be multiplied by."""
-    schedule = _decode_schedule(layout, labels, _decode_set(layout, params, final))
+    """A layer's decode of its validated decode set on a register over
+    labels: its schedule, each decoded parity qubit's `xy_axis(theta)`, and
+    the scalar exp(-i/2 sum theta) that the RZ gates carry and the axes
+    drop, for the register to be multiplied by."""
+    schedule = _decode_schedule(layout, labels, members)
     theta = [params.theta.get(p, 0.0) for p in schedule.qubits]
     return schedule, [xy_axis(t) for t in theta], np.exp(-0.5j * sum(theta))
 
@@ -205,7 +212,7 @@ def run_layer(
     state: Statevector,
     layout: ParityLayout,
     params: LayerParams,
-    outcomes,
+    outcomes: np.random.Generator | Sequence[int],
     final: bool = False,
 ) -> tuple[Statevector, MeasurementRecord]:
     """One layer: parity rotations folded into the decode with corrections,
@@ -213,45 +220,35 @@ def run_layer(
     final layer, whose decode set, if given, must be every parity qubit. A
     prescribed outcome list must hold one outcome per decoded parity
     qubit."""
-    schedule, axes, phase = _rotated_decode(layout, state.labels, params, final)
-    source = resolve_outcomes(outcomes)
-    state, record = run_schedule(schedule, state.amplitudes * phase, axes, source)
-    if source is not outcomes:
-        source.check_spent()
+    schedule, axes, phase = _rotated_decode(layout, state.labels, params, _decode_set(layout, params, final))
+    state, record = run_schedule(schedule, state.amplitudes * phase, axes, outcomes)
     state = apply_circuit(state, params.data_rotations(layout.data_qubits))
     if not final:
         state = BranchArray.start(state).append_parities(_reencode_sets(layout, schedule)).state(0)
     return state, record
 
 
-def _layer_sequence(layers: Sequence[LayerParams]) -> list[tuple[LayerParams, bool]]:
-    """(params, final) per layer, as given."""
-    if not layers:
-        raise ValueError("at least one layer required")
-    return [(params, i == len(layers) - 1) for i, params in enumerate(layers)]
-
-
 def measurement_count(layout: ParityLayout, layers: Sequence[LayerParams]) -> int:
     """How many parity qubits one run of these layers measures, over all layers."""
-    return sum(len(_decode_set(layout, params, final)) for params, final in _layer_sequence(layers))
+    return sum(map(len, _decode_sets(layout, layers)))
 
 
 def run_computation(
     layout: ParityLayout,
     psi: Statevector,
     layers: Sequence[LayerParams],
-    outcomes,
+    outcomes: np.random.Generator | Sequence[int],
 ) -> tuple[Statevector, list[MeasurementRecord]]:
-    """Encode once, fold layers, finish fully decoded on the data register."""
-    steps = _layer_sequence(layers)
-    source = resolve_outcomes(outcomes)
+    """Encode once, fold layers, finish fully decoded on the data register.
+    Every layer and the outcomes are checked before the input is encoded;
+    each layer takes its own slice of a list, or the same generator."""
+    sets = _decode_sets(layout, layers)
+    shares = split_outcomes(outcomes, [len(members) for members in sets])
     state = encode_input(layout, psi)
     records: list[MeasurementRecord] = []
-    for params, final in steps:
-        state, record = run_layer(state, layout, params, source, final=final)
+    for i, (params, share) in enumerate(zip(layers, shares)):
+        state, record = run_layer(state, layout, params, share, final=i == len(layers) - 1)
         records.append(record)
-    if source is not outcomes:
-        source.check_spent()
     return state, records
 
 
@@ -263,14 +260,14 @@ def run_all_branches(layout: ParityLayout, psi: Statevector, layers: Sequence[La
     qubits to every branch. Raises ValueError when the branches would take
     the register over the qubit cap.
     """
-    steps = _layer_sequence(layers)
+    sets = _decode_sets(layout, layers)
     branches = BranchArray.start(encode_input(layout, psi))
-    for params, final in steps:
-        schedule, axes, phase = _rotated_decode(layout, branches.labels, params, final)
+    for i, (params, members) in enumerate(zip(layers, sets)):
+        schedule, axes, phase = _rotated_decode(layout, branches.labels, params, members)
         branches = branches.on_register(branches.labels, branches.amplitudes * phase)
         branches = run_schedule_all(schedule, branches, axes)
         branches = branches.apply(params.data_rotations(layout.data_qubits))
-        if not final:
+        if i < len(layers) - 1:
             branches = branches.append_parities(_reencode_sets(layout, schedule))
     return branches
 

@@ -13,8 +13,9 @@ contracting each measured qubit with the bra of the outcome taken only
 (and first with the +1 bra when the outcome is sampled), while
 `run_schedule_all` contracts each measured qubit of every row with both
 outcome bras at once, doubling the rows and halving the register. Both
-engines measure only through these, each keeping the schedules it
-compiles; a rotation right before a measurement reaches them folded into
+engines measure only through these: the measurement-based engine keeps
+the schedules it compiles, the parity engine compiles each decode when it
+runs it. A rotation right before a measurement reaches them folded into
 the measurement's axis, not as a gate. `project`, `discard_qubit`,
 `outcome_probability`, `append_qubit` and `apply_pauli_x/z` are the
 reference kernels the tests check them against.
@@ -22,6 +23,7 @@ reference kernels the tests check them against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -182,7 +184,8 @@ def apply_pauli_z(state: Statevector, q: str) -> Statevector:
 
 def _projected_amplitudes(state: Statevector, q: str, axis: Sequence[float], outcome: int) -> np.ndarray:
     ax = np.asarray(axis, dtype=float)
-    if ax.shape != (3,) or abs(np.linalg.norm(ax) - 1.0) > 1e-9:
+    # written so that a NaN component fails it too
+    if ax.shape != (3,) or not abs(np.linalg.norm(ax) - 1.0) <= 1e-9:
         raise ValueError("axis must be a unit 3-vector")
     if outcome not in (1, -1):
         raise ValueError("outcome must be +1 or -1")
@@ -302,7 +305,8 @@ def _outcome_bras(axis: tuple[float, float, float]) -> np.ndarray:
     Contracting the measured qubit with it gives the row discard_qubit keeps
     after project, up to the 1/sqrt(p) renormalisation.
     """
-    if len(axis) != 3 or abs(math.sqrt(sum(c * c for c in axis)) - 1.0) > 1e-9:
+    # written so that a NaN component fails it too
+    if len(axis) != 3 or not abs(math.sqrt(sum(c * c for c in axis)) - 1.0) <= 1e-9:
         raise ValueError("axis must be a unit 3-vector")
     x, y, z = axis
     rows = []
@@ -419,38 +423,69 @@ def _index_mask(labels: tuple[str, ...], qubits: Iterable[str]) -> int:
     return mask
 
 
+def check_outcomes(outcomes: np.random.Generator | Sequence[int], count: int) -> np.random.Generator | list[int]:
+    """The generator as it is, or the prescribed list as ints, refused
+    unless it holds exactly `count` outcomes, each 1 or -1 (not a bool)."""
+    if isinstance(outcomes, np.random.Generator):
+        return outcomes
+    if not isinstance(outcomes, Sequence) or isinstance(outcomes, (str, bytes)):
+        raise TypeError("outcomes must be a sequence of +/-1 or a numpy Generator")
+    bad = [o for o in outcomes if isinstance(o, (bool, np.bool_)) or o not in (1, -1)]
+    if bad:
+        raise ValueError(f"prescribed outcomes must be +/-1, got {bad}")
+    if len(outcomes) != count:
+        raise ValueError(f"{len(outcomes)} prescribed outcome(s) for {count} measurement(s)")
+    return [int(o) for o in outcomes]
+
+
+def split_outcomes(
+    outcomes: np.random.Generator | Sequence[int], counts: Sequence[int]
+) -> list[np.random.Generator | list[int]]:
+    """`check_outcomes` against the sum of counts, then one share per count:
+    the same generator each, or the list's next `count` outcomes."""
+    outcomes = check_outcomes(outcomes, sum(counts))
+    if isinstance(outcomes, np.random.Generator):
+        return [outcomes] * len(counts)
+    return [outcomes[end - count : end] for count, end in zip(counts, itertools.accumulate(counts))]
+
+
 def run_schedule(
     schedule: Schedule,
     amplitudes: np.ndarray,
     axes: Sequence[tuple[float, float, float]],
-    source: OutcomeSource,
+    outcomes: np.random.Generator | Sequence[int],
 ) -> tuple[Statevector, MeasurementRecord]:
     """Measure the schedule's qubits of one register (the amplitudes of the
     register it was compiled on) along `axes`, one per qubit.
 
+    Outcomes are checked (`check_outcomes`) before the first measurement.
     Each step contracts the measured qubit with the bra of the outcome
     taken only and applies the step's correction on a -1 outcome. A
-    sampling `source` draws from the +1 probability, so the +1 half is
-    contracted first and kept when the draw is +1; a prescribed one needs
-    no probability to choose. The halves are kept unnormalised: `weight`
-    is the squared norm of the register so far, each Born probability the
-    kept half's squared norm over it, and the output is normalised once.
-    Gives the row of `run_schedule_all` for the outcomes taken. Raises
+    generator picks the outcome by the +1 probability (a draw, unless it
+    is within 1e-12 of 0 or 1), so the +1 half is contracted first and
+    kept on a +1. The halves are kept unnormalised: `weight` is the squared
+    norm of the register so far, each Born probability the kept half's
+    squared norm over it, and the output is normalised once. Gives the row
+    of `run_schedule_all` for the outcomes taken. Raises
     ZeroProbabilityError below the 1e-12 probability floor.
     """
-    amps, weight, sampling = amplitudes, 1.0, source.samples
+    outcomes = check_outcomes(outcomes, len(schedule.qubits))
+    rng = outcomes if isinstance(outcomes, np.random.Generator) else None
+    amps, weight = amplitudes, 1.0
     record: list[MeasurementEntry] = []
-    for (q, pos, xmask, zmask), axis in zip(schedule.iter_steps(), axes, strict=True):
+    for j, ((q, pos, xmask, zmask), axis) in enumerate(zip(schedule.iter_steps(), axes, strict=True)):
         bras = _outcome_bras(axis)
         view = amps.reshape(1 << pos, 2, -1)
-        if sampling:
+        if rng is None:
+            outcome = outcomes[j]
+            half = bras[0 if outcome == 1 else 1] @ view
+        else:
             half = bras[0] @ view
-            outcome = source.next_outcome(float(np.vdot(half, half).real) / weight)
+            p_plus = float(np.vdot(half, half).real) / weight
+            # certain within 1e-12 of 1 or of 0, drawn otherwise
+            outcome = 1 if p_plus > 1.0 - ZERO_PROB_TOL or (p_plus >= ZERO_PROB_TOL and rng.random() < p_plus) else -1
             if outcome == -1:
                 half = bras[1] @ view
-        else:
-            outcome = source.next_outcome()
-            half = bras[0 if outcome == 1 else 1] @ view
         kept = float(np.vdot(half, half).real)
         probability = kept / weight
         if probability < ZERO_PROB_TOL:
@@ -593,51 +628,3 @@ def record_to_json(record: Iterable[MeasurementEntry]) -> list:
 def amplitudes_to_json(state: Statevector) -> list:
     """[re, im] pairs in index order, for golden-file comparisons."""
     return [[float(a.real), float(a.imag)] for a in state.amplitudes]
-
-
-def resolve_outcomes(outcomes) -> "OutcomeSource":
-    if isinstance(outcomes, OutcomeSource):
-        return outcomes
-    return OutcomeSource(outcomes)
-
-
-class OutcomeSource:
-    """Uniform access to prescribed outcome lists and seeded samplers."""
-
-    def __init__(self, spec):
-        if isinstance(spec, np.random.Generator):
-            self._rng = spec
-            self._queue = None
-        elif isinstance(spec, Sequence) and not isinstance(spec, (str, bytes)):
-            bad = [o for o in spec if isinstance(o, (bool, np.bool_)) or o not in (1, -1)]
-            if bad:
-                raise ValueError(f"prescribed outcomes must be +/-1, got {bad}")
-            self._rng = None
-            self._queue = [int(o) for o in spec]
-            self._taken = 0
-        else:
-            raise TypeError("outcomes must be a sequence of +/-1 or a numpy Generator")
-
-    @property
-    def samples(self) -> bool:
-        """Whether outcomes are drawn from the +1 Born probability, which
-        `next_outcome` then needs; a prescribed list ignores it."""
-        return self._rng is not None
-
-    def next_outcome(self, p_plus: float | None = None) -> int:
-        if self._queue is not None:
-            if self._taken == len(self._queue):
-                raise ValueError("prescribed outcome list exhausted")
-            self._taken += 1
-            return self._queue[self._taken - 1]
-        if p_plus > 1.0 - ZERO_PROB_TOL:
-            return 1
-        if p_plus < ZERO_PROB_TOL:
-            return -1
-        return 1 if self._rng.random() < p_plus else -1
-
-    def check_spent(self) -> None:
-        """Refuse a prescribed list that the run did not use up."""
-        if self._queue is not None and self._taken < len(self._queue):
-            left = len(self._queue) - self._taken
-            raise ValueError(f"{left} prescribed outcome(s) left over after {self._taken} measurement(s)")

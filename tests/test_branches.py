@@ -157,13 +157,12 @@ def test_parity_xy_axes_match_the_rz_gates(case, seed):
     probabilities, and each record axis is xy_axis(theta)."""
     layout, psi, layers = case
     reference = BranchArray.start(parity_engine.encode_input(layout, psi))
-    for params, final in parity_engine._layer_sequence(layers):
+    for i, (params, decode_set) in enumerate(zip(layers, parity_engine._decode_sets(layout, layers))):
         gates = [rz(p, params.theta[p]) for p in layout.parity_qubits if params.theta.get(p)]
-        decode_set = parity_engine._decode_set(layout, params)
         schedule = parity_engine._decode_schedule(layout, reference.labels, decode_set)
         reference = run_schedule_all(schedule, reference.apply(gates), [X_AXIS] * len(schedule.qubits))
         reference = reference.apply(params.data_rotations(layout.data_qubits))
-        if not final:
+        if i < len(layers) - 1:
             reference = reference.append_parities({p: layout.parity_sets[p] for p in schedule.qubits})
     branches = parity_engine.run_all_branches(layout, psi, layers)
     assert branches.labels == reference.labels
@@ -302,7 +301,7 @@ def test_zero_probability_rows_are_unreachable_and_finite(case, seed):
     assert branches.reachable.tolist() == rows
     assert_matches_per_branch(
         branches,
-        one_pass(lambda outcomes: run_schedule(schedule, state.amplitudes, axes, simulator.OutcomeSource(outcomes))),
+        one_pass(lambda outcomes: run_schedule(schedule, state.amplitudes, axes, outcomes)),
         seed,
     )
 

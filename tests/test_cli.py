@@ -299,6 +299,26 @@ def test_sim_mbqc_with_explicit_graph(runner, tmp_path):
     assert json.loads(result.stdout)["branches_run"] == 2
 
 
+def test_sim_mbqc_names_a_graph_whose_outputs_differ_from_its_inputs(runner, tmp_path):
+    layout = json.loads(invoke(runner, ["lhz", "build", "--n", "2"]).stdout)
+    program = {
+        "layout": layout,
+        "graph": {
+            "vertices": ["1", "2", "(12)"],
+            "edges": [["1", "(12)"], ["2", "(12)"]],
+            "inputs": ["1", "2"],
+            "outputs": ["1"],
+        },
+        "layers": [{"theta": {"(12)": 0.4}}],
+    }
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(program))
+    result = invoke(runner, ["sim", "mbqc", "--program", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "no canonical flow: inputs differ from outputs" in result.stderr
+
+
 def test_sim_deterministic_given_seed(runner, tmp_path):
     path = _write_program(runner, tmp_path)
     args = ["sim", "parity", "--program", str(path), "--seed", "7"]
@@ -410,6 +430,9 @@ def test_sim_parity_refuses_alpha_on_a_still_encoded_qubit(runner, tmp_path):
         (["compare"], "--tol", "-1"),
         (["sim", "parity"], "--samples", "0"),
         (["sim", "mbqc"], "--samples", "0"),
+        (["sim", "parity"], "--seed", "-1"),
+        (["sim", "mbqc"], "--seed", "-1"),
+        (["compare"], "--seed", "-1"),
     ],
 )
 def test_bad_tolerance_or_sample_count_exits_two(runner, tmp_path, command, option, value):
@@ -796,6 +819,7 @@ def test_gflow_verify_with_g_list_exits_two(runner, tmp_path):
         pytest.param(["--io-samples", "-5"], "--io-samples", id="args0-env0---io-samples"),
         pytest.param(["--workers", "-3"], "--workers", id="args1-env1---workers"),
         pytest.param(["--workers", "0"], "--workers", id="args2-env2---workers"),
+        pytest.param(["--seed", "-1"], "--seed", id="args3-env3---seed"),
     ],
 )
 def test_sweep_rejects_negative_samples_and_workers_below_one(runner, args, message):

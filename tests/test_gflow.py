@@ -188,8 +188,15 @@ def test_canonical_measures_in_a_single_layer():
 
 
 def test_canonical_rejects_triangle():
-    with pytest.raises(ValueError, match="not bipartite"):
+    with pytest.raises(ValueError, match="an edge joins two vertices outside the inputs"):
         canonical_yz_gflow(triangle(("1",), ("1",)))
+
+
+def test_canonical_names_inputs_that_differ_from_outputs():
+    # a bipartite path, but its outputs are not its inputs
+    g = make_graph(["1", "2", "3"], [("1", "2"), ("2", "3")], ["1", "3"], ["1"])
+    with pytest.raises(ValueError, match="^no canonical flow: inputs differ from outputs$"):
+        canonical_yz_gflow(g)
 
 
 def test_canonical_ignores_edges_inside_the_inputs():
@@ -381,11 +388,13 @@ def test_sweep_parallel_matches_serial():
         pytest.param({"io_samples": -5, "workers": 1}, "io_samples=-5", id="kwargs0-None-io_samples=-5"),
         pytest.param({"workers": 0}, "workers=0", id="kwargs1-None-workers=0"),
         pytest.param({"workers": -3}, "workers=-3", id="kwargs2-None-workers=-3"),
+        pytest.param({"seed": -1, "workers": 1}, "seed=-1", id="kwargs3-None-seed=-1"),
     ],
 )
 def test_sweep_rejects_negative_samples_and_workers_below_one(kwargs, message):
     # a negative sample count would draw nothing and read as a passed
-    # I != O check; a worker count below one has no meaning
+    # I != O check; a worker count below one has no meaning; a negative
+    # seed is refused before the sweep runs, not after
     with pytest.raises(ValueError, match=message):
         yz_bipartite_sweep(2, **kwargs)
 

@@ -1,13 +1,14 @@
 """Measurement-based engine: graph states, YZ runs, layered repetition."""
 
 import gc
+import math
 import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from parityflow import mbqc_engine
+from parityflow import mbqc_engine, simulator
 from parityflow.gflow import GFlow, canonical_yz_gflow, search_gflow_yz, yz_bipartite_sweep
 from parityflow.graph import make_graph, odd_neighborhood, with_io
 from parityflow.layout import build_all_pairs_layout, hadamard, induced_graph
@@ -24,7 +25,6 @@ from parityflow.parity_engine import (
     run_computation,
 )
 from parityflow.simulator import (
-    OutcomeSource,
     Statevector,
     apply_circuit,
     basis_state,
@@ -300,7 +300,7 @@ def test_compiled_runs_match_runs_compiled_on_every_call(monkeypatch):
                     prepared = prepare_graph_state(g, psi)
                     schedule = compile_plan(prepared.labels, sequence, correct)
                     expected, expected_record = run_schedule(
-                        schedule, prepared.amplitudes, axes, OutcomeSource(branch)
+                        schedule, prepared.amplitudes, axes, branch
                     )
                     assert out.labels == expected.labels
                     assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
@@ -352,11 +352,33 @@ def test_surplus_prescribed_outcomes_rejected(entry):
         ),
     }
     run = runs[entry]
-    with pytest.raises(ValueError, match="2 prescribed outcome\\(s\\) left over after 1 measurement"):
-        run([-1, 1, 1])
-    # a source passed in is the caller's: each run takes what it measures
-    source = OutcomeSource([-1, 1, 1])
-    assert [run(source), run(source)] == [-1, 1]
+    # a list of the wrong length is refused before any bra is contracted
+    with mock.patch.object(simulator, "_outcome_bras", wraps=simulator._outcome_bras) as bras:
+        for outcomes in ([], [-1, 1, 1]):
+            with pytest.raises(ValueError, match=f"^{len(outcomes)} prescribed outcome\\(s\\) for 1 measurement\\(s\\)$"):
+                run(outcomes)
+    assert not bras.called
+    assert run([-1]) == -1
+
+
+def test_bad_second_layer_leaves_the_generator_alone():
+    graph = p3_graph()
+    flow = canonical_yz_gflow(graph)
+    psi = random_state(("1", "2"), np.random.default_rng(4))
+    layers = [LayerParams(theta={"c": 0.7}), LayerParams(theta={"1": 0.1})]
+    rng = np.random.default_rng(9)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="'theta' keys \\['1'\\] are not measured vertices"):
+        run_repeated_mbqc(graph, psi, layers, flow, rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_rejected(angle):
+    graph = p3_graph()
+    psi = random_state(("1", "2"), np.random.default_rng(4))
+    with pytest.raises(ValueError, match=f"^angle of 'c' = {angle} is not finite$"):
+        run_mbqc_yz(graph, psi, {"c": angle}, canonical_yz_gflow(graph), [1])
 
 
 def test_dropped_flows_leave_no_compiled_runs():

@@ -1,14 +1,17 @@
 """Parity computation: encoding, measurement-based decoding, layered runs."""
 
+import math
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from parityflow import parity_engine
+from parityflow import parity_engine, simulator
 from parityflow.cli import _canonical_json
 from parityflow.layout import Gate, build_all_pairs_layout
 from parityflow.parity_engine import (
+    X_AXIS,
     LayerParams,
     all_outcome_branches,
     encode_input,
@@ -21,7 +24,6 @@ from parityflow.parity_engine import (
 )
 from parityflow.pauli import parity_generators
 from parityflow.simulator import (
-    OutcomeSource,
     Statevector,
     ZeroProbabilityError,
     append_qubit,
@@ -30,6 +32,7 @@ from parityflow.simulator import (
     distance_up_to_phase,
     random_state,
     record_to_json,
+    run_schedule,
 )
 
 from pauli_helpers import pauli_expectation
@@ -281,22 +284,54 @@ def test_run_layer_final_keeps_register_decoded(layout2):
     assert follow.labels == ("1", "2", "(12)")
 
 
-@pytest.mark.parametrize("entry", ["run_computation", "run_layer", "mb_decode"])
+@pytest.mark.parametrize("entry", ["run_computation", "run_layer", "mb_decode", "run_schedule"])
 def test_surplus_prescribed_outcomes_rejected(layout2, entry):
     psi = random_state(("1", "2"), np.random.default_rng(6))
     encoded = encode_input(layout2, psi)
+    schedule = parity_engine._decode_schedule(layout2, encoded.labels, ["(12)"])
     # each run gives the outcome of its one measurement
     runs = {
         "run_computation": lambda outcomes: run_computation(layout2, psi, [LayerParams()], outcomes)[1][0][0].outcome,
         "run_layer": lambda outcomes: run_layer(encoded, layout2, LayerParams(), outcomes)[1][0].outcome,
         "mb_decode": lambda outcomes: mb_decode(encoded, layout2, ["(12)"], outcomes)[1][0].outcome,
+        "run_schedule": lambda outcomes: run_schedule(schedule, encoded.amplitudes, [X_AXIS], outcomes)[1][0].outcome,
     }
     run = runs[entry]
-    with pytest.raises(ValueError, match="3 prescribed outcome\\(s\\) left over after 1 measurement"):
-        run([1, -1, 1, 1])
-    # a source passed in is the caller's: each run takes what it measures
-    source = OutcomeSource([-1, 1, 1])
-    assert [run(source), run(source)] == [-1, 1]
+    # a list of the wrong length is refused before any bra is contracted
+    with mock.patch.object(simulator, "_outcome_bras", wraps=simulator._outcome_bras) as bras:
+        for outcomes in ([], [1, -1, 1, 1]):
+            with pytest.raises(ValueError, match=f"^{len(outcomes)} prescribed outcome\\(s\\) for 1 measurement\\(s\\)$"):
+                run(outcomes)
+    assert not bras.called
+    assert run([-1]) == -1
+
+
+def test_bad_second_layer_refused_before_anything_runs(layout2):
+    psi = random_state(("1", "2"), np.random.default_rng(6))
+    layers = [LayerParams(theta={"(12)": 0.3}), LayerParams(theta={"1": 0.1})]
+    rng = np.random.default_rng(8)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="theta keys must be parity qubits"):
+        run_computation(layout2, psi, layers, rng)
+    assert rng.bit_generator.state == before
+    # the all-branch run refuses it before it encodes the input
+    with mock.patch.object(parity_engine, "encode_input", wraps=encode_input) as encoded:
+        with pytest.raises(ValueError, match="theta keys must be parity qubits"):
+            parity_engine.run_all_branches(layout2, psi, layers)
+    assert not encoded.called
+    # a short list for two layers is refused before the first runs
+    with mock.patch.object(parity_engine, "run_layer", wraps=run_layer) as layer:
+        with pytest.raises(ValueError, match="^1 prescribed outcome\\(s\\) for 2 measurement\\(s\\)$"):
+            run_computation(layout2, psi, [LayerParams(), LayerParams()], [1])
+    assert not layer.called
+
+
+@pytest.mark.parametrize("key", ["theta", "alpha", "phi"])
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_rejected(key, angle):
+    qubit = "(12)" if key == "theta" else "1"
+    with pytest.raises(ValueError, match=f"^{key}\\[{re.escape(repr(qubit))}\\] = {angle} is not a finite angle$"):
+        LayerParams(**{key: {qubit: angle}})
 
 
 def test_parity_rotations_build_no_gates():

@@ -49,7 +49,6 @@ from parityflow.pauli import (
 )
 from parityflow.simulator import (
     BranchArray,
-    OutcomeSource,
     Statevector,
     ZeroProbabilityError,
     append_qubit,
@@ -464,9 +463,9 @@ def test_fused_measure_step_matches_project_then_discard(case):
             probability, projected = _reference_step(state, q, axis, outcome, xs, zs)
         except ZeroProbabilityError:
             with pytest.raises(ZeroProbabilityError):
-                run_schedule(schedule, state.amplitudes, [axis], OutcomeSource([outcome]))
+                run_schedule(schedule, state.amplitudes, [axis], [outcome])
             continue
-        out, record = run_schedule(schedule, state.amplitudes, [axis], OutcomeSource([outcome]))
+        out, record = run_schedule(schedule, state.amplitudes, [axis], [outcome])
         assert [(e.qubit, e.outcome) for e in record] == [(q, outcome)]
         assert abs(record[0].probability - probability) <= 1e-12
         reference = discard_qubit(projected, q, axis, outcome)

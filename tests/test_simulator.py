@@ -9,7 +9,6 @@ from parityflow import simulator
 from parityflow.layout import cnot, cz, hadamard, rx, rz
 from parityflow.simulator import (
     EntangledQubitError,
-    OutcomeSource,
     Statevector,
     ZeroProbabilityError,
     append_qubit,
@@ -98,6 +97,18 @@ def test_project_yz_axis_probability(theta):
 def test_project_axis_must_be_unit():
     with pytest.raises(ValueError, match="unit"):
         project(basis_state(("q",), "0"), "q", (0, 0, 2), 1)
+
+
+@pytest.mark.parametrize("axis", [(math.nan, 0.0, 0.0), (0.0, math.nan, 1.0), (math.inf, 0.0, 0.0)])
+def test_non_unit_axes_refused_when_non_finite(axis):
+    state = basis_state(("q",), "0")
+    with pytest.raises(ValueError, match="unit"):
+        outcome_probability(state, "q", axis)
+    with pytest.raises(ValueError, match="unit"):
+        project(state, "q", axis, 1)
+    schedule = compile_plan(state.labels, ["q"], lambda _: ((), ()))
+    with pytest.raises(ValueError, match="unit"):
+        run_schedule(schedule, state.amplitudes, [axis], [1])
 
 
 def test_outcome_bras_are_built_once_per_axis_and_checked_on_every_call():
@@ -194,7 +205,7 @@ def test_discard_after_a_tied_yz_projection_keeps_the_measured_phase(theta):
             for outcome in (1, -1):
                 _, projected = project(state, q, axis, outcome)
                 discarded = discard_qubit(projected, q, axis, outcome)
-                measured, _ = run_schedule(schedule, state.amplitudes, [axis], OutcomeSource([outcome]))
+                measured, _ = run_schedule(schedule, state.amplitudes, [axis], [outcome])
                 assert discarded.labels == measured.labels
                 assert np.abs(discarded.amplitudes - measured.amplitudes).max() <= 1e-12
 
