@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -27,6 +26,7 @@ from parityflow.graph import (
     enumerate_connected_graphs,
     json_field,
     json_labels,
+    shared_set,
     with_io,
 )
 
@@ -58,9 +58,9 @@ class GFlow:
     layers: tuple[VertexSet, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "g", {v: frozenset(s) for v, s in self.g.items()})
-        object.__setattr__(self, "precedence", frozenset(self.precedence))
-        object.__setattr__(self, "layers", tuple(frozenset(layer) for layer in self.layers))
+        object.__setattr__(self, "g", {v: shared_set(frozenset(s)) for v, s in self.g.items()})
+        object.__setattr__(self, "precedence", shared_set(frozenset(self.precedence)))
+        object.__setattr__(self, "layers", tuple(shared_set(frozenset(layer)) for layer in self.layers))
         level: dict[str, int] = {}
         for depth, layer in enumerate(self.layers):
             for v in layer:
@@ -267,7 +267,10 @@ def _first_fit(graph: Graph, remaining: int, support: int) -> tuple[int, int, in
 
 def _yz_peel(graph: Graph, measured_mask: int, support: int) -> list[tuple[int, int, int]] | None:
     """The search's peel on masks, S inside `support`: each `_first_fit` in turn,
-    as (v, g(v), Odd(g(v))) in measurement order, or None once none fits."""
+    as (v, g(v), Odd(g(v))) in measurement order, or None once none fits:
+    at once if a measured vertex lies outside `support`, as it never fits."""
+    if measured_mask & ~support:
+        return None
     peeled: list[tuple[int, int, int]] = []
     remaining = measured_mask
     while remaining:
@@ -319,7 +322,8 @@ def search_gflow_yz(graph: Graph) -> GFlow | None:
     still meets the smaller remaining set only in its own vertex, its
     support outside that set only grows, and Odd(S) & (R' - v) <=
     Odd(S) & R' = {}. So a None result, a stuck peel, proves that no
-    gflow exists; a measured input, outside the support, sticks it.
+    gflow exists; a measured input, outside the support, would stick it,
+    so the peel stops before its first step.
     Deliberately independent of any bipartiteness reasoning. The peel runs
     on int masks; only a peel that succeeds becomes a `GFlow`. Graphs
     over SEARCH_CAP vertices are refused.
@@ -431,7 +435,7 @@ def _sweep_one_graph(args: tuple[int, int, Graph, bool]) -> tuple[int, int, dict
     are built only for a flow found or a discrepancy; witnesses return if `keep`.
     """
     n, graph_index, base, keep = args
-    masks = base.neighbor_masks  # built once here; with_io hands it to every open graph
+    masks = base.neighbor_masks  # built once per base graph; every with_io copy shares it
     counts = {"instances": 0, "flows_found": 0, "bipartite_instances": 0}
     discrepancies = []
     witness_failures = []
@@ -473,6 +477,8 @@ def yz_bipartite_sweep(
     with O = I, assert search_gflow_yz succeeds exactly when the graph is
     bipartite with I one partition; additionally, for max_n >= 2, sample
     io_samples instances with I != O (equal sizes), where no flow may exist.
+    Kept witnesses share equal label sets (`graph.shared_set`); those that
+    come back from a worker pool share them only within their chunk.
     """
     if max_n < 1:
         raise ValueError(f"max_n={max_n} must be at least 1")
@@ -498,6 +504,8 @@ def yz_bipartite_sweep(
         tasks.extend((n, i, base, keep_witnesses) for i, base in enumerate(bases))
 
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, not on every package import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one_graph, tasks, chunksize=8))
     else:

@@ -2,7 +2,8 @@
 
 Vertices are opaque strings; data qubits use labels like "1", "2" and
 parity qubits composite labels like "(12)". All operations are pure
-functions of immutable values.
+functions of immutable values, and the label sets that graphs and flows
+freeze go through `shared_set`, so equal sets are one object.
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ import numpy as np
 DEFAULT_ENUMERATION_CAP = 8
 
 VertexSet = frozenset[str]
+
+
+@lru_cache(maxsize=1 << 14)
+def shared_set(members: frozenset) -> frozenset:
+    """The first frozenset equal to `members` that is still cached: a kept
+    sweep holds tens of thousands of flows over a few thousand distinct sets."""
+    return members
 
 
 @lru_cache(maxsize=None)
@@ -57,12 +65,12 @@ class Graph:
         for name, subset in (("inputs", frozenset(inputs)), ("outputs", frozenset(outputs))):
             if not subset <= vertices:
                 raise ValueError(f"{name} not a subset of the vertex set")
-            object.__setattr__(self, name, subset)
+            object.__setattr__(self, name, shared_set(subset))
 
     # Bit i of a vertex mask stands for vertices[i]. The adjacency masks are
     # built on first use, not at construction: enumeration builds many
     # graphs that are never searched. They depend on the vertices and edges
-    # alone, so with_io hands them on to the graphs it makes.
+    # alone, so with_io builds them on the graph it copies and hands them on.
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
@@ -118,8 +126,10 @@ def with_io(g: Graph, inputs: Iterable[str], outputs: Iterable[str]) -> Graph:
     """Same graph with the input/output designation replaced.
 
     The new graph shares g's vertices and edges, already checked, and the
-    adjacency tables built from them; only the new sets are checked.
+    adjacency tables built from them, which are built on g first so that
+    every copy of g shares them; only the new sets are checked.
     """
+    g.neighbor_masks
     new = object.__new__(Graph)
     # set one by one, not through __dict__, which keeps each instance as
     # small as one built by __init__: the sweep keeps tens of thousands

@@ -453,6 +453,16 @@ def test_module_entry_point_runs_the_command(runner):
     assert done.stdout == invoke(runner, ["lhz", "build", "--n", "2"]).stdout
 
 
+def _modules_after_package_import() -> set[str]:
+    """The names in sys.modules after `import parityflow` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, parityflow; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return set(done.stdout.split())
+
+
 def test_package_import_loads_every_traced_module():
     """The bench tracer patches the modules it finds in sys.modules, so
     `import parityflow` alone has to load every module it wraps."""
@@ -461,12 +471,15 @@ def test_package_import_loads_every_traced_module():
     spec.loader.exec_module(tracer)
     wanted = {f"parityflow.{module}" for module, _, _ in tracer.SPANNED + tracer.COUNTED + tracer.CONSTRUCTIONS}
     assert len(wanted) == 7
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, parityflow; print(*sorted(sys.modules))"],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
-    )
-    assert wanted <= set(done.stdout.split())
+    assert wanted <= _modules_after_package_import()
+
+
+def test_package_import_loads_no_process_pool():
+    # the sweep's worker pool is imported only when a sweep asks for workers
+    loaded = _modules_after_package_import()
+    assert "parityflow.gflow" in loaded
+    assert "concurrent.futures" not in loaded
+    assert "multiprocessing" not in loaded
 
 
 def test_zero_input_exits_two_without_nan(runner, tmp_path):

@@ -1,8 +1,10 @@
 """Flow verification, canonical construction, exhaustive search, sweeps."""
 
+import gc
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import gflow_helpers as reference
 import pytest
@@ -273,6 +275,17 @@ def test_search_none_when_inputs_differ_from_outputs():
     assert search_gflow_yz(g) is None
 
 
+def test_peel_stops_before_its_first_fit_on_a_measured_input(monkeypatch):
+    # I = {1}, O = {3}: input 1 is measured but outside every correction set
+    def refuse(*args):
+        raise AssertionError("_first_fit called")
+
+    monkeypatch.setattr(gflow_module, "_first_fit", refuse)
+    g = make_graph(["1", "2", "3"], [("1", "2"), ("2", "3")], ["1"], ["3"])
+    assert gflow_module._yz_peel(g, 0b011, 0b110) is None
+    assert search_gflow_yz(g) is None
+
+
 def test_search_requires_equal_io_sizes():
     g = make_graph(["1", "2"], [("1", "2")], ["1"], [])
     with pytest.raises(ValueError, match="\\|I\\| = \\|O\\|"):
@@ -429,6 +442,35 @@ def test_sweep_builds_open_graphs_only_for_flows_found(monkeypatch):
     flows = sum(counts["flows_found"] for counts in report.per_n.values())
     instances = sum(counts["instances"] for counts in report.per_n.values())
     assert len(calls) == flows + report.io_mismatch_cases < instances
+
+
+def test_kept_witnesses_share_equal_label_sets():
+    report = yz_bipartite_sweep(5, io_samples=0, workers=1)
+    sets = []
+    for g, flow in report.witnesses:
+        sets += [g.inputs, g.outputs, flow.precedence, *flow.g.values(), *flow.layers]
+    assert len({id(s) for s in sets}) == len(set(sets)) < len(sets)
+
+
+def test_kept_sweep_retains_under_1400_bytes_per_witness():
+    # every cache starts cold, so the count includes the shared sets' table;
+    # about 2,100 bytes when each witness froze its own sets, about 850 shared
+    yz_bipartite_sweep(2, io_samples=1, workers=1)  # loads what the first sweep imports
+    for module in (graph_module, gflow_module):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)) and value.__module__ == module.__name__:
+                value.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = yz_bipartite_sweep(6, io_samples=0, workers=1)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(report.witnesses) == 2012
+    assert retained / len(report.witnesses) < 1400
 
 
 def test_sweep_witnesses_equal_the_public_search():

@@ -114,6 +114,20 @@ def test_bipartition_check_complement_symmetry():
                 assert bipartition_check(g, part) == bipartition_check(g, comp)
 
 
+def test_with_io_copies_share_the_base_adjacency_masks():
+    base = path3()
+    first = with_io(base, ["1"], ["1"])
+    second = with_io(base, ["3"], ["3"])
+    assert first.neighbor_masks is base.neighbor_masks
+    assert second.neighbor_masks is base.neighbor_masks
+
+
+def test_equal_io_sets_are_one_object():
+    g = with_io(cycle6(), ["1", "3", "5"], ["5", "3", "1"])
+    assert g.inputs is g.outputs
+    assert make_graph(g.vertices, g.edges, ["3", "1", "5"]).inputs is g.inputs
+
+
 def test_effective_graph_drops_only_input_internal_edges():
     g = with_io(triangle(), ["1", "2"], ["1", "2"])
     eff = effective_graph(g)
