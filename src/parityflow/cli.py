@@ -138,52 +138,43 @@ def stab_check(layout_path: str) -> None:
         sys.exit(1)
 
 
-PROGRAM_FIELDS = ("layout", "layers", "input", "graph")
-
-
 def _load_program(data: dict):
-    if not isinstance(data, dict):
-        raise ValueError("program JSON must be an object")
-    unknown = [key for key in data if key not in PROGRAM_FIELDS]
-    if unknown:
-        raise ValueError(f"program JSON: unknown field {unknown[0]!r}")
-    try:
-        layout = layout_mod.layout_from_json(data["layout"])
-        layers = parity_engine.layers_from_json(data["layers"])
-    except KeyError as exc:
-        raise ValueError(f"program JSON missing field {exc.args[0]!r}") from exc
+    graph_mod.json_object(data, "program", ("layout", "layers"), ("input", "graph"))
+    layout = layout_mod.layout_from_json(data["layout"])
+    layers = parity_engine.layers_from_json(data["layers"])
+    graph = graph_mod.graph_from_json(data["graph"]) if "graph" in data else None
     if "input" in data:
         with graph_mod.json_field("input"):
-            amps = np.array([complex(graph_mod.json_number(re), graph_mod.json_number(im)) for re, im in data["input"]])
-            if amps.shape != (1 << layout.n,):
-                raise ValueError(f"expected {1 << layout.n} amplitudes, got {amps.size}")
-        norm = np.linalg.norm(amps)
-        if not 0.0 < norm < math.inf:
-            raise ValueError(f"field 'input': norm {norm} cannot be normalised")
-        psi = simulator.Statevector(tuple(layout.data_qubits), amps / norm)
+            parts = np.array([[graph_mod.json_number(re), graph_mod.json_number(im)] for re, im in data["input"]])
+            if parts.shape != (1 << layout.n, 2):
+                raise ValueError(f"expected {1 << layout.n} amplitudes, got {len(parts)}")
+            scale = np.abs(parts).max()
+            if not scale:
+                raise ValueError("every amplitude is zero")
+        parts /= scale  # a largest part of 1: the norm can neither overflow nor underflow
+        amps = parts[:, 0] + 1j * parts[:, 1]
+        psi = simulator.Statevector(tuple(layout.data_qubits), amps / np.linalg.norm(amps))
     else:
         psi = simulator.basis_state(layout.data_qubits, "0" * layout.n)
-    return layout, layers, psi
+    return layout, layers, psi, graph
 
 
-def _mbqc_side(data: dict, layout, psi):
+def _mbqc_side(graph, layout, psi):
     """The graph a program's measurement-based run measures, with its
     canonical flow: the program's `"graph"`, whose inputs must carry the
-    data register's labels, or else the graph the layout induces."""
-    if "graph" in data:
-        graph = graph_mod.graph_from_json(data["graph"])
-        if graph.inputs != frozenset(psi.labels):
-            raise ValueError("field 'graph': inputs must match the program's data qubits")
-    else:
+    data register's labels, or else (`None`) the graph the layout induces."""
+    if graph is None:
         graph = layout_mod.induced_graph(layout)
+    elif graph.inputs != frozenset(psi.labels):
+        raise ValueError("field 'graph': inputs must match the program's data qubits")
     return graph, gflow_mod.canonical_yz_gflow(graph)
 
 
 def _sampled_outputs(run, count: int, samples: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
-    outcome_lists = [[1 if rng.random() < 0.5 else -1 for _ in range(count)] for _ in range(samples)]
     outputs = []
-    for outcomes in outcome_lists:
+    for _ in range(samples):
+        outcomes = [1 if rng.random() < 0.5 else -1 for _ in range(count)]
         try:
             outputs.append(run(outcomes))
         except simulator.ZeroProbabilityError:
@@ -192,10 +183,9 @@ def _sampled_outputs(run, count: int, samples: int, seed: int) -> list:
 
 
 def _sim_command(engine: str, program: str, branches: str, samples: int, seed: int, tol: float) -> None:
-    data = _load_json(program)
-    layout, layers, psi = _load_program(data)
+    layout, layers, psi, graph = _load_program(_load_json(program))
     if engine == "mbqc":
-        graph, flow = _mbqc_side(data, layout, psi)
+        graph, flow = _mbqc_side(graph, layout, psi)
         count = (len(graph.vertices) - len(graph.inputs)) * len(layers)
 
         def run(outcomes):
@@ -270,9 +260,8 @@ sim_mbqc = _sim_subcommand("mbqc")
 @_guard
 def compare(program: str, tol: float, seed: int) -> None:
     """Run both engines on one program and report the output distance."""
-    data = _load_json(program)
-    layout, layers, psi = _load_program(data)
-    graph, flow = _mbqc_side(data, layout, psi)
+    layout, layers, psi, graph = _load_program(_load_json(program))
+    graph, flow = _mbqc_side(graph, layout, psi)
     parity_out, _ = parity_engine.run_computation(
         layout, psi, layers, np.random.default_rng(seed)
     )

@@ -26,6 +26,7 @@ from parityflow.graph import (
     enumerate_connected_graphs,
     json_field,
     json_labels,
+    json_object,
     shared_set,
     with_io,
 )
@@ -553,17 +554,14 @@ def flow_to_json(flow: GFlow, planes: PlaneAssignment | None = None) -> dict:
 
 def flow_from_json(data: dict) -> tuple[GFlow, dict[str, str] | None]:
     """Read a witness; the order is taken to be the layer order."""
-    if not isinstance(data, dict):
-        raise ValueError("flow JSON must be an object")
-    try:
-        if not isinstance(data["g"], dict):
-            raise ValueError("field 'g' must map vertices to correction sets")
-        with json_field("g"):
-            g = {v: frozenset(json_labels(s)) for v, s in data["g"].items()}
-        with json_field("layers"):
-            layers = [frozenset(json_labels(layer)) for layer in data["layers"]]
-    except KeyError as exc:
-        raise ValueError(f"flow JSON missing field {exc.args[0]!r}") from exc
+    # "found" lets `gflow search` output read back as a flow
+    json_object(data, "flow", ("g", "layers"), ("planes", "found"))
+    if not isinstance(data["g"], dict):
+        raise ValueError("field 'g' must map vertices to correction sets")
+    with json_field("g"):
+        g = {v: frozenset(json_labels(s)) for v, s in data["g"].items()}
+    with json_field("layers"):
+        layers = [frozenset(json_labels(layer)) for layer in data["layers"]]
     precedence = {
         (v, u)
         for i, layer in enumerate(layers)

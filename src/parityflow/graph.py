@@ -288,6 +288,21 @@ def json_field(name: str) -> Iterator[None]:
         raise ValueError(f"field {name!r}: {exc}") from exc
 
 
+def json_object(data, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """`data` if it is a JSON object with every `required` field and no field
+    outside `required` and `optional`; else a ValueError naming the first
+    missing or unknown field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    for name in required:
+        if name not in data:
+            raise ValueError(f"{what} JSON missing field {name!r}")
+    for name in data:
+        if name not in required and name not in optional:
+            raise ValueError(f"{what} JSON: unknown field {name!r}")
+    return data
+
+
 def json_labels(value) -> tuple[str, ...]:
     """A JSON list of vertex or qubit labels; TypeError unless each is a string."""
     if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
@@ -304,16 +319,11 @@ def json_number(value) -> float:
 
 
 def graph_from_json(data: dict) -> Graph:
-    if not isinstance(data, dict):
-        raise ValueError("graph JSON must be an object")
-    try:
-        vertices, edges = data["vertices"], data["edges"]
-    except KeyError as exc:
-        raise ValueError(f"graph JSON missing field {exc.args[0]!r}") from exc
+    json_object(data, "graph", ("vertices", "edges"), ("inputs", "outputs"))
     with json_field("vertices"):
-        vertices = json_labels(vertices)
+        vertices = json_labels(data["vertices"])
     with json_field("edges"):
-        edges = [(u, v) for u, v in map(json_labels, edges)]
+        edges = [(u, v) for u, v in map(json_labels, data["edges"])]
     with json_field("inputs"):
         inputs = json_labels(data.get("inputs", []))
     with json_field("outputs"):

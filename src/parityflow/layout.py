@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from parityflow.graph import Graph, json_field, json_labels, make_graph
+from parityflow.graph import Graph, json_field, json_labels, json_object, make_graph
+from parityflow.simulator import DEFAULT_QUBIT_CAP
 
 
 @dataclass(frozen=True)
@@ -203,25 +204,25 @@ def layout_to_json(layout: ParityLayout) -> dict:
 
 
 def layout_from_json(data: dict) -> ParityLayout:
-    """Read a layout; raises ValueError naming a missing or malformed field,
-    or unless its CNOTs realise every parity set."""
-    if not isinstance(data, dict):
-        raise ValueError("layout JSON must be an object")
-    try:
-        n = data["n"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"field 'n': {n!r} is not a positive integer")
-        with json_field("parity"):
-            labels = [entry["label"] for entry in data["parity"]]
-            sets = [entry["set"] for entry in data["parity"]]
-        with json_field("label"):
-            parity_qubits = json_labels(labels)
-        with json_field("set"):
-            sets = [frozenset(json_labels(s)) for s in sets]
-        with json_field("constraints"):
-            constraints = tuple((c, t) for c, t in map(json_labels, data["constraints"]))
-    except KeyError as exc:
-        raise ValueError(f"layout JSON missing field {exc.args[0]!r}") from exc
+    """Read a layout; raises ValueError naming a missing, unknown or
+    malformed field, or unless its CNOTs realise every parity set."""
+    json_object(data, "layout", ("n", "parity", "constraints"))
+    n = data["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"field 'n': {n!r} is not a positive integer")
+    with json_field("parity"):
+        entries = [json_object(entry, "parity entry", ("label", "set")) for entry in data["parity"]]
+    with json_field("label"):
+        parity_qubits = json_labels([entry["label"] for entry in entries])
+    with json_field("set"):
+        sets = [frozenset(json_labels(entry["set"])) for entry in entries]
+    with json_field("constraints"):
+        constraints = tuple((c, t) for c, t in map(json_labels, data["constraints"]))
+    # at most a register's worth of data qubits in no parity set: checked
+    # before "1".."n" are built, it bounds them by the size of the input
+    named = len(frozenset().union(*sets))
+    if n > DEFAULT_QUBIT_CAP + named:
+        raise ValueError(f"field 'n': {n} data qubits, more than {DEFAULT_QUBIT_CAP} of them in no parity set")
     data_qubits = tuple(str(i) for i in range(1, n + 1))
     layout = ParityLayout(n, data_qubits, parity_qubits, dict(zip(parity_qubits, sets)), constraints)
     report = validate_constraints(layout)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from parityflow.graph import json_field, json_labels, json_number
+from parityflow.graph import json_field, json_labels, json_number, json_object
 from parityflow.layout import Gate, ParityLayout, encoding_circuit, realised_parities, rx, rz
 from parityflow.simulator import (
     BranchArray,
@@ -296,17 +296,13 @@ def layers_to_json(layers: Sequence[LayerParams]) -> list:
     return out
 
 
-LAYER_FIELDS = ("theta", "alpha", "phi", "decode")
-
-
 def layers_from_json(data: Sequence[dict]) -> list[LayerParams]:
-    if not isinstance(data, list) or not all(isinstance(entry, dict) for entry in data):
+    if not isinstance(data, list):
         raise ValueError("field 'layers' must be a list of objects")
+    with json_field("layers"):
+        entries = [json_object(entry, "layer", (), ("theta", "alpha", "phi", "decode")) for entry in data]
     layers = []
-    for entry in data:
-        unknown = [key for key in entry if key not in LAYER_FIELDS]
-        if unknown:
-            raise ValueError(f"field 'layers': unknown layer field {unknown[0]!r}")
+    for entry in entries:
         angles = {}
         for key in ("theta", "alpha", "phi"):
             if not isinstance(entry.get(key, {}), dict):

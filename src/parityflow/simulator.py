@@ -28,10 +28,12 @@ import math
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from parityflow.layout import Gate
+if TYPE_CHECKING:  # layout reads DEFAULT_QUBIT_CAP from here
+    from parityflow.layout import Gate
 
 DEFAULT_QUBIT_CAP = 16
 ZERO_PROB_TOL = 1e-12

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -18,7 +19,7 @@ from click.testing import CliRunner
 from parityflow import cli, simulator
 from parityflow.cli import _canonical_json, main
 from parityflow.gflow import canonical_yz_gflow
-from parityflow.layout import induced_graph
+from parityflow.layout import induced_graph, layout_from_json
 from parityflow.mbqc_engine import run_repeated_mbqc
 from parityflow.parity_engine import all_outcome_branches, measurement_count, run_computation
 
@@ -203,7 +204,7 @@ def _three_qubit_program(runner, tmp_path):
 
 def _per_branch_route(engine, path):
     """Every outcome branch of the program, one engine run each, unreachable ones skipped."""
-    layout, layers, psi = cli._load_program(json.loads(path.read_text()))
+    layout, layers, psi, _ = cli._load_program(json.loads(path.read_text()))
     if engine == "mbqc":
         graph = induced_graph(layout)
         flow = canonical_yz_gflow(graph)
@@ -800,6 +801,12 @@ VERIFY = ["gflow", "verify", "--graph", "graph.json", "--flow"]
         (["sim", "parity", "--program"], {**README_PROGRAM, "layers": [{"theta": {"(12)": 0.5}, "alfa": {"1": 0.4}}]}, "'alfa'"),
         (["sim", "parity", "--program"], {**README_PROGRAM, "imput": [[0.5, 0.0]] * 4}, "'imput'"),
         (["sim", "mbqc", "--program"], {**README_PROGRAM, "layers": [{"theta": {"(12)": 0.9}, "alpha": {"7": 0.4}, "phi": {"(12)": 1.0}}]}, "'alpha'"),
+        # misspellings once dropped in silence: an all-YZ verdict, a search with I = O = {}
+        (VERIFY, {**PATH_FLOW, "plane": {"2": "YZ"}}, "'plane'"),
+        (["gflow", "search", "--graph"], {"vertices": ["a", "b"], "edges": [["a", "b"]], "input": ["a"], "output": ["a"]}, "'input'"),
+        (["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "note": "all pairs"}, "'note'"),
+        (["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "parity": [{"label": "(12)", "set": ["1", "2"], "weight": 1}]}, "'weight'"),
+        (VERIFY, {"found": False}, "'g'"),
     ],
 )
 def test_malformed_json_field_is_named(runner, tmp_path, monkeypatch, command, document, field):
@@ -811,6 +818,50 @@ def test_malformed_json_field_is_named(runner, tmp_path, monkeypatch, command, d
     assert result.exit_code == 2
     assert result.stdout == ""
     assert field in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["lhz", "graph", "--layout"],
+        ["stab", "check-equivalence", "--layout"],
+        ["sim", "parity", "--program"],
+        ["sim", "mbqc", "--program"],
+        ["compare", "--program"],
+    ],
+)
+def test_layout_n_with_too_many_idle_data_qubits_exits_two(runner, tmp_path, command):
+    """The README layout's parity set names 2 data qubits, so n = 18 leaves
+    16 idle, as many as a register holds, and n = 19 one more. An n of 2^70
+    is refused by the same comparison, before any label is built; it runs
+    only once the smaller n has been refused, so a lost bound fails the test
+    instead of exhausting memory."""
+    assert layout_from_json({**README_PROGRAM["layout"], "n": 18}).n == 18
+    with pytest.raises(ValueError, match="field 'n'"):
+        layout_from_json({**README_PROGRAM["layout"], "n": 19})
+    path = tmp_path / "input.json"
+    for n in (19, 2**70):
+        layout = {**README_PROGRAM["layout"], "n": n}
+        path.write_text(json.dumps(layout if command[0] in ("lhz", "stab") else {**README_PROGRAM, "layout": layout}))
+        result = invoke(runner, [*command, str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "field 'n'" in result.stderr
+
+
+def test_program_input_is_scaled_before_it_is_normalised(runner, tmp_path):
+    """Amplitudes whose norm overflows or underflows a float load as the
+    state their ratios give, with no numpy overflow warning."""
+    path = tmp_path / "program.json"
+    outputs = []
+    for unit in (1.0, 1e308, 1e-320):
+        path.write_text(json.dumps({**README_PROGRAM, "input": [[unit, 0.0], [unit, unit], [0.0, 0.0], [0.0, -unit]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = invoke(runner, ["sim", "parity", "--program", str(path)])
+        assert result.exit_code == 0
+        outputs.append(result.stdout)
+    assert outputs[1] == outputs[2] == outputs[0]
 
 
 def test_gflow_verify_with_g_list_exits_two(runner, tmp_path):
