@@ -17,15 +17,19 @@ import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from parityflow.graph import (
     DEFAULT_ENUMERATION_CAP,
     Graph,
+    _bit_indices,
+    _vertex_bits,
     enumerate_connected_graphs,
     json_field,
     json_labels,
+    json_list,
     json_object,
     shared_set,
     with_io,
@@ -98,19 +102,30 @@ def _after_masks(vertices: tuple[str, ...], flow: GFlow) -> list[int]:
     """Entry i: the mask of the vertices after vertices[i] in the flow's
     order, bit j for vertices[j]. This is the one transitive closure in the
     package. MalformedFlowError unless the layering covers the vertices."""
-    index = {v: i for i, v in enumerate(vertices)}
-    if set().union(*flow.layers) != index.keys():
+    bits = _vertex_bits(vertices)
+    if set().union(*flow.layers) != bits.keys():
         raise MalformedFlowError("layering must partition the vertex set")
-    successors: dict[str, list[int]] = {}
+    successors: dict[str, int] = {}
     for v, u in flow.precedence:
-        successors.setdefault(v, []).append(index[u])
-    after = [0] * len(index)
+        successors[v] = successors.get(v, 0) | bits[u]
+    after = [0] * len(vertices)
     # deepest layer first: a successor's mask is final before it is read
     for layer in reversed(flow.layers):
         for v in layer & successors.keys():
-            for j in successors[v]:
-                after[index[v]] |= 1 << j | after[j]
+            closed = successors[v]
+            for j in _bit_indices(successors[v]):
+                closed |= after[j]
+            after[bits[v].bit_length() - 1] = closed
     return after
+
+
+def _label_mask(bits: Mapping[str, int], labels) -> int:
+    """The mask of `labels` under `bits`, or a negative number if one of
+    them is not a vertex."""
+    mask = 0
+    for v in labels:
+        mask |= bits.get(v, -1)
+    return mask
 
 
 def precedes(flow: GFlow, v: str, u: str) -> bool:
@@ -161,27 +176,29 @@ def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow, *, after: l
     yields ok=False with the violations in deterministic order. `after`
     is `_after_masks(graph.vertices, flow)` when the caller holds it already.
     """
-    vertices = set(graph.vertices)
-    measured = vertices - graph.outputs
-    if set(flow.g) != measured:
+    # a mapping's keys are distinct, so its mask equals `measured` exactly
+    # when its keys are the measured vertices
+    bits = _vertex_bits(graph.vertices)
+    full = (1 << len(bits)) - 1
+    measured = full & ~graph.mask_of(graph.outputs)
+    if _label_mask(bits, flow.g) != measured:
         raise MalformedFlowError("correction map domain must be exactly the measured vertices")
-    if set(planes) != measured:
+    if _label_mask(bits, planes) != measured:
         raise MalformedFlowError("plane assignment domain must be exactly the measured vertices")
     bad_planes = {p for p in planes.values() if p not in PLANES}
     if bad_planes:
         raise MalformedFlowError(f"unknown planes {sorted(bad_planes)}")
     if after is None:
         after = _after_masks(graph.vertices, flow)
-    allowed = vertices - graph.inputs
+    # a negative mask, for a label outside the graph, meets ~allowed too
+    allowed = full & ~graph.mask_of(graph.inputs)
     violations: list[Violation] = []
-    for i, v in enumerate(graph.vertices):
-        if v in graph.outputs:
-            continue
-        corr = flow.g[v]
-        if not corr <= allowed:
+    for i in _bit_indices(measured):
+        v = graph.vertices[i]
+        s = _label_mask(bits, flow.g[v])
+        if s & ~allowed:
             raise MalformedFlowError(f"g({v!r}) is not a subset of the non-input vertices")
         bit = 1 << i
-        s = graph.mask_of(corr)
         odd = graph.odd_mask(s)
         # the lowest bit not after v is the first offender in vertex order
         late = s & ~bit & ~after[i]
@@ -207,13 +224,15 @@ def yz_planes(graph: Graph) -> dict[str, str]:
     return {v: "YZ" for v in graph.vertices if v not in graph.outputs}
 
 
-def _bit_indices(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 def _spans_no_edge(neighbor_masks: Sequence[int], mask: int) -> bool:
     """No edge joins two vertices of mask, by one AND per vertex in it."""
-    return not any(neighbor_masks[i] & mask for i in _bit_indices(mask))
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if neighbor_masks[low.bit_length() - 1] & mask:
+            return False
+        rest ^= low
+    return True
 
 
 def canonical_yz_gflow(graph: Graph) -> GFlow:
@@ -251,35 +270,42 @@ def _submasks_by_size(support: int) -> tuple[int, ...]:
     return tuple(sorted(subs, key=lambda s: (s.bit_count(), s)))
 
 
-def _first_fit(graph: Graph, remaining: int, support: int) -> tuple[int, int, int] | None:
-    """(v, S, Odd(S)) for the lowest v in remaining & support that can be measured
-    last among `remaining`, S the first fit by (size, value); None if none fits."""
-    outside = _submasks_by_size(support & ~remaining)
-    rest = remaining & support
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        for t in outside:
-            odd = graph.odd_mask(low | t)
-            if not odd & remaining:
-                return low.bit_length() - 1, low | t, odd
-    return None
+def _odd_table(graph: Graph) -> list[int]:
+    """Entry K: Odd(K) for every mask K of the graph's vertices. The entries
+    with bit i set are those below 2^i, each XORed with vertex i's
+    neighbours: one XOR per entry."""
+    odd = [0]
+    for nbrs in graph.neighbor_masks:
+        odd += [o ^ nbrs for o in odd]
+    return odd
 
 
-def _yz_peel(graph: Graph, measured_mask: int, support: int) -> list[tuple[int, int, int]] | None:
-    """The search's peel on masks, S inside `support`: each `_first_fit` in turn,
-    as (v, g(v), Odd(g(v))) in measurement order, or None once none fits:
-    at once if a measured vertex lies outside `support`, as it never fits."""
+def _yz_peel(odd: Sequence[int], measured_mask: int, support: int) -> list[tuple[int, int, int]] | None:
+    """The search's peel on masks, Odd(S) read from `_odd_table` and S inside
+    `support`: each step peels the lowest remaining v that has a fitting S,
+    the first by (size, value). The steps as (v, g(v), Odd(g(v))) in
+    measurement order, or None once none fits: at once if a measured vertex
+    lies outside `support`, as it never fits."""
     if measured_mask & ~support:
         return None
     peeled: list[tuple[int, int, int]] = []
     remaining = measured_mask
     while remaining:
-        step = _first_fit(graph, remaining, support)
-        if step is None:
-            return None
-        peeled.append(step)
-        remaining ^= 1 << step[0]
+        outside = _submasks_by_size(support & ~remaining)
+        rest = remaining  # inside support, by the guard above
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for t in outside:
+                if not odd[low | t] & remaining:
+                    break  # S = low | t fits v = low
+            else:
+                continue  # nothing fits v: try the next lowest
+            break
+        else:
+            return None  # no remaining vertex fits
+        peeled.append((low.bit_length() - 1, low | t, odd[low | t]))
+        remaining ^= low
     return peeled[::-1]
 
 
@@ -326,8 +352,9 @@ def search_gflow_yz(graph: Graph) -> GFlow | None:
     gflow exists; a measured input, outside the support, would stick it,
     so the peel stops before its first step.
     Deliberately independent of any bipartiteness reasoning. The peel runs
-    on int masks; only a peel that succeeds becomes a `GFlow`. Graphs
-    over SEARCH_CAP vertices are refused.
+    on int masks, with Odd(S) read from a table of all 2^n masks built for
+    this call; only a peel that succeeds becomes a `GFlow`. Graphs over
+    SEARCH_CAP vertices are refused, which also bounds that table.
     """
     n = len(graph.vertices)
     if n > SEARCH_CAP:
@@ -337,7 +364,7 @@ def search_gflow_yz(graph: Graph) -> GFlow | None:
     all_mask = (1 << n) - 1
     measured_mask = all_mask & ~graph.mask_of(graph.outputs)
     support = all_mask & ~graph.mask_of(graph.inputs)
-    peeled = _yz_peel(graph, measured_mask, support)
+    peeled = _yz_peel(_odd_table(graph), measured_mask, support)
     return None if peeled is None else _yz_witness(graph, peeled)[0]
 
 
@@ -365,10 +392,11 @@ def witness_structure(flow: GFlow, graph: Graph, *, after: list[int] | None = No
     """
     if after is None:
         after = _after_masks(graph.vertices, flow)
-    measured = graph.mask_of(flow.g)
-    maximal = (v for i, v in enumerate(graph.vertices) if v in flow.g and not after[i] & measured)
-    a_ok = all(flow.g[v] == {v} for v in maximal)
-    union = graph.mask_of(set().union(*flow.g.values()))
+    bits = _vertex_bits(graph.vertices)
+    measured = _label_mask(bits, flow.g)
+    maximal = (v for v in flow.g if not after[bits[v].bit_length() - 1] & measured)
+    a_ok = all(_label_mask(bits, flow.g[v]) == bits[v] for v in maximal)
+    union = _label_mask(bits, chain.from_iterable(flow.g.values()))
     b_ok = _spans_no_edge(graph.neighbor_masks, union)
     return WitnessStructure(a_ok, b_ok)
 
@@ -437,13 +465,14 @@ def _sweep_one_graph(args: tuple[int, int, Graph, bool]) -> tuple[int, int, dict
     """
     n, graph_index, base, keep = args
     masks = base.neighbor_masks  # built once per base graph; every with_io copy shares it
+    odd = _odd_table(base)
     counts = {"instances": 0, "flows_found": 0, "bipartite_instances": 0}
     discrepancies = []
     witness_failures = []
     witnesses = []
     for mask in range(1 << n):
         free = ~mask & ((1 << n) - 1)  # the measured vertices, and every correction set's support
-        peeled = _yz_peel(base, free, free)
+        peeled = _yz_peel(odd, free, free)
         found = peeled is not None
         # edges inside I are dropped, so I is one side iff V - I spans no edge
         expected = _spans_no_edge(masks, free)
@@ -452,7 +481,7 @@ def _sweep_one_graph(args: tuple[int, int, Graph, bool]) -> tuple[int, int, dict
         counts["bipartite_instances"] += expected
         if not found and not expected:
             continue
-        inputs = frozenset(base.vertices[i] for i in range(n) if mask >> i & 1)
+        inputs = base.vertices_of(mask)
         if found != expected:
             discrepancies.append(_discrepancy(n, graph_index, inputs, found, expected))
         if found:
@@ -561,7 +590,7 @@ def flow_from_json(data: dict) -> tuple[GFlow, dict[str, str] | None]:
     with json_field("g"):
         g = {v: frozenset(json_labels(s)) for v, s in data["g"].items()}
     with json_field("layers"):
-        layers = [frozenset(json_labels(layer)) for layer in data["layers"]]
+        layers = [frozenset(json_labels(layer)) for layer in json_list(data["layers"])]
     precedence = {
         (v, u)
         for i, layer in enumerate(layers)

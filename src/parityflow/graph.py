@@ -30,6 +30,14 @@ def shared_set(members: frozenset) -> frozenset:
     return members
 
 
+def _bit_indices(mask: int) -> Iterator[int]:
+    """The indices of the set bits of a non-negative mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @lru_cache(maxsize=None)
 def _vertex_bits(vertices: tuple[str, ...]) -> dict[str, int]:
     """The one-bit mask of each vertex; graphs on the same vertices share it."""
@@ -96,7 +104,7 @@ class Graph:
 
     def vertices_of(self, mask: int) -> VertexSet:
         """The vertex set a bitmask stands for."""
-        return frozenset(v for i, v in enumerate(self.vertices) if mask >> i & 1)
+        return frozenset({self.vertices[i] for i in _bit_indices(mask)})
 
     def odd_mask(self, mask: int) -> int:
         """Bitmask of Odd(K) for the vertex set K given as a bitmask.
@@ -303,6 +311,14 @@ def json_object(data, what: str, required: tuple[str, ...], optional: tuple[str,
     return data
 
 
+def json_list(value) -> list:
+    """A JSON list, such as a list of edges or of layers: TypeError for an
+    object, which would otherwise be read as the list of its keys."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
 def json_labels(value) -> tuple[str, ...]:
     """A JSON list of vertex or qubit labels; TypeError unless each is a string."""
     if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
@@ -323,7 +339,7 @@ def graph_from_json(data: dict) -> Graph:
     with json_field("vertices"):
         vertices = json_labels(data["vertices"])
     with json_field("edges"):
-        edges = [(u, v) for u, v in map(json_labels, data["edges"])]
+        edges = [(u, v) for u, v in map(json_labels, json_list(data["edges"]))]
     with json_field("inputs"):
         inputs = json_labels(data.get("inputs", []))
     with json_field("outputs"):

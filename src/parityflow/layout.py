@@ -12,8 +12,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from parityflow.graph import Graph, json_field, json_labels, json_object, make_graph
+from parityflow.graph import Graph, json_field, json_labels, json_list, json_object, make_graph
 from parityflow.simulator import DEFAULT_QUBIT_CAP
+
+# the largest n whose "(ij)" labels are distinct: "(1112)" is both (1, 112) and (11, 12)
+ALL_PAIRS_MAX_N = 111
 
 
 @dataclass(frozen=True)
@@ -109,10 +112,13 @@ def build_all_pairs_layout(n: int) -> ParityLayout:
 
     Constraints pair each data qubit with the fresh parity ancilla, in
     data-index-lexicographic order, so the total register has n(n+1)/2
-    qubits of which n(n-1)/2 hold pair parities.
+    qubits of which n(n-1)/2 hold pair parities. n above ALL_PAIRS_MAX_N
+    is refused before any label is built.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n > ALL_PAIRS_MAX_N:
+        raise ValueError(f"n={n} above {ALL_PAIRS_MAX_N}: larger all-pairs layouts repeat \"(ij)\" labels")
     data = tuple(str(i) for i in range(1, n + 1))
     parity = []
     sets = {}
@@ -211,13 +217,13 @@ def layout_from_json(data: dict) -> ParityLayout:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"field 'n': {n!r} is not a positive integer")
     with json_field("parity"):
-        entries = [json_object(entry, "parity entry", ("label", "set")) for entry in data["parity"]]
+        entries = [json_object(entry, "parity entry", ("label", "set")) for entry in json_list(data["parity"])]
     with json_field("label"):
         parity_qubits = json_labels([entry["label"] for entry in entries])
     with json_field("set"):
         sets = [frozenset(json_labels(entry["set"])) for entry in entries]
     with json_field("constraints"):
-        constraints = tuple((c, t) for c, t in map(json_labels, data["constraints"]))
+        constraints = tuple((c, t) for c, t in map(json_labels, json_list(data["constraints"])))
     # at most a register's worth of data qubits in no parity set: checked
     # before "1".."n" are built, it bounds them by the size of the input
     named = len(frozenset().union(*sets))

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from parityflow.graph import json_field, json_labels, json_number, json_object
+from parityflow.graph import json_field, json_labels, json_list, json_number, json_object
 from parityflow.layout import Gate, ParityLayout, encoding_circuit, realised_parities, rx, rz
 from parityflow.simulator import (
     BranchArray,
@@ -297,10 +297,8 @@ def layers_to_json(layers: Sequence[LayerParams]) -> list:
 
 
 def layers_from_json(data: Sequence[dict]) -> list[LayerParams]:
-    if not isinstance(data, list):
-        raise ValueError("field 'layers' must be a list of objects")
     with json_field("layers"):
-        entries = [json_object(entry, "layer", (), ("theta", "alpha", "phi", "decode")) for entry in data]
+        entries = [json_object(entry, "layer", (), ("theta", "alpha", "phi", "decode")) for entry in json_list(data)]
     layers = []
     for entry in entries:
         angles = {}

@@ -4,6 +4,8 @@ Criteria 6-8 share a single exhaustive sweep over all connected graphs with
 up to seven vertices, executed once per session.
 """
 
+import hashlib
+import json
 import time
 from contextlib import contextmanager
 
@@ -12,6 +14,7 @@ import pytest
 
 from parityflow.gflow import (
     canonical_yz_gflow,
+    flow_to_json,
     verify_gflow,
     witness_structure,
     yz_bipartite_sweep,
@@ -235,6 +238,18 @@ def test_criterion_7_flow_structure(sweep):
             structure = witness_structure(flow, graph)
             assert structure.maximal_self_corrections
             assert structure.no_edges_in_correction_union
+
+
+def test_sweep_witnesses_are_pinned(sweep):
+    # every kept n <= 7 witness, in sweep order, whatever route builds it
+    report, _ = sweep
+    witnesses = [
+        [sorted(g.edges), sorted(g.inputs), flow_to_json(f), sorted(f.precedence)]
+        for g, f in report.witnesses
+    ]
+    assert len(witnesses) == 20838
+    digest = hashlib.sha256(json.dumps(witnesses).encode()).hexdigest()
+    assert digest == "0ec66b8c080c6430f98487c44b140db811124635203030786c3c2cf9109cdfb3"
 
 
 def _determinism_case(graph, flow, angles, psi):

@@ -52,6 +52,14 @@ def test_lhz_build(runner):
     assert [p["label"] for p in data["parity"]] == ["(12)", "(13)", "(23)"]
 
 
+@pytest.mark.parametrize("n", ["112", "100000"])
+def test_lhz_build_above_the_label_bound_exits_two(runner, n):
+    result = invoke(runner, ["lhz", "build", "--n", n])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "above 111" in result.stderr
+
+
 def test_lhz_build_deterministic(runner):
     first = invoke(runner, ["lhz", "build", "--n", "4"]).stdout
     second = invoke(runner, ["lhz", "build", "--n", "4"]).stdout
@@ -818,6 +826,30 @@ def test_malformed_json_field_is_named(runner, tmp_path, monkeypatch, command, d
     assert result.exit_code == 2
     assert result.stdout == ""
     assert field in result.stderr
+
+
+# an object where a list belongs once loaded as the list of its keys
+@pytest.mark.parametrize(
+    "command, document, field",
+    [
+        pytest.param(["lhz", "graph", "--layout"], {"n": 2, "parity": {}, "constraints": {}}, "'parity'", id="layout-parity"),
+        pytest.param(
+            ["lhz", "graph", "--layout"], {**README_PROGRAM["layout"], "constraints": {}}, "'constraints'", id="layout-constraints"
+        ),
+        pytest.param(["gflow", "search", "--graph"], {"vertices": ["a"], "edges": {}}, "'edges'", id="graph-edges"),
+        pytest.param(VERIFY, {**PATH_FLOW, "layers": {}}, "'layers'", id="flow-layers"),
+        pytest.param(["sim", "parity", "--program"], {**README_PROGRAM, "layers": {}}, "'layers'", id="program-layers"),
+    ],
+)
+def test_object_for_a_list_exits_two(runner, tmp_path, monkeypatch, command, document, field):
+    (tmp_path / "graph.json").write_text(json.dumps(PATH_GRAPH))
+    monkeypatch.chdir(tmp_path)  # VERIFY reads graph.json from the working directory
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    result = invoke(runner, [*command, str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"field {field}: expected a list" in result.stderr
 
 
 @pytest.mark.parametrize(

@@ -239,9 +239,11 @@ def test_greedy_peel_matches_the_backtracking_reference():
         full = (1 << n) - 1
         pairs = [(i, o) for i in range(1 << n) for o in range(1 << n) if i.bit_count() == o.bit_count()]
         for base in enumerate_connected_graphs(n):
+            odd = gflow_module._odd_table(base)
+            assert odd == [base.odd_mask(k) for k in range(1 << n)]
             for inputs, outputs in pairs:
                 measured, support = full & ~outputs, full & ~inputs
-                peeled = gflow_module._yz_peel(base, measured, support)
+                peeled = gflow_module._yz_peel(odd, measured, support)
                 assert peeled == reference.backtracking_yz_peel(base, measured, support)
                 instances += 1
                 flows += peeled is not None
@@ -276,13 +278,15 @@ def test_search_none_when_inputs_differ_from_outputs():
 
 
 def test_peel_stops_before_its_first_fit_on_a_measured_input(monkeypatch):
-    # I = {1}, O = {3}: input 1 is measured but outside every correction set
+    # I = {1}, O = {3}: input 1 is measured but outside every correction set.
+    # Each step's fit tests run over the step's `_submasks_by_size`, which
+    # the peel fetches before its first fit test.
     def refuse(*args):
-        raise AssertionError("_first_fit called")
+        raise AssertionError("_submasks_by_size called")
 
-    monkeypatch.setattr(gflow_module, "_first_fit", refuse)
+    monkeypatch.setattr(gflow_module, "_submasks_by_size", refuse)
     g = make_graph(["1", "2", "3"], [("1", "2"), ("2", "3")], ["1"], ["3"])
-    assert gflow_module._yz_peel(g, 0b011, 0b110) is None
+    assert gflow_module._yz_peel(gflow_module._odd_table(g), 0b011, 0b110) is None
     assert search_gflow_yz(g) is None
 
 

@@ -1,11 +1,14 @@
 """Parity layout construction, encoding circuits, constraint validation."""
 
+import tracemalloc
+
 import networkx as nx
 import pytest
 
 from parityflow.graph import bipartition_check, neighbors
 from parityflow.layout import (
     Gate,
+    ALL_PAIRS_MAX_N,
     ParityLayout,
     build_all_pairs_layout,
     cnot,
@@ -25,6 +28,22 @@ def test_all_pairs_n2():
     assert layout.parity_qubits == ("(12)",)
     assert layout.constraints == (("1", "(12)"), ("2", "(12)"))
     assert len(layout.qubits) == 3
+
+
+def test_all_pairs_bound_is_the_last_n_with_distinct_labels():
+    # ParityLayout refuses duplicate labels, so building 111 proves them distinct
+    assert ALL_PAIRS_MAX_N == 111
+    assert len(build_all_pairs_layout(111).parity_qubits) == 111 * 110 // 2
+    # 10**9 runs only once 112 is refused by the bound, not by its labels
+    for n in (112, 10**9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="above 111"):
+                build_all_pairs_layout(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # 112's 6,216 labels and sets take over 1 MB
 
 
 def test_all_pairs_n1():

@@ -20,6 +20,7 @@ from parityflow.gflow import (
     PLANES,
     GFlow,
     MalformedFlowError,
+    _after_masks,
     flow_to_json,
     search_gflow_yz,
     verify_gflow,
@@ -218,6 +219,9 @@ def test_mask_flow_checks_match_the_set_route(case):
         assert verify_gflow(graph, planes, flow) == expected
     if set().union(*flow.layers) == set(graph.vertices):
         assert witness_structure(flow, graph) == reference.witness_structure(flow, graph)
+        after = _after_masks(graph.vertices, flow)
+        pairs = {(v, u) for i, v in enumerate(graph.vertices) for j, u in enumerate(graph.vertices) if after[i] >> j & 1}
+        assert pairs == reference.closure(flow)
     else:
         with pytest.raises(MalformedFlowError, match="layering must partition the vertex set"):
             witness_structure(flow, graph)
