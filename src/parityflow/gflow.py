@@ -8,7 +8,8 @@ together; `verify_gflow` checks all of them, `search_gflow_yz` finds a
 witness for all-YZ plane assignments by a greedy peel, and
 `yz_bipartite_sweep` confronts that search with a bipartiteness test over
 every small connected graph. All three work on int vertex masks, bit i for
-`graph.vertices[i]`; the sweep builds objects only for the flows it finds.
+`graph.vertices[i]`; the sweep builds objects only for the flows it finds,
+each distinct flow once per batch of graphs.
 """
 
 from __future__ import annotations
@@ -309,9 +310,11 @@ def _yz_peel(odd: Sequence[int], measured_mask: int, support: int) -> list[tuple
     return peeled[::-1]
 
 
-def _yz_witness(graph: Graph, peeled: list[tuple[int, int, int]]) -> tuple[GFlow, list[int]]:
-    """The GFlow of a peel on `graph`, layered by longest path and checked,
-    with its `_after_masks`."""
+def _yz_flow(graph: Graph, peeled: list[tuple[int, int, int]]) -> tuple[GFlow, list[int]]:
+    """The GFlow of a peel on `graph`, layered by longest path, with its
+    `_after_masks`; unchecked. It reads only the graph's vertices and
+    outputs besides the peel, so graphs on the same vertices and outputs
+    with the same peel can share it."""
     labels = graph.vertices
     precedence = set()
     # longest-path layering: every successor of v is measured after v
@@ -328,11 +331,14 @@ def _yz_witness(graph: Graph, peeled: list[tuple[int, int, int]]) -> tuple[GFlow
         layers.append(graph.outputs)
     g_map = {labels[v]: graph.vertices_of(s) for v, s, _ in sorted(peeled)}
     flow = GFlow(g=g_map, precedence=frozenset(precedence), layers=tuple(frozenset(s) for s in layers))
-    after = _after_masks(graph.vertices, flow)
+    return flow, _after_masks(graph.vertices, flow)
+
+
+def _check_witness(graph: Graph, flow: GFlow, after: list[int]) -> None:
+    """AssertionError unless the search's flow is a YZ gflow on `graph`."""
     result = verify_gflow(graph, yz_planes(graph), flow, after=after)
     if not result:
         raise AssertionError(f"search produced an invalid witness: {result.violations}")
-    return flow, after
 
 
 def search_gflow_yz(graph: Graph) -> GFlow | None:
@@ -350,7 +356,7 @@ def search_gflow_yz(graph: Graph) -> GFlow | None:
     support outside that set only grows, and Odd(S) & (R' - v) <=
     Odd(S) & R' = {}. So a None result, a stuck peel, proves that no
     gflow exists; a measured input, outside the support, would stick it,
-    so the peel stops before its first step.
+    so the search stops before it builds the peel's Odd table.
     Deliberately independent of any bipartiteness reasoning. The peel runs
     on int masks, with Odd(S) read from a table of all 2^n masks built for
     this call; only a peel that succeeds becomes a `GFlow`. Graphs over
@@ -364,8 +370,14 @@ def search_gflow_yz(graph: Graph) -> GFlow | None:
     all_mask = (1 << n) - 1
     measured_mask = all_mask & ~graph.mask_of(graph.outputs)
     support = all_mask & ~graph.mask_of(graph.inputs)
+    if measured_mask & ~support:
+        return None  # a measured input never fits: no Odd table needed
     peeled = _yz_peel(_odd_table(graph), measured_mask, support)
-    return None if peeled is None else _yz_witness(graph, peeled)[0]
+    if peeled is None:
+        return None
+    flow, after = _yz_flow(graph, peeled)
+    _check_witness(graph, flow, after)
+    return flow
 
 
 # ---------------------------------------------------------------------------
@@ -456,42 +468,53 @@ def _discrepancy(n: int, graph_index: int, inputs: frozenset[str], found: bool, 
     return Discrepancy(n, graph_index, tuple(sorted(inputs)), tuple(sorted(inputs)), found, expected)
 
 
-def _sweep_one_graph(args: tuple[int, int, Graph, bool]) -> tuple[int, int, dict, list, list, list]:
-    """Worker: all input-set choices with O = I for one enumerated graph.
+def _sweep_batch(args: tuple[int, int, Sequence[Graph], bool]) -> tuple[int, dict, list, list, list]:
+    """Worker: all input-set choices with O = I for a batch of enumerated
+    graphs on n vertices, numbered from `start`.
 
     Each choice is decided on masks, bipartiteness without the edges inside
     I (they enter neither the prepared state nor any correction set). Objects
-    are built only for a flow found or a discrepancy; witnesses return if `keep`.
+    are built only for a flow found or a discrepancy; witnesses return if
+    `keep`. A flow depends only on the vertices, the input mask and the
+    peel, so the batch builds each distinct one once: its table, keyed by
+    (input mask, peel), is dropped with the batch. Every witness still gets
+    its own open graph, `verify_gflow` call and structure check.
     """
-    n, graph_index, base, keep = args
-    masks = base.neighbor_masks  # built once per base graph; every with_io copy shares it
-    odd = _odd_table(base)
+    n, start, bases, keep = args
     counts = {"instances": 0, "flows_found": 0, "bipartite_instances": 0}
     discrepancies = []
     witness_failures = []
     witnesses = []
-    for mask in range(1 << n):
-        free = ~mask & ((1 << n) - 1)  # the measured vertices, and every correction set's support
-        peeled = _yz_peel(odd, free, free)
-        found = peeled is not None
-        # edges inside I are dropped, so I is one side iff V - I spans no edge
-        expected = _spans_no_edge(masks, free)
-        counts["instances"] += 1
-        counts["flows_found"] += found
-        counts["bipartite_instances"] += expected
-        if not found and not expected:
-            continue
-        inputs = base.vertices_of(mask)
-        if found != expected:
-            discrepancies.append(_discrepancy(n, graph_index, inputs, found, expected))
-        if found:
-            g = with_io(base, inputs, inputs)
-            flow, after = _yz_witness(g, peeled)
-            if keep:
-                witnesses.append((g, flow))
-            if not witness_structure(flow, g, after=after):
-                witness_failures.append(_discrepancy(n, graph_index, inputs, found, expected))
-    return n, graph_index, counts, discrepancies, witness_failures, witnesses
+    flows: dict[tuple[int, tuple], tuple[GFlow, list[int]]] = {}
+    for graph_index, base in enumerate(bases, start):
+        masks = base.neighbor_masks  # built once per base graph; every with_io copy shares it
+        odd = _odd_table(base)
+        for mask in range(1 << n):
+            free = ~mask & ((1 << n) - 1)  # the measured vertices, and every correction set's support
+            peeled = _yz_peel(odd, free, free)
+            found = peeled is not None
+            # edges inside I are dropped, so I is one side iff V - I spans no edge
+            expected = _spans_no_edge(masks, free)
+            counts["instances"] += 1
+            counts["flows_found"] += found
+            counts["bipartite_instances"] += expected
+            if not found and not expected:
+                continue
+            inputs = base.vertices_of(mask)
+            if found != expected:
+                discrepancies.append(_discrepancy(n, graph_index, inputs, found, expected))
+            if found:
+                g = with_io(base, inputs, inputs)
+                key = (mask, tuple(peeled))
+                if key not in flows:
+                    flows[key] = _yz_flow(g, peeled)
+                flow, after = flows[key]
+                _check_witness(g, flow, after)
+                if keep:
+                    witnesses.append((g, flow))
+                if not witness_structure(flow, g, after=after):
+                    witness_failures.append(_discrepancy(n, graph_index, inputs, found, expected))
+    return n, counts, discrepancies, witness_failures, witnesses
 
 
 def yz_bipartite_sweep(
@@ -507,8 +530,11 @@ def yz_bipartite_sweep(
     with O = I, assert search_gflow_yz succeeds exactly when the graph is
     bipartite with I one partition; additionally, for max_n >= 2, sample
     io_samples instances with I != O (equal sizes), where no flow may exist.
-    Kept witnesses share equal label sets (`graph.shared_set`); those that
-    come back from a worker pool share them only within their chunk.
+    The graphs go to `_sweep_batch` in batches of one size: one batch per
+    n serially, eight graphs per task in a worker pool. Witnesses with the
+    same vertex count, inputs and peel share one GFlow within a batch, and
+    kept witnesses share equal label sets (`graph.shared_set`); those that
+    come back from a pool share both only within their batch.
     """
     if max_n < 1:
         raise ValueError(f"max_n={max_n} must be at least 1")
@@ -523,25 +549,27 @@ def yz_bipartite_sweep(
         raise ValueError(f"workers={workers} must be at least 1")
     report = SweepReport(max_n=max_n)
     graphs = {n: list(enumerate_connected_graphs(n)) for n in range(1, max_n + 1)}
-    tasks = []
+    pooled = workers > 1 and max_n > 1  # n = 1 has one graph
+    batches = []
     for n, bases in graphs.items():
+        size = 8 if pooled else len(bases)  # a pooled task's graphs; serially, one batch per n
         report.per_n[n] = {
             "graphs": len(bases),
             "instances": 0,
             "flows_found": 0,
             "bipartite_instances": 0,
         }
-        tasks.extend((n, i, base, keep_witnesses) for i, base in enumerate(bases))
+        batches.extend((n, i, bases[i : i + size], keep_witnesses) for i in range(0, len(bases), size))
 
-    if workers > 1 and len(tasks) > 1:
+    if pooled:
         from concurrent.futures import ProcessPoolExecutor  # here, not on every package import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one_graph, tasks, chunksize=8))
+            results = list(pool.map(_sweep_batch, batches))
     else:
-        results = [_sweep_one_graph(t) for t in tasks]
+        results = [_sweep_batch(batch) for batch in batches]
 
-    for n, _, counts, discrepancies, witness_failures, witnesses in results:
+    for n, counts, discrepancies, witness_failures, witnesses in results:
         for key, value in counts.items():
             report.per_n[n][key] += value
         report.discrepancies.extend(discrepancies)

@@ -38,9 +38,10 @@ def _bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def _vertex_bits(vertices: tuple[str, ...]) -> dict[str, int]:
-    """The one-bit mask of each vertex; graphs on the same vertices share it."""
+    """The one-bit mask of each vertex; graphs on the same vertices share it.
+    Bounded, as a long-lived process may meet graphs on many vertex tuples."""
     return {v: 1 << i for i, v in enumerate(vertices)}
 
 

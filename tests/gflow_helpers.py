@@ -3,9 +3,22 @@ conditions and the witness structure facts, on label sets and a Warshall
 closure of the flow's precedence pairs, with Odd sets read off the edge
 list. The package checks the same on int masks, with its own closure.
 `backtracking_yz_peel` is the YZ peel as a memoized backtracking search,
-against which the package's greedy peel is checked."""
+against which the package's greedy peel is checked; `flow_content` is what
+equal sweep flows share."""
 
-from parityflow.gflow import PLANES, MalformedFlowError, Violation, VerifyResult, WitnessStructure, _submasks_by_size
+import json
+from collections import defaultdict
+
+from parityflow.gflow import (
+    PLANES,
+    MalformedFlowError,
+    Violation,
+    VerifyResult,
+    WitnessStructure,
+    _submasks_by_size,
+    flow_to_json,
+)
+from parityflow.graph import enumerate_connected_graphs
 
 
 def _odd(graph, corr) -> set:
@@ -115,3 +128,23 @@ def backtracking_yz_peel(graph, measured_mask: int, support: int):
         return False
 
     return peeled if peel(measured_mask) else None
+
+
+def flow_content(graph, flow) -> tuple:
+    """A witness's flow as data: vertex count, JSON and sorted precedence."""
+    return len(graph.vertices), json.dumps(flow_to_json(flow)), tuple(sorted(flow.precedence))
+
+
+def flows_by_batch(witnesses, batch_size: int) -> tuple[dict, dict]:
+    """Per batch of `batch_size` consecutive base graphs of one size, keyed
+    (n, batch number): the ids of its witnesses' flow objects and their
+    distinct `flow_content`s. A witness's base graph is the one with its edges."""
+    sizes = {len(g.vertices) for g, _ in witnesses}
+    index = {(n, base.edges): i for n in sizes for i, base in enumerate(enumerate_connected_graphs(n))}
+    objects, contents = defaultdict(set), defaultdict(set)
+    for g, flow in witnesses:
+        n = len(g.vertices)
+        batch = (n, index[n, g.edges] // batch_size)
+        objects[batch].add(id(flow))
+        contents[batch].add(flow_content(g, flow))
+    return objects, contents

@@ -6,9 +6,11 @@ up to seven vertices, executed once per session.
 
 import hashlib
 import json
+import os
 import time
 from contextlib import contextmanager
 
+import gflow_helpers as reference
 import numpy as np
 import pytest
 
@@ -250,6 +252,18 @@ def test_sweep_witnesses_are_pinned(sweep):
     assert len(witnesses) == 20838
     digest = hashlib.sha256(json.dumps(witnesses).encode()).hexdigest()
     assert digest == "0ec66b8c080c6430f98487c44b140db811124635203030786c3c2cf9109cdfb3"
+
+
+def test_sweep_witnesses_share_one_flow_per_distinct_flow_in_a_batch(sweep):
+    # serially one batch per n; in a worker pool, eight graphs per task
+    report, _ = sweep
+    objects, contents = reference.flows_by_batch(report.witnesses, 8)
+    assert {batch: len(ids) for batch, ids in objects.items()} == {
+        batch: len(flows) for batch, flows in contents.items()
+    }
+    assert len(set().union(*contents.values())) == 2936
+    if (os.cpu_count() or 1) == 1:  # the fixture ran serially
+        assert len({id(flow) for _, flow in report.witnesses}) == 2936
 
 
 def _determinism_case(graph, flow, angles, psi):

@@ -290,6 +290,20 @@ def test_peel_stops_before_its_first_fit_on_a_measured_input(monkeypatch):
     assert search_gflow_yz(g) is None
 
 
+def test_search_builds_no_odd_table_for_a_measured_input(monkeypatch):
+    built = []
+
+    def counting(graph):
+        built.append(graph)
+        return original(graph)
+
+    original = gflow_module._odd_table
+    monkeypatch.setattr(gflow_module, "_odd_table", counting)
+    assert search_gflow_yz(make_graph(["1", "2", "3"], [("1", "2"), ("2", "3")], ["1"], ["3"])) is None
+    assert built == []
+    assert search_gflow_yz(p3()) is not None and len(built) == 1
+
+
 def test_search_requires_equal_io_sizes():
     g = make_graph(["1", "2"], [("1", "2")], ["1"], [])
     with pytest.raises(ValueError, match="\\|I\\| = \\|O\\|"):
@@ -495,6 +509,33 @@ def test_sweep_witnesses_equal_the_public_search():
     assert next(swept, None) is None
 
 
+@pytest.mark.parametrize("max_n, distinct", [(5, 132), (6, 560)])
+def test_serial_sweep_builds_each_distinct_flow_once(max_n, distinct):
+    # one batch per n: witnesses with equal flows hold one GFlow object
+    witnesses = yz_bipartite_sweep(max_n, io_samples=0, workers=1).witnesses
+    objects = {id(flow) for _, flow in witnesses}
+    assert len(objects) == len({reference.flow_content(g, flow) for g, flow in witnesses}) == distinct
+
+
+def test_sweep_verifies_and_checks_every_witness_once(monkeypatch):
+    # a shared flow is built once but checked on each witness graph
+    calls = {"verify_gflow": [], "witness_structure": []}
+    for name, log in calls.items():
+
+        def counting(*args, _original=getattr(gflow_module, name), _log=log, **kwargs):
+            _log.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(gflow_module, name, counting)
+    report = yz_bipartite_sweep(5, io_samples=0, workers=1)
+    assert len(report.witnesses) == 277
+    assert len({id(flow) for _, flow in report.witnesses}) == 132
+    checks = zip(report.witnesses, calls["verify_gflow"], calls["witness_structure"], strict=True)
+    for (g, flow), (verified_g, _, verified_flow), (structured_flow, structured_g) in checks:
+        assert verified_g is g and verified_flow is flow
+        assert structured_flow is flow and structured_g is g
+
+
 def test_sweep_worker_checks_but_drops_witnesses_when_not_kept(monkeypatch):
     checked = []
 
@@ -505,11 +546,11 @@ def test_sweep_worker_checks_but_drops_witnesses_when_not_kept(monkeypatch):
     original = gflow_module.witness_structure
     monkeypatch.setattr(gflow_module, "witness_structure", counting)
     base = make_graph(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4")])
-    kept = gflow_module._sweep_one_graph((4, 0, base, True))
-    dropped = gflow_module._sweep_one_graph((4, 0, base, False))
-    assert kept[:5] == dropped[:5]
-    assert dropped[5] == [] and len(kept[5]) == kept[2]["flows_found"] > 0
-    assert len(checked) == 2 * kept[2]["flows_found"]
+    kept = gflow_module._sweep_batch((4, 0, [base], True))
+    dropped = gflow_module._sweep_batch((4, 0, [base], False))
+    assert kept[:4] == dropped[:4]
+    assert dropped[4] == [] and len(kept[4]) == kept[1]["flows_found"] > 0
+    assert len(checked) == 2 * kept[1]["flows_found"]
 
 
 def test_flow_json_round_trip():

@@ -5,6 +5,7 @@ import itertools
 import networkx as nx
 import pytest
 
+from parityflow import graph as graph_module
 from parityflow.graph import (
     Graph,
     bipartition_check,
@@ -210,3 +211,11 @@ def test_dot_renders_inputs_as_boxes():
     assert '"1" [shape=box];' in dot
     assert '"2" [shape=circle];' in dot
     assert '"1" -- "2";' in dot
+
+
+def test_vertex_bits_cache_stays_bounded():
+    # each graph on new labels adds a key; discarded graphs must not pile up
+    for i in range(20_000):
+        make_graph([f"a{i}", f"b{i}"], [(f"a{i}", f"b{i}")])
+    info = graph_module._vertex_bits.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize

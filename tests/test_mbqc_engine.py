@@ -306,8 +306,7 @@ def test_compiled_runs_match_runs_compiled_on_every_call(monkeypatch):
                     assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
                     assert record == expected_record
                     runs += 1
-        [(seen, _)] = mbqc_engine._RUNS[flow]
-        assert seen is g
+        assert [seen is g for seen, _ in mbqc_engine._RUNS[flow]].count(True) == 1
         assert len(compiled) - before == 2 * len(label_orders)
     assert runs == 3174
     # an equal graph is another object: the same flow compiles again on it
@@ -322,6 +321,43 @@ def test_compiled_runs_match_runs_compiled_on_every_call(monkeypatch):
     assert [seen is graph for (seen, _), graph in zip(mbqc_engine._RUNS[flow], (g, twin), strict=True)] == [True, True]
     for out, record in results[1:]:
         assert out.amplitudes.tobytes() == results[0][0].amplitudes.tobytes() and record == results[0][1]
+
+
+def test_shared_sweep_flow_verified_per_graph_and_refused_where_invalid(monkeypatch):
+    # a sweep flow shared by two witness graphs is verified and compiled
+    # once on each; on a graph where it is invalid it raises every time
+    compiled = counting_compiles(monkeypatch)
+    verified = []
+    real_verify = mbqc_engine.verify_gflow
+
+    def counting(g, planes, flow):
+        verified.append(g)
+        return real_verify(g, planes, flow)
+
+    monkeypatch.setattr(mbqc_engine, "verify_gflow", counting)
+    graphs: dict[GFlow, list] = {}
+    for g, flow in yz_bipartite_sweep(5, io_samples=0, workers=1).witnesses:
+        graphs.setdefault(flow, []).append(g)
+    flow, (first, second, *_) = next((f, gs) for f, gs in graphs.items() if len(gs) >= 2 and len(f.g) >= 2)
+    assert first is not second
+    psi = random_state(tuple(sorted(first.inputs)), np.random.default_rng(6))
+    angles = dict.fromkeys(flow.g, 0.6)
+    for g in (first, second, first, second):
+        run_mbqc_yz(g, psi, angles, flow, [-1] * len(flow.g))
+    for log in (verified, [g for g, _, _ in compiled]):
+        assert [g is expected for g, expected in zip(log, (first, second), strict=True)] == [True, True]
+
+    # an edge between two measured vertices: one of them now has the other,
+    # not after it, in Odd(g(v))
+    u, v = sorted(flow.g)[:2]
+    bad = make_graph(first.vertices, [*first.edges, (u, v)], first.inputs, first.outputs)
+    for attempt in range(3):
+        with pytest.raises(ValueError, match="invalid flow"):
+            run_mbqc_yz(bad, psi, angles, flow, [-1] * len(flow.g))
+        assert len(verified) == 3 + attempt and verified[-1] is bad
+    assert len(compiled) == 2
+    runs = mbqc_engine._RUNS[flow]
+    assert [seen is g for (seen, _), g in zip(runs, (first, second), strict=True)] == [True, True]
 
 
 def test_per_branch_run_builds_one_statevector():
