@@ -331,6 +331,11 @@ def sweep(max_n: int, seed: int, io_samples: int, workers: int | None) -> None:
         max_n, io_samples=io_samples, seed=seed, workers=workers, keep_witnesses=False
     )
     _dump(report.to_json())
+    for n, counts in sorted(report.per_n.items()):
+        click.echo(
+            f"n={n}: {counts['graphs']} graphs, {counts['instances']} instances, {report.seconds[n]:.3f} s",
+            file=sys.stderr,
+        )
     click.echo(
         f"swept {sum(c['graphs'] for c in report.per_n.values())} graphs, "
         f"{sum(c['instances'] for c in report.per_n.values())} instances, "

@@ -3,22 +3,26 @@
 A gflow witness is a correction-set map g together with a strict partial
 order on the vertices. The order is carried as a precedence digraph (its
 transitive closure, `_after_masks`, is the order) plus a topological
-layering, from which `measurement_order` schedules. Five conditions tie g, the order, and the measurement planes
-together; `verify_gflow` checks all of them, `search_gflow_yz` finds a
-witness for all-YZ plane assignments by a greedy peel, and
-`yz_bipartite_sweep` confronts that search with a bipartiteness test over
-every small connected graph. All three work on int vertex masks, bit i for
-`graph.vertices[i]`; the sweep builds objects only for the flows it finds,
-each distinct flow once per batch of graphs.
+layering, from which `measurement_order` schedules. Five conditions tie
+g, the order, and the measurement planes together; `verify_gflow` checks
+all of them, `search_gflow_yz` finds a witness for all-YZ plane
+assignments by a greedy peel, and `yz_bipartite_sweep` confronts that
+search with a bipartiteness test over every small connected graph. All
+three work on int vertex masks, bit i for `graph.vertices[i]`. The
+conditions and the two witness structure facts each have one mask core,
+`_flow_violations` and `_structure_facts`; `verify_gflow` and
+`witness_structure` are their label front-ends, and the sweep calls the
+cores directly on each witness graph's masks. The sweep builds objects
+only for the flows it finds, each distinct flow once per batch of graphs.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -162,6 +166,87 @@ def measurement_order(graph: Graph, flow: GFlow, order: Sequence[str] | None = N
     return order
 
 
+_MESSAGES = {
+    1: "{u!r} in g({v!r}) but not after {v!r}",
+    2: "{u!r} in Odd(g({v!r})) but not after {v!r}",
+    3: "XY at {v!r} needs v outside g(v) and inside Odd(g(v))",
+    4: "XZ at {v!r} needs v inside g(v) and inside Odd(g(v))",
+    5: "YZ at {v!r} needs v inside g(v) and outside Odd(g(v))",
+}
+
+
+def _correction_masks(bits: Mapping[str, int], flow: GFlow) -> tuple[int, list[int]]:
+    """The mask of the flow's domain under `bits` (negative if a label of it
+    is not a vertex) and each vertex's correction mask by index, 0 for a
+    vertex outside the domain."""
+    domain = 0
+    corrections = [0] * len(bits)
+    for v, s in flow.g.items():
+        bit = bits.get(v, -1)
+        domain |= bit
+        if bit > 0:
+            corrections[bit.bit_length() - 1] = _label_mask(bits, s)
+    return domain, corrections
+
+
+def _flow_violations(
+    neighbor_masks: Sequence[int],
+    measured: int,
+    allowed: int,
+    corrections: Sequence[int],
+    planes: tuple[int, int, int],
+    after: Sequence[int],
+) -> list[tuple[int, int, int]]:
+    """The gflow conditions on masks, bit i for vertex i: for each measured
+    i, lowest first, (i, condition, j) for each condition it fails, with j
+    the lowest offending vertex for conditions 1 and 2 and i otherwise.
+    Condition 0, g(i) reaching outside `allowed` (the non-input vertices),
+    ends that vertex's checks. `planes` holds the disjoint masks of the XY,
+    XZ and YZ vertices."""
+    xy, xz, yz = planes
+    found = []
+    for i, s in enumerate(corrections):
+        bit = 1 << i
+        if not bit & measured:
+            continue
+        if s & ~allowed:
+            found.append((i, 0, i))
+            continue
+        # Odd(g(i)), inline as in `Graph.odd_mask`: a call per vertex would
+        # add to every `verify_gflow` call the engines make
+        odd = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            odd ^= neighbor_masks[low.bit_length() - 1]
+            rest ^= low
+        # the lowest bit not after i is the first offender in vertex order
+        late = (s | odd) & ~bit & ~after[i]
+        if late & s:
+            found.append((i, 1, next(_bit_indices(late & s))))
+        if late & odd:
+            found.append((i, 2, next(_bit_indices(late & odd))))
+        if bit & xy and (s & bit or not odd & bit):
+            found.append((i, 3, i))
+        elif bit & xz and not (s & bit and odd & bit):
+            found.append((i, 4, i))
+        elif bit & yz and (not s & bit or odd & bit):
+            found.append((i, 5, i))
+    return found
+
+
+def _violations(vertices: tuple[str, ...], found: list[tuple[int, int, int]]) -> tuple[Violation, ...]:
+    """`_flow_violations`' triples on `vertices` as Violations;
+    MalformedFlowError for the first condition 0."""
+    violations = []
+    for i, condition, j in found:
+        v = vertices[i]
+        if condition == 0:
+            raise MalformedFlowError(f"g({v!r}) is not a subset of the non-input vertices")
+        violations.append(Violation(v, condition, _MESSAGES[condition].format(v=v, u=vertices[j])))
+    return tuple(violations)
+
+
 def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow, *, after: list[int] | None = None) -> VerifyResult:
     """Check the five gflow conditions for every measured vertex.
 
@@ -172,52 +257,44 @@ def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow, *, after: l
       4. plane XZ: v in g(v) and v in Odd(g(v))
       5. plane YZ: v in g(v) and v not in Odd(g(v))
 
-    Structural problems (wrong domains, layering not covering the graph)
-    raise MalformedFlowError; a well-formed witness that fails a condition
-    yields ok=False with the violations in deterministic order. `after`
-    is `_after_masks(graph.vertices, flow)` when the caller holds it already.
+    This is the label front-end of `_flow_violations`, which checks them
+    on masks. Structural problems (wrong domains, layering not covering
+    the graph, g(v) meeting the inputs) raise MalformedFlowError; a
+    well-formed witness that fails a condition yields ok=False with the
+    violations in deterministic order. `after` is
+    `_after_masks(graph.vertices, flow)` when the caller holds it already.
     """
     # a mapping's keys are distinct, so its mask equals `measured` exactly
     # when its keys are the measured vertices
     bits = _vertex_bits(graph.vertices)
     full = (1 << len(bits)) - 1
     measured = full & ~graph.mask_of(graph.outputs)
-    if _label_mask(bits, flow.g) != measured:
+    domain, corrections = _correction_masks(bits, flow)
+    if domain != measured:
         raise MalformedFlowError("correction map domain must be exactly the measured vertices")
-    if _label_mask(bits, planes) != measured:
+    plane_domain = xy = xz = yz = 0
+    bad_planes = []
+    for v, p in planes.items():
+        bit = bits.get(v, -1)
+        plane_domain |= bit
+        if p == "YZ":
+            yz |= bit
+        elif p == "XY":
+            xy |= bit
+        elif p == "XZ":
+            xz |= bit
+        else:
+            bad_planes.append(p)
+    if plane_domain != measured:
         raise MalformedFlowError("plane assignment domain must be exactly the measured vertices")
-    bad_planes = {p for p in planes.values() if p not in PLANES}
     if bad_planes:
-        raise MalformedFlowError(f"unknown planes {sorted(bad_planes)}")
+        raise MalformedFlowError(f"unknown planes {sorted(set(bad_planes))}")
     if after is None:
         after = _after_masks(graph.vertices, flow)
-    # a negative mask, for a label outside the graph, meets ~allowed too
     allowed = full & ~graph.mask_of(graph.inputs)
-    violations: list[Violation] = []
-    for i in _bit_indices(measured):
-        v = graph.vertices[i]
-        s = _label_mask(bits, flow.g[v])
-        if s & ~allowed:
-            raise MalformedFlowError(f"g({v!r}) is not a subset of the non-input vertices")
-        bit = 1 << i
-        odd = graph.odd_mask(s)
-        # the lowest bit not after v is the first offender in vertex order
-        late = s & ~bit & ~after[i]
-        if late:
-            u = graph.vertices[(late & -late).bit_length() - 1]
-            violations.append(Violation(v, 1, f"{u!r} in g({v!r}) but not after {v!r}"))
-        late = odd & ~bit & ~after[i]
-        if late:
-            u = graph.vertices[(late & -late).bit_length() - 1]
-            violations.append(Violation(v, 2, f"{u!r} in Odd(g({v!r})) but not after {v!r}"))
-        plane = planes[v]
-        if plane == "XY" and not (not s & bit and odd & bit):
-            violations.append(Violation(v, 3, f"XY at {v!r} needs v outside g(v) and inside Odd(g(v))"))
-        elif plane == "XZ" and not (s & bit and odd & bit):
-            violations.append(Violation(v, 4, f"XZ at {v!r} needs v inside g(v) and inside Odd(g(v))"))
-        elif plane == "YZ" and not (s & bit and not odd & bit):
-            violations.append(Violation(v, 5, f"YZ at {v!r} needs v inside g(v) and outside Odd(g(v))"))
-    return VerifyResult(not violations, tuple(violations))
+    found = _flow_violations(graph.neighbor_masks, measured, allowed, corrections, (xy, xz, yz), after)
+    violations = _violations(graph.vertices, found) if found else ()
+    return VerifyResult(not violations, violations)
 
 
 def yz_planes(graph: Graph) -> dict[str, str]:
@@ -310,11 +387,12 @@ def _yz_peel(odd: Sequence[int], measured_mask: int, support: int) -> list[tuple
     return peeled[::-1]
 
 
-def _yz_flow(graph: Graph, peeled: list[tuple[int, int, int]]) -> tuple[GFlow, list[int]]:
+def _yz_flow(graph: Graph, peeled: list[tuple[int, int, int]]) -> tuple[GFlow, list[int], int, list[int]]:
     """The GFlow of a peel on `graph`, layered by longest path, with its
-    `_after_masks`; unchecked. It reads only the graph's vertices and
-    outputs besides the peel, so graphs on the same vertices and outputs
-    with the same peel can share it."""
+    `_after_masks` and `_correction_masks`, both read back from the flow's
+    labels; unchecked. It reads only the graph's vertices and outputs
+    besides the peel, so graphs on the same vertices and outputs with the
+    same peel can share it."""
     labels = graph.vertices
     precedence = set()
     # longest-path layering: every successor of v is measured after v
@@ -331,7 +409,7 @@ def _yz_flow(graph: Graph, peeled: list[tuple[int, int, int]]) -> tuple[GFlow, l
         layers.append(graph.outputs)
     g_map = {labels[v]: graph.vertices_of(s) for v, s, _ in sorted(peeled)}
     flow = GFlow(g=g_map, precedence=frozenset(precedence), layers=tuple(frozenset(s) for s in layers))
-    return flow, _after_masks(graph.vertices, flow)
+    return flow, _after_masks(graph.vertices, flow), *_correction_masks(_vertex_bits(graph.vertices), flow)
 
 
 def _check_witness(graph: Graph, flow: GFlow, after: list[int]) -> None:
@@ -375,7 +453,7 @@ def search_gflow_yz(graph: Graph) -> GFlow | None:
     peeled = _yz_peel(_odd_table(graph), measured_mask, support)
     if peeled is None:
         return None
-    flow, after = _yz_flow(graph, peeled)
+    flow, after, _, _ = _yz_flow(graph, peeled)
     _check_witness(graph, flow, after)
     return flow
 
@@ -393,24 +471,35 @@ class WitnessStructure:
         return self.maximal_self_corrections and self.no_edges_in_correction_union
 
 
-def witness_structure(flow: GFlow, graph: Graph, *, after: list[int] | None = None) -> WitnessStructure:
+def witness_structure(flow: GFlow, graph: Graph) -> WitnessStructure:
     """Structural facts that hold for every valid YZ witness with O = I.
 
     (a) every measured vertex maximal in the order restricted to measured
         vertices has g(v) = {v};
     (b) the union of all correction sets spans no edge of the graph.
-    MalformedFlowError unless the layering covers the graph's vertex set.
-    `after` is `_after_masks(graph.vertices, flow)` when the caller holds it already.
+    This is the label front-end of `_structure_facts`, on the flow's
+    domain. MalformedFlowError unless the layering covers the graph's
+    vertex set.
     """
-    if after is None:
-        after = _after_masks(graph.vertices, flow)
-    bits = _vertex_bits(graph.vertices)
-    measured = _label_mask(bits, flow.g)
-    maximal = (v for v in flow.g if not after[bits[v].bit_length() - 1] & measured)
-    a_ok = all(_label_mask(bits, flow.g[v]) == bits[v] for v in maximal)
-    union = _label_mask(bits, chain.from_iterable(flow.g.values()))
-    b_ok = _spans_no_edge(graph.neighbor_masks, union)
-    return WitnessStructure(a_ok, b_ok)
+    after = _after_masks(graph.vertices, flow)
+    domain, corrections = _correction_masks(_vertex_bits(graph.vertices), flow)
+    return WitnessStructure(*_structure_facts(graph.neighbor_masks, domain, corrections, after))
+
+
+def _structure_facts(
+    neighbor_masks: Sequence[int], measured: int, corrections: Sequence[int], after: Sequence[int]
+) -> tuple[bool, bool]:
+    """`witness_structure`'s two facts on masks, bit i for vertex i: (a)
+    g(i) = {i} for each i in `measured` with no measured vertex after it,
+    (b) the union of the measured vertices' correction masks spans no edge."""
+    union = 0
+    maximal_ok = True
+    for i, s in enumerate(corrections):
+        if measured >> i & 1:
+            union |= s
+            if not after[i] & measured and s != 1 << i:
+                maximal_ok = False
+    return maximal_ok, _spans_no_edge(neighbor_masks, union)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +525,8 @@ class SweepReport:
     io_mismatch_flows_found: int = 0
     witness_failures: list[Discrepancy] = field(default_factory=list)
     witnesses: list[tuple[Graph, GFlow]] = field(default_factory=list)
+    # seconds the batches of each n took, summed over workers; not in to_json
+    seconds: dict[int, float] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -468,24 +559,31 @@ def _discrepancy(n: int, graph_index: int, inputs: frozenset[str], found: bool, 
     return Discrepancy(n, graph_index, tuple(sorted(inputs)), tuple(sorted(inputs)), found, expected)
 
 
-def _sweep_batch(args: tuple[int, int, Sequence[Graph], bool]) -> tuple[int, dict, list, list, list]:
+def _sweep_batch(args: tuple[int, int, Sequence[Graph], bool]) -> tuple[int, dict, list, list, list, float]:
     """Worker: all input-set choices with O = I for a batch of enumerated
-    graphs on n vertices, numbered from `start`.
+    graphs on n vertices, numbered from `start`, and the seconds it took.
 
     Each choice is decided on masks, bipartiteness without the edges inside
     I (they enter neither the prepared state nor any correction set). Objects
     are built only for a flow found or a discrepancy; witnesses return if
     `keep`. A flow depends only on the vertices, the input mask and the
-    peel, so the batch builds each distinct one once: its table, keyed by
-    (input mask, peel), is dropped with the batch. Every witness still gets
-    its own open graph, `verify_gflow` call and structure check.
+    peel, so the batch builds each distinct one once, with its order and
+    correction masks read back from its labels: its table, keyed by (input
+    mask, peel), is dropped with the batch. Every witness still gets its
+    own open graph and is checked on it through the two mask cores: its
+    flow's domain against its measured vertices, `_flow_violations` with
+    every measured vertex in the YZ plane, and `_structure_facts`, all on
+    the graph's own adjacency masks and input mask, never on the peel's
+    Odd table. Only a failed check calls `verify_gflow`, to name the
+    violations in the AssertionError.
     """
+    began = time.perf_counter()
     n, start, bases, keep = args
     counts = {"instances": 0, "flows_found": 0, "bipartite_instances": 0}
     discrepancies = []
     witness_failures = []
     witnesses = []
-    flows: dict[tuple[int, tuple], tuple[GFlow, list[int]]] = {}
+    flows: dict[tuple[int, tuple], tuple[GFlow, list[int], int, list[int]]] = {}
     for graph_index, base in enumerate(bases, start):
         masks = base.neighbor_masks  # built once per base graph; every with_io copy shares it
         odd = _odd_table(base)
@@ -508,13 +606,15 @@ def _sweep_batch(args: tuple[int, int, Sequence[Graph], bool]) -> tuple[int, dic
                 key = (mask, tuple(peeled))
                 if key not in flows:
                     flows[key] = _yz_flow(g, peeled)
-                flow, after = flows[key]
-                _check_witness(g, flow, after)
+                flow, after, domain, corrections = flows[key]
+                # O = I = mask: the measured and the non-input vertices are both `free`
+                if domain != free or _flow_violations(g.neighbor_masks, free, free, corrections, (0, 0, free), after):
+                    _check_witness(g, flow, after)
                 if keep:
                     witnesses.append((g, flow))
-                if not witness_structure(flow, g, after=after):
+                if not all(_structure_facts(g.neighbor_masks, free, corrections, after)):
                     witness_failures.append(_discrepancy(n, graph_index, inputs, found, expected))
-    return n, counts, discrepancies, witness_failures, witnesses
+    return n, counts, discrepancies, witness_failures, witnesses, time.perf_counter() - began
 
 
 def yz_bipartite_sweep(
@@ -534,7 +634,9 @@ def yz_bipartite_sweep(
     n serially, eight graphs per task in a worker pool. Witnesses with the
     same vertex count, inputs and peel share one GFlow within a batch, and
     kept witnesses share equal label sets (`graph.shared_set`); those that
-    come back from a pool share both only within their batch.
+    come back from a pool share both only within their batch. The report's
+    `seconds` holds the time the batches of each n took, summed over
+    workers.
     """
     if max_n < 1:
         raise ValueError(f"max_n={max_n} must be at least 1")
@@ -559,6 +661,7 @@ def yz_bipartite_sweep(
             "flows_found": 0,
             "bipartite_instances": 0,
         }
+        report.seconds[n] = 0.0
         batches.extend((n, i, bases[i : i + size], keep_witnesses) for i in range(0, len(bases), size))
 
     if pooled:
@@ -569,9 +672,10 @@ def yz_bipartite_sweep(
     else:
         results = [_sweep_batch(batch) for batch in batches]
 
-    for n, counts, discrepancies, witness_failures, witnesses in results:
+    for n, counts, discrepancies, witness_failures, witnesses, seconds in results:
         for key, value in counts.items():
             report.per_n[n][key] += value
+        report.seconds[n] += seconds
         report.discrepancies.extend(discrepancies)
         report.witness_failures.extend(witness_failures)
         report.witnesses.extend(witnesses)

@@ -708,6 +708,16 @@ def test_sweep_small(runner):
     assert data["discrepancies"] == []
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_reports_each_n_on_stderr(runner, workers):
+    result = invoke(runner, ["sweep", "--max-n", "4", "--io-samples", "0", "--workers", workers])
+    assert result.exit_code == 0
+    lines = result.stderr.splitlines()
+    assert len(lines) == 5 and lines[-1].startswith("swept 10 graphs, 118 instances")
+    rows = [re.fullmatch(r"n=(\d+): (\d+) graphs, (\d+) instances, (\d+\.\d{3}) s", line) for line in lines[:-1]]
+    assert [row.groups()[:3] for row in rows] == [("1", "1", "2"), ("2", "1", "4"), ("3", "2", "16"), ("4", "6", "96")]
+
+
 def test_sweep_stdout_is_independent_of_the_worker_count(runner):
     serial = invoke(runner, ["sweep", "--max-n", "5", "--workers", "1"])
     pooled = invoke(runner, ["sweep", "--max-n", "5", "--workers", "2"])

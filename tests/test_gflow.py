@@ -517,9 +517,9 @@ def test_serial_sweep_builds_each_distinct_flow_once(max_n, distinct):
     assert len(objects) == len({reference.flow_content(g, flow) for g, flow in witnesses}) == distinct
 
 
-def test_sweep_verifies_and_checks_every_witness_once(monkeypatch):
-    # a shared flow is built once but checked on each witness graph
-    calls = {"verify_gflow": [], "witness_structure": []}
+def _count_calls(monkeypatch, *names) -> dict[str, list]:
+    """Patch each named `gflow` function to log its positional arguments."""
+    calls = {name: [] for name in names}
     for name, log in calls.items():
 
         def counting(*args, _original=getattr(gflow_module, name), _log=log, **kwargs):
@@ -527,30 +527,81 @@ def test_sweep_verifies_and_checks_every_witness_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(gflow_module, name, counting)
+    return calls
+
+
+def test_sweep_verifies_and_checks_every_witness_once(monkeypatch):
+    # a shared flow is built once but checked on each witness graph, by the
+    # two mask cores; the label front-ends run only on a failed check
+    calls = _count_calls(monkeypatch, "_flow_violations", "_structure_facts", "verify_gflow", "witness_structure")
     report = yz_bipartite_sweep(5, io_samples=0, workers=1)
     assert len(report.witnesses) == 277
     assert len({id(flow) for _, flow in report.witnesses}) == 132
-    checks = zip(report.witnesses, calls["verify_gflow"], calls["witness_structure"], strict=True)
-    for (g, flow), (verified_g, _, verified_flow), (structured_flow, structured_g) in checks:
-        assert verified_g is g and verified_flow is flow
-        assert structured_flow is flow and structured_g is g
+    assert calls["verify_gflow"] == calls["witness_structure"] == []
+    checks = zip(report.witnesses, calls["_flow_violations"], calls["_structure_facts"], strict=True)
+    for (g, flow), verified, structured in checks:
+        measured = (1 << len(g.vertices)) - 1 & ~g.mask_of(g.outputs)
+        assert measured == (1 << len(g.vertices)) - 1 & ~g.mask_of(g.inputs)
+        corrections = [g.mask_of(flow.g.get(v, ())) for v in g.vertices]
+        after = gflow_module._after_masks(g.vertices, flow)
+        assert verified[0] is g.neighbor_masks and structured[0] is g.neighbor_masks
+        assert verified[1:] == (measured, measured, corrections, (0, 0, measured), after)
+        assert structured[1:] == (measured, corrections, after)
 
 
 def test_sweep_worker_checks_but_drops_witnesses_when_not_kept(monkeypatch):
-    checked = []
-
-    def counting(flow, g, **kwargs):
-        checked.append(flow)
-        return original(flow, g, **kwargs)
-
-    original = gflow_module.witness_structure
-    monkeypatch.setattr(gflow_module, "witness_structure", counting)
+    calls = _count_calls(monkeypatch, "_flow_violations", "_structure_facts")
     base = make_graph(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4")])
     kept = gflow_module._sweep_batch((4, 0, [base], True))
     dropped = gflow_module._sweep_batch((4, 0, [base], False))
     assert kept[:4] == dropped[:4]
     assert dropped[4] == [] and len(kept[4]) == kept[1]["flows_found"] > 0
-    assert len(checked) == 2 * kept[1]["flows_found"]
+    assert len(calls["_flow_violations"]) == len(calls["_structure_facts"]) == 2 * kept[1]["flows_found"]
+    assert kept[5] > 0 and dropped[5] > 0
+
+
+def test_sweep_witness_check_never_reads_the_peel_table(monkeypatch):
+    # a table as if vertex 0 lost its lowest neighbour misleads the peel;
+    # the witness check, on the graph's own masks, must catch it
+    def lossy(graph):
+        nbrs = graph.neighbor_masks[0]
+        if nbrs:
+            lost = (graph.vertices[0], graph.vertices[(nbrs & -nbrs).bit_length() - 1])
+            graph = make_graph(graph.vertices, graph.edges - {lost})
+        return original(graph)
+
+    original = gflow_module._odd_table
+    monkeypatch.setattr(gflow_module, "_odd_table", lossy)
+    with pytest.raises(AssertionError, match="search produced an invalid witness") as raised:
+        yz_bipartite_sweep(5, io_samples=0, workers=1)
+    assert "condition=2" in str(raised.value)
+
+
+def test_mask_cores_match_the_reference_on_sweep_flows_across_graphs():
+    # each flow a serial n <= 5 sweep builds, placed on every base graph
+    # with its n and input mask: valid and invalid pairs alike
+    flows = {}
+    for g, flow in yz_bipartite_sweep(5, io_samples=0, workers=1).witnesses:
+        flows.setdefault(id(flow), (len(g.vertices), g.mask_of(g.inputs), flow))
+    pairs = invalid = broken = 0
+    for n, inputs, flow in flows.values():
+        for base in enumerate_connected_graphs(n):
+            g = with_io(base, base.vertices_of(inputs), base.vertices_of(inputs))
+            free = (1 << n) - 1 & ~inputs
+            after = gflow_module._after_masks(g.vertices, flow)
+            domain, corrections = gflow_module._correction_masks(graph_module._vertex_bits(g.vertices), flow)
+            assert domain == free
+            found = gflow_module._flow_violations(g.neighbor_masks, free, free, corrections, (0, 0, free), after)
+            violations = gflow_module._violations(g.vertices, found)
+            expected = reference.verify_gflow(g, yz_planes(g), flow)
+            assert (not violations, violations) == (expected.ok, expected.violations)
+            facts = gflow_module._structure_facts(g.neighbor_masks, free, corrections, after)
+            assert gflow_module.WitnessStructure(*facts) == reference.witness_structure(flow, g)
+            pairs += 1
+            invalid += bool(violations)
+            broken += not all(facts)
+    assert len(flows) == 132
+    assert 0 < invalid < pairs and 0 < broken < pairs
 
 
 def test_flow_json_round_trip():
