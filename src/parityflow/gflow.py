@@ -11,9 +11,10 @@ search with a bipartiteness test over every small connected graph. All
 three work on int vertex masks, bit i for `graph.vertices[i]`. The
 conditions and the two witness structure facts each have one mask core,
 `_flow_violations` and `_structure_facts`; `verify_gflow` and
-`witness_structure` are their label front-ends, and the sweep calls the
-cores directly on each witness graph's masks. The sweep builds objects
-only for the flows it finds, each distinct flow once per batch of graphs.
+`witness_structure` are their label front-ends. The search and the sweep
+take a peel to a checked witness by one route, `_peel_gflow`, which
+builds each distinct flow once per table its caller holds and checks it
+with the conditions' core on the graph's own masks.
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def _violations(vertices: tuple[str, ...], found: list[tuple[int, int, int]]) ->
     return tuple(violations)
 
 
-def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow, *, after: list[int] | None = None) -> VerifyResult:
+def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow) -> VerifyResult:
     """Check the five gflow conditions for every measured vertex.
 
     Conditions, for v measured (v not an output):
@@ -261,8 +262,7 @@ def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow, *, after: l
     on masks. Structural problems (wrong domains, layering not covering
     the graph, g(v) meeting the inputs) raise MalformedFlowError; a
     well-formed witness that fails a condition yields ok=False with the
-    violations in deterministic order. `after` is
-    `_after_masks(graph.vertices, flow)` when the caller holds it already.
+    violations in deterministic order.
     """
     # a mapping's keys are distinct, so its mask equals `measured` exactly
     # when its keys are the measured vertices
@@ -289,8 +289,7 @@ def verify_gflow(graph: Graph, planes: PlaneAssignment, flow: GFlow, *, after: l
         raise MalformedFlowError("plane assignment domain must be exactly the measured vertices")
     if bad_planes:
         raise MalformedFlowError(f"unknown planes {sorted(set(bad_planes))}")
-    if after is None:
-        after = _after_masks(graph.vertices, flow)
+    after = _after_masks(graph.vertices, flow)
     allowed = full & ~graph.mask_of(graph.inputs)
     found = _flow_violations(graph.neighbor_masks, measured, allowed, corrections, (xy, xz, yz), after)
     violations = _violations(graph.vertices, found) if found else ()
@@ -358,19 +357,17 @@ def _odd_table(graph: Graph) -> list[int]:
     return odd
 
 
-def _yz_peel(odd: Sequence[int], measured_mask: int, support: int) -> list[tuple[int, int, int]] | None:
-    """The search's peel on masks, Odd(S) read from `_odd_table` and S inside
-    `support`: each step peels the lowest remaining v that has a fitting S,
-    the first by (size, value). The steps as (v, g(v), Odd(g(v))) in
-    measurement order, or None once none fits: at once if a measured vertex
-    lies outside `support`, as it never fits."""
-    if measured_mask & ~support:
-        return None
+def _yz_peel(odd: Sequence[int], free: int) -> list[tuple[int, int, int]] | None:
+    """The search's peel on masks with O = I, `free` the non-input vertices:
+    they are both the measured vertices and every correction set's support,
+    and Odd(S) is read from `_odd_table`. Each step peels the lowest
+    remaining v that has a fitting S, the first by (size, value). The steps
+    as (v, g(v), Odd(g(v))) in measurement order, or None once none fits."""
     peeled: list[tuple[int, int, int]] = []
-    remaining = measured_mask
+    remaining = free
     while remaining:
-        outside = _submasks_by_size(support & ~remaining)
-        rest = remaining  # inside support, by the guard above
+        outside = _submasks_by_size(free & ~remaining)
+        rest = remaining
         while rest:
             low = rest & -rest
             rest ^= low
@@ -387,36 +384,48 @@ def _yz_peel(odd: Sequence[int], measured_mask: int, support: int) -> list[tuple
     return peeled[::-1]
 
 
-def _yz_flow(graph: Graph, peeled: list[tuple[int, int, int]]) -> tuple[GFlow, list[int], int, list[int]]:
-    """The GFlow of a peel on `graph`, layered by longest path, with its
-    `_after_masks` and `_correction_masks`, both read back from the flow's
-    labels; unchecked. It reads only the graph's vertices and outputs
-    besides the peel, so graphs on the same vertices and outputs with the
-    same peel can share it."""
-    labels = graph.vertices
-    precedence = set()
-    # longest-path layering: every successor of v is measured after v
-    depth = {v: 0 for v, _, _ in peeled}
-    for v, s, odd in peeled:
-        for u in _bit_indices((s | odd) & ~(1 << v)):
-            precedence.add((labels[v], labels[u]))
-            if u in depth:
-                depth[u] = max(depth[u], depth[v] + 1)
-    layers: list[set[str]] = [set() for _ in range(max(depth.values(), default=-1) + 1)]
-    for v in sorted(depth):
-        layers[depth[v]].add(labels[v])
-    if graph.outputs:
-        layers.append(graph.outputs)
-    g_map = {labels[v]: graph.vertices_of(s) for v, s, _ in sorted(peeled)}
-    flow = GFlow(g=g_map, precedence=frozenset(precedence), layers=tuple(frozenset(s) for s in layers))
-    return flow, _after_masks(graph.vertices, flow), *_correction_masks(_vertex_bits(graph.vertices), flow)
+def _peel_gflow(
+    graph: Graph, free: int, peeled: list[tuple[int, int, int]], flows: dict
+) -> tuple[GFlow, list[int], list[int]]:
+    """The checked YZ gflow of a peel with O = I, `free` the non-input
+    vertices, with its `_after_masks` and correction masks.
 
-
-def _check_witness(graph: Graph, flow: GFlow, after: list[int]) -> None:
-    """AssertionError unless the search's flow is a YZ gflow on `graph`."""
-    result = verify_gflow(graph, yz_planes(graph), flow, after=after)
-    if not result:
-        raise AssertionError(f"search produced an invalid witness: {result.violations}")
+    The flow depends only on the vertex labels, `free` and the peel, so it
+    is built once per (free, peel) into `flows`, a table the caller holds:
+    layered by longest path, its masks read back from its labels. Every
+    call checks it on the graph's own adjacency masks, never on the peel's
+    Odd table, and reads neither the graph's inputs nor its outputs.
+    AssertionError if the check fails, with the violations `verify_gflow`
+    names.
+    """
+    key = (free, tuple(peeled))
+    entry = flows.get(key)
+    if entry is None:
+        labels = graph.vertices
+        precedence = set()
+        # longest-path layering: every successor of v is measured after v
+        depth = {v: 0 for v, _, _ in peeled}
+        for v, s, odd in peeled:
+            for u in _bit_indices((s | odd) & ~(1 << v)):
+                precedence.add((labels[v], labels[u]))
+                if u in depth:
+                    depth[u] = max(depth[u], depth[v] + 1)
+        layers: list[set[str]] = [set() for _ in range(max(depth.values(), default=-1) + 1)]
+        for v in sorted(depth):
+            layers[depth[v]].add(labels[v])
+        outputs = graph.vertices_of((1 << len(labels)) - 1 & ~free)
+        if outputs:
+            layers.append(outputs)
+        g_map = {labels[v]: graph.vertices_of(s) for v, s, _ in sorted(peeled)}
+        flow = GFlow(g=g_map, precedence=frozenset(precedence), layers=tuple(frozenset(s) for s in layers))
+        entry = flows[key] = (flow, _after_masks(labels, flow), *_correction_masks(_vertex_bits(labels), flow))
+    flow, after, domain, corrections = entry
+    # O = I: the measured and the non-input vertices are both `free`
+    if domain != free or _flow_violations(graph.neighbor_masks, free, free, corrections, (0, 0, free), after):
+        inputs = graph.vertices_of((1 << len(graph.vertices)) - 1 & ~free)
+        g = with_io(graph, inputs, inputs)
+        raise AssertionError(f"search produced an invalid witness: {verify_gflow(g, yz_planes(g), flow).violations}")
+    return flow, after, corrections
 
 
 def search_gflow_yz(graph: Graph) -> GFlow | None:
@@ -433,29 +442,27 @@ def search_gflow_yz(graph: Graph) -> GFlow | None:
     still meets the smaller remaining set only in its own vertex, its
     support outside that set only grows, and Odd(S) & (R' - v) <=
     Odd(S) & R' = {}. So a None result, a stuck peel, proves that no
-    gflow exists; a measured input, outside the support, would stick it,
-    so the search stops before it builds the peel's Odd table.
+    gflow exists. A measured input, outside the support, would stick it;
+    with |I| = |O| there is none exactly when I = O, so for I != O the
+    search stops before it builds the peel's Odd table.
     Deliberately independent of any bipartiteness reasoning. The peel runs
     on int masks, with Odd(S) read from a table of all 2^n masks built for
-    this call; only a peel that succeeds becomes a `GFlow`. Graphs over
-    SEARCH_CAP vertices are refused, which also bounds that table.
+    this call; only a peel that succeeds becomes a `GFlow`, checked by
+    `_peel_gflow`. Graphs over SEARCH_CAP vertices are refused, which also
+    bounds that table.
     """
     n = len(graph.vertices)
     if n > SEARCH_CAP:
         raise ValueError(f"search cap exceeded: {n} vertices > cap={SEARCH_CAP}")
     if len(graph.inputs) != len(graph.outputs):
         raise ValueError("search requires |I| = |O|")
-    all_mask = (1 << n) - 1
-    measured_mask = all_mask & ~graph.mask_of(graph.outputs)
-    support = all_mask & ~graph.mask_of(graph.inputs)
-    if measured_mask & ~support:
+    if graph.inputs != graph.outputs:
         return None  # a measured input never fits: no Odd table needed
-    peeled = _yz_peel(_odd_table(graph), measured_mask, support)
+    free = (1 << n) - 1 & ~graph.mask_of(graph.inputs)
+    peeled = _yz_peel(_odd_table(graph), free)
     if peeled is None:
         return None
-    flow, after, _, _ = _yz_flow(graph, peeled)
-    _check_witness(graph, flow, after)
-    return flow
+    return _peel_gflow(graph, free, peeled, {})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -564,18 +571,13 @@ def _sweep_batch(args: tuple[int, int, Sequence[Graph], bool]) -> tuple[int, dic
     graphs on n vertices, numbered from `start`, and the seconds it took.
 
     Each choice is decided on masks, bipartiteness without the edges inside
-    I (they enter neither the prepared state nor any correction set). Objects
-    are built only for a flow found or a discrepancy; witnesses return if
-    `keep`. A flow depends only on the vertices, the input mask and the
-    peel, so the batch builds each distinct one once, with its order and
-    correction masks read back from its labels: its table, keyed by (input
-    mask, peel), is dropped with the batch. Every witness still gets its
-    own open graph and is checked on it through the two mask cores: its
-    flow's domain against its measured vertices, `_flow_violations` with
-    every measured vertex in the YZ plane, and `_structure_facts`, all on
-    the graph's own adjacency masks and input mask, never on the peel's
-    Odd table. Only a failed check calls `verify_gflow`, to name the
-    violations in the AssertionError.
+    I (they enter neither the prepared state nor any correction set). Each
+    flow found goes through `_peel_gflow` on the base graph, with one table
+    for the batch, dropped with it: the batch builds each distinct flow
+    once, and checks every witness on the base graph's adjacency masks,
+    which its open graph shares. `_structure_facts` then checks it on the
+    same masks. The input set and an open graph are built only for a kept
+    witness, a discrepancy or a failed check; witnesses return if `keep`.
     """
     began = time.perf_counter()
     n, start, bases, keep = args
@@ -583,37 +585,29 @@ def _sweep_batch(args: tuple[int, int, Sequence[Graph], bool]) -> tuple[int, dic
     discrepancies = []
     witness_failures = []
     witnesses = []
-    flows: dict[tuple[int, tuple], tuple[GFlow, list[int], int, list[int]]] = {}
+    flows: dict = {}
     for graph_index, base in enumerate(bases, start):
         masks = base.neighbor_masks  # built once per base graph; every with_io copy shares it
         odd = _odd_table(base)
         for mask in range(1 << n):
             free = ~mask & ((1 << n) - 1)  # the measured vertices, and every correction set's support
-            peeled = _yz_peel(odd, free, free)
+            peeled = _yz_peel(odd, free)
             found = peeled is not None
             # edges inside I are dropped, so I is one side iff V - I spans no edge
             expected = _spans_no_edge(masks, free)
             counts["instances"] += 1
             counts["flows_found"] += found
             counts["bipartite_instances"] += expected
-            if not found and not expected:
-                continue
-            inputs = base.vertices_of(mask)
             if found != expected:
-                discrepancies.append(_discrepancy(n, graph_index, inputs, found, expected))
-            if found:
-                g = with_io(base, inputs, inputs)
-                key = (mask, tuple(peeled))
-                if key not in flows:
-                    flows[key] = _yz_flow(g, peeled)
-                flow, after, domain, corrections = flows[key]
-                # O = I = mask: the measured and the non-input vertices are both `free`
-                if domain != free or _flow_violations(g.neighbor_masks, free, free, corrections, (0, 0, free), after):
-                    _check_witness(g, flow, after)
-                if keep:
-                    witnesses.append((g, flow))
-                if not all(_structure_facts(g.neighbor_masks, free, corrections, after)):
-                    witness_failures.append(_discrepancy(n, graph_index, inputs, found, expected))
+                discrepancies.append(_discrepancy(n, graph_index, base.vertices_of(mask), found, expected))
+            if not found:
+                continue
+            flow, after, corrections = _peel_gflow(base, free, peeled, flows)
+            if keep:
+                inputs = base.vertices_of(mask)
+                witnesses.append((with_io(base, inputs, inputs), flow))
+            if not all(_structure_facts(masks, free, corrections, after)):
+                witness_failures.append(_discrepancy(n, graph_index, base.vertices_of(mask), found, expected))
     return n, counts, discrepancies, witness_failures, witnesses, time.perf_counter() - began
 
 
@@ -631,10 +625,12 @@ def yz_bipartite_sweep(
     bipartite with I one partition; additionally, for max_n >= 2, sample
     io_samples instances with I != O (equal sizes), where no flow may exist.
     The graphs go to `_sweep_batch` in batches of one size: one batch per
-    n serially, eight graphs per task in a worker pool. Witnesses with the
-    same vertex count, inputs and peel share one GFlow within a batch, and
-    kept witnesses share equal label sets (`graph.shared_set`); those that
-    come back from a pool share both only within their batch. The report's
+    n serially, eight graphs per task in a worker pool. Each flow found
+    takes the search's route to a checked witness, `_peel_gflow`, so
+    witnesses with the same vertex count, inputs and peel share one GFlow
+    within a batch, and kept witnesses share equal label sets
+    (`graph.shared_set`); those that come back from a pool share both only
+    within their batch. The report's
     `seconds` holds the time the batches of each n took, summed over
     workers.
     """
@@ -723,13 +719,9 @@ def flow_from_json(data: dict) -> tuple[GFlow, dict[str, str] | None]:
         g = {v: frozenset(json_labels(s)) for v, s in data["g"].items()}
     with json_field("layers"):
         layers = [frozenset(json_labels(layer)) for layer in json_list(data["layers"])]
-    precedence = {
-        (v, u)
-        for i, layer in enumerate(layers)
-        for v in layer
-        for j in range(i + 1, len(layers))
-        for u in layers[j]
-    }
+    # each non-empty layer precedes the next one; the closure is the layer order
+    filled = [layer for layer in layers if layer]
+    precedence = {(v, u) for early, late in zip(filled, filled[1:]) for v in early for u in late}
     planes = data.get("planes")
     if planes is not None and not (isinstance(planes, dict) and all(isinstance(p, str) for p in planes.values())):
         raise ValueError("field 'planes' must map vertices to plane names")

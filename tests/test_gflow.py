@@ -243,7 +243,8 @@ def test_greedy_peel_matches_the_backtracking_reference():
             assert odd == [base.odd_mask(k) for k in range(1 << n)]
             for inputs, outputs in pairs:
                 measured, support = full & ~outputs, full & ~inputs
-                peeled = gflow_module._yz_peel(odd, measured, support)
+                # the package peels only I = O: a measured input sticks it at once
+                peeled = gflow_module._yz_peel(odd, support) if inputs == outputs else None
                 assert peeled == reference.backtracking_yz_peel(base, measured, support)
                 instances += 1
                 flows += peeled is not None
@@ -280,13 +281,12 @@ def test_search_none_when_inputs_differ_from_outputs():
 def test_peel_stops_before_its_first_fit_on_a_measured_input(monkeypatch):
     # I = {1}, O = {3}: input 1 is measured but outside every correction set.
     # Each step's fit tests run over the step's `_submasks_by_size`, which
-    # the peel fetches before its first fit test.
+    # the peel fetches before its first fit test; the search never peels.
     def refuse(*args):
         raise AssertionError("_submasks_by_size called")
 
     monkeypatch.setattr(gflow_module, "_submasks_by_size", refuse)
     g = make_graph(["1", "2", "3"], [("1", "2"), ("2", "3")], ["1"], ["3"])
-    assert gflow_module._yz_peel(gflow_module._odd_table(g), 0b011, 0b110) is None
     assert search_gflow_yz(g) is None
 
 
@@ -560,7 +560,32 @@ def test_sweep_worker_checks_but_drops_witnesses_when_not_kept(monkeypatch):
     assert kept[5] > 0 and dropped[5] > 0
 
 
-def test_sweep_witness_check_never_reads_the_peel_table(monkeypatch):
+def test_unkept_sweep_builds_no_open_graph(monkeypatch):
+    # every check reads the base graph's masks, so only a kept witness or a
+    # failed check needs an open graph
+    kept = yz_bipartite_sweep(6, io_samples=0, workers=1)
+    calls = _count_calls(monkeypatch, "with_io")
+    report = yz_bipartite_sweep(6, io_samples=0, workers=1, keep_witnesses=False)
+    assert calls["with_io"] == []
+    assert report.to_json() == kept.to_json()
+
+
+def _search_every_small_open_graph() -> None:
+    for n in range(1, 6):
+        for base in enumerate_connected_graphs(n):
+            for mask in range(1 << n):
+                inputs = base.vertices_of(mask)
+                search_gflow_yz(with_io(base, inputs, inputs))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda: yz_bipartite_sweep(5, io_samples=0, workers=1), id="sweep"),
+        pytest.param(_search_every_small_open_graph, id="search"),
+    ],
+)
+def test_sweep_witness_check_never_reads_the_peel_table(monkeypatch, run):
     # a table as if vertex 0 lost its lowest neighbour misleads the peel;
     # the witness check, on the graph's own masks, must catch it
     def lossy(graph):
@@ -573,7 +598,7 @@ def test_sweep_witness_check_never_reads_the_peel_table(monkeypatch):
     original = gflow_module._odd_table
     monkeypatch.setattr(gflow_module, "_odd_table", lossy)
     with pytest.raises(AssertionError, match="search produced an invalid witness") as raised:
-        yz_bipartite_sweep(5, io_samples=0, workers=1)
+        run()
     assert "condition=2" in str(raised.value)
 
 
@@ -614,3 +639,33 @@ def test_flow_json_round_trip():
     assert again.layers == flow.layers
     assert planes_again == planes
     assert verify_gflow(g, planes_again, again)
+
+
+def test_flow_json_links_each_layer_to_the_next():
+    # a causal flow on a path, one vertex per layer: k - 1 precedence pairs
+    # where linking every later layer made k(k - 1) / 2
+    labels = [str(i) for i in range(2000)]
+    g = make_graph(labels, list(zip(labels, labels[1:])), labels[:1], labels[-1:])
+    data = {
+        "g": {v: [u] for v, u in zip(labels, labels[1:])},
+        "layers": [[v] for v in labels],
+        "planes": {v: "XY" for v in labels[:-1]},
+    }
+    flow, planes = flow_from_json(data)
+    assert len(flow.precedence) == 1999
+    assert verify_gflow(g, planes, flow)
+
+
+def test_flow_json_order_matches_linking_every_later_layer():
+    # the old rule linked each layer to every later one; its closure is the
+    # same, an empty layer included
+    flows = [(g.vertices, flow) for g, flow in yz_bipartite_sweep(5, io_samples=0, workers=1).witnesses]
+    gap = (frozenset({"1"}), frozenset(), frozenset({"2"}))
+    flows.append((("1", "2"), GFlow(g={"1": frozenset({"2"})}, precedence=frozenset(), layers=gap)))
+    for vertices, flow in flows:
+        layers = flow.layers
+        every_later = {(v, u) for i, early in enumerate(layers) for late in layers[i + 1 :] for v in early for u in late}
+        old = GFlow(g=flow.g, precedence=frozenset(every_later), layers=layers)
+        again, _ = flow_from_json(flow_to_json(flow))
+        assert gflow_module._after_masks(vertices, again) == gflow_module._after_masks(vertices, old)
+    assert len(flows) == 278
