@@ -170,13 +170,19 @@ def _mbqc_side(graph, layout, psi):
     return graph, gflow_mod.canonical_yz_gflow(graph)
 
 
+def _draw_outcomes(rng, count: int) -> list[int]:
+    """`count` outcomes drawn from the numpy generator rng, each +1 or -1
+    with probability 1/2: the Born distribution of a run whose every
+    outcome branch is equally likely."""
+    return [1 if rng.random() < 0.5 else -1 for _ in range(count)]
+
+
 def _sampled_outputs(run, count: int, samples: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     outputs = []
     for _ in range(samples):
-        outcomes = [1 if rng.random() < 0.5 else -1 for _ in range(count)]
         try:
-            outputs.append(run(outcomes))
+            outputs.append(run(_draw_outcomes(rng, count)))
         except simulator.ZeroProbabilityError:
             continue  # branch unreachable for this input state
     return outputs
@@ -186,7 +192,7 @@ def _sim_command(engine: str, program: str, branches: str, samples: int, seed: i
     layout, layers, psi, graph = _load_program(_load_json(program))
     if engine == "mbqc":
         graph, flow = _mbqc_side(graph, layout, psi)
-        count = (len(graph.vertices) - len(graph.inputs)) * len(layers)
+        count = len(flow.g) * len(layers)
 
         def run(outcomes):
             return mbqc_engine.run_repeated_mbqc(graph, psi, layers, flow, outcomes)
@@ -262,12 +268,10 @@ def compare(program: str, tol: float, seed: int) -> None:
     """Run both engines on one program and report the output distance."""
     layout, layers, psi, graph = _load_program(_load_json(program))
     graph, flow = _mbqc_side(graph, layout, psi)
-    parity_out, _ = parity_engine.run_computation(
-        layout, psi, layers, np.random.default_rng(seed)
-    )
-    mbqc_out, _ = mbqc_engine.run_repeated_mbqc(
-        graph, psi, layers, flow, np.random.default_rng(seed + 1)
-    )
+    parity_outcomes = _draw_outcomes(np.random.default_rng(seed), parity_engine.measurement_count(layout, layers))
+    parity_out, _ = parity_engine.run_computation(layout, psi, layers, parity_outcomes)
+    mbqc_outcomes = _draw_outcomes(np.random.default_rng(seed + 1), len(flow.g) * len(layers))
+    mbqc_out, _ = mbqc_engine.run_repeated_mbqc(graph, psi, layers, flow, mbqc_outcomes)
     distance = simulator.distance_up_to_phase(parity_out, mbqc_out)
     agree = distance < tol
     _dump({"distance": distance, "tolerance": tol, "agree": agree})

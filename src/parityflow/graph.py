@@ -348,14 +348,25 @@ def graph_from_json(data: dict) -> Graph:
     return make_graph(vertices, edges, inputs, outputs)
 
 
+def _dot_id(label: str) -> str:
+    """A label as a quoted DOT ID, each `"` escaped as `\\"`. DOT has no
+    escape for a backslash, so a label ending in one, which would escape
+    the closing quote, is refused, and so is one holding a control
+    character."""
+    if label.endswith("\\") or any(c < " " or c == "\x7f" for c in label):
+        raise ValueError(f"label {label!r} cannot be quoted in DOT")
+    return '"' + label.replace('"', '\\"') + '"'
+
+
 def graph_to_dot(g: Graph) -> str:
     """DOT rendering; input vertices are drawn as boxes, the rest as circles."""
+    ids = {v: _dot_id(v) for v in g.vertices}
     lines = ["graph {"]
     for v in g.vertices:
         shape = "box" if v in g.inputs else "circle"
-        lines.append(f'  "{v}" [shape={shape}];')
+        lines.append(f"  {ids[v]} [shape={shape}];")
     index = {v: i for i, v in enumerate(g.vertices)}
     for u, v in sorted(g.edges, key=lambda e: (index[e[0]], index[e[1]])):
-        lines.append(f'  "{u}" -- "{v}";')
+        lines.append(f"  {ids[u]} -- {ids[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

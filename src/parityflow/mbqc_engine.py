@@ -154,7 +154,7 @@ def run_mbqc_yz(
     psi: Statevector,
     angles: Mapping[str, float],
     flow: GFlow,
-    outcomes: np.random.Generator | Sequence[int],
+    outcomes: Sequence[int],
     order: Sequence[str] | None = None,
 ) -> tuple[Statevector, MeasurementRecord]:
     """Measure every non-output vertex in the YZ plane, correcting via the flow.
@@ -166,8 +166,8 @@ def run_mbqc_yz(
     (`_compiled`) the first time this graph object meets this input label
     order and measurement order; every branch after that runs the compiled
     schedule. The angles (finite, keyed by exactly the measured vertices)
-    and the outcomes are checked on every call: a prescribed list must hold
-    one outcome per measured vertex.
+    and the outcomes are checked on every call: the list must hold one
+    outcome per measured vertex.
     """
     compiled = _compiled(g, flow, psi.labels, order)
     schedule = compiled.schedule
@@ -201,13 +201,13 @@ def run_repeated_mbqc(
     psi: Statevector,
     layers: Sequence[LayerParams],
     flow: GFlow,
-    outcomes: np.random.Generator | Sequence[int],
+    outcomes: Sequence[int],
 ) -> tuple[Statevector, list[MeasurementRecord]]:
     """Re-prepare the graph on the current data register each layer, measure
     it out, then apply the local data rotations to the outputs. Every layer
     measures every non-output vertex. Every layer (`_check_layers`) and the
     outcomes are checked before the first runs; each layer takes its own
-    slice of a list, or the same generator."""
+    slice of the list."""
     _check_layers(g, layers)
     measured = set(g.vertices) - g.outputs
     shares = split_outcomes(outcomes, [len(measured)] * len(layers))

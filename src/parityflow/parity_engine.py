@@ -141,15 +141,14 @@ def mb_decode(
     state: Statevector,
     layout: ParityLayout,
     subset: Iterable[str],
-    outcomes: np.random.Generator | Sequence[int],
+    outcomes: Sequence[int],
 ) -> tuple[Statevector, MeasurementRecord]:
     """Measure parity qubits along X; on -1 apply Z to every tracked data qubit.
 
     The decode with no parity rotation folded in (`run_layer` measures the
     same schedule along `xy_axis(theta)`). Measured qubits are discarded
-    afterwards. Outcomes are either a prescribed list of +/-1 consumed in
-    layout order, which must hold one outcome per measurement, or a seeded
-    generator sampling Born probabilities.
+    afterwards. The outcomes, a list of +/-1 consumed in layout order, must
+    hold one outcome per measurement.
     """
     schedule = _decode_schedule(layout, state.labels, subset)
     return run_schedule(schedule, state.amplitudes, [X_AXIS] * len(schedule.qubits), outcomes)
@@ -212,14 +211,13 @@ def run_layer(
     state: Statevector,
     layout: ParityLayout,
     params: LayerParams,
-    outcomes: np.random.Generator | Sequence[int],
+    outcomes: Sequence[int],
     final: bool = False,
 ) -> tuple[Statevector, MeasurementRecord]:
     """One layer: parity rotations folded into the decode with corrections,
     data rotations, and re-encoding of the decoded set unless this is the
-    final layer, whose decode set, if given, must be every parity qubit. A
-    prescribed outcome list must hold one outcome per decoded parity
-    qubit."""
+    final layer, whose decode set, if given, must be every parity qubit.
+    The outcome list must hold one outcome per decoded parity qubit."""
     schedule, axes, phase = _rotated_decode(layout, state.labels, params, _decode_set(layout, params, final))
     state, record = run_schedule(schedule, state.amplitudes * phase, axes, outcomes)
     state = apply_circuit(state, params.data_rotations(layout.data_qubits))
@@ -237,11 +235,11 @@ def run_computation(
     layout: ParityLayout,
     psi: Statevector,
     layers: Sequence[LayerParams],
-    outcomes: np.random.Generator | Sequence[int],
+    outcomes: Sequence[int],
 ) -> tuple[Statevector, list[MeasurementRecord]]:
     """Encode once, fold layers, finish fully decoded on the data register.
     Every layer and the outcomes are checked before the input is encoded;
-    each layer takes its own slice of a list, or the same generator."""
+    each layer takes its own slice of the list."""
     sets = _decode_sets(layout, layers)
     shares = split_outcomes(outcomes, [len(members) for members in sets])
     state = encode_input(layout, psi)

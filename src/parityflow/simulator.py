@@ -8,17 +8,17 @@ The kernels take a leading branch axis: a `BranchArray` holds every outcome
 branch of a run as one row. Measuring qubits out is two steps:
 `compile_plan` turns the measured qubits and the correction rule into a
 `Schedule` of register positions and correction bitmasks, fixed before any
-outcome is known. `run_schedule` measures one register along it,
-contracting each measured qubit with the bra of the outcome taken only
-(and first with the +1 bra when the outcome is sampled), while
-`run_schedule_all` contracts each measured qubit of every row with both
-outcome bras at once, doubling the rows and halving the register. Both
-engines measure only through these: the measurement-based engine keeps
-the schedules it compiles, the parity engine compiles each decode when it
-runs it. A rotation right before a measurement reaches them folded into
-the measurement's axis, not as a gate. `project`, `discard_qubit`,
-`outcome_probability`, `append_qubit` and `apply_pauli_x/z` are the
-reference kernels the tests check them against.
+outcome is known. `run_schedule` measures one register along it on a
+prescribed list of +/-1 outcomes, contracting each measured qubit with the
+bra of the outcome taken only, while `run_schedule_all` contracts each
+measured qubit of every row with both outcome bras at once, doubling the
+rows and halving the register. Both engines measure only through these:
+the measurement-based engine keeps the schedules it compiles, the parity
+engine compiles each decode when it runs it. A rotation right before a
+measurement reaches them folded into the measurement's axis, not as a
+gate. `project`, `discard_qubit`, `outcome_probability`, `append_qubit`
+and `apply_pauli_x/z` are the reference kernels the tests check them
+against.
 """
 
 from __future__ import annotations
@@ -425,13 +425,11 @@ def _index_mask(labels: tuple[str, ...], qubits: Iterable[str]) -> int:
     return mask
 
 
-def check_outcomes(outcomes: np.random.Generator | Sequence[int], count: int) -> np.random.Generator | list[int]:
-    """The generator as it is, or the prescribed list as ints, refused
-    unless it holds exactly `count` outcomes, each 1 or -1 (not a bool)."""
-    if isinstance(outcomes, np.random.Generator):
-        return outcomes
+def check_outcomes(outcomes: Sequence[int], count: int) -> list[int]:
+    """The prescribed outcomes as ints, refused unless they are a sequence
+    of exactly `count` outcomes, each 1 or -1 (not a bool)."""
     if not isinstance(outcomes, Sequence) or isinstance(outcomes, (str, bytes)):
-        raise TypeError("outcomes must be a sequence of +/-1 or a numpy Generator")
+        raise TypeError("outcomes must be a sequence of +/-1")
     bad = [o for o in outcomes if isinstance(o, (bool, np.bool_)) or o not in (1, -1)]
     if bad:
         raise ValueError(f"prescribed outcomes must be +/-1, got {bad}")
@@ -440,14 +438,10 @@ def check_outcomes(outcomes: np.random.Generator | Sequence[int], count: int) ->
     return [int(o) for o in outcomes]
 
 
-def split_outcomes(
-    outcomes: np.random.Generator | Sequence[int], counts: Sequence[int]
-) -> list[np.random.Generator | list[int]]:
-    """`check_outcomes` against the sum of counts, then one share per count:
-    the same generator each, or the list's next `count` outcomes."""
+def split_outcomes(outcomes: Sequence[int], counts: Sequence[int]) -> list[list[int]]:
+    """`check_outcomes` against the sum of counts, then the list's next
+    `count` outcomes for each count."""
     outcomes = check_outcomes(outcomes, sum(counts))
-    if isinstance(outcomes, np.random.Generator):
-        return [outcomes] * len(counts)
     return [outcomes[end - count : end] for count, end in zip(counts, itertools.accumulate(counts))]
 
 
@@ -455,39 +449,25 @@ def run_schedule(
     schedule: Schedule,
     amplitudes: np.ndarray,
     axes: Sequence[tuple[float, float, float]],
-    outcomes: np.random.Generator | Sequence[int],
+    outcomes: Sequence[int],
 ) -> tuple[Statevector, MeasurementRecord]:
     """Measure the schedule's qubits of one register (the amplitudes of the
     register it was compiled on) along `axes`, one per qubit.
 
     Outcomes are checked (`check_outcomes`) before the first measurement.
     Each step contracts the measured qubit with the bra of the outcome
-    taken only and applies the step's correction on a -1 outcome. A
-    generator picks the outcome by the +1 probability (a draw, unless it
-    is within 1e-12 of 0 or 1), so the +1 half is contracted first and
-    kept on a +1. The halves are kept unnormalised: `weight` is the squared
-    norm of the register so far, each Born probability the kept half's
-    squared norm over it, and the output is normalised once. Gives the row
-    of `run_schedule_all` for the outcomes taken. Raises
-    ZeroProbabilityError below the 1e-12 probability floor.
+    taken only and applies the step's correction on a -1 outcome. The
+    halves are kept unnormalised: `weight` is the squared norm of the
+    register so far, each Born probability the kept half's squared norm
+    over it, and the output is normalised once. Gives the row of
+    `run_schedule_all` for the outcomes taken. Raises ZeroProbabilityError
+    below the 1e-12 probability floor.
     """
     outcomes = check_outcomes(outcomes, len(schedule.qubits))
-    rng = outcomes if isinstance(outcomes, np.random.Generator) else None
     amps, weight = amplitudes, 1.0
     record: list[MeasurementEntry] = []
-    for j, ((q, pos, xmask, zmask), axis) in enumerate(zip(schedule.iter_steps(), axes, strict=True)):
-        bras = _outcome_bras(axis)
-        view = amps.reshape(1 << pos, 2, -1)
-        if rng is None:
-            outcome = outcomes[j]
-            half = bras[0 if outcome == 1 else 1] @ view
-        else:
-            half = bras[0] @ view
-            p_plus = float(np.vdot(half, half).real) / weight
-            # certain within 1e-12 of 1 or of 0, drawn otherwise
-            outcome = 1 if p_plus > 1.0 - ZERO_PROB_TOL or (p_plus >= ZERO_PROB_TOL and rng.random() < p_plus) else -1
-            if outcome == -1:
-                half = bras[1] @ view
+    for (q, pos, xmask, zmask), axis, outcome in zip(schedule.iter_steps(), axes, outcomes, strict=True):
+        half = _outcome_bras(axis)[0 if outcome == 1 else 1] @ amps.reshape(1 << pos, 2, -1)
         kept = float(np.vdot(half, half).real)
         probability = kept / weight
         if probability < ZERO_PROB_TOL:

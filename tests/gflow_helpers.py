@@ -6,6 +6,7 @@ list. The package checks the same on int masks, with its own closure.
 against which the package's greedy peel is checked; `flow_content` is what
 equal sweep flows share."""
 
+import functools
 import json
 from collections import defaultdict
 
@@ -15,7 +16,6 @@ from parityflow.gflow import (
     Violation,
     VerifyResult,
     WitnessStructure,
-    _submasks_by_size,
     flow_to_json,
 )
 from parityflow.graph import enumerate_connected_graphs
@@ -94,6 +94,13 @@ def witness_structure(flow, graph) -> WitnessStructure:
     return WitnessStructure(a_ok, b_ok)
 
 
+@functools.cache
+def submasks_by_size(support: int) -> list[int]:
+    """Every submask of `support`, the empty one included, by (size, value):
+    the masks 0..support that set no bit outside it, sorted."""
+    return sorted((t for t in range(support + 1) if not t & ~support), key=lambda t: (bin(t).count("1"), t))
+
+
 def backtracking_yz_peel(graph, measured_mask: int, support: int):
     """The YZ peel by backtracking over which vertex to peel, with a memo of
     the subsets that fail: the (v, g(v), Odd(g(v))) in measurement order,
@@ -110,7 +117,7 @@ def backtracking_yz_peel(graph, measured_mask: int, support: int):
             return True
         if remaining in dead:
             return False
-        outside = _submasks_by_size(support & ~remaining)
+        outside = submasks_by_size(support & ~remaining)
         rest = remaining
         while rest:
             low = rest & -rest

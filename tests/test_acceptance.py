@@ -148,10 +148,12 @@ def test_criterion_3_cross_engine_equivalence():
                 continue
             # sampled branches, one per-branch run each
             for k in range(26):
-                out, records = run_computation(layout, psi, layers, np.random.default_rng(1000 + k))
+                outcomes = np.random.default_rng(1000 + k).choice((1, -1), measured).tolist()
+                out, records = run_computation(layout, psi, layers, outcomes)
                 assert distance_up_to_phase(out, reference) < 1e-10
                 assert all(abs(e.probability - 0.5) < 1e-12 for r in records for e in r)
-                out, records = run_repeated_mbqc(graph, psi, layers, flow, np.random.default_rng(2000 + k))
+                outcomes = np.random.default_rng(2000 + k).choice((1, -1), measured).tolist()
+                out, records = run_repeated_mbqc(graph, psi, layers, flow, outcomes)
                 assert distance_up_to_phase(out, reference) < 1e-10
                 assert all(abs(e.probability - 0.5) < 1e-12 for r in records for e in r)
 

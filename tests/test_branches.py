@@ -4,8 +4,7 @@
 array; the per-branch engines run one prescribed outcome list at a time.
 The two must agree on which branches are reachable, on the amplitudes and
 on every recorded Born probability, row b against branch b of
-`all_outcome_branches`. A per-branch run that samples its outcomes from a
-seeded generator must land on the row of the outcomes it draws.
+`all_outcome_branches`.
 """
 
 import functools
@@ -20,7 +19,6 @@ from parityflow.gflow import GFlow, canonical_yz_gflow, yz_bipartite_sweep
 from parityflow.layout import build_all_pairs_layout, induced_graph, rz
 from parityflow.parity_engine import X_AXIS, Z_AXIS, LayerParams, all_outcome_branches, xy_axis
 from parityflow.simulator import (
-    ZERO_PROB_TOL,
     BranchArray,
     ZeroProbabilityError,
     basis_state,
@@ -49,11 +47,8 @@ def witnesses():
     return [(g, flow) for g, flow in report.witnesses if len(flow.g) <= 4]
 
 
-def assert_matches_per_branch(branches, run, seed=None):
-    """Row b of the array against run(outcomes of branch b). With a seed,
-    also run(a generator seeded with it) against the row of the outcomes
-    it draws, which must draw exactly once per measurement whose +1
-    probability lies strictly between ZERO_PROB_TOL and 1 - ZERO_PROB_TOL."""
+def assert_matches_per_branch(branches, run):
+    """Row b of the array against run(outcomes of branch b), for every b."""
     m = branches.probabilities.shape[1]
     assert branches.amplitudes.shape[0] == 2**m
     assert not np.isnan(branches.amplitudes).any()
@@ -68,19 +63,6 @@ def assert_matches_per_branch(branches, run, seed=None):
         reachable.append(True)
         assert_row(branches, row, state, records)
     assert branches.reachable.tolist() == reachable
-    if seed is None:
-        return
-    rng = np.random.default_rng(seed)
-    state, records = run(rng)
-    row = sum(1 << (m - 1 - j) for j, e in enumerate(e for r in records for e in r) if e.outcome == -1)
-    assert_row(branches, row, state, records)
-    # the +1 probability of measurement j on this branch: that of the row
-    # agreeing with it before j and taking +1 at j
-    p_plus = [branches.probabilities[row & ~(1 << (m - 1 - j)), j] for j in range(m)]
-    twin = np.random.default_rng(seed)
-    for _ in range(sum(ZERO_PROB_TOL < p < 1 - ZERO_PROB_TOL for p in p_plus)):
-        twin.random()
-    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def assert_row(branches, row, state, records):
@@ -137,13 +119,11 @@ def parity_programs(draw):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(parity_programs(), st.integers(0, 2**32 - 1))
-def test_parity_all_branches_match_per_branch_runs(case, seed):
+@given(parity_programs())
+def test_parity_all_branches_match_per_branch_runs(case):
     layout, psi, layers = case
     branches = parity_engine.run_all_branches(layout, psi, layers)
-    assert_matches_per_branch(
-        branches, lambda outcomes: parity_engine.run_computation(layout, psi, layers, outcomes), seed
-    )
+    assert_matches_per_branch(branches, lambda outcomes: parity_engine.run_computation(layout, psi, layers, outcomes))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -152,9 +132,10 @@ def test_parity_xy_axes_match_the_rz_gates(case, seed):
     """Each parity rotation folded into its decode axis, against the route
     that applies it as an RZ gate and then measures along X, layer by
     layer, partial decode sets and re-encoded registers included. The
-    all-branch array and a sampled per-branch run land on the reference
-    rows with no phase freedom, with the same outcomes and Born
-    probabilities, and each record axis is xy_axis(theta)."""
+    all-branch array and a per-branch run of outcomes drawn from the seed
+    land on the reference rows with no phase freedom, with the same
+    outcomes and Born probabilities, and each record axis is
+    xy_axis(theta)."""
     layout, psi, layers = case
     reference = BranchArray.start(parity_engine.encode_input(layout, psi))
     for i, (params, decode_set) in enumerate(zip(layers, parity_engine._decode_sets(layout, layers))):
@@ -179,9 +160,11 @@ def test_parity_xy_axes_match_the_rz_gates(case, seed):
 
     for row in range(len(branches.amplitudes)):
         assert_on_reference_row(branches.records(row), row)
-    state, records = parity_engine.run_computation(layout, psi, layers, np.random.default_rng(seed))
     m = branches.probabilities.shape[1]
-    row = sum(1 << (m - 1 - j) for j, e in enumerate(e for r in records for e in r) if e.outcome == -1)
+    outcomes = np.random.default_rng(seed).choice((1, -1), m).tolist()
+    state, records = parity_engine.run_computation(layout, psi, layers, outcomes)
+    assert [e.outcome for r in records for e in r] == outcomes
+    row = sum(1 << (m - 1 - j) for j, o in enumerate(outcomes) if o == -1)
     assert np.abs(state.amplitudes - reference.amplitudes[row]).max() <= PHASE_TOL
     assert_on_reference_row(records, row)
 
@@ -206,13 +189,11 @@ def mbqc_programs(draw):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(mbqc_programs(), st.integers(0, 2**32 - 1))
-def test_mbqc_all_branches_match_per_branch_runs(case, seed):
+@given(mbqc_programs())
+def test_mbqc_all_branches_match_per_branch_runs(case):
     graph, flow, psi, layers = case
     branches = mbqc_engine.run_all_branches(graph, psi, layers, flow)
-    assert_matches_per_branch(
-        branches, lambda outcomes: mbqc_engine.run_repeated_mbqc(graph, psi, layers, flow, outcomes), seed
-    )
+    assert_matches_per_branch(branches, lambda outcomes: mbqc_engine.run_repeated_mbqc(graph, psi, layers, flow, outcomes))
 
 
 def chained_flow(graph, flow, order, extra):
@@ -248,14 +229,12 @@ def witness_runs(draw):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(witness_runs(), st.integers(0, 2**32 - 1))
-def test_mbqc_all_branches_match_per_branch_runs_on_witnesses(case, seed):
+@given(witness_runs())
+def test_mbqc_all_branches_match_per_branch_runs_on_witnesses(case):
     graph, flow, order, angles, psi = case
     branches = mbqc_engine.run_all_branches(graph, psi, [LayerParams(theta=angles)], flow, order=order)
     assert_matches_per_branch(
-        branches,
-        one_pass(lambda outcomes: mbqc_engine.run_mbqc_yz(graph, psi, angles, flow, outcomes, order=order)),
-        seed,
+        branches, one_pass(lambda outcomes: mbqc_engine.run_mbqc_yz(graph, psi, angles, flow, outcomes, order=order))
     )
 
 
@@ -289,8 +268,8 @@ def eigenstate_plans(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(eigenstate_plans(), st.integers(0, 2**32 - 1))
-def test_zero_probability_rows_are_unreachable_and_finite(case, seed):
+@given(eigenstate_plans())
+def test_zero_probability_rows_are_unreachable_and_finite(case):
     labels, bits, plan, correction = case
     state = basis_state(labels, bits)
     schedule = compile_plan(labels, [q for q, _ in plan], lambda q: correction)
@@ -299,11 +278,7 @@ def test_zero_probability_rows_are_unreachable_and_finite(case, seed):
     expected = [1 - 2 * int(bits[labels.index(q)]) for q, _ in plan]
     rows = [list(outcomes) == expected for outcomes in all_outcome_branches(len(plan))]
     assert branches.reachable.tolist() == rows
-    assert_matches_per_branch(
-        branches,
-        one_pass(lambda outcomes: run_schedule(schedule, state.amplitudes, axes, outcomes)),
-        seed,
-    )
+    assert_matches_per_branch(branches, one_pass(lambda outcomes: run_schedule(schedule, state.amplitudes, axes, outcomes)))
 
 
 def test_branch_bits_count_against_the_qubit_cap(monkeypatch):

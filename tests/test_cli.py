@@ -77,6 +77,28 @@ def test_lhz_graph_json_and_dot(runner, tmp_path):
     assert dot.stdout.startswith("graph {")
 
 
+@pytest.mark.parametrize(
+    "label,exit_code,stdout,stderr",
+    [
+        (
+            'a"b',
+            0,
+            'graph {\n  "1" [shape=box];\n  "2" [shape=box];\n  "a\\"b" [shape=circle];\n'
+            '  "1" -- "a\\"b";\n  "2" -- "a\\"b";\n}\n',
+            "graph with 3 vertices, 2 edges\n",
+        ),
+        ("a\\", 2, "", "error: label 'a\\\\' cannot be quoted in DOT\n"),
+        ("a\nb", 2, "", "error: label 'a\\nb' cannot be quoted in DOT\n"),
+    ],
+)
+def test_lhz_graph_dot_quotes_or_refuses_labels(runner, tmp_path, label, exit_code, stdout, stderr):
+    layout = {"n": 2, "parity": [{"label": label, "set": ["1", "2"]}], "constraints": [["1", label], ["2", label]]}
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps(layout))
+    result = runner.invoke(main, ["lhz", "graph", "--layout", str(path), "--format", "dot"])
+    assert (result.exit_code, result.stdout, result.stderr) == (exit_code, stdout, stderr)
+
+
 def test_stab_check_equivalence(runner, tmp_path):
     layout_file = tmp_path / "layout.json"
     layout_file.write_text(invoke(runner, ["lhz", "build", "--n", "3"]).stdout)

@@ -39,7 +39,13 @@ FLOW = {"found": True, "g": {"2": ["2"]}, "layers": [["2"], ["1", "3"]], "planes
 
 PROGRAM_RUNS = [
     [*command, "--program", "program.json"]
-    for command in (["sim", "parity"], ["sim", "parity", "--branches", "all"], ["sim", "mbqc"], ["compare"])
+    for command in (
+        ["sim", "parity"],
+        ["sim", "parity", "--branches", "all"],
+        ["sim", "mbqc"],
+        ["sim", "mbqc", "--branches", "all"],
+        ["compare"],
+    )
 ]
 LAYOUT_RUNS = [[*command, "--layout", "layout.json"] for command in (["lhz", "graph"], ["stab", "check-equivalence"])]
 SEARCH = ["gflow", "search", "--graph", "graph.json"]

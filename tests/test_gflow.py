@@ -251,6 +251,20 @@ def test_greedy_peel_matches_the_backtracking_reference():
     assert (instances, flows) == (109248, 2012)
 
 
+def test_peel_gflow_layers_a_non_canonical_peel_by_longest_path():
+    """The 4-cycle a-b-c-d-a with I = O = {a, c}, peeled with g(b) = {b, d}
+    and Odd(g(b)) empty, then g(d) = {d} with Odd(g(d)) = {a, c}: d lies in
+    g(b), so it follows b, one layer later."""
+    graph = make_graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")], ["a", "c"], ["a", "c"])
+    a, b, c, d = (1 << i for i in range(4))
+    peeled = [(1, b | d, 0), (3, d, a | c)]
+    flow, _, _ = gflow_module._peel_gflow(graph, b | d, peeled, {})
+    assert flow.layers == (frozenset({"b"}), frozenset({"d"}), frozenset({"a", "c"}))
+    assert flow.precedence == {("b", "d"), ("d", "a"), ("d", "c")}
+    assert flow.g == {"b": {"b", "d"}, "d": {"d"}}
+    assert verify_gflow(graph, yz_planes(graph), flow).ok
+
+
 def test_search_finds_flow_on_p3():
     flow = search_gflow_yz(p3())
     assert flow is not None

@@ -1,6 +1,7 @@
 """Graph primitives: neighborhoods, bipartition test, enumeration."""
 
 import itertools
+import re
 
 import networkx as nx
 import pytest
@@ -211,6 +212,22 @@ def test_dot_renders_inputs_as_boxes():
     assert '"1" [shape=box];' in dot
     assert '"2" [shape=circle];' in dot
     assert '"1" -- "2";' in dot
+
+
+@pytest.mark.parametrize(
+    "label,quoted",
+    [("a", '"a"'), ('a"b', '"a\\"b"'), ('"', '"\\""'), ("a\\b", '"a\\b"'), ("a\\\"b", '"a\\\\"b"')],
+)
+def test_dot_quotes_labels(label, quoted):
+    g = make_graph([label, "z"], [(label, "z")], inputs=[label], outputs=[label])
+    assert graph_to_dot(g) == f'graph {{\n  {quoted} [shape=box];\n  "z" [shape=circle];\n  {quoted} -- "z";\n}}\n'
+
+
+@pytest.mark.parametrize("label", ["a\\", "\\", "a\nb", "a\tb", "\x00", "a\x7f"])
+def test_dot_refuses_labels_it_cannot_quote(label):
+    g = make_graph(["z", label], [("z", label)])
+    with pytest.raises(ValueError, match=f"^label {re.escape(repr(label))} cannot be quoted in DOT$"):
+        graph_to_dot(g)
 
 
 def test_vertex_bits_cache_stays_bounded():

@@ -362,13 +362,13 @@ def test_shared_sweep_flow_verified_per_graph_and_refused_where_invalid(monkeypa
 
 def test_per_branch_run_builds_one_statevector():
     """Once compiled, a per-branch run builds its output register and no
-    other, sampled or prescribed."""
+    other, on any outcome list."""
     graph = induced_graph(build_all_pairs_layout(3))
     flow = canonical_yz_gflow(graph)
     psi = random_state(("1", "2", "3"), np.random.default_rng(2))
     angles = {v: 0.5 for v in flow.g}
     run_mbqc_yz(graph, psi, angles, flow, [1, 1, 1])
-    for outcomes in ([1, -1, -1], np.random.default_rng(3)):
+    for outcomes in ([1, -1, -1], np.random.default_rng(3).choice((1, -1), 3).tolist()):
         post_init = Statevector.__post_init__
         with mock.patch.object(Statevector, "__post_init__", autospec=True, side_effect=post_init) as built:
             run_mbqc_yz(graph, psi, angles, flow, outcomes)
@@ -388,25 +388,26 @@ def test_surplus_prescribed_outcomes_rejected(entry):
         ),
     }
     run = runs[entry]
-    # a list of the wrong length is refused before any bra is contracted
+    # a list of the wrong length, or a generator, is refused before any bra is contracted
     with mock.patch.object(simulator, "_outcome_bras", wraps=simulator._outcome_bras) as bras:
         for outcomes in ([], [-1, 1, 1]):
             with pytest.raises(ValueError, match=f"^{len(outcomes)} prescribed outcome\\(s\\) for 1 measurement\\(s\\)$"):
                 run(outcomes)
+        with pytest.raises(TypeError, match="^outcomes must be a sequence of \\+/-1$"):
+            run(np.random.default_rng(0))
     assert not bras.called
     assert run([-1]) == -1
 
 
-def test_bad_second_layer_leaves_the_generator_alone():
+def test_bad_second_layer_refused_before_any_bra_is_contracted():
     graph = p3_graph()
     flow = canonical_yz_gflow(graph)
     psi = random_state(("1", "2"), np.random.default_rng(4))
     layers = [LayerParams(theta={"c": 0.7}), LayerParams(theta={"1": 0.1})]
-    rng = np.random.default_rng(9)
-    before = rng.bit_generator.state
-    with pytest.raises(ValueError, match="'theta' keys \\['1'\\] are not measured vertices"):
-        run_repeated_mbqc(graph, psi, layers, flow, rng)
-    assert rng.bit_generator.state == before
+    with mock.patch.object(simulator, "_outcome_bras", wraps=simulator._outcome_bras) as bras:
+        with pytest.raises(ValueError, match="'theta' keys \\['1'\\] are not measured vertices"):
+            run_repeated_mbqc(graph, psi, layers, flow, [1, -1])
+    assert not bras.called
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
@@ -530,8 +531,9 @@ def test_repeated_mbqc_matches_parity_engine(n, layer_count):
         )
         for _ in range(layer_count)
     ]
-    parity_out, _ = run_computation(layout, psi, layers, np.random.default_rng(0))
-    mbqc_out, _ = run_repeated_mbqc(graph, psi, layers, flow, np.random.default_rng(1))
+    measured = len(layout.parity_qubits) * layer_count
+    parity_out, _ = run_computation(layout, psi, layers, np.random.default_rng(0).choice((1, -1), measured).tolist())
+    mbqc_out, _ = run_repeated_mbqc(graph, psi, layers, flow, np.random.default_rng(1).choice((1, -1), measured).tolist())
     assert distance_up_to_phase(parity_out, mbqc_out) < 1e-10
 
 
@@ -615,7 +617,7 @@ def test_two_layers_on_six_cycle_match_direct_circuit():
         for pos, q in enumerate(("1", "2", "3")):
             amps = embed(rx_mat(layer.alpha[q]) @ rz_mat(layer.phi[q]), pos) @ amps
 
-    mbqc_out, _ = run_repeated_mbqc(graph, psi, layers, flow, np.random.default_rng(2))
+    mbqc_out, _ = run_repeated_mbqc(graph, psi, layers, flow, np.random.default_rng(2).choice((1, -1), 6).tolist())
     from parityflow.simulator import Statevector
 
     assert distance_up_to_phase(mbqc_out, Statevector(psi.labels, amps)) < 1e-10

@@ -219,7 +219,7 @@ def test_two_layer_program_matches_direct_circuit(layout2):
     theta, alpha = rng.uniform(-np.pi, np.pi, size=2)
     psi = random_state(("1", "2"), rng)
     layers = [LayerParams(theta={"(12)": theta}), LayerParams(alpha={"1": alpha})]
-    out, _ = run_computation(layout2, psi, layers, np.random.default_rng(0))
+    out, _ = run_computation(layout2, psi, layers, np.random.default_rng(0).choice((1, -1), 2).tolist())
 
     zz = np.array([1, -1, -1, 1])
     first = np.exp(-0.5j * theta * zz) * psi.amplitudes
@@ -254,8 +254,7 @@ def test_outcome_independence_sampled_n5():
     layer = LayerParams(theta={p: rng.uniform(-np.pi, np.pi) for p in layout.parity_qubits})
     reference, _ = run_computation(layout, psi, [layer], [1] * 10)
     for seed in range(6):
-        branch_rng = np.random.default_rng(seed)
-        out, _ = run_computation(layout, psi, [layer], branch_rng)
+        out, _ = run_computation(layout, psi, [layer], np.random.default_rng(seed).choice((1, -1), 10).tolist())
         assert distance_up_to_phase(out, reference) < 1e-12
 
 
@@ -269,8 +268,8 @@ def test_partial_decode_matches_full_decode_for_z_rotations():
         LayerParams(),
     ]
     full = [LayerParams(theta={"(12)": theta}), LayerParams()]
-    out_a, _ = run_computation(layout, psi, partial, np.random.default_rng(1))
-    out_b, _ = run_computation(layout, psi, full, np.random.default_rng(2))
+    out_a, _ = run_computation(layout, psi, partial, np.random.default_rng(1).choice((1, -1), 4).tolist())
+    out_b, _ = run_computation(layout, psi, full, np.random.default_rng(2).choice((1, -1), 6).tolist())
     assert distance_up_to_phase(out_a, out_b) < 1e-12
 
 
@@ -297,11 +296,13 @@ def test_surplus_prescribed_outcomes_rejected(layout2, entry):
         "run_schedule": lambda outcomes: run_schedule(schedule, encoded.amplitudes, [X_AXIS], outcomes)[1][0].outcome,
     }
     run = runs[entry]
-    # a list of the wrong length is refused before any bra is contracted
+    # a list of the wrong length, or a generator, is refused before any bra is contracted
     with mock.patch.object(simulator, "_outcome_bras", wraps=simulator._outcome_bras) as bras:
         for outcomes in ([], [1, -1, 1, 1]):
             with pytest.raises(ValueError, match=f"^{len(outcomes)} prescribed outcome\\(s\\) for 1 measurement\\(s\\)$"):
                 run(outcomes)
+        with pytest.raises(TypeError, match="^outcomes must be a sequence of \\+/-1$"):
+            run(np.random.default_rng(0))
     assert not bras.called
     assert run([-1]) == -1
 
@@ -309,11 +310,10 @@ def test_surplus_prescribed_outcomes_rejected(layout2, entry):
 def test_bad_second_layer_refused_before_anything_runs(layout2):
     psi = random_state(("1", "2"), np.random.default_rng(6))
     layers = [LayerParams(theta={"(12)": 0.3}), LayerParams(theta={"1": 0.1})]
-    rng = np.random.default_rng(8)
-    before = rng.bit_generator.state
-    with pytest.raises(ValueError, match="theta keys must be parity qubits"):
-        run_computation(layout2, psi, layers, rng)
-    assert rng.bit_generator.state == before
+    with mock.patch.object(simulator, "_outcome_bras", wraps=simulator._outcome_bras) as bras:
+        with pytest.raises(ValueError, match="theta keys must be parity qubits"):
+            run_computation(layout2, psi, layers, [1, -1])
+    assert not bras.called
     # the all-branch run refuses it before it encodes the input
     with mock.patch.object(parity_engine, "encode_input", wraps=encode_input) as encoded:
         with pytest.raises(ValueError, match="theta keys must be parity qubits"):
