@@ -578,6 +578,7 @@ def _sweep_batch(args: tuple[int, int, Sequence[Graph], bool]) -> tuple[int, dic
     which its open graph shares. `_structure_facts` then checks it on the
     same masks. The input set and an open graph are built only for a kept
     witness, a discrepancy or a failed check; witnesses return if `keep`.
+    A kept witness's input set is built once per batch and vertex tuple.
     """
     began = time.perf_counter()
     n, start, bases, keep = args
@@ -586,9 +587,11 @@ def _sweep_batch(args: tuple[int, int, Sequence[Graph], bool]) -> tuple[int, dic
     witness_failures = []
     witnesses = []
     flows: dict = {}
+    input_sets: dict[tuple[str, ...], dict[int, frozenset[str]]] = {}  # vertex tuple -> input mask -> input set
     for graph_index, base in enumerate(bases, start):
         masks = base.neighbor_masks  # built once per base graph; every with_io copy shares it
         odd = _odd_table(base)
+        sets = input_sets.setdefault(base.vertices, {})
         for mask in range(1 << n):
             free = ~mask & ((1 << n) - 1)  # the measured vertices, and every correction set's support
             peeled = _yz_peel(odd, free)
@@ -604,7 +607,9 @@ def _sweep_batch(args: tuple[int, int, Sequence[Graph], bool]) -> tuple[int, dic
                 continue
             flow, after, corrections = _peel_gflow(base, free, peeled, flows)
             if keep:
-                inputs = base.vertices_of(mask)
+                inputs = sets.get(mask)
+                if inputs is None:
+                    inputs = sets[mask] = base.vertices_of(mask)
                 witnesses.append((with_io(base, inputs, inputs), flow))
             if not all(_structure_facts(masks, free, corrections, after)):
                 witness_failures.append(_discrepancy(n, graph_index, base.vertices_of(mask), found, expected))

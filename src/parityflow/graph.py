@@ -9,6 +9,7 @@ freeze go through `shared_set`, so equal sets are one object.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -17,7 +18,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-# enumerate_connected_graphs refuses n above this
+# enumerate_connected_graphs refuses n above this; at 8, a graph's pair-bit
+# string has 28 bits, so _perm_weights holds them in int32 (it refuses n = 9)
 DEFAULT_ENUMERATION_CAP = 8
 
 VertexSet = frozenset[str]
@@ -200,17 +202,26 @@ def _perm_weights(n: int) -> np.ndarray:
     """Row k, column p: the weight pair-bit k carries under vertex permutation p.
 
     A graph's adjacency bit-string (big-endian pair order) under permutation
-    p is then the sum of the rows of its pair bits, at column p.
+    p is then the sum of the rows of its pair bits, at column p. Columns
+    follow `itertools.permutations` order. The table is int32, filled one
+    row at a time: a sum of rows has at most 28 bits at the cap (n = 8), so
+    the only temporaries are the int8 permutations and one row's int32
+    landing positions.
     """
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)], dtype=np.int64)
-    a = perms[:, pairs[:, 0]]
-    b = perms[:, pairs[:, 1]]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    m = len(pairs)
-    landing = lo * n - lo * (lo + 1) // 2 + (hi - lo - 1)  # where each pair-bit lands under p
-    return np.ascontiguousarray((np.int64(1) << (m - 1 - landing)).T)
+    m = n * (n - 1) // 2
+    if m > 31:
+        raise ValueError(f"n={n}: {m} pair bits overflow int32; a cap above 8 needs int64 weights")
+    perms = np.fromiter(itertools.permutations(range(n)), dtype=np.dtype((np.int8, n)), count=math.factorial(n))
+    # the position of pair {i, j}, either way round; int32, so that each
+    # row's shift has int32 operands and runs in int32 under every NumPy
+    index = np.zeros((n, n), dtype=np.int32)
+    for i, j in itertools.combinations(range(n), 2):
+        index[i, j] = index[j, i] = _pair_index(n, i, j)
+    weights = np.empty((m, len(perms)), dtype=np.int32)
+    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        landing = index[perms[:, i], perms[:, j]]  # where pair-bit k lands under each p
+        np.left_shift(np.int32(1), m - 1 - landing, out=weights[k])
+    return weights
 
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
@@ -231,7 +242,10 @@ def _connected_reps(n: int) -> tuple[int, ...]:
 
     Built by augmentation: every connected graph on n vertices arises from a
     connected graph on n-1 vertices (delete a leaf of a spanning tree) by
-    re-attaching the removed vertex to a nonempty neighbor subset.
+    re-attaching the removed vertex to a nonempty neighbor subset. The
+    canonical mask is the least relabelled pair-bit string, read off the
+    int32 sums of `_perm_weights` rows: every sum along the way is a pair-bit
+    string, below 2^28 at the cap.
     """
     if n == 1:
         return (0,)
@@ -246,7 +260,7 @@ def _connected_reps(n: int) -> tuple[int, ...]:
             for i, j in old_pairs
             if parent >> (m_old - 1 - _pair_index(n - 1, i, j)) & 1
         ]
-        values = weights[rows].sum(axis=0)
+        values = weights[rows].sum(axis=0, dtype=np.int32)
         # neighbor subsets of the new vertex in Gray-code order: each step
         # adds or removes one edge, so one row updates every permutation
         for k in range(1, 1 << (n - 1)):

@@ -107,6 +107,18 @@ def _rx_matrix(t: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
 
 
+_ROTATIONS = {"RZ": _rz_matrix, "RX": _rx_matrix}
+
+
+@lru_cache(maxsize=256)
+def _rotation_matrix(name: str, angle: float) -> np.ndarray:
+    """The RZ or RX matrix, read-only and built once per angle: a program
+    rotates by the same few angles on every run."""
+    matrix = _ROTATIONS[name](angle)
+    matrix.setflags(write=False)
+    return matrix
+
+
 def _position(labels: tuple[str, ...], q: str) -> int:
     try:
         return labels.index(q)
@@ -151,10 +163,11 @@ def _apply_gates(amps: np.ndarray, labels: tuple[str, ...], circuit: Iterable[Ga
         pos = [_position(labels, q) for q in gate.qubits]
         if gate.name == "H":
             amps = _apply_1q(amps, _H, pos[0], n)
-        elif gate.name == "RZ":
-            amps = _apply_1q(amps, _rz_matrix(gate.angle), pos[0], n)
-        elif gate.name == "RX":
-            amps = _apply_1q(amps, _rx_matrix(gate.angle), pos[0], n)
+        elif gate.name in _ROTATIONS:
+            # the cache keys 0.0 and -0.0 as one, and their matrices' zeros
+            # differ in sign, so a zero angle builds its own
+            matrix = _rotation_matrix(gate.name, gate.angle) if gate.angle else _ROTATIONS[gate.name](gate.angle)
+            amps = _apply_1q(amps, matrix, pos[0], n)
         elif gate.name == "CNOT":
             amps = _apply_cnot(amps, pos[0], pos[1], n)
         elif gate.name == "CZ":

@@ -476,6 +476,41 @@ def test_sweep_builds_open_graphs_only_for_flows_found(monkeypatch):
     assert len(calls) == flows + report.io_mismatch_cases < instances
 
 
+def test_kept_sweep_builds_each_input_set_once_per_batch(monkeypatch):
+    # a flow build reads its outputs and each correction set off the graph
+    # (1 + |g| calls); past that, a serial sweep's one batch per n builds
+    # each kept input set at most once, not once per witness
+    calls = []
+
+    def counting(self, mask):
+        calls.append(mask)
+        return original(self, mask)
+
+    original = graph_module.Graph.vertices_of
+    monkeypatch.setattr(graph_module.Graph, "vertices_of", counting)
+    report = yz_bipartite_sweep(6, io_samples=0, workers=1)
+    flows = {id(flow): flow for _, flow in report.witnesses}.values()
+    flow_builds = sum(1 + len(flow.g) for flow in flows)
+    input_masks = sum(1 << n for n in range(1, 7))
+    assert len(report.witnesses) == 2012
+    assert len(calls) <= flow_builds + input_masks < flow_builds + len(report.witnesses)
+
+
+def test_sweep_batch_input_sets_follow_each_base_graphs_labels():
+    # one batch on two vertex tuples: an input mask stands for other labels
+    # on each, so the input sets it keeps must not be shared across them
+    path = [("1", "2"), ("2", "3")]
+    letters = {"1": "a", "2": "b", "3": "c"}
+    bases = [make_graph("123", path), make_graph("abc", [(letters[u], letters[v]) for u, v in path])]
+    *_, witnesses, _ = gflow_module._sweep_batch((3, 0, bases, True))
+    numbered = [g.inputs for g, _ in witnesses if g.vertices == ("1", "2", "3")]
+    lettered = [g.inputs for g, _ in witnesses if g.vertices == ("a", "b", "c")]
+    assert len(numbered) + len(lettered) == len(witnesses)
+    assert lettered == [frozenset(letters[v] for v in inputs) for inputs in numbered]
+    # V - I spans no edge of the path 1-2-3
+    assert set(numbered) == {frozenset(s) for s in ("2", "12", "13", "23", "123")}
+
+
 def test_kept_witnesses_share_equal_label_sets():
     report = yz_bipartite_sweep(5, io_samples=0, workers=1)
     sets = []

@@ -1,9 +1,14 @@
 """Graph primitives: neighborhoods, bipartition test, enumeration."""
 
+import gc
+import hashlib
 import itertools
+import random
 import re
+import tracemalloc
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from parityflow import graph as graph_module
@@ -137,9 +142,83 @@ def test_effective_graph_drops_only_input_internal_edges():
     assert eff.inputs == g.inputs
 
 
-@pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)])
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112), (7, 853)])
 def test_enumeration_counts(n, count):
     assert len(list(enumerate_connected_graphs(n))) == count
+
+
+# sha256 of the comma-joined canonical masks, as the int64 build gave them
+CONNECTED_REPS_SHA256 = {
+    2: "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    3: "adc0d2b391a5218d93c900f87226ce222fca03d61ee5537620d45450d86a10ea",
+    4: "e5bdfdbb43507245672404702913a3137cb70bbb65053d9ad5eb23617e7ea6d0",
+    5: "d8a8c53243f494448a1e75380c2ded0eb83a0241b40cd54e57c1eb832e9311bc",
+    6: "b77180fea051a59feed36d2053fee1d8a88396cb610f11fb4008a16914b34980",
+    7: "436de30d73f530b9cd7fea571b560f599871f5c5e00cd6cd17a90942b1b2b4c1",
+    8: "72a0057df9e55b0e936e3b53acabe9626e2190e8250ec4f99ee748f4e0504646",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CONNECTED_REPS_SHA256))
+def test_connected_reps_pinned(n):
+    reps = graph_module._connected_reps(n)
+    assert hashlib.sha256(",".join(map(str, reps)).encode()).hexdigest() == CONNECTED_REPS_SHA256[n]
+
+
+def relabelled_pair_weights(n, p):
+    """Pair by pair: the weight of each pair-bit once vertex v is relabelled p[v]."""
+    pairs = list(itertools.combinations(range(n), 2))
+    m = len(pairs)
+    return [1 << (m - 1 - pairs.index(tuple(sorted((p[i], p[j]))))) for i, j in pairs]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_perm_weights_match_relabelled_pair_bits(n):
+    weights = graph_module._perm_weights(n)
+    perms = list(itertools.permutations(range(n)))
+    assert weights.dtype == np.int32
+    assert weights.shape == (n * (n - 1) // 2, len(perms))
+    # every permutation up to n = 5, a seeded sample of 200 above
+    columns = range(len(perms)) if n <= 5 else random.Random(n).sample(range(len(perms)), 200)
+    for c in columns:
+        assert weights[:, c].tolist() == relabelled_pair_weights(n, perms[c])
+
+
+def test_perm_weights_shift_int32_operands(monkeypatch):
+    # NumPy 1 picks the shift's loop from its operands, not from out=: an
+    # int8 shift count would shift in int8 and lose every bit past 7
+    seen = []
+    shift = np.left_shift
+
+    def recording(x, y, **kwargs):
+        seen.append((np.asarray(x).dtype, np.asarray(y).dtype))
+        return shift(x, y, **kwargs)
+
+    monkeypatch.setattr(np, "left_shift", recording)
+    graph_module._perm_weights.cache_clear()
+    graph_module._perm_weights(5)
+    assert len(seen) == 10
+    assert set(seen) == {(np.dtype(np.int32), np.dtype(np.int32))}
+
+
+def test_perm_weights_refuse_pair_bits_beyond_int32():
+    with pytest.raises(ValueError, match="36 pair bits overflow int32"):
+        graph_module._perm_weights(9)
+
+
+def test_perm_weights_8_peaks_under_12_mb():
+    # the int64 build peaked at 63 MB, with (8! x 28) temporaries at every
+    # step; the int32 table alone is 4.5 MB
+    graph_module._perm_weights.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        weights = graph_module._perm_weights(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weights.nbytes == 28 * 40320 * 4
+    assert peak < 12_000_000
 
 
 def test_enumeration_count_oracle_n4():

@@ -58,6 +58,24 @@ def test_rx_convention():
     assert np.allclose(out.amplitudes, [math.cos(t / 2), -1j * math.sin(t / 2)])
 
 
+@pytest.mark.parametrize("gate", [rz, rx])
+def test_rotation_matrices_are_built_once_per_angle_and_match_fresh_ones_bit_for_bit(gate):
+    name = gate("q", 1.0).name
+    # signed-zero amplitudes show a zero angle's sign in the output's zeros
+    signed_zeros = np.array([complex(-0.0, -0.0), 1, complex(-0.0, -0.0), complex(-0.0, -0.0)])
+    states = [random_state(("a", "b", "c"), np.random.default_rng(5)), Statevector(("b", "c"), signed_zeros)]
+    for angle in (0.7, -2.0, 0.0, -0.0):
+        fresh = simulator._ROTATIONS[name](angle)
+        for state in states:
+            pos = state.labels.index("b")
+            reference = simulator._apply_1q(state.amplitudes, fresh, pos, state.num_qubits).tobytes()
+            for _ in range(2):  # built, then read back
+                assert apply_circuit(state, [gate("b", angle)]).amplitudes.tobytes() == reference
+    matrix = simulator._rotation_matrix(name, 0.7)
+    assert simulator._rotation_matrix(name, 0.7) is matrix
+    assert not matrix.flags.writeable
+
+
 def test_cz_phases_only_11():
     state = apply_circuit(
         basis_state(("1", "2"), "00"), [hadamard("1"), hadamard("2"), cz("1", "2")]
