@@ -33,6 +33,7 @@ from parityflow.graph import (
     _bit_indices,
     _vertex_bits,
     enumerate_connected_graphs,
+    graph_to_json,
     json_field,
     json_labels,
     json_list,
@@ -384,48 +385,68 @@ def _yz_peel(odd: Sequence[int], free: int) -> list[tuple[int, int, int]] | None
     return peeled[::-1]
 
 
+@lru_cache(maxsize=1 << 6)
+def _label_pairs(labels: tuple[str, ...]) -> tuple[tuple[tuple[str, str], ...], ...]:
+    """Entry [i][j]: the pair (labels[i], labels[j]), built once per vertex
+    tuple, so that the flows on it share their precedence pairs. Bounded,
+    as `graph._vertex_bits` is."""
+    return tuple(tuple((v, u) for u in labels) for v in labels)
+
+
 def _peel_gflow(
-    graph: Graph, free: int, peeled: list[tuple[int, int, int]], flows: dict
-) -> tuple[GFlow, list[int], list[int]]:
+    graph: Graph, free: int, peeled: list[tuple[int, int, int]], flows: dict, keep: bool = True
+) -> tuple[GFlow | None, list[int], list[int]]:
     """The checked YZ gflow of a peel with O = I, `free` the non-input
     vertices, with its `_after_masks` and correction masks.
 
     The flow depends only on the vertex labels, `free` and the peel, so it
-    is built once per (free, peel) into `flows`, a table the caller holds:
-    layered by longest path, its masks read back from its labels. Every
-    call checks it on the graph's own adjacency masks, never on the peel's
-    Odd table, and reads neither the graph's inputs nor its outputs.
-    AssertionError if the check fails, with the violations `verify_gflow`
-    names.
+    is built once per (free, peel) into `flows`, a table the caller holds,
+    keyed by one int: `free`, then three n-bit fields per step (a peel has
+    one step per bit of `free`, so no two peels share a key). It is layered
+    by longest path and its masks are read back from its labels. Unless
+    `keep`, the table holds only those masks, the flow is dropped once they
+    are read, and None stands for it. Every call checks the masks on the
+    graph's own adjacency masks, never on the peel's Odd table, and reads
+    neither the graph's inputs nor its outputs. AssertionError if the check
+    fails, with the violations `verify_gflow` names.
     """
-    key = (free, tuple(peeled))
+    labels = graph.vertices
+    n = len(labels)
+    key = free
+    for v, s, odd in peeled:
+        key = ((key << n | v) << n | s) << n | odd
     entry = flows.get(key)
     if entry is None:
-        labels = graph.vertices
+        pairs = _label_pairs(labels)
         precedence = set()
         # longest-path layering: every successor of v is measured after v
         depth = {v: 0 for v, _, _ in peeled}
         for v, s, odd in peeled:
             for u in _bit_indices((s | odd) & ~(1 << v)):
-                precedence.add((labels[v], labels[u]))
+                precedence.add(pairs[v][u])
                 if u in depth:
                     depth[u] = max(depth[u], depth[v] + 1)
         layers: list[set[str]] = [set() for _ in range(max(depth.values(), default=-1) + 1)]
         for v in sorted(depth):
             layers[depth[v]].add(labels[v])
-        outputs = graph.vertices_of((1 << len(labels)) - 1 & ~free)
+        outputs = graph.vertices_of((1 << n) - 1 & ~free)
         if outputs:
             layers.append(outputs)
         g_map = {labels[v]: graph.vertices_of(s) for v, s, _ in sorted(peeled)}
         flow = GFlow(g=g_map, precedence=frozenset(precedence), layers=tuple(frozenset(s) for s in layers))
-        entry = flows[key] = (flow, _after_masks(labels, flow), *_correction_masks(_vertex_bits(labels), flow))
-    flow, after, domain, corrections = entry
+        masks = (_after_masks(labels, flow), *_correction_masks(_vertex_bits(labels), flow))
+        entry = flows[key] = (flow if keep else None, *masks)
+    else:
+        flow = entry[0]
+    _, after, domain, corrections = entry
     # O = I: the measured and the non-input vertices are both `free`
     if domain != free or _flow_violations(graph.neighbor_masks, free, free, corrections, (0, 0, free), after):
-        inputs = graph.vertices_of((1 << len(graph.vertices)) - 1 & ~free)
+        if flow is None:  # dropped from the table: built again, it fails this check and names it
+            _peel_gflow(graph, free, peeled, {})
+        inputs = graph.vertices_of((1 << n) - 1 & ~free)
         g = with_io(graph, inputs, inputs)
         raise AssertionError(f"search produced an invalid witness: {verify_gflow(g, yz_planes(g), flow).violations}")
-    return flow, after, corrections
+    return flow if keep else None, after, corrections
 
 
 def search_gflow_yz(graph: Graph) -> GFlow | None:
@@ -515,8 +536,13 @@ def _structure_facts(
 
 @dataclass(frozen=True)
 class Discrepancy:
+    """One instance on which the search and bipartiteness disagree, or whose
+    witness failed its structure check: enough to rebuild it from the
+    report alone, the base graph's edges as label pairs in vertex order
+    (as `graph_to_json` lists them) and the I/O sets."""
+
     n: int
-    graph_index: int
+    edges: tuple[tuple[str, str], ...]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     flow_found: bool
@@ -548,7 +574,7 @@ class SweepReport:
             "discrepancies": [
                 {
                     "n": d.n,
-                    "graph_index": d.graph_index,
+                    "edges": [list(e) for e in d.edges],
                     "inputs": list(d.inputs),
                     "outputs": list(d.outputs),
                     "flow_found": d.flow_found,
@@ -562,36 +588,39 @@ class SweepReport:
         }
 
 
-def _discrepancy(n: int, graph_index: int, inputs: frozenset[str], found: bool, expected: bool) -> Discrepancy:
-    return Discrepancy(n, graph_index, tuple(sorted(inputs)), tuple(sorted(inputs)), found, expected)
+def _discrepancy(base: Graph, inputs: frozenset[str], found: bool, expected: bool) -> Discrepancy:
+    edges = tuple(tuple(e) for e in graph_to_json(base)["edges"])
+    return Discrepancy(len(base.vertices), edges, tuple(sorted(inputs)), tuple(sorted(inputs)), found, expected)
 
 
-def _sweep_batch(args: tuple[int, int, Sequence[Graph], bool]) -> tuple[int, dict, list, list, list, float]:
+def _sweep_batch(args: tuple[int, Sequence[Graph], bool]) -> tuple[int, dict, list, list, list, float]:
     """Worker: all input-set choices with O = I for a batch of enumerated
-    graphs on n vertices, numbered from `start`, and the seconds it took.
+    graphs on n vertices, and the seconds it took.
 
     Each choice is decided on masks, bipartiteness without the edges inside
     I (they enter neither the prepared state nor any correction set). Each
     flow found goes through `_peel_gflow` on the base graph, with one table
-    for the batch, dropped with it: the batch builds each distinct flow
-    once, and checks every witness on the base graph's adjacency masks,
-    which its open graph shares. `_structure_facts` then checks it on the
-    same masks. The input set and an open graph are built only for a kept
-    witness, a discrepancy or a failed check; witnesses return if `keep`.
-    A kept witness's input set is built once per batch and vertex tuple.
+    per vertex tuple for the batch, dropped with it: the batch builds each
+    distinct flow once, and checks every witness on the base graph's
+    adjacency masks, which its open graph shares. Unless witnesses are
+    kept, the table holds only those masks, and no flow outlives its check.
+    `_structure_facts` then checks it on the same masks. The input set and
+    an open graph are built only for a kept witness, a discrepancy or a
+    failed check; witnesses return if `keep`. A kept witness's input set is
+    built once per batch and vertex tuple.
     """
     began = time.perf_counter()
-    n, start, bases, keep = args
+    n, bases, keep = args
     counts = {"instances": 0, "flows_found": 0, "bipartite_instances": 0}
     discrepancies = []
     witness_failures = []
     witnesses = []
-    flows: dict = {}
-    input_sets: dict[tuple[str, ...], dict[int, frozenset[str]]] = {}  # vertex tuple -> input mask -> input set
-    for graph_index, base in enumerate(bases, start):
+    # vertex tuple -> (the `_peel_gflow` table, input mask -> input set)
+    tables: dict[tuple[str, ...], tuple[dict, dict[int, frozenset[str]]]] = {}
+    for base in bases:
         masks = base.neighbor_masks  # built once per base graph; every with_io copy shares it
         odd = _odd_table(base)
-        sets = input_sets.setdefault(base.vertices, {})
+        flows, sets = tables.setdefault(base.vertices, ({}, {}))
         for mask in range(1 << n):
             free = ~mask & ((1 << n) - 1)  # the measured vertices, and every correction set's support
             peeled = _yz_peel(odd, free)
@@ -602,17 +631,17 @@ def _sweep_batch(args: tuple[int, int, Sequence[Graph], bool]) -> tuple[int, dic
             counts["flows_found"] += found
             counts["bipartite_instances"] += expected
             if found != expected:
-                discrepancies.append(_discrepancy(n, graph_index, base.vertices_of(mask), found, expected))
+                discrepancies.append(_discrepancy(base, base.vertices_of(mask), found, expected))
             if not found:
                 continue
-            flow, after, corrections = _peel_gflow(base, free, peeled, flows)
+            flow, after, corrections = _peel_gflow(base, free, peeled, flows, keep)
             if keep:
                 inputs = sets.get(mask)
                 if inputs is None:
                     inputs = sets[mask] = base.vertices_of(mask)
                 witnesses.append((with_io(base, inputs, inputs), flow))
             if not all(_structure_facts(masks, free, corrections, after)):
-                witness_failures.append(_discrepancy(n, graph_index, base.vertices_of(mask), found, expected))
+                witness_failures.append(_discrepancy(base, base.vertices_of(mask), found, expected))
     return n, counts, discrepancies, witness_failures, witnesses, time.perf_counter() - began
 
 
@@ -663,7 +692,7 @@ def yz_bipartite_sweep(
             "bipartite_instances": 0,
         }
         report.seconds[n] = 0.0
-        batches.extend((n, i, bases[i : i + size], keep_witnesses) for i in range(0, len(bases), size))
+        batches.extend((n, bases[i : i + size], keep_witnesses) for i in range(0, len(bases), size))
 
     if pooled:
         from concurrent.futures import ProcessPoolExecutor  # here, not on every package import

@@ -9,12 +9,23 @@ neighborhood. A valid flow guarantees those targets are still unmeasured,
 which is exactly what makes every outcome branch land on the same state.
 
 None of that depends on the angles or the outcomes: a run is compiled once
-per flow, graph object, input label order and measurement order, into the
-graph state's fresh qubits, its CZ phase vector and a `simulator.Schedule`
-of register positions and correction bitmasks, and kept in this module's
-table of compiled runs, weakly keyed on the flow. `run_mbqc_yz` and
-`run_repeated_mbqc` follow one outcome list on it; `run_all_branches` runs
-every outcome branch at once, in one array, on the same compiled run.
+per flow, graph object, input label order and measurement order into a
+`simulator.Schedule`, and kept in this module's table of compiled runs,
+weakly keyed on the flow. The run starts on the input register alone.
+Preparing a qubit commutes with every command on other qubits (Danos,
+Kashefi and Panangaden, "The measurement calculus", 2007), so each other
+vertex joins as |+>, CZ-joined to the vertices present, just before the
+first measurement that touches it: its own, or that of a neighbour or of
+a vertex whose correction reaches it. A vertex measured before it joins
+is one diagonal step, c0 + c1 Z_N(v) on its neighbours' parity, with a -1
+outcome's Z on N(v) folded in. On every pattern Claim 2 admits, V - I
+spans no edge, so every measured vertex is such a step on the inputs'
+register. The outputs end in the usual order, the inputs in psi's order
+and then the other outputs in graph order; the qubit cap still counts the
+whole graph state, which `prepare_graph_state` builds as the reference
+the runs are checked against. `run_mbqc_yz` and `run_repeated_mbqc`
+follow one outcome list on a compiled run; `run_all_branches` runs every
+outcome branch at once, in one array, on the same compiled run.
 """
 
 from __future__ import annotations
@@ -22,7 +33,6 @@ from __future__ import annotations
 import math
 import weakref
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +44,9 @@ from parityflow.simulator import (
     MeasurementRecord,
     Schedule,
     Statevector,
+    _live_plan,
     apply_circuit,
     check_cap,
-    compile_plan,
     run_schedule,
     run_schedule_all,
     split_outcomes,
@@ -48,38 +58,30 @@ def yz_axis(theta: float) -> tuple[float, float, float]:
     return (0.0, math.sin(theta), math.cos(theta))
 
 
-def _register(g: Graph, labels: tuple[str, ...]) -> tuple[tuple[str, ...], int, np.ndarray]:
+def _register(g: Graph, labels: tuple[str, ...]) -> tuple[str, ...]:
     """The graph-state register for inputs in the given label order, refused
-    over the qubit cap: its labels (the inputs, then the other vertices in
-    graph order), how many of them are fresh, and the CZ phase vector of
-    the edges not lying inside the input set, (-1)^(sum of b_u b_v over
-    them) for every amplitude index, as read-only int8 (64 KiB at most)."""
+    over the qubit cap: the inputs, then the other vertices in graph order."""
     if frozenset(labels) != g.inputs:
         raise ValueError(f"input labels {labels} do not match graph inputs {sorted(g.inputs)}")
-    out_labels = labels + tuple(v for v in g.vertices if v not in g.inputs)
-    n = len(out_labels)
-    check_cap(n)
-    shift = {v: n - 1 - i for i, v in enumerate(out_labels)}
+    register = labels + tuple(v for v in g.vertices if v not in g.inputs)
+    check_cap(len(register))
+    return register
+
+
+def _graph_amplitudes(g: Graph, register: tuple[str, ...], amps: np.ndarray) -> np.ndarray:
+    """Graph-state amplitudes on the register `_register` gives, for inputs
+    carried by amps: each input amplitude, scaled by 2^(-fresh/2), times its
+    block of 2^fresh entries of the CZ phase vector, (-1)^(sum of b_u b_v
+    over the edges not lying inside the input set)."""
+    n, fresh = len(register), len(register) - len(g.inputs)
+    shift = {v: n - 1 - i for i, v in enumerate(register)}
     index = np.arange(1 << n)
     cz_parity = np.zeros(1 << n, dtype=np.int64)
     for u, v in g.edges:
         if u not in g.inputs or v not in g.inputs:
             cz_parity ^= index >> shift[u] & index >> shift[v] & 1
-    signs = (1 - 2 * cz_parity).astype(np.int8)
-    signs.setflags(write=False)
-    return out_labels, n - len(labels), signs
-
-
-def _graph_amplitudes(amps: np.ndarray, fresh: int, signs: np.ndarray) -> np.ndarray:
-    """Graph-state amplitudes for inputs carried by amps, which may hold one
-    register (2^d,) or one per branch (B, 2^d): `fresh` |+> qubits after
-    them and the CZ phase vector `signs`, both as `_register` gives them:
-    each input amplitude, scaled by 2^(-fresh/2), times its block of 2^fresh
-    signs, as one broadcast product."""
-    d = amps.shape[-1].bit_length() - 1
-    check_cap(d + fresh, amps.size >> d)
-    scaled = amps * 2.0 ** (-fresh / 2)
-    return (scaled[..., None] * signs.reshape(1 << d, 1 << fresh)).reshape(*amps.shape[:-1], -1)
+    signs = (1 - 2 * cz_parity).reshape(1 << (n - fresh), 1 << fresh)
+    return (amps[:, None] * 2.0 ** (-fresh / 2) * signs).reshape(-1)
 
 
 def prepare_graph_state(g: Graph, psi: Statevector) -> Statevector:
@@ -89,45 +91,43 @@ def prepare_graph_state(g: Graph, psi: Statevector) -> Statevector:
     Labels are the inputs in psi's order, then the other vertices in graph
     order. The |+> factors repeat each amplitude 2^m times at 2^(-m/2), and
     the CZ gates together are the phase vector (-1)^(sum of b_u b_v over the
-    edges), b_u being the bit of u in the amplitude index.
+    edges), b_u being the bit of u in the amplitude index. The engines never
+    build it; it is the full-register reference their runs are checked
+    against.
     """
-    labels, fresh, signs = _register(g, psi.labels)
-    return Statevector(labels, _graph_amplitudes(psi.amplitudes, fresh, signs))
+    register = _register(g, psi.labels)
+    return Statevector(register, _graph_amplitudes(g, register, psi.amplitudes))
 
 
-@dataclass(frozen=True, slots=True)
-class _Compiled:
-    """One flow's run on one graph and input label order, in one
-    measurement order: the graph state's fresh-qubit count and CZ phase
-    vector (as `_register` gives them) and the measurement schedule."""
-
-    fresh: int
-    signs: np.ndarray
-    schedule: Schedule
-
-
-def _compile(g: Graph, flow: GFlow, labels: tuple[str, ...], order: tuple[str, ...] | None) -> _Compiled:
-    """Check the order against the flow (`measurement_order`) and compile
-    the run: a -1 outcome on v completes the stabilizer of g(v), X on
-    g(v) - v and Z on Odd(g(v)) - v."""
-    register, fresh, signs = _register(g, labels)
+def _compile(g: Graph, flow: GFlow, labels: tuple[str, ...], order: tuple[str, ...] | None) -> Schedule:
+    """Check the labels, the qubit cap on the whole graph state and the
+    order against the flow (`measurement_order`), and compile the run on
+    the inputs' register, which every other vertex joins as |+> when first
+    needed, CZ-joined to its neighbours but for edges inside the input set.
+    A -1 outcome on v completes the stabilizer of g(v), X on g(v) - v and Z
+    on Odd(g(v)) - v."""
+    register = _register(g, labels)
     sequence = measurement_order(g, flow, order)
+    inputs = g.mask_of(g.inputs)
+    partners = {
+        v: g.vertices_of(nbrs & ~inputs if v in g.inputs else nbrs) for v, nbrs in zip(g.vertices, g.neighbor_masks)
+    }
 
     def complete_stabilizer(v: str) -> tuple[frozenset[str], frozenset[str]]:
         odd = g.vertices_of(g.odd_mask(g.mask_of(flow.g[v])))
         return flow.g[v] - {v}, odd - {v}
 
-    return _Compiled(fresh, signs, compile_plan(register, sequence, complete_stabilizer))
+    return _live_plan(labels, sequence, complete_stabilizer, register[len(labels) :], partners)
 
 
 # flow -> one (graph object, table) pair per graph, compared by identity,
 # on which the flow was verified; each table maps (input labels, order or
-# None for the default) to the _Compiled run. Weak, so a dropped flow takes
-# its runs with it.
+# None for the default) to the compiled run's Schedule. Weak, so a dropped
+# flow takes its runs with it.
 _RUNS: weakref.WeakKeyDictionary[GFlow, list[tuple[Graph, dict]]] = weakref.WeakKeyDictionary()
 
 
-def _compiled(g: Graph, flow: GFlow, labels: tuple[str, ...], order: Sequence[str] | None) -> _Compiled:
+def _compiled(g: Graph, flow: GFlow, labels: tuple[str, ...], order: Sequence[str] | None) -> Schedule:
     """The compiled run of flow on this graph object, input label order and
     measurement order (None for the default), from `_RUNS`. On first use
     the flow is verified, once per graph object, and the order checked.
@@ -169,15 +169,13 @@ def run_mbqc_yz(
     and the outcomes are checked on every call: the list must hold one
     outcome per measured vertex.
     """
-    compiled = _compiled(g, flow, psi.labels, order)
-    schedule = compiled.schedule
+    schedule = _compiled(g, flow, psi.labels, order)
     if set(angles) != set(schedule.qubits):
         raise ValueError("angle keys must be exactly the measured vertices")
     for v, angle in angles.items():
         if not math.isfinite(angle):
             raise ValueError(f"angle of {v!r} = {angle} is not finite")
-    amps = _graph_amplitudes(psi.amplitudes, compiled.fresh, compiled.signs)
-    return run_schedule(schedule, amps, [yz_axis(angles[v]) for v in schedule.qubits], outcomes)
+    return run_schedule(schedule, psi.amplitudes, [yz_axis(angles[v]) for v in schedule.qubits], outcomes)
 
 
 def _check_layers(g: Graph, layers: Sequence[LayerParams]) -> None:
@@ -232,18 +230,16 @@ def run_all_branches(
     each layer measuring in `order` (default: as `run_mbqc_yz`).
 
     Same checks and the same compiled run as `run_mbqc_yz`. Each layer
-    prepares the graph state on every branch's register and splits every
-    branch at each measurement (`run_schedule_all`). Raises ValueError when
-    the branches would take the register over the qubit cap.
+    starts on every branch's input register and splits every branch at each
+    measurement (`run_schedule_all`). Raises ValueError when the branches
+    would take the whole graph state over the qubit cap.
     """
     _check_layers(g, layers)
-    fresh_labels = tuple(v for v in g.vertices if v not in g.inputs)
     branches = BranchArray.start(psi)
     for params in layers:
-        compiled = _compiled(g, flow, branches.labels, order)
-        schedule = compiled.schedule
-        amps = _graph_amplitudes(branches.amplitudes, compiled.fresh, compiled.signs)
-        branches = branches.on_register(branches.labels + fresh_labels, amps)
+        schedule = _compiled(g, flow, branches.labels, order)
+        # the branches count against the cap at the whole graph state's width
+        check_cap(len(g.vertices), len(branches.amplitudes))
         axes = [yz_axis(params.theta.get(v, 0.0)) for v in schedule.qubits]
         branches = run_schedule_all(schedule, branches, axes)
         branches = branches.apply(params.data_rotations(branches.labels))

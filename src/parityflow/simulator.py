@@ -8,24 +8,27 @@ The kernels take a leading branch axis: a `BranchArray` holds every outcome
 branch of a run as one row. Measuring qubits out is two steps:
 `compile_plan` turns the measured qubits and the correction rule into a
 `Schedule` of register positions and correction bitmasks, fixed before any
-outcome is known. `run_schedule` measures one register along it on a
-prescribed list of +/-1 outcomes, contracting each measured qubit with the
-bra of the outcome taken only, while `run_schedule_all` contracts each
-measured qubit of every row with both outcome bras at once, doubling the
-rows and halving the register. Both engines measure only through these:
-the measurement-based engine keeps the schedules it compiles, the parity
-engine compiles each decode when it runs it. A rotation right before a
-measurement reaches them folded into the measurement's axis, not as a
-gate. `project`, `discard_qubit`, `outcome_probability`, `append_qubit`
-and `apply_pauli_x/z` are the reference kernels the tests check them
-against.
+outcome is known. A schedule may also let fresh |+> qubits join the
+register, each CZ-joined to its partners as it joins, only when a
+measurement first needs them; a fresh qubit measured with all its
+partners present is one diagonal step on the register, its preparation,
+CZ gates and bra fused into one factor per index. `run_schedule` measures
+one register along a schedule on a prescribed list of +/-1 outcomes,
+taking the outcome's half only, while `run_schedule_all` takes both
+halves of every row at once, doubling the rows. Both engines measure only
+through these: the measurement-based engine keeps the schedules it
+compiles, the parity engine compiles each decode when it runs it. A
+rotation right before a measurement reaches them folded into the
+measurement's axis, not as a gate. `project`, `discard_qubit`,
+`outcome_probability`, `append_qubit` and `apply_pauli_x/z` are the
+reference kernels the tests check them against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -310,15 +313,11 @@ def _bra_row(z: float, outcome: int) -> int:
     return 0 if outcome * z >= 0 else 1
 
 
-@lru_cache(maxsize=64)
-def _outcome_bras(axis: tuple[float, float, float]) -> np.ndarray:
-    """The +1 and -1 bras of a unit Bloch axis (x, y, z), as the rows of a
-    read-only 2x2 matrix. Built once per axis: every branch of a program
-    measures the same few axes.
-
-    Each is the `_bra_row` of that outcome's projector, normalised.
-    Contracting the measured qubit with it gives the row discard_qubit keeps
-    after project, up to the 1/sqrt(p) renormalisation.
+def _bra_pairs(axis: tuple[float, float, float]) -> list[tuple[complex, complex]]:
+    """The +1 and -1 bras of a unit Bloch axis (x, y, z), as pairs of
+    amplitudes. Each is the `_bra_row` of that outcome's projector,
+    normalised. Contracting the measured qubit with it gives the row
+    discard_qubit keeps after project, up to the 1/sqrt(p) renormalisation.
     """
     # written so that a NaN component fails it too
     if len(axis) != 3 or not abs(math.sqrt(sum(c * c for c in axis)) - 1.0) <= 1e-9:
@@ -331,7 +330,14 @@ def _outcome_bras(axis: tuple[float, float, float]) -> np.ndarray:
         a, b = bottom if _bra_row(z, o) else top
         norm = math.hypot(abs(a), abs(b))
         rows.append((a / norm, b / norm))
-    bras = np.array(rows)
+    return rows
+
+
+@lru_cache(maxsize=64)
+def _outcome_bras(axis: tuple[float, float, float]) -> np.ndarray:
+    """`_bra_pairs` as the rows of a read-only 2x2 matrix. Built once per
+    axis: every branch of a program measures the same few axes."""
+    bras = np.array(_bra_pairs(axis))
     bras.setflags(write=False)
     return bras
 
@@ -370,6 +376,13 @@ def _odd_overlap(n: int, mask: int) -> np.ndarray:
     return odd
 
 
+def _born(halves: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of outcome halves (2, B, 2^k), as one
+    stack of real dot products."""
+    flat = halves.view(np.float64)
+    return (flat[:, :, None, :] @ flat[:, :, :, None]).reshape(halves.shape[:2])
+
+
 def _measure_out(amps: np.ndarray, pos: int, axis: tuple[float, float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Contract the qubit at register position pos of every row of amps
     (B, 2^k) with both outcome bras.
@@ -381,33 +394,90 @@ def _measure_out(amps: np.ndarray, pos: int, axis: tuple[float, float, float]) -
     # the measured qubit's axis first, then (branch row, qubits before q, qubits after q)
     split = amps.reshape(rows, 1 << pos, 2, -1).transpose(2, 0, 1, 3).reshape(2, -1)
     halves = (_outcome_bras(axis) @ split).reshape(2, rows, -1)
-    # each half-row's squared norm, as one stack of real dot products
-    flat = halves.view(np.float64)
-    born = (flat[:, :, None, :] @ flat[:, :, :, None]).reshape(2, rows)
-    return halves, born
+    return halves, _born(halves)
+
+
+@lru_cache(maxsize=64)
+def _fresh_factors(axis: tuple[float, float, float]) -> np.ndarray:
+    """What measuring a fresh qubit along a unit Bloch axis leaves on the
+    register, read-only and built once per axis.
+
+    The qubit joins as |+> = (|0> + |1>)/sqrt(2), CZ-joined to partners of
+    parity s = +/-1, so the bra (b0, b1) of an outcome contracts it to the
+    diagonal (b0 + b1 s)/sqrt(2). Row r holds that factor for s = +1 and
+    s = -1: rows 0 and 1 for outcomes +1 and -1, rows 2 and 3 the same
+    with Z on every partner folded into the -1 outcome, (b1 + b0 s)/sqrt(2).
+    """
+    half = math.sqrt(0.5)
+    plus, minus = ((half * (b0 + b1), half * (b0 - b1)) for b0, b1 in _bra_pairs(axis))
+    factors = np.array((plus, minus, plus, (minus[0], -minus[1])), dtype=np.complex128)
+    factors.setflags(write=False)
+    return factors
+
+
+@lru_cache(maxsize=256)
+def _parity_index(n: int, mask: int) -> np.ndarray:
+    """`_odd_overlap` as 0 or 1 per index, the column a fresh step reads
+    its factor from: an int index reads it faster than a bool one."""
+    index = _odd_overlap(n, mask).astype(np.intp)
+    index.setflags(write=False)
+    return index
+
+
+def _measure_fresh(
+    amps: np.ndarray, parity: np.ndarray, rows: slice, axis: tuple[float, float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_measure_out` of a fresh qubit whose partners have the parity
+    `parity` (0 or 1 per amplitude index) in every row of amps (B, 2^k):
+    the register keeps its width, each half-row is the row times the
+    outcome's `_fresh_factors` row (`rows`, +1 first)."""
+    halves = np.multiply(_fresh_factors(axis)[rows][:, parity][:, None, :], amps, order="C")
+    return halves, _born(halves)
+
+
+def _prepare(amps: np.ndarray, pos: int, flip: np.ndarray) -> np.ndarray:
+    """A fresh |+> joins every register of amps (..., 2^k) at position pos,
+    CZ-joined to its partners, `flip` marking the indices of the register
+    before it joins where their parity is odd: its |1> half is the register
+    negated there."""
+    k = amps.shape[-1].bit_length() - 1
+    zero = amps * math.sqrt(0.5)
+    one = np.negative(zero, out=zero.copy(), where=flip)
+    shape = (-1, 1 << pos, 1, 1 << (k - pos))
+    return np.concatenate((zero.reshape(shape), one.reshape(shape)), axis=2).reshape(*amps.shape[:-1], -1)
+
+
+# the kinds of a Schedule step
+_PREPARE, _MEASURE, _FRESH = range(3)
 
 
 @dataclass(frozen=True, slots=True)
 class Schedule:
     """Measuring some qubits of a register in turn, compiled once.
 
-    `steps` holds three ints for each of `qubits` in turn, flat, one tuple
-    per schedule: its position in the register as it stands when it is
-    measured, and the X and Z targets of its -1 correction as masks on the
-    register it leaves, bit k - 1 - i for label i of k, the label's bit in
-    the amplitude index. `labels` is the register left at the end. Nothing
-    in it depends on the axes or the outcomes, so one schedule serves every
-    branch of a run.
+    `steps` holds one tuple per step, its kind first. Masks are on the
+    register as it stands after the step, bit k - 1 - i for label i of k,
+    the label's bit in the amplitude index:
+    - (_PREPARE, position, flip): a fresh qubit joins at that position as
+      |+>, CZ-joined to its partners already present, `flip` (as
+      `_odd_overlap`) marking where their parity is odd;
+    - (_MEASURE, position, xmask, zmask): the next of `qubits`, at that
+      position, is contracted out; xmask and zmask are the X and Z targets
+      of its -1 correction;
+    - (_FRESH, parity, row, xmask, zmask): the next of `qubits` is not in
+      the register, and all its partners are. Preparing it, CZ-joining it
+      and contracting it with the outcome's bra is one diagonal step: the
+      register times row `row` (+1) or `row + 1` (-1) of `_fresh_factors`,
+      read at each index's partner parity (`parity`, 0 or 1). Row 2 folds
+      a -1 correction that is Z on exactly the partners, and its masks are
+      then 0.
+    `labels` is the register left at the end. Nothing in it depends on the
+    axes or the outcomes, so one schedule serves every branch of a run.
     """
 
     qubits: tuple[str, ...]
-    steps: tuple[int, ...]
+    steps: tuple[tuple, ...]
     labels: tuple[str, ...]
-
-    def iter_steps(self) -> Iterator[tuple[str, int, int, int]]:
-        """(qubit, position, xmask, zmask) for each step in turn."""
-        steps = iter(self.steps)
-        return zip(self.qubits, steps, steps, steps, strict=True)
 
 
 def compile_plan(
@@ -419,13 +489,63 @@ def compile_plan(
     `labels`, where `correct(qubit)` names the -1 correction as label sets
     (X targets, Z targets) on the qubits still present. Raises ValueError
     on a qubit or target absent from the register."""
+    return _live_plan(labels, qubits, correct, (), {})
+
+
+def _live_plan(
+    labels: tuple[str, ...],
+    qubits: Iterable[str],
+    correct: Callable[[str], tuple[Iterable[str], Iterable[str]]],
+    fresh: Sequence[str],
+    partners: Mapping[str, Iterable[str]],
+) -> Schedule:
+    """`compile_plan` on a register that `fresh` qubits join as |+>, each
+    CZ-joined to its `partners` (a symmetric relation) as they join.
+
+    A fresh qubit joins only when first needed: before a qubit it is a
+    partner or a correction target of is measured. So every CZ is applied
+    before either end is measured, and every correction lands on qubits
+    present. A fresh qubit measured before it joins becomes one diagonal
+    `_FRESH` step; the others join at the end. Fresh qubits sit after the
+    rest of the register in the order `fresh` gives them, so `labels` ends
+    as `compile_plan` would leave it on the register with all of `fresh`
+    appended in order.
+    """
+    rank = {q: i for i, q in enumerate(fresh)}
+    pending = set(fresh)
+    steps: list[tuple] = []
+
+    def join(u: str) -> None:
+        nonlocal labels
+        pos = next((i for i, q in enumerate(labels) if rank.get(q, -1) > rank[u]), len(labels))
+        live = [q for q in partners.get(u, ()) if q in labels]
+        steps.append((_PREPARE, pos, _odd_overlap(len(labels), _index_mask(labels, live))))
+        labels = labels[:pos] + (u,) + labels[pos:]
+        pending.remove(u)
+
     qubits = tuple(qubits)
-    steps = []
     for q in qubits:
-        pos = _position(labels, q)
-        labels = labels[:pos] + labels[pos + 1 :]
         xs, zs = correct(q)
-        steps += (pos, _index_mask(labels, xs), _index_mask(labels, zs))
+        if pending:
+            needed = pending.intersection([*xs, *zs, *partners.get(q, ())])
+            needed.discard(q)
+            for u in sorted(needed, key=rank.__getitem__):
+                join(u)
+        if q in pending:
+            pending.remove(q)
+            cz = _index_mask(labels, partners.get(q, ()))
+            xmask, zmask = _index_mask(labels, xs), _index_mask(labels, zs)
+            parity = _parity_index(len(labels), cz)
+            if not xmask and zmask == cz:
+                steps.append((_FRESH, parity, 2, 0, 0))
+            else:
+                steps.append((_FRESH, parity, 0, xmask, zmask))
+        else:
+            pos = _position(labels, q)
+            labels = labels[:pos] + labels[pos + 1 :]
+            steps.append((_MEASURE, pos, _index_mask(labels, xs), _index_mask(labels, zs)))
+    for u in sorted(pending, key=rank.__getitem__):
+        join(u)
     return Schedule(qubits, tuple(steps), labels)
 
 
@@ -469,24 +589,38 @@ def run_schedule(
 
     Outcomes are checked (`check_outcomes`) before the first measurement.
     Each step contracts the measured qubit with the bra of the outcome
-    taken only and applies the step's correction on a -1 outcome. The
-    halves are kept unnormalised: `weight` is the squared norm of the
-    register so far, each Born probability the kept half's squared norm
-    over it, and the output is normalised once. Gives the row of
-    `run_schedule_all` for the outcomes taken. Raises ZeroProbabilityError
-    below the 1e-12 probability floor.
+    taken only, or multiplies in a fresh qubit's diagonal for it, and
+    applies the step's correction on a -1 outcome. The halves are kept
+    unnormalised: `weight` is the squared norm of the register so far, each
+    Born probability the kept half's squared norm over it, and the output
+    is normalised once. Gives the row of `run_schedule_all` for the
+    outcomes taken. Raises ZeroProbabilityError below the 1e-12
+    probability floor.
     """
     outcomes = check_outcomes(outcomes, len(schedule.qubits))
+    # listed first, so that too few or too many axes raise before any step
+    measured = iter(list(zip(schedule.qubits, axes, outcomes, strict=True)))
     amps, weight = amplitudes, 1.0
     record: list[MeasurementEntry] = []
-    for (q, pos, xmask, zmask), axis, outcome in zip(schedule.iter_steps(), axes, outcomes, strict=True):
-        half = _outcome_bras(axis)[0 if outcome == 1 else 1] @ amps.reshape(1 << pos, 2, -1)
+    for step in schedule.steps:
+        kind = step[0]
+        if kind == _PREPARE:
+            amps = _prepare(amps, step[1], step[2])
+            continue
+        q, axis, outcome = next(measured)
+        minus = 0 if outcome == 1 else 1
+        if kind == _MEASURE:
+            _, pos, xmask, zmask = step
+            half = (_outcome_bras(axis)[minus] @ amps.reshape(1 << pos, 2, -1)).reshape(-1)
+        else:
+            _, parity, row, xmask, zmask = step
+            half = _fresh_factors(axis)[row + minus][parity] * amps
         kept = float(np.vdot(half, half).real)
         probability = kept / weight
         if probability < ZERO_PROB_TOL:
             raise ZeroProbabilityError(f"outcome {outcome:+d} on {q!r} has zero probability")
-        amps, weight = half.reshape(-1), kept
-        if outcome == -1:
+        amps, weight = half, kept
+        if minus and (xmask or zmask):
             amps = _apply_paulis(amps, xmask, zmask)
         record.append(MeasurementEntry(q, axis, outcome, probability))
     return Statevector(schedule.labels, amps / math.sqrt(weight)), tuple(record)
@@ -584,17 +718,29 @@ def run_schedule_all(
     """`run_schedule` on both outcomes of every branch at once; `branches`
     holds the register the schedule was compiled on.
 
-    Each step contracts the qubit of every row with both outcome bras
-    (`_measure_out`), so B rows of 2^k amplitudes become 2B rows of
-    2^(k-1); row 2b + 1 (outcome -1) gets the step's correction. Rows are
-    renormalised by their Born probability, except below ZERO_PROB_TOL,
-    where they are divided by 1.
+    Each measurement contracts the qubit of every row with both outcome
+    bras (`_measure_out`), or multiplies in both of a fresh qubit's
+    diagonals (`_measure_fresh`), so B rows become 2B rows; row 2b + 1
+    (outcome -1) gets the step's correction. Rows are renormalised by
+    their Born probability, except below ZERO_PROB_TOL, where they are
+    divided by 1.
     """
     plan = tuple(zip(schedule.qubits, axes, strict=True))
+    measured = iter(plan)
     amps = branches.amplitudes
     born_columns = []
-    for (_, pos, xmask, zmask), (_, axis) in zip(schedule.iter_steps(), plan):
-        halves, born = _measure_out(amps, pos, axis)
+    for step in schedule.steps:
+        kind = step[0]
+        if kind == _PREPARE:
+            amps = _prepare(amps, step[1], step[2])
+            continue
+        _, axis = next(measured)
+        if kind == _MEASURE:
+            _, pos, xmask, zmask = step
+            halves, born = _measure_out(amps, pos, axis)
+        else:
+            _, parity, row, xmask, zmask = step
+            halves, born = _measure_fresh(amps, parity, slice(row, row + 2), axis)
         halves /= np.sqrt(np.where(born < ZERO_PROB_TOL, 1.0, born))[:, :, None]
         halves[1] = _apply_paulis(halves[1], xmask, zmask)
         amps = halves.transpose(1, 0, 2).reshape(-1, halves.shape[2])

@@ -244,11 +244,15 @@ def test_chained_flows_apply_x_corrections():
     order = sorted(flow.g)
     chained = chained_flow(graph, flow, order, lambda v, u: True)
     inputs = tuple(sorted(graph.inputs))
-    schedule = mbqc_engine._compiled(graph, chained, inputs, order).schedule
-    # the register the first measurement leaves: the inputs, then the other
-    # vertices in graph order; its X correction covers every later vertex
-    left = inputs + tuple(v for v in graph.vertices if v not in graph.inputs and v != order[0])
-    _, _, xmask, _ = next(schedule.iter_steps())
+    schedule = mbqc_engine._compiled(graph, chained, inputs, order)
+    # every later vertex is an X target of the first, so each joins the
+    # register before the first measurement: the inputs, then the joined
+    # vertices in graph order. The first vertex is measured as it is
+    # prepared, and its X correction covers every later vertex
+    later = len(order) - 1
+    assert [step[0] for step in schedule.steps[: later + 1]] == [simulator._PREPARE] * later + [simulator._FRESH]
+    left = inputs + tuple(v for v in graph.vertices if v in order[1:])
+    xmask = schedule.steps[later][-2]
     assert xmask == sum(1 << (len(left) - 1 - left.index(u)) for u in order[1:])
 
 

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import tracemalloc
+import weakref
 
 import gflow_helpers as reference
 import pytest
@@ -502,13 +503,15 @@ def test_sweep_batch_input_sets_follow_each_base_graphs_labels():
     path = [("1", "2"), ("2", "3")]
     letters = {"1": "a", "2": "b", "3": "c"}
     bases = [make_graph("123", path), make_graph("abc", [(letters[u], letters[v]) for u, v in path])]
-    *_, witnesses, _ = gflow_module._sweep_batch((3, 0, bases, True))
+    *_, witnesses, _ = gflow_module._sweep_batch((3, bases, True))
     numbered = [g.inputs for g, _ in witnesses if g.vertices == ("1", "2", "3")]
     lettered = [g.inputs for g, _ in witnesses if g.vertices == ("a", "b", "c")]
     assert len(numbered) + len(lettered) == len(witnesses)
     assert lettered == [frozenset(letters[v] for v in inputs) for inputs in numbered]
     # V - I spans no edge of the path 1-2-3
     assert set(numbered) == {frozenset(s) for s in ("2", "12", "13", "23", "123")}
+    # and each flow is on its own graph's labels, not on the other's
+    assert all(verify_gflow(g, yz_planes(g), flow).ok for g, flow in witnesses)
 
 
 def test_kept_witnesses_share_equal_label_sets():
@@ -601,8 +604,8 @@ def test_sweep_verifies_and_checks_every_witness_once(monkeypatch):
 def test_sweep_worker_checks_but_drops_witnesses_when_not_kept(monkeypatch):
     calls = _count_calls(monkeypatch, "_flow_violations", "_structure_facts")
     base = make_graph(["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4")])
-    kept = gflow_module._sweep_batch((4, 0, [base], True))
-    dropped = gflow_module._sweep_batch((4, 0, [base], False))
+    kept = gflow_module._sweep_batch((4, [base], True))
+    dropped = gflow_module._sweep_batch((4, [base], False))
     assert kept[:4] == dropped[:4]
     assert dropped[4] == [] and len(kept[4]) == kept[1]["flows_found"] > 0
     assert len(calls["_flow_violations"]) == len(calls["_structure_facts"]) == 2 * kept[1]["flows_found"]
@@ -617,6 +620,98 @@ def test_unkept_sweep_builds_no_open_graph(monkeypatch):
     report = yz_bipartite_sweep(6, io_samples=0, workers=1, keep_witnesses=False)
     assert calls["with_io"] == []
     assert report.to_json() == kept.to_json()
+
+
+def test_unkept_sweep_keeps_no_flow_alive(monkeypatch):
+    # unkept, each batch's table holds only the masks a check reads, so no
+    # flow outlives its check: none is alive when the next one is built, nor
+    # after the sweep. Kept, each distinct peel still builds one flow that
+    # its witnesses share
+    built, alive = [], []
+
+    def recording(*args, _real=gflow_module.GFlow, **kwargs):
+        alive.append(sum(ref() is not None for ref in built))
+        flow = _real(*args, **kwargs)
+        built.append(weakref.ref(flow))
+        return flow
+
+    monkeypatch.setattr(gflow_module, "GFlow", recording)
+    dropped = yz_bipartite_sweep(6, io_samples=0, workers=1, keep_witnesses=False)
+    gc.collect()
+    unkept_builds = len(built)
+    assert unkept_builds > 0 and max(alive) == 0 and all(ref() is None for ref in built)
+    built.clear()
+    kept = yz_bipartite_sweep(6, io_samples=0, workers=1)
+    assert len(kept.witnesses) == 2012
+    assert len(built) == len({id(flow) for _, flow in kept.witnesses}) == unkept_builds
+    assert dropped.to_json() == kept.to_json()
+
+
+def test_unkept_table_hit_that_fails_its_check_names_the_violations():
+    # an unkept table holds no flow; a peel valid on the star 1-3-2 fails on
+    # the path 1-2-3 (Odd({1}) = {2}, measured before 1), and the hit that
+    # finds it builds the flow again to name the violation
+    star, path = make_graph("123", [("1", "3"), ("2", "3")]), make_graph("123", [("1", "2"), ("2", "3")])
+    free = 0b011
+    peeled = gflow_module._yz_peel(gflow_module._odd_table(star), free)
+    flows = {}
+    assert gflow_module._peel_gflow(star, free, peeled, flows, keep=False)[0] is None
+    assert [entry[0] for entry in flows.values()] == [None]
+    with pytest.raises(AssertionError, match="search produced an invalid witness") as raised:
+        gflow_module._peel_gflow(path, free, peeled, flows, keep=False)
+    assert "condition=2" in str(raised.value) and "'2' in Odd(g('1'))" in str(raised.value)
+
+
+def test_flows_on_one_vertex_tuple_share_their_precedence_pairs():
+    # each search builds its flow afresh, yet an equal pair on the same
+    # vertex tuple is one object across all of them
+    graph_module.shared_set.cache_clear()
+    pairs: dict[tuple[str, str], tuple[str, str]] = {}
+    flows = 0
+    for base in enumerate_connected_graphs(4):
+        for mask in range(16):
+            inputs = base.vertices_of(mask)
+            flow = search_gflow_yz(with_io(base, inputs, inputs))
+            if flow is not None:
+                flows += 1
+                for pair in flow.precedence:
+                    assert pairs.setdefault(pair, pair) is pair
+    assert flows > 1 and len(pairs) > 1
+
+
+def test_discrepancy_rebuilds_its_instance_from_the_report_alone(monkeypatch):
+    # a peel that lies once, on an n = 4 instance with a flow: the report's
+    # JSON alone must name that instance
+    bases, told = [], []
+    real_odd, real_peel = gflow_module._odd_table, gflow_module._yz_peel
+
+    def recording_odd(base):
+        bases.append(base)
+        return real_odd(base)
+
+    def lying(odd, free):
+        peeled = real_peel(odd, free)
+        if peeled is not None and len(bases[-1].vertices) == 4 and not told:
+            told.append((bases[-1], free))
+            return None
+        return peeled
+
+    monkeypatch.setattr(gflow_module, "_odd_table", recording_odd)
+    monkeypatch.setattr(gflow_module, "_yz_peel", lying)
+    report = yz_bipartite_sweep(5, io_samples=0, workers=1)
+    monkeypatch.undo()
+    [(base, free)] = told
+    [entry] = json.loads(json.dumps(report.to_json()))["discrepancies"]
+    assert not report.ok and (entry["flow_found"], entry["bipartite_with_inputs"]) == (False, True)
+    assert entry["n"] == 4
+    vertices = sorted({v for edge in entry["edges"] for v in edge})
+    rebuilt = make_graph(vertices, [tuple(e) for e in entry["edges"]], entry["inputs"], entry["outputs"])
+    flagged = base.vertices_of((1 << 4) - 1 & ~free)
+    assert len(vertices) == entry["n"]
+    assert {frozenset(e) for e in rebuilt.edges} == {frozenset(e) for e in base.edges}
+    assert rebuilt.inputs == rebuilt.outputs == flagged
+    assert entry["edges"] == graph_module.graph_to_json(base)["edges"]
+    assert search_gflow_yz(rebuilt) is not None
 
 
 def _search_every_small_open_graph() -> None:

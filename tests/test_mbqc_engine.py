@@ -7,9 +7,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from test_branches import chained_flow, witnesses
 
 from parityflow import mbqc_engine, simulator
-from parityflow.gflow import GFlow, canonical_yz_gflow, search_gflow_yz, yz_bipartite_sweep
+from parityflow.gflow import GFlow, canonical_yz_gflow, search_gflow_yz, verify_gflow, yz_bipartite_sweep, yz_planes
 from parityflow.graph import make_graph, odd_neighborhood, with_io
 from parityflow.layout import build_all_pairs_layout, hadamard, induced_graph
 from parityflow.mbqc_engine import (
@@ -274,7 +275,7 @@ def test_compiled_runs_match_runs_compiled_on_every_call(monkeypatch):
     # every n <= 5 sweep witness on every branch, in two input label orders
     # and two measurement orders, against a schedule compiled on every call
     # and run on a freshly prepared graph state, with the correction rule
-    # read off the flow
+    # read off the flow: within 1e-13, records included
     compiled = counting_compiles(monkeypatch)
     rng = np.random.default_rng(8)
     runs = 0
@@ -302,9 +303,15 @@ def test_compiled_runs_match_runs_compiled_on_every_call(monkeypatch):
                     expected, expected_record = run_schedule(
                         schedule, prepared.amplitudes, axes, branch
                     )
+                    # the compiled run measures each vertex as it is prepared,
+                    # so it rounds differently from the full-register route
                     assert out.labels == expected.labels
-                    assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
-                    assert record == expected_record
+                    assert np.abs(out.amplitudes - expected.amplitudes).max() <= 1e-13
+                    assert [(e.qubit, e.axis, e.outcome) for e in record] == [
+                        (e.qubit, e.axis, e.outcome) for e in expected_record
+                    ]
+                    for entry, twin in zip(record, expected_record):
+                        assert abs(entry.probability - twin.probability) <= 1e-13
                     runs += 1
         assert [seen is g for seen, _ in mbqc_engine._RUNS[flow]].count(True) == 1
         assert len(compiled) - before == 2 * len(label_orders)
@@ -321,6 +328,165 @@ def test_compiled_runs_match_runs_compiled_on_every_call(monkeypatch):
     assert [seen is graph for (seen, _), graph in zip(mbqc_engine._RUNS[flow], (g, twin), strict=True)] == [True, True]
     for out, record in results[1:]:
         assert out.amplitudes.tobytes() == results[0][0].amplitudes.tobytes() and record == results[0][1]
+
+
+def full_register_route(g, flow, psi, sequence):
+    """The schedule compiled on the whole graph state, as the engine ran
+    before it measured each vertex as it is prepared, and that state."""
+
+    def correct(v):
+        return flow.g[v] - {v}, odd_neighborhood(g, flow.g[v]) - {v}
+
+    prepared = prepare_graph_state(g, psi)
+    return compile_plan(prepared.labels, sequence, correct), prepared
+
+
+def test_live_all_branch_runs_match_the_full_register_route():
+    # every n <= 5 sweep witness, all branches at once, in two input label
+    # orders and two measurement orders, against the schedule compiled on
+    # the whole graph state
+    rng = np.random.default_rng(9)
+    rows = 0
+    for g, flow in yz_bipartite_sweep(5, io_samples=0, workers=1).witnesses:
+        measured = sorted(flow.g)
+        angles = {v: float(rng.uniform(-np.pi, np.pi)) for v in measured}
+        default = [v for layer in flow.layers for v in sorted(layer & set(measured))]
+        reverse = [v for layer in flow.layers for v in sorted(layer & set(measured), reverse=True)]
+        inputs = tuple(sorted(g.inputs))
+        for labels in dict.fromkeys([inputs, inputs[::-1]]):
+            psi = random_state(labels, rng)
+            for order, sequence in ((None, default), (reverse, reverse)):
+                branches = mbqc_engine.run_all_branches(g, psi, [LayerParams(theta=angles)], flow, order=order)
+                schedule, prepared = full_register_route(g, flow, psi, sequence)
+                axes = [yz_axis(angles[v]) for v in sequence]
+                expected = simulator.run_schedule_all(schedule, simulator.BranchArray.start(prepared), axes)
+                assert branches.labels == expected.labels and branches.plan == expected.plan
+                assert np.abs(branches.amplitudes - expected.amplitudes).max() <= 1e-12
+                assert np.abs(branches.probabilities - expected.probabilities).max(initial=0.0) <= 1e-12
+                rows += len(branches.amplitudes)
+    assert rows == 3174
+
+
+def reference_run(g, flow, psi, angles, sequence, outcomes):
+    """One branch with the reference kernels on the whole graph state: each
+    vertex projected along its YZ axis and discarded, then, on a -1
+    outcome, X on g(v) - v and Z on Odd(g(v)) - v."""
+    state = prepare_graph_state(g, psi)
+    record = []
+    for v, outcome in zip(sequence, outcomes, strict=True):
+        axis = yz_axis(angles[v])
+        probability, state = simulator.project(state, v, axis, outcome)
+        state = simulator.discard_qubit(state, v, axis, outcome)
+        if outcome == -1:
+            for u in sorted(flow.g[v] - {v}):
+                state = simulator.apply_pauli_x(state, u)
+            for u in sorted(odd_neighborhood(g, flow.g[v]) - {v}):
+                state = simulator.apply_pauli_z(state, u)
+        record.append(simulator.MeasurementEntry(v, axis, outcome, probability))
+    return state, record
+
+
+def layered_flow(g, g_map):
+    """The flow of a correction map: v before each other member of g(v) and
+    of Odd(g(v)), layered by longest path."""
+    precedence = {(v, u) for v, s in g_map.items() for u in (s | odd_neighborhood(g, s)) - {v}}
+    depth = dict.fromkeys(g.vertices, 0)
+    for _ in g.vertices:
+        for v, u in precedence:
+            depth[u] = max(depth[u], depth[v] + 1)
+    layers = [frozenset(v for v in g.vertices if depth[v] == d) for d in range(max(depth.values()) + 1)]
+    flow = GFlow(g=g_map, precedence=frozenset(precedence), layers=tuple(layers))
+    assert verify_gflow(g, yz_planes(g), flow).ok
+    return flow
+
+
+def open_graph_cases():
+    """Runs that prepare vertices before they are measured: outputs beyond
+    the inputs (I a proper subset of O), two adjacent measured vertices,
+    and chained flows, whose X corrections reach later measured vertices."""
+    path = make_graph(["i", "v", "o"], [("i", "v"), ("v", "o")], ["i"], ["i", "o"])
+    yield pytest.param(path, layered_flow(path, {"v": frozenset({"v"})}), id="path i-v-o")
+    # w, an output on i only, joins after o yet sits before it, in graph order
+    pendant = make_graph(["i", "w", "v", "o"], [("i", "w"), ("i", "v"), ("v", "o")], ["i"], ["i", "w", "o"])
+    yield pytest.param(pendant, layered_flow(pendant, {"v": frozenset({"v"})}), id="path i-v-o, w on i")
+    # b before a: g(a) = {a, o} has Odd {i}; a is an X target of nothing,
+    # but b's Odd set {a, o} makes both join before b is measured
+    path4 = make_graph(["i", "a", "b", "o"], [("i", "a"), ("a", "b"), ("b", "o")], ["i"], ["i", "o"])
+    yield pytest.param(path4, layered_flow(path4, {"a": frozenset({"a", "o"}), "b": frozenset({"b"})}), id="path i-a-b-o")
+    # the smallest that the search over g maps finds: no inputs at all
+    star = make_graph(["1", "2", "3"], [("1", "3"), ("2", "3")], [], ["1"])
+    yield pytest.param(star, layered_flow(star, {"2": frozenset({"1", "2"}), "3": frozenset({"3"})}), id="star I={}")
+    for g, flow in [(g, f) for g, f in witnesses() if len(f.g) >= 2][:12]:
+        order = sorted(flow.g)
+        chained = chained_flow(g, flow, order, lambda v, u: True)
+        yield pytest.param(g, chained, id=f"chained {sorted(g.edges)} I={sorted(g.inputs)}")
+
+
+@pytest.mark.parametrize("g, flow", list(open_graph_cases()))
+def test_live_runs_prepare_outputs_and_correction_targets(g, flow):
+    """Every branch, per branch and all at once, in both input label orders
+    and both orders within the flow's layers, against the reference
+    kernels on the whole graph state: within 1e-12, records included, with
+    the outputs in their usual order (the inputs, then the other outputs
+    in graph order)."""
+    rng = np.random.default_rng(11)
+    measured = sorted(flow.g)
+    angles = {v: float(rng.uniform(-np.pi, np.pi)) for v in measured}
+    default = [v for layer in flow.layers for v in sorted(layer & set(measured))]
+    reverse = [v for layer in flow.layers for v in sorted(layer & set(measured), reverse=True)]
+    inputs = tuple(v for v in g.vertices if v in g.inputs)
+    for labels in dict.fromkeys([inputs, inputs[::-1]]):
+        psi = random_state(labels, rng)
+        for sequence in dict.fromkeys([tuple(default), tuple(reverse)]):
+            branches = mbqc_engine.run_all_branches(g, psi, [LayerParams(theta=angles)], flow, order=sequence)
+            assert branches.labels == labels + tuple(v for v in g.vertices if v in g.outputs - g.inputs)
+            assert branches.reachable.all()
+            for row, outcomes in enumerate(all_outcome_branches(len(measured))):
+                expected, expected_record = reference_run(g, flow, psi, angles, sequence, outcomes)
+                out, record = run_mbqc_yz(g, psi, angles, flow, outcomes, order=sequence)
+                for state, entries in ((out, record), (branches.state(row), branches.records(row)[0])):
+                    assert state.labels == expected.labels
+                    assert np.abs(state.amplitudes - expected.amplitudes).max() <= 1e-12
+                    assert [(e.qubit, e.axis, e.outcome) for e in entries] == [
+                        (e.qubit, e.axis, e.outcome) for e in expected_record
+                    ]
+                    for entry, twin in zip(entries, expected_record):
+                        assert abs(entry.probability - twin.probability) <= 1e-12
+
+
+def live_width(schedule, inputs):
+    """The widest register a compiled run holds."""
+    width = widest = inputs
+    for step in schedule.steps:
+        if step[0] == simulator._PREPARE:
+            width += 1
+        elif step[0] == simulator._MEASURE:
+            width -= 1
+        widest = max(widest, width)
+    return widest
+
+
+def test_claim_2_runs_hold_only_the_inputs_and_no_graph_state():
+    # every n <= 6 witness and every all-pairs n = 2..4 program: each
+    # measured vertex has only inputs for neighbours, so each is one
+    # diagonal step on the input register
+    programs = [(g, flow) for g, flow in yz_bipartite_sweep(6, io_samples=0, workers=1).witnesses]
+    for n in (2, 3, 4):
+        graph = induced_graph(build_all_pairs_layout(n))
+        programs.append((graph, canonical_yz_gflow(graph)))
+    for g, flow in programs:
+        inputs = tuple(v for v in g.vertices if v in g.inputs)
+        schedule = mbqc_engine._compiled(g, flow, inputs, None)
+        assert [step[0] for step in schedule.steps] == [simulator._FRESH] * len(flow.g)
+        assert live_width(schedule, len(inputs)) == len(inputs)
+    assert len(programs) == 2015
+    graph, flow = programs[-1]
+    psi = random_state(tuple(v for v in graph.vertices if v in graph.inputs), np.random.default_rng(12))
+    layers = [LayerParams(theta=dict.fromkeys(flow.g, 0.3)), LayerParams(theta=dict.fromkeys(flow.g, -0.2))]
+    with mock.patch.object(mbqc_engine, "_graph_amplitudes", side_effect=AssertionError("graph state built")):
+        run_mbqc_yz(graph, psi, layers[0].theta, flow, [1, -1] * 3)
+        run_repeated_mbqc(graph, psi, layers, flow, [-1, 1] * 6)
+        mbqc_engine.run_all_branches(graph, psi, layers[:1], flow)
 
 
 def test_shared_sweep_flow_verified_per_graph_and_refused_where_invalid(monkeypatch):
@@ -493,13 +659,13 @@ def test_decode_sets_refused():
 def test_layer_keys_refused_before_any_layer_runs(bad, field):
     """theta keys outside the measured vertices, alpha and phi keys outside
     the outputs, and decode sets are refused by both layered entry points,
-    on any layer, before the first graph state is prepared."""
+    on any layer, before the first layer's run is compiled."""
     layout = build_all_pairs_layout(2)
     graph = induced_graph(layout)
     flow = canonical_yz_gflow(graph)
     psi = random_state(layout.data_qubits, np.random.default_rng(8))
     layers = [LayerParams(theta={"(12)": 0.9}), bad]
-    with mock.patch.object(mbqc_engine, "_graph_amplitudes", side_effect=AssertionError("a layer ran")):
+    with mock.patch.object(mbqc_engine, "_compiled", side_effect=AssertionError("a layer ran")):
         with pytest.raises(ValueError, match=field):
             run_repeated_mbqc(graph, psi, layers, flow, [1, 1])
         with pytest.raises(ValueError, match=field):
