@@ -24,6 +24,7 @@ import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -393,6 +394,15 @@ def _label_pairs(labels: tuple[str, ...]) -> tuple[tuple[tuple[str, str], ...], 
     return tuple(tuple((v, u) for u in labels) for v in labels)
 
 
+class _PeelFlow(NamedTuple):
+    """A peel's flow as `GFlow` holds it but unchecked and not interned:
+    what an unkept witness's masks are read back from."""
+
+    g: Mapping[str, VertexSet]
+    precedence: frozenset[tuple[str, str]]
+    layers: tuple[VertexSet, ...]
+
+
 def _peel_gflow(
     graph: Graph, free: int, peeled: list[tuple[int, int, int]], flows: dict, keep: bool = True
 ) -> tuple[GFlow | None, list[int], list[int]]:
@@ -404,8 +414,9 @@ def _peel_gflow(
     keyed by one int: `free`, then three n-bit fields per step (a peel has
     one step per bit of `free`, so no two peels share a key). It is layered
     by longest path and its masks are read back from its labels. Unless
-    `keep`, the table holds only those masks, the flow is dropped once they
-    are read, and None stands for it. Every call checks the masks on the
+    `keep`, its masks are read from a `_PeelFlow`, whose sets are not
+    interned (`graph.shared_set`), the table holds only those masks, and
+    None stands for the flow. Every call checks the masks on the
     graph's own adjacency masks, never on the peel's Odd table, and reads
     neither the graph's inputs nor its outputs. AssertionError if the check
     fails, with the violations `verify_gflow` names.
@@ -433,12 +444,10 @@ def _peel_gflow(
         if outputs:
             layers.append(outputs)
         g_map = {labels[v]: graph.vertices_of(s) for v, s, _ in sorted(peeled)}
-        flow = GFlow(g=g_map, precedence=frozenset(precedence), layers=tuple(frozenset(s) for s in layers))
+        flow = (GFlow if keep else _PeelFlow)(g_map, frozenset(precedence), tuple(frozenset(s) for s in layers))
         masks = (_after_masks(labels, flow), *_correction_masks(_vertex_bits(labels), flow))
         entry = flows[key] = (flow if keep else None, *masks)
-    else:
-        flow = entry[0]
-    _, after, domain, corrections = entry
+    flow, after, domain, corrections = entry
     # O = I: the measured and the non-input vertices are both `free`
     if domain != free or _flow_violations(graph.neighbor_masks, free, free, corrections, (0, 0, free), after):
         if flow is None:  # dropped from the table: built again, it fails this check and names it
@@ -446,7 +455,7 @@ def _peel_gflow(
         inputs = graph.vertices_of((1 << n) - 1 & ~free)
         g = with_io(graph, inputs, inputs)
         raise AssertionError(f"search produced an invalid witness: {verify_gflow(g, yz_planes(g), flow).violations}")
-    return flow if keep else None, after, corrections
+    return flow, after, corrections
 
 
 def search_gflow_yz(graph: Graph) -> GFlow | None:
@@ -603,7 +612,7 @@ def _sweep_batch(args: tuple[int, Sequence[Graph], bool]) -> tuple[int, dict, li
     per vertex tuple for the batch, dropped with it: the batch builds each
     distinct flow once, and checks every witness on the base graph's
     adjacency masks, which its open graph shares. Unless witnesses are
-    kept, the table holds only those masks, and no flow outlives its check.
+    kept, the table holds only those masks, and no `GFlow` is built.
     `_structure_facts` then checks it on the same masks. The input set and
     an open graph are built only for a kept witness, a discrepancy or a
     failed check; witnesses return if `keep`. A kept witness's input set is

@@ -45,8 +45,8 @@ from parityflow.simulator import (
     Schedule,
     Statevector,
     _live_plan,
-    apply_circuit,
     check_cap,
+    rotate_qubits,
     run_schedule,
     run_schedule_all,
     split_outcomes,
@@ -215,7 +215,7 @@ def run_repeated_mbqc(
         angles = {v: params.theta.get(v, 0.0) for v in measured}
         state, record = run_mbqc_yz(g, state, angles, flow, share)
         records.append(record)
-        state = apply_circuit(state, params.data_rotations(state.labels))
+        state = Statevector(state.labels, rotate_qubits(state.amplitudes, state.labels, params.alpha, params.phi))
     return state, records
 
 
@@ -242,5 +242,6 @@ def run_all_branches(
         check_cap(len(g.vertices), len(branches.amplitudes))
         axes = [yz_axis(params.theta.get(v, 0.0)) for v in schedule.qubits]
         branches = run_schedule_all(schedule, branches, axes)
-        branches = branches.apply(params.data_rotations(branches.labels))
+        rotated = rotate_qubits(branches.amplitudes, branches.labels, params.alpha, params.phi)
+        branches = branches.on_register(branches.labels, rotated)
     return branches

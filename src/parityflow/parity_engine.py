@@ -8,23 +8,31 @@ independent oracle.
 
 Within a layer the order is: parity-qubit Z rotations, measurement-based
 decoding with corrections, local data rotations, then (when another layer
-follows) re-encoding: the decoded parity qubits are appended holding the
-parities of their sets, as encoding appends them, with no CNOT gates.
-RZ(t) on a parity qubit and its X measurement are one measurement along
-`xy_axis(t)`, the Hadamard image of the measurement-based engine's YZ
-axis at t; the register takes the scalar exp(-i t/2) that the axis drops.
-`LayerParams.validate` keeps every rotated parity qubit in the layer's
-decode set. Z rotations on data qubits commute with the encoding. An X
-rotation on a data qubit that a parity qubit outside the decode set still
-tracks would act on an encoded qubit, making the output depend on the
-outcome branch, so `LayerParams.validate` refuses it.
+follows) re-encoding of the decoded parity qubits. RZ(t) on a parity qubit
+and its X measurement are one measurement along `xy_axis(t)`, the Hadamard
+image of the measurement-based engine's YZ axis at t; the register takes
+the scalar exp(-i t/2) that the axis drops. `LayerParams.validate` keeps
+every rotated parity qubit in the layer's decode set. Z rotations on data
+qubits commute with the encoding. An X rotation on a data qubit that a
+parity qubit outside the decode set still tracks would act on an encoded
+qubit, making the output depend on the outcome branch, so it is refused.
+Each rotated data qubit takes RZ(phi) then RX(alpha) as one 2x2.
 
+A run never holds a parity qubit. Preparing a qubit commutes with every
+command on other qubits (Danos, Kashefi and Panangaden, "The measurement
+calculus", 2007), so each decoded parity qubit is measured as it is
+encoded: it holds the parity of its `realised_parities` set until its
+first decode and of its declared set after, so its `xy_axis` bra leaves
+one of two values on each data index, read by that parity, with a -1
+outcome's Z on the declared set folded in when the two sets agree. That
+is one diagonal step on the data register (`simulator.parity_plan`).
 `run_computation` follows one outcome list; `run_all_branches` runs the
 same layers on every outcome branch at once, in one array, with the same
-checks. Both measure each layer along a `simulator.Schedule` compiled for
-that call from the layout, the register labels and the decode set. A
-run ends on the data register alone, so the final layer's decode set, if
-given, must be every parity qubit.
+checks. The qubit cap still counts the encoded register, data and parity
+qubits, with every branch row. `encode_input`, `mb_decode`, `run_layer`
+and `unitary_decode` hold the encoded register: the full-register route
+the runs are checked against. A run ends on the data register, so the
+final layer's decode set, if given, must be every parity qubit.
 """
 
 from __future__ import annotations
@@ -36,17 +44,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from parityflow.graph import json_field, json_labels, json_list, json_number, json_object
-from parityflow.layout import Gate, ParityLayout, encoding_circuit, realised_parities, rx, rz
+from parityflow.layout import ParityLayout, encoding_circuit, realised_parities
 from parityflow.simulator import (
     BranchArray,
     MeasurementRecord,
     Schedule,
     Statevector,
     apply_circuit,
+    check_cap,
     compile_plan,
     discard_qubit,
     outcome_probability,
+    parity_plan,
     project,
+    rotate_qubits,
     run_schedule,
     run_schedule_all,
     split_outcomes,
@@ -103,22 +114,19 @@ class LayerParams:
                         f"alpha on data qubit {q!r}, which parity qubit {tracking[0]!r} outside the decode set tracks"
                     )
 
-    def data_rotations(self, qubits: Iterable[str]) -> list[Gate]:
-        """RZ(phi) then RX(alpha) on each qubit in the given order; zero angles skipped."""
-        gates = []
-        for q in qubits:
-            if self.phi.get(q):
-                gates.append(rz(q, self.phi[q]))
-            if self.alpha.get(q):
-                gates.append(rx(q, self.alpha[q]))
-        return gates
+
+def _check_input(layout: ParityLayout, psi: Statevector) -> None:
+    """Refuse an input not over the data qubits, or a layout whose encoded
+    register, data and parity qubits, is over the qubit cap."""
+    if psi.labels != tuple(layout.data_qubits):
+        raise ValueError(f"input labels {psi.labels} do not match data qubits {layout.data_qubits}")
+    check_cap(len(layout.qubits))
 
 
 def encode_input(layout: ParityLayout, psi: Statevector) -> Statevector:
     """The state the constraint CNOTs leave on |psi, 0..0>, realised layout
     or not: each parity qubit appended holding its `realised_parities` set."""
-    if psi.labels != tuple(layout.data_qubits):
-        raise ValueError(f"input labels {psi.labels} do not match data qubits {layout.data_qubits}")
+    _check_input(layout, psi)
     return BranchArray.start(psi).append_parities(realised_parities(layout)).state(0)
 
 
@@ -190,21 +198,12 @@ def _decode_sets(layout: ParityLayout, layers: Sequence[LayerParams]) -> list[fr
     return [_decode_set(layout, params, i == len(layers) - 1) for i, params in enumerate(layers)]
 
 
-def _rotated_decode(
-    layout: ParityLayout, labels: tuple[str, ...], params: LayerParams, members: frozenset[str]
-) -> tuple[Schedule, list[tuple[float, float, float]], complex]:
-    """A layer's decode of its validated decode set on a register over
-    labels: its schedule, each decoded parity qubit's `xy_axis(theta)`, and
-    the scalar exp(-i/2 sum theta) that the RZ gates carry and the axes
-    drop, for the register to be multiplied by."""
-    schedule = _decode_schedule(layout, labels, members)
-    theta = [params.theta.get(p, 0.0) for p in schedule.qubits]
-    return schedule, [xy_axis(t) for t in theta], np.exp(-0.5j * sum(theta))
-
-
-def _reencode_sets(layout: ParityLayout, schedule: Schedule) -> dict[str, frozenset[str]]:
-    """The parity qubits a decode schedule measures, with their declared sets."""
-    return {p: layout.parity_sets[p] for p in schedule.qubits}
+def _xy_axes(params: LayerParams, qubits: Sequence[str]) -> tuple[list[tuple[float, float, float]], complex]:
+    """Each decoded parity qubit's `xy_axis(theta)`, and the scalar
+    exp(-i/2 sum theta) that the RZ gates carry and the axes drop, for the
+    register to be multiplied by."""
+    theta = [params.theta.get(p, 0.0) for p in qubits]
+    return [xy_axis(t) for t in theta], np.exp(-0.5j * sum(theta))
 
 
 def run_layer(
@@ -214,15 +213,18 @@ def run_layer(
     outcomes: Sequence[int],
     final: bool = False,
 ) -> tuple[Statevector, MeasurementRecord]:
-    """One layer: parity rotations folded into the decode with corrections,
-    data rotations, and re-encoding of the decoded set unless this is the
-    final layer, whose decode set, if given, must be every parity qubit.
-    The outcome list must hold one outcome per decoded parity qubit."""
-    schedule, axes, phase = _rotated_decode(layout, state.labels, params, _decode_set(layout, params, final))
+    """One layer on an encoded register, the full-register route the runs
+    are checked against: parity rotations folded into the decode with
+    corrections, data rotations, and re-encoding of the decoded set unless
+    this is the final layer, whose decode set, if given, must be every
+    parity qubit. The outcome list must hold one outcome per decoded
+    parity qubit."""
+    schedule = _decode_schedule(layout, state.labels, _decode_set(layout, params, final))
+    axes, phase = _xy_axes(params, schedule.qubits)
     state, record = run_schedule(schedule, state.amplitudes * phase, axes, outcomes)
-    state = apply_circuit(state, params.data_rotations(layout.data_qubits))
+    state = Statevector(state.labels, rotate_qubits(state.amplitudes, state.labels, params.alpha, params.phi))
     if not final:
-        state = BranchArray.start(state).append_parities(_reencode_sets(layout, schedule)).state(0)
+        state = BranchArray.start(state).append_parities({p: layout.parity_sets[p] for p in schedule.qubits}).state(0)
     return state, record
 
 
@@ -231,42 +233,73 @@ def measurement_count(layout: ParityLayout, layers: Sequence[LayerParams]) -> in
     return sum(map(len, _decode_sets(layout, layers)))
 
 
+def _layer_runs(
+    layout: ParityLayout, layers: Sequence[LayerParams]
+) -> list[tuple[Schedule, list[tuple[float, float, float]], complex]]:
+    """Validate every layer of a run, before any runs, and compile each
+    one's decode on the data register: its schedule, axes and scalar.
+
+    Each decoded parity qubit is one CNOT-joined `_FRESH` step, holding the
+    parity of its `realised_parities` set until its first decode and of
+    its declared set after; a -1 outcome is Z on the declared set. An X
+    rotation on a data qubit that a parity qubit left encoded holds would
+    make that qubit more than a parity of the data: refused, as
+    `LayerParams.validate` refuses it on the declared sets."""
+    holds = realised_parities(layout)
+    runs = []
+    for params, members in zip(layers, _decode_sets(layout, layers)):
+        encoded = [p for p in layout.parity_qubits if p not in members]
+        stray = [(q, p) for q in layout.data_qubits if q in params.alpha for p in encoded if q in holds[p]]
+        if stray:
+            q, p = stray[0]
+            raise ValueError(f"alpha on data qubit {q!r}, which parity qubit {p!r} outside the decode set tracks")
+        qubits = [p for p in layout.parity_qubits if p in members]
+        schedule = parity_plan(layout.data_qubits, qubits, holds, layout.parity_sets)
+        holds.update((p, layout.parity_sets[p]) for p in qubits)
+        runs.append((schedule, *_xy_axes(params, qubits)))
+    return runs
+
+
 def run_computation(
     layout: ParityLayout,
     psi: Statevector,
     layers: Sequence[LayerParams],
     outcomes: Sequence[int],
 ) -> tuple[Statevector, list[MeasurementRecord]]:
-    """Encode once, fold layers, finish fully decoded on the data register.
-    Every layer and the outcomes are checked before the input is encoded;
-    each layer takes its own slice of the list."""
-    sets = _decode_sets(layout, layers)
-    shares = split_outcomes(outcomes, [len(members) for members in sets])
-    state = encode_input(layout, psi)
+    """Fold layers on the data register, each decoded parity qubit measured
+    as it is encoded (`_layer_runs`), finishing fully decoded. Every layer,
+    the outcomes, the input labels and the qubit cap on the encoded
+    register are checked before the first measurement; each layer takes
+    its own slice of the list."""
+    runs = _layer_runs(layout, layers)
+    shares = split_outcomes(outcomes, [len(schedule.qubits) for schedule, _, _ in runs])
+    _check_input(layout, psi)
+    amps = psi.amplitudes
     records: list[MeasurementRecord] = []
-    for i, (params, share) in enumerate(zip(layers, shares)):
-        state, record = run_layer(state, layout, params, share, final=i == len(layers) - 1)
+    for params, (schedule, axes, phase), share in zip(layers, runs, shares):
+        state, record = run_schedule(schedule, amps * phase, axes, share)
+        amps = rotate_qubits(state.amplitudes, psi.labels, params.alpha, params.phi)
         records.append(record)
-    return state, records
+    return Statevector(psi.labels, amps), records
 
 
 def run_all_branches(layout: ParityLayout, psi: Statevector, layers: Sequence[LayerParams]) -> BranchArray:
     """`run_computation` on every outcome branch at once, in one array.
 
-    Same layer steps, checks and decode schedules; each decode splits every
-    branch in two (`run_schedule_all`), and re-encoding appends the parity
-    qubits to every branch. Raises ValueError when the branches would take
-    the register over the qubit cap.
+    Same layer steps, checks and schedules; each decoded parity qubit
+    splits every branch in two (`run_schedule_all`). Raises ValueError when
+    the branches would take the encoded register over the qubit cap as the
+    full-register route re-encodes it after a non-final layer.
     """
-    sets = _decode_sets(layout, layers)
-    branches = BranchArray.start(encode_input(layout, psi))
-    for i, (params, members) in enumerate(zip(layers, sets)):
-        schedule, axes, phase = _rotated_decode(layout, branches.labels, params, members)
-        branches = branches.on_register(branches.labels, branches.amplitudes * phase)
-        branches = run_schedule_all(schedule, branches, axes)
-        branches = branches.apply(params.data_rotations(layout.data_qubits))
+    runs = _layer_runs(layout, layers)
+    _check_input(layout, psi)
+    branches = BranchArray.start(psi)
+    for i, (params, (schedule, axes, phase)) in enumerate(zip(layers, runs)):
         if i < len(layers) - 1:
-            branches = branches.append_parities(_reencode_sets(layout, schedule))
+            check_cap(len(layout.qubits), len(branches.amplitudes) << len(schedule.qubits))
+        branches = run_schedule_all(schedule, branches.on_register(psi.labels, branches.amplitudes * phase), axes)
+        rotated = rotate_qubits(branches.amplitudes, psi.labels, params.alpha, params.phi)
+        branches = branches.on_register(psi.labels, rotated)
     return branches
 
 

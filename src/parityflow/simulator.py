@@ -12,16 +12,20 @@ outcome is known. A schedule may also let fresh |+> qubits join the
 register, each CZ-joined to its partners as it joins, only when a
 measurement first needs them; a fresh qubit measured with all its
 partners present is one diagonal step on the register, its preparation,
-CZ gates and bra fused into one factor per index. `run_schedule` measures
-one register along a schedule on a prescribed list of +/-1 outcomes,
-taking the outcome's half only, while `run_schedule_all` takes both
-halves of every row at once, doubling the rows. Both engines measure only
-through these: the measurement-based engine keeps the schedules it
-compiles, the parity engine compiles each decode when it runs it. A
-rotation right before a measurement reaches them folded into the
-measurement's axis, not as a gate. `project`, `discard_qubit`,
-`outcome_probability`, `append_qubit` and `apply_pauli_x/z` are the
-reference kernels the tests check them against.
+CZ gates and bra fused into one factor per index. `parity_plan` compiles
+the same step for a qubit that joins holding its partners' parity, as
+CNOTs leave a parity qubit (a CNOT join), so every parity qubit is
+measured as it is encoded. `run_schedule` measures one register along a
+schedule on a prescribed list of +/-1 outcomes, taking the outcome's half
+only, while `run_schedule_all` takes both halves of every row at once,
+doubling the rows. Both engines measure only through these: the
+measurement-based engine keeps the schedules it compiles, the parity
+engine compiles each layer's when it runs it. A rotation right before a
+measurement reaches them folded into the measurement's axis, not as a
+gate, and a layer's data rotations as one 2x2 per rotated qubit
+(`rotate_qubits`). `project`, `discard_qubit`, `outcome_probability`,
+`append_qubit` and `apply_pauli_x/z` are the reference kernels the tests
+check them against.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -113,15 +117,6 @@ def _rx_matrix(t: float) -> np.ndarray:
 _ROTATIONS = {"RZ": _rz_matrix, "RX": _rx_matrix}
 
 
-@lru_cache(maxsize=256)
-def _rotation_matrix(name: str, angle: float) -> np.ndarray:
-    """The RZ or RX matrix, read-only and built once per angle: a program
-    rotates by the same few angles on every run."""
-    matrix = _ROTATIONS[name](angle)
-    matrix.setflags(write=False)
-    return matrix
-
-
 def _position(labels: tuple[str, ...], q: str) -> int:
     try:
         return labels.index(q)
@@ -167,10 +162,7 @@ def _apply_gates(amps: np.ndarray, labels: tuple[str, ...], circuit: Iterable[Ga
         if gate.name == "H":
             amps = _apply_1q(amps, _H, pos[0], n)
         elif gate.name in _ROTATIONS:
-            # the cache keys 0.0 and -0.0 as one, and their matrices' zeros
-            # differ in sign, so a zero angle builds its own
-            matrix = _rotation_matrix(gate.name, gate.angle) if gate.angle else _ROTATIONS[gate.name](gate.angle)
-            amps = _apply_1q(amps, matrix, pos[0], n)
+            amps = _apply_1q(amps, _ROTATIONS[gate.name](gate.angle), pos[0], n)
         elif gate.name == "CNOT":
             amps = _apply_cnot(amps, pos[0], pos[1], n)
         elif gate.name == "CZ":
@@ -183,6 +175,28 @@ def _apply_gates(amps: np.ndarray, labels: tuple[str, ...], circuit: Iterable[Ga
 def apply_circuit(state: Statevector, circuit: Iterable[Gate]) -> Statevector:
     """Apply gates in order; raises on qubits absent from the register."""
     return Statevector(state.labels, _apply_gates(state.amplitudes, state.labels, circuit))
+
+
+def _rx_rz_matrix(alpha: float, phi: float) -> np.ndarray:
+    """RX(alpha) RZ(phi), RZ first, as one 2x2."""
+    c, s = math.cos(alpha / 2), math.sin(alpha / 2)
+    e = complex(math.cos(phi / 2), -math.sin(phi / 2))  # exp(-i phi / 2)
+    f = e.conjugate()
+    return np.array((c * e, -1j * s * f, -1j * s * e, c * f)).reshape(2, 2)
+
+
+def rotate_qubits(
+    amps: np.ndarray, labels: tuple[str, ...], alpha: Mapping[str, float], phi: Mapping[str, float]
+) -> np.ndarray:
+    """RZ(phi[q]) then RX(alpha[q]) on each qubit q of labels that has a
+    nonzero angle, as one 2x2 through the one-qubit kernel, on amplitudes
+    (..., 2^n) over labels. Angles of other qubits are not read."""
+    n = len(labels)
+    for pos, q in enumerate(labels):
+        a, p = alpha.get(q, 0.0), phi.get(q, 0.0)
+        if a or p:
+            amps = _apply_1q(amps, _rx_rz_matrix(a, p), pos, n)
+    return amps
 
 
 def apply_pauli_x(state: Statevector, q: str) -> Statevector:
@@ -294,8 +308,7 @@ def distances_up_to_phase(rows: np.ndarray, reference: np.ndarray) -> np.ndarray
     return np.minimum(1.0, np.linalg.norm(residual, axis=1))
 
 
-@dataclass(frozen=True, slots=True)
-class MeasurementEntry:
+class MeasurementEntry(NamedTuple):
     qubit: str
     axis: tuple[float, float, float]
     outcome: int
@@ -400,17 +413,22 @@ def _measure_out(amps: np.ndarray, pos: int, axis: tuple[float, float, float]) -
 @lru_cache(maxsize=64)
 def _fresh_factors(axis: tuple[float, float, float]) -> np.ndarray:
     """What measuring a fresh qubit along a unit Bloch axis leaves on the
-    register, read-only and built once per axis.
+    register, read-only and built once per axis. Row r holds the factor
+    for partners of even and of odd parity, in that order.
 
-    The qubit joins as |+> = (|0> + |1>)/sqrt(2), CZ-joined to partners of
-    parity s = +/-1, so the bra (b0, b1) of an outcome contracts it to the
-    diagonal (b0 + b1 s)/sqrt(2). Row r holds that factor for s = +1 and
-    s = -1: rows 0 and 1 for outcomes +1 and -1, rows 2 and 3 the same
-    with Z on every partner folded into the -1 outcome, (b1 + b0 s)/sqrt(2).
+    Rows 0-3: the qubit joins as |+> = (|0> + |1>)/sqrt(2), CZ-joined to
+    partners of parity s = +/-1, so the bra (b0, b1) of an outcome
+    contracts it to the diagonal (b0 + b1 s)/sqrt(2): rows 0 and 1 for
+    outcomes +1 and -1, rows 2 and 3 the same with Z on every partner
+    folded into the -1 outcome, (b1 + b0 s)/sqrt(2).
+    Rows 4-7: the qubit joins holding its partners' parity (CNOT-joined),
+    so the bra contracts it to b0 or b1: rows 4 and 5 for outcomes +1 and
+    -1, rows 6 and 7 the same with the -1 outcome's Z folded in, (b0, -b1).
     """
     half = math.sqrt(0.5)
-    plus, minus = ((half * (b0 + b1), half * (b0 - b1)) for b0, b1 in _bra_pairs(axis))
-    factors = np.array((plus, minus, plus, (minus[0], -minus[1])), dtype=np.complex128)
+    (p0, p1), (m0, m1) = _bra_pairs(axis)
+    a, b, c, d = half * (p0 + p1), half * (p0 - p1), half * (m0 + m1), half * (m0 - m1)
+    factors = np.array([a, b, c, d, a, b, c, -d, p0, p1, m0, m1, p0, p1, m0, -m1], dtype=np.complex128).reshape(8, 2)
     factors.setflags(write=False)
     return factors
 
@@ -465,12 +483,13 @@ class Schedule:
       position, is contracted out; xmask and zmask are the X and Z targets
       of its -1 correction;
     - (_FRESH, parity, row, xmask, zmask): the next of `qubits` is not in
-      the register, and all its partners are. Preparing it, CZ-joining it
+      the register, and all its partners are. Preparing it, joining it
       and contracting it with the outcome's bra is one diagonal step: the
       register times row `row` (+1) or `row + 1` (-1) of `_fresh_factors`,
-      read at each index's partner parity (`parity`, 0 or 1). Row 2 folds
-      a -1 correction that is Z on exactly the partners, and its masks are
-      then 0.
+      read at each index's partner parity (`parity`, 0 or 1). Rows 0 and
+      2 join it as |+> (CZ), rows 4 and 6 as its partners' parity (CNOT).
+      Rows 2 and 6 fold a -1 correction that is Z on exactly the partners,
+      and its masks are then 0.
     `labels` is the register left at the end. Nothing in it depends on the
     axes or the outcomes, so one schedule serves every branch of a run.
     """
@@ -533,13 +552,7 @@ def _live_plan(
                 join(u)
         if q in pending:
             pending.remove(q)
-            cz = _index_mask(labels, partners.get(q, ()))
-            xmask, zmask = _index_mask(labels, xs), _index_mask(labels, zs)
-            parity = _parity_index(len(labels), cz)
-            if not xmask and zmask == cz:
-                steps.append((_FRESH, parity, 2, 0, 0))
-            else:
-                steps.append((_FRESH, parity, 0, xmask, zmask))
+            steps.append(_fresh_step(labels, partners.get(q, ()), xs, zs, _CZ_JOIN))
         else:
             pos = _position(labels, q)
             labels = labels[:pos] + labels[pos + 1 :]
@@ -547,6 +560,40 @@ def _live_plan(
     for u in sorted(pending, key=rank.__getitem__):
         join(u)
     return Schedule(qubits, tuple(steps), labels)
+
+
+# the first `_fresh_factors` row of a qubit that joins as |+> (CZ-joined to
+# its partners) or holding its partners' parity (CNOT-joined)
+_CZ_JOIN, _CNOT_JOIN = 0, 4
+
+
+def _fresh_step(
+    labels: tuple[str, ...], partners: Iterable[str], xs: Iterable[str], zs: Iterable[str], join: int
+) -> tuple:
+    """The `_FRESH` step of a qubit joined to `partners` on a register over
+    labels, its -1 correction X on xs and Z on zs: folded into the factors
+    when that is Z on exactly the partners."""
+    joined = _index_mask(labels, partners)
+    xmask, zmask = _index_mask(labels, xs), _index_mask(labels, zs)
+    parity = _parity_index(len(labels), joined)
+    if not xmask and zmask == joined:
+        return (_FRESH, parity, join + 2, 0, 0)
+    return (_FRESH, parity, join, xmask, zmask)
+
+
+def parity_plan(
+    labels: tuple[str, ...],
+    qubits: Iterable[str],
+    held: Mapping[str, Iterable[str]],
+    tracked: Mapping[str, Iterable[str]],
+) -> Schedule:
+    """The schedule measuring `qubits`, none of them in the register over
+    `labels`, each as it joins holding the parity of the register qubits
+    `held` names, as CNOTs from them into a |0> leave it: one CNOT-joined
+    `_FRESH` step each, a -1 outcome corrected by Z on the register qubits
+    `tracked` names. The register keeps its labels."""
+    qubits = tuple(qubits)
+    return Schedule(qubits, tuple(_fresh_step(labels, held[q], (), tracked[q], _CNOT_JOIN) for q in qubits), labels)
 
 
 def _index_mask(labels: tuple[str, ...], qubits: Iterable[str]) -> int:
@@ -673,9 +720,6 @@ class BranchArray:
     def on_register(self, labels: tuple[str, ...], amplitudes: np.ndarray) -> BranchArray:
         return BranchArray(labels, amplitudes, self.probabilities, self.plan)
 
-    def apply(self, circuit: Iterable[Gate]) -> BranchArray:
-        return self.on_register(self.labels, _apply_gates(self.amplitudes, self.labels, circuit))
-
     def append_parities(self, sets: Mapping[str, Iterable[str]]) -> BranchArray:
         """Append the qubits of `sets`, in order, to every branch's register,
         each holding the parity of the register qubits its set names (|0>
@@ -767,5 +811,8 @@ def record_to_json(record: Iterable[MeasurementEntry]) -> list:
 
 
 def amplitudes_to_json(state: Statevector) -> list:
-    """[re, im] pairs in index order, for golden-file comparisons."""
-    return [[float(a.real), float(a.imag)] for a in state.amplitudes]
+    """[re, im] pairs in index order, for golden-file comparisons. A zero
+    part is written 0.0: adding 0.0 turns -0.0 into 0.0 and leaves every
+    other float as it is, so routes that differ only in the sign of a zero
+    print the same bytes."""
+    return [[float(a.real) + 0.0, float(a.imag) + 0.0] for a in state.amplitudes]

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from parityflow import mbqc_engine, parity_engine, simulator
 from parityflow.gflow import GFlow, canonical_yz_gflow, yz_bipartite_sweep
-from parityflow.layout import build_all_pairs_layout, induced_graph, rz
-from parityflow.parity_engine import X_AXIS, Z_AXIS, LayerParams, all_outcome_branches, xy_axis
+from parityflow.layout import build_all_pairs_layout, induced_graph, realised_parities
+from parityflow.parity_engine import Z_AXIS, LayerParams, all_outcome_branches, xy_axis
 from parityflow.simulator import (
     BranchArray,
     ZeroProbabilityError,
@@ -27,6 +27,9 @@ from parityflow.simulator import (
     run_schedule,
     run_schedule_all,
 )
+
+from parity_helpers import full_register_branches
+from test_properties import parity_layouts
 
 TOL = 1e-14
 PHASE_TOL = 1e-15
@@ -89,23 +92,24 @@ def one_pass(run):
 
 
 @st.composite
-def parity_programs(draw):
-    """All-pairs layouts n = 2..4, 1-3 layers, random partial decode sets,
-    at most MAX_MEASUREMENTS measurements in all; X rotations only on data
-    qubits that no parity qubit left encoded tracks."""
-    n = draw(st.integers(2, 4))
-    layout, _, _ = layout_and_flow(n)
+def parity_programs(draw, layouts=st.integers(2, 4).map(lambda n: layout_and_flow(n)[0])):
+    """Layouts (default: all-pairs n = 2..4), 1-3 layers, random partial
+    decode sets, at most MAX_MEASUREMENTS measurements in all; X rotations
+    only on data qubits that no parity qubit left encoded tracks, by its
+    declared set or by the set its CNOTs realise."""
+    layout = draw(layouts)
     parity = layout.parity_qubits
+    realised = realised_parities(layout)
     budget = MAX_MEASUREMENTS - len(parity)  # the final layer decodes every parity qubit
     layers = []
     for _ in range(draw(st.integers(0, 2))):
-        decode = draw(st.sets(st.sampled_from(parity), max_size=min(budget, len(parity))))
+        decode = draw(st.sets(st.sampled_from(parity), max_size=min(budget, len(parity)))) if parity else set()
         budget -= len(decode)
         layers.append((decode, False))
     layers.append((frozenset(parity), True))
     program = []
     for decode, final in layers:
-        encoded = set().union(*(layout.parity_sets[p] for p in parity if p not in decode))
+        encoded = set().union(*(layout.parity_sets[p] | realised[p] for p in parity if p not in decode))
         program.append(
             LayerParams(
                 theta={p: draw(ANGLES) for p in sorted(decode) if draw(st.booleans())},
@@ -126,25 +130,13 @@ def test_parity_all_branches_match_per_branch_runs(case):
     assert_matches_per_branch(branches, lambda outcomes: parity_engine.run_computation(layout, psi, layers, outcomes))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(parity_programs(), st.integers(0, 2**32 - 1))
-def test_parity_xy_axes_match_the_rz_gates(case, seed):
-    """Each parity rotation folded into its decode axis, against the route
-    that applies it as an RZ gate and then measures along X, layer by
-    layer, partial decode sets and re-encoded registers included. The
-    all-branch array and a per-branch run of outcomes drawn from the seed
-    land on the reference rows with no phase freedom, with the same
-    outcomes and Born probabilities, and each record axis is
-    xy_axis(theta)."""
-    layout, psi, layers = case
-    reference = BranchArray.start(parity_engine.encode_input(layout, psi))
-    for i, (params, decode_set) in enumerate(zip(layers, parity_engine._decode_sets(layout, layers))):
-        gates = [rz(p, params.theta[p]) for p in layout.parity_qubits if params.theta.get(p)]
-        schedule = parity_engine._decode_schedule(layout, reference.labels, decode_set)
-        reference = run_schedule_all(schedule, reference.apply(gates), [X_AXIS] * len(schedule.qubits))
-        reference = reference.apply(params.data_rotations(layout.data_qubits))
-        if i < len(layers) - 1:
-            reference = reference.append_parities({p: layout.parity_sets[p] for p in schedule.qubits})
+def assert_on_full_register_rows(layout, psi, layers, outcome_lists):
+    """The all-branch array, and a per-branch run of each outcome list,
+    against the rows of the full-register route (`parity_helpers`) with no
+    phase freedom: the same labels, reachable rows, qubits and outcomes,
+    each record axis xy_axis(theta), amplitudes and Born probabilities
+    within PHASE_TOL."""
+    reference = full_register_branches(layout, psi, layers)
     branches = parity_engine.run_all_branches(layout, psi, layers)
     assert branches.labels == reference.labels
     assert np.abs(branches.amplitudes - reference.amplitudes).max() <= PHASE_TOL
@@ -161,12 +153,38 @@ def test_parity_xy_axes_match_the_rz_gates(case, seed):
     for row in range(len(branches.amplitudes)):
         assert_on_reference_row(branches.records(row), row)
     m = branches.probabilities.shape[1]
-    outcomes = np.random.default_rng(seed).choice((1, -1), m).tolist()
-    state, records = parity_engine.run_computation(layout, psi, layers, outcomes)
-    assert [e.outcome for r in records for e in r] == outcomes
-    row = sum(1 << (m - 1 - j) for j, o in enumerate(outcomes) if o == -1)
-    assert np.abs(state.amplitudes - reference.amplitudes[row]).max() <= PHASE_TOL
-    assert_on_reference_row(records, row)
+    for outcomes in outcome_lists:
+        state, records = parity_engine.run_computation(layout, psi, layers, outcomes)
+        assert [e.outcome for r in records for e in r] == outcomes
+        row = sum(1 << (m - 1 - j) for j, o in enumerate(outcomes) if o == -1)
+        assert state.labels == reference.labels
+        assert np.abs(state.amplitudes - reference.amplitudes[row]).max() <= PHASE_TOL
+        assert_on_reference_row(records, row)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(parity_programs(), st.integers(0, 2**32 - 1))
+def test_parity_xy_axes_match_the_rz_gates(case, seed):
+    """Each parity rotation folded into its decode axis, against the route
+    that applies it as an RZ gate and then measures along X, layer by
+    layer, partial decode sets and re-encoded registers included. The
+    all-branch array and a per-branch run of outcomes drawn from the seed
+    land on the reference rows."""
+    layout, psi, layers = case
+    m = parity_engine.measurement_count(layout, layers)
+    assert_on_full_register_rows(layout, psi, layers, [np.random.default_rng(seed).choice((1, -1), m).tolist()])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(parity_programs(parity_layouts()))
+def test_data_register_runs_land_on_the_full_register_rows(case):
+    """Runs on the data register, each decoded parity qubit measured as it
+    is encoded, against the full-register route on every branch: random
+    layouts, unrealised CNOT lists included, and random partial decode
+    sets."""
+    layout, psi, layers = case
+    outcome_lists = all_outcome_branches(parity_engine.measurement_count(layout, layers))
+    assert_on_full_register_rows(layout, psi, layers, list(outcome_lists))
 
 
 @st.composite

@@ -439,6 +439,55 @@ def test_unrotated_parity_records_print_the_x_axis(runner, tmp_path):
         assert re.findall(r'"axis": (\[[^]]*\])', result.stdout) == ["[1.0, 0.0, 0.0]"] * 2
 
 
+def test_zero_amplitude_parts_print_without_a_sign(runner, tmp_path):
+    """Sampled and all-branch runs of one program print the same state as
+    the same bytes: a zero part is 0.0, never -0.0."""
+    layout = json.loads(invoke(runner, ["lhz", "build", "--n", "2"]).stdout)
+    path = tmp_path / "program.json"
+    layers = [{"decode": [], "phi": {"1": 0.2}}, {"theta": {"(12)": 0.2}}]
+    path.write_text(json.dumps({"layout": layout, "layers": layers}))
+    amplitudes = '"amplitudes": [[0.98006657784124163, -0.19866933079506124], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]'
+    axis = '"axis": [0.98006657784124163, -0.19866933079506122, 0.0]'
+    pinned = {
+        ("--samples", "3"): (3, -1),
+        ("--branches", "all"): (2, 1),
+    }
+    for args, (runs, outcome) in pinned.items():
+        result = invoke(runner, ["sim", "parity", *args, "--program", str(path)])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            f'{{{amplitudes}, "branches_run": {runs}, "engine": "parity", "max_branch_distance": 0.0, '
+            f'"qubits": ["1", "2"], "record": [[], [{{{axis}, "outcome": {outcome}, '
+            '"probability": 0.49999999999999994, "qubit": "(12)"}]]}\n'
+        )
+
+
+@pytest.mark.parametrize(
+    "n,layers,branches,message",
+    [
+        (6, 1, "all", "error: register of 21 qubits exceeds cap 16\n"),
+        (6, 1, "sample", "error: register of 21 qubits exceeds cap 16\n"),
+        (
+            4,
+            3,
+            "all",
+            "error: 4096 outcome branches of 10 qubits exceed the 16-qubit cap; "
+            "sample branches instead (--branches sample)\n",
+        ),
+    ],
+)
+def test_sim_parity_cap_refusals_count_the_encoded_register(runner, tmp_path, n, layers, branches, message):
+    """Runs stay on the data register, but the cap still counts the data
+    and parity qubits the encoded register holds, with every branch row."""
+    layout = json.loads(invoke(runner, ["lhz", "build", "--n", str(n)]).stdout)
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps({"layout": layout, "layers": [{"theta": {"(12)": 0.3}}] * layers}))
+    result = invoke(runner, ["sim", "parity", "--branches", branches, "--program", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == message
+
+
 def test_sim_parity_refuses_alpha_on_a_still_encoded_qubit(runner, tmp_path):
     layout = json.loads(invoke(runner, ["lhz", "build", "--n", "3"]).stdout)
     layers = [{"theta": {"(12)": 0.9}, "alpha": {"1": 0.4}, "decode": ["(12)"]}, {}]

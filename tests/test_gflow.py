@@ -6,6 +6,7 @@ import itertools
 import json
 import tracemalloc
 import weakref
+from unittest import mock
 
 import gflow_helpers as reference
 import pytest
@@ -623,28 +624,42 @@ def test_unkept_sweep_builds_no_open_graph(monkeypatch):
 
 
 def test_unkept_sweep_keeps_no_flow_alive(monkeypatch):
-    # unkept, each batch's table holds only the masks a check reads, so no
-    # flow outlives its check: none is alive when the next one is built, nor
-    # after the sweep. Kept, each distinct peel still builds one flow that
-    # its witnesses share
-    built, alive = [], []
+    # unkept, each batch's table holds only the masks a check reads, read
+    # from a `_PeelFlow` once per distinct peel, so no `GFlow` is built.
+    # Kept, each distinct peel builds one flow that its witnesses share
+    built, peeled = [], []
 
     def recording(*args, _real=gflow_module.GFlow, **kwargs):
-        alive.append(sum(ref() is not None for ref in built))
         flow = _real(*args, **kwargs)
         built.append(weakref.ref(flow))
         return flow
 
+    def recording_peel(*args, _real=gflow_module._PeelFlow):
+        peeled.append(args)
+        return _real(*args)
+
     monkeypatch.setattr(gflow_module, "GFlow", recording)
+    monkeypatch.setattr(gflow_module, "_PeelFlow", recording_peel)
     dropped = yz_bipartite_sweep(6, io_samples=0, workers=1, keep_witnesses=False)
-    gc.collect()
-    unkept_builds = len(built)
-    assert unkept_builds > 0 and max(alive) == 0 and all(ref() is None for ref in built)
-    built.clear()
+    assert built == [] and len(peeled) > 0
     kept = yz_bipartite_sweep(6, io_samples=0, workers=1)
     assert len(kept.witnesses) == 2012
-    assert len(built) == len({id(flow) for _, flow in kept.witnesses}) == unkept_builds
+    assert len(built) == len({id(flow) for _, flow in kept.witnesses}) == len(peeled)
     assert dropped.to_json() == kept.to_json()
+
+
+def test_unkept_sweep_interns_no_precedence_pairs():
+    # an unkept sweep's dropped flows leave no precedence set in
+    # `graph.shared_set`'s cache; a kept sweep interns them
+    def pair_sets(shared):
+        return [call.args[0] for call in shared.call_args_list if any(isinstance(m, tuple) for m in call.args[0])]
+
+    with mock.patch.object(gflow_module, "shared_set", wraps=graph_module.shared_set) as shared:
+        yz_bipartite_sweep(6, io_samples=0, workers=1, keep_witnesses=False)
+    assert pair_sets(shared) == []
+    with mock.patch.object(gflow_module, "shared_set", wraps=graph_module.shared_set) as shared:
+        yz_bipartite_sweep(4, io_samples=0, workers=1)
+    assert pair_sets(shared)
 
 
 def test_unkept_table_hit_that_fails_its_check_names_the_violations():

@@ -9,7 +9,7 @@ import pytest
 
 from parityflow import parity_engine, simulator
 from parityflow.cli import _canonical_json
-from parityflow.layout import Gate, build_all_pairs_layout
+from parityflow.layout import Gate, ParityLayout, build_all_pairs_layout
 from parityflow.parity_engine import (
     X_AXIS,
     LayerParams,
@@ -35,6 +35,7 @@ from parityflow.simulator import (
     run_schedule,
 )
 
+from parity_helpers import full_register_branches
 from pauli_helpers import pauli_expectation
 
 
@@ -296,14 +297,18 @@ def test_surplus_prescribed_outcomes_rejected(layout2, entry):
         "run_schedule": lambda outcomes: run_schedule(schedule, encoded.amplitudes, [X_AXIS], outcomes)[1][0].outcome,
     }
     run = runs[entry]
-    # a list of the wrong length, or a generator, is refused before any bra is contracted
-    with mock.patch.object(simulator, "_outcome_bras", wraps=simulator._outcome_bras) as bras:
+    # a list of the wrong length, or a generator, is refused before any bra
+    # is contracted or any fresh qubit's factors multiplied in
+    with (
+        mock.patch.object(simulator, "_outcome_bras", wraps=simulator._outcome_bras) as bras,
+        mock.patch.object(simulator, "_fresh_factors", wraps=simulator._fresh_factors) as factors,
+    ):
         for outcomes in ([], [1, -1, 1, 1]):
             with pytest.raises(ValueError, match=f"^{len(outcomes)} prescribed outcome\\(s\\) for 1 measurement\\(s\\)$"):
                 run(outcomes)
         with pytest.raises(TypeError, match="^outcomes must be a sequence of \\+/-1$"):
             run(np.random.default_rng(0))
-    assert not bras.called
+    assert not bras.called and not factors.called
     assert run([-1]) == -1
 
 
@@ -314,13 +319,13 @@ def test_bad_second_layer_refused_before_anything_runs(layout2):
         with pytest.raises(ValueError, match="theta keys must be parity qubits"):
             run_computation(layout2, psi, layers, [1, -1])
     assert not bras.called
-    # the all-branch run refuses it before it encodes the input
-    with mock.patch.object(parity_engine, "encode_input", wraps=encode_input) as encoded:
+    # the all-branch run refuses it before it measures anything
+    with mock.patch.object(parity_engine, "run_schedule_all", wraps=simulator.run_schedule_all) as measured:
         with pytest.raises(ValueError, match="theta keys must be parity qubits"):
             parity_engine.run_all_branches(layout2, psi, layers)
-    assert not encoded.called
+    assert not measured.called
     # a short list for two layers is refused before the first runs
-    with mock.patch.object(parity_engine, "run_layer", wraps=run_layer) as layer:
+    with mock.patch.object(parity_engine, "run_schedule", wraps=run_schedule) as layer:
         with pytest.raises(ValueError, match="^1 prescribed outcome\\(s\\) for 2 measurement\\(s\\)$"):
             run_computation(layout2, psi, [LayerParams(), LayerParams()], [1])
     assert not layer.called
@@ -335,17 +340,68 @@ def test_non_finite_angles_rejected(key, angle):
 
 
 def test_parity_rotations_build_no_gates():
-    """A layer's parity rotations are one phase vector: the only `Gate`s a
-    run builds are its data rotations."""
+    """A layer builds no `Gate`: its parity rotations are folded into the
+    decode axes, and its data rotations are one 2x2 per rotated qubit."""
     layout = build_all_pairs_layout(3)
     psi = random_state(layout.data_qubits, np.random.default_rng(7))
     encoded = encode_input(layout, psi)
     rotations = LayerParams(theta={p: 0.3 + i for i, p in enumerate(layout.parity_qubits)})
     with_data = LayerParams(theta=rotations.theta, alpha={"1": 0.2}, phi={"1": 0.4, "2": -0.5})
-    for params, data_gates in ((rotations, 0), (with_data, 3)):
+    for params in (rotations, with_data):
         with mock.patch.object(Gate, "__post_init__", autospec=True, side_effect=Gate.__post_init__) as built:
             run_layer(encoded, layout, params, [1, -1, 1])
-        assert built.call_count == data_gates
+            run_computation(layout, psi, [params], [1, -1, 1])
+            parity_engine.run_all_branches(layout, psi, [params])
+        assert built.call_count == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_runs_stay_on_the_data_register(n):
+    """Neither parity run encodes the input or appends a parity qubit: each
+    decoded parity qubit is measured as it is encoded."""
+    layout = build_all_pairs_layout(n)
+    psi = random_state(layout.data_qubits, np.random.default_rng(n))
+    first = sorted(layout.parity_qubits)[:1]
+    layers = [
+        LayerParams(theta={p: 0.4 for p in first}, phi={"1": 0.3}, decode=frozenset(first)),
+        LayerParams(theta={p: -0.7 + 0.1 * i for i, p in enumerate(layout.parity_qubits)}, alpha={"2": 0.5}),
+    ]
+    outcomes = [1, -1] * len(layout.parity_qubits)
+    with (
+        mock.patch.object(parity_engine, "encode_input", wraps=encode_input) as encoded,
+        mock.patch.object(
+            simulator.BranchArray, "append_parities", autospec=True, side_effect=simulator.BranchArray.append_parities
+        ) as appended,
+    ):
+        state, _ = run_computation(layout, psi, layers, outcomes[: 1 + len(layout.parity_qubits)])
+        branches = parity_engine.run_all_branches(layout, psi, layers)
+    assert not encoded.called and not appended.called
+    assert state.labels == branches.labels == layout.data_qubits
+
+
+def unrealised_layout():
+    """Two data qubits and one parity qubit declared on {1} whose CNOTs
+    realise {1, 2}."""
+    return ParityLayout(2, ("1", "2"), ("p",), {"p": frozenset({"1"})}, (("1", "p"), ("2", "p")))
+
+
+def test_alpha_on_a_qubit_an_encoded_parity_qubit_realises_refused():
+    """An X rotation on a data qubit that an undecoded parity qubit holds
+    through its CNOTs, though not through its declared set, is refused by
+    both runs; once the qubit is decoded, it holds its declared set."""
+    layout = unrealised_layout()
+    psi = random_state(layout.data_qubits, np.random.default_rng(12))
+    rotate_two = LayerParams(alpha={"2": 0.4}, decode=frozenset())
+    rotate_two.validate(layout)
+    message = "^alpha on data qubit '2', which parity qubit 'p' outside the decode set tracks$"
+    with pytest.raises(ValueError, match=message):
+        run_computation(layout, psi, [rotate_two, LayerParams()], [1])
+    with pytest.raises(ValueError, match=message):
+        parity_engine.run_all_branches(layout, psi, [rotate_two, LayerParams()])
+    layers = [LayerParams(theta={"p": 0.8}), rotate_two, LayerParams(theta={"p": -0.3})]
+    reference = full_register_branches(layout, psi, layers)
+    branches = parity_engine.run_all_branches(layout, psi, layers)
+    assert np.abs(branches.amplitudes - reference.amplitudes).max() <= 1e-15
 
 
 def test_layer_params_validation(layout2):

@@ -59,7 +59,7 @@ def test_rx_convention():
 
 
 @pytest.mark.parametrize("gate", [rz, rx])
-def test_rotation_matrices_are_built_once_per_angle_and_match_fresh_ones_bit_for_bit(gate):
+def test_rotation_gates_apply_their_matrices_bit_for_bit(gate):
     name = gate("q", 1.0).name
     # signed-zero amplitudes show a zero angle's sign in the output's zeros
     signed_zeros = np.array([complex(-0.0, -0.0), 1, complex(-0.0, -0.0), complex(-0.0, -0.0)])
@@ -69,11 +69,24 @@ def test_rotation_matrices_are_built_once_per_angle_and_match_fresh_ones_bit_for
         for state in states:
             pos = state.labels.index("b")
             reference = simulator._apply_1q(state.amplitudes, fresh, pos, state.num_qubits).tobytes()
-            for _ in range(2):  # built, then read back
-                assert apply_circuit(state, [gate("b", angle)]).amplitudes.tobytes() == reference
-    matrix = simulator._rotation_matrix(name, 0.7)
-    assert simulator._rotation_matrix(name, 0.7) is matrix
-    assert not matrix.flags.writeable
+            assert apply_circuit(state, [gate("b", angle)]).amplitudes.tobytes() == reference
+
+
+def test_rotate_qubits_matches_rz_then_rx_gates():
+    """One 2x2 per rotated qubit, on one register or a stack of them,
+    against RZ(phi) then RX(alpha) as gates; a qubit with both angles zero,
+    or absent, is not touched."""
+    rng = np.random.default_rng(9)
+    labels = ("a", "b", "c", "d")
+    rows = np.array([random_state(labels, rng).amplitudes for _ in range(3)])
+    alpha = {"a": 0.7, "c": -2.1, "d": 0.0}
+    phi = {"b": 1.3, "c": 0.4, "d": -0.0, "x": 0.5}
+    gates = [rz(q, phi[q]) for q in ("b", "c")] + [rx(q, alpha[q]) for q in ("a", "c")]
+    out = simulator.rotate_qubits(rows, labels, alpha, phi)
+    for row, amps in zip(rows, out):
+        expected = apply_circuit(Statevector(labels, row), gates).amplitudes
+        assert np.abs(amps - expected).max() <= 1e-15
+    assert simulator.rotate_qubits(rows, labels, {"d": 0.0}, {"d": -0.0}) is rows
 
 
 def test_cz_phases_only_11():
