@@ -21,11 +21,11 @@ is one diagonal step, c0 + c1 Z_N(v) on its neighbours' parity, with a -1
 outcome's Z on N(v) folded in. On every pattern Claim 2 admits, V - I
 spans no edge, so every measured vertex is such a step on the inputs'
 register. The outputs end in the usual order, the inputs in psi's order
-and then the other outputs in graph order; the qubit cap still counts the
-whole graph state, which `prepare_graph_state` builds as the reference
-the runs are checked against. `run_mbqc_yz` and `run_repeated_mbqc`
-follow one outcome list on a compiled run; `run_all_branches` runs every
-outcome branch at once, in one array, on the same compiled run.
+and then the other outputs in graph order. `prepare_graph_state` builds
+the whole graph state, the reference the runs are checked against.
+`run_mbqc_yz` and `run_repeated_mbqc` follow one outcome list on a
+compiled run; `run_all_branches` runs every outcome branch at once, in
+one array, on the same compiled run.
 """
 
 from __future__ import annotations
@@ -59,13 +59,11 @@ def yz_axis(theta: float) -> tuple[float, float, float]:
 
 
 def _register(g: Graph, labels: tuple[str, ...]) -> tuple[str, ...]:
-    """The graph-state register for inputs in the given label order, refused
-    over the qubit cap: the inputs, then the other vertices in graph order."""
+    """The graph-state register for inputs in the given label order: the
+    inputs, then the other vertices in graph order."""
     if frozenset(labels) != g.inputs:
         raise ValueError(f"input labels {labels} do not match graph inputs {sorted(g.inputs)}")
-    register = labels + tuple(v for v in g.vertices if v not in g.inputs)
-    check_cap(len(register))
-    return register
+    return labels + tuple(v for v in g.vertices if v not in g.inputs)
 
 
 def _graph_amplitudes(g: Graph, register: tuple[str, ...], amps: np.ndarray) -> np.ndarray:
@@ -93,19 +91,20 @@ def prepare_graph_state(g: Graph, psi: Statevector) -> Statevector:
     the CZ gates together are the phase vector (-1)^(sum of b_u b_v over the
     edges), b_u being the bit of u in the amplitude index. The engines never
     build it; it is the full-register reference their runs are checked
-    against.
+    against, refused over the qubit cap.
     """
     register = _register(g, psi.labels)
+    check_cap(len(register))
     return Statevector(register, _graph_amplitudes(g, register, psi.amplitudes))
 
 
 def _compile(g: Graph, flow: GFlow, labels: tuple[str, ...], order: tuple[str, ...] | None) -> Schedule:
-    """Check the labels, the qubit cap on the whole graph state and the
-    order against the flow (`measurement_order`), and compile the run on
-    the inputs' register, which every other vertex joins as |+> when first
-    needed, CZ-joined to its neighbours but for edges inside the input set.
-    A -1 outcome on v completes the stabilizer of g(v), X on g(v) - v and Z
-    on Odd(g(v)) - v."""
+    """Check the labels and the order against the flow
+    (`measurement_order`), and compile the run on the inputs' register,
+    which every other vertex joins as |+> when first needed, CZ-joined to
+    its neighbours but for edges inside the input set, refused when it
+    grows over the qubit cap. A -1 outcome on v completes the stabilizer of
+    g(v), X on g(v) - v and Z on Odd(g(v)) - v."""
     register = _register(g, labels)
     sequence = measurement_order(g, flow, order)
     inputs = g.mask_of(g.inputs)
@@ -231,15 +230,13 @@ def run_all_branches(
 
     Same checks and the same compiled run as `run_mbqc_yz`. Each layer
     starts on every branch's input register and splits every branch at each
-    measurement (`run_schedule_all`). Raises ValueError when the branches
-    would take the whole graph state over the qubit cap.
+    measurement (`run_schedule_all`, which refuses a layer whose rows would
+    take the register it holds over the qubit cap).
     """
     _check_layers(g, layers)
     branches = BranchArray.start(psi)
     for params in layers:
         schedule = _compiled(g, flow, branches.labels, order)
-        # the branches count against the cap at the whole graph state's width
-        check_cap(len(g.vertices), len(branches.amplitudes))
         axes = [yz_axis(params.theta.get(v, 0.0)) for v in schedule.qubits]
         branches = run_schedule_all(schedule, branches, axes)
         rotated = rotate_qubits(branches.amplitudes, branches.labels, params.alpha, params.phi)

@@ -28,11 +28,10 @@ outcome's Z on the declared set folded in when the two sets agree. That
 is one diagonal step on the data register (`simulator.parity_plan`).
 `run_computation` follows one outcome list; `run_all_branches` runs the
 same layers on every outcome branch at once, in one array, with the same
-checks. The qubit cap still counts the encoded register, data and parity
-qubits, with every branch row. `encode_input`, `mb_decode`, `run_layer`
-and `unitary_decode` hold the encoded register: the full-register route
-the runs are checked against. A run ends on the data register, so the
-final layer's decode set, if given, must be every parity qubit.
+checks. `encode_input`, `mb_decode`, `run_layer` and `unitary_decode`
+hold the encoded register: the full-register route the runs are checked
+against. A run ends on the data register, so the final layer's decode
+set, if given, must be every parity qubit.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from parityflow.simulator import (
     Schedule,
     Statevector,
     apply_circuit,
-    check_cap,
     compile_plan,
     discard_qubit,
     outcome_probability,
@@ -116,11 +114,9 @@ class LayerParams:
 
 
 def _check_input(layout: ParityLayout, psi: Statevector) -> None:
-    """Refuse an input not over the data qubits, or a layout whose encoded
-    register, data and parity qubits, is over the qubit cap."""
+    """Refuse an input not over the data qubits."""
     if psi.labels != tuple(layout.data_qubits):
         raise ValueError(f"input labels {psi.labels} do not match data qubits {layout.data_qubits}")
-    check_cap(len(layout.qubits))
 
 
 def encode_input(layout: ParityLayout, psi: Statevector) -> Statevector:
@@ -268,9 +264,8 @@ def run_computation(
 ) -> tuple[Statevector, list[MeasurementRecord]]:
     """Fold layers on the data register, each decoded parity qubit measured
     as it is encoded (`_layer_runs`), finishing fully decoded. Every layer,
-    the outcomes, the input labels and the qubit cap on the encoded
-    register are checked before the first measurement; each layer takes
-    its own slice of the list."""
+    the outcomes and the input labels are checked before the first
+    measurement; each layer takes its own slice of the list."""
     runs = _layer_runs(layout, layers)
     shares = split_outcomes(outcomes, [len(schedule.qubits) for schedule, _, _ in runs])
     _check_input(layout, psi)
@@ -287,16 +282,13 @@ def run_all_branches(layout: ParityLayout, psi: Statevector, layers: Sequence[La
     """`run_computation` on every outcome branch at once, in one array.
 
     Same layer steps, checks and schedules; each decoded parity qubit
-    splits every branch in two (`run_schedule_all`). Raises ValueError when
-    the branches would take the encoded register over the qubit cap as the
-    full-register route re-encodes it after a non-final layer.
+    splits every branch in two (`run_schedule_all`, which refuses a layer
+    whose rows would take the data register over the qubit cap).
     """
     runs = _layer_runs(layout, layers)
     _check_input(layout, psi)
     branches = BranchArray.start(psi)
-    for i, (params, (schedule, axes, phase)) in enumerate(zip(layers, runs)):
-        if i < len(layers) - 1:
-            check_cap(len(layout.qubits), len(branches.amplitudes) << len(schedule.qubits))
+    for params, (schedule, axes, phase) in zip(layers, runs):
         branches = run_schedule_all(schedule, branches.on_register(psi.labels, branches.amplitudes * phase), axes)
         rotated = rotate_qubits(branches.amplitudes, psi.labels, params.alpha, params.phi)
         branches = branches.on_register(psi.labels, rotated)

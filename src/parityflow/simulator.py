@@ -15,12 +15,14 @@ partners present is one diagonal step on the register, its preparation,
 CZ gates and bra fused into one factor per index. `parity_plan` compiles
 the same step for a qubit that joins holding its partners' parity, as
 CNOTs leave a parity qubit (a CNOT join), so every parity qubit is
-measured as it is encoded. `run_schedule` measures one register along a
-schedule on a prescribed list of +/-1 outcomes, taking the outcome's half
-only, while `run_schedule_all` takes both halves of every row at once,
-doubling the rows. Both engines measure only through these: the
-measurement-based engine keeps the schedules it compiles, the parity
-engine compiles each layer's when it runs it. A rotation right before a
+measured as it is encoded. A schedule carries its `width`, the widest
+register a run along it holds, and the compilers and `run_schedule_all`
+(with every row it ends on) refuse it over the qubit cap. `run_schedule`
+measures one register along a schedule on a prescribed list of +/-1
+outcomes, taking the outcome's half only, while `run_schedule_all` takes
+both halves of every row at once, doubling the rows. Both engines measure
+only through these: the measurement-based engine keeps the schedules it
+compiles, the parity engine compiles each layer's when it runs it. A rotation right before a
 measurement reaches them folded into the measurement's axis, not as a
 gate, and a layer's data rotations as one 2x2 per rotated qubit
 (`rotate_qubits`). `project`, `discard_qubit`, `outcome_probability`,
@@ -490,13 +492,15 @@ class Schedule:
       2 join it as |+> (CZ), rows 4 and 6 as its partners' parity (CNOT).
       Rows 2 and 6 fold a -1 correction that is Z on exactly the partners,
       and its masks are then 0.
-    `labels` is the register left at the end. Nothing in it depends on the
-    axes or the outcomes, so one schedule serves every branch of a run.
+    `labels` is the register left at the end, `width` the widest it gets:
+    the qubits a run holds. Nothing in it depends on the axes or the
+    outcomes, so one schedule serves every branch of a run.
     """
 
     qubits: tuple[str, ...]
     steps: tuple[tuple, ...]
     labels: tuple[str, ...]
+    width: int
 
 
 def compile_plan(
@@ -507,7 +511,7 @@ def compile_plan(
     """The schedule measuring `qubits` in turn out of a register over
     `labels`, where `correct(qubit)` names the -1 correction as label sets
     (X targets, Z targets) on the qubits still present. Raises ValueError
-    on a qubit or target absent from the register."""
+    on a qubit or target absent from the register, or one over the cap."""
     return _live_plan(labels, qubits, correct, (), {})
 
 
@@ -528,14 +532,17 @@ def _live_plan(
     `_FRESH` step; the others join at the end. Fresh qubits sit after the
     rest of the register in the order `fresh` gives them, so `labels` ends
     as `compile_plan` would leave it on the register with all of `fresh`
-    appended in order.
+    appended in order. Refused as soon as the register grows over the cap.
     """
     rank = {q: i for i, q in enumerate(fresh)}
     pending = set(fresh)
     steps: list[tuple] = []
+    width = len(labels)
+    check_cap(width)
 
     def join(u: str) -> None:
-        nonlocal labels
+        nonlocal labels, width
+        check_cap(width := max(width, len(labels) + 1))
         pos = next((i for i, q in enumerate(labels) if rank.get(q, -1) > rank[u]), len(labels))
         live = [q for q in partners.get(u, ()) if q in labels]
         steps.append((_PREPARE, pos, _odd_overlap(len(labels), _index_mask(labels, live))))
@@ -559,7 +566,7 @@ def _live_plan(
             steps.append((_MEASURE, pos, _index_mask(labels, xs), _index_mask(labels, zs)))
     for u in sorted(pending, key=rank.__getitem__):
         join(u)
-    return Schedule(qubits, tuple(steps), labels)
+    return Schedule(qubits, tuple(steps), labels, width)
 
 
 # the first `_fresh_factors` row of a qubit that joins as |+> (CZ-joined to
@@ -591,9 +598,11 @@ def parity_plan(
     `labels`, each as it joins holding the parity of the register qubits
     `held` names, as CNOTs from them into a |0> leave it: one CNOT-joined
     `_FRESH` step each, a -1 outcome corrected by Z on the register qubits
-    `tracked` names. The register keeps its labels."""
+    `tracked` names. The register keeps its labels; refused over the cap."""
+    check_cap(len(labels))
     qubits = tuple(qubits)
-    return Schedule(qubits, tuple(_fresh_step(labels, held[q], (), tracked[q], _CNOT_JOIN) for q in qubits), labels)
+    steps = tuple(_fresh_step(labels, held[q], (), tracked[q], _CNOT_JOIN) for q in qubits)
+    return Schedule(qubits, steps, labels, len(labels))
 
 
 def _index_mask(labels: tuple[str, ...], qubits: Iterable[str]) -> int:
@@ -767,8 +776,10 @@ def run_schedule_all(
     diagonals (`_measure_fresh`), so B rows become 2B rows; row 2b + 1
     (outcome -1) gets the step's correction. Rows are renormalised by
     their Born probability, except below ZERO_PROB_TOL, where they are
-    divided by 1.
+    divided by 1. Refused before the first step if the rows it ends on
+    would take the schedule's `width` over the qubit cap (`check_cap`).
     """
+    check_cap(schedule.width, len(branches.amplitudes) << len(schedule.qubits))
     plan = tuple(zip(schedule.qubits, axes, strict=True))
     measured = iter(plan)
     amps = branches.amplitudes

@@ -8,6 +8,8 @@ register instead, as the constraint CNOTs leave it, and each layer:
 - applies its data rotations as RZ and RX gates;
 - re-encodes the decoded parity qubits unless it is the final layer."""
 
+import numpy as np
+
 from parityflow import parity_engine
 from parityflow.layout import Gate, ParityLayout, rx, rz
 from parityflow.parity_engine import X_AXIS, LayerParams
@@ -41,3 +43,22 @@ def full_register_branches(layout: ParityLayout, psi: Statevector, layers: list[
         if i < len(layers) - 1:
             branches = branches.append_parities({p: layout.parity_sets[p] for p in schedule.qubits})
     return branches
+
+
+def phase_polynomial(layout: ParityLayout, psi: Statevector, layers: list[LayerParams]) -> Statevector:
+    """The program as the map it computes on the data register: per layer,
+    exp(-i theta_p / 2 Z_S(p)) for every parity qubit p, one phase per
+    amplitude index read from the parity of its set S(p), then RZ(phi) and
+    RX(alpha) on each data qubit as gates."""
+    n = len(psi.labels)
+    index = np.arange(1 << n)
+    amps = psi.amplitudes
+    for params in layers:
+        exponent = np.zeros(1 << n)
+        for p, theta in params.theta.items():
+            parity = np.zeros(1 << n, dtype=np.int64)
+            for q in layout.parity_sets[p]:
+                parity ^= index >> (n - 1 - psi.labels.index(q)) & 1
+            exponent += theta * (1 - 2 * parity)
+        amps = _apply_gates(amps * np.exp(-0.5j * exponent), psi.labels, data_rotations(params, psi.labels))
+    return Statevector(psi.labels, amps)

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import gflow_helpers as reference
 import numpy as np
 import pytest
+from parity_helpers import phase_polynomial
 
 from parityflow.gflow import (
     canonical_yz_gflow,
@@ -155,6 +156,29 @@ def test_criterion_3_cross_engine_equivalence():
                 outcomes = np.random.default_rng(2000 + k).choice((1, -1), measured).tolist()
                 out, records = run_repeated_mbqc(graph, psi, layers, flow, outcomes)
                 assert distance_up_to_phase(out, reference) < 1e-10
+                assert all(abs(e.probability - 0.5) < 1e-12 for r in records for e in r)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_sampled_runs_past_the_encoded_register_cap_match_the_phase_polynomial(n):
+    """All-pairs n = 6..8 hold 21 to 36 qubits encoded but run on their n
+    data qubits: sampled branches of both engines, with one and two random
+    layers, land on the phase polynomial within criterion 3's bounds."""
+    rng = np.random.default_rng(60 + n)
+    layout = build_all_pairs_layout(n)
+    graph = induced_graph(layout)
+    flow = canonical_yz_gflow(graph)
+    for layer_count in (1, 2):
+        psi = random_state(layout.data_qubits, rng)
+        layers = random_layers(layout, rng, layer_count)
+        expected = phase_polynomial(layout, psi, layers)
+        measured = len(layout.parity_qubits) * layer_count
+        for _ in range(4):
+            for out, records in (
+                run_computation(layout, psi, layers, rng.choice((1, -1), measured).tolist()),
+                run_repeated_mbqc(graph, psi, layers, flow, rng.choice((1, -1), measured).tolist()),
+            ):
+                assert distance_up_to_phase(out, expected) < 1e-10
                 assert all(abs(e.probability - 0.5) < 1e-12 for r in records for e in r)
 
 

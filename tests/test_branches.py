@@ -307,8 +307,8 @@ def test_branch_bits_count_against_the_qubit_cap(monkeypatch):
     layout, graph, flow = layout_and_flow(3)
     psi = random_state(layout.data_qubits, np.random.default_rng(5))
     layers = [LayerParams(theta={"(12)": 0.3}), LayerParams(alpha={"1": 0.2})]
-    # 6 qubits fit a cap of 8; after the first layer's 3 measurements the
-    # 8 branches re-encode (parity) or re-prepare (MBQC) 6 qubits each: 3 + 6 > 8
+    # the runs hold the 3 data qubits: the first layer takes 1 row to 8, 3 + 3
+    # fits a cap of 8; the second takes 8 rows to 64, and 6 + 3 > 8
     monkeypatch.setattr(simulator, "DEFAULT_QUBIT_CAP", 8)
     with pytest.raises(ValueError, match="--branches sample"):
         parity_engine.run_all_branches(layout, psi, layers)

@@ -462,30 +462,48 @@ def test_zero_amplitude_parts_print_without_a_sign(runner, tmp_path):
         )
 
 
-@pytest.mark.parametrize(
-    "n,layers,branches,message",
-    [
-        (6, 1, "all", "error: register of 21 qubits exceeds cap 16\n"),
-        (6, 1, "sample", "error: register of 21 qubits exceeds cap 16\n"),
-        (
-            4,
-            3,
-            "all",
-            "error: 4096 outcome branches of 10 qubits exceed the 16-qubit cap; "
-            "sample branches instead (--branches sample)\n",
-        ),
-    ],
-)
-def test_sim_parity_cap_refusals_count_the_encoded_register(runner, tmp_path, n, layers, branches, message):
-    """Runs stay on the data register, but the cap still counts the data
-    and parity qubits the encoded register holds, with every branch row."""
+def _all_pairs_program(runner, tmp_path, n, layers):
     layout = json.loads(invoke(runner, ["lhz", "build", "--n", str(n)]).stdout)
     path = tmp_path / "program.json"
-    path.write_text(json.dumps({"layout": layout, "layers": [{"theta": {"(12)": 0.3}}] * layers}))
-    result = invoke(runner, ["sim", "parity", "--branches", branches, "--program", str(path)])
+    path.write_text(json.dumps({"layout": layout, "layers": layers}))
+    return path
+
+
+@pytest.mark.parametrize("engine", ["parity", "mbqc"])
+@pytest.mark.parametrize(
+    "n,layers,branches",
+    [(6, 1, "32768 outcome branches of 6 qubits"), (4, 3, "262144 outcome branches of 4 qubits")],
+    ids=["n6-one-layer", "n4-three-layers"],
+)
+def test_sim_all_branch_cap_refusals_count_the_register_a_run_holds(runner, tmp_path, engine, n, layers, branches):
+    """Both engines hold only the data register; the cap counts it with
+    every branch row a layer ends on, so both refuse alike, at the first
+    layer whose rows break it."""
+    path = _all_pairs_program(runner, tmp_path, n, [{"theta": {"(12)": 0.3}}] * layers)
+    result = invoke(runner, ["sim", engine, "--branches", "all", "--program", str(path)])
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert result.stderr == message
+    assert result.stderr == f"error: {branches} exceed the 16-qubit cap; sample branches instead (--branches sample)\n"
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_sampled_runs_of_all_pairs_layouts_past_the_old_cap(runner, tmp_path, n):
+    """All-pairs n = 6 and 10 hold 21 and 55 qubits encoded, but their runs
+    hold only the n data qubits: both engines and `compare` run them."""
+    layers = [
+        {"theta": {"(12)": 0.3, "(23)": -0.8}, "phi": {"1": 0.4}, "alpha": {"2": 0.7}},
+        {"theta": {"(13)": 1.1}, "alpha": {"1": -0.5}},
+    ]
+    path = _all_pairs_program(runner, tmp_path, n, layers)
+    for engine in ("parity", "mbqc"):
+        result = invoke(runner, ["sim", engine, "--program", str(path)])
+        assert result.exit_code == 0
+        data = json.loads(result.stdout)
+        assert data["branches_run"] == 8 and len(data["qubits"]) == n
+        assert data["max_branch_distance"] < 1e-12
+    result = invoke(runner, ["compare", "--program", str(path)])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["distance"] < 1e-10
 
 
 def test_sim_parity_refuses_alpha_on_a_still_encoded_qubit(runner, tmp_path):

@@ -597,15 +597,21 @@ def test_dropped_flows_leave_no_compiled_runs():
     assert all(key() is not None for key in mbqc_engine._RUNS.keyrefs())
 
 
-def test_over_cap_graph_refused_before_its_run_is_compiled():
+def test_over_cap_graph_refused_before_its_run_is_compiled(monkeypatch):
+    """The 17-vertex path with 9 inputs runs on its 9 inputs alone; under a
+    cap of 8 that live register is refused, and no run is stored."""
     vertices = [str(i) for i in range(17)]
     inputs = vertices[::2]
     g = make_graph(vertices, list(zip(vertices, vertices[1:])), inputs, inputs)
     flow = canonical_yz_gflow(g)
     psi = random_state(inputs, np.random.default_rng(5))
-    with pytest.raises(ValueError, match="17 qubits exceeds cap 16"):
+    monkeypatch.setattr(simulator, "DEFAULT_QUBIT_CAP", 8)
+    with pytest.raises(ValueError, match="9 qubits exceeds cap 8"):
         run_mbqc_yz(g, psi, dict.fromkeys(flow.g, 0.4), flow, [1] * len(flow.g))
     assert all(not table for _, table in mbqc_engine._RUNS.get(flow, ()))
+    monkeypatch.undo()
+    state, _ = run_mbqc_yz(g, psi, dict.fromkeys(flow.g, 0.4), flow, [1] * len(flow.g))
+    assert state.labels == psi.labels
 
 
 def test_bad_measurement_order_rejected():

@@ -1,6 +1,7 @@
 """Statevector operations against small matrix oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -260,6 +261,53 @@ def test_qubit_cap_enforced(monkeypatch):
         append_qubit(small, "b", (1, 0))
     with pytest.raises(ValueError, match="2 qubits exceeds cap 1"):
         random_state(("a", "b"), np.random.default_rng(0))
+
+
+def _chain_plan():
+    """The register (a) that fresh u, v and w join, a - u - v - w a path:
+    measuring u joins v first (one `_FRESH` step on a, v), and measuring v
+    joins w first, so the register is 3 qubits wide before v leaves it."""
+    partners = {"a": ["u"], "u": ["a", "v"], "v": ["u", "w"], "w": ["v"]}
+    return simulator._live_plan(("a",), ["u", "v"], lambda _: ((), ()), ("u", "v", "w"), partners)
+
+
+def test_schedules_carry_the_widest_register_a_run_holds():
+    in_register = compile_plan(("a", "b", "c"), ["a", "c"], lambda _: ((), ()))
+    assert (in_register.width, in_register.labels) == (3, ("b",))
+    joined = _chain_plan()
+    kinds = [simulator._PREPARE, simulator._FRESH, simulator._PREPARE, simulator._MEASURE]
+    assert [step[0] for step in joined.steps] == kinds
+    assert (joined.width, joined.labels) == (3, ("a", "w"))
+    parity = simulator.parity_plan(("1", "2", "3"), ["(12)"], {"(12)": ["1", "2"]}, {"(12)": ["1", "2"]})
+    assert (parity.width, parity.labels) == (3, ("1", "2", "3"))
+
+
+def test_compiles_over_the_cap_are_refused(monkeypatch):
+    monkeypatch.setattr(simulator, "DEFAULT_QUBIT_CAP", 2)
+    with pytest.raises(ValueError, match="register of 3 qubits exceeds cap 2"):
+        _chain_plan()
+    with pytest.raises(ValueError, match="register of 3 qubits exceeds cap 2"):
+        compile_plan(("a", "b", "c"), ["a"], lambda _: ((), ()))
+    with pytest.raises(ValueError, match="register of 3 qubits exceeds cap 2"):
+        simulator.parity_plan(("1", "2", "3"), ["(12)"], {"(12)": ["1", "2"]}, {"(12)": ["1", "2"]})
+
+
+def test_run_schedule_all_refuses_before_its_first_step(monkeypatch):
+    schedule = _chain_plan()
+    start = simulator.BranchArray.start(basis_state(("a",), "0"))
+    axes = [(1.0, 0.0, 0.0)] * 2
+    with (
+        mock.patch.object(simulator, "_measure_out", wraps=simulator._measure_out) as measure_out,
+        mock.patch.object(simulator, "_measure_fresh", wraps=simulator._measure_fresh) as measure_fresh,
+    ):
+        # 4 rows on the 3-qubit register: 3 + 2 > 4
+        monkeypatch.setattr(simulator, "DEFAULT_QUBIT_CAP", 4)
+        with pytest.raises(ValueError, match="4 outcome branches of 3 qubits exceed the 4-qubit cap"):
+            simulator.run_schedule_all(schedule, start, axes)
+        assert not measure_out.called and not measure_fresh.called
+        monkeypatch.setattr(simulator, "DEFAULT_QUBIT_CAP", 5)
+        assert simulator.run_schedule_all(schedule, start, axes).amplitudes.shape == (4, 4)
+        assert measure_out.called and measure_fresh.called
 
 
 def test_norm_preserved_over_long_random_circuit():
