@@ -706,7 +706,8 @@ def yz_bipartite_sweep(
     if pooled:
         from concurrent.futures import ProcessPoolExecutor  # here, not on every package import
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts every worker at its first task: no more than it can use
+        with ProcessPoolExecutor(max_workers=min(workers, len(batches), os.cpu_count() or 1)) as pool:
             results = list(pool.map(_sweep_batch, batches))
     else:
         results = [_sweep_batch(batch) for batch in batches]

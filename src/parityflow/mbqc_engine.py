@@ -107,10 +107,9 @@ def _compile(g: Graph, flow: GFlow, labels: tuple[str, ...], order: tuple[str, .
     g(v), X on g(v) - v and Z on Odd(g(v)) - v."""
     register = _register(g, labels)
     sequence = measurement_order(g, flow, order)
-    inputs = g.mask_of(g.inputs)
-    partners = {
-        v: g.vertices_of(nbrs & ~inputs if v in g.inputs else nbrs) for v, nbrs in zip(g.vertices, g.neighbor_masks)
-    }
+    # a YZ flow never measures an input (v is in g(v), which holds none), so
+    # only the other vertices join or are measured, and need their partners
+    partners = {v: g.vertices_of(nbrs) for v, nbrs in zip(g.vertices, g.neighbor_masks) if v not in g.inputs}
 
     def complete_stabilizer(v: str) -> tuple[frozenset[str], frozenset[str]]:
         odd = g.vertices_of(g.odd_mask(g.mask_of(flow.g[v])))

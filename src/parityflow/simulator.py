@@ -27,7 +27,9 @@ measurement reaches them folded into the measurement's axis, not as a
 gate, and a layer's data rotations as one 2x2 per rotated qubit
 (`rotate_qubits`). `project`, `discard_qubit`, `outcome_probability`,
 `append_qubit` and `apply_pauli_x/z` are the reference kernels the tests
-check them against.
+check them against. The steps read two cached tables: `_odd_overlap`, the
+0/1 parity of each amplitude index under a mask, and `_fresh_factors`, the
+outcome factors of an axis, whose CNOT rows are its two bras.
 """
 
 from __future__ import annotations
@@ -261,7 +263,7 @@ def discard_qubit(
     The reduced state of q must be pure (within 1e-10); otherwise the qubit
     is still entangled and discarding it would not leave a statevector.
     The rest of the register is the row of q that `_bra_row` picks for
-    `outcome` on `axis`, the row `_outcome_bras` contracts with,
+    `outcome` on `axis`, the row its bra in `_fresh_factors` contracts,
     renormalised: after `project(state, q, axis, outcome)` that is the
     state `run_schedule` leaves, global phase included. Without an
     axis, q's own Bloch axis and outcome +1: the row of larger norm.
@@ -348,13 +350,34 @@ def _bra_pairs(axis: tuple[float, float, float]) -> list[tuple[complex, complex]
     return rows
 
 
+# the first `_fresh_factors` row of a qubit that joins as |+> (CZ-joined to
+# its partners) or holding its partners' parity (CNOT-joined)
+_CZ_JOIN, _CNOT_JOIN = 0, 4
+
+
 @lru_cache(maxsize=64)
-def _outcome_bras(axis: tuple[float, float, float]) -> np.ndarray:
-    """`_bra_pairs` as the rows of a read-only 2x2 matrix. Built once per
-    axis: every branch of a program measures the same few axes."""
-    bras = np.array(_bra_pairs(axis))
-    bras.setflags(write=False)
-    return bras
+def _fresh_factors(axis: tuple[float, float, float]) -> np.ndarray:
+    """What measuring a fresh qubit along a unit Bloch axis leaves on the
+    register, read-only and built once per axis. Row r holds the factor
+    for partners of even and of odd parity, in that order.
+
+    Rows 0-3: the qubit joins as |+> = (|0> + |1>)/sqrt(2), CZ-joined to
+    partners of parity s = +/-1, so the bra (b0, b1) of an outcome
+    contracts it to the diagonal (b0 + b1 s)/sqrt(2): rows 0 and 1 for
+    outcomes +1 and -1, rows 2 and 3 the same with Z on every partner
+    folded into the -1 outcome, (b1 + b0 s)/sqrt(2).
+    Rows 4-7: the qubit joins holding its partners' parity (CNOT-joined),
+    so the bra contracts it to b0 or b1: rows 4 and 5 for outcomes +1 and
+    -1, rows 6 and 7 the same with the -1 outcome's Z folded in, (b0, -b1).
+    Rows 4 and 5 are thus the outcome bras, which every qubit measured out
+    of the register is contracted with.
+    """
+    half = math.sqrt(0.5)
+    (p0, p1), (m0, m1) = _bra_pairs(axis)
+    a, b, c, d = half * (p0 + p1), half * (p0 - p1), half * (m0 + m1), half * (m0 - m1)
+    factors = np.array([a, b, c, d, a, b, c, -d, p0, p1, m0, m1, p0, p1, m0, -m1], dtype=np.complex128).reshape(8, 2)
+    factors.setflags(write=False)
+    return factors
 
 
 def _apply_paulis(amps: np.ndarray, xmask: int, zmask: int) -> np.ndarray:
@@ -364,29 +387,21 @@ def _apply_paulis(amps: np.ndarray, xmask: int, zmask: int) -> np.ndarray:
     negation of the indices they flip."""
     n = amps.shape[-1].bit_length() - 1
     if xmask:
-        amps = amps[..., _flipped_index(n, xmask)]
+        amps = amps[..., np.arange(1 << n) ^ xmask]
     if zmask:
-        np.negative(amps, out=amps, where=_odd_overlap(n, zmask))
+        np.negative(amps, out=amps, where=_odd_overlap(n, zmask).astype(bool))
     return amps
 
 
 @lru_cache(maxsize=256)
-def _flipped_index(n: int, mask: int) -> np.ndarray:
-    """index ^ mask for every n-bit index: the permutation a product of X's
-    on mask's bits applies to the amplitudes."""
-    flipped = np.arange(1 << n) ^ mask
-    flipped.setflags(write=False)
-    return flipped
-
-
-@lru_cache(maxsize=256)
 def _odd_overlap(n: int, mask: int) -> np.ndarray:
-    """Whether index & mask has an odd number of set bits, for every n-bit
-    index: where a product of Z's on mask's bits flips the sign."""
-    odd = np.zeros(1 << n, dtype=bool)
+    """The parity of index & mask, 0 or 1, for every n-bit index: where a
+    product of Z's on mask's bits flips the sign, and the column a fresh
+    step reads its factor from (an intp index reads it fastest)."""
+    odd = np.zeros(1 << n, dtype=np.intp)
     for k in range(n):
         if mask >> k & 1:
-            odd.reshape(-1, 2, 1 << k)[:, 1] ^= True
+            odd.reshape(-1, 2, 1 << k)[:, 1] ^= 1
     odd.setflags(write=False)
     return odd
 
@@ -408,40 +423,8 @@ def _measure_out(amps: np.ndarray, pos: int, axis: tuple[float, float, float]) -
     rows = amps.shape[0]
     # the measured qubit's axis first, then (branch row, qubits before q, qubits after q)
     split = amps.reshape(rows, 1 << pos, 2, -1).transpose(2, 0, 1, 3).reshape(2, -1)
-    halves = (_outcome_bras(axis) @ split).reshape(2, rows, -1)
+    halves = (_fresh_factors(axis)[_CNOT_JOIN : _CNOT_JOIN + 2] @ split).reshape(2, rows, -1)
     return halves, _born(halves)
-
-
-@lru_cache(maxsize=64)
-def _fresh_factors(axis: tuple[float, float, float]) -> np.ndarray:
-    """What measuring a fresh qubit along a unit Bloch axis leaves on the
-    register, read-only and built once per axis. Row r holds the factor
-    for partners of even and of odd parity, in that order.
-
-    Rows 0-3: the qubit joins as |+> = (|0> + |1>)/sqrt(2), CZ-joined to
-    partners of parity s = +/-1, so the bra (b0, b1) of an outcome
-    contracts it to the diagonal (b0 + b1 s)/sqrt(2): rows 0 and 1 for
-    outcomes +1 and -1, rows 2 and 3 the same with Z on every partner
-    folded into the -1 outcome, (b1 + b0 s)/sqrt(2).
-    Rows 4-7: the qubit joins holding its partners' parity (CNOT-joined),
-    so the bra contracts it to b0 or b1: rows 4 and 5 for outcomes +1 and
-    -1, rows 6 and 7 the same with the -1 outcome's Z folded in, (b0, -b1).
-    """
-    half = math.sqrt(0.5)
-    (p0, p1), (m0, m1) = _bra_pairs(axis)
-    a, b, c, d = half * (p0 + p1), half * (p0 - p1), half * (m0 + m1), half * (m0 - m1)
-    factors = np.array([a, b, c, d, a, b, c, -d, p0, p1, m0, m1, p0, p1, m0, -m1], dtype=np.complex128).reshape(8, 2)
-    factors.setflags(write=False)
-    return factors
-
-
-@lru_cache(maxsize=256)
-def _parity_index(n: int, mask: int) -> np.ndarray:
-    """`_odd_overlap` as 0 or 1 per index, the column a fresh step reads
-    its factor from: an int index reads it faster than a bool one."""
-    index = _odd_overlap(n, mask).astype(np.intp)
-    index.setflags(write=False)
-    return index
 
 
 def _measure_fresh(
@@ -479,8 +462,8 @@ class Schedule:
     register as it stands after the step, bit k - 1 - i for label i of k,
     the label's bit in the amplitude index:
     - (_PREPARE, position, flip): a fresh qubit joins at that position as
-      |+>, CZ-joined to its partners already present, `flip` (as
-      `_odd_overlap`) marking where their parity is odd;
+      |+>, CZ-joined to its partners already present, `flip` (bool)
+      marking where their parity is odd;
     - (_MEASURE, position, xmask, zmask): the next of `qubits`, at that
       position, is contracted out; xmask and zmask are the X and Z targets
       of its -1 correction;
@@ -488,8 +471,9 @@ class Schedule:
       the register, and all its partners are. Preparing it, joining it
       and contracting it with the outcome's bra is one diagonal step: the
       register times row `row` (+1) or `row + 1` (-1) of `_fresh_factors`,
-      read at each index's partner parity (`parity`, 0 or 1). Rows 0 and
-      2 join it as |+> (CZ), rows 4 and 6 as its partners' parity (CNOT).
+      read at each index's partner parity (`parity`, an `_odd_overlap`).
+      Rows 0 and 2 join it as |+> (CZ), rows 4 and 6 as its partners'
+      parity (CNOT).
       Rows 2 and 6 fold a -1 correction that is Z on exactly the partners,
       and its masks are then 0.
     `labels` is the register left at the end, `width` the widest it gets:
@@ -523,7 +507,8 @@ def _live_plan(
     partners: Mapping[str, Iterable[str]],
 ) -> Schedule:
     """`compile_plan` on a register that `fresh` qubits join as |+>, each
-    CZ-joined to its `partners` (a symmetric relation) as they join.
+    CZ-joined to its `partners` as they join (a symmetric relation on
+    every qubit that joins or is measured).
 
     A fresh qubit joins only when first needed: before a qubit it is a
     partner or a correction target of is measured. So every CZ is applied
@@ -545,7 +530,7 @@ def _live_plan(
         check_cap(width := max(width, len(labels) + 1))
         pos = next((i for i, q in enumerate(labels) if rank.get(q, -1) > rank[u]), len(labels))
         live = [q for q in partners.get(u, ()) if q in labels]
-        steps.append((_PREPARE, pos, _odd_overlap(len(labels), _index_mask(labels, live))))
+        steps.append((_PREPARE, pos, _odd_overlap(len(labels), _index_mask(labels, live)).astype(bool)))
         labels = labels[:pos] + (u,) + labels[pos:]
         pending.remove(u)
 
@@ -569,11 +554,6 @@ def _live_plan(
     return Schedule(qubits, tuple(steps), labels, width)
 
 
-# the first `_fresh_factors` row of a qubit that joins as |+> (CZ-joined to
-# its partners) or holding its partners' parity (CNOT-joined)
-_CZ_JOIN, _CNOT_JOIN = 0, 4
-
-
 def _fresh_step(
     labels: tuple[str, ...], partners: Iterable[str], xs: Iterable[str], zs: Iterable[str], join: int
 ) -> tuple:
@@ -582,7 +562,7 @@ def _fresh_step(
     when that is Z on exactly the partners."""
     joined = _index_mask(labels, partners)
     xmask, zmask = _index_mask(labels, xs), _index_mask(labels, zs)
-    parity = _parity_index(len(labels), joined)
+    parity = _odd_overlap(len(labels), joined)
     if not xmask and zmask == joined:
         return (_FRESH, parity, join + 2, 0, 0)
     return (_FRESH, parity, join, xmask, zmask)
@@ -667,7 +647,7 @@ def run_schedule(
         minus = 0 if outcome == 1 else 1
         if kind == _MEASURE:
             _, pos, xmask, zmask = step
-            half = (_outcome_bras(axis)[minus] @ amps.reshape(1 << pos, 2, -1)).reshape(-1)
+            half = (_fresh_factors(axis)[_CNOT_JOIN + minus] @ amps.reshape(1 << pos, 2, -1)).reshape(-1)
         else:
             _, parity, row, xmask, zmask = step
             half = _fresh_factors(axis)[row + minus][parity] * amps
@@ -742,7 +722,7 @@ class BranchArray:
         k, m = len(self.labels), len(sets)
         target = np.arange(1 << k) << m
         for j, members in enumerate(sets.values()):
-            target[_odd_overlap(k, _index_mask(self.labels, members))] ^= 1 << (m - 1 - j)
+            target ^= _odd_overlap(k, _index_mask(self.labels, members)) << (m - 1 - j)
         amps = np.zeros((len(self.amplitudes), 1 << len(labels)), dtype=np.complex128)
         amps[:, target] = self.amplitudes
         return self.on_register(labels, amps)

@@ -428,6 +428,38 @@ def test_sweep_parallel_matches_serial():
     assert [flow_to_json(f) for _, f in serial.witnesses] == [flow_to_json(f) for _, f in parallel.witnesses]
 
 
+# n <= 2 is two batches, n <= 5 seven (n = 5's 21 graphs are three batches of 8)
+@pytest.mark.parametrize(
+    "max_n, cpus, workers, started",
+    [(2, 8, 64, 2), (5, 8, 64, 7), (5, 3, 64, 3), (5, 8, 2, 2), (5, None, 64, 1)],
+)
+def test_sweep_pool_starts_no_more_workers_than_batches_or_cpus(monkeypatch, max_n, cpus, workers, started):
+    # a fork pool starts all its workers at the first task; this stand-in
+    # records the size it is asked for and maps in this process instead
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(gflow_module.os, "cpu_count", lambda: cpus)
+    pooled = yz_bipartite_sweep(max_n, io_samples=0, workers=workers)
+    assert sizes == [started]
+    assert pooled.to_json() == yz_bipartite_sweep(max_n, io_samples=0, workers=1).to_json()
+
+
 # explicit ids keep these cases' names stable for runs compared across versions
 @pytest.mark.parametrize(
     "kwargs, message",

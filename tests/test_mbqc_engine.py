@@ -554,15 +554,17 @@ def test_surplus_prescribed_outcomes_rejected(entry):
         ),
     }
     run = runs[entry]
-    # a list of the wrong length, or a generator, is refused before any bra is contracted
-    with mock.patch.object(simulator, "_outcome_bras", wraps=simulator._outcome_bras) as bras:
+    # a list of the wrong length, or a generator, is refused before any bra
+    # is read; the valid run that follows reads them
+    with mock.patch.object(simulator, "_fresh_factors", wraps=simulator._fresh_factors) as bras:
         for outcomes in ([], [-1, 1, 1]):
             with pytest.raises(ValueError, match=f"^{len(outcomes)} prescribed outcome\\(s\\) for 1 measurement\\(s\\)$"):
                 run(outcomes)
         with pytest.raises(TypeError, match="^outcomes must be a sequence of \\+/-1$"):
             run(np.random.default_rng(0))
-    assert not bras.called
-    assert run([-1]) == -1
+        assert not bras.called
+        assert run([-1]) == -1
+    assert bras.called
 
 
 def test_bad_second_layer_refused_before_any_bra_is_contracted():
@@ -570,10 +572,12 @@ def test_bad_second_layer_refused_before_any_bra_is_contracted():
     flow = canonical_yz_gflow(graph)
     psi = random_state(("1", "2"), np.random.default_rng(4))
     layers = [LayerParams(theta={"c": 0.7}), LayerParams(theta={"1": 0.1})]
-    with mock.patch.object(simulator, "_outcome_bras", wraps=simulator._outcome_bras) as bras:
+    with mock.patch.object(simulator, "_fresh_factors", wraps=simulator._fresh_factors) as bras:
         with pytest.raises(ValueError, match="'theta' keys \\['1'\\] are not measured vertices"):
             run_repeated_mbqc(graph, psi, layers, flow, [1, -1])
-    assert not bras.called
+        assert not bras.called
+        run_repeated_mbqc(graph, psi, layers[:1], flow, [-1])
+    assert bras.called
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])

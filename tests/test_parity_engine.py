@@ -298,27 +298,28 @@ def test_surplus_prescribed_outcomes_rejected(layout2, entry):
     }
     run = runs[entry]
     # a list of the wrong length, or a generator, is refused before any bra
-    # is contracted or any fresh qubit's factors multiplied in
-    with (
-        mock.patch.object(simulator, "_outcome_bras", wraps=simulator._outcome_bras) as bras,
-        mock.patch.object(simulator, "_fresh_factors", wraps=simulator._fresh_factors) as factors,
-    ):
+    # is contracted or any fresh qubit's factors multiplied in; the valid
+    # run that follows reads them
+    with mock.patch.object(simulator, "_fresh_factors", wraps=simulator._fresh_factors) as factors:
         for outcomes in ([], [1, -1, 1, 1]):
             with pytest.raises(ValueError, match=f"^{len(outcomes)} prescribed outcome\\(s\\) for 1 measurement\\(s\\)$"):
                 run(outcomes)
         with pytest.raises(TypeError, match="^outcomes must be a sequence of \\+/-1$"):
             run(np.random.default_rng(0))
-    assert not bras.called and not factors.called
-    assert run([-1]) == -1
+        assert not factors.called
+        assert run([-1]) == -1
+    assert factors.called
 
 
 def test_bad_second_layer_refused_before_anything_runs(layout2):
     psi = random_state(("1", "2"), np.random.default_rng(6))
     layers = [LayerParams(theta={"(12)": 0.3}), LayerParams(theta={"1": 0.1})]
-    with mock.patch.object(simulator, "_outcome_bras", wraps=simulator._outcome_bras) as bras:
+    with mock.patch.object(simulator, "_fresh_factors", wraps=simulator._fresh_factors) as factors:
         with pytest.raises(ValueError, match="theta keys must be parity qubits"):
             run_computation(layout2, psi, layers, [1, -1])
-    assert not bras.called
+        assert not factors.called
+        run_computation(layout2, psi, layers[:1], [-1])
+    assert factors.called
     # the all-branch run refuses it before it measures anything
     with mock.patch.object(parity_engine, "run_schedule_all", wraps=simulator.run_schedule_all) as measured:
         with pytest.raises(ValueError, match="theta keys must be parity qubits"):

@@ -143,13 +143,17 @@ def test_non_unit_axes_refused_when_non_finite(axis):
         run_schedule(schedule, state.amplitudes, [axis], [1])
 
 
-def test_outcome_bras_are_built_once_per_axis_and_checked_on_every_call():
-    bras = simulator._outcome_bras((0.0, 0.0, 1.0))
-    assert simulator._outcome_bras((0.0, 0.0, 1.0)) is bras
-    assert not bras.flags.writeable
+def test_fresh_factors_are_built_once_per_axis_and_checked_on_every_call():
+    for axis in [(0.0, 0.0, 1.0), (0.0, math.sin(0.7), math.cos(0.7)), (0.6, -0.8, 0.0)]:
+        factors = simulator._fresh_factors(axis)
+        assert simulator._fresh_factors(axis) is factors
+        assert not factors.flags.writeable
+        # its CNOT rows are the outcome bras every measured qubit is contracted with
+        cnot = simulator._CNOT_JOIN
+        assert np.array_equal(factors[cnot : cnot + 2], np.array(simulator._bra_pairs(axis)))
     for _ in range(2):
         with pytest.raises(ValueError, match="unit"):
-            simulator._outcome_bras((0.0, 0.0, 2.0))
+            simulator._fresh_factors((0.0, 0.0, 2.0))
 
 
 def test_projection_idempotent():
@@ -342,6 +346,34 @@ def test_pauli_appliers_match_circuit_matrices():
     oracle_z = state.amplitudes.copy()
     oracle_z[2:] *= -1
     assert np.allclose(phased.amplitudes, oracle_z)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pauli_kernel_matches_the_reference_appliers_on_every_branch_row(n):
+    rng = np.random.default_rng(40 + n)
+    labels = tuple(f"q{i}" for i in range(n))
+    rows = np.stack([random_state(labels, rng).amplitudes for _ in range(5)])
+    for _ in range(8):
+        xmask, zmask = (int(m) for m in rng.integers(0, 1 << n, size=2))
+        out = simulator._apply_paulis(rows.copy(), xmask, zmask)
+        for row, got in zip(rows, out, strict=True):
+            state = Statevector(labels, row)
+            # mask bit n - 1 - i is label i, X's first
+            for i, q in enumerate(labels):
+                if xmask >> (n - 1 - i) & 1:
+                    state = apply_pauli_x(state, q)
+            for i, q in enumerate(labels):
+                if zmask >> (n - 1 - i) & 1:
+                    state = apply_pauli_z(state, q)
+            assert np.array_equal(got, state.amplitudes)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_odd_overlap_is_the_read_only_parity_of_each_index_under_the_mask(n):
+    for mask in range(1 << n):
+        odd = simulator._odd_overlap(n, mask)
+        assert odd.dtype == np.intp and not odd.flags.writeable
+        assert odd.tolist() == [bin(i & mask).count("1") % 2 for i in range(1 << n)]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
