@@ -153,7 +153,7 @@ def _load_program(data: dict):
                 raise ValueError("every amplitude is zero")
         parts /= scale  # a largest part of 1: the norm can neither overflow nor underflow
         amps = parts[:, 0] + 1j * parts[:, 1]
-        psi = simulator.Statevector(tuple(layout.data_qubits), amps / np.linalg.norm(amps))
+        psi = simulator.Statevector(layout.data_qubits, amps / np.linalg.norm(amps))
     else:
         psi = simulator.basis_state(layout.data_qubits, "0" * layout.n)
     return layout, layers, psi, graph

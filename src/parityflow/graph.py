@@ -57,6 +57,7 @@ class Graph:
     outputs: VertexSet = frozenset()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "vertices", tuple(self.vertices))
         index = {v: i for i, v in enumerate(self.vertices)}
         if len(index) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
@@ -130,7 +131,7 @@ def make_graph(
     inputs: Iterable[str] = (),
     outputs: Iterable[str] = (),
 ) -> Graph:
-    return Graph(tuple(vertices), frozenset(tuple(e) for e in edges), frozenset(inputs), frozenset(outputs))
+    return Graph(vertices, frozenset(tuple(e) for e in edges), frozenset(inputs), frozenset(outputs))
 
 
 def with_io(g: Graph, inputs: Iterable[str], outputs: Iterable[str]) -> Graph:

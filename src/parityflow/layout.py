@@ -4,7 +4,8 @@ A layout declares which subset of data qubits each parity qubit tracks and
 an ordered CNOT list realizing those parities on fresh ancillas. The
 all-pairs builder produces the standard n(n+1)/2-qubit arrangement; user
 layouts may route parities through other parity qubits, which is why the
-constraint list is ordered and separately validated.
+constraint list is ordered. A layout is refused at construction unless its
+CNOT list realises every declared set, so every layout that exists does.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ CircuitDescription = tuple[Gate, ...]
 
 @dataclass(frozen=True, eq=False)
 class ParityLayout:
-    """n data qubits, labeled parity qubits with their tracked sets, CNOT list."""
+    """n data qubits, labeled parity qubits with their tracked sets, and a
+    CNOT list that realises every set."""
 
     n: int
     data_qubits: tuple[str, ...]
@@ -75,7 +77,8 @@ class ParityLayout:
     constraints: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parity_sets", {p: frozenset(s) for p, s in self.parity_sets.items()})
+        object.__setattr__(self, "data_qubits", tuple(self.data_qubits))
+        object.__setattr__(self, "parity_qubits", tuple(self.parity_qubits))
         object.__setattr__(self, "constraints", tuple((c, t) for c, t in self.constraints))
         if self.n != len(self.data_qubits):
             raise ValueError("n must equal the number of data qubits")
@@ -84,6 +87,8 @@ class ParityLayout:
             raise ValueError("duplicate qubit labels")
         if set(self.parity_sets) != set(self.parity_qubits):
             raise ValueError("parity_sets keys must be exactly the parity qubits")
+        # in layout order, the order in which encoding appends them
+        object.__setattr__(self, "parity_sets", {p: frozenset(self.parity_sets[p]) for p in self.parity_qubits})
         seen = set()
         for p in self.parity_qubits:
             s = self.parity_sets[p]
@@ -101,10 +106,39 @@ class ParityLayout:
                 raise ValueError(f"constraint targets non-parity qubit {t!r}")
             if c == t:
                 raise ValueError(f"constraint ({c!r}, {t!r}) is not a CNOT: control and target coincide")
+        _check_realised(self)
 
     @property
     def qubits(self) -> tuple[str, ...]:
         return self.data_qubits + self.parity_qubits
+
+
+def _check_realised(layout: ParityLayout) -> None:
+    """Refuse a CNOT list that does not realise every declared parity set.
+
+    CNOTs act on basis states as XORs, so each qubit holds a GF(2) sum of
+    data bits: data qubit q starts as {q}, a parity qubit as {}, and each
+    CNOT adds its control's sum to its target's. Parity-qubit controls are
+    allowed, so chain layouts that build one parity from another propagate
+    too. A parity qubit whose realised set differs from its declared set
+    by `diff`, as a mask with data qubit i at bit n-1-i as in the
+    basis-state string, is wrong exactly on the basis states with odd
+    overlap with `diff`, the first of which is the lowest set bit of
+    `diff`. The refusal names the first wrong basis state and, on it, the
+    first wrong parity qubit.
+    """
+    value = {q: frozenset({q}) for q in layout.data_qubits} | dict.fromkeys(layout.parity_qubits, frozenset())
+    for c, t in layout.constraints:
+        value[t] ^= value[c]
+    bit = {q: 1 << (layout.n - 1 - i) for i, q in enumerate(layout.data_qubits)}
+    diffs = [(p, sum(bit[q] for q in value[p] ^ layout.parity_sets[p])) for p in layout.parity_qubits]
+    wrong = [diff & -diff for _, diff in diffs if diff]
+    if wrong:
+        x = min(wrong)  # one data bit set, so odd overlap means diff holds that bit
+        p = next(p for p, diff in diffs if diff & x)
+        raise ValueError(
+            f"constraints do not realise the parity set of {p!r}: wrong on data basis state {x:0{layout.n}b}"
+        )
 
 
 def build_all_pairs_layout(n: int) -> ParityLayout:
@@ -153,51 +187,6 @@ def induced_graph(layout: ParityLayout) -> Graph:
     return make_graph(layout.qubits, edges, inputs=layout.data_qubits, outputs=layout.data_qubits)
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
-    ok: bool
-    counterexample: str | None = None
-    parity_qubit: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def realised_parities(layout: ParityLayout) -> dict[str, frozenset[str]]:
-    """For each parity qubit, in layout order, the data qubits whose parity
-    the CNOT list leaves on it, starting from |0>. CNOTs act on basis
-    states as XORs, so each qubit holds a GF(2) sum of data bits: data
-    qubit q starts as {q}, a parity qubit as {}. Parity-qubit controls
-    are allowed, so chain layouts that build one parity from another
-    propagate too."""
-    value = {q: frozenset({q}) for q in layout.data_qubits} | dict.fromkeys(layout.parity_qubits, frozenset())
-    for c, t in layout.constraints:
-        value[t] ^= value[c]
-    return {p: value[p] for p in layout.parity_qubits}
-
-
-def validate_constraints(layout: ParityLayout) -> ConstraintReport:
-    """Check the CNOT list realizes every declared parity set.
-
-    A parity qubit whose `realised_parities` set differs from its declared
-    set by `diff`, as a mask with data qubit i at bit n-1-i as in the
-    basis-state string, is wrong exactly on the basis states with odd
-    overlap with `diff`, the first of which is the lowest set bit of
-    `diff`. The report names the first wrong basis state and, on it, the
-    first wrong parity qubit.
-    """
-    n = layout.n
-    bit = {q: 1 << (n - 1 - i) for i, q in enumerate(layout.data_qubits)}
-    realised = realised_parities(layout)
-    diffs = [(p, sum(bit[q] for q in realised[p] ^ layout.parity_sets[p])) for p in layout.parity_qubits]
-    wrong = [diff & -diff for _, diff in diffs if diff]
-    if not wrong:
-        return ConstraintReport(True)
-    x = min(wrong)  # one data bit set, so odd overlap means diff holds that bit
-    p = next(p for p, diff in diffs if diff & x)
-    return ConstraintReport(False, counterexample=format(x, f"0{n}b"), parity_qubit=p)
-
-
 def layout_to_json(layout: ParityLayout) -> dict:
     return {
         "n": layout.n,
@@ -211,7 +200,7 @@ def layout_to_json(layout: ParityLayout) -> dict:
 
 def layout_from_json(data: dict) -> ParityLayout:
     """Read a layout; raises ValueError naming a missing, unknown or
-    malformed field, or unless its CNOTs realise every parity set."""
+    malformed field, or as `ParityLayout` refuses the layout it reads."""
     json_object(data, "layout", ("n", "parity", "constraints"))
     n = data["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -230,11 +219,4 @@ def layout_from_json(data: dict) -> ParityLayout:
     if n > DEFAULT_QUBIT_CAP + named:
         raise ValueError(f"field 'n': {n} data qubits, more than {DEFAULT_QUBIT_CAP} of them in no parity set")
     data_qubits = tuple(str(i) for i in range(1, n + 1))
-    layout = ParityLayout(n, data_qubits, parity_qubits, dict(zip(parity_qubits, sets)), constraints)
-    report = validate_constraints(layout)
-    if not report:
-        raise ValueError(
-            f"constraints do not realise the parity set of {report.parity_qubit!r}: "
-            f"wrong on data basis state {report.counterexample}"
-        )
-    return layout
+    return ParityLayout(n, data_qubits, parity_qubits, dict(zip(parity_qubits, sets)), constraints)

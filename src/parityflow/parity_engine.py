@@ -21,11 +21,10 @@ Each rotated data qubit takes RZ(phi) then RX(alpha) as one 2x2.
 A run never holds a parity qubit. Preparing a qubit commutes with every
 command on other qubits (Danos, Kashefi and Panangaden, "The measurement
 calculus", 2007), so each decoded parity qubit is measured as it is
-encoded: it holds the parity of its `realised_parities` set until its
-first decode and of its declared set after, so its `xy_axis` bra leaves
-one of two values on each data index, read by that parity, with a -1
-outcome's Z on the declared set folded in when the two sets agree. That
-is one diagonal step on the data register (`simulator.parity_plan`).
+encoded: it holds the parity of its set, so its `xy_axis` bra leaves one
+of two values on each data index, read by that parity, with a -1
+outcome's Z on the set folded in. That is one diagonal step on the data
+register (`simulator.parity_plan`).
 `run_computation` follows one outcome list; `run_all_branches` runs the
 same layers on every outcome branch at once, in one array, with the same
 checks. `encode_input`, `mb_decode`, `run_layer` and `unitary_decode`
@@ -43,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from parityflow.graph import json_field, json_labels, json_list, json_number, json_object
-from parityflow.layout import ParityLayout, encoding_circuit, realised_parities
+from parityflow.layout import ParityLayout, encoding_circuit
 from parityflow.simulator import (
     BranchArray,
     MeasurementRecord,
@@ -115,15 +114,15 @@ class LayerParams:
 
 def _check_input(layout: ParityLayout, psi: Statevector) -> None:
     """Refuse an input not over the data qubits."""
-    if psi.labels != tuple(layout.data_qubits):
+    if psi.labels != layout.data_qubits:
         raise ValueError(f"input labels {psi.labels} do not match data qubits {layout.data_qubits}")
 
 
 def encode_input(layout: ParityLayout, psi: Statevector) -> Statevector:
-    """The state the constraint CNOTs leave on |psi, 0..0>, realised layout
-    or not: each parity qubit appended holding its `realised_parities` set."""
+    """The state the constraint CNOTs leave on |psi, 0..0>: each parity
+    qubit appended holding the parity of its set."""
     _check_input(layout, psi)
-    return BranchArray.start(psi).append_parities(realised_parities(layout)).state(0)
+    return BranchArray.start(psi).append_parities(layout.parity_sets).state(0)
 
 
 def _decode_schedule(layout: ParityLayout, labels: tuple[str, ...], subset: Iterable[str]) -> Schedule:
@@ -235,24 +234,12 @@ def _layer_runs(
     """Validate every layer of a run, before any runs, and compile each
     one's decode on the data register: its schedule, axes and scalar.
 
-    Each decoded parity qubit is one CNOT-joined `_FRESH` step, holding the
-    parity of its `realised_parities` set until its first decode and of
-    its declared set after; a -1 outcome is Z on the declared set. An X
-    rotation on a data qubit that a parity qubit left encoded holds would
-    make that qubit more than a parity of the data: refused, as
-    `LayerParams.validate` refuses it on the declared sets."""
-    holds = realised_parities(layout)
+    Each decoded parity qubit is one CNOT-joined `_FRESH` step holding the
+    parity of its set, a -1 outcome's Z on that set folded in."""
     runs = []
     for params, members in zip(layers, _decode_sets(layout, layers)):
-        encoded = [p for p in layout.parity_qubits if p not in members]
-        stray = [(q, p) for q in layout.data_qubits if q in params.alpha for p in encoded if q in holds[p]]
-        if stray:
-            q, p = stray[0]
-            raise ValueError(f"alpha on data qubit {q!r}, which parity qubit {p!r} outside the decode set tracks")
         qubits = [p for p in layout.parity_qubits if p in members]
-        schedule = parity_plan(layout.data_qubits, qubits, holds, layout.parity_sets)
-        holds.update((p, layout.parity_sets[p]) for p in qubits)
-        runs.append((schedule, *_xy_axes(params, qubits)))
+        runs.append((parity_plan(layout.data_qubits, qubits, layout.parity_sets), *_xy_axes(params, qubits)))
     return runs
 
 

@@ -161,7 +161,7 @@ def hadamard_conjugate(group: StabilizerGroup, subset: Iterable[str]) -> Stabili
 
 def parity_generators(layout: ParityLayout) -> StabilizerGroup:
     """One generator per parity qubit: Z there and Z on each tracked data qubit."""
-    labels = tuple(layout.data_qubits) + tuple(layout.parity_qubits)
+    labels = layout.qubits
     bit = {q: 1 << i for i, q in enumerate(labels)}
     # distinct one-bit masks, so their sum is their OR
     gens = [
@@ -177,7 +177,7 @@ def graph_generators(g: Graph) -> StabilizerGroup:
     Bit i of the graph's adjacency masks stands for vertices[i], the label
     order of the group, so each neighborhood mask is the Z mask as it is.
     """
-    labels = tuple(g.vertices)
+    labels = g.vertices
     gens = [
         PauliString(labels, 1 << i, nbrs)
         for i, (v, nbrs) in enumerate(zip(labels, g.neighbor_masks))

@@ -66,6 +66,7 @@ class Statevector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate qubit labels")
         # a copy, so that freezing it leaves the caller's array writable
@@ -568,20 +569,15 @@ def _fresh_step(
     return (_FRESH, parity, join, xmask, zmask)
 
 
-def parity_plan(
-    labels: tuple[str, ...],
-    qubits: Iterable[str],
-    held: Mapping[str, Iterable[str]],
-    tracked: Mapping[str, Iterable[str]],
-) -> Schedule:
+def parity_plan(labels: tuple[str, ...], qubits: Iterable[str], sets: Mapping[str, Iterable[str]]) -> Schedule:
     """The schedule measuring `qubits`, none of them in the register over
     `labels`, each as it joins holding the parity of the register qubits
-    `held` names, as CNOTs from them into a |0> leave it: one CNOT-joined
-    `_FRESH` step each, a -1 outcome corrected by Z on the register qubits
-    `tracked` names. The register keeps its labels; refused over the cap."""
+    its set in `sets` names, as CNOTs from them into a |0> leave it: one
+    CNOT-joined `_FRESH` step each, a -1 outcome's Z on that set folded
+    in. The register keeps its labels; refused over the cap."""
     check_cap(len(labels))
     qubits = tuple(qubits)
-    steps = tuple(_fresh_step(labels, held[q], (), tracked[q], _CNOT_JOIN) for q in qubits)
+    steps = tuple(_fresh_step(labels, sets[q], (), sets[q], _CNOT_JOIN) for q in qubits)
     return Schedule(qubits, steps, labels, len(labels))
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from parityflow import mbqc_engine, parity_engine, simulator
 from parityflow.gflow import GFlow, canonical_yz_gflow, yz_bipartite_sweep
-from parityflow.layout import build_all_pairs_layout, induced_graph, realised_parities
+from parityflow.layout import build_all_pairs_layout, induced_graph
 from parityflow.parity_engine import Z_AXIS, LayerParams, all_outcome_branches, xy_axis
 from parityflow.simulator import (
     BranchArray,
@@ -95,11 +95,9 @@ def one_pass(run):
 def parity_programs(draw, layouts=st.integers(2, 4).map(lambda n: layout_and_flow(n)[0])):
     """Layouts (default: all-pairs n = 2..4), 1-3 layers, random partial
     decode sets, at most MAX_MEASUREMENTS measurements in all; X rotations
-    only on data qubits that no parity qubit left encoded tracks, by its
-    declared set or by the set its CNOTs realise."""
+    only on data qubits that no parity qubit left encoded tracks."""
     layout = draw(layouts)
     parity = layout.parity_qubits
-    realised = realised_parities(layout)
     budget = MAX_MEASUREMENTS - len(parity)  # the final layer decodes every parity qubit
     layers = []
     for _ in range(draw(st.integers(0, 2))):
@@ -109,7 +107,7 @@ def parity_programs(draw, layouts=st.integers(2, 4).map(lambda n: layout_and_flo
     layers.append((frozenset(parity), True))
     program = []
     for decode, final in layers:
-        encoded = set().union(*(layout.parity_sets[p] | realised[p] for p in parity if p not in decode))
+        encoded = set().union(*(layout.parity_sets[p] for p in parity if p not in decode))
         program.append(
             LayerParams(
                 theta={p: draw(ANGLES) for p in sorted(decode) if draw(st.booleans())},
@@ -180,8 +178,8 @@ def test_parity_xy_axes_match_the_rz_gates(case, seed):
 def test_data_register_runs_land_on_the_full_register_rows(case):
     """Runs on the data register, each decoded parity qubit measured as it
     is encoded, against the full-register route on every branch: random
-    layouts, unrealised CNOT lists included, and random partial decode
-    sets."""
+    layouts, parities routed through other parity qubits included, and
+    random partial decode sets."""
     layout, psi, layers = case
     outcome_lists = all_outcome_branches(parity_engine.measurement_count(layout, layers))
     assert_on_full_register_rows(layout, psi, layers, list(outcome_lists))

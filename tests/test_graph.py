@@ -270,6 +270,14 @@ def test_graph_invariants_rejected():
         make_graph(["1"], [], inputs=["2"])
 
 
+def test_list_vertices_become_a_tuple():
+    g = Graph(["a", "b", "c"], frozenset({("a", "b"), ("c", "b")}), frozenset({"a"}), frozenset({"c"}))
+    assert g.vertices == ("a", "b", "c")
+    assert g == make_graph(("a", "b", "c"), [("a", "b"), ("b", "c")], ["a"], ["c"])
+    assert neighbors(g, "b") == {"a", "c"}
+    assert odd_neighborhood(g, ["a", "c"]) == set()
+
+
 def test_edges_normalized_regardless_of_direction():
     g1 = make_graph(["1", "2"], [("1", "2")])
     g2 = make_graph(["1", "2"], [("2", "1")])

@@ -1,8 +1,10 @@
-"""Parity layout construction, encoding circuits, constraint validation."""
+"""Parity layout construction, encoding circuits, the refusal of CNOT lists
+that do not realise their parity sets."""
 
 import tracemalloc
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from parityflow.graph import bipartition_check, neighbors
@@ -16,9 +18,8 @@ from parityflow.layout import (
     induced_graph,
     layout_from_json,
     layout_to_json,
-    realised_parities,
-    validate_constraints,
 )
+from parityflow.parity_engine import encode_input
 from parityflow.simulator import apply_circuit, basis_state
 
 
@@ -115,51 +116,69 @@ def test_induced_graph_bipartite_with_data_partition(n):
     assert bipartition_check(induced_graph(layout), layout.data_qubits)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16, ALL_PAIRS_MAX_N])
 def test_validate_all_pairs(n):
-    assert validate_constraints(build_all_pairs_layout(n))
+    """Every all-pairs layout realises its sets, so it builds, up to the
+    largest n whose labels are distinct."""
+    layout = build_all_pairs_layout(n)
+    assert len(layout.parity_qubits) == n * (n - 1) // 2
 
 
 def test_validate_missing_cnot():
     base = build_all_pairs_layout(2)
-    broken = ParityLayout(
-        base.n, base.data_qubits, base.parity_qubits, base.parity_sets, (("1", "(12)"),)
-    )
-    report = validate_constraints(broken)
-    assert not report
-    assert report.counterexample == "01"
-    assert report.parity_qubit == "(12)"
+    message = r"^constraints do not realise the parity set of '\(12\)': wrong on data basis state 01$"
+    with pytest.raises(ValueError, match=message):
+        ParityLayout(base.n, base.data_qubits, base.parity_qubits, base.parity_sets, (("1", "(12)"),))
 
 
 def test_validate_chain_with_parity_control():
     # (13) built by routing through (12): x1^x2 then ^x2 ^x3 leaves x1^x3
-    layout = ParityLayout(
-        3,
-        ("1", "2", "3"),
-        ("(12)", "(13)"),
-        {"(12)": frozenset({"1", "2"}), "(13)": frozenset({"1", "3"})},
+    sets = {"(12)": frozenset({"1", "2"}), "(13)": frozenset({"1", "3"})}
+    ParityLayout(
+        3, ("1", "2", "3"), ("(12)", "(13)"), sets,
         (("1", "(12)"), ("2", "(12)"), ("(12)", "(13)"), ("2", "(13)"), ("3", "(13)")),
     )
-    assert validate_constraints(layout)
     # drop one hop and the chain no longer realizes x1^x3
-    broken = ParityLayout(
-        3,
-        ("1", "2", "3"),
-        ("(12)", "(13)"),
-        {"(12)": frozenset({"1", "2"}), "(13)": frozenset({"1", "3"})},
-        (("1", "(12)"), ("2", "(12)"), ("(12)", "(13)"), ("3", "(13)")),
-    )
-    assert not validate_constraints(broken)
+    with pytest.raises(ValueError, match=r"'\(13\)': wrong on data basis state 010$"):
+        ParityLayout(
+            3, ("1", "2", "3"), ("(12)", "(13)"), sets,
+            (("1", "(12)"), ("2", "(12)"), ("(12)", "(13)"), ("3", "(13)")),
+        )
 
 
 def test_realised_parities_follow_the_chain():
+    """The refusal reads the parities the CNOTs leave, propagated through
+    parity-qubit controls: the first wrong basis state and, on it, the
+    first wrong parity qubit."""
     sets = {"(12)": frozenset({"1", "2"}), "(13)": frozenset({"1", "3"})}
     chain = (("1", "(12)"), ("2", "(12)"), ("(12)", "(13)"), ("2", "(13)"), ("3", "(13)"))
-    layout = ParityLayout(3, ("1", "2", "3"), ("(12)", "(13)"), sets, chain)
-    assert realised_parities(layout) == sets
-    # without the hop through 2, (13) keeps x2 from (12)
-    broken = ParityLayout(3, ("1", "2", "3"), ("(12)", "(13)"), sets, chain[:3] + chain[4:])
-    assert realised_parities(broken) == {"(12)": sets["(12)"], "(13)": frozenset({"1", "2", "3"})}
+    # without the hop through 1 into (12), (12) holds x2 and (13) holds x3:
+    # both wrong on 100, and (12) comes first
+    with pytest.raises(ValueError, match=r"'\(12\)': wrong on data basis state 100$"):
+        ParityLayout(3, ("1", "2", "3"), ("(12)", "(13)"), sets, chain[1:])
+    # without the hop from 3, (13) holds x1 alone, wrong on 001 alone
+    with pytest.raises(ValueError, match=r"'\(13\)': wrong on data basis state 001$"):
+        ParityLayout(3, ("1", "2", "3"), ("(12)", "(13)"), sets, chain[:4])
+
+
+def test_list_fields_become_tuples():
+    """A layout built from lists holds tuples, so its labels compare with
+    a register's and its graph builds."""
+    layout = ParityLayout(2, ["1", "2"], ["(12)"], {"(12)": ["1", "2"]}, [["1", "(12)"], ["2", "(12)"]])
+    assert (layout.data_qubits, layout.parity_qubits) == (("1", "2"), ("(12)",))
+    assert layout.constraints == (("1", "(12)"), ("2", "(12)"))
+    assert induced_graph(layout) == induced_graph(build_all_pairs_layout(2))
+
+
+def test_parity_sets_follow_the_parity_qubit_order():
+    """Sets given in another order are kept in layout order, the order in
+    which the encoded register appends the parity qubits."""
+    sets = {"b": {"1"}, "a": {"1", "2"}}
+    layout = ParityLayout(2, ("1", "2"), ("a", "b"), sets, (("1", "a"), ("2", "a"), ("1", "b")))
+    assert list(layout.parity_sets) == ["a", "b"]
+    encoded = encode_input(layout, basis_state(layout.data_qubits, "10"))
+    assert encoded.labels == layout.qubits
+    assert np.array_equal(encoded.amplitudes, basis_state(layout.qubits, "1011").amplitudes)
 
 
 def test_constraint_on_one_qubit_rejected():

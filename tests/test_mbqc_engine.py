@@ -69,6 +69,23 @@ def test_prepare_graph_state_enforces_qubit_cap():
         prepare_graph_state(g, basis_state(("0",), "0"))
 
 
+def test_a_register_built_from_a_list_of_labels_runs_through_both_engines():
+    """Statevector keeps its labels as a tuple, so a list matches the data
+    qubits a parity run checks and keys the compiled MBQC run as a tuple
+    does."""
+    layout = build_all_pairs_layout(2)
+    graph = induced_graph(layout)
+    flow = canonical_yz_gflow(graph)
+    amplitudes = random_state(("1", "2"), np.random.default_rng(3)).amplitudes
+    listed, tupled = Statevector(["1", "2"], amplitudes), Statevector(("1", "2"), amplitudes)
+    assert listed.labels == ("1", "2")
+    layers = [LayerParams(theta={"(12)": 0.7})]
+    parity = [run_computation(layout, psi, layers, [-1])[0] for psi in (listed, tupled)]
+    mbqc = [run_mbqc_yz(graph, psi, {"(12)": 0.7}, flow, [-1])[0] for psi in (listed, tupled)]
+    for a, b in (parity, mbqc):
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_hadamard_on_graph_state_equals_encoding(n):
     layout = build_all_pairs_layout(n)

@@ -35,7 +35,6 @@ from parityflow.simulator import (
     run_schedule,
 )
 
-from parity_helpers import full_register_branches
 from pauli_helpers import pauli_expectation
 
 
@@ -380,31 +379,6 @@ def test_runs_stay_on_the_data_register(n):
     assert state.labels == branches.labels == layout.data_qubits
 
 
-def unrealised_layout():
-    """Two data qubits and one parity qubit declared on {1} whose CNOTs
-    realise {1, 2}."""
-    return ParityLayout(2, ("1", "2"), ("p",), {"p": frozenset({"1"})}, (("1", "p"), ("2", "p")))
-
-
-def test_alpha_on_a_qubit_an_encoded_parity_qubit_realises_refused():
-    """An X rotation on a data qubit that an undecoded parity qubit holds
-    through its CNOTs, though not through its declared set, is refused by
-    both runs; once the qubit is decoded, it holds its declared set."""
-    layout = unrealised_layout()
-    psi = random_state(layout.data_qubits, np.random.default_rng(12))
-    rotate_two = LayerParams(alpha={"2": 0.4}, decode=frozenset())
-    rotate_two.validate(layout)
-    message = "^alpha on data qubit '2', which parity qubit 'p' outside the decode set tracks$"
-    with pytest.raises(ValueError, match=message):
-        run_computation(layout, psi, [rotate_two, LayerParams()], [1])
-    with pytest.raises(ValueError, match=message):
-        parity_engine.run_all_branches(layout, psi, [rotate_two, LayerParams()])
-    layers = [LayerParams(theta={"p": 0.8}), rotate_two, LayerParams(theta={"p": -0.3})]
-    reference = full_register_branches(layout, psi, layers)
-    branches = parity_engine.run_all_branches(layout, psi, layers)
-    assert np.abs(branches.amplitudes - reference.amplitudes).max() <= 1e-15
-
-
 def test_layer_params_validation(layout2):
     with pytest.raises(ValueError, match="theta"):
         LayerParams(theta={"1": 0.1}).validate(layout2)
@@ -416,8 +390,16 @@ def test_layer_params_validation(layout2):
 
 def test_alpha_on_a_still_encoded_data_qubit_rejected():
     layout = build_all_pairs_layout(3)
-    with pytest.raises(ValueError, match=r"alpha on data qubit '1', which parity qubit '\(13\)'"):
-        LayerParams(theta={"(12)": 0.9}, alpha={"1": 0.4}, decode=frozenset({"(12)"})).validate(layout)
+    stray = LayerParams(theta={"(12)": 0.9}, alpha={"1": 0.4}, decode=frozenset({"(12)"}))
+    message = r"^alpha on data qubit '1', which parity qubit '\(13\)' outside the decode set tracks$"
+    with pytest.raises(ValueError, match=message):
+        stray.validate(layout)
+    # both runs refuse it through the same check, before any measurement
+    psi = basis_state(layout.data_qubits, "000")
+    with pytest.raises(ValueError, match=message):
+        run_computation(layout, psi, [stray, LayerParams()], [1] * 4)
+    with pytest.raises(ValueError, match=message):
+        parity_engine.run_all_branches(layout, psi, [stray, LayerParams()])
     # Z rotations commute with the encoding; decoding (13) too leaves qubit 1 decoded
     LayerParams(theta={"(12)": 0.9}, phi={"1": 0.4}, decode=frozenset({"(12)"})).validate(layout)
     LayerParams(theta={"(12)": 0.9}, alpha={"1": 0.4}, decode=frozenset({"(12)", "(13)"})).validate(layout)

@@ -37,7 +37,7 @@ from parityflow.graph import (
     odd_neighborhood,
     with_io,
 )
-from parityflow.layout import ConstraintReport, ParityLayout, cnot, cz, encoding_circuit, validate_constraints
+from parityflow.layout import ParityLayout, cnot, cz, encoding_circuit
 from parityflow.mbqc_engine import prepare_graph_state, yz_axis
 from parityflow.parity_engine import encode_input
 from parityflow.pauli import (
@@ -228,55 +228,80 @@ def test_mask_flow_checks_match_the_set_route(case):
 
 
 @st.composite
-def parity_layouts(draw):
-    """Random layout on up to 6 data qubits: parities routed directly or
-    through earlier parity qubits, then sometimes broken by a dropped or
-    an extra CNOT; or a CNOT list drawn at random."""
+def routed_layout_fields(draw):
+    """The fields of a random layout on up to 6 data qubits, in
+    `ParityLayout` order, whose CNOT list realises every set: each parity
+    routed directly or through earlier parity qubits."""
     n = draw(st.integers(1, 6))
     data = tuple(str(i) for i in range(1, n + 1))
     nonempty = st.frozensets(st.sampled_from(data), min_size=1)
     sets = draw(st.lists(nonempty, max_size=5, unique=True))
     parity = tuple(f"p{j}" for j in range(len(sets)))
-    qubits = data + parity
     constraints = []
+    for j, s in enumerate(sets):
+        rest = set(s)
+        for k in range(j):
+            if sets[k] <= rest and draw(st.booleans()):
+                constraints.append((parity[k], parity[j]))
+                rest -= sets[k]
+        constraints.extend((q, parity[j]) for q in sorted(rest, key=data.index))
+    return n, data, parity, dict(zip(parity, sets)), tuple(constraints)
+
+
+def parity_layouts():
+    """Random layouts built from `routed_layout_fields`."""
+    return routed_layout_fields().map(lambda fields: ParityLayout(*fields))
+
+
+@st.composite
+def layout_fields(draw):
+    """Layout fields whose CNOT list may not realise the sets: a routed
+    list sometimes broken by a dropped or an extra CNOT, or a CNOT list
+    drawn at random."""
+    n, data, parity, sets, routed = draw(routed_layout_fields())
+    qubits = data + parity
+    constraints = list(routed)
     if parity and draw(st.booleans()):
         constraints = draw(st.lists(st.tuples(st.sampled_from(qubits), st.sampled_from(parity)), max_size=12))
         constraints = [(c, t) for c, t in constraints if c != t]
     else:
-        for j, s in enumerate(sets):
-            rest = set(s)
-            for k in range(j):
-                if sets[k] <= rest and draw(st.booleans()):
-                    constraints.append((parity[k], parity[j]))
-                    rest -= sets[k]
-            constraints.extend((q, parity[j]) for q in sorted(rest, key=data.index))
         if constraints and draw(st.booleans()):
             del constraints[draw(st.integers(0, len(constraints) - 1))]
         if parity and draw(st.booleans()):
             extra = (draw(st.sampled_from(qubits)), draw(st.sampled_from(parity)))
             if extra[0] != extra[1]:
                 constraints.insert(draw(st.integers(0, len(constraints))), extra)
-    return ParityLayout(n, data, parity, dict(zip(parity, sets)), tuple(constraints))
+    return n, data, parity, sets, tuple(constraints)
 
 
-def _reference_constraint_report(layout):
+def _reference_constraint_report(n, data, parity, sets, constraints):
     """Run the CNOTs on every data basis state, first data qubit most
-    significant; report the first failing state and parity qubit."""
-    for x in range(1 << layout.n):
-        bits = {q: x >> (layout.n - 1 - i) & 1 for i, q in enumerate(layout.data_qubits)}
-        bits.update(dict.fromkeys(layout.parity_qubits, 0))
-        for c, t in layout.constraints:
+    significant; the refusal naming the first failing state and parity
+    qubit, or None when every state passes."""
+    for x in range(1 << n):
+        bits = {q: x >> (n - 1 - i) & 1 for i, q in enumerate(data)}
+        bits.update(dict.fromkeys(parity, 0))
+        for c, t in constraints:
             bits[t] ^= bits[c]
-        for p in layout.parity_qubits:
-            if bits[p] != sum(bits[q] for q in layout.parity_sets[p]) % 2:
-                return ConstraintReport(False, format(x, f"0{layout.n}b"), p)
-    return ConstraintReport(True)
+        for p in parity:
+            if bits[p] != sum(bits[q] for q in sets[p]) % 2:
+                return f"constraints do not realise the parity set of {p!r}: wrong on data basis state {x:0{n}b}"
+    return None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(parity_layouts())
-def test_validate_constraints_matches_basis_state_simulation(layout):
-    assert validate_constraints(layout) == _reference_constraint_report(layout)
+@given(layout_fields())
+def test_validate_constraints_matches_basis_state_simulation(fields):
+    """A layout is refused at construction exactly when a basis-state run
+    of its CNOTs leaves a parity qubit wrong, naming the same state and
+    parity qubit."""
+    expected = _reference_constraint_report(*fields)
+    if expected is None:
+        ParityLayout(*fields)
+    else:
+        with pytest.raises(ValueError) as refusal:
+            ParityLayout(*fields)
+        assert str(refusal.value) == expected
 
 
 _PAULI = {
@@ -572,8 +597,8 @@ def test_multi_row_parity_append_matches_cnots_on_every_row(case, rows, seed):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(parity_layouts(), st.integers(0, 2**32 - 1))
 def test_encode_input_matches_the_encoding_circuit_replay(layout, seed):
-    """Realised or not, the encoded state is what the constraint CNOTs
-    leave on |psi, 0..0>."""
+    """The encoded state is what the constraint CNOTs leave on |psi, 0..0>,
+    parities routed through other parity qubits included."""
     psi = random_state(layout.data_qubits, np.random.default_rng(seed))
     reference = apply_circuit(_append_loop(psi, layout.parity_qubits), encoding_circuit(layout))
     out = encode_input(layout, psi)

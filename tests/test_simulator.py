@@ -1,5 +1,6 @@
 """Statevector operations against small matrix oracles."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -282,8 +283,23 @@ def test_schedules_carry_the_widest_register_a_run_holds():
     kinds = [simulator._PREPARE, simulator._FRESH, simulator._PREPARE, simulator._MEASURE]
     assert [step[0] for step in joined.steps] == kinds
     assert (joined.width, joined.labels) == (3, ("a", "w"))
-    parity = simulator.parity_plan(("1", "2", "3"), ["(12)"], {"(12)": ["1", "2"]}, {"(12)": ["1", "2"]})
+    parity = simulator.parity_plan(("1", "2", "3"), ["(12)"], {"(12)": ["1", "2"]})
     assert (parity.width, parity.labels) == (3, ("1", "2", "3"))
+
+
+def test_parity_plan_compiles_only_folded_cnot_joins():
+    """A parity qubit holds the parity of its set and its -1 outcome is Z
+    on that same set, so every step is a CNOT-joined `_FRESH` step with
+    the Z folded in: row `_CNOT_JOIN + 2`, both masks 0, read at the
+    set's parity. Every nonempty set of a 4-qubit register, in turn."""
+    labels = ("1", "2", "3", "4")
+    subsets = [s for k in range(1, 5) for s in itertools.combinations(labels, k)]
+    sets = {f"p{j}": s for j, s in enumerate(subsets)}
+    schedule = simulator.parity_plan(labels, sets, sets)
+    assert (schedule.qubits, schedule.labels, schedule.width) == (tuple(sets), labels, 4)
+    for members, (kind, parity, row, xmask, zmask) in zip(subsets, schedule.steps):
+        assert (kind, row, xmask, zmask) == (simulator._FRESH, simulator._CNOT_JOIN + 2, 0, 0)
+        assert np.array_equal(parity, simulator._odd_overlap(4, simulator._index_mask(labels, members)))
 
 
 def test_compiles_over_the_cap_are_refused(monkeypatch):
@@ -293,7 +309,7 @@ def test_compiles_over_the_cap_are_refused(monkeypatch):
     with pytest.raises(ValueError, match="register of 3 qubits exceeds cap 2"):
         compile_plan(("a", "b", "c"), ["a"], lambda _: ((), ()))
     with pytest.raises(ValueError, match="register of 3 qubits exceeds cap 2"):
-        simulator.parity_plan(("1", "2", "3"), ["(12)"], {"(12)": ["1", "2"]}, {"(12)": ["1", "2"]})
+        simulator.parity_plan(("1", "2", "3"), ["(12)"], {"(12)": ["1", "2"]})
 
 
 def test_run_schedule_all_refuses_before_its_first_step(monkeypatch):
