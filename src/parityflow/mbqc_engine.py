@@ -45,6 +45,7 @@ from parityflow.simulator import (
     Schedule,
     Statevector,
     _live_plan,
+    _run_checked,
     check_cap,
     rotate_qubits,
     run_schedule,
@@ -201,19 +202,20 @@ def run_repeated_mbqc(
 ) -> tuple[Statevector, list[MeasurementRecord]]:
     """Re-prepare the graph on the current data register each layer, measure
     it out, then apply the local data rotations to the outputs. Every layer
-    measures every non-output vertex. Every layer (`_check_layers`) and the
-    outcomes are checked before the first runs; each layer takes its own
-    slice of the list."""
+    measures every non-output vertex, on the compiled run `run_mbqc_yz`
+    takes. Every layer (`_check_layers`) and the outcomes are checked
+    before the first runs; each layer takes its own slice of the list,
+    unchecked again."""
     _check_layers(g, layers)
-    measured = set(g.vertices) - g.outputs
-    shares = split_outcomes(outcomes, [len(measured)] * len(layers))
+    shares = split_outcomes(outcomes, [len(g.vertices) - len(g.outputs)] * len(layers))
     state = psi
     records: list[MeasurementRecord] = []
     for params, share in zip(layers, shares):
-        angles = {v: params.theta.get(v, 0.0) for v in measured}
-        state, record = run_mbqc_yz(g, state, angles, flow, share)
+        schedule = _compiled(g, flow, state.labels, None)
+        axes = [yz_axis(params.theta.get(v, 0.0)) for v in schedule.qubits]
+        state, record = _run_checked(schedule, state.amplitudes, axes, share)
         records.append(record)
-        state = Statevector(state.labels, rotate_qubits(state.amplitudes, state.labels, params.alpha, params.phi))
+        state = Statevector._owned(state.labels, rotate_qubits(state.amplitudes, state.labels, params.alpha, params.phi))
     return state, records
 
 

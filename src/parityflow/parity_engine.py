@@ -48,6 +48,7 @@ from parityflow.simulator import (
     MeasurementRecord,
     Schedule,
     Statevector,
+    _run_checked,
     apply_circuit,
     compile_plan,
     discard_qubit,
@@ -252,17 +253,19 @@ def run_computation(
     """Fold layers on the data register, each decoded parity qubit measured
     as it is encoded (`_layer_runs`), finishing fully decoded. Every layer,
     the outcomes and the input labels are checked before the first
-    measurement; each layer takes its own slice of the list."""
+    measurement; each layer takes its own slice of the list, unchecked
+    again."""
     runs = _layer_runs(layout, layers)
     shares = split_outcomes(outcomes, [len(schedule.qubits) for schedule, _, _ in runs])
     _check_input(layout, psi)
     amps = psi.amplitudes
     records: list[MeasurementRecord] = []
     for params, (schedule, axes, phase), share in zip(layers, runs, shares):
-        state, record = run_schedule(schedule, amps * phase, axes, share)
+        state, record = _run_checked(schedule, amps * phase, axes, share)
         amps = rotate_qubits(state.amplitudes, psi.labels, params.alpha, params.phi)
         records.append(record)
-    return Statevector(psi.labels, amps), records
+    # every layer ran, so amps is an array a run made
+    return Statevector._owned(psi.labels, amps), records
 
 
 def run_all_branches(layout: ParityLayout, psi: Statevector, layers: Sequence[LayerParams]) -> BranchArray:

@@ -30,6 +30,12 @@ gate, and a layer's data rotations as one 2x2 per rotated qubit
 check them against. The steps read two cached tables: `_odd_overlap`, the
 0/1 parity of each amplitude index under a mask, and `_fresh_factors`, the
 outcome factors of an axis, whose CNOT rows are its two bras.
+
+A state is checked where it is built from outside (`Statevector(...)`):
+its labels, its shape and its norm. A run hands over the amplitudes it
+made and normalised itself as they are (`Statevector._owned`), frozen but
+neither copied nor checked again, and each engine call checks its outcome
+list once (`check_outcomes`), before the first step.
 """
 
 from __future__ import annotations
@@ -62,6 +68,11 @@ class EntangledQubitError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Statevector:
+    """A register state: distinct labels and 2^n complex amplitudes of norm
+    1, read-only. Built from outside, it is checked and its amplitudes
+    copied, so the caller's array stays writable; a run hands over the
+    amplitudes it normalised through `_owned`, unchecked."""
+
     labels: tuple[str, ...]
     amplitudes: np.ndarray
 
@@ -79,6 +90,17 @@ class Statevector:
             raise ValueError(f"state norm {norm} is not 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _owned(cls, labels: tuple[str, ...], amps: np.ndarray) -> Statevector:
+        """The state a run hands over: amplitudes of norm 1 that the run made
+        itself, over a label tuple already checked, frozen in place with no
+        copy and no check. Never pass an array a caller may still write."""
+        state = object.__new__(cls)
+        amps.setflags(write=False)
+        object.__setattr__(state, "labels", labels)
+        object.__setattr__(state, "amplitudes", amps)
+        return state
 
     @property
     def num_qubits(self) -> int:
@@ -337,18 +359,18 @@ def _bra_pairs(axis: tuple[float, float, float]) -> list[tuple[complex, complex]
     normalised. Contracting the measured qubit with it gives the row
     discard_qubit keeps after project, up to the 1/sqrt(p) renormalisation.
     """
-    # written so that a NaN component fails it too
-    if len(axis) != 3 or not abs(math.sqrt(sum(c * c for c in axis)) - 1.0) <= 1e-9:
+    if len(axis) != 3:
         raise ValueError("axis must be a unit 3-vector")
     x, y, z = axis
-    rows = []
-    for o in (1, -1):
-        # twice the outcome's projector, row by row
-        top, bottom = (1 + o * z, complex(o * x, -o * y)), (complex(o * x, o * y), 1 - o * z)
-        a, b = bottom if _bra_row(z, o) else top
-        norm = math.hypot(abs(a), abs(b))
-        rows.append((a / norm, b / norm))
-    return rows
+    # written so that a NaN component fails it too
+    if not abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-9:
+        raise ValueError("axis must be a unit 3-vector")
+    # twice the outcome's projector has rows (1 + o z, o (x - iy)) and
+    # (o (x + iy), 1 - o z); the `_bra_row` of o = +1 is the top one when
+    # z >= 0, that of o = -1 when z <= 0
+    plus = (1 + z, complex(x, -y)) if z >= 0 else (complex(x, y), 1 - z)
+    minus = (1 - z, complex(-x, y)) if z <= 0 else (complex(-x, -y), 1 + z)
+    return [(a / (norm := math.hypot(abs(a), abs(b))), b / norm) for a, b in (plus, minus)]
 
 
 # the first `_fresh_factors` row of a qubit that joins as |+> (CZ-joined to
@@ -590,9 +612,22 @@ def _index_mask(labels: tuple[str, ...], qubits: Iterable[str]) -> int:
     return mask
 
 
+_INT = frozenset((int,))
+_PLUS_MINUS = frozenset((1, -1))
+
+
 def check_outcomes(outcomes: Sequence[int], count: int) -> list[int]:
     """The prescribed outcomes as ints, refused unless they are a sequence
-    of exactly `count` outcomes, each 1 or -1 (not a bool)."""
+    of exactly `count` outcomes, each 1 or -1 (not a bool). A list of
+    exactly `count` ints (`int` itself, so no bool or numpy integer), each
+    1 or -1, is returned as it is."""
+    if (
+        type(outcomes) is list
+        and len(outcomes) == count
+        and _INT.issuperset(map(type, outcomes))
+        and _PLUS_MINUS.issuperset(outcomes)
+    ):
+        return outcomes
     if not isinstance(outcomes, Sequence) or isinstance(outcomes, (str, bytes)):
         raise TypeError("outcomes must be a sequence of +/-1")
     bad = [o for o in outcomes if isinstance(o, (bool, np.bool_)) or o not in (1, -1)]
@@ -619,7 +654,21 @@ def run_schedule(
     """Measure the schedule's qubits of one register (the amplitudes of the
     register it was compiled on) along `axes`, one per qubit.
 
-    Outcomes are checked (`check_outcomes`) before the first measurement.
+    Outcomes are checked (`check_outcomes`) before the first measurement,
+    and the schedule followed by `_run_checked`. The amplitudes are taken
+    as given, a unit complex128 vector as a `Statevector` holds them."""
+    return _run_checked(schedule, amplitudes, axes, check_outcomes(outcomes, len(schedule.qubits)))
+
+
+def _run_checked(
+    schedule: Schedule,
+    amplitudes: np.ndarray,
+    axes: Sequence[tuple[float, float, float]],
+    outcomes: list[int],
+) -> tuple[Statevector, MeasurementRecord]:
+    """`run_schedule` on an outcome list `check_outcomes` has passed, as
+    the engines' multi-layer runs hand each layer its share.
+
     Each step contracts the measured qubit with the bra of the outcome
     taken only, or multiplies in a fresh qubit's diagonal for it, and
     applies the step's correction on a -1 outcome. The halves are kept
@@ -627,9 +676,9 @@ def run_schedule(
     Born probability the kept half's squared norm over it, and the output
     is normalised once. Gives the row of `run_schedule_all` for the
     outcomes taken. Raises ZeroProbabilityError below the 1e-12
-    probability floor.
+    probability floor. The output is a new array, frozen; the input
+    amplitudes are not written.
     """
-    outcomes = check_outcomes(outcomes, len(schedule.qubits))
     # listed first, so that too few or too many axes raise before any step
     measured = iter(list(zip(schedule.qubits, axes, outcomes, strict=True)))
     amps, weight = amplitudes, 1.0
@@ -655,7 +704,7 @@ def run_schedule(
         if minus and (xmask or zmask):
             amps = _apply_paulis(amps, xmask, zmask)
         record.append(MeasurementEntry(q, axis, outcome, probability))
-    return Statevector(schedule.labels, amps / math.sqrt(weight)), tuple(record)
+    return Statevector._owned(schedule.labels, amps / math.sqrt(weight)), tuple(record)
 
 
 def check_cap(qubits: int, branches: int = 1) -> None:

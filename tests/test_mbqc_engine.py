@@ -543,19 +543,90 @@ def test_shared_sweep_flow_verified_per_graph_and_refused_where_invalid(monkeypa
     assert [seen is g for (seen, _), g in zip(runs, (first, second), strict=True)] == [True, True]
 
 
-def test_per_branch_run_builds_one_statevector():
-    """Once compiled, a per-branch run builds its output register and no
-    other, on any outcome list."""
-    graph = induced_graph(build_all_pairs_layout(3))
+def _all_pairs_runs(layer_count):
+    """The n = 3 all-pairs program through each per-branch run, as
+    functions of the outcome list: `run_mbqc_yz` (one layer's angles),
+    `run_repeated_mbqc` and `run_computation` (layer_count layers, the
+    first rotating no data qubit). Each gives (state, list of records)."""
+    layout = build_all_pairs_layout(3)
+    graph = induced_graph(layout)
     flow = canonical_yz_gflow(graph)
-    psi = random_state(("1", "2", "3"), np.random.default_rng(2))
-    angles = {v: 0.5 for v in flow.g}
-    run_mbqc_yz(graph, psi, angles, flow, [1, 1, 1])
-    for outcomes in ([1, -1, -1], np.random.default_rng(3).choice((1, -1), 3).tolist()):
+    psi = random_state(layout.data_qubits, np.random.default_rng(2))
+    rng = np.random.default_rng(3)
+    layers = [LayerParams(theta={p: float(rng.uniform(-np.pi, np.pi)) for p in layout.parity_qubits})]
+    for _ in range(layer_count - 1):
+        layers.append(
+            LayerParams(
+                theta={p: float(rng.uniform(-np.pi, np.pi)) for p in layout.parity_qubits},
+                alpha={q: float(rng.uniform(-np.pi, np.pi)) for q in layout.data_qubits},
+                phi={q: float(rng.uniform(-np.pi, np.pi)) for q in layout.data_qubits},
+            )
+        )
+    count = len(layout.parity_qubits)
+
+    def single(outcomes):
+        state, record = run_mbqc_yz(graph, psi, layers[0].theta, flow, outcomes)
+        return state, [record]
+
+    return psi, {
+        "run_mbqc_yz": (single, count),
+        "run_repeated_mbqc": (lambda outcomes: run_repeated_mbqc(graph, psi, layers, flow, outcomes), count * layer_count),
+        "run_computation": (lambda outcomes: run_computation(layout, psi, layers, outcomes), count * layer_count),
+    }
+
+
+# each per-branch run, with the layer counts it takes
+PER_BRANCH_RUNS = [("run_mbqc_yz", 1)] + [(entry, n) for entry in ("run_repeated_mbqc", "run_computation") for n in (1, 3)]
+
+
+@pytest.mark.parametrize(("entry", "layer_count"), PER_BRANCH_RUNS)
+def test_per_branch_runs_build_no_statevector(entry, layer_count):
+    """Once compiled, a per-branch run checks no state: it hands over the
+    amplitudes it normalised, read-only, over the data register, as the
+    checked constructor would build them from the same array."""
+    psi, runs = _all_pairs_runs(layer_count)
+    run, count = runs[entry]
+    run([1] * count)
+    rng = np.random.default_rng(4)
+    for outcomes in ([1] * count, [-1] * count, rng.choice((1, -1), count).tolist()):
         post_init = Statevector.__post_init__
         with mock.patch.object(Statevector, "__post_init__", autospec=True, side_effect=post_init) as built:
-            run_mbqc_yz(graph, psi, angles, flow, outcomes)
-        assert built.call_count == 1
+            out, _ = run(outcomes)
+        assert built.call_count == 0
+        assert out.labels == ("1", "2", "3")
+        assert not out.amplitudes.flags.writeable
+        assert not np.shares_memory(out.amplitudes, psi.amplitudes)
+        assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= simulator.NORM_TOL
+        assert Statevector(out.labels, out.amplitudes).amplitudes.tobytes() == out.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize(("entry", "layer_count"), PER_BRANCH_RUNS)
+def test_each_run_checks_its_outcome_list_once(entry, layer_count):
+    """A multi-layer run checks the whole list once and hands each layer
+    its share unchecked; a single run checks it in `run_schedule`."""
+    _, runs = _all_pairs_runs(layer_count)
+    run, count = runs[entry]
+    run([1] * count)
+    for outcomes in ([1, -1] * count)[:count], tuple([-1] * count), [np.int64(1)] * count:
+        with mock.patch.object(simulator, "check_outcomes", wraps=simulator.check_outcomes) as checked:
+            run(outcomes)
+        assert checked.call_count == 1
+
+
+@pytest.mark.parametrize(("entry", "layer_count"), PER_BRANCH_RUNS)
+def test_outcome_lists_of_any_accepted_type_give_the_same_run(entry, layer_count):
+    """A list of ints, a tuple, a list of numpy ints and a list of floats
+    1.0/-1.0 give bitwise the same output and records, whose outcomes are
+    ints."""
+    _, runs = _all_pairs_runs(layer_count)
+    run, count = runs[entry]
+    outcomes = np.random.default_rng(5).choice((1, -1), count).tolist()
+    expected, expected_records = run(list(outcomes))
+    for given in (tuple(outcomes), [np.int64(o) for o in outcomes], [float(o) for o in outcomes]):
+        out, records = run(given)
+        assert out.amplitudes.tobytes() == expected.amplitudes.tobytes()
+        assert records == expected_records
+        assert [type(e.outcome) for record in records for e in record] == [int] * count
 
 
 @pytest.mark.parametrize("entry", ["run_mbqc_yz", "run_repeated_mbqc"])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -155,6 +156,100 @@ def test_fresh_factors_are_built_once_per_axis_and_checked_on_every_call():
     for _ in range(2):
         with pytest.raises(ValueError, match="unit"):
             simulator._fresh_factors((0.0, 0.0, 2.0))
+
+
+def _reference_bra_pairs(axis):
+    """`simulator._bra_pairs` as it was first written: each outcome's
+    projector row by row, the `_bra_row` picked, normalised."""
+    if len(axis) != 3 or not abs(math.sqrt(sum(c * c for c in axis)) - 1.0) <= 1e-9:
+        raise ValueError("axis must be a unit 3-vector")
+    x, y, z = axis
+    rows = []
+    for o in (1, -1):
+        top, bottom = (1 + o * z, complex(o * x, -o * y)), (complex(o * x, o * y), 1 - o * z)
+        a, b = bottom if simulator._bra_row(z, o) else top
+        norm = math.hypot(abs(a), abs(b))
+        rows.append((a / norm, b / norm))
+    return rows
+
+
+def _reference_fresh_factors(axis):
+    """`simulator._fresh_factors` as it was first written, from
+    `_reference_bra_pairs`."""
+    half = math.sqrt(0.5)
+    (p0, p1), (m0, m1) = _reference_bra_pairs(axis)
+    a, b, c, d = half * (p0 + p1), half * (p0 - p1), half * (m0 + m1), half * (m0 - m1)
+    return np.array([a, b, c, d, a, b, c, -d, p0, p1, m0, m1, p0, p1, m0, -m1], dtype=np.complex128).reshape(8, 2)
+
+
+def _random_unit_axes(count, rng):
+    for v in rng.normal(size=(count, 3)):
+        yield tuple(float(c) for c in v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        [(0.6, 0.0, 0.8), (0.0, math.sin(0.7), math.cos(0.7))],  # z > 0
+        [(0.0, 0.6, -0.8), (0.0, math.sin(2.5), math.cos(2.5))],  # z < 0
+        [(0.6, -0.8, 0.0), (0.6, 0.8, -0.0), (math.cos(0.7), 0.0 - math.sin(0.7), 0.0)],  # the z = 0 tie
+        [(0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (-0.0, 1.0, -0.0)],  # +/-y
+        [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (1.0, -0.0, 0.0)],  # pure x
+        [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0, 0, 1)],  # pure z, also as ints
+        list(_random_unit_axes(200, np.random.default_rng(7))),
+    ],
+)
+def test_fresh_factors_match_the_reference_construction_bit_for_bit(axes):
+    for axis in axes:
+        expected = _reference_fresh_factors(axis)
+        # uncached: the cache keys 0.0 and -0.0 as one, and their tables'
+        # zeros differ in sign
+        assert simulator._fresh_factors.__wrapped__(axis).tobytes() == expected.tobytes()
+        assert np.array(simulator._bra_pairs(axis)).tobytes() == np.array(_reference_bra_pairs(axis)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "axis", [(0.0, 0.0, 2.0), (0.6, 0.6, 0.0), (math.nan, 0.0, 1.0), (0.0, 0.0, math.nan), (0.6, 0.8), (0.6, 0.8, 0.0, 0.0)]
+)
+def test_fresh_factors_refuse_a_non_unit_axis_on_every_call(axis):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^axis must be a unit 3-vector$"):
+            simulator._fresh_factors(axis)
+
+
+def test_check_outcomes_hands_back_a_list_of_ints_as_it_is():
+    """A list of `int` +/-1 of the right length is returned itself; every
+    other accepted sequence as a new list of ints, and bools are refused
+    with the message every other bad value gets."""
+    outcomes = [1, -1, 1]
+    assert simulator.check_outcomes(outcomes, 3) is outcomes
+    assert simulator.check_outcomes(outcomes[:0], 0) == []
+    for given in ((1, -1, 1), [np.int64(1), np.int64(-1), np.int64(1)], [1.0, -1.0, 1.0]):
+        checked = simulator.check_outcomes(given, 3)
+        assert checked == outcomes and checked is not given
+        assert [type(o) for o in checked] == [int] * 3
+    for bad in (True, np.bool_(True), 2, 0):
+        with pytest.raises(ValueError, match=f"^prescribed outcomes must be \\+/-1, got {re.escape(str([bad]))}$"):
+            simulator.check_outcomes([1, bad, -1], 3)
+    with pytest.raises(ValueError, match="^2 prescribed outcome\\(s\\) for 3 measurement\\(s\\)$"):
+        simulator.check_outcomes([1, -1], 3)
+    for given in ("+-", iter(outcomes), {1, -1}):
+        with pytest.raises(TypeError, match="^outcomes must be a sequence of \\+/-1$"):
+            simulator.check_outcomes(given, len(given) if isinstance(given, (str, set)) else 3)
+
+
+@pytest.mark.parametrize("qubits", [[], ["a"], ["b", "a"]])
+def test_run_schedule_leaves_the_callers_array_writable_and_unshared(qubits):
+    state = random_state(("a", "b"), np.random.default_rng(8))
+    schedule = compile_plan(state.labels, qubits, lambda _: ((), ()))
+    amps = state.amplitudes.copy()
+    out, _ = run_schedule(schedule, amps, [(0.6, 0.0, 0.8)] * len(qubits), [-1] * len(qubits))
+    assert amps.flags.writeable
+    assert not np.shares_memory(amps, out.amplitudes)
+    assert not out.amplitudes.flags.writeable
+    assert np.array_equal(amps, state.amplitudes)
+    amps[:] = 0.0
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= simulator.NORM_TOL
 
 
 def test_projection_idempotent():
