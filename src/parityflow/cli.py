@@ -145,7 +145,8 @@ def _load_program(data: dict):
     graph = graph_mod.graph_from_json(data["graph"]) if "graph" in data else None
     if "input" in data:
         with graph_mod.json_field("input"):
-            parts = np.array([[graph_mod.json_number(re), graph_mod.json_number(im)] for re, im in data["input"]])
+            pairs = map(graph_mod.json_list, graph_mod.json_list(data["input"]))
+            parts = np.array([[graph_mod.json_number(re), graph_mod.json_number(im)] for re, im in pairs])
             if parts.shape != (1 << layout.n, 2):
                 raise ValueError(f"expected {1 << layout.n} amplitudes, got {len(parts)}")
             scale = np.abs(parts).max()
@@ -273,7 +274,7 @@ def compare(program: str, tol: float, seed: int) -> None:
     mbqc_outcomes = _draw_outcomes(np.random.default_rng(seed + 1), len(flow.g) * len(layers))
     mbqc_out, _ = mbqc_engine.run_repeated_mbqc(graph, psi, layers, flow, mbqc_outcomes)
     distance = simulator.distance_up_to_phase(parity_out, mbqc_out)
-    agree = distance < tol
+    agree = distance <= tol
     _dump({"distance": distance, "tolerance": tol, "agree": agree})
     click.echo(f"engines {'agree' if agree else 'DISAGREE'}: distance {distance:.3e}", file=sys.stderr)
     if not agree:

@@ -5,10 +5,11 @@ most significant bit. Rotations use the convention RZ(t) = exp(-i t Z / 2),
 RX(t) = exp(-i t X / 2). All operations return new values.
 
 The kernels take a leading branch axis: a `BranchArray` holds every outcome
-branch of a run as one row. Measuring qubits out is two steps:
+branch of a run as one row. Measuring qubits out is compiled once:
 `compile_plan` turns the measured qubits and the correction rule into a
 `Schedule` of register positions and correction bitmasks, fixed before any
-outcome is known. A schedule may also let fresh |+> qubits join the
+outcome is known, and one step kernel (`_half`) contracts each measurement
+for one outcome. A schedule may also let fresh |+> qubits join the
 register, each CZ-joined to its partners as it joins, only when a
 measurement first needs them; a fresh qubit measured with all its
 partners present is one diagonal step on the register, its preparation,
@@ -20,11 +21,12 @@ register a run along it holds, and the compilers and `run_schedule_all`
 (with every row it ends on) refuse it over the qubit cap. `run_schedule`
 measures one register along a schedule on a prescribed list of +/-1
 outcomes, taking the outcome's half only, while `run_schedule_all` takes
-both halves of every row at once, doubling the rows. Both engines measure
-only through these: the measurement-based engine keeps the schedules it
-compiles, the parity engine compiles each layer's when it runs it. A rotation right before a
-measurement reaches them folded into the measurement's axis, not as a
-gate, and a layer's data rotations as one 2x2 per rotated qubit
+both halves of every row at once, doubling the rows: the runners differ
+only in taking one outcome or both. Both engines measure only through
+these: the measurement-based engine keeps the schedules it compiles, the
+parity engine compiles each layer's when it runs it. A rotation right
+before a measurement reaches them folded into the measurement's axis, not
+as a gate, and a layer's data rotations as one 2x2 per rotated qubit
 (`rotate_qubits`). `project`, `discard_qubit`, `outcome_probability`,
 `append_qubit` and `apply_pauli_x/z` are the reference kernels the tests
 check them against. The steps read two cached tables: `_odd_overlap`, the
@@ -429,36 +431,24 @@ def _odd_overlap(n: int, mask: int) -> np.ndarray:
     return odd
 
 
-def _born(halves: np.ndarray) -> np.ndarray:
-    """The squared norm of each row of outcome halves (2, B, 2^k), as one
+def _born(pairs: np.ndarray) -> np.ndarray:
+    """The squared norm of each half of outcome pairs (B, 2, 2^k), as one
     stack of real dot products."""
-    flat = halves.view(np.float64)
-    return (flat[:, :, None, :] @ flat[:, :, :, None]).reshape(halves.shape[:2])
+    flat = pairs.view(np.float64)
+    return (flat[:, :, None, :] @ flat[:, :, :, None]).reshape(pairs.shape[:2])
 
 
-def _measure_out(amps: np.ndarray, pos: int, axis: tuple[float, float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Contract the qubit at register position pos of every row of amps
-    (B, 2^k) with both outcome bras.
-
-    Returns the unnormalised outcome halves (2, B, 2^(k-1)), +1 first, and
-    their Born probabilities (2, B).
-    """
-    rows = amps.shape[0]
-    # the measured qubit's axis first, then (branch row, qubits before q, qubits after q)
-    split = amps.reshape(rows, 1 << pos, 2, -1).transpose(2, 0, 1, 3).reshape(2, -1)
-    halves = (_fresh_factors(axis)[_CNOT_JOIN : _CNOT_JOIN + 2] @ split).reshape(2, rows, -1)
-    return halves, _born(halves)
-
-
-def _measure_fresh(
-    amps: np.ndarray, parity: np.ndarray, rows: slice, axis: tuple[float, float, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """`_measure_out` of a fresh qubit whose partners have the parity
-    `parity` (0 or 1 per amplitude index) in every row of amps (B, 2^k):
-    the register keeps its width, each half-row is the row times the
-    outcome's `_fresh_factors` row (`rows`, +1 first)."""
-    halves = np.multiply(_fresh_factors(axis)[rows][:, parity][:, None, :], amps, order="C")
-    return halves, _born(halves)
+def _half(step: tuple, amps: np.ndarray, factors: np.ndarray, minus: int) -> np.ndarray:
+    """What a `_MEASURE` or `_FRESH` step leaves of every register of amps
+    (..., 2^k) for one outcome, `minus` 0 for +1 and 1 for -1, unnormalised
+    and before the correction; `factors` is the axis's `_fresh_factors`.
+    The one step kernel of both runners: a measured qubit is contracted
+    with the outcome's bra, a fresh one multiplies the register by its
+    diagonal, read at each index's partner parity."""
+    if step[0] == _MEASURE:
+        rest = amps.shape[-1] >> (step[1] + 1)
+        return (factors[_CNOT_JOIN + minus] @ amps.reshape(-1, 2, rest)).reshape(*amps.shape[:-1], -1)
+    return factors[step[2] + minus][step[1]] * amps
 
 
 def _prepare(amps: np.ndarray, pos: int, flip: np.ndarray) -> np.ndarray:
@@ -499,6 +489,8 @@ class Schedule:
       parity (CNOT).
       Rows 2 and 6 fold a -1 correction that is Z on exactly the partners,
       and its masks are then 0.
+    Both measuring kinds end with xmask and zmask, so the runners read a
+    step's correction as `step[-2]` and `step[-1]` whatever its kind.
     `labels` is the register left at the end, `width` the widest it gets:
     the qubits a run holds. Nothing in it depends on the axes or the
     outcomes, so one schedule serves every branch of a run.
@@ -669,40 +661,33 @@ def _run_checked(
     """`run_schedule` on an outcome list `check_outcomes` has passed, as
     the engines' multi-layer runs hand each layer its share.
 
-    Each step contracts the measured qubit with the bra of the outcome
-    taken only, or multiplies in a fresh qubit's diagonal for it, and
-    applies the step's correction on a -1 outcome. The halves are kept
-    unnormalised: `weight` is the squared norm of the register so far, each
-    Born probability the kept half's squared norm over it, and the output
-    is normalised once. Gives the row of `run_schedule_all` for the
-    outcomes taken. Raises ZeroProbabilityError below the 1e-12
-    probability floor. The output is a new array, frozen; the input
-    amplitudes are not written.
+    Each step keeps the `_half` of the outcome taken only, with the step's
+    correction applied on a -1 outcome. The halves are kept unnormalised:
+    `weight` is the squared norm of the register so far, each Born
+    probability the kept half's squared norm over it, and the output is
+    normalised once. Gives the row of `run_schedule_all` for the outcomes
+    taken. Raises ZeroProbabilityError below the 1e-12 probability floor.
+    The output is a new array, frozen; the input amplitudes are not
+    written.
     """
     # listed first, so that too few or too many axes raise before any step
     measured = iter(list(zip(schedule.qubits, axes, outcomes, strict=True)))
     amps, weight = amplitudes, 1.0
     record: list[MeasurementEntry] = []
     for step in schedule.steps:
-        kind = step[0]
-        if kind == _PREPARE:
+        if step[0] == _PREPARE:
             amps = _prepare(amps, step[1], step[2])
             continue
         q, axis, outcome = next(measured)
         minus = 0 if outcome == 1 else 1
-        if kind == _MEASURE:
-            _, pos, xmask, zmask = step
-            half = (_fresh_factors(axis)[_CNOT_JOIN + minus] @ amps.reshape(1 << pos, 2, -1)).reshape(-1)
-        else:
-            _, parity, row, xmask, zmask = step
-            half = _fresh_factors(axis)[row + minus][parity] * amps
+        half = _half(step, amps, _fresh_factors(axis), minus)
         kept = float(np.vdot(half, half).real)
         probability = kept / weight
         if probability < ZERO_PROB_TOL:
             raise ZeroProbabilityError(f"outcome {outcome:+d} on {q!r} has zero probability")
         amps, weight = half, kept
-        if minus and (xmask or zmask):
-            amps = _apply_paulis(amps, xmask, zmask)
+        if minus and (step[-2] or step[-1]):
+            amps = _apply_paulis(amps, step[-2], step[-1])
         record.append(MeasurementEntry(q, axis, outcome, probability))
     return Statevector._owned(schedule.labels, amps / math.sqrt(weight)), tuple(record)
 
@@ -796,41 +781,31 @@ def run_schedule_all(
     """`run_schedule` on both outcomes of every branch at once; `branches`
     holds the register the schedule was compiled on.
 
-    Each measurement contracts the qubit of every row with both outcome
-    bras (`_measure_out`), or multiplies in both of a fresh qubit's
-    diagonals (`_measure_fresh`), so B rows become 2B rows; row 2b + 1
-    (outcome -1) gets the step's correction. Rows are renormalised by
-    their Born probability, except below ZERO_PROB_TOL, where they are
-    divided by 1. Refused before the first step if the rows it ends on
-    would take the schedule's `width` over the qubit cap (`check_cap`).
+    Each measurement puts the two `_half`s of every row side by side, +1
+    first, so B rows become 2B rows; row 2b + 1 (outcome -1) gets the step's
+    correction, and the probability table repeats each row's columns for
+    its two children and adds their Born probabilities. Rows are
+    renormalised by their Born probability, except below ZERO_PROB_TOL,
+    where they are divided by 1. Refused before the first step if the rows
+    it ends on would take the schedule's `width` over the qubit cap
+    (`check_cap`).
     """
     check_cap(schedule.width, len(branches.amplitudes) << len(schedule.qubits))
     plan = tuple(zip(schedule.qubits, axes, strict=True))
     measured = iter(plan)
-    amps = branches.amplitudes
-    born_columns = []
+    amps, probabilities = branches.amplitudes, branches.probabilities
     for step in schedule.steps:
-        kind = step[0]
-        if kind == _PREPARE:
+        if step[0] == _PREPARE:
             amps = _prepare(amps, step[1], step[2])
             continue
-        _, axis = next(measured)
-        if kind == _MEASURE:
-            _, pos, xmask, zmask = step
-            halves, born = _measure_out(amps, pos, axis)
-        else:
-            _, parity, row, xmask, zmask = step
-            halves, born = _measure_fresh(amps, parity, slice(row, row + 2), axis)
-        halves /= np.sqrt(np.where(born < ZERO_PROB_TOL, 1.0, born))[:, :, None]
-        halves[1] = _apply_paulis(halves[1], xmask, zmask)
-        amps = halves.transpose(1, 0, 2).reshape(-1, halves.shape[2])
-        born_columns.append(born.T.reshape(-1))
-    previous = branches.probabilities
-    rows, done = amps.shape[0], previous.shape[1]
-    probabilities = np.empty((rows, done + len(plan)))
-    probabilities[:, :done] = np.repeat(previous, rows // len(previous), axis=0)
-    for j, column in enumerate(born_columns, done):
-        probabilities[:, j] = np.repeat(column, rows // len(column))
+        factors = _fresh_factors(next(measured)[1])
+        pairs = np.concatenate((_half(step, amps, factors, 0), _half(step, amps, factors, 1)), axis=1)
+        pairs = pairs.reshape(len(amps), 2, -1)
+        born = _born(pairs)
+        pairs /= np.sqrt(np.where(born < ZERO_PROB_TOL, 1.0, born))[:, :, None]
+        pairs[:, 1] = _apply_paulis(pairs[:, 1], step[-2], step[-1])
+        amps = pairs.reshape(-1, pairs.shape[2])
+        probabilities = np.concatenate((probabilities.repeat(2, axis=0), born.reshape(-1, 1)), axis=1)
     return BranchArray(schedule.labels, amps, probabilities, branches.plan + (plan,))
 
 

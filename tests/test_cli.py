@@ -365,6 +365,19 @@ def test_compare_agreement(runner, tmp_path):
     assert data["distance"] < 1e-10
 
 
+def test_compare_agrees_at_a_distance_equal_to_its_tolerance(runner, tmp_path):
+    """`--tol` is the largest distance that still passes, for `compare` as
+    for `sim`: at theta = 0 both engines leave |00> exactly, and a distance
+    of 0 passes `--tol 0`."""
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps({**README_PROGRAM, "layers": [{"theta": {"(12)": 0.0}}]}))
+    result = invoke(runner, ["compare", "--program", str(path), "--tol", "0"])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout) == {"agree": True, "distance": 0.0, "tolerance": 0.0}
+    assert "engines agree: distance 0.000e+00" in result.stderr
+    assert invoke(runner, ["sim", "parity", "--program", str(path), "--tol", "0"]).exit_code == 0
+
+
 def test_compare_rejects_partial_decode(runner, tmp_path):
     path = _write_program(
         runner, tmp_path, layers=[{"theta": {"(12)": 0.5}, "decode": ["(12)"]}, {}]
@@ -938,6 +951,15 @@ def test_malformed_json_field_is_named(runner, tmp_path, monkeypatch, command, d
         pytest.param(["gflow", "search", "--graph"], {"vertices": ["a"], "edges": {}}, "'edges'", id="graph-edges"),
         pytest.param(VERIFY, {**PATH_FLOW, "layers": {}}, "'layers'", id="flow-layers"),
         pytest.param(["sim", "parity", "--program"], {**README_PROGRAM, "layers": {}}, "'layers'", id="program-layers"),
+        # and a string as the list of its characters
+        pytest.param(["sim", "parity", "--program"], {**README_PROGRAM, "input": {"ab": 1, "cd": 2}}, "'input'", id="program-input"),
+        pytest.param(["sim", "mbqc", "--program"], {**README_PROGRAM, "input": "ab"}, "'input'", id="program-input-string"),
+        pytest.param(
+            ["compare", "--program"],
+            {**README_PROGRAM, "input": [{"a": 1, "b": 2}] + [[0.5, 0.0]] * 3},
+            "'input'",
+            id="program-input-pair",
+        ),
     ],
 )
 def test_object_for_a_list_exits_two(runner, tmp_path, monkeypatch, command, document, field):

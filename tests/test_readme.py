@@ -1,6 +1,7 @@
 """The README's examples run as written: the library example executes, and
 the program it writes runs through the simulation commands it lists."""
 
+import importlib
 import os
 import re
 import shlex
@@ -33,3 +34,33 @@ def test_program_example_runs_through_the_simulation_commands(tmp_path, monkeypa
     for command in commands:
         result = runner.invoke(main, command, catch_exceptions=False)
         assert result.exit_code == 0, (command, result.stderr)
+
+
+def layout_rows():
+    """The Layout block's module rows: each module's name with the text of
+    its row, continuation lines included."""
+    [block] = [block for block in fenced_blocks("") if block.startswith("src/parityflow/")]
+    rows = {}
+    for line in block.splitlines()[1:]:
+        head = re.match(r"^  (\w+)\.py\s+(.*)$", line)
+        if head:
+            module, text = head.groups()
+            rows[module] = text
+        elif line.startswith(" " * 18) and rows:
+            rows[module] += " " + line.strip()
+        else:
+            break
+    return rows
+
+
+def test_layout_names_resolve():
+    """Each backticked identifier in a module's row of the Layout block is
+    an attribute of that module, or, written `module.name`, of the module
+    it names: a change that removes a name has to mend the README too."""
+    names = 0
+    for module, text in layout_rows().items():
+        for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)?)`", text):
+            owner, _, attribute = name.rpartition(".")
+            assert hasattr(importlib.import_module(f"parityflow.{owner or module}"), attribute), (module, name)
+            names += 1
+    assert names, "no backticked name found in the Layout block"

@@ -411,18 +411,50 @@ def test_run_schedule_all_refuses_before_its_first_step(monkeypatch):
     schedule = _chain_plan()
     start = simulator.BranchArray.start(basis_state(("a",), "0"))
     axes = [(1.0, 0.0, 0.0)] * 2
-    with (
-        mock.patch.object(simulator, "_measure_out", wraps=simulator._measure_out) as measure_out,
-        mock.patch.object(simulator, "_measure_fresh", wraps=simulator._measure_fresh) as measure_fresh,
-    ):
+    with mock.patch.object(simulator, "_half", wraps=simulator._half) as half:
         # 4 rows on the 3-qubit register: 3 + 2 > 4
         monkeypatch.setattr(simulator, "DEFAULT_QUBIT_CAP", 4)
         with pytest.raises(ValueError, match="4 outcome branches of 3 qubits exceed the 4-qubit cap"):
             simulator.run_schedule_all(schedule, start, axes)
-        assert not measure_out.called and not measure_fresh.called
+        assert not half.called
         monkeypatch.setattr(simulator, "DEFAULT_QUBIT_CAP", 5)
         assert simulator.run_schedule_all(schedule, start, axes).amplitudes.shape == (4, 4)
-        assert measure_out.called and measure_fresh.called
+        # both outcomes of the `_FRESH` step and of the `_MEASURE` step
+        assert [(call.args[0][0], call.args[3]) for call in half.call_args_list] == [
+            (simulator._FRESH, 0),
+            (simulator._FRESH, 1),
+            (simulator._MEASURE, 0),
+            (simulator._MEASURE, 1),
+        ]
+
+
+def _kernel_steps(n, rng):
+    """`_MEASURE` steps at every position of an n-qubit register, and
+    `_FRESH` steps on each fresh-factor row pair with a random parity mask."""
+    for pos in range(n):
+        yield (simulator._MEASURE, pos, 0, 0)
+    for row in (0, 2, 4, 6):
+        mask = int(rng.integers(0, 1 << n))
+        yield (simulator._FRESH, simulator._odd_overlap(n, mask), row, 0, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_step_kernel_gives_each_stacked_register_what_it_gives_it_alone(n):
+    """The kernel both runners share: `run_schedule_all` calls it on every
+    branch row at once, `run_schedule` on one register, and each row of
+    the stack comes out bit for bit as that register alone does."""
+    rng = np.random.default_rng(60 + n)
+    labels = tuple(f"q{i}" for i in range(n))
+    rows = np.stack([random_state(labels, rng).amplitudes for _ in range(6)])
+    for step in _kernel_steps(n, rng):
+        direction = rng.normal(size=3)
+        factors = simulator._fresh_factors(tuple(float(c) for c in direction / np.linalg.norm(direction)))
+        for minus in (0, 1):
+            stacked = simulator._half(step, rows, factors, minus)
+            width = n - 1 if step[0] == simulator._MEASURE else n
+            assert stacked.shape == (len(rows), 1 << width)
+            for row, got in zip(rows, stacked, strict=True):
+                assert got.tobytes() == simulator._half(step, row, factors, minus).tobytes()
 
 
 def test_norm_preserved_over_long_random_circuit():
