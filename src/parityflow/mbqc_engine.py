@@ -10,13 +10,13 @@ which is exactly what makes every outcome branch land on the same state.
 
 None of that depends on the angles or the outcomes: a run is compiled once
 per flow, graph object, input label order and measurement order into a
-`simulator.Schedule`, and kept in this module's table of compiled runs,
-weakly keyed on the flow. The run starts on the input register alone.
-Preparing a qubit commutes with every command on other qubits (Danos,
-Kashefi and Panangaden, "The measurement calculus", 2007), so each other
-vertex joins as |+>, CZ-joined to the vertices present, just before the
-first measurement that touches it: its own, or that of a neighbour or of
-a vertex whose correction reaches it. A vertex measured before it joins
+`simulator.Schedule` of masks, kept in this module's table of compiled
+runs, weakly keyed on the flow. The run starts on the input register
+alone. Preparing a qubit commutes with every command on other qubits
+(Danos, Kashefi and Panangaden, "The measurement calculus", 2007), so each
+other vertex joins as |+>, CZ-joined to the vertices present, just before
+the first measurement that touches it: its own, or that of a neighbour or
+of a vertex whose correction reaches it. A vertex measured before it joins
 is one diagonal step, c0 + c1 Z_N(v) on its neighbours' parity, with a -1
 outcome's Z on N(v) folded in. On every pattern Claim 2 admits, V - I
 spans no edge, so every measured vertex is such a step on the inputs'
@@ -24,8 +24,8 @@ register. The outputs end in the usual order, the inputs in psi's order
 and then the other outputs in graph order. `prepare_graph_state` builds
 the whole graph state, the reference the runs are checked against.
 `run_mbqc_yz` and `run_repeated_mbqc` follow one outcome list on a
-compiled run; `run_all_branches` runs every outcome branch at once, in
-one array, on the same compiled run.
+compiled run; `run_all_branches` runs every outcome branch at once, in one
+array, on the same compiled run.
 """
 
 from __future__ import annotations
@@ -103,9 +103,9 @@ def _compile(g: Graph, flow: GFlow, labels: tuple[str, ...], order: tuple[str, .
     """Check the labels and the order against the flow
     (`measurement_order`), and compile the run on the inputs' register,
     which every other vertex joins as |+> when first needed, CZ-joined to
-    its neighbours but for edges inside the input set, refused when it
-    grows over the qubit cap. A -1 outcome on v completes the stabilizer of
-    g(v), X on g(v) - v and Z on Odd(g(v)) - v."""
+    its neighbours but for edges inside the input set; it compiles at any
+    width, and its runs refuse one over the qubit cap. A -1 outcome on v
+    completes the stabilizer of g(v), X on g(v) - v and Z on Odd(g(v)) - v."""
     register = _register(g, labels)
     sequence = measurement_order(g, flow, order)
     # a YZ flow never measures an input (v is in g(v), which holds none), so

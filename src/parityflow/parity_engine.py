@@ -235,8 +235,8 @@ def _layer_runs(
     """Validate every layer of a run, before any runs, and compile each
     one's decode on the data register: its schedule, axes and scalar.
 
-    Each decoded parity qubit is one CNOT-joined `_FRESH` step holding the
-    parity of its set, a -1 outcome's Z on that set folded in."""
+    Each decoded parity qubit is one CNOT-joined `_FRESH` step on its
+    set's mask, a -1 outcome's Z on that set folded in."""
     runs = []
     for params, members in zip(layers, _decode_sets(layout, layers)):
         qubits = [p for p in layout.parity_qubits if p in members]

@@ -7,31 +7,32 @@ RX(t) = exp(-i t X / 2). All operations return new values.
 The kernels take a leading branch axis: a `BranchArray` holds every outcome
 branch of a run as one row. Measuring qubits out is compiled once:
 `compile_plan` turns the measured qubits and the correction rule into a
-`Schedule` of register positions and correction bitmasks, fixed before any
+`Schedule` of plain ints, register positions and bitmasks, fixed before any
 outcome is known, and one step kernel (`_half`) contracts each measurement
 for one outcome. A schedule may also let fresh |+> qubits join the
 register, each CZ-joined to its partners as it joins, only when a
-measurement first needs them; a fresh qubit measured with all its
-partners present is one diagonal step on the register, its preparation,
-CZ gates and bra fused into one factor per index. `parity_plan` compiles
-the same step for a qubit that joins holding its partners' parity, as
-CNOTs leave a parity qubit (a CNOT join), so every parity qubit is
-measured as it is encoded. A schedule carries its `width`, the widest
-register a run along it holds, and the compilers and `run_schedule_all`
-(with every row it ends on) refuse it over the qubit cap. `run_schedule`
-measures one register along a schedule on a prescribed list of +/-1
-outcomes, taking the outcome's half only, while `run_schedule_all` takes
-both halves of every row at once, doubling the rows: the runners differ
-only in taking one outcome or both. Both engines measure only through
-these: the measurement-based engine keeps the schedules it compiles, the
-parity engine compiles each layer's when it runs it. A rotation right
-before a measurement reaches them folded into the measurement's axis, not
-as a gate, and a layer's data rotations as one 2x2 per rotated qubit
-(`rotate_qubits`). `project`, `discard_qubit`, `outcome_probability`,
-`append_qubit` and `apply_pauli_x/z` are the reference kernels the tests
-check them against. The steps read two cached tables: `_odd_overlap`, the
-0/1 parity of each amplitude index under a mask, and `_fresh_factors`, the
-outcome factors of an axis, whose CNOT rows are its two bras.
+measurement first needs them; a fresh qubit measured with all its partners
+present is one diagonal step on the register, its preparation, CZ gates and
+bra fused into one factor per index. `parity_plan` compiles the same step
+for a qubit that joins holding its partners' parity, as CNOTs leave a
+parity qubit (a CNOT join), so every parity qubit is measured as it is
+encoded. A schedule carries its `width`, the widest register a run along it
+holds; it compiles at any width, and both runners refuse it over the qubit
+cap before their first step (`run_schedule_all` with every row it ends on).
+`run_schedule` measures one register along a schedule on a prescribed list
+of +/-1 outcomes, taking the outcome's half only, while `run_schedule_all`
+takes both halves of every row at once, doubling the rows: the runners
+differ only in taking one outcome or both. Both engines measure only
+through these: the measurement-based engine keeps the schedules it
+compiles, the parity engine compiles each layer's when it runs it. A
+rotation right before a measurement reaches them folded into the
+measurement's axis, not as a gate, and a layer's data rotations as one 2x2
+per rotated qubit (`rotate_qubits`). `project`, `discard_qubit`,
+`outcome_probability`, `append_qubit` and `apply_pauli_x/z` are the
+reference kernels the tests check them against. The steps hold masks, and
+read two cached tables as they run: `_odd_overlap`, the 0/1 parity of each
+amplitude index under a mask, and `_fresh_factors`, the outcome factors of
+an axis, whose CNOT rows are its two bras.
 
 A state is checked where it is built from outside (`Statevector(...)`):
 its labels, its shape and its norm. A run hands over the amplitudes it
@@ -410,21 +411,20 @@ def _apply_paulis(amps: np.ndarray, xmask: int, zmask: int) -> np.ndarray:
     (..., 2^n) the caller owns, the masks in amplitude-index bits: the X's
     as one index permutation of the last axis, the Z's as one in-place
     negation of the indices they flip."""
-    n = amps.shape[-1].bit_length() - 1
     if xmask:
-        amps = amps[..., np.arange(1 << n) ^ xmask]
+        amps = amps[..., np.arange(amps.shape[-1]) ^ xmask]
     if zmask:
-        np.negative(amps, out=amps, where=_odd_overlap(n, zmask).astype(bool))
+        np.negative(amps, out=amps, where=_odd_overlap(amps.shape[-1], zmask).astype(bool))
     return amps
 
 
 @lru_cache(maxsize=256)
-def _odd_overlap(n: int, mask: int) -> np.ndarray:
-    """The parity of index & mask, 0 or 1, for every n-bit index: where a
-    product of Z's on mask's bits flips the sign, and the column a fresh
-    step reads its factor from (an intp index reads it fastest)."""
-    odd = np.zeros(1 << n, dtype=np.intp)
-    for k in range(n):
+def _odd_overlap(size: int, mask: int) -> np.ndarray:
+    """The parity of index & mask, 0 or 1, for every index of `size`
+    amplitudes: where a product of Z's on mask's bits flips the sign, and
+    the column a fresh step reads its factor from (intp reads fastest)."""
+    odd = np.zeros(size, dtype=np.intp)
+    for k in range(mask.bit_length()):
         if mask >> k & 1:
             odd.reshape(-1, 2, 1 << k)[:, 1] ^= 1
     odd.setflags(write=False)
@@ -438,27 +438,26 @@ def _born(pairs: np.ndarray) -> np.ndarray:
     return (flat[:, :, None, :] @ flat[:, :, :, None]).reshape(pairs.shape[:2])
 
 
-def _half(step: tuple, amps: np.ndarray, factors: np.ndarray, minus: int) -> np.ndarray:
+def _half(step: tuple[int, ...], amps: np.ndarray, factors: np.ndarray, minus: int) -> np.ndarray:
     """What a `_MEASURE` or `_FRESH` step leaves of every register of amps
     (..., 2^k) for one outcome, `minus` 0 for +1 and 1 for -1, unnormalised
     and before the correction; `factors` is the axis's `_fresh_factors`.
     The one step kernel of both runners: a measured qubit is contracted
     with the outcome's bra, a fresh one multiplies the register by its
-    diagonal, read at each index's partner parity."""
+    diagonal, read at each index's partner parity (`_odd_overlap`)."""
     if step[0] == _MEASURE:
         rest = amps.shape[-1] >> (step[1] + 1)
         return (factors[_CNOT_JOIN + minus] @ amps.reshape(-1, 2, rest)).reshape(*amps.shape[:-1], -1)
-    return factors[step[2] + minus][step[1]] * amps
+    return factors[step[2] + minus][_odd_overlap(amps.shape[-1], step[1])] * amps
 
 
-def _prepare(amps: np.ndarray, pos: int, flip: np.ndarray) -> np.ndarray:
+def _prepare(amps: np.ndarray, pos: int, mask: int) -> np.ndarray:
     """A fresh |+> joins every register of amps (..., 2^k) at position pos,
-    CZ-joined to its partners, `flip` marking the indices of the register
-    before it joins where their parity is odd: its |1> half is the register
-    negated there."""
+    CZ-joined to its partners, `mask` on the register before it joins: its
+    |1> half is the register negated where their parity is odd."""
     k = amps.shape[-1].bit_length() - 1
     zero = amps * math.sqrt(0.5)
-    one = np.negative(zero, out=zero.copy(), where=flip)
+    one = np.negative(zero, out=zero.copy(), where=_odd_overlap(amps.shape[-1], mask).astype(bool))
     shape = (-1, 1 << pos, 1, 1 << (k - pos))
     return np.concatenate((zero.reshape(shape), one.reshape(shape)), axis=2).reshape(*amps.shape[:-1], -1)
 
@@ -471,20 +470,20 @@ _PREPARE, _MEASURE, _FRESH = range(3)
 class Schedule:
     """Measuring some qubits of a register in turn, compiled once.
 
-    `steps` holds one tuple per step, its kind first. Masks are on the
-    register as it stands after the step, bit k - 1 - i for label i of k,
-    the label's bit in the amplitude index:
-    - (_PREPARE, position, flip): a fresh qubit joins at that position as
-      |+>, CZ-joined to its partners already present, `flip` (bool)
-      marking where their parity is odd;
+    `steps` holds one tuple of ints per step, its kind first, so schedules
+    compare and hash by content. Masks are on the register as it stands
+    after the step, bit k - 1 - i for label i of k, the label's bit in the
+    amplitude index; a run reads a mask's `_odd_overlap` as the step runs:
+    - (_PREPARE, position, mask): a fresh qubit joins at that position as
+      |+>, CZ-joined to its partners already present, on `mask` before it;
     - (_MEASURE, position, xmask, zmask): the next of `qubits`, at that
       position, is contracted out; xmask and zmask are the X and Z targets
       of its -1 correction;
-    - (_FRESH, parity, row, xmask, zmask): the next of `qubits` is not in
-      the register, and all its partners are. Preparing it, joining it
-      and contracting it with the outcome's bra is one diagonal step: the
-      register times row `row` (+1) or `row + 1` (-1) of `_fresh_factors`,
-      read at each index's partner parity (`parity`, an `_odd_overlap`).
+    - (_FRESH, mask, row, xmask, zmask): the next of `qubits` is not in
+      the register, and all its partners are, on `mask`. Preparing it,
+      joining it and contracting it with the outcome's bra is one diagonal
+      step: the register times row `row` (+1) or `row + 1` (-1) of
+      `_fresh_factors`, read at each index's partner parity.
       Rows 0 and 2 join it as |+> (CZ), rows 4 and 6 as its partners'
       parity (CNOT).
       Rows 2 and 6 fold a -1 correction that is Z on exactly the partners,
@@ -492,12 +491,12 @@ class Schedule:
     Both measuring kinds end with xmask and zmask, so the runners read a
     step's correction as `step[-2]` and `step[-1]` whatever its kind.
     `labels` is the register left at the end, `width` the widest it gets:
-    the qubits a run holds. Nothing in it depends on the axes or the
-    outcomes, so one schedule serves every branch of a run.
+    the qubits a run holds, which the runners check against the cap.
+    Nothing in it depends on the axes or the outcomes.
     """
 
     qubits: tuple[str, ...]
-    steps: tuple[tuple, ...]
+    steps: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
     width: int
 
@@ -510,7 +509,7 @@ def compile_plan(
     """The schedule measuring `qubits` in turn out of a register over
     `labels`, where `correct(qubit)` names the -1 correction as label sets
     (X targets, Z targets) on the qubits still present. Raises ValueError
-    on a qubit or target absent from the register, or one over the cap."""
+    on a qubit or target absent from the register."""
     return _live_plan(labels, qubits, correct, (), {})
 
 
@@ -532,20 +531,19 @@ def _live_plan(
     `_FRESH` step; the others join at the end. Fresh qubits sit after the
     rest of the register in the order `fresh` gives them, so `labels` ends
     as `compile_plan` would leave it on the register with all of `fresh`
-    appended in order. Refused as soon as the register grows over the cap.
+    appended in order. It compiles at any width, as its steps hold masks.
     """
     rank = {q: i for i, q in enumerate(fresh)}
     pending = set(fresh)
-    steps: list[tuple] = []
+    steps: list[tuple[int, ...]] = []
     width = len(labels)
-    check_cap(width)
 
     def join(u: str) -> None:
         nonlocal labels, width
-        check_cap(width := max(width, len(labels) + 1))
+        width = max(width, len(labels) + 1)
         pos = next((i for i, q in enumerate(labels) if rank.get(q, -1) > rank[u]), len(labels))
         live = [q for q in partners.get(u, ()) if q in labels]
-        steps.append((_PREPARE, pos, _odd_overlap(len(labels), _index_mask(labels, live)).astype(bool)))
+        steps.append((_PREPARE, pos, _index_mask(labels, live)))
         labels = labels[:pos] + (u,) + labels[pos:]
         pending.remove(u)
 
@@ -571,25 +569,23 @@ def _live_plan(
 
 def _fresh_step(
     labels: tuple[str, ...], partners: Iterable[str], xs: Iterable[str], zs: Iterable[str], join: int
-) -> tuple:
+) -> tuple[int, ...]:
     """The `_FRESH` step of a qubit joined to `partners` on a register over
     labels, its -1 correction X on xs and Z on zs: folded into the factors
     when that is Z on exactly the partners."""
     joined = _index_mask(labels, partners)
     xmask, zmask = _index_mask(labels, xs), _index_mask(labels, zs)
-    parity = _odd_overlap(len(labels), joined)
     if not xmask and zmask == joined:
-        return (_FRESH, parity, join + 2, 0, 0)
-    return (_FRESH, parity, join, xmask, zmask)
+        return (_FRESH, joined, join + 2, 0, 0)
+    return (_FRESH, joined, join, xmask, zmask)
 
 
 def parity_plan(labels: tuple[str, ...], qubits: Iterable[str], sets: Mapping[str, Iterable[str]]) -> Schedule:
     """The schedule measuring `qubits`, none of them in the register over
     `labels`, each as it joins holding the parity of the register qubits
     its set in `sets` names, as CNOTs from them into a |0> leave it: one
-    CNOT-joined `_FRESH` step each, a -1 outcome's Z on that set folded
-    in. The register keeps its labels; refused over the cap."""
-    check_cap(len(labels))
+    CNOT-joined `_FRESH` step each, holding the set's mask, a -1 outcome's
+    Z on that set folded in. The register keeps its labels."""
     qubits = tuple(qubits)
     steps = tuple(_fresh_step(labels, sets[q], (), sets[q], _CNOT_JOIN) for q in qubits)
     return Schedule(qubits, steps, labels, len(labels))
@@ -666,10 +662,12 @@ def _run_checked(
     `weight` is the squared norm of the register so far, each Born
     probability the kept half's squared norm over it, and the output is
     normalised once. Gives the row of `run_schedule_all` for the outcomes
-    taken. Raises ZeroProbabilityError below the 1e-12 probability floor.
-    The output is a new array, frozen; the input amplitudes are not
-    written.
+    taken. Refused before the first step if the schedule's `width` is over
+    the qubit cap (`check_cap`). Raises ZeroProbabilityError below the
+    1e-12 probability floor. The output is a new array, frozen; the input
+    amplitudes are not written.
     """
+    check_cap(schedule.width)
     # listed first, so that too few or too many axes raise before any step
     measured = iter(list(zip(schedule.qubits, axes, outcomes, strict=True)))
     amps, weight = amplitudes, 1.0
@@ -752,7 +750,7 @@ class BranchArray:
         k, m = len(self.labels), len(sets)
         target = np.arange(1 << k) << m
         for j, members in enumerate(sets.values()):
-            target ^= _odd_overlap(k, _index_mask(self.labels, members)) << (m - 1 - j)
+            target ^= _odd_overlap(1 << k, _index_mask(self.labels, members)) << (m - 1 - j)
         amps = np.zeros((len(self.amplitudes), 1 << len(labels)), dtype=np.complex128)
         amps[:, target] = self.amplitudes
         return self.on_register(labels, amps)

@@ -4,6 +4,7 @@ Criteria 6-8 share a single exhaustive sweep over all connected graphs with
 up to seven vertices, executed once per session.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,11 +14,14 @@ from contextlib import contextmanager
 import gflow_helpers as reference
 import numpy as np
 import pytest
-from parity_helpers import phase_polynomial
+from hypothesis import given, settings
+from parity_helpers import claim_1_mismatch, claim_1_runs, phase_polynomial
+from test_properties import parity_layouts
 
 from parityflow.gflow import (
     canonical_yz_gflow,
     flow_to_json,
+    measurement_order,
     verify_gflow,
     witness_structure,
     yz_bipartite_sweep,
@@ -25,9 +29,10 @@ from parityflow.gflow import (
 )
 from parityflow.layout import build_all_pairs_layout, hadamard, induced_graph
 from parityflow import mbqc_engine, parity_engine
-from parityflow.mbqc_engine import run_repeated_mbqc, prepare_graph_state
+from parityflow.mbqc_engine import run_repeated_mbqc, prepare_graph_state, yz_axis
 from parityflow.parity_engine import (
     LayerParams,
+    xy_axis,
     encode_input,
     mb_decode,
     run_computation,
@@ -35,7 +40,10 @@ from parityflow.parity_engine import (
 )
 from parityflow.pauli import graph_generators, groups_equal, hadamard_conjugate, parity_generators
 from parityflow.simulator import (
+    _CNOT_JOIN,
+    _CZ_JOIN,
     Statevector,
+    _fresh_factors,
     apply_circuit,
     basis_state,
     distance_up_to_phase,
@@ -182,11 +190,31 @@ def test_sampled_runs_past_the_encoded_register_cap_match_the_phase_polynomial(n
                 assert all(abs(e.probability - 0.5) < 1e-12 for r in records for e in r)
 
 
+def paired_entries(parity_records, mbqc_records):
+    """Claim 1 measurement by measurement, layer by layer: each parity
+    record entry measures a qubit with the same outcome and Born
+    probability as the MBQC record entry of that qubit, along the Hadamard
+    image (z, -y, x) of its YZ axis. Returns how many entries it paired."""
+    entries = 0
+    for parity_record, mbqc_record in zip(parity_records, mbqc_records, strict=True):
+        by_qubit = {m.qubit: m for m in mbqc_record}
+        assert sorted(by_qubit) == sorted(p.qubit for p in parity_record)
+        for p in parity_record:
+            m = by_qubit[p.qubit]
+            assert p.outcome == m.outcome
+            assert abs(p.probability - m.probability) <= 1e-14
+            x, y, z = m.axis
+            assert p.axis == (z, -y, x)
+            entries += 1
+    return entries
+
+
 def test_claim_1_per_measurement():
-    """Claim 1 measurement by measurement, on every outcome branch of
-    criterion 3's all-branch programs: parity record entry j measures the
-    same qubit, with the same outcome and Born probability, as MBQC record
-    entry j, along the Hadamard image (z, -y, x) of its YZ axis."""
+    """`paired_entries` on every outcome branch of criterion 3's all-branch
+    programs, and on one sampled all-pairs n = 10 program with outcomes
+    assigned per qubit. At n = 10 the engines measure in different orders:
+    the parity engine in layout order, the MBQC engine sorted, "(110)"
+    first."""
     entries = 0
     for layout, graph, flow, psi, layers, measured in criterion_3_programs():
         if measured > 8:
@@ -194,15 +222,67 @@ def test_claim_1_per_measurement():
         parity = parity_engine.run_all_branches(layout, psi, layers)
         mbqc = mbqc_engine.run_all_branches(graph, psi, layers, flow)
         for row in range(2**measured):
-            parity_entries = [e for record in parity.records(row) for e in record]
-            mbqc_entries = [e for record in mbqc.records(row) for e in record]
-            for p, m in zip(parity_entries, mbqc_entries, strict=True):
-                assert (p.qubit, p.outcome) == (m.qubit, m.outcome)
-                assert abs(p.probability - m.probability) <= 1e-14
-                x, y, z = m.axis
-                assert p.axis == (z, -y, x)
-                entries += 1
+            entries += paired_entries(parity.records(row), mbqc.records(row))
     assert entries == 8260
+    layout = build_all_pairs_layout(10)
+    graph = induced_graph(layout)
+    flow = canonical_yz_gflow(graph)
+    rng = np.random.default_rng(31)
+    psi = random_state(layout.data_qubits, rng)
+    layers = random_layers(layout, rng, 2)
+    order = measurement_order(graph, flow)
+    assert order[0] == "(110)" and order != layout.parity_qubits
+    assigned = [{p: int(rng.choice((1, -1))) for p in layout.parity_qubits} for _ in layers]
+    _, parity_records = run_computation(layout, psi, layers, [a[p] for a in assigned for p in layout.parity_qubits])
+    _, mbqc_records = run_repeated_mbqc(graph, psi, layers, flow, [a[v] for a in assigned for v in order])
+    assert paired_entries(parity_records, mbqc_records) == 2 * 45
+
+
+def test_claim_1_on_the_compiled_runs():
+    """Claim 1 on the objects the engines run, with no statevector: on
+    all-pairs n = 2..32, 64 and 111, the parity engine's decode and the
+    MBQC run of the induced graph are the same steps (`claim_1_mismatch`),
+    and the factor rows those steps read, rows 6-7 of the XY axis's and
+    rows 2-3 of the YZ axis's, differ by one unit phase at every sampled
+    angle: both maps are exp(-i theta/2 Z_S) up to phase."""
+    for n in [*range(2, 33), 64, 111]:
+        parity, mbqc = claim_1_runs(build_all_pairs_layout(n))
+        assert len(parity.qubits) == n * (n - 1) // 2
+        assert claim_1_mismatch(parity, mbqc) is None, n
+    rng = np.random.default_rng(14)
+    for theta in [0.0, np.pi / 2, np.pi, -np.pi, *rng.uniform(-np.pi, np.pi, 50)]:
+        ratio = _fresh_factors(xy_axis(theta))[6:8] / _fresh_factors(yz_axis(theta))[2:4]
+        assert abs(abs(ratio[0, 0]) - 1.0) < 1e-14
+        assert np.abs(ratio - ratio[0, 0]).max() < 1e-14
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(parity_layouts())
+def test_claim_1_on_the_compiled_runs_of_drawn_layouts(layout):
+    assert claim_1_mismatch(*claim_1_runs(layout)) is None
+
+
+def replace_step(schedule, j, step):
+    return dataclasses.replace(schedule, steps=schedule.steps[:j] + (step,) + schedule.steps[j + 1 :])
+
+
+def test_claim_1_comparison_fails_on_a_mutated_step():
+    """The structural comparison cannot pass vacuously: one bit of one
+    parity step's mask flipped, or one step's row swapped for the other
+    join's, fails it, and the failure names the qubit."""
+    parity, mbqc = claim_1_runs(build_all_pairs_layout(4))
+    assert claim_1_mismatch(parity, mbqc) is None
+    j = 2
+    q = parity.qubits[j]
+    kind, mask, row, xmask, zmask = parity.steps[j]
+    twin = mbqc.qubits.index(q)
+    mutants = [
+        (replace_step(parity, j, (kind, mask ^ 1, row, xmask, zmask)), mbqc),
+        (replace_step(parity, j, (kind, mask, _CZ_JOIN + 2, xmask, zmask)), mbqc),
+        (parity, replace_step(mbqc, twin, (kind, mask, _CNOT_JOIN + 2, xmask, zmask))),
+    ]
+    for mutant in mutants:
+        assert claim_1_mismatch(*mutant).startswith(f"qubit {q!r}:")
 
 
 def test_criterion_4_decoding_equivalence():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from test_branches import chained_flow, witnesses
 
-from parityflow import mbqc_engine, simulator
+from parityflow import mbqc_engine, parity_engine, simulator
 from parityflow.gflow import GFlow, canonical_yz_gflow, search_gflow_yz, verify_gflow, yz_bipartite_sweep, yz_planes
 from parityflow.graph import make_graph, odd_neighborhood, with_io
 from parityflow.layout import build_all_pairs_layout, hadamard, induced_graph
@@ -689,21 +689,66 @@ def test_dropped_flows_leave_no_compiled_runs():
     assert all(key() is not None for key in mbqc_engine._RUNS.keyrefs())
 
 
-def test_over_cap_graph_refused_before_its_run_is_compiled(monkeypatch):
+def test_over_cap_graph_refused_before_its_first_step(monkeypatch):
     """The 17-vertex path with 9 inputs runs on its 9 inputs alone; under a
-    cap of 8 that live register is refused, and no run is stored."""
+    cap of 8 that run still compiles, recording its width, and every run
+    of it is refused before its first step."""
     vertices = [str(i) for i in range(17)]
     inputs = vertices[::2]
     g = make_graph(vertices, list(zip(vertices, vertices[1:])), inputs, inputs)
     flow = canonical_yz_gflow(g)
     psi = random_state(inputs, np.random.default_rng(5))
+    layers = [LayerParams(theta=dict.fromkeys(flow.g, 0.4))]
     monkeypatch.setattr(simulator, "DEFAULT_QUBIT_CAP", 8)
-    with pytest.raises(ValueError, match="9 qubits exceeds cap 8"):
-        run_mbqc_yz(g, psi, dict.fromkeys(flow.g, 0.4), flow, [1] * len(flow.g))
-    assert all(not table for _, table in mbqc_engine._RUNS.get(flow, ()))
+    with mock.patch.object(simulator, "_half", wraps=simulator._half) as half:
+        with pytest.raises(ValueError, match="register of 9 qubits exceeds cap 8"):
+            run_mbqc_yz(g, psi, layers[0].theta, flow, [1] * len(flow.g))
+        with pytest.raises(ValueError, match="register of 9 qubits exceeds cap 8"):
+            run_repeated_mbqc(g, psi, layers, flow, [1] * len(flow.g))
+        with pytest.raises(ValueError, match="register of 9 qubits exceeds cap 8"):
+            mbqc_engine.run_all_branches(g, psi, layers, flow)
+    assert not half.called
+    assert mbqc_engine._compiled(g, flow, psi.labels, None).width == 9
     monkeypatch.undo()
-    state, _ = run_mbqc_yz(g, psi, dict.fromkeys(flow.g, 0.4), flow, [1] * len(flow.g))
+    state, _ = run_mbqc_yz(g, psi, layers[0].theta, flow, [1] * len(flow.g))
     assert state.labels == psi.labels
+
+
+def test_17_qubit_input_refused_by_every_run_before_its_first_step():
+    """A 17-qubit `Statevector` built from outside for the all-pairs n = 17
+    layout: both engines compile its runs, and every run, per branch or on
+    all branches, refuses it before its first step."""
+    layout = build_all_pairs_layout(17)
+    graph = induced_graph(layout)
+    flow = canonical_yz_gflow(graph)
+    psi = Statevector(layout.data_qubits, np.eye(1, 1 << 17)[0])
+    layers = [LayerParams()]
+    outcomes = [1] * len(layout.parity_qubits)
+    runs = [
+        lambda: run_computation(layout, psi, layers, outcomes),
+        lambda: parity_engine.run_all_branches(layout, psi, layers),
+        lambda: run_mbqc_yz(graph, psi, dict.fromkeys(flow.g, 0.0), flow, outcomes),
+        lambda: run_repeated_mbqc(graph, psi, layers, flow, outcomes),
+        lambda: mbqc_engine.run_all_branches(graph, psi, layers, flow),
+    ]
+    with mock.patch.object(simulator, "_half", wraps=simulator._half) as half:
+        for run in runs:
+            with pytest.raises(ValueError, match="register of 17 qubits exceeds cap 16"):
+                run()
+    assert not half.called
+
+
+def test_mbqc_compiles_from_equal_objects_are_equal():
+    """A compiled run is plain data: compiled from two equal graphs and
+    flows built apart, with no cap check and no parity table, the
+    schedules are equal and hash equally."""
+    graphs = [induced_graph(build_all_pairs_layout(4)) for _ in range(2)]
+    with (
+        mock.patch.object(simulator, "check_cap", side_effect=AssertionError("cap checked")),
+        mock.patch.object(simulator, "_odd_overlap", side_effect=AssertionError("table built")),
+    ):
+        runs = [mbqc_engine._compile(g, canonical_yz_gflow(g), ("1", "2", "3", "4"), None) for g in graphs]
+    assert runs[0] == runs[1] and hash(runs[0]) == hash(runs[1])
 
 
 def test_bad_measurement_order_rejected():

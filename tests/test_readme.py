@@ -36,12 +36,21 @@ def test_program_example_runs_through_the_simulation_commands(tmp_path, monkeypa
         assert result.exit_code == 0, (command, result.stderr)
 
 
+# the width the Layout block's rows are wrapped to
+LAYOUT_WIDTH = 76
+
+
+def layout_lines():
+    """The lines of the Layout block, its `src/parityflow/` heading first."""
+    [block] = [block for block in fenced_blocks("") if block.startswith("src/parityflow/")]
+    return block.splitlines()
+
+
 def layout_rows():
     """The Layout block's module rows: each module's name with the text of
     its row, continuation lines included."""
-    [block] = [block for block in fenced_blocks("") if block.startswith("src/parityflow/")]
     rows = {}
-    for line in block.splitlines()[1:]:
+    for line in layout_lines()[1:]:
         head = re.match(r"^  (\w+)\.py\s+(.*)$", line)
         if head:
             module, text = head.groups()
@@ -64,3 +73,8 @@ def test_layout_names_resolve():
             assert hasattr(importlib.import_module(f"parityflow.{owner or module}"), attribute), (module, name)
             names += 1
     assert names, "no backticked name found in the Layout block"
+
+
+def test_layout_block_fits_its_wrap_width():
+    long = [line for line in layout_lines() if len(line) > LAYOUT_WIDTH]
+    assert not long, long

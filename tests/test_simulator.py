@@ -386,25 +386,57 @@ def test_parity_plan_compiles_only_folded_cnot_joins():
     """A parity qubit holds the parity of its set and its -1 outcome is Z
     on that same set, so every step is a CNOT-joined `_FRESH` step with
     the Z folded in: row `_CNOT_JOIN + 2`, both masks 0, read at the
-    set's parity. Every nonempty set of a 4-qubit register, in turn."""
+    set's mask. Every nonempty set of a 4-qubit register, in turn."""
     labels = ("1", "2", "3", "4")
     subsets = [s for k in range(1, 5) for s in itertools.combinations(labels, k)]
     sets = {f"p{j}": s for j, s in enumerate(subsets)}
     schedule = simulator.parity_plan(labels, sets, sets)
     assert (schedule.qubits, schedule.labels, schedule.width) == (tuple(sets), labels, 4)
-    for members, (kind, parity, row, xmask, zmask) in zip(subsets, schedule.steps):
-        assert (kind, row, xmask, zmask) == (simulator._FRESH, simulator._CNOT_JOIN + 2, 0, 0)
-        assert np.array_equal(parity, simulator._odd_overlap(4, simulator._index_mask(labels, members)))
+    for members, step in zip(subsets, schedule.steps, strict=True):
+        assert step == (simulator._FRESH, simulator._index_mask(labels, members), simulator._CNOT_JOIN + 2, 0, 0)
 
 
-def test_compiles_over_the_cap_are_refused(monkeypatch):
+def _compiles():
+    """A `_live_plan` with joins, a `compile_plan` with corrections and a
+    `parity_plan`, each from fresh objects."""
+    return [
+        _chain_plan(),
+        compile_plan(("a", "b", "c"), ["a", "c"], lambda q: ({"b"}, {"b", "c"} if q == "a" else {"b"})),
+        simulator.parity_plan(("1", "2", "3"), ["(12)", "(123)"], {"(12)": ["1", "2"], "(123)": ["1", "2", "3"]}),
+    ]
+
+
+def test_schedules_are_plain_int_data():
+    """Every entry of every step is an int, so two compiles of the same run
+    are equal and hash equally. No compiler checks the cap or builds a
+    parity table."""
+    with (
+        mock.patch.object(simulator, "check_cap", side_effect=AssertionError("cap checked")),
+        mock.patch.object(simulator, "_odd_overlap", side_effect=AssertionError("table built")),
+    ):
+        first, second = _compiles(), _compiles()
+    for schedule in first:
+        assert all(type(entry) is int for step in schedule.steps for entry in step)
+    assert first == second
+    assert [hash(schedule) for schedule in first] == [hash(schedule) for schedule in second]
+
+
+def test_compiles_over_the_cap_succeed_and_their_runs_are_refused(monkeypatch):
+    """A compile holds masks only, so one over the cap succeeds and records
+    its width; both runners refuse it before the first `_half` call."""
     monkeypatch.setattr(simulator, "DEFAULT_QUBIT_CAP", 2)
-    with pytest.raises(ValueError, match="register of 3 qubits exceeds cap 2"):
-        _chain_plan()
-    with pytest.raises(ValueError, match="register of 3 qubits exceeds cap 2"):
-        compile_plan(("a", "b", "c"), ["a"], lambda _: ((), ()))
-    with pytest.raises(ValueError, match="register of 3 qubits exceeds cap 2"):
-        simulator.parity_plan(("1", "2", "3"), ["(12)"], {"(12)": ["1", "2"]})
+    schedules = _compiles()
+    assert [schedule.width for schedule in schedules] == [3, 3, 3]
+    starts = [("a",), ("a", "b", "c"), ("1", "2", "3")]
+    with mock.patch.object(simulator, "_half", wraps=simulator._half) as half:
+        for schedule, labels in zip(schedules, starts, strict=True):
+            psi = Statevector(labels, np.eye(1 << len(labels))[0])
+            axes = [(1.0, 0.0, 0.0)] * len(schedule.qubits)
+            with pytest.raises(ValueError, match="register of 3 qubits exceeds cap 2"):
+                run_schedule(schedule, psi.amplitudes, axes, [1] * len(schedule.qubits))
+            with pytest.raises(ValueError, match="register of 3 qubits exceeds cap 2"):
+                simulator.run_schedule_all(schedule, simulator.BranchArray.start(psi), axes)
+    assert not half.called
 
 
 def test_run_schedule_all_refuses_before_its_first_step(monkeypatch):
@@ -430,12 +462,12 @@ def test_run_schedule_all_refuses_before_its_first_step(monkeypatch):
 
 def _kernel_steps(n, rng):
     """`_MEASURE` steps at every position of an n-qubit register, and
-    `_FRESH` steps on each fresh-factor row pair with a random parity mask."""
+    `_FRESH` steps on each fresh-factor row pair with a random partner mask."""
     for pos in range(n):
         yield (simulator._MEASURE, pos, 0, 0)
     for row in (0, 2, 4, 6):
         mask = int(rng.integers(0, 1 << n))
-        yield (simulator._FRESH, simulator._odd_overlap(n, mask), row, 0, 0)
+        yield (simulator._FRESH, mask, row, 0, 0)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -513,8 +545,9 @@ def test_pauli_kernel_matches_the_reference_appliers_on_every_branch_row(n):
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_odd_overlap_is_the_read_only_parity_of_each_index_under_the_mask(n):
+    # keyed by the register's amplitude count, as the steps read it
     for mask in range(1 << n):
-        odd = simulator._odd_overlap(n, mask)
+        odd = simulator._odd_overlap(1 << n, mask)
         assert odd.dtype == np.intp and not odd.flags.writeable
         assert odd.tolist() == [bin(i & mask).count("1") % 2 for i in range(1 << n)]
 
