@@ -24,7 +24,6 @@ import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +71,7 @@ class GFlow:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "g", {v: shared_set(frozenset(s)) for v, s in self.g.items()})
-        object.__setattr__(self, "precedence", shared_set(frozenset(self.precedence)))
+        object.__setattr__(self, "precedence", frozenset(self.precedence))
         object.__setattr__(self, "layers", tuple(shared_set(frozenset(layer)) for layer in self.layers))
         level: dict[str, int] = {}
         for depth, layer in enumerate(self.layers):
@@ -317,20 +316,21 @@ def _spans_no_edge(neighbor_masks: Sequence[int], mask: int) -> bool:
 def canonical_yz_gflow(graph: Graph) -> GFlow:
     """The single-layer witness available on any bipartite graph with I one side.
 
-    Maps every measured vertex to itself and orders all measured vertices
-    before all outputs, leaving the measured vertices mutually incomparable.
+    Maps every measured vertex v to itself and orders it before each of its
+    neighbours, Odd({v}), all outputs: the pairs conditions 1 and 2 need.
+    Measured vertices stay incomparable, in a layer before the outputs.
     Requires O = I and no edge joining two vertices outside I; edges
     inside I are ignored, as the search and the graph state ignore them.
     """
-    measured = [v for v in graph.vertices if v not in graph.inputs]
     if graph.inputs != graph.outputs:
         raise ValueError("no canonical flow: inputs differ from outputs")
-    if not _spans_no_edge(graph.neighbor_masks, graph.mask_of(measured)):
+    labels, masks = graph.vertices, graph.neighbor_masks
+    measured = (1 << len(labels)) - 1 & ~graph.mask_of(graph.inputs)
+    if not _spans_no_edge(masks, measured):
         raise ValueError("no canonical flow: an edge joins two vertices outside the inputs")
-    outputs = [v for v in graph.vertices if v in graph.inputs]
-    g = {v: frozenset({v}) for v in measured}
-    precedence = frozenset((v, o) for v in measured for o in outputs)
-    layers = tuple(frozenset(layer) for layer in (measured, outputs) if layer)
+    g = {labels[i]: frozenset({labels[i]}) for i in _bit_indices(measured)}
+    precedence = frozenset((labels[i], labels[j]) for i in _bit_indices(measured) for j in _bit_indices(masks[i]))
+    layers = tuple(layer for layer in (graph.vertices_of(measured), graph.outputs) if layer)
     return GFlow(g=g, precedence=precedence, layers=layers)
 
 
@@ -394,15 +394,6 @@ def _label_pairs(labels: tuple[str, ...]) -> tuple[tuple[tuple[str, str], ...], 
     return tuple(tuple((v, u) for u in labels) for v in labels)
 
 
-class _PeelFlow(NamedTuple):
-    """A peel's flow as `GFlow` holds it but unchecked and not interned:
-    what an unkept witness's masks are read back from."""
-
-    g: Mapping[str, VertexSet]
-    precedence: frozenset[tuple[str, str]]
-    layers: tuple[VertexSet, ...]
-
-
 def _peel_gflow(
     graph: Graph, free: int, peeled: list[tuple[int, int, int]], flows: dict, keep: bool = True
 ) -> tuple[GFlow | None, list[int], list[int]]:
@@ -412,11 +403,11 @@ def _peel_gflow(
     The flow depends only on the vertex labels, `free` and the peel, so it
     is built once per (free, peel) into `flows`, a table the caller holds,
     keyed by one int: `free`, then three n-bit fields per step (a peel has
-    one step per bit of `free`, so no two peels share a key). It is layered
-    by longest path and its masks are read back from its labels. Unless
-    `keep`, its masks are read from a `_PeelFlow`, whose sets are not
-    interned (`graph.shared_set`), the table holds only those masks, and
-    None stands for the flow. Every call checks the masks on the
+    one step per bit of `free`, so no two peels share a key). It orders v
+    before each u != v in g(v) | Odd(g(v)), as conditions 1 and 2 ask, is
+    layered by longest path, and its masks are read back from its labels.
+    Unless `keep`, the table holds only those masks, and None stands for
+    the flow, dropped once they are read. Every call checks the masks on the
     graph's own adjacency masks, never on the peel's Odd table, and reads
     neither the graph's inputs nor its outputs. AssertionError if the check
     fails, with the violations `verify_gflow` names.
@@ -444,7 +435,7 @@ def _peel_gflow(
         if outputs:
             layers.append(outputs)
         g_map = {labels[v]: graph.vertices_of(s) for v, s, _ in sorted(peeled)}
-        flow = (GFlow if keep else _PeelFlow)(g_map, frozenset(precedence), tuple(frozenset(s) for s in layers))
+        flow = GFlow(g_map, frozenset(precedence), tuple(frozenset(s) for s in layers))
         masks = (_after_masks(labels, flow), *_correction_masks(_vertex_bits(labels), flow))
         entry = flows[key] = (flow if keep else None, *masks)
     flow, after, domain, corrections = entry
@@ -548,7 +539,8 @@ class Discrepancy:
     """One instance on which the search and bipartiteness disagree, or whose
     witness failed its structure check: enough to rebuild it from the
     report alone, the base graph's edges as label pairs in vertex order
-    (as `graph_to_json` lists them) and the I/O sets."""
+    (as `graph_to_json` lists them) and the I/O sets. An I != O instance is
+    one if it has a flow, and reads `bipartite_with_inputs` False."""
 
     n: int
     edges: tuple[tuple[str, str], ...]
@@ -597,9 +589,9 @@ class SweepReport:
         }
 
 
-def _discrepancy(base: Graph, inputs: frozenset[str], found: bool, expected: bool) -> Discrepancy:
+def _discrepancy(base: Graph, inputs: VertexSet, outputs: VertexSet, found: bool, expected: bool) -> Discrepancy:
     edges = tuple(tuple(e) for e in graph_to_json(base)["edges"])
-    return Discrepancy(len(base.vertices), edges, tuple(sorted(inputs)), tuple(sorted(inputs)), found, expected)
+    return Discrepancy(len(base.vertices), edges, tuple(sorted(inputs)), tuple(sorted(outputs)), found, expected)
 
 
 def _sweep_batch(args: tuple[int, Sequence[Graph], bool]) -> tuple[int, dict, list, list, list, float]:
@@ -612,7 +604,7 @@ def _sweep_batch(args: tuple[int, Sequence[Graph], bool]) -> tuple[int, dict, li
     per vertex tuple for the batch, dropped with it: the batch builds each
     distinct flow once, and checks every witness on the base graph's
     adjacency masks, which its open graph shares. Unless witnesses are
-    kept, the table holds only those masks, and no `GFlow` is built.
+    kept, the table holds only those masks, and each `GFlow` is dropped.
     `_structure_facts` then checks it on the same masks. The input set and
     an open graph are built only for a kept witness, a discrepancy or a
     failed check; witnesses return if `keep`. A kept witness's input set is
@@ -640,7 +632,8 @@ def _sweep_batch(args: tuple[int, Sequence[Graph], bool]) -> tuple[int, dict, li
             counts["flows_found"] += found
             counts["bipartite_instances"] += expected
             if found != expected:
-                discrepancies.append(_discrepancy(base, base.vertices_of(mask), found, expected))
+                inputs = base.vertices_of(mask)
+                discrepancies.append(_discrepancy(base, inputs, inputs, found, expected))
             if not found:
                 continue
             flow, after, corrections = _peel_gflow(base, free, peeled, flows, keep)
@@ -650,7 +643,8 @@ def _sweep_batch(args: tuple[int, Sequence[Graph], bool]) -> tuple[int, dict, li
                     inputs = sets[mask] = base.vertices_of(mask)
                 witnesses.append((with_io(base, inputs, inputs), flow))
             if not all(_structure_facts(masks, free, corrections, after)):
-                witness_failures.append(_discrepancy(base, base.vertices_of(mask), found, expected))
+                inputs = base.vertices_of(mask)
+                witness_failures.append(_discrepancy(base, inputs, inputs, found, expected))
     return n, counts, discrepancies, witness_failures, witnesses, time.perf_counter() - began
 
 
@@ -666,14 +660,15 @@ def yz_bipartite_sweep(
     For every connected graph up to max_n vertices and every input choice
     with O = I, assert search_gflow_yz succeeds exactly when the graph is
     bipartite with I one partition; additionally, for max_n >= 2, sample
-    io_samples instances with I != O (equal sizes), where no flow may exist.
-    The graphs go to `_sweep_batch` in batches of one size: one batch per
-    n serially, eight graphs per task in a worker pool. Each flow found
-    takes the search's route to a checked witness, `_peel_gflow`, so
-    witnesses with the same vertex count, inputs and peel share one GFlow
-    within a batch, and kept witnesses share equal label sets
-    (`graph.shared_set`); those that come back from a pool share both only
-    within their batch. The report's
+    io_samples instances with I != O (equal sizes), where no flow may exist
+    (`discrepancies` names any that has one). The graphs go to
+    `_sweep_batch` in batches of one size: one batch per n serially, eight
+    graphs per task in a worker pool. Each flow found takes the search's
+    route to a checked witness, `_peel_gflow`, so witnesses with the same
+    vertex count, inputs and peel share one GFlow within a batch. Kept
+    witnesses share equal vertex sets (`graph.shared_set`) and, on one
+    vertex tuple, equal precedence pairs (`_label_pairs`); those that come
+    back from a pool share them only within their batch. The report's
     `seconds` holds the time the batches of each n took, summed over
     workers.
     """
@@ -735,6 +730,8 @@ def yz_bipartite_sweep(
         flow = search_gflow_yz(with_io(base, inputs, outputs))
         report.io_mismatch_cases += 1
         report.io_mismatch_flows_found += flow is not None
+        if flow is not None:
+            report.discrepancies.append(_discrepancy(base, inputs, outputs, True, False))
         drawn += 1
     return report
 

@@ -2,7 +2,7 @@
 
 Vertices are opaque strings; data qubits use labels like "1", "2" and
 parity qubits composite labels like "(12)". All operations are pure
-functions of immutable values, and the label sets that graphs and flows
+functions of immutable values, and the vertex sets that graphs and flows
 freeze go through `shared_set`, so equal sets are one object.
 """
 
@@ -28,7 +28,9 @@ VertexSet = frozenset[str]
 @lru_cache(maxsize=1 << 14)
 def shared_set(members: frozenset) -> frozenset:
     """The first frozenset equal to `members` that is still cached: a kept
-    sweep holds tens of thousands of flows over a few thousand distinct sets."""
+    sweep holds tens of thousands of flows over a few thousand distinct
+    vertex sets. Only vertex sets come here: flows' pair sets share their
+    pairs instead, and cached they would outlive the flows a sweep drops."""
     return members
 
 

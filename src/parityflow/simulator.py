@@ -784,7 +784,7 @@ def run_schedule_all(
     correction, and the probability table repeats each row's columns for
     its two children and adds their Born probabilities. Rows are
     renormalised by their Born probability, except below ZERO_PROB_TOL,
-    where they are divided by 1. Refused before the first step if the rows
+    where they are scaled by 1. Refused before the first step if the rows
     it ends on would take the schedule's `width` over the qubit cap
     (`check_cap`).
     """
@@ -800,7 +800,7 @@ def run_schedule_all(
         pairs = np.concatenate((_half(step, amps, factors, 0), _half(step, amps, factors, 1)), axis=1)
         pairs = pairs.reshape(len(amps), 2, -1)
         born = _born(pairs)
-        pairs /= np.sqrt(np.where(born < ZERO_PROB_TOL, 1.0, born))[:, :, None]
+        pairs *= 1.0 / np.sqrt(np.where(born < ZERO_PROB_TOL, 1.0, born))[:, :, None]
         pairs[:, 1] = _apply_paulis(pairs[:, 1], step[-2], step[-1])
         amps = pairs.reshape(-1, pairs.shape[2])
         probabilities = np.concatenate((probabilities.repeat(2, axis=0), born.reshape(-1, 1)), axis=1)

@@ -240,12 +240,13 @@ def test_claim_1_per_measurement():
 
 def test_claim_1_on_the_compiled_runs():
     """Claim 1 on the objects the engines run, with no statevector: on
-    all-pairs n = 2..32, 64 and 111, the parity engine's decode and the
-    MBQC run of the induced graph are the same steps (`claim_1_mismatch`),
-    and the factor rows those steps read, rows 6-7 of the XY axis's and
-    rows 2-3 of the YZ axis's, differ by one unit phase at every sampled
-    angle: both maps are exp(-i theta/2 Z_S) up to phase."""
-    for n in [*range(2, 33), 64, 111]:
+    all-pairs n = 2..32, 48, 64, 80, 96 and 111, the parity engine's decode
+    and the MBQC run of the induced graph are the same steps
+    (`claim_1_mismatch`), and the factor rows those steps read, rows 6-7
+    of the XY axis's and rows 2-3 of the YZ axis's, differ by one unit
+    phase at every sampled angle: both maps are exp(-i theta/2 Z_S) up to
+    phase."""
+    for n in [*range(2, 33), 48, 64, 80, 96, 111]:
         parity, mbqc = claim_1_runs(build_all_pairs_layout(n))
         assert len(parity.qubits) == n * (n - 1) // 2
         assert claim_1_mismatch(parity, mbqc) is None, n

@@ -33,8 +33,11 @@ from parityflow.graph import (
     effective_graph,
     enumerate_connected_graphs,
     make_graph,
+    neighbors,
+    odd_neighborhood,
     with_io,
 )
+from parityflow.layout import build_all_pairs_layout, induced_graph
 
 
 def p3():
@@ -231,6 +234,35 @@ def test_canonical_accepts_exactly_the_instances_with_a_flow():
                     assert verify_gflow(g, yz_planes(g), flow)
                     accepted += 1
     assert accepted == 2012
+
+
+def test_every_built_flow_orders_v_only_before_its_correction_and_odd_sets():
+    # conditions 1 and 2 ask v < u only for u in g(v) | Odd(g(v)), u != v,
+    # and each flow the package builds holds just such pairs: kept sweep
+    # witnesses, the searches of the branch tests' witnesses, and
+    # canonical flows, on which v < u exactly when u neighbours v
+    def assert_pairs_needed(g, flow):
+        needed = {(v, u) for v, s in flow.g.items() for u in (s | odd_neighborhood(g, s)) - {v}}
+        assert flow.precedence <= needed
+
+    for g, flow in yz_bipartite_sweep(6, io_samples=0, workers=1).witnesses:
+        assert_pairs_needed(g, flow)
+    for g, _ in witnesses():
+        assert_pairs_needed(g, search_gflow_yz(g))
+    graphs = [induced_graph(build_all_pairs_layout(n)) for n in range(2, 17)]
+    for g in [*graphs, triangle(("1", "2"), ("1", "2")), c6()]:
+        flow = canonical_yz_gflow(g)
+        assert_pairs_needed(g, flow)
+        neighbours = [m if v in flow.g else 0 for v, m in zip(g.vertices, g.neighbor_masks)]
+        assert gflow_module._after_masks(g.vertices, flow) == neighbours
+        assert len(flow.precedence) == sum(map(int.bit_count, neighbours))
+        if len(g.vertices) <= 10:
+            for v, u in itertools.product(g.vertices, repeat=2):
+                assert precedes(flow, v, u) == (v in flow.g and u in neighbors(g, v))
+    big = induced_graph(build_all_pairs_layout(111))
+    flow = canonical_yz_gflow(big)
+    assert len(flow.precedence) == 111 * 110 == 12210
+    assert verify_gflow(big, yz_planes(big), flow).ok
 
 
 def test_greedy_peel_matches_the_backtracking_reference():
@@ -551,7 +583,7 @@ def test_kept_witnesses_share_equal_label_sets():
     report = yz_bipartite_sweep(5, io_samples=0, workers=1)
     sets = []
     for g, flow in report.witnesses:
-        sets += [g.inputs, g.outputs, flow.precedence, *flow.g.values(), *flow.layers]
+        sets += [g.inputs, g.outputs, *flow.g.values(), *flow.layers]
     assert len({id(s) for s in sets}) == len(set(sets)) < len(sets)
 
 
@@ -656,42 +688,35 @@ def test_unkept_sweep_builds_no_open_graph(monkeypatch):
 
 
 def test_unkept_sweep_keeps_no_flow_alive(monkeypatch):
-    # unkept, each batch's table holds only the masks a check reads, read
-    # from a `_PeelFlow` once per distinct peel, so no `GFlow` is built.
-    # Kept, each distinct peel builds one flow that its witnesses share
-    built, peeled = [], []
+    # unkept, each batch's table holds only the masks a check reads: each
+    # distinct peel builds one `GFlow`, dead once the sweep returns. Kept,
+    # the same peels build one flow each, which their witnesses share
+    built = []
 
     def recording(*args, _real=gflow_module.GFlow, **kwargs):
         flow = _real(*args, **kwargs)
         built.append(weakref.ref(flow))
         return flow
 
-    def recording_peel(*args, _real=gflow_module._PeelFlow):
-        peeled.append(args)
-        return _real(*args)
-
     monkeypatch.setattr(gflow_module, "GFlow", recording)
-    monkeypatch.setattr(gflow_module, "_PeelFlow", recording_peel)
     dropped = yz_bipartite_sweep(6, io_samples=0, workers=1, keep_witnesses=False)
-    assert built == [] and len(peeled) > 0
+    unkept = len(built)
+    assert unkept > 0 and all(ref() is None for ref in built)
+    built.clear()
     kept = yz_bipartite_sweep(6, io_samples=0, workers=1)
     assert len(kept.witnesses) == 2012
-    assert len(built) == len({id(flow) for _, flow in kept.witnesses}) == len(peeled)
+    assert len(built) == len({id(flow) for _, flow in kept.witnesses}) == unkept
     assert dropped.to_json() == kept.to_json()
 
 
 def test_unkept_sweep_interns_no_precedence_pairs():
-    # an unkept sweep's dropped flows leave no precedence set in
-    # `graph.shared_set`'s cache; a kept sweep interns them
-    def pair_sets(shared):
-        return [call.args[0] for call in shared.call_args_list if any(isinstance(m, tuple) for m in call.args[0])]
-
-    with mock.patch.object(gflow_module, "shared_set", wraps=graph_module.shared_set) as shared:
-        yz_bipartite_sweep(6, io_samples=0, workers=1, keep_witnesses=False)
-    assert pair_sets(shared) == []
-    with mock.patch.object(gflow_module, "shared_set", wraps=graph_module.shared_set) as shared:
-        yz_bipartite_sweep(4, io_samples=0, workers=1)
-    assert pair_sets(shared)
+    # no sweep, kept or not, passes a pair set to `graph.shared_set`, whose
+    # cache would hold it past the flows an unkept sweep drops
+    for max_n, keep in ((6, False), (4, True)):
+        with mock.patch.object(gflow_module, "shared_set", wraps=graph_module.shared_set) as shared:
+            yz_bipartite_sweep(max_n, io_samples=0, workers=1, keep_witnesses=keep)
+        assert shared.call_count > 0
+        assert not [call for call in shared.call_args_list if any(isinstance(m, tuple) for m in call.args[0])]
 
 
 def test_unkept_table_hit_that_fails_its_check_names_the_violations():
@@ -759,6 +784,36 @@ def test_discrepancy_rebuilds_its_instance_from_the_report_alone(monkeypatch):
     assert rebuilt.inputs == rebuilt.outputs == flagged
     assert entry["edges"] == graph_module.graph_to_json(base)["edges"]
     assert search_gflow_yz(rebuilt) is not None
+
+
+def test_io_mismatch_flow_names_its_instance(monkeypatch):
+    # a search that finds a flow on one I != O sample: the report's JSON
+    # names that instance, and only its entries differ from a truthful run
+    truthful = yz_bipartite_sweep(4, io_samples=6, workers=1).to_json()
+    told = []
+
+    def lying(graph):
+        if not told:
+            told.append(graph)
+            return canonical_yz_gflow(p3())
+        return None
+
+    monkeypatch.setattr(gflow_module, "search_gflow_yz", lying)
+    report = yz_bipartite_sweep(4, io_samples=6, workers=1)
+    [graph] = told
+    data = json.loads(json.dumps(report.to_json()))
+    [entry] = data["discrepancies"]
+    assert not report.ok and data["io_mismatch_flows_found"] == 1
+    assert graph.inputs != graph.outputs
+    assert entry == {
+        "n": len(graph.vertices),
+        "edges": graph_module.graph_to_json(graph)["edges"],
+        "inputs": sorted(graph.inputs),
+        "outputs": sorted(graph.outputs),
+        "flow_found": True,
+        "bipartite_with_inputs": False,
+    }
+    assert data | {"discrepancies": [], "io_mismatch_flows_found": 0, "ok": True} == truthful
 
 
 def _search_every_small_open_graph() -> None:
