@@ -601,14 +601,14 @@ def _sweep_batch(args: tuple[int, Sequence[Graph], bool]) -> tuple[int, dict, li
     Each choice is decided on masks, bipartiteness without the edges inside
     I (they enter neither the prepared state nor any correction set). Each
     flow found goes through `_peel_gflow` on the base graph, with one table
-    per vertex tuple for the batch, dropped with it: the batch builds each
-    distinct flow once, and checks every witness on the base graph's
-    adjacency masks, which its open graph shares. Unless witnesses are
-    kept, the table holds only those masks, and each `GFlow` is dropped.
-    `_structure_facts` then checks it on the same masks. The input set and
-    an open graph are built only for a kept witness, a discrepancy or a
-    failed check; witnesses return if `keep`. A kept witness's input set is
-    built once per batch and vertex tuple.
+    for the batch, whose graphs (`enumerate_connected_graphs(n)`) share one
+    vertex tuple; a new tuple would start a new one. Each distinct flow is
+    built once, and every witness checked on the base graph's adjacency
+    masks, which its open graph shares; unless witnesses are kept, the
+    table holds only those masks and each `GFlow` is dropped.
+    `_structure_facts` checks it on the same masks. The input set (once
+    per batch and input mask) and an open graph are built only for a kept
+    witness, a discrepancy or a failed check; witnesses return if `keep`.
     """
     began = time.perf_counter()
     n, bases, keep = args
@@ -616,12 +616,12 @@ def _sweep_batch(args: tuple[int, Sequence[Graph], bool]) -> tuple[int, dict, li
     discrepancies = []
     witness_failures = []
     witnesses = []
-    # vertex tuple -> (the `_peel_gflow` table, input mask -> input set)
-    tables: dict[tuple[str, ...], tuple[dict, dict[int, frozenset[str]]]] = {}
+    labels = None  # the vertex tuple of the `_peel_gflow` table and of the input mask -> input set memo
     for base in bases:
+        if base.vertices != labels:
+            labels, flows, sets = base.vertices, {}, {}
         masks = base.neighbor_masks  # built once per base graph; every with_io copy shares it
         odd = _odd_table(base)
-        flows, sets = tables.setdefault(base.vertices, ({}, {}))
         for mask in range(1 << n):
             free = ~mask & ((1 << n) - 1)  # the measured vertices, and every correction set's support
             peeled = _yz_peel(odd, free)
@@ -666,9 +666,9 @@ def yz_bipartite_sweep(
     graphs per task in a worker pool. Each flow found takes the search's
     route to a checked witness, `_peel_gflow`, so witnesses with the same
     vertex count, inputs and peel share one GFlow within a batch. Kept
-    witnesses share equal vertex sets (`graph.shared_set`) and, on one
-    vertex tuple, equal precedence pairs (`_label_pairs`); those that come
-    back from a pool share them only within their batch. The report's
+    witnesses share equal vertex sets (`graph.shared_set`) and, for one n,
+    equal precedence pairs (`_label_pairs`); those that come back from a
+    pool share them only within their batch. The report's
     `seconds` holds the time the batches of each n took, summed over
     workers.
     """

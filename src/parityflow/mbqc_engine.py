@@ -23,9 +23,9 @@ spans no edge, so every measured vertex is such a step on the inputs'
 register. The outputs end in the usual order, the inputs in psi's order
 and then the other outputs in graph order. `prepare_graph_state` builds
 the whole graph state, the reference the runs are checked against.
-`run_mbqc_yz` and `run_repeated_mbqc` follow one outcome list on a
-compiled run; `run_all_branches` runs every outcome branch at once, in one
-array, on the same compiled run.
+`run_mbqc_yz` follows one outcome list on a compiled run; `_layer_runs`
+compiles a layered program, which `simulator.run_layers` runs along one
+outcome list and `simulator.run_layers_all` on every outcome branch.
 """
 
 from __future__ import annotations
@@ -41,16 +41,15 @@ from parityflow.graph import Graph
 from parityflow.parity_engine import LayerParams
 from parityflow.simulator import (
     BranchArray,
+    Layer,
     MeasurementRecord,
     Schedule,
     Statevector,
     _live_plan,
-    _run_checked,
     check_cap,
-    rotate_qubits,
+    run_layers,
+    run_layers_all,
     run_schedule,
-    run_schedule_all,
-    split_outcomes,
 )
 
 
@@ -178,11 +177,15 @@ def run_mbqc_yz(
 
 
 def _check_layers(g: Graph, layers: Sequence[LayerParams]) -> None:
-    """Refuse, before any layer runs, an empty program, a decode set (runs
-    measure every non-output vertex each layer), theta keys outside the
-    measured vertices and alpha or phi keys outside the outputs."""
+    """Refuse, before any layer runs, an empty program, layers after the
+    first when the outputs a layer ends on are not the inputs, a decode set
+    (runs measure every non-output vertex each layer), theta keys outside
+    the measured vertices and alpha or phi keys outside the outputs."""
     if not layers:
         raise ValueError("at least one layer required")
+    if len(layers) > 1 and g.outputs != g.inputs:
+        cause = f"whose outputs {sorted(g.outputs)} differ from its inputs {sorted(g.inputs)}"
+        raise ValueError(f"{len(layers)} layers on a graph {cause}: the second layer has no input register")
     measured = set(g.vertices) - g.outputs
     for params in layers:
         for key, allowed in (("theta", measured), ("alpha", g.outputs), ("phi", g.outputs)):
@@ -191,6 +194,20 @@ def _check_layers(g: Graph, layers: Sequence[LayerParams]) -> None:
                 raise ValueError(f"{key!r} keys {stray} are not {'measured' if key == 'theta' else 'output'} vertices")
         if params.decode is not None:
             raise ValueError("decode must be None (all) on every layer: measurement-based runs decode fully each layer")
+
+
+def _layer_runs(
+    g: Graph, flow: GFlow, labels: tuple[str, ...], layers: Sequence[LayerParams], order: Sequence[str] | None
+) -> list[Layer]:
+    """Check every layer (`_check_layers`), then take the `_compiled` run,
+    before any runs, as a `simulator.Layer` of scalar 1.0 per layer: each
+    on the outputs the one before leaves, which are the inputs."""
+    _check_layers(g, layers)
+    schedule = _compiled(g, flow, labels, order)
+    return [
+        (schedule, [yz_axis(params.theta.get(v, 0.0)) for v in schedule.qubits], 1.0, params.alpha, params.phi)
+        for params in layers
+    ]
 
 
 def run_repeated_mbqc(
@@ -203,20 +220,8 @@ def run_repeated_mbqc(
     """Re-prepare the graph on the current data register each layer, measure
     it out, then apply the local data rotations to the outputs. Every layer
     measures every non-output vertex, on the compiled run `run_mbqc_yz`
-    takes. Every layer (`_check_layers`) and the outcomes are checked
-    before the first runs; each layer takes its own slice of the list,
-    unchecked again."""
-    _check_layers(g, layers)
-    shares = split_outcomes(outcomes, [len(g.vertices) - len(g.outputs)] * len(layers))
-    state = psi
-    records: list[MeasurementRecord] = []
-    for params, share in zip(layers, shares):
-        schedule = _compiled(g, flow, state.labels, None)
-        axes = [yz_axis(params.theta.get(v, 0.0)) for v in schedule.qubits]
-        state, record = _run_checked(schedule, state.amplitudes, axes, share)
-        records.append(record)
-        state = Statevector._owned(state.labels, rotate_qubits(state.amplitudes, state.labels, params.alpha, params.phi))
-    return state, records
+    takes, all compiled (`_layer_runs`) before the first runs."""
+    return run_layers(_layer_runs(g, flow, psi.labels, layers, None), psi.amplitudes, outcomes)
 
 
 def run_all_branches(
@@ -227,19 +232,7 @@ def run_all_branches(
     order: Sequence[str] | None = None,
 ) -> BranchArray:
     """`run_repeated_mbqc` on every outcome branch at once, in one array,
-    each layer measuring in `order` (default: as `run_mbqc_yz`).
-
-    Same checks and the same compiled run as `run_mbqc_yz`. Each layer
-    starts on every branch's input register and splits every branch at each
-    measurement (`run_schedule_all`, which refuses a layer whose rows would
-    take the register it holds over the qubit cap).
-    """
-    _check_layers(g, layers)
-    branches = BranchArray.start(psi)
-    for params in layers:
-        schedule = _compiled(g, flow, branches.labels, order)
-        axes = [yz_axis(params.theta.get(v, 0.0)) for v in schedule.qubits]
-        branches = run_schedule_all(schedule, branches, axes)
-        rotated = rotate_qubits(branches.amplitudes, branches.labels, params.alpha, params.phi)
-        branches = branches.on_register(branches.labels, rotated)
-    return branches
+    each layer measuring in `order` (default: as `run_mbqc_yz`): the same
+    checks and compiled runs, through `run_layers_all`, which refuses a
+    layer whose rows would take the register over the qubit cap."""
+    return run_layers_all(_layer_runs(g, flow, psi.labels, layers, order), BranchArray.start(psi))

@@ -25,12 +25,13 @@ encoded: it holds the parity of its set, so its `xy_axis` bra leaves one
 of two values on each data index, read by that parity, with a -1
 outcome's Z on the set folded in. That is one diagonal step on the data
 register (`simulator.parity_plan`).
-`run_computation` follows one outcome list; `run_all_branches` runs the
-same layers on every outcome branch at once, in one array, with the same
-checks. `encode_input`, `mb_decode`, `run_layer` and `unitary_decode`
-hold the encoded register: the full-register route the runs are checked
-against. A run ends on the data register, so the final layer's decode
-set, if given, must be every parity qubit.
+`_layer_runs` compiles the layers, all checked before any runs, which
+`simulator.run_layers` runs along one outcome list (`run_computation`)
+and `simulator.run_layers_all` on every outcome branch at once
+(`run_all_branches`). `encode_input`, `mb_decode`, `run_layer` and
+`unitary_decode` hold the encoded register: the full-register route the
+runs are checked against. A run ends on the data register, so the final
+layer's decode set, if given, must be every parity qubit.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ from parityflow.graph import json_field, json_labels, json_list, json_number, js
 from parityflow.layout import ParityLayout, encoding_circuit
 from parityflow.simulator import (
     BranchArray,
+    Layer,
     MeasurementRecord,
     Schedule,
     Statevector,
-    _run_checked,
     apply_circuit,
     compile_plan,
     discard_qubit,
@@ -56,9 +57,9 @@ from parityflow.simulator import (
     parity_plan,
     project,
     rotate_qubits,
+    run_layers,
+    run_layers_all,
     run_schedule,
-    run_schedule_all,
-    split_outcomes,
 )
 
 X_AXIS = (1.0, 0.0, 0.0)
@@ -229,18 +230,16 @@ def measurement_count(layout: ParityLayout, layers: Sequence[LayerParams]) -> in
     return sum(map(len, _decode_sets(layout, layers)))
 
 
-def _layer_runs(
-    layout: ParityLayout, layers: Sequence[LayerParams]
-) -> list[tuple[Schedule, list[tuple[float, float, float]], complex]]:
+def _layer_runs(layout: ParityLayout, layers: Sequence[LayerParams]) -> list[Layer]:
     """Validate every layer of a run, before any runs, and compile each
-    one's decode on the data register: its schedule, axes and scalar.
-
-    Each decoded parity qubit is one CNOT-joined `_FRESH` step on its
-    set's mask, a -1 outcome's Z on that set folded in."""
+    one's decode on the data register into a `simulator.Layer`: each
+    decoded parity qubit is one CNOT-joined `_FRESH` step on its set's
+    mask, a -1 outcome's Z on that set folded in."""
     runs = []
     for params, members in zip(layers, _decode_sets(layout, layers)):
         qubits = [p for p in layout.parity_qubits if p in members]
-        runs.append((parity_plan(layout.data_qubits, qubits, layout.parity_sets), *_xy_axes(params, qubits)))
+        schedule = parity_plan(layout.data_qubits, qubits, layout.parity_sets)
+        runs.append((schedule, *_xy_axes(params, qubits), params.alpha, params.phi))
     return runs
 
 
@@ -250,39 +249,21 @@ def run_computation(
     layers: Sequence[LayerParams],
     outcomes: Sequence[int],
 ) -> tuple[Statevector, list[MeasurementRecord]]:
-    """Fold layers on the data register, each decoded parity qubit measured
-    as it is encoded (`_layer_runs`), finishing fully decoded. Every layer,
-    the outcomes and the input labels are checked before the first
-    measurement; each layer takes its own slice of the list, unchecked
-    again."""
+    """Fold layers on the data register (`_layer_runs`), finishing fully
+    decoded. Every layer and the input labels are checked before the first
+    measurement, and the outcomes by `run_layers`."""
     runs = _layer_runs(layout, layers)
-    shares = split_outcomes(outcomes, [len(schedule.qubits) for schedule, _, _ in runs])
     _check_input(layout, psi)
-    amps = psi.amplitudes
-    records: list[MeasurementRecord] = []
-    for params, (schedule, axes, phase), share in zip(layers, runs, shares):
-        state, record = _run_checked(schedule, amps * phase, axes, share)
-        amps = rotate_qubits(state.amplitudes, psi.labels, params.alpha, params.phi)
-        records.append(record)
-    # every layer ran, so amps is an array a run made
-    return Statevector._owned(psi.labels, amps), records
+    return run_layers(runs, psi.amplitudes, outcomes)
 
 
 def run_all_branches(layout: ParityLayout, psi: Statevector, layers: Sequence[LayerParams]) -> BranchArray:
-    """`run_computation` on every outcome branch at once, in one array.
-
-    Same layer steps, checks and schedules; each decoded parity qubit
-    splits every branch in two (`run_schedule_all`, which refuses a layer
-    whose rows would take the data register over the qubit cap).
-    """
+    """`run_computation` on every outcome branch at once, in one array,
+    through `run_layers_all`, which refuses a layer whose rows would take
+    the data register over the qubit cap."""
     runs = _layer_runs(layout, layers)
     _check_input(layout, psi)
-    branches = BranchArray.start(psi)
-    for params, (schedule, axes, phase) in zip(layers, runs):
-        branches = run_schedule_all(schedule, branches.on_register(psi.labels, branches.amplitudes * phase), axes)
-        rotated = rotate_qubits(branches.amplitudes, psi.labels, params.alpha, params.phi)
-        branches = branches.on_register(psi.labels, rotated)
-    return branches
+    return run_layers_all(runs, BranchArray.start(psi))
 
 
 def all_outcome_branches(num_measurements: int) -> Iterable[list[int]]:

@@ -22,28 +22,26 @@ cap before their first step (`run_schedule_all` with every row it ends on).
 `run_schedule` measures one register along a schedule on a prescribed list
 of +/-1 outcomes, taking the outcome's half only, while `run_schedule_all`
 takes both halves of every row at once, doubling the rows: the runners
-differ only in taking one outcome or both. Both engines measure only
-through these: the measurement-based engine keeps the schedules it
-compiles, the parity engine compiles each layer's when it runs it. A
-rotation right before a measurement reaches them folded into the
-measurement's axis, not as a gate, and a layer's data rotations as one 2x2
-per rotated qubit (`rotate_qubits`). `project`, `discard_qubit`,
-`outcome_probability`, `append_qubit` and `apply_pauli_x/z` are the
-reference kernels the tests check them against. The steps hold masks, and
-read two cached tables as they run: `_odd_overlap`, the 0/1 parity of each
-amplitude index under a mask, and `_fresh_factors`, the outcome factors of
-an axis, whose CNOT rows are its two bras.
+differ only in taking one outcome or both. The engines compile layers
+(`Layer`), and `run_layers` (one register) and `run_layers_all` (every
+branch) run them: scalar, schedule, then one 2x2 per rotated data qubit
+(`rotate_qubits`). A rotation right before a measurement reaches them
+folded into its axis. `project`, `discard_qubit`, `outcome_probability`,
+`append_qubit` and `apply_pauli_x/z` are the reference kernels the tests
+check them against. The steps hold masks, and read two cached tables as
+they run: `_odd_overlap`, the 0/1 parity of each amplitude index under a
+mask, and `_fresh_factors`, the outcome factors of an axis, whose CNOT
+rows are its two bras.
 
 A state is checked where it is built from outside (`Statevector(...)`):
 its labels, its shape and its norm. A run hands over the amplitudes it
-made and normalised itself as they are (`Statevector._owned`), frozen but
-neither copied nor checked again, and each engine call checks its outcome
-list once (`check_outcomes`), before the first step.
+made and normalised itself as they are (`Statevector._owned`, in this
+module only), frozen but neither copied nor checked again, and each run
+checks its outcome list once (`check_outcomes`), before the first step.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -626,13 +624,6 @@ def check_outcomes(outcomes: Sequence[int], count: int) -> list[int]:
     return [int(o) for o in outcomes]
 
 
-def split_outcomes(outcomes: Sequence[int], counts: Sequence[int]) -> list[list[int]]:
-    """`check_outcomes` against the sum of counts, then the list's next
-    `count` outcomes for each count."""
-    outcomes = check_outcomes(outcomes, sum(counts))
-    return [outcomes[end - count : end] for count, end in zip(counts, itertools.accumulate(counts))]
-
-
 def run_schedule(
     schedule: Schedule,
     amplitudes: np.ndarray,
@@ -645,7 +636,8 @@ def run_schedule(
     Outcomes are checked (`check_outcomes`) before the first measurement,
     and the schedule followed by `_run_checked`. The amplitudes are taken
     as given, a unit complex128 vector as a `Statevector` holds them."""
-    return _run_checked(schedule, amplitudes, axes, check_outcomes(outcomes, len(schedule.qubits)))
+    amps, record = _run_checked(schedule, amplitudes, axes, check_outcomes(outcomes, len(schedule.qubits)))
+    return Statevector._owned(schedule.labels, amps), record
 
 
 def _run_checked(
@@ -653,9 +645,9 @@ def _run_checked(
     amplitudes: np.ndarray,
     axes: Sequence[tuple[float, float, float]],
     outcomes: list[int],
-) -> tuple[Statevector, MeasurementRecord]:
+) -> tuple[np.ndarray, MeasurementRecord]:
     """`run_schedule` on an outcome list `check_outcomes` has passed, as
-    the engines' multi-layer runs hand each layer its share.
+    `run_layers` hands each layer its share; gives the output amplitudes.
 
     Each step keeps the `_half` of the outcome taken only, with the step's
     correction applied on a -1 outcome. The halves are kept unnormalised:
@@ -664,7 +656,7 @@ def _run_checked(
     normalised once. Gives the row of `run_schedule_all` for the outcomes
     taken. Refused before the first step if the schedule's `width` is over
     the qubit cap (`check_cap`). Raises ZeroProbabilityError below the
-    1e-12 probability floor. The output is a new array, frozen; the input
+    1e-12 probability floor. The output is a new array; the input
     amplitudes are not written.
     """
     check_cap(schedule.width)
@@ -687,7 +679,29 @@ def _run_checked(
         if minus and (step[-2] or step[-1]):
             amps = _apply_paulis(amps, step[-2], step[-1])
         record.append(MeasurementEntry(q, axis, outcome, probability))
-    return Statevector._owned(schedule.labels, amps / math.sqrt(weight)), tuple(record)
+    return amps / math.sqrt(weight), tuple(record)
+
+
+# a compiled layer: schedule, axes, the register's scalar, data RX and RZ angles
+Layer = tuple[Schedule, Sequence[tuple[float, float, float]], complex, Mapping[str, float], Mapping[str, float]]
+
+
+def run_layers(
+    layers: Sequence[Layer], amplitudes: np.ndarray, outcomes: Sequence[int]
+) -> tuple[Statevector, list[MeasurementRecord]]:
+    """One register through one or more layers: each multiplies it by its
+    scalar, measures it (`_run_checked`) on its own slice of the outcome
+    list, checked once before the first step, then turns its data qubits
+    by RZ(phi) then RX(alpha) (`rotate_qubits`)."""
+    outcomes = check_outcomes(outcomes, sum(len(layer[0].qubits) for layer in layers))
+    records: list[MeasurementRecord] = []
+    end = 0
+    for schedule, axes, phase, alpha, phi in layers:
+        start, end = end, end + len(schedule.qubits)
+        amplitudes, record = _run_checked(schedule, amplitudes * phase, axes, outcomes[start:end])
+        amplitudes = rotate_qubits(amplitudes, schedule.labels, alpha, phi)
+        records.append(record)
+    return Statevector._owned(schedule.labels, amplitudes), records
 
 
 def check_cap(qubits: int, branches: int = 1) -> None:
@@ -805,6 +819,16 @@ def run_schedule_all(
         amps = pairs.reshape(-1, pairs.shape[2])
         probabilities = np.concatenate((probabilities.repeat(2, axis=0), born.reshape(-1, 1)), axis=1)
     return BranchArray(schedule.labels, amps, probabilities, branches.plan + (plan,))
+
+
+def run_layers_all(layers: Sequence[Layer], branches: BranchArray) -> BranchArray:
+    """`run_layers` on every branch at once, each schedule through
+    `run_schedule_all`."""
+    for schedule, axes, phase, alpha, phi in layers:
+        branches = run_schedule_all(schedule, branches.on_register(branches.labels, branches.amplitudes * phase), axes)
+        rotated = rotate_qubits(branches.amplitudes, schedule.labels, alpha, phi)
+        branches = branches.on_register(schedule.labels, rotated)
+    return branches
 
 
 def record_to_json(record: Iterable[MeasurementEntry]) -> list:

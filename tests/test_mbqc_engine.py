@@ -815,6 +815,33 @@ def test_layer_keys_refused_before_any_layer_runs(bad, field):
             mbqc_engine.run_all_branches(graph, psi, layers, flow)
 
 
+def test_layers_after_the_first_need_outputs_equal_to_inputs():
+    """A layer ends on the outputs, which the next layer takes as its
+    inputs: on the path 1-2-3 with I = {1} and O = {1, 3}, whose flow is
+    valid, a second layer has no input register, and both layered entry
+    points refuse it before the first layer prepares or measures a
+    qubit. One layer runs and ends on the outputs."""
+    graph = make_graph(["1", "2", "3"], [("1", "2"), ("2", "3")], ["1"], ["1", "3"])
+    flow = GFlow({"2": {"2"}}, {("2", "1"), ("2", "3")}, ({"2"}, {"1", "3"}))
+    psi = random_state(("1",), np.random.default_rng(9))
+    layers = [LayerParams(theta={"2": 0.4}), LayerParams()]
+    cause = r"^2 layers on a graph whose outputs \['1', '3'\] differ from its inputs \['1'\]: the second layer has no input register$"
+    with (
+        mock.patch.object(simulator, "_fresh_factors", wraps=simulator._fresh_factors) as factors,
+        mock.patch.object(simulator, "_prepare", wraps=simulator._prepare) as prepared,
+    ):
+        with pytest.raises(ValueError, match=cause):
+            run_repeated_mbqc(graph, psi, layers, flow, [1, 1])
+        with pytest.raises(ValueError, match=cause):
+            mbqc_engine.run_all_branches(graph, psi, layers, flow)
+        assert not factors.called and not prepared.called
+        out, records = run_repeated_mbqc(graph, psi, layers[:1], flow, [-1])
+        assert factors.called and prepared.called
+    assert out.labels == ("1", "3")
+    assert [e.qubit for record in records for e in record] == ["2"]
+    assert mbqc_engine.run_all_branches(graph, psi, layers[:1], flow).labels == ("1", "3")
+
+
 def test_repeated_identity():
     layout = build_all_pairs_layout(2)
     graph = induced_graph(layout)

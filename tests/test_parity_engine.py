@@ -320,15 +320,17 @@ def test_bad_second_layer_refused_before_anything_runs(layout2):
         run_computation(layout2, psi, layers[:1], [-1])
     assert factors.called
     # the all-branch run refuses it before it measures anything
-    with mock.patch.object(parity_engine, "run_schedule_all", wraps=simulator.run_schedule_all) as measured:
+    with mock.patch.object(simulator, "run_schedule_all", wraps=simulator.run_schedule_all) as measured:
         with pytest.raises(ValueError, match="theta keys must be parity qubits"):
             parity_engine.run_all_branches(layout2, psi, layers)
     assert not measured.called
     # a short list for two layers is refused before the first runs
-    with mock.patch.object(parity_engine, "run_schedule", wraps=run_schedule) as layer:
+    with mock.patch.object(simulator, "_run_checked", wraps=simulator._run_checked) as layer:
         with pytest.raises(ValueError, match="^1 prescribed outcome\\(s\\) for 2 measurement\\(s\\)$"):
             run_computation(layout2, psi, [LayerParams(), LayerParams()], [1])
-    assert not layer.called
+        assert not layer.called
+        run_computation(layout2, psi, [LayerParams(), LayerParams()], [1, -1])
+    assert layer.call_count == 2
 
 
 @pytest.mark.parametrize("key", ["theta", "alpha", "phi"])
