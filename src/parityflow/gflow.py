@@ -19,6 +19,7 @@ with the conditions' core on the graph's own masks.
 
 from __future__ import annotations
 
+import operator
 import os
 import time
 from collections.abc import Mapping, Sequence
@@ -386,46 +387,38 @@ def _yz_peel(odd: Sequence[int], free: int) -> list[tuple[int, int, int]] | None
     return peeled[::-1]
 
 
-@lru_cache(maxsize=1 << 6)
-def _label_pairs(labels: tuple[str, ...]) -> tuple[tuple[tuple[str, str], ...], ...]:
-    """Entry [i][j]: the pair (labels[i], labels[j]), built once per vertex
-    tuple, so that the flows on it share their precedence pairs. Bounded,
-    as `graph._vertex_bits` is."""
-    return tuple(tuple((v, u) for u in labels) for v in labels)
-
-
 def _peel_gflow(
-    graph: Graph, free: int, peeled: list[tuple[int, int, int]], flows: dict, keep: bool = True
+    graph: Graph, free: int, peeled: list[tuple[int, int, int]], flows: dict
 ) -> tuple[GFlow | None, list[int], list[int]]:
     """The checked YZ gflow of a peel with O = I, `free` the non-input
     vertices, with its `_after_masks` and correction masks.
 
-    The flow depends only on the vertex labels, `free` and the peel, so it
-    is built once per (free, peel) into `flows`, a table the caller holds,
+    The flow depends only on the vertex labels, `free` and the peel, so its
+    masks go once per (free, peel) into `flows`, a table the caller holds,
     keyed by one int: `free`, then three n-bit fields per step (a peel has
-    one step per bit of `free`, so no two peels share a key). It orders v
-    before each u != v in g(v) | Odd(g(v)), as conditions 1 and 2 ask, is
-    layered by longest path, and its masks are read back from its labels.
-    Unless `keep`, the table holds only those masks, and None stands for
-    the flow, dropped once they are read. Every call checks the masks on the
-    graph's own adjacency masks, never on the peel's Odd table, and reads
-    neither the graph's inputs nor its outputs. AssertionError if the check
-    fails, with the violations `verify_gflow` names.
+    one step per bit of `free`, so no two peels share a key). The call that
+    builds the flow returns it, a table hit None. It orders v before each
+    u != v in g(v) | Odd(g(v)), as conditions 1 and 2 ask, is layered by
+    longest path, and its masks are read back from its labels. Every call
+    checks the masks on the graph's own adjacency masks, never on the
+    peel's Odd table, and reads neither the graph's inputs nor its outputs.
+    AssertionError if the check fails, with the violations `verify_gflow`
+    names.
     """
     labels = graph.vertices
     n = len(labels)
     key = free
     for v, s, odd in peeled:
         key = ((key << n | v) << n | s) << n | odd
-    entry = flows.get(key)
-    if entry is None:
-        pairs = _label_pairs(labels)
+    flow = None
+    masks = flows.get(key)
+    if masks is None:
         precedence = set()
         # longest-path layering: every successor of v is measured after v
         depth = {v: 0 for v, _, _ in peeled}
         for v, s, odd in peeled:
             for u in _bit_indices((s | odd) & ~(1 << v)):
-                precedence.add(pairs[v][u])
+                precedence.add((labels[v], labels[u]))
                 if u in depth:
                     depth[u] = max(depth[u], depth[v] + 1)
         layers: list[set[str]] = [set() for _ in range(max(depth.values(), default=-1) + 1)]
@@ -436,12 +429,11 @@ def _peel_gflow(
             layers.append(outputs)
         g_map = {labels[v]: graph.vertices_of(s) for v, s, _ in sorted(peeled)}
         flow = GFlow(g_map, frozenset(precedence), tuple(frozenset(s) for s in layers))
-        masks = (_after_masks(labels, flow), *_correction_masks(_vertex_bits(labels), flow))
-        entry = flows[key] = (flow if keep else None, *masks)
-    flow, after, domain, corrections = entry
+        masks = flows[key] = (_after_masks(labels, flow), *_correction_masks(_vertex_bits(labels), flow))
+    after, domain, corrections = masks
     # O = I: the measured and the non-input vertices are both `free`
     if domain != free or _flow_violations(graph.neighbor_masks, free, free, corrections, (0, 0, free), after):
-        if flow is None:  # dropped from the table: built again, it fails this check and names it
+        if flow is None:  # a table hit: built again, it fails this check and names it
             _peel_gflow(graph, free, peeled, {})
         inputs = graph.vertices_of((1 << n) - 1 & ~free)
         g = with_io(graph, inputs, inputs)
@@ -550,6 +542,25 @@ class Discrepancy:
     bipartite_with_inputs: bool
 
 
+@dataclass(frozen=True)
+class Witnesses(Sequence):
+    """A kept sweep's witnesses, in sweep order: each is kept as its base
+    graph, shared with its batch, and its input mask, and item i builds its
+    (open graph, flow) pair on access by the public route, `with_io` with
+    O = I, then `search_gflow_yz`: fresh objects, equal at every access."""
+
+    kept: tuple[tuple[Graph, int], ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.kept)
+
+    def __getitem__(self, i: int) -> tuple[Graph, GFlow]:
+        base, mask = self.kept[operator.index(i)]
+        inputs = base.vertices_of(mask)
+        g = with_io(base, inputs, inputs)
+        return g, search_gflow_yz(g)
+
+
 @dataclass
 class SweepReport:
     max_n: int
@@ -558,7 +569,7 @@ class SweepReport:
     io_mismatch_cases: int = 0
     io_mismatch_flows_found: int = 0
     witness_failures: list[Discrepancy] = field(default_factory=list)
-    witnesses: list[tuple[Graph, GFlow]] = field(default_factory=list)
+    witnesses: Witnesses = Witnesses()
     # seconds the batches of each n took, summed over workers; not in to_json
     seconds: dict[int, float] = field(default_factory=dict)
 
@@ -603,24 +614,21 @@ def _sweep_batch(args: tuple[int, Sequence[Graph], bool]) -> tuple[int, dict, li
     flow found goes through `_peel_gflow` on the base graph, with one table
     for the batch, whose graphs (`enumerate_connected_graphs(n)`) share one
     vertex tuple; a new tuple would start a new one. Each distinct flow is
-    built once, and every witness checked on the base graph's adjacency
-    masks, which its open graph shares; unless witnesses are kept, the
-    table holds only those masks and each `GFlow` is dropped.
-    `_structure_facts` checks it on the same masks. The input set (once
-    per batch and input mask) and an open graph are built only for a kept
-    witness, a discrepancy or a failed check; witnesses return if `keep`.
+    built once, dropped once its masks are read, and every witness checked
+    on the base graph's adjacency masks by `_flow_violations` and
+    `_structure_facts`. Only a discrepancy or a failed check builds its
+    input set. If `keep`, each witness returns as its base graph and input
+    mask, from which `Witnesses` builds its pair.
     """
     began = time.perf_counter()
     n, bases, keep = args
     counts = {"instances": 0, "flows_found": 0, "bipartite_instances": 0}
-    discrepancies = []
-    witness_failures = []
-    witnesses = []
-    labels = None  # the vertex tuple of the `_peel_gflow` table and of the input mask -> input set memo
+    discrepancies, witness_failures, witnesses = [], [], []
+    labels = None  # the vertex tuple of the `_peel_gflow` table
     for base in bases:
         if base.vertices != labels:
-            labels, flows, sets = base.vertices, {}, {}
-        masks = base.neighbor_masks  # built once per base graph; every with_io copy shares it
+            labels, flows = base.vertices, {}
+        masks = base.neighbor_masks  # built once per base graph
         odd = _odd_table(base)
         for mask in range(1 << n):
             free = ~mask & ((1 << n) - 1)  # the measured vertices, and every correction set's support
@@ -636,12 +644,9 @@ def _sweep_batch(args: tuple[int, Sequence[Graph], bool]) -> tuple[int, dict, li
                 discrepancies.append(_discrepancy(base, inputs, inputs, found, expected))
             if not found:
                 continue
-            flow, after, corrections = _peel_gflow(base, free, peeled, flows, keep)
+            _, after, corrections = _peel_gflow(base, free, peeled, flows)
             if keep:
-                inputs = sets.get(mask)
-                if inputs is None:
-                    inputs = sets[mask] = base.vertices_of(mask)
-                witnesses.append((with_io(base, inputs, inputs), flow))
+                witnesses.append((base, mask))
             if not all(_structure_facts(masks, free, corrections, after)):
                 inputs = base.vertices_of(mask)
                 witness_failures.append(_discrepancy(base, inputs, inputs, found, expected))
@@ -664,13 +669,12 @@ def yz_bipartite_sweep(
     (`discrepancies` names any that has one). The graphs go to
     `_sweep_batch` in batches of one size: one batch per n serially, eight
     graphs per task in a worker pool. Each flow found takes the search's
-    route to a checked witness, `_peel_gflow`, so witnesses with the same
-    vertex count, inputs and peel share one GFlow within a batch. Kept
-    witnesses share equal vertex sets (`graph.shared_set`) and, for one n,
-    equal precedence pairs (`_label_pairs`); those that come back from a
-    pool share them only within their batch. The report's
-    `seconds` holds the time the batches of each n took, summed over
-    workers.
+    route to a checked witness, `_peel_gflow`, which builds each distinct
+    flow of a batch once and keeps none past its check. The report's
+    `witnesses` hold each kept witness as its base graph and input mask
+    and build its (open graph, flow) pair on access; without
+    `keep_witnesses` they are empty. The report's `seconds` holds the time
+    the batches of each n took, summed over workers.
     """
     if max_n < 1:
         raise ValueError(f"max_n={max_n} must be at least 1")
@@ -689,12 +693,7 @@ def yz_bipartite_sweep(
     batches = []
     for n, bases in graphs.items():
         size = 8 if pooled else len(bases)  # a pooled task's graphs; serially, one batch per n
-        report.per_n[n] = {
-            "graphs": len(bases),
-            "instances": 0,
-            "flows_found": 0,
-            "bipartite_instances": 0,
-        }
+        report.per_n[n] = {"graphs": len(bases), "instances": 0, "flows_found": 0, "bipartite_instances": 0}
         report.seconds[n] = 0.0
         batches.extend((n, bases[i : i + size], keep_witnesses) for i in range(0, len(bases), size))
 
@@ -707,13 +706,13 @@ def yz_bipartite_sweep(
     else:
         results = [_sweep_batch(batch) for batch in batches]
 
-    for n, counts, discrepancies, witness_failures, witnesses, seconds in results:
+    for n, counts, discrepancies, witness_failures, _, seconds in results:
         for key, value in counts.items():
             report.per_n[n][key] += value
         report.seconds[n] += seconds
         report.discrepancies.extend(discrepancies)
         report.witness_failures.extend(witness_failures)
-        report.witnesses.extend(witnesses)
+    report.witnesses = Witnesses(tuple(witness for result in results for witness in result[4]))
 
     # I != O instances: equal sizes, still no flow may exist; they need n >= 2
     rng = np.random.default_rng(seed)

@@ -6,6 +6,7 @@ import itertools
 import json
 import tracemalloc
 import weakref
+from collections.abc import Sequence
 from unittest import mock
 
 import gflow_helpers as reference
@@ -449,6 +450,28 @@ def test_sweep_witnesses_returned():
         assert verify_gflow(g, yz_planes(g), flow)
 
 
+def test_sweep_witnesses_are_a_sequence_built_on_access():
+    report = yz_bipartite_sweep(4, io_samples=0, workers=1)
+    witnesses = report.witnesses
+    pairs = list(witnesses)
+    assert isinstance(witnesses, Sequence)
+    assert len(witnesses) == len(pairs) == sum(counts["flows_found"] for counts in report.per_n.values()) > 2
+    for i in (0, 1, -1, -len(pairs)):
+        g, flow = witnesses[i]
+        assert g == pairs[i][0] and reference.flow_content(g, flow) == reference.flow_content(*pairs[i])
+    # two accesses build equal content as fresh objects
+    (g, flow), (again, twin) = witnesses[1], witnesses[1]
+    assert g == again and g is not again and flow is not twin
+    assert reference.flow_content(g, flow) == reference.flow_content(again, twin)
+    for out_of_range in (len(pairs), -len(pairs) - 1):
+        with pytest.raises(IndexError):
+            witnesses[out_of_range]
+    with pytest.raises(TypeError):
+        witnesses[0:2]
+    empty = yz_bipartite_sweep(4, io_samples=0, workers=1, keep_witnesses=False).witnesses
+    assert isinstance(empty, Sequence) and len(empty) == 0 and list(empty) == []
+
+
 def test_sweep_parallel_matches_serial():
     serial = yz_bipartite_sweep(4, io_samples=0, workers=1, keep_witnesses=True)
     parallel = yz_bipartite_sweep(4, io_samples=0, workers=2, keep_witnesses=True)
@@ -525,8 +548,9 @@ def test_sweep_builds_each_graph_once(monkeypatch):
 
 
 def test_sweep_builds_open_graphs_only_for_flows_found(monkeypatch):
-    # instances are decided on masks, so with_io runs once per flow found
-    # and once per I != O sample, not once per instance
+    # instances are decided on masks, so the sweep runs with_io once per
+    # I != O sample, and its witnesses once per access, each of a flow
+    # found: never once per instance
     calls = []
 
     def counting(g, inputs, outputs):
@@ -537,15 +561,18 @@ def test_sweep_builds_open_graphs_only_for_flows_found(monkeypatch):
     monkeypatch.setattr(gflow_module, "with_io", counting)
     report = yz_bipartite_sweep(5, io_samples=20, workers=1)
     assert report.ok
+    assert len(calls) == report.io_mismatch_cases == 20
     flows = sum(counts["flows_found"] for counts in report.per_n.values())
     instances = sum(counts["instances"] for counts in report.per_n.values())
+    assert len(list(report.witnesses)) == flows
     assert len(calls) == flows + report.io_mismatch_cases < instances
 
 
-def test_kept_sweep_builds_each_input_set_once_per_batch(monkeypatch):
+def test_kept_sweep_builds_input_sets_only_on_access(monkeypatch):
     # a flow build reads its outputs and each correction set off the graph
-    # (1 + |g| calls); past that, a serial sweep's one batch per n builds
-    # each kept input set at most once, not once per witness
+    # (1 + |g| calls), once per distinct flow in a serial sweep's one batch
+    # per n. A kept witness is its base graph and input mask, so the sweep
+    # builds no input set; each access builds one and searches its flow
     calls = []
 
     def counting(self, mask):
@@ -555,11 +582,12 @@ def test_kept_sweep_builds_each_input_set_once_per_batch(monkeypatch):
     original = graph_module.Graph.vertices_of
     monkeypatch.setattr(graph_module.Graph, "vertices_of", counting)
     report = yz_bipartite_sweep(6, io_samples=0, workers=1)
-    flows = {id(flow): flow for _, flow in report.witnesses}.values()
-    flow_builds = sum(1 + len(flow.g) for flow in flows)
-    input_masks = sum(1 << n for n in range(1, 7))
-    assert len(report.witnesses) == 2012
-    assert len(calls) <= flow_builds + input_masks < flow_builds + len(report.witnesses)
+    swept = len(calls)
+    witnesses = list(report.witnesses)
+    flows = {reference.flow_content(g, flow): flow for g, flow in witnesses}.values()
+    assert (len(witnesses), len(flows)) == (2012, 560)
+    assert swept == sum(1 + len(flow.g) for flow in flows)
+    assert len(calls) - swept == sum(2 + len(flow.g) for _, flow in witnesses)
 
 
 def test_sweep_batch_input_sets_follow_each_base_graphs_labels():
@@ -568,7 +596,11 @@ def test_sweep_batch_input_sets_follow_each_base_graphs_labels():
     path = [("1", "2"), ("2", "3")]
     letters = {"1": "a", "2": "b", "3": "c"}
     bases = [make_graph("123", path), make_graph("abc", [(letters[u], letters[v]) for u, v in path])]
-    *_, witnesses, _ = gflow_module._sweep_batch((3, bases, True))
+    *_, kept, _ = gflow_module._sweep_batch((3, bases, True))
+    # each witness comes back as its own base graph and an input mask
+    assert [base.vertices for base, _ in kept] == [("1", "2", "3")] * 5 + [("a", "b", "c")] * 5
+    assert all(base is bases[0] or base is bases[1] for base, _ in kept)
+    witnesses = gflow_module.Witnesses(tuple(kept))
     numbered = [g.inputs for g, _ in witnesses if g.vertices == ("1", "2", "3")]
     lettered = [g.inputs for g, _ in witnesses if g.vertices == ("a", "b", "c")]
     assert len(numbered) + len(lettered) == len(witnesses)
@@ -587,9 +619,11 @@ def test_kept_witnesses_share_equal_label_sets():
     assert len({id(s) for s in sets}) == len(set(sets)) < len(sets)
 
 
-def test_kept_sweep_retains_under_1400_bytes_per_witness():
-    # every cache starts cold, so the count includes the shared sets' table;
-    # about 2,100 bytes when each witness froze its own sets, about 850 shared
+def test_kept_sweep_retains_under_300_bytes_per_witness():
+    # every cache starts cold, so the count includes the shared sets' table
+    # and the base graphs; about 2,100 bytes when each witness froze its own
+    # sets, about 510 with shared sets while each held an open graph and its
+    # batch's flow, about 226 as a base graph and an input mask
     yz_bipartite_sweep(2, io_samples=1, workers=1)  # loads what the first sweep imports
     for module in (graph_module, gflow_module):
         for value in vars(module).values():
@@ -605,7 +639,7 @@ def test_kept_sweep_retains_under_1400_bytes_per_witness():
     finally:
         tracemalloc.stop()
     assert len(report.witnesses) == 2012
-    assert retained / len(report.witnesses) < 1400
+    assert retained / len(report.witnesses) < 300
 
 
 def test_sweep_witnesses_equal_the_public_search():
@@ -627,11 +661,18 @@ def test_sweep_witnesses_equal_the_public_search():
 
 
 @pytest.mark.parametrize("max_n, distinct", [(5, 132), (6, 560)])
-def test_serial_sweep_builds_each_distinct_flow_once(max_n, distinct):
-    # one batch per n: witnesses with equal flows hold one GFlow object
+def test_serial_sweep_builds_each_distinct_flow_once(monkeypatch, max_n, distinct):
+    # one batch per n: the sweep builds one GFlow per distinct flow
+    built = []
+
+    def counting(*args, _real=gflow_module.GFlow, **kwargs):
+        built.append(1)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(gflow_module, "GFlow", counting)
     witnesses = yz_bipartite_sweep(max_n, io_samples=0, workers=1).witnesses
-    objects = {id(flow) for _, flow in witnesses}
-    assert len(objects) == len({reference.flow_content(g, flow) for g, flow in witnesses}) == distinct
+    assert len(built) == distinct
+    assert len({reference.flow_content(g, flow) for g, flow in witnesses}) == distinct
 
 
 def _count_calls(monkeypatch, *names) -> dict[str, list]:
@@ -648,14 +689,16 @@ def _count_calls(monkeypatch, *names) -> dict[str, list]:
 
 
 def test_sweep_verifies_and_checks_every_witness_once(monkeypatch):
-    # a shared flow is built once but checked on each witness graph, by the
-    # two mask cores; the label front-ends run only on a failed check
+    # a distinct flow is built once but checked on each witness graph, by
+    # the two mask cores; the label front-ends run only on a failed check
     calls = _count_calls(monkeypatch, "_flow_violations", "_structure_facts", "verify_gflow", "witness_structure")
     report = yz_bipartite_sweep(5, io_samples=0, workers=1)
-    assert len(report.witnesses) == 277
-    assert len({id(flow) for _, flow in report.witnesses}) == 132
+    swept = list(calls["_flow_violations"]), list(calls["_structure_facts"])
+    witnesses = list(report.witnesses)  # each access checks its flow again
+    assert len(witnesses) == 277
+    assert len({reference.flow_content(g, flow) for g, flow in witnesses}) == 132
     assert calls["verify_gflow"] == calls["witness_structure"] == []
-    checks = zip(report.witnesses, calls["_flow_violations"], calls["_structure_facts"], strict=True)
+    checks = zip(witnesses, *swept, strict=True)
     for (g, flow), verified, structured in checks:
         measured = (1 << len(g.vertices)) - 1 & ~g.mask_of(g.outputs)
         assert measured == (1 << len(g.vertices)) - 1 & ~g.mask_of(g.inputs)
@@ -688,24 +731,26 @@ def test_unkept_sweep_builds_no_open_graph(monkeypatch):
 
 
 def test_unkept_sweep_keeps_no_flow_alive(monkeypatch):
-    # unkept, each batch's table holds only the masks a check reads: each
-    # distinct peel builds one `GFlow`, dead once the sweep returns. Kept,
-    # the same peels build one flow each, which their witnesses share
-    built = []
+    # each batch's table holds only the masks a check reads: each distinct
+    # peel builds one `GFlow`, dead once the sweep returns, kept or not, as
+    # is every open graph (here, the I != O samples'). A kept sweep holds
+    # only base graphs and input masks
+    built = {"GFlow": [], "with_io": []}
+    for name, refs in built.items():
 
-    def recording(*args, _real=gflow_module.GFlow, **kwargs):
-        flow = _real(*args, **kwargs)
-        built.append(weakref.ref(flow))
-        return flow
+        def recording(*args, _real=getattr(gflow_module, name), _refs=refs, **kwargs):
+            made = _real(*args, **kwargs)
+            _refs.append(weakref.ref(made))
+            return made
 
-    monkeypatch.setattr(gflow_module, "GFlow", recording)
-    dropped = yz_bipartite_sweep(6, io_samples=0, workers=1, keep_witnesses=False)
-    unkept = len(built)
-    assert unkept > 0 and all(ref() is None for ref in built)
-    built.clear()
-    kept = yz_bipartite_sweep(6, io_samples=0, workers=1)
-    assert len(kept.witnesses) == 2012
-    assert len(built) == len({id(flow) for _, flow in kept.witnesses}) == unkept
+        monkeypatch.setattr(gflow_module, name, recording)
+    reports = [yz_bipartite_sweep(6, io_samples=5, workers=1, keep_witnesses=keep) for keep in (False, True)]
+    assert len(built["GFlow"]) == 2 * 560 and len(built["with_io"]) == 2 * 5
+    assert all(ref() is None for refs in built.values() for ref in refs)
+    dropped, kept = reports
+    assert len(dropped.witnesses) == 0 and len(kept.witnesses) == 2012
+    assert {type(base) for base, _ in kept.witnesses.kept} == {graph_module.Graph}
+    assert {type(mask) for _, mask in kept.witnesses.kept} == {int}
     assert dropped.to_json() == kept.to_json()
 
 
@@ -720,35 +765,20 @@ def test_unkept_sweep_interns_no_precedence_pairs():
 
 
 def test_unkept_table_hit_that_fails_its_check_names_the_violations():
-    # an unkept table holds no flow; a peel valid on the star 1-3-2 fails on
-    # the path 1-2-3 (Odd({1}) = {2}, measured before 1), and the hit that
-    # finds it builds the flow again to name the violation
+    # a table holds no flow, only its masks; a peel valid on the star 1-3-2
+    # fails on the path 1-2-3 (Odd({1}) = {2}, measured before 1), and the
+    # hit that finds it builds the flow again to name the violation
     star, path = make_graph("123", [("1", "3"), ("2", "3")]), make_graph("123", [("1", "2"), ("2", "3")])
     free = 0b011
     peeled = gflow_module._yz_peel(gflow_module._odd_table(star), free)
     flows = {}
-    assert gflow_module._peel_gflow(star, free, peeled, flows, keep=False)[0] is None
-    assert [entry[0] for entry in flows.values()] == [None]
+    built, after, corrections = gflow_module._peel_gflow(star, free, peeled, flows)
+    assert isinstance(built, GFlow)
+    assert list(flows.values()) == [(after, free, corrections)]
+    assert gflow_module._peel_gflow(star, free, peeled, flows) == (None, after, corrections)
     with pytest.raises(AssertionError, match="search produced an invalid witness") as raised:
-        gflow_module._peel_gflow(path, free, peeled, flows, keep=False)
+        gflow_module._peel_gflow(path, free, peeled, flows)
     assert "condition=2" in str(raised.value) and "'2' in Odd(g('1'))" in str(raised.value)
-
-
-def test_flows_on_one_vertex_tuple_share_their_precedence_pairs():
-    # each search builds its flow afresh, yet an equal pair on the same
-    # vertex tuple is one object across all of them
-    graph_module.shared_set.cache_clear()
-    pairs: dict[tuple[str, str], tuple[str, str]] = {}
-    flows = 0
-    for base in enumerate_connected_graphs(4):
-        for mask in range(16):
-            inputs = base.vertices_of(mask)
-            flow = search_gflow_yz(with_io(base, inputs, inputs))
-            if flow is not None:
-                flows += 1
-                for pair in flow.precedence:
-                    assert pairs.setdefault(pair, pair) is pair
-    assert flows > 1 and len(pairs) > 1
 
 
 def test_discrepancy_rebuilds_its_instance_from_the_report_alone(monkeypatch):
@@ -853,7 +883,7 @@ def test_mask_cores_match_the_reference_on_sweep_flows_across_graphs():
     # with its n and input mask: valid and invalid pairs alike
     flows = {}
     for g, flow in yz_bipartite_sweep(5, io_samples=0, workers=1).witnesses:
-        flows.setdefault(id(flow), (len(g.vertices), g.mask_of(g.inputs), flow))
+        flows.setdefault(reference.flow_content(g, flow), (len(g.vertices), g.mask_of(g.inputs), flow))
     pairs = invalid = broken = 0
     for n, inputs, flow in flows.values():
         for base in enumerate_connected_graphs(n):

@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from gflow_helpers import flow_content
 from test_branches import chained_flow, witnesses
 
 from parityflow import mbqc_engine, parity_engine, simulator
@@ -296,7 +297,8 @@ def test_compiled_runs_match_runs_compiled_on_every_call(monkeypatch):
     compiled = counting_compiles(monkeypatch)
     rng = np.random.default_rng(8)
     runs = 0
-    witnesses = yz_bipartite_sweep(5, io_samples=0, workers=1).witnesses
+    # built once: the asserts on `_RUNS` below need each pair to stay one object
+    witnesses = list(yz_bipartite_sweep(5, io_samples=0, workers=1).witnesses)
     for g, flow in witnesses:
         measured = sorted(flow.g)
         angles = {v: float(rng.uniform(-np.pi, np.pi)) for v in measured}
@@ -507,8 +509,9 @@ def test_claim_2_runs_hold_only_the_inputs_and_no_graph_state():
 
 
 def test_shared_sweep_flow_verified_per_graph_and_refused_where_invalid(monkeypatch):
-    # a sweep flow shared by two witness graphs is verified and compiled
-    # once on each; on a graph where it is invalid it raises every time
+    # a sweep flow valid on two witness graphs, shared by both, is verified
+    # and compiled once on each; on a graph where it is invalid it raises
+    # every time
     compiled = counting_compiles(monkeypatch)
     verified = []
     real_verify = mbqc_engine.verify_gflow
@@ -518,10 +521,10 @@ def test_shared_sweep_flow_verified_per_graph_and_refused_where_invalid(monkeypa
         return real_verify(g, planes, flow)
 
     monkeypatch.setattr(mbqc_engine, "verify_gflow", counting)
-    graphs: dict[GFlow, list] = {}
+    graphs: dict[tuple, tuple[GFlow, list]] = {}
     for g, flow in yz_bipartite_sweep(5, io_samples=0, workers=1).witnesses:
-        graphs.setdefault(flow, []).append(g)
-    flow, (first, second, *_) = next((f, gs) for f, gs in graphs.items() if len(gs) >= 2 and len(f.g) >= 2)
+        graphs.setdefault(flow_content(g, flow), (flow, []))[1].append(g)
+    flow, (first, second, *_) = next((f, gs) for f, gs in graphs.values() if len(gs) >= 2 and len(f.g) >= 2)
     assert first is not second
     psi = random_state(tuple(sorted(first.inputs)), np.random.default_rng(6))
     angles = dict.fromkeys(flow.g, 0.6)
